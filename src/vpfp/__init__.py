@@ -25,7 +25,15 @@ from .operators import (
     vpfp_rhs,
     coercivity_gap,
 )
-from .solver import SolverConfig, KineticState, Trajectory, make_initial_data, step, run
+from .solver import (
+    ConservationError,
+    SolverConfig,
+    KineticState,
+    Trajectory,
+    make_initial_data,
+    step,
+    run,
+)
 from .ddp import DdpState, ddp_step, ddp_run
 from .diagnostics import (
     EnergyReport,

@@ -130,7 +130,7 @@ def main(argv=None) -> int:
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    except (ValueError, FloatingPointError, AssertionError, RuntimeError) as exc:
+    except (ValueError, FloatingPointError, RuntimeError) as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return EXIT_RUN_FAILURE
 

@@ -44,11 +44,6 @@ def ddp_step(grid: SpatialGrid, state: DdpState, dt: float, drift: bool = True) 
     """
     rho_c = fourier_field(grid, state.rho0)
     k = grid.wavenumbers
-    k_sq = np.zeros(grid.spatial_shape)
-    for ax in range(grid.d):
-        shape = [1] * grid.d
-        shape[ax] = grid.n_x
-        k_sq = k_sq + (k.reshape(shape)) ** 2
 
     drift_c = np.zeros_like(rho_c)
     if drift:
@@ -60,7 +55,7 @@ def ddp_step(grid: SpatialGrid, state: DdpState, dt: float, drift: bool = True) 
             drift_c = drift_c + (1j * k).reshape(shape) * fourier_field(grid, prod)
         drift_c = drift_c - rho_c  # Lap phi0 = -rho0
 
-    new_c = (rho_c + dt * drift_c) / (1.0 + dt * k_sq)
+    new_c = (rho_c + dt * drift_c) / (1.0 + dt * grid.k_sq)
     rho0 = real_field(grid, new_c)
     if not np.all(np.isfinite(rho0)):
         raise FloatingPointError(f"non-finite fluid state at t = {state.time + dt:.6g}")

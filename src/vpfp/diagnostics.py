@@ -91,7 +91,7 @@ def _require_1d(grid: SpatialGrid) -> None:
 
 def _x_weight(grid: SpatialGrid, order: int) -> np.ndarray:
     """Per-mode multiplier sum_{alpha <= order} k^(2 alpha)."""
-    k_sq = grid.wavenumbers**2
+    k_sq = grid.k_sq
     w = np.ones_like(k_sq)
     term = np.ones_like(k_sq)
     for _ in range(order):

@@ -122,20 +122,11 @@ def spatial_l2_norm(grid: SpatialGrid, values: np.ndarray) -> float:
     return float(np.sqrt(grid.cell_volume * np.sum(np.asarray(values) ** 2)))
 
 
-def _dealias_mask(grid: SpatialGrid) -> np.ndarray:
-    m = np.abs(np.fft.fftfreq(grid.n_x, d=1.0 / grid.n_x))
-    keep1 = m <= grid.n_x // 3
-    mask = keep1
-    for _ in range(grid.d - 1):
-        mask = np.multiply.outer(mask, keep1)
-    return mask
-
-
 def dealiased_product(grid: SpatialGrid, u: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Pointwise product of two real spatial fields, 2/3-rule dealiased."""
     prod = np.asarray(u) * np.asarray(w)
     c = fourier_field(grid, prod)
-    return real_field(grid, c * _dealias_mask(grid))
+    return real_field(grid, c * grid.dealias_mask)
 
 
 # ---------------------------------------------------------------------------
@@ -203,16 +194,9 @@ def solve_poisson(grid: SpatialGrid, a: np.ndarray) -> tuple[np.ndarray, np.ndar
         raise ValueError(
             f"Poisson right-hand side must have zero spatial mean; residual mean {mean:.3e}"
         )
-    c = fourier_field(grid, a)
-    k = grid.wavenumbers
-    k_sq = np.zeros(grid.spatial_shape)
-    for ax in range(grid.d):
-        shape = [1] * grid.d
-        shape[ax] = grid.n_x
-        k_sq = k_sq + (k.reshape(shape)) ** 2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        phi_c = np.where(k_sq > 0, c / k_sq, 0.0)
+    phi_c = fourier_field(grid, a) * grid.inverse_laplacian
     phi = real_field(grid, phi_c)
+    k = grid.wavenumbers
     grad = []
     for ax in range(grid.d):
         shape = [1] * grid.d
@@ -250,7 +234,7 @@ def vpfp_rhs(g: DistributionField, macro: MacroFields, epsilon: float,
         if macro.grad_phi is None:
             raise ConfigurationError("macro fields must carry grad_phi for the coupling terms")
         raised = hermite_shift_coeffs(g.coeffs, "raising")
-        mask = _dealias_mask(grid)[..., None]
+        mask = grid.dealias_mask[..., None]
         phys = raised
         for ax in range(grid.d):
             phys = np.fft.ifft(phys * grid.n_x, axis=ax)

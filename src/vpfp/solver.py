@@ -3,9 +3,20 @@
 Per spatial Fourier mode the two epsilon-singular linear terms -- streaming
 (i k / eps) V with V the tridiagonal velocity-multiplication matrix, and the
 collision multiplier diag(n) / eps^2 -- are treated implicitly; the field
-coupling terms are explicit with the beginning-of-step potential.  The
-implicit blocks are constant per (scheme stage, dt), so their inverses are
-built once and reused.
+coupling terms are explicit with the beginning-of-step potential.
+
+Each implicit block I + dt (i k / eps) V + dt diag(n) / eps^2 is tridiagonal
+with the real diagonal d_n = 1 + dt n / eps^2 and purely imaginary symmetric
+off-diagonals i (dt k / eps) sqrt(n).  Its LU pivots
+
+    u_0 = d_0,    u_n = d_n + (dt k / eps)^2 n / u_{n-1}
+
+are therefore real and u_n >= d_n >= 1: a Thomas sweep needs no pivoting
+and cannot break down.  Its rounding error grows with max_n u_n / d_n, so
+the stiffest modes (large dt k / eps) take one step of iterative
+refinement.  The factors depend only on (scheme stage, dt), so they are
+built once, for the half spectrum m = 0..n_x/2 only; the modes above n_x/2
+of the real solution are the conjugates of modes n_x/2-1..1.
 """
 
 from __future__ import annotations
@@ -34,6 +45,7 @@ from .spectral import (
 log = logging.getLogger(__name__)
 
 __all__ = [
+    "ConservationError",
     "SolverConfig",
     "KineticState",
     "Trajectory",
@@ -45,6 +57,14 @@ __all__ = [
 
 SCHEMES = ("imex_euler", "imex_bdf2")
 NEUTRALITY_TOL = 1e-13
+# Without pivoting, a Thomas sweep is accurate to about 4e-16 times the
+# pivot growth max_n u_n / d_n of its mode; modes above this growth get one
+# step of iterative refinement, which restores dense-solve accuracy.
+PIVOT_GROWTH_LIMIT = 100.0
+
+
+class ConservationError(RuntimeError):
+    """A step changed a conserved quantity beyond round-off."""
 
 
 @dataclass(frozen=True)
@@ -157,8 +177,81 @@ def make_initial_data(grid: SpatialGrid, basis: HermiteBasis, rho_profile,
     return state
 
 
+@dataclass(frozen=True)
+class TridiagonalFactors:
+    """LU factors of the implicit blocks of the modes m = 0..n_x/2.
+
+    Arrays have shape (n_v, n_x/2 + 1), Hermite level first, so each sweep
+    step reads one contiguous row across all modes.  The blocks are
+    symmetric, so one multiplier array serves both sweeps.
+    """
+
+    diag: np.ndarray        # d_n, shape (n_v, 1)
+    coupling: np.ndarray    # A[n, n-1] = A[n-1, n] = i (dt k / eps) sqrt(n); row 0 is zero
+    multiplier: np.ndarray  # A[n, n-1] / u_{n-1}; row 0 is zero
+    inv_pivot: np.ndarray   # 1 / u_n, real
+    refine_from: int        # first mode whose pivot growth exceeds PIVOT_GROWTH_LIMIT
+
+    @classmethod
+    def build(cls, k: np.ndarray, n_v: int, epsilon: float, dt: float) -> "TridiagonalFactors":
+        n = np.arange(n_v)
+        diag = (1.0 + dt * (n / epsilon**2))[:, None]
+        beta = dt * k / epsilon
+        beta_sq = beta**2
+        pivot = np.empty((n_v, k.size))
+        pivot[0] = diag[0]
+        for i in range(1, n_v):
+            pivot[i] = diag[i] + beta_sq * i / pivot[i - 1]
+        if not np.all(np.isfinite(pivot)):
+            raise FloatingPointError("implicit solve breakdown: non-finite factor")
+        inv_pivot = 1.0 / pivot
+        coupling = np.sqrt(n)[:, None] * (1j * beta)
+        multiplier = np.zeros_like(coupling)
+        multiplier[1:] = coupling[1:] * inv_pivot[:-1]
+        exceeds = np.max(pivot / diag, axis=0) > PIVOT_GROWTH_LIMIT
+        refine_from = int(np.argmax(exceeds)) if exceeds.any() else k.size
+        return cls(diag, coupling, multiplier, inv_pivot, refine_from)
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """Solve every block for rhs of shape (n_v, n_x/2 + 1)."""
+        x = np.array(rhs, dtype=complex, order="C")
+        _sweep(self.multiplier, self.inv_pivot, x)
+        if self.refine_from < x.shape[1]:
+            modes = slice(self.refine_from, None)
+            xm, c = x[:, modes], self.coupling[1:, modes]
+            residual = rhs[:, modes] - self.diag * xm
+            residual[1:] -= c * xm[:-1]
+            residual[:-1] -= c * xm[1:]
+            _sweep(self.multiplier[:, modes], self.inv_pivot[:, modes], residual)
+            xm += residual
+        return x
+
+
+def _sweep(multiplier: np.ndarray, inv_pivot: np.ndarray, x: np.ndarray) -> None:
+    """Forward and backward Thomas sweeps over the Hermite axis, in place.
+
+    Multiplies by the reciprocal pivots so that a diagonal block (k = 0, or
+    transport off) gives exactly x * (1 / d_n).  The row views are listed
+    once: indexing inside the loops would cost as much as the arithmetic.
+    """
+    rows, mult = list(x), list(multiplier)
+    tmp = np.empty_like(rows[0])
+    for i in range(1, len(rows)):
+        np.multiply(mult[i], rows[i - 1], out=tmp)
+        np.subtract(rows[i], tmp, out=rows[i])
+    x *= inv_pivot
+    for i in range(len(rows) - 1, 0, -1):
+        np.multiply(mult[i], rows[i], out=tmp)
+        np.subtract(rows[i - 1], tmp, out=rows[i - 1])
+
+
 class VpfpStepper:
-    """Holds the per-mode implicit factorizations for a fixed config and dt."""
+    """IMEX Euler and BDF2 steps for a fixed config and step size dt.
+
+    Caches the half-spectrum tridiagonal factors per effective implicit
+    step (dt for Euler, 2 dt / 3 for BDF2); each costs O(n_x n_v) to build
+    and to store.
+    """
 
     def __init__(self, cfg: SolverConfig, dt: float):
         if cfg.d != 1:
@@ -167,45 +260,35 @@ class VpfpStepper:
         self.dt = float(dt)
         self.grid = cfg.make_grid()
         self.basis = cfg.make_basis()
-        self._inverses: dict[float, np.ndarray] = {}
+        self._factors: dict[float, TridiagonalFactors] = {}
 
     # -- implicit blocks ----------------------------------------------------
-    def _implicit_inverse(self, dt_eff: float) -> np.ndarray:
-        """(I + dt_eff * S_m)^-1 for every Fourier mode m, shape (n_x, n_v, n_v)."""
-        inv = self._inverses.get(dt_eff)
-        if inv is not None:
-            return inv
-        cfg = self.cfg
-        n_v = self.basis.n_v
-        n = np.arange(n_v)
-        lam = n / cfg.epsilon**2
-        if not cfg.transport_enabled:
-            # diagonal: exact reciprocal amplification 1 / (1 + dt n / eps^2)
-            inv = np.zeros((self.grid.n_x, n_v, n_v))
-            inv[:, n, n] = 1.0 / (1.0 + dt_eff * lam)
-            inv = inv.astype(complex)
-        else:
-            v_mat = np.zeros((n_v, n_v))
-            off = np.sqrt(n[1:])
-            v_mat[n[1:], n[1:] - 1] = off
-            v_mat[n[1:] - 1, n[1:]] = off
-            k = self.grid.wavenumbers
-            mats = (np.eye(n_v)[None, :, :]
-                    + dt_eff * (1j * k / cfg.epsilon)[:, None, None] * v_mat[None, :, :]
-                    + dt_eff * np.diag(lam)[None, :, :])
-            inv = np.linalg.inv(mats)
-            # k = 0 block is diagonal; keep its inverse exact so the
-            # neutral mode and the pure-damping amplification are bitwise
-            inv[0] = 0.0
-            inv[0, n, n] = 1.0 / (1.0 + dt_eff * lam)
-        if not np.all(np.isfinite(inv)):
-            raise FloatingPointError("implicit solve breakdown: non-finite factor")
-        self._inverses[dt_eff] = inv
-        return inv
+    def factors(self, dt_eff: float) -> TridiagonalFactors:
+        """Factors of I + dt_eff * S_m for m = 0..n_x/2, built once per dt_eff.
 
-    def _apply_inverse(self, dt_eff: float, coeffs: np.ndarray) -> np.ndarray:
-        inv = self._implicit_inverse(dt_eff)
-        return np.einsum("mij,mj->mi", inv, coeffs)
+        The Nyquist mode keeps its FFT-order wavenumber -n_x/2.
+        """
+        f = self._factors.get(dt_eff)
+        if f is None:
+            k = self.grid.wavenumbers[: self.grid.n_x // 2 + 1]
+            if not self.cfg.transport_enabled:
+                k = np.zeros_like(k)
+            f = TridiagonalFactors.build(k, self.basis.n_v, self.cfg.epsilon, dt_eff)
+            self._factors[dt_eff] = f
+        return f
+
+    def solve_implicit(self, dt_eff: float, coeffs: np.ndarray) -> np.ndarray:
+        """(I + dt_eff * S_m)^-1 applied per mode to the coefficients of a real field.
+
+        Only modes 0..n_x/2 of coeffs are read; the modes above n_x/2 of the
+        result are the conjugates of modes n_x/2-1..1.
+        """
+        half = self.grid.n_x // 2 + 1
+        x = self.factors(dt_eff).solve(coeffs[:half].T)
+        out = np.empty_like(coeffs, dtype=complex)
+        out[:half] = x.T
+        np.conjugate(x[:, half - 2 : 0 : -1].T, out=out[half:])
+        return out
 
     # -- explicit part ------------------------------------------------------
     def explicit_coeffs(self, g: DistributionField, macro: MacroFields) -> np.ndarray:
@@ -223,21 +306,23 @@ class VpfpStepper:
         mass_after = coeffs[(0,) * self.grid.d + (0,)]
         drift = abs(mass_after - mass_before)
         if drift > NEUTRALITY_TOL * (1.0 + abs(mass_before)):
-            raise AssertionError(
+            raise ConservationError(
                 f"Hermite-0 spatial mean changed by {drift:.3e} during a step"
             )
         g = DistributionField(SpectralField(self.grid, self.basis, coeffs))
         return KineticState(time=time, g=g, macro=_macro_with_field(g))
 
-    def step_euler(self, state: KineticState) -> KineticState:
+    def step_euler(self, state: KineticState, expl: np.ndarray | None = None) -> KineticState:
+        """One IMEX Euler step; expl may carry precomputed explicit_coeffs(state)."""
         dt = self.dt
         mass0 = state.g.coeffs[(0,) * self.grid.d + (0,)]
-        expl = self.explicit_coeffs(state.g, state.macro)
-        coeffs = self._apply_inverse(dt, state.g.coeffs + dt * expl)
+        if expl is None:
+            expl = self.explicit_coeffs(state.g, state.macro)
+        coeffs = self.solve_implicit(dt, state.g.coeffs + dt * expl)
         if self.cfg.poisson_correction:
             g_star = DistributionField(SpectralField(self.grid, self.basis, coeffs))
             expl = self.explicit_coeffs(state.g, _macro_with_field(g_star))
-            coeffs = self._apply_inverse(dt, state.g.coeffs + dt * expl)
+            coeffs = self.solve_implicit(dt, state.g.coeffs + dt * expl)
         return self._finish(coeffs, state.time + dt, mass0)
 
     def step_bdf2(self, state: KineticState, prev: KineticState,
@@ -245,7 +330,7 @@ class VpfpStepper:
         dt = self.dt
         mass0 = state.g.coeffs[(0,) * self.grid.d + (0,)]
         rhs = (4.0 * state.g.coeffs - prev.g.coeffs + 2.0 * dt * (2.0 * expl - expl_prev)) / 3.0
-        coeffs = self._apply_inverse(2.0 * dt / 3.0, rhs)
+        coeffs = self.solve_implicit(2.0 * dt / 3.0, rhs)
         return self._finish(coeffs, state.time + dt, mass0)
 
 
@@ -298,7 +383,7 @@ def run(initial: KineticState, cfg: SolverConfig, observers=(),
             if use_bdf2:
                 expl = stepper.explicit_coeffs(state.g, state.macro)
                 if prev is None:
-                    new = stepper.step_euler(state)
+                    new = stepper.step_euler(state, expl)
                 else:
                     new = stepper.step_bdf2(state, prev, expl, expl_prev)
                 prev, expl_prev = state, expl

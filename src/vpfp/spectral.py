@@ -68,6 +68,32 @@ class SpatialGrid:
         """Fourier wavenumbers k_m = 2 pi m / L in FFT order."""
         return 2.0 * np.pi * np.fft.fftfreq(self.n_x, d=self.length / self.n_x)
 
+    @cached_property
+    def k_sq(self) -> np.ndarray:
+        """|k|^2 on the spatial Fourier grid (the symbol of -Laplace)."""
+        k_sq = np.zeros(self.spatial_shape)
+        for ax in range(self.d):
+            shape = [1] * self.d
+            shape[ax] = self.n_x
+            k_sq = k_sq + self.wavenumbers.reshape(shape) ** 2
+        return k_sq
+
+    @cached_property
+    def inverse_laplacian(self) -> np.ndarray:
+        """Symbol of (-Laplace)^-1 on zero-mean fields: 1 / |k|^2, 0 on the mean."""
+        with np.errstate(divide="ignore"):
+            return np.where(self.k_sq > 0, 1.0 / self.k_sq, 0.0)
+
+    @cached_property
+    def dealias_mask(self) -> np.ndarray:
+        """2/3-rule mask: keeps the modes with every |m| <= n_x // 3."""
+        m = np.abs(np.fft.fftfreq(self.n_x, d=1.0 / self.n_x))
+        keep1 = m <= self.n_x // 3
+        mask = keep1
+        for _ in range(self.d - 1):
+            mask = np.multiply.outer(mask, keep1)
+        return mask
+
     @property
     def spatial_shape(self) -> tuple[int, ...]:
         return (self.n_x,) * self.d

@@ -5,9 +5,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vpfp.operators import DistributionField, project_micro, spatial_l2_norm, x_derivative
 from vpfp.solver import (
+    ConservationError,
     KineticState,
     SolverConfig,
     VpfpStepper,
@@ -146,7 +149,92 @@ class TestDampingInvariant:
         assert abs(state.g.coeffs[1, 5]) < abs(g.coeffs[1, 5])
 
 
+def hermitian_coeffs(rng, n_x, n_v):
+    """Random coefficients of a real field: c(-m) = conj(c(m)), real k = 0 and Nyquist."""
+    half = rng.standard_normal((n_x // 2 + 1, n_v)) + 1j * rng.standard_normal((n_x // 2 + 1, n_v))
+    half[[0, -1]] = half[[0, -1]].real
+    return np.concatenate([half, half[-2:0:-1].conj()])
+
+
+def dense_implicit_solve(grid, n_v, epsilon, dt, coeffs):
+    """(I + dt (i k / eps) V + dt diag(n) / eps^2)^-1 per mode, by np.linalg.solve."""
+    n = np.arange(n_v)
+    v_mat = np.diag(np.sqrt(n[1:]), 1) + np.diag(np.sqrt(n[1:]), -1)
+    blocks = (np.eye(n_v) + dt * (1j * grid.wavenumbers / epsilon)[:, None, None] * v_mat
+              + dt * np.diag(n / epsilon**2))
+    return np.linalg.solve(blocks, coeffs[..., None])[..., 0]
+
+
+class TestTridiagonalSolve:
+    """The half-spectrum Thomas solve of the implicit blocks."""
+
+    solve_cases = given(
+        n_x=st.integers(2, 48).map(lambda h: 2 * h),
+        n_v=st.integers(4, 96),
+        epsilon=st.floats(1e-3, 1.0),
+        stiffness=st.floats(-4.0, 4.0).map(lambda e: 10.0**e),  # dt / eps^2
+        seed=st.integers(0, 2**32 - 1),
+    )
+
+    @settings(max_examples=60, deadline=None)
+    @solve_cases
+    def test_matches_dense_solve(self, n_x, n_v, epsilon, stiffness, seed):
+        dt = stiffness * epsilon**2
+        cfg = SolverConfig(epsilon=epsilon, t_final=1.0, n_x=n_x, n_v=n_v)
+        stepper = VpfpStepper(cfg, dt)
+        coeffs = hermitian_coeffs(np.random.default_rng(seed), n_x, n_v)
+        got = stepper.solve_implicit(dt, coeffs)
+        want = dense_implicit_solve(stepper.grid, n_v, epsilon, dt, coeffs)
+        # every mode, k = 0 and Nyquist included
+        err = np.linalg.norm(got - want, axis=1)
+        assert np.all(err <= 1e-12 * np.linalg.norm(want, axis=1))
+
+        factors = stepper.factors(dt)
+        assert factors.inv_pivot.dtype == np.float64
+        assert np.all(factors.inv_pivot > 0.0)
+        assert np.all(factors.inv_pivot <= 1.0 / factors.diag)  # u_n >= d_n >= 1
+
+    @settings(max_examples=30, deadline=None)
+    @solve_cases
+    def test_transport_off_is_exactly_diagonal(self, n_x, n_v, epsilon, stiffness, seed):
+        dt = stiffness * epsilon**2
+        cfg = SolverConfig(epsilon=epsilon, t_final=1.0, n_x=n_x, n_v=n_v,
+                           transport_enabled=False)
+        coeffs = hermitian_coeffs(np.random.default_rng(seed), n_x, n_v)
+        got = VpfpStepper(cfg, dt).solve_implicit(dt, coeffs)
+        assert np.array_equal(got, coeffs * (1.0 / (1.0 + dt * (np.arange(n_v) / epsilon**2))))
+
+    def test_stiff_modes_are_refined(self):
+        # dt / eps^2 = 1e4 at eps = 1: pivot growth reaches ~1e7 on the top
+        # modes, where plain sweeps lose about 1e-11; refinement keeps the
+        # dense-solve accuracy and leaves the k = 0 block exact
+        cfg = SolverConfig(epsilon=1.0, t_final=1.0, n_x=96, n_v=95)
+        stepper = VpfpStepper(cfg, 1e4)
+        assert 0 < stepper.factors(1e4).refine_from < 49
+        coeffs = hermitian_coeffs(np.random.default_rng(5), 96, 95)
+        got = stepper.solve_implicit(1e4, coeffs)
+        want = dense_implicit_solve(stepper.grid, 95, 1.0, 1e4, coeffs)
+        err = np.linalg.norm(got - want, axis=1)
+        assert np.all(err <= 1e-13 * np.linalg.norm(want, axis=1))
+        assert np.array_equal(got[0], coeffs[0] * (1.0 / (1.0 + 1e4 * np.arange(95))))
+
+
 class TestConservationAndConsistency:
+    def test_mass_drift_raises_conservation_error(self, grid, basis):
+        stepper = VpfpStepper(small_config(), 1e-3)
+        coeffs = np.zeros((grid.n_x, basis.n_v), dtype=complex)
+        coeffs[0, 0] = 1e-9
+        with pytest.raises(ConservationError, match="spatial mean changed"):
+            stepper._finish(coeffs, 1e-3, 0.0)
+        assert issubclass(ConservationError, RuntimeError)  # the CLI's run-failure exit
+
+    def test_precomputed_explicit_terms_give_same_step(self, grid, basis):
+        stepper = VpfpStepper(small_config(), 1e-3)
+        state = cos_initial(grid, basis, amplitude=0.05)
+        expl = stepper.explicit_coeffs(state.g, state.macro)
+        assert np.array_equal(stepper.step_euler(state, expl).g.coeffs,
+                              stepper.step_euler(state).g.coeffs)
+
     def test_zero_state_is_fixed(self, grid, basis):
         g = DistributionField.zeros(grid, basis)
         state = KineticState(time=0.0, g=g, macro=_macro_with_field(g))
