@@ -31,7 +31,6 @@ from .solver import (
     KineticState,
     Trajectory,
     make_initial_data,
-    step,
     run,
 )
 from .ddp import DdpState, ddp_step, ddp_run
@@ -40,10 +39,9 @@ from .diagnostics import (
     sobolev_norm,
     nu_norm,
     energy_functionals,
-    legacy_functionals,
     moment_residuals,
     limit_error,
 )
-from .harness import SweepConfig, SweepResult, run_sweep, estimate_rates
+from .harness import SweepConfig, SweepResult, run_sweep
 
 __version__ = "0.1.0"

@@ -27,12 +27,10 @@ __all__ = ["run_battery"]
 
 
 def _random_field(rng, grid, basis, neutral=True) -> DistributionField:
-    shape = grid.spatial_shape + (basis.n_v,)
     values = rng.standard_normal((grid.n_x, basis.n_v))
     coeffs = np.fft.fft(values, axis=0) / grid.n_x  # Hermitian by construction
     if neutral:
-        coeffs[(0,) * grid.d + (0,)] = 0.0
-    assert coeffs.shape == shape
+        coeffs[0, 0] = 0.0
     return DistributionField(SpectralField(grid, basis, coeffs))
 
 
@@ -72,7 +70,7 @@ def run_battery(seed: int = 0, quiet: bool = False, n_random: int = 100) -> bool
         ok &= np.array_equal(project_micro(mg).coeffs, mg.coeffs)
         residual = g.coeffs - project_p0(g).coeffs  # (I - P0) g
         micro_of_residual = residual.copy()
-        micro_of_residual[..., : 1 + grid.d] = 0.0
+        micro_of_residual[:, :2] = 0.0
         ok &= np.array_equal(micro_of_residual, mg.coeffs)
         ok &= np.max(np.abs(project_macro(mg).coeffs)) == 0.0
     record("projection algebra: P, I-P, I-P0 identities exact", ok)

@@ -16,6 +16,7 @@ from .harness import (
     SweepConfig,
     SweepError,
     default_sweep_config,
+    initial_profile,
     load_summary,
     parse_config_file,
     run_single,
@@ -58,8 +59,6 @@ def cmd_run(args) -> int:
     sweep_cfg = SweepConfig.from_dict(cfg, out_dir=args.out)
     if system == "ddp":
         grid = sweep_cfg.template.make_grid()
-        from .harness import initial_profile
-
         rho0 = sweep_cfg.amplitude * initial_profile(sweep_cfg)(grid.nodes)
         traj = ddp_run(grid, rho0, sweep_cfg.ddp_dt, sweep_cfg.template.t_final,
                        sample_interval=sweep_cfg.sample_interval)

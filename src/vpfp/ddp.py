@@ -13,7 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import dealiased_product, fourier_field, real_field, solve_poisson
+from .operators import (
+    dealiased_product,
+    fourier_field,
+    real_field,
+    require_zero_mean,
+    solve_poisson,
+)
+from .solver import Trajectory, sample_trajectory
 from .spectral import SpatialGrid
 
 __all__ = ["DdpState", "ddp_step", "ddp_run"]
@@ -21,7 +28,7 @@ __all__ = ["DdpState", "ddp_step", "ddp_run"]
 
 @dataclass(frozen=True)
 class DdpState:
-    """Fluid sample: shifted density and its self-consistent potential."""
+    """Fluid sample: shifted density, its potential and d phi0 / dx, each (n_x,)."""
 
     time: float
     rho0: np.ndarray
@@ -43,17 +50,12 @@ def ddp_step(grid: SpatialGrid, state: DdpState, dt: float, drift: bool = True) 
     exactly; drift=False is a test hook leaving pure implicit diffusion.
     """
     rho_c = fourier_field(grid, state.rho0)
-    k = grid.wavenumbers
 
     drift_c = np.zeros_like(rho_c)
     if drift:
-        # div((rho0 + 1) grad phi0) = div(rho0 grad phi0) + Lap phi0
-        for ax in range(grid.d):
-            shape = [1] * grid.d
-            shape[ax] = grid.n_x
-            prod = dealiased_product(grid, state.rho0, state.grad_phi0[ax])
-            drift_c = drift_c + (1j * k).reshape(shape) * fourier_field(grid, prod)
-        drift_c = drift_c - rho_c  # Lap phi0 = -rho0
+        # div((rho0 + 1) grad phi0) = div(rho0 grad phi0) + Lap phi0, and Lap phi0 = -rho0
+        prod = dealiased_product(grid, state.rho0, state.grad_phi0)
+        drift_c = 1j * grid.wavenumbers * fourier_field(grid, prod) - rho_c
 
     new_c = (rho_c + dt * drift_c) / (1.0 + dt * grid.k_sq)
     rho0 = real_field(grid, new_c)
@@ -63,31 +65,16 @@ def ddp_step(grid: SpatialGrid, state: DdpState, dt: float, drift: bool = True) 
 
 
 def ddp_run(grid: SpatialGrid, rho0_initial: np.ndarray, dt: float, t_final: float,
-            sample_interval: float | None = None, drift: bool = True):
-    """Integrate the fluid system, sampling like the kinetic run."""
-    from .solver import Trajectory, _fit_dt  # shared sampling conventions
-
+            sample_interval: float | None = None, drift: bool = True) -> Trajectory:
+    """Integrate the fluid system on the kinetic run's sampling schedule."""
     rho0 = np.asarray(rho0_initial, dtype=float)
-    mean = float(np.mean(rho0))
-    if abs(mean) > 1e-12 * max(1.0, float(np.max(np.abs(rho0))) or 1.0):
-        raise ValueError(f"initial fluid density must have zero mean; got {mean:.3e}")
-    state = make_ddp_state(grid, 0.0, rho0 - mean)
+    state = make_ddp_state(grid, 0.0, rho0 - require_zero_mean(rho0, "initial fluid density"))
 
-    if t_final == 0.0:
-        return Trajectory(times=np.array([0.0]), states=[state])
-    if sample_interval is None or sample_interval > t_final:
-        sample_interval = t_final
-    n_samples = max(1, round(t_final / sample_interval))
-    sample_interval = t_final / n_samples
-    step_dt, steps_per_sample = _fit_dt(dt, sample_interval)
+    def make_advance(step_dt: float):
+        def advance(state: DdpState, n: int) -> DdpState:
+            for _ in range(n):
+                state = ddp_step(grid, state, step_dt, drift=drift)
+            return state
+        return advance
 
-    times = [0.0]
-    states = [state]
-    for s in range(n_samples):
-        for _ in range(steps_per_sample):
-            state = ddp_step(grid, state, step_dt, drift=drift)
-        state = DdpState(time=(s + 1) * sample_interval, rho0=state.rho0,
-                         phi0=state.phi0, grad_phi0=state.grad_phi0)
-        times.append(state.time)
-        states.append(state)
-    return Trajectory(times=np.array(times), states=states)
+    return sample_trajectory(state, t_final, dt, sample_interval, make_advance)

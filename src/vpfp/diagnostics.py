@@ -35,7 +35,6 @@ __all__ = [
     "sobolev_norm",
     "nu_norm",
     "energy_functionals",
-    "legacy_functionals",
     "moment_residuals",
     "limit_error",
     "CSV_COLUMNS",
@@ -82,12 +81,7 @@ class EnergyReport:
 
 
 # ---------------------------------------------------------------------------
-# norm machinery (d = 1)
-
-def _require_1d(grid: SpatialGrid) -> None:
-    if grid.d != 1:
-        raise NotImplementedError("diagnostics norms are implemented for d = 1")
-
+# norm machinery
 
 def _x_weight(grid: SpatialGrid, order: int) -> np.ndarray:
     """Per-mode multiplier sum_{alpha <= order} k^(2 alpha)."""
@@ -166,14 +160,12 @@ def sobolev_norm(f, k_x: int, k_v: int = 0, grid: SpatialGrid | None = None) -> 
             raise ConfigurationError("spatial-array input needs an explicit grid")
         return float(np.sqrt(_spatial_sobolev_sq(grid, f, k_x)))
     field = _unwrap(f)
-    _require_1d(field.grid)
     return float(np.sqrt(_tensor_sq(field.grid, field.coeffs, k_x, k_v)))
 
 
 def nu_norm(f) -> float:
     """Dissipation norm: sqrt(||d_v f||^2 + ||sqrt(1+v^2) f||^2)."""
     field = _unwrap(f)
-    _require_1d(field.grid)
     return float(np.sqrt(_nu_sq_of(field.grid, field.coeffs, 0)))
 
 
@@ -183,37 +175,31 @@ def nu_norm(f) -> float:
 def energy_functionals(state, k: int, epsilon: float) -> EnergyReport:
     """Headline energy and dissipation functionals at one sample.
 
-    E_k = ||g||^2_{H^k_x L^2_v} + ||grad_v (I-P) g||^2_{H^{k-1}_{x,v}}
+    E_k = ||g||^2_{H^k_x L^2_v} + ||d_v (I-P) g||^2_{H^{k-1}_{x,v}}
           + ||(a, b)||^2_{H^{k-1}_x}
     D_k = eps^-2 (||(I-P) g||^2 in the nu-weighted H^k_{x,v} + ||b||^2_{H^k_x})
           + eps^-1 ||(grad b, div b)||^2_{H^{k-1}_x}
-          + ||grad a||^2_{H^{k-1}_x} + ||grad phi||^2_{H^k_x}
+          + ||d_x a||^2_{H^{k-1}_x} + ||d_x phi||^2_{H^k_x}
+
+    In one dimension grad b and div b are both d_x b, so the eps^-1 group
+    is twice ||d_x b||^2_{H^{k-1}_x}.
     """
     if k < 1:
         raise ConfigurationError(f"diagnostics order k must be >= 1, got {k}")
     g = state.g
     grid = g.grid
-    _require_1d(grid)
     micro_c = project_micro(g).coeffs
     mac = moments(g)
 
     g_hk = _tensor_sq(grid, g.coeffs, k, 0)
     gradv_micro = _mixed_sq(grid, hermite_shift_coeffs(micro_c, "d_dv", extend=1), k - 1)
-    ab = _spatial_sobolev_sq(grid, mac.a, k - 1) + sum(
-        _spatial_sobolev_sq(grid, mac.b[i], k - 1) for i in range(grid.d)
-    )
+    ab = _spatial_sobolev_sq(grid, mac.a, k - 1) + _spatial_sobolev_sq(grid, mac.b, k - 1)
 
     micro_nu = _mixed_sq(grid, micro_c, k, nu=True) / epsilon**2
-    b_hk = sum(_spatial_sobolev_sq(grid, mac.b[i], k) for i in range(grid.d)) / epsilon**2
-    grad_b = sum(
-        _spatial_sobolev_sq(grid, x_derivative(grid, mac.b[i]), k - 1) for i in range(grid.d)
-    )
-    div_b = sum(x_derivative(grid, mac.b[i], axis=i) for i in range(grid.d))
-    grad_b = (grad_b + _spatial_sobolev_sq(grid, div_b, k - 1)) / epsilon
+    b_hk = _spatial_sobolev_sq(grid, mac.b, k) / epsilon**2
+    grad_b = 2.0 * _spatial_sobolev_sq(grid, x_derivative(grid, mac.b), k - 1) / epsilon
     grad_a = _spatial_sobolev_sq(grid, x_derivative(grid, mac.a), k - 1)
-    grad_phi = sum(
-        _spatial_sobolev_sq(grid, state.macro.grad_phi[i], k) for i in range(grid.d)
-    )
+    grad_phi = _spatial_sobolev_sq(grid, state.macro.grad_phi, k)
 
     components = {
         "g_HkxL2v_sq": g_hk,
@@ -240,86 +226,6 @@ def energy_functionals(state, k: int, epsilon: float) -> EnergyReport:
     )
 
 
-def legacy_functionals(state, k: int, epsilon: float, weights: dict | None = None) -> dict:
-    """The componentwise energy/dissipation family with free weights.
-
-    The per-term weights and the three combination weights default to 1;
-    they are non-constructive proof constants, so these values are
-    reported diagnostics rather than pass/fail quantities.
-    """
-    if k < 1:
-        raise ConfigurationError(f"diagnostics order k must be >= 1, got {k}")
-    weights = weights or {}
-    lam = (weights.get("lambda1", 1.0), weights.get("lambda2", 1.0), weights.get("lambda3", 1.0))
-    c_ab = weights.get("C_alpha_beta", 1.0)
-
-    g = state.g
-    grid = g.grid
-    _require_1d(grid)
-    micro = project_micro(g)
-    mac = moments(g)
-    grad_phi = state.macro.grad_phi
-
-    grad_phi_hk = sum(_spatial_sobolev_sq(grid, grad_phi[i], k) for i in range(grid.d))
-    grad_phi_hkm1 = sum(_spatial_sobolev_sq(grid, grad_phi[i], k - 1) for i in range(grid.d))
-
-    e_k1 = _tensor_sq(grid, g.coeffs, k, 0) + grad_phi_hk
-
-    # one extra v-derivative (|beta'| = 1) on the microscopic part
-    micro_dv = hermite_shift_coeffs(micro.coeffs, "d_dv", extend=1)
-    e_k2 = c_ab * _mixed_sq(grid, micro_dv, k - 1)
-    d_k2 = c_ab * _mixed_sq(grid, micro_dv, k - 1, nu=True) / epsilon**2
-
-    ab_hkm1 = _spatial_sobolev_sq(grid, mac.a, k - 1) + sum(
-        _spatial_sobolev_sq(grid, mac.b[i], k - 1) for i in range(grid.d)
-    )
-    gamma_micro = gamma_moment(micro)
-    cross_gamma = 0.0
-    cross_ab = 0.0
-    dx = grid.cell_volume
-    b0 = mac.b[0]
-    for alpha in range(k):
-        sym_grad_b = 2.0 * _nth_x_derivative(grid, x_derivative(grid, b0), alpha)
-        cross_gamma += 2.0 * dx * float(
-            np.sum(sym_grad_b * _nth_x_derivative(grid, gamma_micro, alpha))
-        )
-        cross_ab += epsilon * dx * float(
-            np.sum(_nth_x_derivative(grid, x_derivative(grid, mac.a), alpha)
-                   * _nth_x_derivative(grid, b0, alpha))
-        )
-    e_kf = ab_hkm1 + grad_phi_hkm1 + cross_gamma + cross_ab
-
-    d_k1 = (_nu_sq_of(grid, micro.coeffs, k)
-            + sum(_spatial_sobolev_sq(grid, mac.b[i], k) for i in range(grid.d))) / epsilon**2
-    grad_b = sum(
-        _spatial_sobolev_sq(grid, x_derivative(grid, mac.b[i]), k - 1) for i in range(grid.d)
-    )
-    div_b = sum(x_derivative(grid, mac.b[i], axis=i) for i in range(grid.d))
-    d_kf = ((grad_b + _spatial_sobolev_sq(grid, div_b, k - 1)) / epsilon
-            + _spatial_sobolev_sq(grid, x_derivative(grid, mac.a), k - 1)
-            + grad_phi_hk)
-
-    return {
-        "E_kK1": e_k1,
-        "E_kK2": e_k2,
-        "E_kF": e_kf,
-        "D_kK1": d_k1,
-        "D_kK2": d_k2,
-        "D_kF": d_kf,
-        "E_total": lam[0] * e_k1 + lam[1] * e_k2 + lam[2] * e_kf,
-        "D_total": d_k1 + d_k2 + d_kf,
-        "cross_gamma": cross_gamma,
-        "cross_ab": cross_ab,
-    }
-
-
-def _nth_x_derivative(grid: SpatialGrid, values: np.ndarray, order: int) -> np.ndarray:
-    out = values
-    for _ in range(order):
-        out = x_derivative(grid, out)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # residuals of the auxiliary moment system
 
@@ -339,14 +245,13 @@ def moment_residuals(states, epsilon: float) -> dict:
         raise ValueError("moment residuals require equally spaced samples")
     dt = float(dts[0])
     grid = states[0].g.grid
-    _require_1d(grid)
 
     a_s, b_s, gam_s, r2_static, r3_static = [], [], [], [], []
     for s in states:
         mac = moments(s.g)
         micro = project_micro(s.g)
-        a, b = mac.a, mac.b[0]
-        dphi = s.macro.grad_phi[0]
+        a, b = mac.a, mac.b
+        dphi = s.macro.grad_phi
         gamma = gamma_moment(micro)
         micro_dx = micro.coeffs * (1j * grid.wavenumbers)[:, None]
         v_micro_dx = micro.with_coeffs(hermite_shift_coeffs(micro_dx, "multiply_by_v"))
@@ -401,7 +306,6 @@ def limit_error(kinetic_traj, ddp_traj, k: int) -> dict:
         raise ValueError("trajectories must share their sampling times")
     grid = kinetic_traj.states[0].g.grid
     basis = kinetic_traj.states[0].g.basis
-    _require_1d(grid)
 
     moment_errs, field_errs, micro_sq, point_errs = [], [], [], []
     sqrt_m = basis.maxwellian_sqrt()
@@ -409,10 +313,7 @@ def limit_error(kinetic_traj, ddp_traj, k: int) -> dict:
     for ks, ds in zip(kinetic_traj.states, ddp_traj.states):
         mac = moments(ks.g)
         moment_errs.append(spatial_l2_norm(grid, mac.a - ds.rho0))
-        field_errs.append(np.sqrt(sum(
-            spatial_l2_norm(grid, ks.macro.grad_phi[i] - ds.grad_phi0[i]) ** 2
-            for i in range(grid.d)
-        )))
+        field_errs.append(spatial_l2_norm(grid, ks.macro.grad_phi - ds.grad_phi0))
         micro_c = ks.g.coeffs.copy()
         micro_c[..., 0] = 0.0  # (I - P0) g
         micro_sq.append(_mixed_sq(grid, micro_c, k))

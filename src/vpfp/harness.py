@@ -14,7 +14,7 @@ import hashlib
 import json
 import math
 import time as _time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +29,7 @@ __all__ = [
     "SweepResult",
     "SweepError",
     "run_sweep",
-    "estimate_rates",
+    "estimate_rates_from_records",
     "parse_config_file",
     "default_sweep_config",
     "write_summary",
@@ -44,7 +44,7 @@ METRIC_KEYS = (
 
 # configuration schema: section -> {key: parser}
 _SCHEMA = {
-    "grid": {"n_x": int, "n_v": int, "d": int, "length": float},
+    "grid": {"n_x": int, "n_v": int, "length": float},
     "solver": {
         "epsilon": float,
         "t_final": float,
@@ -52,7 +52,6 @@ _SCHEMA = {
         "cfl_scale": float,
         "scheme": str,
         "system": str,
-        "poisson_correction": lambda s: s.lower() in ("1", "true", "yes"),
     },
     "sweep": {
         "epsilons": lambda s: tuple(float(x) for x in s.split(",")),
@@ -65,7 +64,7 @@ _SCHEMA = {
 }
 
 _DEFAULTS = {
-    "grid": {"n_x": 64, "n_v": 64, "d": 1, "length": 2.0 * math.pi},
+    "grid": {"n_x": 64, "n_v": 64, "length": 2.0 * math.pi},
     "solver": {
         "epsilon": 0.1,
         "t_final": 1.0,
@@ -73,7 +72,6 @@ _DEFAULTS = {
         "cfl_scale": 0.5,
         "scheme": "imex_bdf2",
         "system": "vpfp",
-        "poisson_correction": False,
     },
     "sweep": {
         "epsilons": (0.2, 0.1, 0.05, 0.025),
@@ -152,6 +150,13 @@ class SweepConfig:
             raise ConfigurationError(f"epsilons must lie in (0, 1], got {eps}")
         if any(e1 <= e2 for e1, e2 in zip(eps, eps[1:])):
             raise ConfigurationError(f"epsilons must be strictly decreasing, got {eps}")
+        if self.k < 1:
+            raise ConfigurationError(f"diagnostics order k must be >= 1, got {self.k}")
+        max_mode = self.template.n_x // 2
+        if not 1 <= self.profile_mode <= max_mode:
+            raise ConfigurationError(
+                f"profile_mode must lie in [1, n_x // 2 = {max_mode}], got {self.profile_mode}"
+            )
 
     @classmethod
     def from_dict(cls, cfg: dict, out_dir=None) -> "SweepConfig":
@@ -177,12 +182,10 @@ def solver_config_from_dict(cfg: dict) -> SolverConfig:
         t_final=s["t_final"],
         n_x=g["n_x"],
         n_v=g["n_v"],
-        d=g["d"],
         length=g["length"],
         dt_max=s["dt_max"],
         cfl_scale=s["cfl_scale"],
         scheme=s["scheme"],
-        poisson_correction=s["poisson_correction"],
     )
 
 
@@ -214,18 +217,7 @@ def initial_profile(cfg: SweepConfig):
 
 def run_single(cfg: SweepConfig, epsilon: float, csv_path: Path | None = None) -> Trajectory:
     """One kinetic run of the sweep, with energy reports per sample."""
-    solver_cfg = SolverConfig(
-        epsilon=epsilon,
-        t_final=cfg.template.t_final,
-        n_x=cfg.template.n_x,
-        n_v=cfg.template.n_v,
-        d=cfg.template.d,
-        length=cfg.template.length,
-        dt_max=cfg.template.dt_max,
-        cfl_scale=cfg.template.cfl_scale,
-        scheme=cfg.template.scheme,
-        poisson_correction=cfg.template.poisson_correction,
-    )
+    solver_cfg = replace(cfg.template, epsilon=epsilon)
     grid = solver_cfg.make_grid()
     basis = solver_cfg.make_basis()
     initial = make_initial_data(grid, basis, initial_profile(cfg), amplitude=cfg.amplitude)
@@ -307,10 +299,6 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
     if failure is not None:
         raise SweepError(f"sweep aborted at epsilon = {incomplete[0]['epsilon']}", result)
     return result
-
-
-def estimate_rates(result: SweepResult) -> dict:
-    return estimate_rates_from_records(result.per_epsilon)
 
 
 def estimate_rates_from_records(per_epsilon: list) -> dict:

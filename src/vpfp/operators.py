@@ -3,7 +3,7 @@
 The unknown is the perturbation g in f = M + g sqrt(M).  In the Hermite
 basis the Fokker-Planck operator is diag(n), the macroscopic projection P
 keeps the first two Hermite levels (density a and momentum b), and the
-electrostatic potential solves -Laplace(phi) = a spectrally on the torus.
+electrostatic potential solves -phi'' = a spectrally on the torus.
 """
 
 from __future__ import annotations
@@ -39,9 +39,10 @@ __all__ = [
     "fourier_field",
     "x_derivative",
     "spatial_l2_norm",
+    "require_zero_mean",
 ]
 
-POISSON_MEAN_TOL = 1e-12
+ZERO_MEAN_TOL = 1e-12
 
 
 @dataclass
@@ -69,20 +70,17 @@ class DistributionField:
     def with_coeffs(self, coeffs: np.ndarray) -> "DistributionField":
         return DistributionField(self.spectral.with_coeffs(coeffs))
 
-    def copy(self) -> "DistributionField":
-        return DistributionField(self.spectral.copy())
-
     def neutrality_defect(self) -> float:
         """Magnitude of the (m=0, n=0) coefficient (spatial mean of a)."""
-        return float(np.abs(self.coeffs[(0,) * self.grid.d + (0,)]))
+        return float(np.abs(self.coeffs[0, 0]))
 
 
 @dataclass
 class MacroFields:
     """Spatial moments and the self-consistent field.
 
-    a, phi: shape grid.spatial_shape; b, grad_phi: leading axis over the
-    d spatial directions.
+    a (density), b (momentum), phi and grad_phi = d phi / dx are real
+    fields of shape (n_x,).
     """
 
     a: np.ndarray
@@ -95,27 +93,28 @@ class MacroFields:
 # spatial-field helpers (real grid functions <-> Fourier coefficients)
 
 def fourier_field(grid: SpatialGrid, values: np.ndarray) -> np.ndarray:
-    """Real spatial field -> normalized Fourier coefficients."""
-    c = np.asarray(values, dtype=complex)
-    for ax in range(grid.d):
-        c = np.fft.fft(c, axis=ax) / grid.n_x
-    return c
+    """Real spatial field -> normalized Fourier coefficients (along axis 0)."""
+    return np.fft.fft(np.asarray(values, dtype=complex), axis=0) / grid.n_x
 
 
 def real_field(grid: SpatialGrid, coeffs: np.ndarray) -> np.ndarray:
-    """Normalized Fourier coefficients -> real spatial field."""
-    v = np.asarray(coeffs, dtype=complex)
-    for ax in range(grid.d):
-        v = np.fft.ifft(v * grid.n_x, axis=ax)
-    return v.real
+    """Normalized Fourier coefficients -> real spatial field (along axis 0)."""
+    return np.fft.ifft(np.asarray(coeffs, dtype=complex) * grid.n_x, axis=0).real
 
 
-def x_derivative(grid: SpatialGrid, values: np.ndarray, axis: int = 0) -> np.ndarray:
-    """Spectral d/dx_axis of a real spatial field."""
-    c = fourier_field(grid, values)
-    shape = [1] * c.ndim
-    shape[axis] = grid.n_x
-    return real_field(grid, c * (1j * grid.wavenumbers).reshape(shape))
+def x_derivative(grid: SpatialGrid, values: np.ndarray) -> np.ndarray:
+    """Spectral d/dx of a real spatial field of shape (n_x,)."""
+    return real_field(grid, fourier_field(grid, values) * (1j * grid.wavenumbers))
+
+
+def require_zero_mean(values: np.ndarray, what: str) -> float:
+    """Return the spatial mean of values; raise ValueError unless it is zero
+    to ZERO_MEAN_TOL relative to max(1, max |values|)."""
+    mean = float(np.mean(values))
+    scale = float(np.max(np.abs(values))) or 1.0
+    if abs(mean) > ZERO_MEAN_TOL * max(1.0, scale):
+        raise ValueError(f"{what} must have zero spatial mean; got mean {mean:.3e}")
+    return mean
 
 
 def spatial_l2_norm(grid: SpatialGrid, values: np.ndarray) -> float:
@@ -140,24 +139,21 @@ def apply_L(g: DistributionField) -> DistributionField:
 
 def moments(g: DistributionField) -> MacroFields:
     """Density perturbation a and momentum moment b (coefficient slices)."""
-    grid = g.grid
-    a = real_field(grid, g.coeffs[..., 0])
-    b = np.stack([real_field(grid, g.coeffs[..., 1 + i]) for i in range(grid.d)])
-    return MacroFields(a=a, b=b)
+    return MacroFields(a=real_field(g.grid, g.coeffs[:, 0]),
+                       b=real_field(g.grid, g.coeffs[:, 1]))
 
 
 def project_macro(g: DistributionField) -> DistributionField:
-    """P g = (a + v.b) sqrt(M): keep Hermite levels 0..d, zero the rest."""
+    """P g = (a + v b) sqrt(M): keep Hermite levels 0 and 1, zero the rest."""
     out = np.zeros_like(g.coeffs)
-    keep = 1 + g.grid.d
-    out[..., :keep] = g.coeffs[..., :keep]
+    out[:, :2] = g.coeffs[:, :2]
     return g.with_coeffs(out)
 
 
 def project_micro(g: DistributionField) -> DistributionField:
-    """(I - P) g: zero the macroscopic Hermite levels."""
+    """(I - P) g: zero the macroscopic Hermite levels 0 and 1."""
     out = g.coeffs.copy()
-    out[..., : 1 + g.grid.d] = 0.0
+    out[:, :2] = 0.0
     return g.with_coeffs(out)
 
 
@@ -168,41 +164,24 @@ def project_p0(g: DistributionField) -> DistributionField:
     return g.with_coeffs(out)
 
 
-def gamma_moment(g: DistributionField, i: int = 0, j: int = 0) -> np.ndarray:
-    """Stress-type moment Gamma_ij[g](x) = int g (v_i v_j - 1) sqrt(M) dv.
+def gamma_moment(g: DistributionField) -> np.ndarray:
+    """Stress-type moment Gamma[g](x) = int g (v^2 - 1) sqrt(M) dv.
 
-    For d = 1 this is sqrt(2) times the Hermite-2 coefficient slice, since
+    This is sqrt(2) times the Hermite-2 coefficient slice, since
     (v^2 - 1) sqrt(M) = sqrt(2) psi_2.
     """
-    d = g.grid.d
-    if not (0 <= i < d and 0 <= j < d):
-        raise ConfigurationError(f"gamma indices ({i}, {j}) out of range for d={d}")
-    if d != 1:
-        raise NotImplementedError("tensor Hermite moments are implemented for d = 1")
-    return real_field(g.grid, np.sqrt(2.0) * g.coeffs[..., 2])
+    return real_field(g.grid, np.sqrt(2.0) * g.coeffs[:, 2])
 
 
 def solve_poisson(grid: SpatialGrid, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Solve -Laplace(phi) = a on the torus; returns (phi, grad_phi).
+    """Solve -phi'' = a on the torus; returns (phi, d phi / dx).
 
     Requires zero-mean a; phi is gauge-fixed to zero mean.
     """
     a = np.asarray(a, dtype=float)
-    mean = float(np.mean(a))
-    scale = float(np.max(np.abs(a))) or 1.0
-    if abs(mean) > POISSON_MEAN_TOL * max(1.0, scale):
-        raise ValueError(
-            f"Poisson right-hand side must have zero spatial mean; residual mean {mean:.3e}"
-        )
+    require_zero_mean(a, "Poisson right-hand side")
     phi_c = fourier_field(grid, a) * grid.inverse_laplacian
-    phi = real_field(grid, phi_c)
-    k = grid.wavenumbers
-    grad = []
-    for ax in range(grid.d):
-        shape = [1] * grid.d
-        shape[ax] = grid.n_x
-        grad.append(real_field(grid, phi_c * (1j * k).reshape(shape)))
-    return phi, np.stack(grad)
+    return real_field(grid, phi_c), real_field(grid, phi_c * (1j * grid.wavenumbers))
 
 
 def vpfp_rhs(g: DistributionField, macro: MacroFields, epsilon: float,
@@ -210,11 +189,11 @@ def vpfp_rhs(g: DistributionField, macro: MacroFields, epsilon: float,
              collision: bool = True) -> DistributionField:
     """Right-hand side d/dt g of the scaled kinetic system.
 
-    dg/dt = -(1/eps) v.grad_x g - (1/eps) grad_phi . psi_1-source
-            -(1/eps) grad_phi . (v/2 - d_dv) g - (1/eps^2) L g
+    dg/dt = -(1/eps) v dg/dx - (1/eps) (d phi/dx) psi_1
+            -(1/eps) (d phi/dx) (v/2 - d_dv) g - (1/eps^2) L g
 
     The field coupling uses the single raising recurrence (the identity
-    (g/2) v - grad_v g = (v/2 - d_dv) g), with the g * grad_phi product
+    (g/2) v - dg/dv = (v/2 - d_dv) g), with the g * d phi/dx product
     formed pseudo-spectrally under the 2/3 rule.  transport/fields are test
     hooks that disable term groups.
     """
@@ -225,29 +204,18 @@ def vpfp_rhs(g: DistributionField, macro: MacroFields, epsilon: float,
 
     if transport:
         vg = hermite_shift_apply(g.spectral, "multiply_by_v")
-        for ax in range(grid.d):
-            rhs -= spatial_derivative(vg, axis=ax).coeffs / epsilon
-            # d > 1 would need per-direction velocity recurrences; the
-            # single-index Hermite basis covers d = 1.
+        rhs -= spatial_derivative(vg).coeffs / epsilon
 
     if fields:
         if macro.grad_phi is None:
             raise ConfigurationError("macro fields must carry grad_phi for the coupling terms")
-        raised = hermite_shift_coeffs(g.coeffs, "raising")
-        mask = grid.dealias_mask[..., None]
-        phys = raised
-        for ax in range(grid.d):
-            phys = np.fft.ifft(phys * grid.n_x, axis=ax)
-        phys = phys.real
-        for ax in range(grid.d):
-            dphi = macro.grad_phi[ax]
-            # linear source: grad_phi . v sqrt(M) = grad_phi . psi_1
-            rhs[..., 1 + ax] -= fourier_field(grid, dphi) / epsilon
-            # nonlinear coupling, pseudo-spectral product per Hermite level
-            prod = np.asarray(phys * dphi[..., None], dtype=complex)
-            for axx in range(grid.d):
-                prod = np.fft.fft(prod, axis=axx) / grid.n_x
-            rhs -= prod * mask / epsilon
+        dphi = macro.grad_phi
+        # linear source: (d phi/dx) v sqrt(M) = (d phi/dx) psi_1
+        rhs[:, 1] -= fourier_field(grid, dphi) / epsilon
+        # nonlinear coupling, pseudo-spectral product per Hermite level
+        phys = real_field(grid, hermite_shift_coeffs(g.coeffs, "raising"))
+        prod = fourier_field(grid, phys * dphi[:, None])
+        rhs -= prod * grid.dealias_mask[:, None] / epsilon
 
     if collision:
         rhs -= np.arange(basis.n_v) * g.coeffs / epsilon**2
@@ -267,5 +235,5 @@ def coercivity_gap(g: DistributionField) -> tuple[float, float, float]:
     n = np.arange(g.basis.n_v)
     dirichlet = vol * float(np.sum(n * np.abs(g.coeffs) ** 2))
     micro_nu_sq = nu_norm(project_micro(g).spectral) ** 2
-    b_sq = vol * float(np.sum(np.abs(g.coeffs[..., 1 : 1 + g.grid.d]) ** 2))
+    b_sq = vol * float(np.sum(np.abs(g.coeffs[:, 1]) ** 2))
     return dirichlet, micro_nu_sq, b_sq

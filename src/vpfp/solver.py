@@ -21,7 +21,6 @@ of the real solution are the conjugates of modes n_x/2-1..1.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, replace
 
@@ -31,6 +30,7 @@ from .operators import (
     DistributionField,
     MacroFields,
     moments,
+    require_zero_mean,
     solve_poisson,
     vpfp_rhs,
 )
@@ -42,8 +42,6 @@ from .spectral import (
     inverse_transform,
 )
 
-log = logging.getLogger(__name__)
-
 __all__ = [
     "ConservationError",
     "SolverConfig",
@@ -51,7 +49,7 @@ __all__ = [
     "Trajectory",
     "VpfpStepper",
     "make_initial_data",
-    "step",
+    "sample_trajectory",
     "run",
 ]
 
@@ -75,12 +73,10 @@ class SolverConfig:
     t_final: float
     n_x: int = 64
     n_v: int = 64
-    d: int = 1
     length: float = 2.0 * math.pi
     dt_max: float = 5.0e-3
     cfl_scale: float = 0.5
     scheme: str = "imex_euler"
-    poisson_correction: bool = False
     # test hooks
     transport_enabled: bool = True
     fields_enabled: bool = True
@@ -94,13 +90,15 @@ class SolverConfig:
             raise ConfigurationError(f"t_final must be non-negative, got {self.t_final}")
         if self.scheme not in SCHEMES:
             raise ConfigurationError(f"unknown scheme {self.scheme!r}; expected one of {SCHEMES}")
+        self.make_grid()  # reject a bad n_x, length or n_v now, not mid-sweep
+        self.make_basis()
 
     @property
     def dt_nominal(self) -> float:
         return min(self.dt_max, self.cfl_scale * self.epsilon)
 
     def make_grid(self) -> SpatialGrid:
-        return SpatialGrid(n_x=self.n_x, length=self.length, d=self.d)
+        return SpatialGrid(n_x=self.n_x, length=self.length)
 
     def make_basis(self) -> HermiteBasis:
         return HermiteBasis(n_v=self.n_v)
@@ -139,22 +137,16 @@ def make_initial_data(grid: SpatialGrid, basis: HermiteBasis, rho_profile,
     range of (I - P).  The reconstructed distribution must be positive at
     every collocation node.
     """
-    if grid.d != 1:
-        raise NotImplementedError("initial data construction is implemented for d = 1")
     profile = rho_profile(grid.nodes) if callable(rho_profile) else np.asarray(rho_profile, float)
     a = amplitude * profile
-    mean = float(np.mean(a))
-    scale = float(np.max(np.abs(a))) or 1.0
-    if abs(mean) > 1e-12 * max(1.0, scale):
-        raise ValueError(f"density profile must have zero spatial mean; got mean {mean:.3e}")
-    a = a - mean  # remove rounding-level residual
+    a = a - require_zero_mean(a, "density profile")  # remove rounding-level residual
 
-    coeffs = np.zeros(grid.spatial_shape + (basis.n_v,), dtype=complex)
-    coeffs[..., 0] = np.fft.fft(a) / grid.n_x
-    coeffs[(0,) * grid.d + (0,)] = 0.0  # neutrality: exact zero mean
+    coeffs = np.zeros((grid.n_x, basis.n_v), dtype=complex)
+    coeffs[:, 0] = np.fft.fft(a) / grid.n_x
+    coeffs[0, 0] = 0.0  # neutrality: exact zero mean
     if micro_perturbation is not None:
         mc = micro_perturbation.coeffs
-        macro_part = float(np.max(np.abs(mc[..., : 1 + grid.d])))
+        macro_part = float(np.max(np.abs(mc[:, :2])))
         if macro_part > 1e-12:
             raise ValueError(
                 f"micro perturbation must be (I-P)-projected; macro content {macro_part:.3e}"
@@ -169,12 +161,7 @@ def make_initial_data(grid: SpatialGrid, basis: HermiteBasis, rho_profile,
     if f_min <= 0.0:
         raise ValueError(f"reconstructed distribution is not positive; minimum value {f_min:.3e}")
 
-    state = KineticState(time=0.0, g=g, macro=_macro_with_field(g))
-    from .diagnostics import energy_functionals  # deferred: diagnostics imports operators
-
-    report = energy_functionals(state, k=1, epsilon=1.0)
-    log.info("initial data: E_1(0) = %.6e (smallness hypothesis is the user's knob)", report.E_k)
-    return state
+    return KineticState(time=0.0, g=g, macro=_macro_with_field(g))
 
 
 @dataclass(frozen=True)
@@ -254,8 +241,6 @@ class VpfpStepper:
     """
 
     def __init__(self, cfg: SolverConfig, dt: float):
-        if cfg.d != 1:
-            raise NotImplementedError("the kinetic stepper is implemented for d = 1")
         self.cfg = cfg
         self.dt = float(dt)
         self.grid = cfg.make_grid()
@@ -303,7 +288,7 @@ class VpfpStepper:
     def _finish(self, coeffs: np.ndarray, time: float, mass_before: complex) -> KineticState:
         if not np.all(np.isfinite(coeffs)):
             raise FloatingPointError(f"non-finite state detected at t = {time:.6g}")
-        mass_after = coeffs[(0,) * self.grid.d + (0,)]
+        mass_after = coeffs[0, 0]
         drift = abs(mass_after - mass_before)
         if drift > NEUTRALITY_TOL * (1.0 + abs(mass_before)):
             raise ConservationError(
@@ -315,29 +300,19 @@ class VpfpStepper:
     def step_euler(self, state: KineticState, expl: np.ndarray | None = None) -> KineticState:
         """One IMEX Euler step; expl may carry precomputed explicit_coeffs(state)."""
         dt = self.dt
-        mass0 = state.g.coeffs[(0,) * self.grid.d + (0,)]
+        mass0 = state.g.coeffs[0, 0]
         if expl is None:
             expl = self.explicit_coeffs(state.g, state.macro)
         coeffs = self.solve_implicit(dt, state.g.coeffs + dt * expl)
-        if self.cfg.poisson_correction:
-            g_star = DistributionField(SpectralField(self.grid, self.basis, coeffs))
-            expl = self.explicit_coeffs(state.g, _macro_with_field(g_star))
-            coeffs = self.solve_implicit(dt, state.g.coeffs + dt * expl)
         return self._finish(coeffs, state.time + dt, mass0)
 
     def step_bdf2(self, state: KineticState, prev: KineticState,
                   expl: np.ndarray, expl_prev: np.ndarray) -> KineticState:
         dt = self.dt
-        mass0 = state.g.coeffs[(0,) * self.grid.d + (0,)]
+        mass0 = state.g.coeffs[0, 0]
         rhs = (4.0 * state.g.coeffs - prev.g.coeffs + 2.0 * dt * (2.0 * expl - expl_prev)) / 3.0
         coeffs = self.solve_implicit(2.0 * dt / 3.0, rhs)
         return self._finish(coeffs, state.time + dt, mass0)
-
-
-def step(state: KineticState, cfg: SolverConfig) -> KineticState:
-    """Advance one time step of length cfg.dt_nominal (IMEX Euler semantics;
-    the multistep scheme needs history and is driven through run)."""
-    return VpfpStepper(cfg, cfg.dt_nominal).step_euler(state)
 
 
 def _fit_dt(dt_nominal: float, interval: float) -> tuple[float, int]:
@@ -345,54 +320,77 @@ def _fit_dt(dt_nominal: float, interval: float) -> tuple[float, int]:
     return interval / n, n
 
 
+def sample_trajectory(initial, t_final: float, dt_nominal: float,
+                      sample_interval: float | None, make_advance,
+                      observers=()) -> Trajectory:
+    """The sampling schedule shared by the kinetic and the fluid run.
+
+    Samples land on exact multiples of sample_interval (rounded so that
+    they divide t_final; None or more than t_final means t_final alone).
+    The step size is the largest dt <= dt_nominal that divides the interval.
+    make_advance(dt) returns advance(state, n), which takes n steps of
+    size dt and may keep history between calls; each sample's time is
+    re-stamped exactly.  Observers see every sampled state.
+    """
+    if dt_nominal <= 0:
+        raise ConfigurationError(f"time step must be positive, got {dt_nominal}")
+    if sample_interval is not None and sample_interval <= 0:
+        raise ConfigurationError(f"sample_interval must be positive, got {sample_interval}")
+    state = initial
+    states = [initial]
+    for obs in observers:
+        obs(initial)
+    if t_final == 0.0:
+        return Trajectory(times=np.array([initial.time]), states=states)
+
+    if sample_interval is None or sample_interval > t_final:
+        sample_interval = t_final
+    n_samples = max(1, round(t_final / sample_interval))
+    sample_interval = t_final / n_samples
+    dt, steps_per_sample = _fit_dt(dt_nominal, sample_interval)
+    advance = make_advance(dt)
+    for s in range(n_samples):
+        state = advance(state, steps_per_sample)
+        state = replace(state, time=initial.time + (s + 1) * sample_interval)
+        states.append(state)
+        for obs in observers:
+            obs(state)
+    return Trajectory(times=np.array([st.time for st in states]), states=states)
+
+
 def run(initial: KineticState, cfg: SolverConfig, observers=(),
         sample_interval: float | None = None) -> Trajectory:
-    """Integrate to t_final, sampling every sample_interval.
+    """Integrate to t_final with cfg.scheme, sampling every sample_interval.
 
-    The step size divides the sampling interval exactly so that samples
-    land on exact multiples; observers are invoked on each sampled state.
-    Deterministic for a fixed config.
+    Deterministic for a fixed config; see sample_trajectory for the schedule.
     """
     if initial.g.grid.n_x != cfg.n_x or initial.g.basis.n_v != cfg.n_v:
         raise ConfigurationError(
             f"initial state discretization ({initial.g.grid.n_x}, {initial.g.basis.n_v}) "
             f"does not match config ({cfg.n_x}, {cfg.n_v})"
         )
-    if cfg.t_final == 0.0:
-        for obs in observers:
-            obs(initial)
-        return Trajectory(times=np.array([initial.time]), states=[initial])
-
-    if sample_interval is None or sample_interval > cfg.t_final:
-        sample_interval = cfg.t_final
-    n_samples = max(1, round(cfg.t_final / sample_interval))
-    sample_interval = cfg.t_final / n_samples
-    dt, steps_per_sample = _fit_dt(cfg.dt_nominal, sample_interval)
-    stepper = VpfpStepper(cfg, dt)
 
     use_bdf2 = cfg.scheme == "imex_bdf2"
-    state = initial
-    prev = None
-    expl = expl_prev = None
-    times = [initial.time]
-    states = [initial]
-    for obs in observers:
-        obs(initial)
-    for s in range(n_samples):
-        for _ in range(steps_per_sample):
-            if use_bdf2:
-                expl = stepper.explicit_coeffs(state.g, state.macro)
-                if prev is None:
-                    new = stepper.step_euler(state, expl)
+
+    def make_advance(dt: float):
+        stepper = VpfpStepper(cfg, dt)
+        prev = expl_prev = None  # BDF2 history, kept across samples
+
+        def advance(state: KineticState, n: int) -> KineticState:
+            nonlocal prev, expl_prev
+            for _ in range(n):
+                if use_bdf2:
+                    expl = stepper.explicit_coeffs(state.g, state.macro)
+                    if prev is None:
+                        new = stepper.step_euler(state, expl)
+                    else:
+                        new = stepper.step_bdf2(state, prev, expl, expl_prev)
+                    prev, expl_prev = state, expl
+                    state = new
                 else:
-                    new = stepper.step_bdf2(state, prev, expl, expl_prev)
-                prev, expl_prev = state, expl
-                state = new
-            else:
-                state = stepper.step_euler(state)
-        state = replace(state, time=initial.time + (s + 1) * sample_interval)
-        times.append(state.time)
-        states.append(state)
-        for obs in observers:
-            obs(state)
-    return Trajectory(times=np.array(times), states=states)
+                    state = stepper.step_euler(state)
+            return state
+        return advance
+
+    return sample_trajectory(initial, cfg.t_final, cfg.dt_nominal, sample_interval,
+                             make_advance, observers)

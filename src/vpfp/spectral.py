@@ -1,6 +1,7 @@
 """Fourier x Hermite spectral substrate.
 
-Space is the periodic torus (Fourier collocation), velocity is expanded in
+Space is the one-dimensional periodic torus (Fourier collocation), velocity
+is expanded in
 Hermite functions psi_n(v) = He_n(v) sqrt(M(v)) with He_n the probabilists'
 Hermite polynomials normalized so that int He_j He_k M dv = delta_jk and
 M(v) = (2 pi)^(-1/2) exp(-v^2/2) the unit Gaussian.  In this basis velocity
@@ -31,6 +32,9 @@ __all__ = [
 ]
 
 SHIFT_KINDS = ("multiply_by_v", "d_dv", "raising")
+# Largest n_v whose hermegauss(2 n_v) quadrature is finite: above it the
+# weights overflow to NaN (a stable Golub-Welsch rule would lift the cap).
+MAX_N_V = 185
 
 
 class ConfigurationError(ValueError):
@@ -39,20 +43,15 @@ class ConfigurationError(ValueError):
 
 @dataclass(frozen=True)
 class SpatialGrid:
-    """Uniform periodic grid on the d-torus.
+    """Uniform periodic grid on the one-dimensional torus [0, length).
 
-    Only d = 1 is exercised at desk scale, but nothing below assumes it:
-    spatial axes come first in every array and operations take an axis
-    argument.
+    The spatial (Fourier) axis comes first in every array.
     """
 
     n_x: int
     length: float = 2.0 * np.pi
-    d: int = 1
 
     def __post_init__(self):
-        if self.d < 1:
-            raise ConfigurationError(f"spatial dimension must be >= 1, got {self.d}")
         if self.n_x < 4 or self.n_x % 2 != 0:
             raise ConfigurationError(f"n_x must be even and >= 4, got {self.n_x}")
         if self.length <= 0:
@@ -60,7 +59,7 @@ class SpatialGrid:
 
     @cached_property
     def nodes(self) -> np.ndarray:
-        """Collocation nodes along one axis, endpoint-exclusive."""
+        """Collocation nodes, endpoint-exclusive."""
         return np.arange(self.n_x) * (self.length / self.n_x)
 
     @cached_property
@@ -70,41 +69,28 @@ class SpatialGrid:
 
     @cached_property
     def k_sq(self) -> np.ndarray:
-        """|k|^2 on the spatial Fourier grid (the symbol of -Laplace)."""
-        k_sq = np.zeros(self.spatial_shape)
-        for ax in range(self.d):
-            shape = [1] * self.d
-            shape[ax] = self.n_x
-            k_sq = k_sq + self.wavenumbers.reshape(shape) ** 2
-        return k_sq
+        """k^2 on the spatial Fourier grid (the symbol of -Laplace)."""
+        return self.wavenumbers**2
 
     @cached_property
     def inverse_laplacian(self) -> np.ndarray:
-        """Symbol of (-Laplace)^-1 on zero-mean fields: 1 / |k|^2, 0 on the mean."""
+        """Symbol of (-Laplace)^-1 on zero-mean fields: 1 / k^2, 0 on the mean."""
         with np.errstate(divide="ignore"):
             return np.where(self.k_sq > 0, 1.0 / self.k_sq, 0.0)
 
     @cached_property
     def dealias_mask(self) -> np.ndarray:
-        """2/3-rule mask: keeps the modes with every |m| <= n_x // 3."""
+        """2/3-rule mask: keeps the modes with |m| <= n_x // 3."""
         m = np.abs(np.fft.fftfreq(self.n_x, d=1.0 / self.n_x))
-        keep1 = m <= self.n_x // 3
-        mask = keep1
-        for _ in range(self.d - 1):
-            mask = np.multiply.outer(mask, keep1)
-        return mask
-
-    @property
-    def spatial_shape(self) -> tuple[int, ...]:
-        return (self.n_x,) * self.d
+        return m <= self.n_x // 3
 
     @property
     def cell_volume(self) -> float:
-        return (self.length / self.n_x) ** self.d
+        return self.length / self.n_x
 
     @property
     def volume(self) -> float:
-        return self.length**self.d
+        return self.length
 
 
 @dataclass(frozen=True)
@@ -113,14 +99,18 @@ class HermiteBasis:
 
     The quadrature rule has order 2*n_v so that products of any two retained
     basis elements are integrated exactly; it backs the independent moment
-    oracles used in the tests.
+    oracles used in the tests.  n_v is capped at MAX_N_V, where that rule
+    is still finite.
     """
 
     n_v: int
 
     def __post_init__(self):
-        if self.n_v < 4:
-            raise ConfigurationError(f"n_v must be >= 4, got {self.n_v}")
+        if not 4 <= self.n_v <= MAX_N_V:
+            raise ConfigurationError(
+                f"n_v must lie in [4, {MAX_N_V}] (the Gauss-Hermite quadrature is not "
+                f"finite above {MAX_N_V}), got {self.n_v}"
+            )
 
     @property
     def n_quad(self) -> int:
@@ -182,9 +172,9 @@ class HermiteBasis:
 class SpectralField:
     """Fourier x Hermite coefficient tensor.
 
-    coeffs has shape grid.spatial_shape + (basis.n_v,), Fourier axes in FFT
-    order.  Fields representing real data keep Hermitian symmetry in the
-    Fourier indices; treat instances as immutable.
+    coeffs has shape (grid.n_x, basis.n_v), the Fourier axis in FFT order.
+    Fields representing real data keep Hermitian symmetry in the Fourier
+    index; treat instances as immutable.
     """
 
     grid: SpatialGrid
@@ -192,7 +182,7 @@ class SpectralField:
     coeffs: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        expected = self.grid.spatial_shape + (self.basis.n_v,)
+        expected = (self.grid.n_x, self.basis.n_v)
         if self.coeffs.shape != expected:
             raise ConfigurationError(
                 f"coefficient shape {self.coeffs.shape} does not match {expected}"
@@ -200,55 +190,37 @@ class SpectralField:
 
     @classmethod
     def zeros(cls, grid: SpatialGrid, basis: HermiteBasis) -> "SpectralField":
-        return cls(grid, basis, np.zeros(grid.spatial_shape + (basis.n_v,), dtype=complex))
-
-    def copy(self) -> "SpectralField":
-        return SpectralField(self.grid, self.basis, self.coeffs.copy())
+        return cls(grid, basis, np.zeros((grid.n_x, basis.n_v), dtype=complex))
 
     def with_coeffs(self, coeffs: np.ndarray) -> "SpectralField":
         return SpectralField(self.grid, self.basis, coeffs)
 
-    def check_finite(self) -> None:
-        if not np.all(np.isfinite(self.coeffs)):
-            raise FloatingPointError("non-finite spectral coefficients")
-
     def hermitian_symmetry_error(self) -> float:
         """Max deviation of c(-m) from conj(c(m))."""
         c = self.coeffs
-        flipped = c
-        for ax in range(self.grid.d):
-            flipped = np.roll(np.flip(flipped, axis=ax), 1, axis=ax)
+        flipped = np.roll(np.flip(c, axis=0), 1, axis=0)
         return float(np.max(np.abs(flipped.conj() - c))) if c.size else 0.0
 
 
 def forward_transform(grid: SpatialGrid, basis: HermiteBasis, point_values: np.ndarray) -> SpectralField:
     """Point values on the x-nodes x quadrature-nodes grid -> coefficients."""
-    expected = grid.spatial_shape + (basis.n_quad,)
+    expected = (grid.n_x, basis.n_quad)
     values = np.asarray(point_values)
     if values.shape != expected:
         raise ConfigurationError(f"value shape {values.shape} does not match {expected}")
-    coeffs = values @ basis.analysis.T
-    for ax in range(grid.d):
-        coeffs = np.fft.fft(coeffs, axis=ax) / grid.n_x
+    coeffs = np.fft.fft(values @ basis.analysis.T, axis=0) / grid.n_x
     return SpectralField(grid, basis, coeffs)
 
 
 def inverse_transform(f: SpectralField) -> np.ndarray:
     """Coefficients -> real point values on the collocation x quadrature grid."""
-    values = f.coeffs
-    for ax in range(f.grid.d):
-        values = np.fft.ifft(values * f.grid.n_x, axis=ax)
+    values = np.fft.ifft(f.coeffs * f.grid.n_x, axis=0)
     return (values @ f.basis.synthesis.T).real
 
 
-def spatial_derivative(f: SpectralField, axis: int = 0) -> SpectralField:
-    """d/dx_axis as the Fourier multiplier i k_m."""
-    if not 0 <= axis < f.grid.d:
-        raise ConfigurationError(f"axis {axis} out of range for d={f.grid.d}")
-    k = f.grid.wavenumbers
-    shape = [1] * f.coeffs.ndim
-    shape[axis] = f.grid.n_x
-    return f.with_coeffs(f.coeffs * (1j * k).reshape(shape))
+def spatial_derivative(f: SpectralField) -> SpectralField:
+    """d/dx as the Fourier multiplier i k_m."""
+    return f.with_coeffs(f.coeffs * (1j * f.grid.wavenumbers)[:, None])
 
 
 def hermite_shift_coeffs(coeffs: np.ndarray, kind: str, extend: int = 0) -> np.ndarray:

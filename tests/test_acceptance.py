@@ -152,7 +152,7 @@ def test_criterion_6_energy_dissipation():
 
         def observe(state):
             g_sq = grid.volume * float(np.sum(np.abs(state.g.coeffs) ** 2))
-            e_sq = spatial_l2_norm(grid, state.macro.grad_phi[0]) ** 2
+            e_sq = spatial_l2_norm(grid, state.macro.grad_phi) ** 2
             energies.append(0.5 * (g_sq + e_sq))
 
         # sample every step so the monotonicity check is per step

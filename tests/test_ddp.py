@@ -5,6 +5,7 @@ import pytest
 
 from vpfp.ddp import ddp_run, ddp_step, make_ddp_state
 from vpfp.operators import spatial_l2_norm, x_derivative
+from vpfp.spectral import ConfigurationError
 
 
 class TestSingleStep:
@@ -65,8 +66,18 @@ class TestDecayRates:
 
 class TestRunHarness:
     def test_zero_mean_required(self, grid):
-        with pytest.raises(ValueError, match="zero mean"):
+        with pytest.raises(ValueError, match="zero spatial mean"):
             ddp_run(grid, np.cos(grid.nodes) + 0.3, dt=1e-3, t_final=0.1)
+
+    @pytest.mark.parametrize("dt, interval, message", [
+        (0.0, 0.05, "time step must be positive"),
+        (-1.0, 0.05, "time step must be positive"),
+        (1e-3, 0.0, "sample_interval must be positive"),
+    ])
+    def test_nonpositive_steps_rejected(self, grid, dt, interval, message):
+        with pytest.raises(ConfigurationError, match=message):
+            ddp_run(grid, 0.01 * np.cos(grid.nodes), dt=dt, t_final=0.1,
+                    sample_interval=interval)
 
     def test_zero_time(self, grid):
         traj = ddp_run(grid, 0.01 * np.cos(grid.nodes), dt=1e-3, t_final=0.0)

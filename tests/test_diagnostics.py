@@ -14,7 +14,6 @@ from vpfp.diagnostics import (
     CSV_COLUMNS,
     EnergyReport,
     energy_functionals,
-    legacy_functionals,
     limit_error,
     moment_residuals,
     nu_norm,
@@ -151,33 +150,6 @@ class TestEnergyFunctionals:
         assert EnergyReport.csv_header() == ",".join(CSV_COLUMNS)
         parsed = [float(v) for v in row]
         assert parsed[1] == pytest.approx(rep.E_k, rel=1e-16)
-
-
-class TestLegacyFunctionals:
-    def test_brackets_headline_energy(self, grid, basis):
-        traj = short_run(grid, basis)
-        for state in traj.states:
-            rep = energy_functionals(state, k=1, epsilon=0.2)
-            legacy = legacy_functionals(state, k=1, epsilon=0.2)
-            ratio_e = legacy["E_total"] / rep.E_k
-            ratio_d = legacy["D_total"] / rep.D_k
-            assert 0.1 < ratio_e < 10.0
-            assert 0.1 < ratio_d < 10.0
-
-    def test_weights_scale_linearly(self, grid, basis, rng):
-        state = make_state(random_distribution(rng, grid, basis))
-        base = legacy_functionals(state, k=1, epsilon=0.3)
-        scaled = legacy_functionals(state, k=1, epsilon=0.3,
-                                    weights={"lambda1": 2.0})
-        expected = 2.0 * base["E_kK1"] + base["E_kK2"] + base["E_kF"]
-        assert scaled["E_total"] == pytest.approx(expected, rel=1e-12)
-
-    def test_cross_terms_vanish_for_macro_free_momentum(self, grid, basis):
-        # no momentum moment: both cross terms are zero
-        g = basis_element(grid, basis, 1, 0)
-        legacy = legacy_functionals(make_state(g), k=1, epsilon=0.5)
-        assert legacy["cross_gamma"] == 0.0
-        assert legacy["cross_ab"] == 0.0
 
 
 class TestMomentResiduals:

@@ -1,6 +1,7 @@
 """Sweep orchestration and CLI: config parsing, rate arithmetic, outputs,
 exit codes, and byte-level determinism of the persisted artifacts."""
 
+import configparser
 import json
 
 import numpy as np
@@ -39,6 +40,19 @@ amplitude = 0.01
 [diagnostics]
 k = 1
 """
+
+
+def small_ini_with(tmp_path, **settings):
+    """SMALL_INI with section__key=value settings replaced or added."""
+    parser = configparser.ConfigParser()
+    parser.read_string(SMALL_INI)
+    for name, value in settings.items():
+        section, key = name.split("__")
+        parser[section][key] = value
+    path = tmp_path / "case.ini"
+    with path.open("w") as fh:
+        parser.write(fh)
+    return path
 
 
 @pytest.fixture
@@ -118,6 +132,20 @@ class TestSweepConfig:
         cfg = parse_config_file(small_ini)
         cfg["sweep"]["epsilons"] = (0.1,)
         with pytest.raises(ConfigurationError, match="at least 2"):
+            SweepConfig.from_dict(cfg)
+
+
+    def test_diagnostics_order(self, small_ini):
+        cfg = parse_config_file(small_ini)
+        cfg["diagnostics"]["k"] = 0
+        with pytest.raises(ConfigurationError, match="k must be >= 1"):
+            SweepConfig.from_dict(cfg)
+
+    @pytest.mark.parametrize("mode", [0, 17])
+    def test_profile_mode_range(self, small_ini, mode):
+        cfg = parse_config_file(small_ini)  # n_x = 32
+        cfg["sweep"]["profile_mode"] = mode
+        with pytest.raises(ConfigurationError, match=r"\[1, n_x // 2 = 16\]"):
             SweepConfig.from_dict(cfg)
 
 
@@ -252,6 +280,34 @@ class TestCli:
         bad = tmp_path / "bad.ini"
         bad.write_text("[grid]\nn_z = 8\n")
         assert main(["--config", str(bad), "--quiet", "run"]) == EXIT_CONFIG_ERROR
+
+    @pytest.mark.parametrize("command, settings, message", [
+        ("run", {"sweep__sample_interval": "0"}, "sample_interval must be positive"),
+        ("sweep", {"sweep__sample_interval": "0"}, "sample_interval must be positive"),
+        ("run", {"sweep__sample_interval": "-0.05"}, "sample_interval must be positive"),
+        ("sweep", {"sweep__sample_interval": "-0.05"}, "sample_interval must be positive"),
+        ("sweep", {"sweep__ddp_dt": "0"}, "time step must be positive"),
+        ("sweep", {"sweep__ddp_dt": "-1"}, "time step must be positive"),
+        ("run", {"sweep__ddp_dt": "0", "solver__system": "ddp"}, "time step must be positive"),
+        ("run", {"diagnostics__k": "0"}, "k must be >= 1"),
+        ("sweep", {"diagnostics__k": "0"}, "k must be >= 1"),
+        ("run", {"sweep__profile_mode": "0"}, "profile_mode must lie in"),
+        ("sweep", {"sweep__profile_mode": "0"}, "profile_mode must lie in"),
+        ("sweep", {"sweep__profile_mode": "17"}, "profile_mode must lie in"),
+        ("run", {"grid__n_v": "256"}, "n_v must lie in"),
+        ("sweep", {"grid__n_v": "256"}, "n_v must lie in"),
+        ("run", {"grid__d": "2"}, "unknown config key 'd'"),
+        ("sweep", {"grid__d": "2"}, "unknown config key 'd'"),
+        ("run", {"solver__poisson_correction": "true"},
+         "unknown config key 'poisson_correction'"),
+        ("sweep", {"solver__poisson_correction": "true"},
+         "unknown config key 'poisson_correction'"),
+    ])
+    def test_bad_setting_is_config_error(self, tmp_path, capsys, command, settings, message):
+        ini = small_ini_with(tmp_path, **settings)
+        code = main(["--config", str(ini), "--out", str(tmp_path / "out"), "--quiet", command])
+        assert code == EXIT_CONFIG_ERROR
+        assert message in capsys.readouterr().err
 
     def test_run_failure_exit_code(self, tmp_path):
         bad = tmp_path / "bad.ini"

@@ -16,7 +16,6 @@ from vpfp.solver import (
     VpfpStepper,
     make_initial_data,
     run,
-    step,
     _fit_dt,
     _macro_with_field,
 )
@@ -262,7 +261,7 @@ class TestConservationAndConsistency:
 
         def observe(state):
             g_sq = grid.volume * float(np.sum(np.abs(state.g.coeffs) ** 2))
-            e_sq = spatial_l2_norm(grid, state.macro.grad_phi[0]) ** 2
+            e_sq = spatial_l2_norm(grid, state.macro.grad_phi) ** 2
             energies.append(0.5 * (g_sq + e_sq))
 
         run(cos_initial(grid, basis), cfg, observers=(observe,), sample_interval=0.01)
@@ -316,17 +315,15 @@ class TestRunHarness:
         traj = run(state, cfg)
         assert len(traj.states) == 1 and traj.states[0] is state
 
+    @pytest.mark.parametrize("interval", [0.0, -0.025])
+    def test_nonpositive_sample_interval_rejected(self, grid, basis, interval):
+        with pytest.raises(ConfigurationError, match="sample_interval must be positive"):
+            run(cos_initial(grid, basis), small_config(), sample_interval=interval)
+
     def test_sample_times_are_exact_multiples(self, grid, basis):
         cfg = small_config(t_final=0.1)
         traj = run(cos_initial(grid, basis), cfg, sample_interval=0.025)
         assert np.allclose(traj.times, np.arange(5) * 0.025, atol=1e-15)
-
-    def test_module_level_step(self, grid, basis):
-        cfg = small_config()
-        state = cos_initial(grid, basis)
-        new = step(state, cfg)
-        assert new.time == pytest.approx(cfg.dt_nominal)
-        assert np.max(np.abs(new.g.coeffs - state.g.coeffs)) > 0.0
 
     def test_deterministic_rerun(self, grid, basis):
         cfg = small_config(t_final=0.1, scheme="imex_bdf2")

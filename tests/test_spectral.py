@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 from vpfp.spectral import (
+    MAX_N_V,
     ConfigurationError,
+    HermiteBasis,
     SpatialGrid,
     forward_transform,
     hermite_shift_apply,
@@ -34,6 +36,16 @@ class TestGridAndBasis:
     def test_grid_rejects_bad_sizes(self, bad):
         with pytest.raises(ConfigurationError):
             SpatialGrid(n_x=bad)
+
+    def test_n_v_cap_builds_finite_orthonormal_rule(self):
+        basis = HermiteBasis(n_v=MAX_N_V)
+        assert np.all(np.isfinite(basis.quad_weights))
+        gram = basis.analysis @ basis.synthesis
+        assert np.max(np.abs(gram - np.eye(MAX_N_V))) < 1e-12
+
+    def test_n_v_above_cap_rejected(self):
+        with pytest.raises(ConfigurationError, match=f"\\[4, {MAX_N_V}\\]"):
+            HermiteBasis(n_v=MAX_N_V + 1)
 
     def test_orthonormality_under_quadrature(self, basis):
         gram = basis.analysis @ basis.synthesis
@@ -115,11 +127,6 @@ class TestSpatialDerivative:
         df = spatial_derivative(forward_transform(grid, basis, values))
         expected = -2 * np.sin(2 * x)[:, None] * basis.maxwellian_sqrt()[None, :]
         assert np.allclose(inverse_transform(df), expected, atol=1e-12)
-
-    def test_bad_axis(self, grid, basis):
-        f = basis_element(grid, basis, 0, 0)
-        with pytest.raises(ConfigurationError):
-            spatial_derivative(f.spectral, axis=1)
 
     def test_hermitian_symmetry_preserved(self, grid, basis, rng):
         # drop the Nyquist mode: ik maps its real coefficient to a purely
