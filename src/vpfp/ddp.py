@@ -3,7 +3,10 @@
 Works with the shifted density rho0 = rho - 1 on the same spatial grid and
 transform stack as the kinetic solver, so kinetic-vs-fluid errors need no
 interpolation.  Diffusion is implicit through the Fourier symbol; the drift
-divergence is explicit and pseudo-spectral with 2/3-rule dealiasing.
+divergence is explicit and pseudo-spectral with 2/3-rule dealiasing.  A
+step works on the modes m = 0..n_x/2 of its real fields and makes two
+transforms: one real FFT of the density and the drift product, one inverse
+real FFT of the new density, its potential and the field.
 """
 
 from __future__ import annotations
@@ -13,13 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import (
-    dealiased_product,
-    fourier_field,
-    real_field,
-    require_zero_mean,
-    solve_poisson,
-)
+from .operators import require_zero_mean, solve_poisson
 from .solver import Trajectory, sample_trajectory
 from .spectral import SpatialGrid
 
@@ -38,6 +35,11 @@ class DdpState:
 
 def make_ddp_state(grid: SpatialGrid, time: float, rho0: np.ndarray) -> DdpState:
     phi0, grad_phi0 = solve_poisson(grid, rho0)
+    return _checked_state(time, rho0, phi0, grad_phi0)
+
+
+def _checked_state(time: float, rho0: np.ndarray, phi0: np.ndarray,
+                   grad_phi0: np.ndarray) -> DdpState:
     if float(np.min(1.0 + rho0)) <= 0.0:
         warnings.warn("reconstructed fluid density is not positive", RuntimeWarning)
     return DdpState(time=time, rho0=rho0, phi0=phi0, grad_phi0=grad_phi0)
@@ -48,20 +50,27 @@ def ddp_step(grid: SpatialGrid, state: DdpState, dt: float, drift: bool = True) 
 
     The update is a divergence, so the spatial mean of rho0 is preserved
     exactly; drift=False is a test hook leaving pure implicit diffusion.
+    Works on the modes m = 0..n_x/2 with one real FFT and one inverse real
+    FFT.
     """
-    rho_c = fourier_field(grid, state.rho0)
-
-    drift_c = np.zeros_like(rho_c)
+    half = grid.n_half
+    ik = 1j * grid.wavenumbers[:half]
+    rho_c, prod_c = np.fft.rfft(np.array([state.rho0, state.rho0 * state.grad_phi0]),
+                                norm="forward")
+    rhs_c = rho_c
     if drift:
-        # div((rho0 + 1) grad phi0) = div(rho0 grad phi0) + Lap phi0, and Lap phi0 = -rho0
-        prod = dealiased_product(grid, state.rho0, state.grad_phi0)
-        drift_c = 1j * grid.wavenumbers * fourier_field(grid, prod) - rho_c
-
-    new_c = (rho_c + dt * drift_c) / (1.0 + dt * grid.k_sq)
-    rho0 = real_field(grid, new_c)
+        # div((rho0 + 1) grad phi0) = div(rho0 grad phi0) + Lap phi0, and Lap phi0 = -rho0;
+        # the product is dealiased by the 2/3 rule
+        rhs_c = rho_c + dt * (ik * grid.dealias_mask[:half] * prod_c - rho_c)
+    new_c = rhs_c / (1.0 + dt * grid.k_sq[:half])
+    phi_c = new_c * grid.inverse_laplacian[:half]
+    rho0, phi0, grad_phi0 = np.fft.irfft(np.array([new_c, phi_c, ik * phi_c]),
+                                         n=grid.n_x, norm="forward")
+    time = state.time + dt
     if not np.all(np.isfinite(rho0)):
-        raise FloatingPointError(f"non-finite fluid state at t = {state.time + dt:.6g}")
-    return make_ddp_state(grid, state.time + dt, rho0)
+        raise FloatingPointError(f"non-finite fluid state at t = {time:.6g}")
+    require_zero_mean(rho0, "Poisson right-hand side")
+    return _checked_state(time, rho0, phi0, grad_phi0)
 
 
 def ddp_run(grid: SpatialGrid, rho0_initial: np.ndarray, dt: float, t_final: float,

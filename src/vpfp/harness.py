@@ -21,7 +21,14 @@ import numpy as np
 
 from .ddp import ddp_run
 from .diagnostics import EnergyReport, energy_functionals, limit_error
-from .solver import KineticState, SolverConfig, Trajectory, make_initial_data, run
+from .solver import (
+    KineticState,
+    SolverConfig,
+    Trajectory,
+    make_initial_data,
+    run,
+    sample_count,
+)
 from .spectral import ConfigurationError
 
 __all__ = [
@@ -157,6 +164,7 @@ class SweepConfig:
             raise ConfigurationError(
                 f"profile_mode must lie in [1, n_x // 2 = {max_mode}], got {self.profile_mode}"
             )
+        sample_count(self.template.t_final, self.sample_interval)  # the runs' schedule rule
 
     @classmethod
     def from_dict(cls, cfg: dict, out_dir=None) -> "SweepConfig":

@@ -4,6 +4,12 @@ The unknown is the perturbation g in f = M + g sqrt(M).  In the Hermite
 basis the Fokker-Planck operator is diag(n), the macroscopic projection P
 keeps the first two Hermite levels (density a and momentum b), and the
 electrostatic potential solves -phi'' = a spectrally on the torus.
+
+Every field is real, so the operators of a time step (moments, the
+Poisson solve and the right-hand side) work on the modes m = 0..n_x/2
+alone, with real FFTs (rfft/irfft) that batch the rows sharing a
+transform; coefficient arrays are stored over the full spectrum, the
+modes above n_x/2 filled in by conjugation.
 """
 
 from __future__ import annotations
@@ -17,9 +23,8 @@ from .spectral import (
     HermiteBasis,
     SpatialGrid,
     SpectralField,
-    hermite_shift_apply,
+    full_spectrum,
     hermite_shift_coeffs,
-    spatial_derivative,
 )
 
 __all__ = [
@@ -138,9 +143,14 @@ def apply_L(g: DistributionField) -> DistributionField:
 
 
 def moments(g: DistributionField) -> MacroFields:
-    """Density perturbation a and momentum moment b (coefficient slices)."""
-    return MacroFields(a=real_field(g.grid, g.coeffs[:, 0]),
-                       b=real_field(g.grid, g.coeffs[:, 1]))
+    """Density perturbation a and momentum moment b (coefficient slices).
+
+    One inverse real FFT of Hermite levels 0 and 1 over the modes
+    m = 0..n_x/2.
+    """
+    grid = g.grid
+    a, b = np.fft.irfft(g.coeffs[: grid.n_half, :2].T, n=grid.n_x, norm="forward")
+    return MacroFields(a=a, b=b)
 
 
 def project_macro(g: DistributionField) -> DistributionField:
@@ -176,12 +186,17 @@ def gamma_moment(g: DistributionField) -> np.ndarray:
 def solve_poisson(grid: SpatialGrid, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Solve -phi'' = a on the torus; returns (phi, d phi / dx).
 
-    Requires zero-mean a; phi is gauge-fixed to zero mean.
+    Requires zero-mean a; phi is gauge-fixed to zero mean.  One real FFT
+    of a over the modes m = 0..n_x/2, and one inverse real FFT of phi and
+    its derivative together.
     """
     a = np.asarray(a, dtype=float)
     require_zero_mean(a, "Poisson right-hand side")
-    phi_c = fourier_field(grid, a) * grid.inverse_laplacian
-    return real_field(grid, phi_c), real_field(grid, phi_c * (1j * grid.wavenumbers))
+    half = grid.n_half
+    phi_c = np.fft.rfft(a, norm="forward") * grid.inverse_laplacian[:half]
+    phi, grad_phi = np.fft.irfft(np.array([phi_c, 1j * grid.wavenumbers[:half] * phi_c]),
+                                 n=grid.n_x, norm="forward")
+    return phi, grad_phi
 
 
 def vpfp_rhs(g: DistributionField, macro: MacroFields, epsilon: float,
@@ -194,32 +209,35 @@ def vpfp_rhs(g: DistributionField, macro: MacroFields, epsilon: float,
 
     The field coupling uses the single raising recurrence (the identity
     (g/2) v - dg/dv = (v/2 - d_dv) g), with the g * d phi/dx product
-    formed pseudo-spectrally under the 2/3 rule.  transport/fields are test
-    hooks that disable term groups.
+    formed pseudo-spectrally under the 2/3 rule.  The terms are assembled
+    on the modes m = 0..n_x/2, the rest filled in by conjugation.
+    transport/fields are test hooks that disable term groups.
     """
     if epsilon <= 0:
         raise ConfigurationError(f"epsilon must be positive, got {epsilon}")
     grid, basis = g.grid, g.basis
-    rhs = np.zeros_like(g.coeffs)
+    half = grid.n_half
+    c = g.coeffs[:half]
+    rhs = np.zeros_like(c)
 
     if transport:
-        vg = hermite_shift_apply(g.spectral, "multiply_by_v")
-        rhs -= spatial_derivative(vg).coeffs / epsilon
+        ik = (1j * grid.wavenumbers[:half])[:, None]
+        rhs -= hermite_shift_coeffs(c, "multiply_by_v") * ik / epsilon
 
     if fields:
         if macro.grad_phi is None:
             raise ConfigurationError("macro fields must carry grad_phi for the coupling terms")
         dphi = macro.grad_phi
         # linear source: (d phi/dx) v sqrt(M) = (d phi/dx) psi_1
-        rhs[:, 1] -= fourier_field(grid, dphi) / epsilon
+        rhs[:, 1] -= np.fft.rfft(dphi, norm="forward") / epsilon
         # nonlinear coupling, pseudo-spectral product per Hermite level
-        phys = real_field(grid, hermite_shift_coeffs(g.coeffs, "raising"))
-        prod = fourier_field(grid, phys * dphi[:, None])
-        rhs -= prod * grid.dealias_mask[:, None] / epsilon
+        phys = np.fft.irfft(hermite_shift_coeffs(c, "raising"), n=grid.n_x, axis=0, norm="forward")
+        prod = np.fft.rfft(phys * dphi[:, None], axis=0, norm="forward")
+        rhs -= prod * grid.dealias_mask[:half, None] / epsilon
 
     if collision:
-        rhs -= np.arange(basis.n_v) * g.coeffs / epsilon**2
-    return g.with_coeffs(rhs)
+        rhs -= np.arange(basis.n_v) * c / epsilon**2
+    return g.with_coeffs(full_spectrum(rhs, grid.n_x))
 
 
 def coercivity_gap(g: DistributionField) -> tuple[float, float, float]:

@@ -17,6 +17,10 @@ the stiffest modes (large dt k / eps) take one step of iterative
 refinement.  The factors depend only on (scheme stage, dt), so they are
 built once, for the half spectrum m = 0..n_x/2 only; the modes above n_x/2
 of the real solution are the conjugates of modes n_x/2-1..1.
+
+A step assembles its right-hand side on the modes m = 0..n_x/2 and
+transforms only those (see operators): each warm step makes six real
+FFT calls, none over the full spectrum.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ from .spectral import (
     HermiteBasis,
     SpatialGrid,
     SpectralField,
+    full_spectrum,
     inverse_transform,
 )
 
@@ -49,6 +54,7 @@ __all__ = [
     "Trajectory",
     "VpfpStepper",
     "make_initial_data",
+    "sample_count",
     "sample_trajectory",
     "run",
 ]
@@ -59,6 +65,8 @@ NEUTRALITY_TOL = 1e-13
 # pivot growth max_n u_n / d_n of its mode; modes above this growth get one
 # step of iterative refinement, which restores dense-solve accuracy.
 PIVOT_GROWTH_LIMIT = 100.0
+# Tolerance on t_final / sample_interval being a whole number.
+SAMPLE_RATIO_RTOL = 1e-9
 
 
 class ConservationError(RuntimeError):
@@ -255,7 +263,7 @@ class VpfpStepper:
         """
         f = self._factors.get(dt_eff)
         if f is None:
-            k = self.grid.wavenumbers[: self.grid.n_x // 2 + 1]
+            k = self.grid.wavenumbers[: self.grid.n_half]
             if not self.cfg.transport_enabled:
                 k = np.zeros_like(k)
             f = TridiagonalFactors.build(k, self.basis.n_v, self.cfg.epsilon, dt_eff)
@@ -265,15 +273,11 @@ class VpfpStepper:
     def solve_implicit(self, dt_eff: float, coeffs: np.ndarray) -> np.ndarray:
         """(I + dt_eff * S_m)^-1 applied per mode to the coefficients of a real field.
 
-        Only modes 0..n_x/2 of coeffs are read; the modes above n_x/2 of the
-        result are the conjugates of modes n_x/2-1..1.
+        Only modes 0..n_x/2 of coeffs are read (it may hold only those); the
+        modes above n_x/2 of the result are the conjugates of modes n_x/2-1..1.
         """
-        half = self.grid.n_x // 2 + 1
-        x = self.factors(dt_eff).solve(coeffs[:half].T)
-        out = np.empty_like(coeffs, dtype=complex)
-        out[:half] = x.T
-        np.conjugate(x[:, half - 2 : 0 : -1].T, out=out[half:])
-        return out
+        x = self.factors(dt_eff).solve(coeffs[: self.grid.n_half].T)
+        return full_spectrum(x.T, self.grid.n_x)
 
     # -- explicit part ------------------------------------------------------
     def explicit_coeffs(self, g: DistributionField, macro: MacroFields) -> np.ndarray:
@@ -299,18 +303,19 @@ class VpfpStepper:
 
     def step_euler(self, state: KineticState, expl: np.ndarray | None = None) -> KineticState:
         """One IMEX Euler step; expl may carry precomputed explicit_coeffs(state)."""
-        dt = self.dt
+        dt, half = self.dt, self.grid.n_half
         mass0 = state.g.coeffs[0, 0]
         if expl is None:
             expl = self.explicit_coeffs(state.g, state.macro)
-        coeffs = self.solve_implicit(dt, state.g.coeffs + dt * expl)
+        coeffs = self.solve_implicit(dt, state.g.coeffs[:half] + dt * expl[:half])
         return self._finish(coeffs, state.time + dt, mass0)
 
     def step_bdf2(self, state: KineticState, prev: KineticState,
                   expl: np.ndarray, expl_prev: np.ndarray) -> KineticState:
-        dt = self.dt
+        dt, half = self.dt, self.grid.n_half
         mass0 = state.g.coeffs[0, 0]
-        rhs = (4.0 * state.g.coeffs - prev.g.coeffs + 2.0 * dt * (2.0 * expl - expl_prev)) / 3.0
+        rhs = (4.0 * state.g.coeffs[:half] - prev.g.coeffs[:half]
+               + 2.0 * dt * (2.0 * expl[:half] - expl_prev[:half])) / 3.0
         coeffs = self.solve_implicit(2.0 * dt / 3.0, rhs)
         return self._finish(coeffs, state.time + dt, mass0)
 
@@ -320,32 +325,56 @@ def _fit_dt(dt_nominal: float, interval: float) -> tuple[float, int]:
     return interval / n, n
 
 
+def sample_count(t_final: float, sample_interval: float | None) -> int:
+    """Number of sample intervals of a run to t_final (0 when t_final is 0).
+
+    None means one interval, t_final itself.  Otherwise sample_interval
+    must be positive, at most t_final and divide it into a whole number of
+    intervals (to SAMPLE_RATIO_RTOL relative); anything else raises
+    ConfigurationError instead of being silently rounded.
+    """
+    if sample_interval is not None and sample_interval <= 0:
+        raise ConfigurationError(f"sample_interval must be positive, got {sample_interval}")
+    if t_final == 0.0:
+        return 0
+    if sample_interval is None:
+        return 1
+    ratio = t_final / sample_interval
+    if ratio < 1.0 - SAMPLE_RATIO_RTOL:
+        raise ConfigurationError(
+            f"sample_interval = {sample_interval:g} exceeds t_final = {t_final:g}"
+        )
+    n_samples = round(ratio)
+    if abs(ratio - n_samples) > SAMPLE_RATIO_RTOL * ratio:
+        raise ConfigurationError(
+            f"sample_interval = {sample_interval:g} does not divide t_final = {t_final:g} "
+            f"into a whole number of samples"
+        )
+    return n_samples
+
+
 def sample_trajectory(initial, t_final: float, dt_nominal: float,
                       sample_interval: float | None, make_advance,
                       observers=()) -> Trajectory:
     """The sampling schedule shared by the kinetic and the fluid run.
 
-    Samples land on exact multiples of sample_interval (rounded so that
-    they divide t_final; None or more than t_final means t_final alone).
-    The step size is the largest dt <= dt_nominal that divides the interval.
+    Samples land on exact multiples of sample_interval, which must divide
+    t_final (see sample_count; None means t_final alone).  The step size is
+    the largest dt <= dt_nominal that divides the interval.
     make_advance(dt) returns advance(state, n), which takes n steps of
     size dt and may keep history between calls; each sample's time is
     re-stamped exactly.  Observers see every sampled state.
     """
     if dt_nominal <= 0:
         raise ConfigurationError(f"time step must be positive, got {dt_nominal}")
-    if sample_interval is not None and sample_interval <= 0:
-        raise ConfigurationError(f"sample_interval must be positive, got {sample_interval}")
+    n_samples = sample_count(t_final, sample_interval)
     state = initial
     states = [initial]
     for obs in observers:
         obs(initial)
-    if t_final == 0.0:
+    if n_samples == 0:
         return Trajectory(times=np.array([initial.time]), states=states)
 
-    if sample_interval is None or sample_interval > t_final:
-        sample_interval = t_final
-    n_samples = max(1, round(t_final / sample_interval))
     sample_interval = t_final / n_samples
     dt, steps_per_sample = _fit_dt(dt_nominal, sample_interval)
     advance = make_advance(dt)

@@ -25,6 +25,7 @@ __all__ = [
     "forward_transform",
     "inverse_transform",
     "spatial_derivative",
+    "full_spectrum",
     "hermite_shift_apply",
     "hermite_shift_coeffs",
     "quadrature_oracle_moment",
@@ -66,6 +67,11 @@ class SpatialGrid:
     def wavenumbers(self) -> np.ndarray:
         """Fourier wavenumbers k_m = 2 pi m / L in FFT order."""
         return 2.0 * np.pi * np.fft.fftfreq(self.n_x, d=self.length / self.n_x)
+
+    @property
+    def n_half(self) -> int:
+        """Number of modes m = 0..n_x/2, which determine a real field."""
+        return self.n_x // 2 + 1
 
     @cached_property
     def k_sq(self) -> np.ndarray:
@@ -223,6 +229,18 @@ def spatial_derivative(f: SpectralField) -> SpectralField:
     return f.with_coeffs(f.coeffs * (1j * f.grid.wavenumbers)[:, None])
 
 
+def full_spectrum(half: np.ndarray, n_x: int) -> np.ndarray:
+    """FFT-order coefficients of a real field from its modes m = 0..n_x/2.
+
+    half holds those modes along axis 0; modes n_x/2+1..n_x-1 of the result
+    are the conjugates of modes n_x/2-1..1.
+    """
+    out = np.empty((n_x,) + half.shape[1:], dtype=complex)
+    out[: n_x // 2 + 1] = half
+    np.conjugate(half[n_x // 2 - 1 : 0 : -1], out=out[n_x // 2 + 1 :])
+    return out
+
+
 def hermite_shift_coeffs(coeffs: np.ndarray, kind: str, extend: int = 0) -> np.ndarray:
     """Apply one of the velocity recurrences along the last axis.
 
@@ -236,22 +254,18 @@ def hermite_shift_coeffs(coeffs: np.ndarray, kind: str, extend: int = 0) -> np.n
     if kind not in SHIFT_KINDS:
         raise ConfigurationError(f"unknown shift kind {kind!r}; expected one of {SHIFT_KINDS}")
     n_in = coeffs.shape[-1]
-    n_out = n_in + extend
-    if extend:
-        pad = [(0, 0)] * (coeffs.ndim - 1) + [(0, extend)]
-        coeffs = np.pad(coeffs, pad)
-    out = np.zeros(coeffs.shape[:-1] + (n_out,), dtype=coeffs.dtype)
-    n = np.arange(n_out)
-    up = np.sqrt(n[1:])       # weight of c_{n-1} feeding level n
-    down = np.sqrt(n[1:])     # weight of c_{n+1} feeding level n (as sqrt(n+1))
+    out = np.zeros(coeffs.shape[:-1] + (n_in + extend,), dtype=coeffs.dtype)
+    root = np.sqrt(np.arange(1, n_in + extend))
+    n_up = n_in if extend else n_in - 1  # levels fed from below; the top spill needs extend
+    # level n receives sqrt(n) c_{n-1} (up) and sqrt(n+1) c_{n+1} (down)
     if kind == "multiply_by_v":
-        out[..., 1:] += up * coeffs[..., :-1]
-        out[..., :-1] += down * coeffs[..., 1:]
+        out[..., 1 : n_up + 1] += root[:n_up] * coeffs[..., :n_up]
+        out[..., : n_in - 1] += root[: n_in - 1] * coeffs[..., 1:]
     elif kind == "d_dv":
-        out[..., :-1] += 0.5 * down * coeffs[..., 1:]
-        out[..., 1:] -= 0.5 * up * coeffs[..., :-1]
+        out[..., : n_in - 1] += 0.5 * root[: n_in - 1] * coeffs[..., 1:]
+        out[..., 1 : n_up + 1] -= 0.5 * root[:n_up] * coeffs[..., :n_up]
     else:  # raising
-        out[..., 1:] += up * coeffs[..., :-1]
+        out[..., 1 : n_up + 1] += root[:n_up] * coeffs[..., :n_up]
     return out
 
 

@@ -56,6 +56,18 @@ def rng():
     return np.random.default_rng(1234)
 
 
+@pytest.fixture
+def fft_calls(monkeypatch):
+    """Names of the numpy.fft transforms called while the test runs."""
+    calls = []
+    for name in ("fft", "ifft", "rfft", "irfft"):
+        def counted(*args, _name=name, _transform=getattr(np.fft, name), **kwargs):
+            calls.append(_name)
+            return _transform(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+    return calls
+
+
 def random_distribution(rng, grid, basis, neutral=True, band_limit=None):
     """Random real-valued distribution field with Hermitian Fourier symmetry."""
     n_keep = band_limit if band_limit is not None else basis.n_v

@@ -2,10 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vpfp.ddp import ddp_run, ddp_step, make_ddp_state
-from vpfp.operators import spatial_l2_norm, x_derivative
-from vpfp.spectral import ConfigurationError
+from vpfp.operators import (
+    dealiased_product,
+    fourier_field,
+    real_field,
+    spatial_l2_norm,
+    x_derivative,
+)
+from vpfp.spectral import ConfigurationError, SpatialGrid
 
 
 class TestSingleStep:
@@ -35,6 +43,36 @@ class TestSingleStep:
         new = ddp_step(grid, state, 1e-2)
         lap = x_derivative(grid, x_derivative(grid, new.phi0))
         assert np.max(np.abs(-lap - new.rho0)) < 1e-12
+
+    @staticmethod
+    def complex_fft_step(grid, state, dt):
+        """ddp_step on the full spectrum by complex FFTs, dealiased product
+        formed in physical space."""
+        rho_c = fourier_field(grid, state.rho0)
+        prod = dealiased_product(grid, state.rho0, state.grad_phi0)
+        drift_c = 1j * grid.wavenumbers * fourier_field(grid, prod) - rho_c
+        rho0 = real_field(grid, (rho_c + dt * drift_c) / (1.0 + dt * grid.k_sq))
+        phi_c = fourier_field(grid, rho0) * grid.inverse_laplacian
+        return rho0, real_field(grid, phi_c), real_field(grid, phi_c * (1j * grid.wavenumbers))
+
+    @settings(max_examples=40, deadline=None)
+    @given(n_x=st.integers(2, 64).map(lambda h: 2 * h), amplitude=st.floats(1e-4, 0.1),
+           dt=st.floats(1e-5, 1e-1), seed=st.integers(0, 2**32 - 1))
+    def test_matches_complex_fft_formula(self, n_x, amplitude, dt, seed):
+        grid = SpatialGrid(n_x=n_x)
+        rho = np.random.default_rng(seed).uniform(-1.0, 1.0, n_x)
+        rho = amplitude * (rho - rho.mean()) / np.max(np.abs(rho - rho.mean()))
+        state = make_ddp_state(grid, 0.0, rho)
+        new = ddp_step(grid, state, dt)
+        for got, want in zip((new.rho0, new.phi0, new.grad_phi0),
+                             self.complex_fft_step(grid, state, dt)):
+            assert np.max(np.abs(got - want)) <= 1e-15
+
+    def test_two_transforms_per_step(self, grid, fft_calls):
+        state = make_ddp_state(grid, 0.0, 0.01 * np.cos(grid.nodes))
+        fft_calls.clear()
+        ddp_step(grid, state, 1e-3)
+        assert fft_calls == ["rfft", "irfft"]
 
     def test_negative_density_warns(self, grid):
         with pytest.warns(RuntimeWarning, match="not positive"):
@@ -78,6 +116,20 @@ class TestRunHarness:
         with pytest.raises(ConfigurationError, match=message):
             ddp_run(grid, 0.01 * np.cos(grid.nodes), dt=dt, t_final=0.1,
                     sample_interval=interval)
+
+    @pytest.mark.parametrize("interval, message", [
+        (0.3, "sample_interval = 0.3 does not divide t_final = 1"),
+        (2.0, "sample_interval = 2 exceeds t_final = 1"),
+    ])
+    def test_interval_must_divide_final_time(self, grid, interval, message):
+        with pytest.raises(ConfigurationError, match=message):
+            ddp_run(grid, 0.01 * np.cos(grid.nodes), dt=1e-3, t_final=1.0,
+                    sample_interval=interval)
+
+    def test_interval_within_rounding_of_a_divisor(self, grid):
+        traj = ddp_run(grid, 0.01 * np.cos(grid.nodes), dt=1e-2, t_final=0.3,
+                       sample_interval=0.1 * (1.0 + 1e-12))
+        assert np.allclose(traj.times, [0.0, 0.1, 0.2, 0.3], rtol=0, atol=1e-15)
 
     def test_zero_time(self, grid):
         traj = ddp_run(grid, 0.01 * np.cos(grid.nodes), dt=1e-3, t_final=0.0)

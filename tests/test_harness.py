@@ -302,6 +302,14 @@ class TestCli:
          "unknown config key 'poisson_correction'"),
         ("sweep", {"solver__poisson_correction": "true"},
          "unknown config key 'poisson_correction'"),
+        ("run", {"sweep__sample_interval": "0.3", "solver__t_final": "1.0"},
+         "sample_interval = 0.3 does not divide t_final = 1"),
+        ("sweep", {"sweep__sample_interval": "0.3", "solver__t_final": "1.0"},
+         "sample_interval = 0.3 does not divide t_final = 1"),
+        ("run", {"sweep__sample_interval": "2.0", "solver__t_final": "1.0"},
+         "sample_interval = 2 exceeds t_final = 1"),
+        ("sweep", {"sweep__sample_interval": "2.0", "solver__t_final": "1.0"},
+         "sample_interval = 2 exceeds t_final = 1"),
     ])
     def test_bad_setting_is_config_error(self, tmp_path, capsys, command, settings, message):
         ini = small_ini_with(tmp_path, **settings)

@@ -32,6 +32,11 @@ from vpfp.operators import (
 )
 from vpfp.spectral import (
     ConfigurationError,
+    HermiteBasis,
+    SpatialGrid,
+    SpectralField,
+    hermite_shift_apply,
+    hermite_shift_coeffs,
     inverse_transform,
     quadrature_oracle_moment,
     spatial_derivative,
@@ -316,3 +321,78 @@ class TestCoercivity:
         g = basis_element(grid, basis, 1, 0)
         dirichlet, micro_nu_sq, b_sq = coercivity_gap(g)
         assert dirichlet == 0.0 and micro_nu_sq == 0.0 and b_sq == 0.0
+
+
+def complex_fft_moments(g):
+    """moments by full-spectrum complex FFTs, one per Hermite level."""
+    return real_field(g.grid, g.coeffs[:, 0]), real_field(g.grid, g.coeffs[:, 1])
+
+
+def complex_fft_poisson(grid, a):
+    """solve_poisson by full-spectrum complex FFTs."""
+    phi_c = fourier_field(grid, a) * grid.inverse_laplacian
+    return real_field(grid, phi_c), real_field(grid, phi_c * (1j * grid.wavenumbers))
+
+
+def complex_fft_coupling(g, grad_phi, epsilon):
+    """The field terms of vpfp_rhs on the full spectrum by complex FFTs."""
+    grid = g.grid
+    rhs = np.zeros_like(g.coeffs)
+    rhs[:, 1] -= fourier_field(grid, grad_phi) / epsilon
+    phys = real_field(grid, hermite_shift_coeffs(g.coeffs, "raising"))
+    prod = fourier_field(grid, phys * grad_phi[:, None])
+    rhs -= prod * grid.dealias_mask[:, None] / epsilon
+    return rhs
+
+
+def real_field_coeffs(rng, n_x, n_v):
+    """Coefficients of a random real, neutral field (modes above n_x/2 conjugate)."""
+    half = np.fft.rfft(rng.standard_normal((n_x, n_v)), axis=0) / n_x
+    half[0, 0] = 0.0
+    return np.concatenate([half, half[-2:0:-1].conj()])
+
+
+def max_rel_diff(got, want):
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+class TestHalfSpectrumMatchesComplexFft:
+    """The real-FFT operators against the full-spectrum complex-FFT formulas."""
+
+    cases = given(
+        n_x=st.integers(2, 64).map(lambda h: 2 * h),
+        n_v=st.integers(4, 48),
+        epsilon=st.floats(1e-3, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+
+    @staticmethod
+    def field(n_x, n_v, seed):
+        grid, basis = SpatialGrid(n_x=n_x), HermiteBasis(n_v=n_v)
+        coeffs = real_field_coeffs(np.random.default_rng(seed), n_x, n_v)
+        return DistributionField(SpectralField(grid, basis, coeffs))
+
+    @settings(max_examples=40, deadline=None)
+    @cases
+    def test_moments_and_poisson(self, n_x, n_v, epsilon, seed):
+        g = self.field(n_x, n_v, seed)
+        mac = moments(g)
+        a, b = complex_fft_moments(g)
+        assert max_rel_diff(mac.a, a) <= 1e-14 and max_rel_diff(mac.b, b) <= 1e-14
+        phi, grad_phi = solve_poisson(g.grid, a)
+        want_phi, want_grad = complex_fft_poisson(g.grid, a)
+        assert max_rel_diff(phi, want_phi) <= 1e-14
+        assert max_rel_diff(grad_phi, want_grad) <= 1e-14
+
+    @settings(max_examples=40, deadline=None)
+    @cases
+    def test_rhs(self, n_x, n_v, epsilon, seed):
+        g = self.field(n_x, n_v, seed)
+        grad_phi = np.random.default_rng(seed + 1).standard_normal(n_x)
+        macro = MacroFields(a=None, b=None, grad_phi=grad_phi)
+        coupling = complex_fft_coupling(g, grad_phi, epsilon)
+        got = vpfp_rhs(g, macro, epsilon, transport=False, collision=False).coeffs
+        assert max_rel_diff(got, coupling) <= 1e-14
+        transport = spatial_derivative(hermite_shift_apply(g.spectral, "multiply_by_v")).coeffs
+        want = -transport / epsilon + coupling - np.arange(n_v) * g.coeffs / epsilon**2
+        assert max_rel_diff(vpfp_rhs(g, macro, epsilon).coeffs, want) <= 1e-14

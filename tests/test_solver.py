@@ -19,7 +19,7 @@ from vpfp.solver import (
     _fit_dt,
     _macro_with_field,
 )
-from vpfp.spectral import ConfigurationError
+from vpfp.spectral import ConfigurationError, SpectralField
 
 from conftest import basis_element, random_distribution
 
@@ -272,6 +272,48 @@ class TestConservationAndConsistency:
         cfg = small_config(t_final=0.05)
         traj = run(cos_initial(grid, basis), cfg, sample_interval=0.05)
         assert traj.states[-1].g.spectral.hermitian_symmetry_error() < 1e-12
+
+
+class TestHalfSpectrumSteps:
+    """Steps assemble and transform modes 0..n_x/2 and fill the rest by conjugation."""
+
+    @staticmethod
+    def first_states(n_x, n_v, epsilon, seed):
+        """A random neutral real state s0 and the Euler step s1 from it, each
+        with its explicit terms."""
+        stepper = VpfpStepper(small_config(epsilon=epsilon, n_x=n_x, n_v=n_v), 1e-3)
+        coeffs = 1e-3 * hermitian_coeffs(np.random.default_rng(seed), n_x, n_v)
+        coeffs[0, 0] = 0.0
+        g = DistributionField(SpectralField(stepper.grid, stepper.basis, coeffs))
+        s0 = KineticState(time=0.0, g=g, macro=_macro_with_field(g))
+        e0 = stepper.explicit_coeffs(s0.g, s0.macro)
+        s1 = stepper.step_euler(s0, e0)
+        e1 = stepper.explicit_coeffs(s1.g, s1.macro)
+        return stepper, (s0, e0), (s1, e1)
+
+    @settings(max_examples=30, deadline=None)
+    @given(n_x=st.integers(2, 48).map(lambda h: 2 * h), n_v=st.integers(4, 48),
+           epsilon=st.floats(1e-2, 1.0), seed=st.integers(0, 2**32 - 1))
+    def test_conjugate_modes_exact_and_mass_kept(self, n_x, n_v, epsilon, seed):
+        stepper, (s0, e0), (s1, e1) = self.first_states(n_x, n_v, epsilon, seed)
+        s2 = stepper.step_bdf2(s1, s0, e1, e0)
+        for state in (s1, s2):
+            c = state.g.coeffs
+            assert np.array_equal(c[n_x // 2 + 1 :], c[n_x // 2 - 1 : 0 : -1].conj())
+            # the streaming symbol i k at the FFT-order Nyquist wavenumber makes
+            # the Nyquist row complex, so only the other modes are compared
+            without_nyquist = state.g.spectral.with_coeffs(c.copy())
+            without_nyquist.coeffs[n_x // 2] = 0.0
+            assert without_nyquist.hermitian_symmetry_error() == 0.0
+            assert abs(c[0, 0]) <= 1e-13
+
+    def test_warm_bdf2_step_transform_budget(self, fft_calls):
+        stepper, (s0, e0), (s1, _) = self.first_states(64, 32, 0.1, 0)
+        fft_calls.clear()
+        expl = stepper.explicit_coeffs(s1.g, s1.macro)
+        stepper.step_bdf2(s1, s0, expl, e0)
+        assert len(fft_calls) <= 6
+        assert set(fft_calls) <= {"rfft", "irfft"}
 
 
 class TestAccuracy:

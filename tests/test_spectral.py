@@ -7,14 +7,19 @@ coefficient-space implementation.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vpfp.spectral import (
     MAX_N_V,
+    SHIFT_KINDS,
     ConfigurationError,
     HermiteBasis,
     SpatialGrid,
     forward_transform,
+    full_spectrum,
     hermite_shift_apply,
+    hermite_shift_coeffs,
     inverse_transform,
     l2_norm,
     quadrature_oracle_moment,
@@ -211,6 +216,51 @@ class TestHermiteShifts:
         f = basis_element(grid, basis, 0, basis.n_v - 1)
         shifted = hermite_shift_apply(f.spectral, "raising")
         assert np.max(np.abs(shifted.coeffs)) == 0.0  # spill beyond n_v dropped
+
+    @staticmethod
+    def padded_shift(coeffs, kind, extend):
+        """The recurrences on the input zero-padded to n_in + extend levels."""
+        n_out = coeffs.shape[-1] + extend
+        coeffs = np.pad(coeffs, [(0, 0)] * (coeffs.ndim - 1) + [(0, extend)])
+        out = np.zeros(coeffs.shape[:-1] + (n_out,), dtype=coeffs.dtype)
+        root = np.sqrt(np.arange(n_out)[1:])
+        if kind == "multiply_by_v":
+            out[..., 1:] += root * coeffs[..., :-1]
+            out[..., :-1] += root * coeffs[..., 1:]
+        elif kind == "d_dv":
+            out[..., :-1] += 0.5 * root * coeffs[..., 1:]
+            out[..., 1:] -= 0.5 * root * coeffs[..., :-1]
+        else:
+            out[..., 1:] += root * coeffs[..., :-1]
+        return out
+
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(SHIFT_KINDS),
+           shape=st.lists(st.integers(1, 6), min_size=0, max_size=2),
+           n_in=st.integers(1, 12), extend=st.integers(0, 2),
+           is_complex=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_bitwise_equal_to_padded_formula(self, kind, shape, n_in, extend, is_complex, seed):
+        rng = np.random.default_rng(seed)
+        coeffs = rng.standard_normal((*shape, n_in))
+        if is_complex:
+            coeffs = coeffs + 1j * rng.standard_normal((*shape, n_in))
+        got = hermite_shift_coeffs(coeffs, kind, extend=extend)
+        want = self.padded_shift(coeffs, kind, extend)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+
+
+class TestFullSpectrum:
+    @settings(max_examples=30, deadline=None)
+    @given(n_x=st.integers(2, 64).map(lambda h: 2 * h), n_v=st.integers(1, 5),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_complex_fft_of_real_field(self, n_x, n_v, seed):
+        values = np.random.default_rng(seed).standard_normal((n_x, n_v))
+        half = np.fft.rfft(values, axis=0)
+        got = full_spectrum(half, n_x)
+        assert np.array_equal(got[: n_x // 2 + 1], half)
+        assert np.array_equal(got[n_x // 2 + 1 :], half[n_x // 2 - 1 : 0 : -1].conj())
+        assert np.allclose(got, np.fft.fft(values, axis=0), rtol=0, atol=1e-12 * n_x)
 
 
 class TestQuadratureOracle:
