@@ -38,11 +38,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", type=Path, default=Path("out"), help="output directory")
     parser.add_argument("--seed", type=int, default=0, help="seed for random test fields")
     parser.add_argument("--quiet", action="store_true", help="suppress progress output")
+    # --quiet is also accepted after the command; SUPPRESS keeps the value
+    # given before it when it is not repeated
+    quiet = argparse.ArgumentParser(add_help=False)
+    quiet.add_argument("--quiet", action="store_true", default=argparse.SUPPRESS,
+                       help="suppress progress output")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("run", help="single kinetic or fluid run from config")
-    sub.add_parser("sweep", help="full epsilon sweep")
-    sub.add_parser("check", help="operator/property self-test battery")
-    sub.add_parser("report", help="render a sweep summary")
+    sub.add_parser("run", parents=[quiet], help="single kinetic or fluid run from config")
+    sub.add_parser("sweep", parents=[quiet], help="full epsilon sweep")
+    sub.add_parser("check", parents=[quiet], help="operator/property self-test battery")
+    sub.add_parser("report", parents=[quiet], help="render a sweep summary")
     return parser
 
 
@@ -77,8 +82,12 @@ def cmd_sweep(args) -> int:
     cfg = _load_config(args)
     sweep_cfg = SweepConfig.from_dict(cfg, out_dir=args.out)
     say = (lambda *_: None) if args.quiet else print
+
+    def progress(eps: float, seconds: float, final_e_k: float) -> None:
+        print(f"eps = {eps:g}: {seconds:.2f} s, final E_k = {final_e_k:.6e}", flush=True)
+
     try:
-        result = run_sweep(sweep_cfg)
+        result = run_sweep(sweep_cfg, progress=None if args.quiet else progress)
     except SweepError as exc:
         say(f"sweep failed: {exc}")
         return EXIT_RUN_FAILURE

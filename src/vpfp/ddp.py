@@ -4,9 +4,10 @@ Works with the shifted density rho0 = rho - 1 on the same spatial grid and
 transform stack as the kinetic solver, so kinetic-vs-fluid errors need no
 interpolation.  Diffusion is implicit through the Fourier symbol; the drift
 divergence is explicit and pseudo-spectral with 2/3-rule dealiasing.  A
-step works on the modes m = 0..n_x/2 of its real fields and makes two
-transforms: one real FFT of the density and the drift product, one inverse
-real FFT of the new density, its potential and the field.
+step works on the half-spectrum m = 0..n_x/2 of its real fields and makes
+two transforms: one real FFT of the density and the drift product, one
+inverse real FFT of the new density, its potential and the field.  The
+odd derivatives use grid.dx_symbol, 0 at the Nyquist mode.
 """
 
 from __future__ import annotations
@@ -53,17 +54,16 @@ def ddp_step(grid: SpatialGrid, state: DdpState, dt: float, drift: bool = True) 
     Works on the modes m = 0..n_x/2 with one real FFT and one inverse real
     FFT.
     """
-    half = grid.n_half
-    ik = 1j * grid.wavenumbers[:half]
+    ik = grid.dx_symbol
     rho_c, prod_c = np.fft.rfft(np.array([state.rho0, state.rho0 * state.grad_phi0]),
                                 norm="forward")
     rhs_c = rho_c
     if drift:
         # div((rho0 + 1) grad phi0) = div(rho0 grad phi0) + Lap phi0, and Lap phi0 = -rho0;
         # the product is dealiased by the 2/3 rule
-        rhs_c = rho_c + dt * (ik * grid.dealias_mask[:half] * prod_c - rho_c)
-    new_c = rhs_c / (1.0 + dt * grid.k_sq[:half])
-    phi_c = new_c * grid.inverse_laplacian[:half]
+        rhs_c = rho_c + dt * (ik * grid.dealias_mask * prod_c - rho_c)
+    new_c = rhs_c / (1.0 + dt * grid.k_sq)
+    phi_c = new_c * grid.inverse_laplacian
     rho0, phi0, grad_phi0 = np.fft.irfft(np.array([new_c, phi_c, ik * phi_c]),
                                          n=grid.n_x, norm="forward")
     time = state.time + dt

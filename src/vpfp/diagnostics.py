@@ -5,6 +5,13 @@ weight sqrt(1+v^2) are Hermite recurrences, applied with an extended
 Hermite axis so the norms are exact for every represented field (no
 truncation loss at the top retained mode).  Sobolev sums run over all
 derivative orders up to the requested one, not just the top order.
+
+Coefficients are Hermite-major half-spectra (see spectral), so every
+Parseval sum weights the modes m = 1..n_x/2-1 by 2 (they stand for their
+conjugates too) and m = 0 and m = n_x/2 by 1 (grid.mode_weights).  A norm
+reduces each coefficient array to one squared modulus per Fourier mode,
+summed over the Hermite axis (spectral.mode_sq), and spectral.parseval_sq
+turns that vector into a Sobolev norm; only spectral knows the weights.
 """
 
 from __future__ import annotations
@@ -16,9 +23,11 @@ import numpy as np
 from .operators import (
     DistributionField,
     dealiased_product,
+    fourier_field,
     gamma_moment,
     moments,
     project_micro,
+    real_field,
     spatial_l2_norm,
     x_derivative,
 )
@@ -28,6 +37,8 @@ from .spectral import (
     SpectralField,
     hermite_shift_coeffs,
     inverse_transform,
+    mode_sq,
+    parseval_sq,
 )
 
 __all__ = [
@@ -83,17 +94,6 @@ class EnergyReport:
 # ---------------------------------------------------------------------------
 # norm machinery
 
-def _x_weight(grid: SpatialGrid, order: int) -> np.ndarray:
-    """Per-mode multiplier sum_{alpha <= order} k^(2 alpha)."""
-    k_sq = grid.k_sq
-    w = np.ones_like(k_sq)
-    term = np.ones_like(k_sq)
-    for _ in range(order):
-        term = term * k_sq
-        w = w + term
-    return w
-
-
 def _dv_tower(coeffs: np.ndarray, depth: int) -> list[np.ndarray]:
     """[f, d_dv f, ..., d_dv^depth f], each with an extended Hermite axis."""
     tower = [coeffs]
@@ -102,44 +102,30 @@ def _dv_tower(coeffs: np.ndarray, depth: int) -> list[np.ndarray]:
     return tower
 
 
-def _weighted_sq(grid: SpatialGrid, coeffs: np.ndarray, x_order: int) -> float:
-    w = _x_weight(grid, x_order)
-    return float(grid.volume * np.sum(w[:, None] * np.abs(coeffs) ** 2))
+def _mixed_sq(grid: SpatialGrid, coeffs: np.ndarray, k: int) -> float:
+    """sum over |alpha| + |beta| <= k of the L^2 norms squared."""
+    return sum(parseval_sq(grid, mode_sq(cb), k - beta)
+               for beta, cb in enumerate(_dv_tower(coeffs, k)))
 
 
-def _nu_sq_of(grid: SpatialGrid, coeffs: np.ndarray, x_order: int) -> float:
-    """sum_{alpha <= x_order} || d_x^alpha . ||_nu^2 at fixed v-derivatives."""
-    dv = hermite_shift_coeffs(coeffs, "d_dv", extend=1)
-    vc = hermite_shift_coeffs(coeffs, "multiply_by_v", extend=1)
-    return (
-        _weighted_sq(grid, dv, x_order)
-        + _weighted_sq(grid, coeffs, x_order)
-        + _weighted_sq(grid, vc, x_order)
+def _mixed_nu_sq(grid: SpatialGrid, tower: list[np.ndarray], dv_sq: list[np.ndarray],
+                 k: int) -> float:
+    """sum over |alpha| + |beta| <= k of the nu norms squared, from a d_v
+    tower of depth k + 1 (level beta + 1 is d_v of level beta) and the
+    per-mode squares dv_sq of its levels.  The nu norm of f is
+    ||d_v f||^2 + ||f||^2 + ||v f||^2."""
+    return sum(
+        parseval_sq(grid, dv_sq[beta + 1], k - beta)
+        + parseval_sq(grid, dv_sq[beta], k - beta)
+        + parseval_sq(grid, mode_sq(hermite_shift_coeffs(tower[beta], "multiply_by_v", extend=1)),
+                      k - beta)
+        for beta in range(k + 1)
     )
-
-
-def _mixed_sq(grid: SpatialGrid, coeffs: np.ndarray, k: int, nu: bool = False) -> float:
-    """sum over |alpha| + |beta| <= k of the L^2 (or nu) norms squared."""
-    total = 0.0
-    for beta, cb in enumerate(_dv_tower(coeffs, k)):
-        if nu:
-            total += _nu_sq_of(grid, cb, k - beta)
-        else:
-            total += _weighted_sq(grid, cb, k - beta)
-    return total
 
 
 def _tensor_sq(grid: SpatialGrid, coeffs: np.ndarray, k_x: int, k_v: int) -> float:
     """sum over alpha <= k_x, beta <= k_v."""
-    total = 0.0
-    for cb in _dv_tower(coeffs, k_v):
-        total += _weighted_sq(grid, cb, k_x)
-    return total
-
-
-def _spatial_sobolev_sq(grid: SpatialGrid, values: np.ndarray, order: int) -> float:
-    c = np.fft.fft(values) / grid.n_x
-    return float(grid.volume * np.sum(_x_weight(grid, order) * np.abs(c) ** 2))
+    return sum(parseval_sq(grid, mode_sq(cb), k_x) for cb in _dv_tower(coeffs, k_v))
 
 
 def _unwrap(f) -> SpectralField:
@@ -158,7 +144,7 @@ def sobolev_norm(f, k_x: int, k_v: int = 0, grid: SpatialGrid | None = None) -> 
     if isinstance(f, np.ndarray):
         if grid is None:
             raise ConfigurationError("spatial-array input needs an explicit grid")
-        return float(np.sqrt(_spatial_sobolev_sq(grid, f, k_x)))
+        return float(np.sqrt(parseval_sq(grid, mode_sq(fourier_field(grid, f)), k_x)))
     field = _unwrap(f)
     return float(np.sqrt(_tensor_sq(field.grid, field.coeffs, k_x, k_v)))
 
@@ -166,7 +152,8 @@ def sobolev_norm(f, k_x: int, k_v: int = 0, grid: SpatialGrid | None = None) -> 
 def nu_norm(f) -> float:
     """Dissipation norm: sqrt(||d_v f||^2 + ||sqrt(1+v^2) f||^2)."""
     field = _unwrap(f)
-    return float(np.sqrt(_nu_sq_of(field.grid, field.coeffs, 0)))
+    tower = _dv_tower(field.coeffs, 1)
+    return float(np.sqrt(_mixed_nu_sq(field.grid, tower, [mode_sq(cb) for cb in tower], 0)))
 
 
 # ---------------------------------------------------------------------------
@@ -182,24 +169,32 @@ def energy_functionals(state, k: int, epsilon: float) -> EnergyReport:
           + ||d_x a||^2_{H^{k-1}_x} + ||d_x phi||^2_{H^k_x}
 
     In one dimension grad b and div b are both d_x b, so the eps^-1 group
-    is twice ||d_x b||^2_{H^{k-1}_x}.
+    is twice ||d_x b||^2_{H^{k-1}_x}.  a and b are the Hermite rows 0 and 1
+    of g, and d_x b, d_x a have the symbol grid.dx_symbol; one d_v tower of
+    (I-P) g serves both micro norms.  The transforms are real FFTs of the
+    fields for the two residuals and of d_x phi.
     """
     if k < 1:
         raise ConfigurationError(f"diagnostics order k must be >= 1, got {k}")
     g = state.g
     grid = g.grid
-    micro_c = project_micro(g).coeffs
-    mac = moments(g)
+    c = g.coeffs
+    level_sq = c.real**2 + c.imag**2  # (n_v, n_half)
+    a_sq, b_sq = level_sq[0], level_sq[1]
+    dx_sq = grid.dx_symbol.imag**2
+    tower = _dv_tower(project_micro(g).coeffs, k + 1)
+    dv_sq = [mode_sq(cb) for cb in tower]
+    phi_c, grad_phi_c = fourier_field(grid, np.array([state.macro.phi, state.macro.grad_phi]))
 
-    g_hk = _tensor_sq(grid, g.coeffs, k, 0)
-    gradv_micro = _mixed_sq(grid, hermite_shift_coeffs(micro_c, "d_dv", extend=1), k - 1)
-    ab = _spatial_sobolev_sq(grid, mac.a, k - 1) + _spatial_sobolev_sq(grid, mac.b, k - 1)
+    g_hk = parseval_sq(grid, level_sq.sum(axis=0), k)
+    gradv_micro = sum(parseval_sq(grid, dv_sq[beta + 1], k - 1 - beta) for beta in range(k))
+    ab = parseval_sq(grid, a_sq, k - 1) + parseval_sq(grid, b_sq, k - 1)
 
-    micro_nu = _mixed_sq(grid, micro_c, k, nu=True) / epsilon**2
-    b_hk = _spatial_sobolev_sq(grid, mac.b, k) / epsilon**2
-    grad_b = 2.0 * _spatial_sobolev_sq(grid, x_derivative(grid, mac.b), k - 1) / epsilon
-    grad_a = _spatial_sobolev_sq(grid, x_derivative(grid, mac.a), k - 1)
-    grad_phi = _spatial_sobolev_sq(grid, state.macro.grad_phi, k)
+    micro_nu = _mixed_nu_sq(grid, tower, dv_sq, k) / epsilon**2
+    b_hk = parseval_sq(grid, b_sq, k) / epsilon**2
+    grad_b = 2.0 * parseval_sq(grid, dx_sq * b_sq, k - 1) / epsilon
+    grad_a = parseval_sq(grid, dx_sq * a_sq, k - 1)
+    grad_phi = parseval_sq(grid, mode_sq(grad_phi_c), k)
 
     components = {
         "g_HkxL2v_sq": g_hk,
@@ -211,10 +206,11 @@ def energy_functionals(state, k: int, epsilon: float) -> EnergyReport:
         "grad_a_Hkm1_sq": grad_a,
         "grad_phi_Hk_sq": grad_phi,
     }
-    mass_residual = float(np.abs(np.mean(mac.a)))
-    lap_phi = x_derivative(grid, x_derivative(grid, state.macro.phi))
-    denom = spatial_l2_norm(grid, mac.a) or 1.0
-    poisson_residual = spatial_l2_norm(grid, lap_phi + mac.a) / denom
+    a = moments(g).a
+    mass_residual = float(np.abs(np.mean(a)))
+    lap_phi = real_field(grid, phi_c * grid.dx_symbol**2)
+    denom = spatial_l2_norm(grid, a) or 1.0
+    poisson_residual = spatial_l2_norm(grid, lap_phi + a) / denom
 
     return EnergyReport(
         time=float(state.time),
@@ -253,7 +249,7 @@ def moment_residuals(states, epsilon: float) -> dict:
         a, b = mac.a, mac.b
         dphi = s.macro.grad_phi
         gamma = gamma_moment(micro)
-        micro_dx = micro.coeffs * (1j * grid.wavenumbers)[:, None]
+        micro_dx = micro.coeffs * grid.dx_symbol
         v_micro_dx = micro.with_coeffs(hermite_shift_coeffs(micro_dx, "multiply_by_v"))
         gamma_vdx = gamma_moment(v_micro_dx)
         a_s.append(a)
@@ -315,7 +311,7 @@ def limit_error(kinetic_traj, ddp_traj, k: int) -> dict:
         moment_errs.append(spatial_l2_norm(grid, mac.a - ds.rho0))
         field_errs.append(spatial_l2_norm(grid, ks.macro.grad_phi - ds.grad_phi0))
         micro_c = ks.g.coeffs.copy()
-        micro_c[..., 0] = 0.0  # (I - P0) g
+        micro_c[0] = 0.0  # (I - P0) g
         micro_sq.append(_mixed_sq(grid, micro_c, k))
         g_vals = inverse_transform(ks.g.spectral)
         f_vals = m_vals[None, :] + g_vals * sqrt_m[None, :]

@@ -159,10 +159,14 @@ class SweepConfig:
             raise ConfigurationError(f"epsilons must be strictly decreasing, got {eps}")
         if self.k < 1:
             raise ConfigurationError(f"diagnostics order k must be >= 1, got {self.k}")
-        max_mode = self.template.n_x // 2
+        # the Nyquist mode n_x/2 is excluded: its odd-derivative wavenumber is
+        # 0, so a Nyquist density is frozen in the kinetic run while the fluid
+        # step diffuses it, and the sweep would not approach the fluid limit
+        max_mode = self.template.n_x // 2 - 1
         if not 1 <= self.profile_mode <= max_mode:
             raise ConfigurationError(
-                f"profile_mode must lie in [1, n_x // 2 = {max_mode}], got {self.profile_mode}"
+                f"profile_mode must lie in [1, n_x // 2 - 1 = {max_mode}], "
+                f"got {self.profile_mode}"
             )
         sample_count(self.template.t_final, self.sample_interval)  # the runs' schedule rule
 
@@ -249,11 +253,12 @@ def write_reports_csv(path: Path, reports) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def run_sweep(cfg: SweepConfig) -> SweepResult:
+def run_sweep(cfg: SweepConfig, progress=None) -> SweepResult:
     """Run the fluid reference and every kinetic run; assemble metrics.
 
-    A failed run persists the partial summary (marked incomplete) and
-    raises SweepError.
+    progress, if given, is called as progress(epsilon, wall_seconds,
+    final_E_k) as each kinetic run finishes.  A failed run persists the
+    partial summary (marked incomplete) and raises SweepError.
     """
     t0 = _time.perf_counter()
     timings: dict = {}
@@ -292,6 +297,8 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
             break
         finally:
             timings[f"run_eps_{eps:g}_s"] = _time.perf_counter() - tr0
+        if progress is not None:
+            progress(eps, timings[f"run_eps_{eps:g}_s"], per_epsilon[-1]["final_E_k"])
     timings["total_s"] = _time.perf_counter() - t0
 
     result = SweepResult(

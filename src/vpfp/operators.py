@@ -5,11 +5,13 @@ basis the Fokker-Planck operator is diag(n), the macroscopic projection P
 keeps the first two Hermite levels (density a and momentum b), and the
 electrostatic potential solves -phi'' = a spectrally on the torus.
 
-Every field is real, so the operators of a time step (moments, the
-Poisson solve and the right-hand side) work on the modes m = 0..n_x/2
-alone, with real FFTs (rfft/irfft) that batch the rows sharing a
-transform; coefficient arrays are stored over the full spectrum, the
-modes above n_x/2 filled in by conjugation.
+Every field is real and stored as a Hermite-major half-spectrum, shape
+(n_v, n_x/2 + 1) (see spectral): the operators read and return only the
+modes m = 0..n_x/2, and every transform is a real FFT (rfft/irfft) along
+the contiguous last axis, batching the rows that share a transform.
+Spatial fields are real arrays of shape (n_x,); their coefficients are
+half-spectra of shape (n_x/2 + 1,).  Odd x-derivatives use grid.dx_symbol,
+which is 0 at the Nyquist mode.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ from .spectral import (
     HermiteBasis,
     SpatialGrid,
     SpectralField,
-    full_spectrum,
     hermite_shift_coeffs,
+    parseval_sq,
 )
 
 __all__ = [
@@ -76,7 +78,7 @@ class DistributionField:
         return DistributionField(self.spectral.with_coeffs(coeffs))
 
     def neutrality_defect(self) -> float:
-        """Magnitude of the (m=0, n=0) coefficient (spatial mean of a)."""
+        """Magnitude of the (n=0, m=0) coefficient (spatial mean of a)."""
         return float(np.abs(self.coeffs[0, 0]))
 
 
@@ -98,18 +100,18 @@ class MacroFields:
 # spatial-field helpers (real grid functions <-> Fourier coefficients)
 
 def fourier_field(grid: SpatialGrid, values: np.ndarray) -> np.ndarray:
-    """Real spatial field -> normalized Fourier coefficients (along axis 0)."""
-    return np.fft.fft(np.asarray(values, dtype=complex), axis=0) / grid.n_x
+    """Real spatial field(s) along the last axis -> normalized half-spectrum."""
+    return np.fft.rfft(np.asarray(values, dtype=float), norm="forward")
 
 
 def real_field(grid: SpatialGrid, coeffs: np.ndarray) -> np.ndarray:
-    """Normalized Fourier coefficients -> real spatial field (along axis 0)."""
-    return np.fft.ifft(np.asarray(coeffs, dtype=complex) * grid.n_x, axis=0).real
+    """Normalized half-spectrum (last axis) -> real spatial field(s)."""
+    return np.fft.irfft(coeffs, n=grid.n_x, norm="forward")
 
 
 def x_derivative(grid: SpatialGrid, values: np.ndarray) -> np.ndarray:
     """Spectral d/dx of a real spatial field of shape (n_x,)."""
-    return real_field(grid, fourier_field(grid, values) * (1j * grid.wavenumbers))
+    return real_field(grid, fourier_field(grid, values) * grid.dx_symbol)
 
 
 def require_zero_mean(values: np.ndarray, what: str) -> float:
@@ -139,38 +141,36 @@ def dealiased_product(grid: SpatialGrid, u: np.ndarray, w: np.ndarray) -> np.nda
 def apply_L(g: DistributionField) -> DistributionField:
     """Fokker-Planck operator: diagonal multiplier n on Hermite level n."""
     n = np.arange(g.basis.n_v)
-    return g.with_coeffs(g.coeffs * n)
+    return g.with_coeffs(g.coeffs * n[:, None])
 
 
 def moments(g: DistributionField) -> MacroFields:
-    """Density perturbation a and momentum moment b (coefficient slices).
+    """Density perturbation a and momentum moment b (Hermite rows 0 and 1).
 
-    One inverse real FFT of Hermite levels 0 and 1 over the modes
-    m = 0..n_x/2.
+    One inverse real FFT of both rows.
     """
-    grid = g.grid
-    a, b = np.fft.irfft(g.coeffs[: grid.n_half, :2].T, n=grid.n_x, norm="forward")
+    a, b = real_field(g.grid, g.coeffs[:2])
     return MacroFields(a=a, b=b)
 
 
 def project_macro(g: DistributionField) -> DistributionField:
     """P g = (a + v b) sqrt(M): keep Hermite levels 0 and 1, zero the rest."""
     out = np.zeros_like(g.coeffs)
-    out[:, :2] = g.coeffs[:, :2]
+    out[:2] = g.coeffs[:2]
     return g.with_coeffs(out)
 
 
 def project_micro(g: DistributionField) -> DistributionField:
     """(I - P) g: zero the macroscopic Hermite levels 0 and 1."""
     out = g.coeffs.copy()
-    out[:, :2] = 0.0
+    out[:2] = 0.0
     return g.with_coeffs(out)
 
 
 def project_p0(g: DistributionField) -> DistributionField:
     """P_0 g = a sqrt(M)."""
     out = np.zeros_like(g.coeffs)
-    out[..., 0] = g.coeffs[..., 0]
+    out[0] = g.coeffs[0]
     return g.with_coeffs(out)
 
 
@@ -180,22 +180,19 @@ def gamma_moment(g: DistributionField) -> np.ndarray:
     This is sqrt(2) times the Hermite-2 coefficient slice, since
     (v^2 - 1) sqrt(M) = sqrt(2) psi_2.
     """
-    return real_field(g.grid, np.sqrt(2.0) * g.coeffs[:, 2])
+    return real_field(g.grid, np.sqrt(2.0) * g.coeffs[2])
 
 
 def solve_poisson(grid: SpatialGrid, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Solve -phi'' = a on the torus; returns (phi, d phi / dx).
 
     Requires zero-mean a; phi is gauge-fixed to zero mean.  One real FFT
-    of a over the modes m = 0..n_x/2, and one inverse real FFT of phi and
-    its derivative together.
+    of a, and one inverse real FFT of phi and its derivative together.
     """
     a = np.asarray(a, dtype=float)
     require_zero_mean(a, "Poisson right-hand side")
-    half = grid.n_half
-    phi_c = np.fft.rfft(a, norm="forward") * grid.inverse_laplacian[:half]
-    phi, grad_phi = np.fft.irfft(np.array([phi_c, 1j * grid.wavenumbers[:half] * phi_c]),
-                                 n=grid.n_x, norm="forward")
+    phi_c = fourier_field(grid, a) * grid.inverse_laplacian
+    phi, grad_phi = real_field(grid, np.array([phi_c, grid.dx_symbol * phi_c]))
     return phi, grad_phi
 
 
@@ -209,49 +206,52 @@ def vpfp_rhs(g: DistributionField, macro: MacroFields, epsilon: float,
 
     The field coupling uses the single raising recurrence (the identity
     (g/2) v - dg/dv = (v/2 - d_dv) g), with the g * d phi/dx product
-    formed pseudo-spectrally under the 2/3 rule.  The terms are assembled
-    on the modes m = 0..n_x/2, the rest filled in by conjugation.
-    transport/fields are test hooks that disable term groups.
+    formed pseudo-spectrally under the 2/3 rule.  g and the result are
+    half-spectra of shape (n_v, n_x/2 + 1); the streaming symbol i k is
+    grid.dx_symbol, 0 at the Nyquist mode, so rows m = 0 and m = n_x/2 of
+    the result are real for real g.  transport/fields/collision are test
+    hooks that disable term groups.
     """
     if epsilon <= 0:
         raise ConfigurationError(f"epsilon must be positive, got {epsilon}")
     grid, basis = g.grid, g.basis
-    half = grid.n_half
-    c = g.coeffs[:half]
+    c = g.coeffs
     rhs = np.zeros_like(c)
 
     if transport:
-        ik = (1j * grid.wavenumbers[:half])[:, None]
-        rhs -= hermite_shift_coeffs(c, "multiply_by_v") * ik / epsilon
+        rhs -= hermite_shift_coeffs(c, "multiply_by_v") * grid.dx_symbol / epsilon
 
     if fields:
         if macro.grad_phi is None:
             raise ConfigurationError("macro fields must carry grad_phi for the coupling terms")
         dphi = macro.grad_phi
         # linear source: (d phi/dx) v sqrt(M) = (d phi/dx) psi_1
-        rhs[:, 1] -= np.fft.rfft(dphi, norm="forward") / epsilon
+        rhs[1] -= fourier_field(grid, dphi) / epsilon
         # nonlinear coupling, pseudo-spectral product per Hermite level
-        phys = np.fft.irfft(hermite_shift_coeffs(c, "raising"), n=grid.n_x, axis=0, norm="forward")
-        prod = np.fft.rfft(phys * dphi[:, None], axis=0, norm="forward")
-        rhs -= prod * grid.dealias_mask[:half, None] / epsilon
+        phys = real_field(grid, hermite_shift_coeffs(c, "raising"))
+        phys *= dphi
+        prod = fourier_field(grid, phys)
+        keep = grid.n_dealiased  # the 2/3 rule zeroes the modes above
+        rhs[:, :keep] -= prod[:, :keep] / epsilon
 
     if collision:
-        rhs -= np.arange(basis.n_v) * c / epsilon**2
-    return g.with_coeffs(full_spectrum(rhs, grid.n_x))
+        rhs -= np.arange(basis.n_v)[:, None] * c / epsilon**2
+    return g.with_coeffs(rhs)
 
 
 def coercivity_gap(g: DistributionField) -> tuple[float, float, float]:
     """Return (<Lg, g>, ||(I-P)g||_nu^2, ||b||_{L^2_x}^2).
 
-    In the Hermite basis <Lg, g> = vol * sum_n n |c_n|^2, which dominates
+    In the Hermite basis <Lg, g> = vol * sum_{m,n} w_m n |c_{n,m}|^2 (w_m the
+    half-spectrum mode_weights), which dominates
     ||(I-P)g||_{L^2}^2 + ||b||^2 exactly (eigenvalues >= 1 off the kernel).
     The nu-norm coercivity constant is measured by callers, not assumed.
     """
     from .diagnostics import nu_norm  # local import to avoid a cycle
 
-    vol = g.grid.volume
-    n = np.arange(g.basis.n_v)
-    dirichlet = vol * float(np.sum(n * np.abs(g.coeffs) ** 2))
+    c = g.coeffs
+    level_sq = parseval_sq(g.grid, c.real**2 + c.imag**2)  # ||row n||^2 per Hermite level
+    dirichlet = float(np.arange(g.basis.n_v) @ level_sq)
     micro_nu_sq = nu_norm(project_micro(g).spectral) ** 2
-    b_sq = vol * float(np.sum(np.abs(g.coeffs[:, 1]) ** 2))
+    b_sq = float(level_sq[1])
     return dirichlet, micro_nu_sq, b_sq

@@ -15,12 +15,14 @@ are therefore real and u_n >= d_n >= 1: a Thomas sweep needs no pivoting
 and cannot break down.  Its rounding error grows with max_n u_n / d_n, so
 the stiffest modes (large dt k / eps) take one step of iterative
 refinement.  The factors depend only on (scheme stage, dt), so they are
-built once, for the half spectrum m = 0..n_x/2 only; the modes above n_x/2
-of the real solution are the conjugates of modes n_x/2-1..1.
+built once.
 
-A step assembles its right-hand side on the modes m = 0..n_x/2 and
-transforms only those (see operators): each warm step makes six real
-FFT calls, none over the full spectrum.
+The state is the Hermite-major half-spectrum of spectral/operators, shape
+(n_v, n_x/2 + 1): the factors, the right-hand sides and the solution share
+that layout, so a step never transposes, copies into another order or
+fills conjugate modes.  The streaming wavenumber is 0 at the Nyquist mode
+(grid.dx_symbol), whose block is then diagonal and whose row stays real.
+Each warm step makes six real FFT calls.
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ from .spectral import (
     HermiteBasis,
     SpatialGrid,
     SpectralField,
-    full_spectrum,
     inverse_transform,
 )
 
@@ -149,12 +150,12 @@ def make_initial_data(grid: SpatialGrid, basis: HermiteBasis, rho_profile,
     a = amplitude * profile
     a = a - require_zero_mean(a, "density profile")  # remove rounding-level residual
 
-    coeffs = np.zeros((grid.n_x, basis.n_v), dtype=complex)
-    coeffs[:, 0] = np.fft.fft(a) / grid.n_x
+    coeffs = np.zeros((basis.n_v, grid.n_half), dtype=complex)
+    coeffs[0] = np.fft.rfft(a, norm="forward")
     coeffs[0, 0] = 0.0  # neutrality: exact zero mean
     if micro_perturbation is not None:
         mc = micro_perturbation.coeffs
-        macro_part = float(np.max(np.abs(mc[:, :2])))
+        macro_part = float(np.max(np.abs(mc[:2])))
         if macro_part > 1e-12:
             raise ValueError(
                 f"micro perturbation must be (I-P)-projected; macro content {macro_part:.3e}"
@@ -259,11 +260,12 @@ class VpfpStepper:
     def factors(self, dt_eff: float) -> TridiagonalFactors:
         """Factors of I + dt_eff * S_m for m = 0..n_x/2, built once per dt_eff.
 
-        The Nyquist mode keeps its FFT-order wavenumber -n_x/2.
+        The streaming wavenumber is that of grid.dx_symbol: 0 at the Nyquist
+        mode, whose block is diagonal.
         """
         f = self._factors.get(dt_eff)
         if f is None:
-            k = self.grid.wavenumbers[: self.grid.n_half]
+            k = self.grid.dx_symbol.imag
             if not self.cfg.transport_enabled:
                 k = np.zeros_like(k)
             f = TridiagonalFactors.build(k, self.basis.n_v, self.cfg.epsilon, dt_eff)
@@ -271,13 +273,9 @@ class VpfpStepper:
         return f
 
     def solve_implicit(self, dt_eff: float, coeffs: np.ndarray) -> np.ndarray:
-        """(I + dt_eff * S_m)^-1 applied per mode to the coefficients of a real field.
-
-        Only modes 0..n_x/2 of coeffs are read (it may hold only those); the
-        modes above n_x/2 of the result are the conjugates of modes n_x/2-1..1.
-        """
-        x = self.factors(dt_eff).solve(coeffs[: self.grid.n_half].T)
-        return full_spectrum(x.T, self.grid.n_x)
+        """(I + dt_eff * S_m)^-1 applied per mode to a half-spectrum of shape
+        (n_v, n_x/2 + 1); coeffs is not modified."""
+        return self.factors(dt_eff).solve(coeffs)
 
     # -- explicit part ------------------------------------------------------
     def explicit_coeffs(self, g: DistributionField, macro: MacroFields) -> np.ndarray:
@@ -303,19 +301,19 @@ class VpfpStepper:
 
     def step_euler(self, state: KineticState, expl: np.ndarray | None = None) -> KineticState:
         """One IMEX Euler step; expl may carry precomputed explicit_coeffs(state)."""
-        dt, half = self.dt, self.grid.n_half
+        dt = self.dt
         mass0 = state.g.coeffs[0, 0]
         if expl is None:
             expl = self.explicit_coeffs(state.g, state.macro)
-        coeffs = self.solve_implicit(dt, state.g.coeffs[:half] + dt * expl[:half])
+        coeffs = self.solve_implicit(dt, state.g.coeffs + dt * expl)
         return self._finish(coeffs, state.time + dt, mass0)
 
     def step_bdf2(self, state: KineticState, prev: KineticState,
                   expl: np.ndarray, expl_prev: np.ndarray) -> KineticState:
-        dt, half = self.dt, self.grid.n_half
+        dt = self.dt
         mass0 = state.g.coeffs[0, 0]
-        rhs = (4.0 * state.g.coeffs[:half] - prev.g.coeffs[:half]
-               + 2.0 * dt * (2.0 * expl[:half] - expl_prev[:half])) / 3.0
+        rhs = (4.0 * state.g.coeffs - prev.g.coeffs
+               + 2.0 * dt * (2.0 * expl - expl_prev)) / 3.0
         coeffs = self.solve_implicit(2.0 * dt / 3.0, rhs)
         return self._finish(coeffs, state.time + dt, mass0)
 

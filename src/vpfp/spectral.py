@@ -8,12 +8,23 @@ M(v) = (2 pi)^(-1/2) exp(-v^2/2) the unit Gaussian.  In this basis velocity
 multiplication, differentiation and the (v/2 - d/dv) raising operator are
 three-term recurrences, and the Fokker-Planck collision operator is the
 diagonal multiplier n.
+
+Every field is real, so its Fourier coefficients are stored as a real-FFT
+half-spectrum: the modes m = 0..n_x/2 in rfft order, normalized so that
+c_m = (1/n_x) sum_j f(x_j) exp(-i k_m x_j) (numpy's norm="forward").  The
+modes above n_x/2 are the conjugates of modes n_x/2-1..1 and are never
+formed; rows m = 0 and m = n_x/2 of a real field are real.  Coefficient
+tensors are Hermite-major, shape (n_v, n_x/2 + 1) and C-contiguous, so
+each Hermite level is one contiguous row of Fourier modes, the Hermite
+recurrences act on whole rows and every FFT runs along the last axis.
+Odd-order x-derivatives use the wavenumber 0 at the Nyquist mode, where a
+real field has no representable sine; that keeps its row real.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -25,10 +36,12 @@ __all__ = [
     "forward_transform",
     "inverse_transform",
     "spatial_derivative",
-    "full_spectrum",
     "hermite_shift_apply",
     "hermite_shift_coeffs",
     "quadrature_oracle_moment",
+    "mode_sq",
+    "sobolev_weights",
+    "parseval_sq",
     "l2_norm",
 ]
 
@@ -46,7 +59,8 @@ class ConfigurationError(ValueError):
 class SpatialGrid:
     """Uniform periodic grid on the one-dimensional torus [0, length).
 
-    The spatial (Fourier) axis comes first in every array.
+    Its spectral symbols live on the half-spectrum m = 0..n_x/2, the last
+    axis of every coefficient array.
     """
 
     n_x: int
@@ -63,19 +77,32 @@ class SpatialGrid:
         """Collocation nodes, endpoint-exclusive."""
         return np.arange(self.n_x) * (self.length / self.n_x)
 
-    @cached_property
-    def wavenumbers(self) -> np.ndarray:
-        """Fourier wavenumbers k_m = 2 pi m / L in FFT order."""
-        return 2.0 * np.pi * np.fft.fftfreq(self.n_x, d=self.length / self.n_x)
-
     @property
     def n_half(self) -> int:
         """Number of modes m = 0..n_x/2, which determine a real field."""
         return self.n_x // 2 + 1
 
     @cached_property
+    def wavenumbers(self) -> np.ndarray:
+        """Fourier wavenumbers k_m = 2 pi m / L of the modes m = 0..n_x/2."""
+        return 2.0 * np.pi * np.fft.rfftfreq(self.n_x, d=self.length / self.n_x)
+
+    @cached_property
+    def dx_symbol(self) -> np.ndarray:
+        """Symbol i k_m of d/dx, with wavenumber 0 at the Nyquist mode m = n_x/2.
+
+        The sine at the Nyquist wavenumber vanishes on every node, so the
+        derivative of a real field has no representable Nyquist content;
+        every odd-order x-derivative (streaming, the field i k phi) uses
+        this symbol.
+        """
+        ik = 1j * self.wavenumbers
+        ik[-1] = 0.0
+        return ik
+
+    @cached_property
     def k_sq(self) -> np.ndarray:
-        """k^2 on the spatial Fourier grid (the symbol of -Laplace)."""
+        """k^2 on the modes m = 0..n_x/2 (the symbol of -Laplace)."""
         return self.wavenumbers**2
 
     @cached_property
@@ -84,11 +111,23 @@ class SpatialGrid:
         with np.errstate(divide="ignore"):
             return np.where(self.k_sq > 0, 1.0 / self.k_sq, 0.0)
 
+    @property
+    def n_dealiased(self) -> int:
+        """Number of modes m = 0..n_x//3 that the 2/3 rule keeps."""
+        return self.n_x // 3 + 1
+
     @cached_property
     def dealias_mask(self) -> np.ndarray:
-        """2/3-rule mask: keeps the modes with |m| <= n_x // 3."""
-        m = np.abs(np.fft.fftfreq(self.n_x, d=1.0 / self.n_x))
-        return m <= self.n_x // 3
+        """2/3-rule mask over m = 0..n_x/2: true on the first n_dealiased modes."""
+        return np.arange(self.n_half) < self.n_dealiased
+
+    @cached_property
+    def mode_weights(self) -> np.ndarray:
+        """Parseval weights of the half-spectrum: 2 for m = 1..n_x/2-1, which
+        also stand for their conjugates, and 1 for m = 0 and m = n_x/2."""
+        w = np.full(self.n_half, 2.0)
+        w[[0, -1]] = 1.0
+        return w
 
     @property
     def cell_volume(self) -> float:
@@ -176,11 +215,13 @@ class HermiteBasis:
 
 @dataclass
 class SpectralField:
-    """Fourier x Hermite coefficient tensor.
+    """Fourier x Hermite coefficient tensor of a real field.
 
-    coeffs has shape (grid.n_x, basis.n_v), the Fourier axis in FFT order.
-    Fields representing real data keep Hermitian symmetry in the Fourier
-    index; treat instances as immutable.
+    coeffs has shape (basis.n_v, grid.n_x // 2 + 1): Hermite level first,
+    then the Fourier modes m = 0..n_x/2 in rfft order; it is made
+    C-contiguous.  The modes above n_x/2 are implied by conjugation, so a
+    field cannot lose Hermitian symmetry; its rows m = 0 and m = n_x/2 are
+    real.  Treat instances as immutable.
     """
 
     grid: SpatialGrid
@@ -188,84 +229,70 @@ class SpectralField:
     coeffs: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        expected = (self.grid.n_x, self.basis.n_v)
+        expected = (self.basis.n_v, self.grid.n_half)
         if self.coeffs.shape != expected:
             raise ConfigurationError(
                 f"coefficient shape {self.coeffs.shape} does not match {expected}"
             )
+        self.coeffs = np.ascontiguousarray(self.coeffs)
 
     @classmethod
     def zeros(cls, grid: SpatialGrid, basis: HermiteBasis) -> "SpectralField":
-        return cls(grid, basis, np.zeros((grid.n_x, basis.n_v), dtype=complex))
+        return cls(grid, basis, np.zeros((basis.n_v, grid.n_half), dtype=complex))
 
     def with_coeffs(self, coeffs: np.ndarray) -> "SpectralField":
         return SpectralField(self.grid, self.basis, coeffs)
 
-    def hermitian_symmetry_error(self) -> float:
-        """Max deviation of c(-m) from conj(c(m))."""
-        c = self.coeffs
-        flipped = np.roll(np.flip(c, axis=0), 1, axis=0)
-        return float(np.max(np.abs(flipped.conj() - c))) if c.size else 0.0
-
 
 def forward_transform(grid: SpatialGrid, basis: HermiteBasis, point_values: np.ndarray) -> SpectralField:
-    """Point values on the x-nodes x quadrature-nodes grid -> coefficients."""
+    """Point values on the x-nodes x quadrature-nodes grid -> coefficients.
+
+    point_values has shape (n_x, n_quad); one real FFT along x per level.
+    """
     expected = (grid.n_x, basis.n_quad)
     values = np.asarray(point_values)
     if values.shape != expected:
         raise ConfigurationError(f"value shape {values.shape} does not match {expected}")
-    coeffs = np.fft.fft(values @ basis.analysis.T, axis=0) / grid.n_x
+    coeffs = np.fft.rfft(basis.analysis @ values.T, norm="forward")
     return SpectralField(grid, basis, coeffs)
 
 
 def inverse_transform(f: SpectralField) -> np.ndarray:
-    """Coefficients -> real point values on the collocation x quadrature grid."""
-    values = np.fft.ifft(f.coeffs * f.grid.n_x, axis=0)
-    return (values @ f.basis.synthesis.T).real
+    """Coefficients -> real point values of shape (n_x, n_quad)."""
+    levels = np.fft.irfft(f.coeffs, n=f.grid.n_x, norm="forward")
+    return levels.T @ f.basis.synthesis.T
 
 
 def spatial_derivative(f: SpectralField) -> SpectralField:
-    """d/dx as the Fourier multiplier i k_m."""
-    return f.with_coeffs(f.coeffs * (1j * f.grid.wavenumbers)[:, None])
-
-
-def full_spectrum(half: np.ndarray, n_x: int) -> np.ndarray:
-    """FFT-order coefficients of a real field from its modes m = 0..n_x/2.
-
-    half holds those modes along axis 0; modes n_x/2+1..n_x-1 of the result
-    are the conjugates of modes n_x/2-1..1.
-    """
-    out = np.empty((n_x,) + half.shape[1:], dtype=complex)
-    out[: n_x // 2 + 1] = half
-    np.conjugate(half[n_x // 2 - 1 : 0 : -1], out=out[n_x // 2 + 1 :])
-    return out
+    """d/dx as the Fourier multiplier grid.dx_symbol (0 at the Nyquist mode)."""
+    return f.with_coeffs(f.coeffs * f.grid.dx_symbol)
 
 
 def hermite_shift_coeffs(coeffs: np.ndarray, kind: str, extend: int = 0) -> np.ndarray:
-    """Apply one of the velocity recurrences along the last axis.
+    """Apply one of the velocity recurrences along axis 0, the Hermite axis.
 
     multiply_by_v: psi_n -> sqrt(n+1) psi_{n+1} + sqrt(n) psi_{n-1}
     d_dv:          psi_n -> (sqrt(n)/2) psi_{n-1} - (sqrt(n+1)/2) psi_{n+1}
     raising:       psi_n -> sqrt(n+1) psi_{n+1}   (this is v/2 - d/dv)
 
     extend > 0 grows the output Hermite axis instead of truncating the
-    spill from the top mode; norms use this for exactness.
+    spill from the top mode; norms use this for exactness.  Each term
+    scales whole rows, so the work runs along the contiguous Fourier axis.
     """
     if kind not in SHIFT_KINDS:
         raise ConfigurationError(f"unknown shift kind {kind!r}; expected one of {SHIFT_KINDS}")
-    n_in = coeffs.shape[-1]
-    out = np.zeros(coeffs.shape[:-1] + (n_in + extend,), dtype=coeffs.dtype)
-    root = np.sqrt(np.arange(1, n_in + extend))
+    n_in = coeffs.shape[0]
+    out = np.zeros((n_in + extend,) + coeffs.shape[1:], dtype=coeffs.dtype)
+    root = np.sqrt(np.arange(1, n_in + extend)).reshape((-1,) + (1,) * (coeffs.ndim - 1))
     n_up = n_in if extend else n_in - 1  # levels fed from below; the top spill needs extend
     # level n receives sqrt(n) c_{n-1} (up) and sqrt(n+1) c_{n+1} (down)
-    if kind == "multiply_by_v":
-        out[..., 1 : n_up + 1] += root[:n_up] * coeffs[..., :n_up]
-        out[..., : n_in - 1] += root[: n_in - 1] * coeffs[..., 1:]
-    elif kind == "d_dv":
-        out[..., : n_in - 1] += 0.5 * root[: n_in - 1] * coeffs[..., 1:]
-        out[..., 1 : n_up + 1] -= 0.5 * root[:n_up] * coeffs[..., :n_up]
-    else:  # raising
-        out[..., 1 : n_up + 1] += root[:n_up] * coeffs[..., :n_up]
+    if kind == "d_dv":
+        np.multiply(0.5 * root[: n_in - 1], coeffs[1:], out=out[: n_in - 1])
+        out[1 : n_up + 1] -= 0.5 * root[:n_up] * coeffs[:n_up]
+    else:
+        np.multiply(root[:n_up], coeffs[:n_up], out=out[1 : n_up + 1])
+        if kind == "multiply_by_v":
+            out[: n_in - 1] += root[: n_in - 1] * coeffs[1:]
     return out
 
 
@@ -283,6 +310,38 @@ def quadrature_oracle_moment(grid: SpatialGrid, basis: HermiteBasis, point_value
     return np.asarray(point_values) @ (basis.quad_weights * w)
 
 
+def mode_sq(coeffs: np.ndarray) -> np.ndarray:
+    """|c|^2 summed over every axis but the last (Fourier) one."""
+    sq = coeffs.real**2 + coeffs.imag**2
+    return sq.reshape(-1, sq.shape[-1]).sum(axis=0)
+
+
+@lru_cache(maxsize=64)
+def sobolev_weights(grid: SpatialGrid, order: int) -> np.ndarray:
+    """Per-mode multiplier w_m sum_{alpha <= order} k_m^(2 alpha), with w_m
+    the half-spectrum mode_weights; cached per (grid, order), read-only."""
+    k_sq = grid.k_sq
+    w = np.ones_like(k_sq)
+    term = np.ones_like(k_sq)
+    for _ in range(order):
+        term = term * k_sq
+        w = w + term
+    w = w * grid.mode_weights
+    w.flags.writeable = False
+    return w
+
+
+def parseval_sq(grid: SpatialGrid, sq: np.ndarray, order: int = 0):
+    """Squared H^order_x norm by Parseval from per-mode squared moduli sq
+    (last axis m = 0..n_x/2): vol * sum_m sobolev_weights(grid, order)_m sq_m.
+
+    A 1-D sq gives a float; a leading axis (one row per Hermite level, say)
+    gives one norm per row.
+    """
+    return grid.volume * (sq @ sobolev_weights(grid, order))
+
+
 def l2_norm(f: SpectralField) -> float:
-    """L^2_{x,v} norm via Parseval: ||f||^2 = vol * sum |c_{m,n}|^2."""
-    return float(np.sqrt(f.grid.volume * np.sum(np.abs(f.coeffs) ** 2)))
+    """L^2_{x,v} norm via Parseval: ||f||^2 = vol * sum_m w_m sum_n |c_{n,m}|^2,
+    with w_m the half-spectrum mode_weights."""
+    return float(np.sqrt(parseval_sq(f.grid, mode_sq(f.coeffs))))

@@ -69,22 +69,24 @@ def fft_calls(monkeypatch):
 
 
 def random_distribution(rng, grid, basis, neutral=True, band_limit=None):
-    """Random real-valued distribution field with Hermitian Fourier symmetry."""
+    """Random real-valued distribution field (a Hermite-major half-spectrum)."""
     n_keep = band_limit if band_limit is not None else basis.n_v
     values = rng.standard_normal((grid.n_x, basis.n_v))
     values[:, n_keep:] = 0.0
-    coeffs = np.fft.fft(values, axis=0) / grid.n_x
+    coeffs = np.fft.rfft(values.T, norm="forward")
     if neutral:
         coeffs[0, 0] = 0.0
     return DistributionField(SpectralField(grid, basis, coeffs))
 
 
 def basis_element(grid, basis, m, n, amplitude=1.0):
-    """Real field amplitude * cos(m x) * psi_n (or psi_n alone for m = 0)."""
+    """Real field amplitude * cos(m x) * psi_n (or psi_n alone for m = 0).
+
+    m is taken modulo n_x and folded onto the half-spectrum; the modes
+    m = 0 and m = n_x/2 carry the whole amplitude, the others half of it
+    (their conjugate mode carries the other half).
+    """
     f = DistributionField.zeros(grid, basis)
-    if m == 0:
-        f.coeffs[0, n] = amplitude
-    else:
-        f.coeffs[m % grid.n_x, n] = amplitude / 2.0
-        f.coeffs[-m % grid.n_x, n] = amplitude / 2.0
+    m = min(m % grid.n_x, -m % grid.n_x)
+    f.coeffs[n, m] = amplitude if m in (0, grid.n_x // 2) else amplitude / 2.0
     return f

@@ -5,10 +5,14 @@ is a short explicit sum; Gauss-Hermite quadrature provides the independent
 values for the velocity-weighted norms.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from vpfp.ddp import ddp_run
+from vpfp.ddp import ddp_run, make_ddp_state
 from vpfp.diagnostics import (
     COMPONENT_KEYS,
     CSV_COLUMNS,
@@ -21,8 +25,9 @@ from vpfp.diagnostics import (
 )
 from vpfp.operators import DistributionField
 from vpfp.solver import KineticState, SolverConfig, _macro_with_field, make_initial_data, run
-from vpfp.spectral import ConfigurationError
+from vpfp.spectral import ConfigurationError, HermiteBasis, SpatialGrid, SpectralField, l2_norm
 
+import oracles
 from conftest import basis_element, random_distribution
 
 VOL = 2.0 * np.pi
@@ -97,7 +102,7 @@ class TestNuNorm:
 
     def test_dominates_l2(self, grid, basis, rng):
         g = random_distribution(rng, grid, basis)
-        l2_sq = VOL * np.sum(np.abs(g.coeffs) ** 2)
+        l2_sq = l2_norm(g.spectral) ** 2
         assert nu_norm(g) ** 2 >= l2_sq * (1 - 1e-12)
 
 
@@ -231,3 +236,78 @@ class TestLimitError:
         metrics = limit_error(traj, flu, k=1)
         assert 0.0 < metrics["sup_moment_error"] < 5e-3
         assert 0.0 < metrics["micro_time_integral"] < 1e-4
+
+
+def rel_diff(got, want):
+    return abs(got - want) / abs(want) if want else abs(got)
+
+
+class TestHalfSpectrumMatchesFullSpectrum:
+    """The half-spectrum norms and functionals against the full-spectrum
+    formulas (tests/oracles.py) on random real fields."""
+
+    cases = given(
+        n_x=st.integers(2, 32).map(lambda h: 2 * h),
+        n_v=st.integers(4, 40),
+        seed=st.integers(0, 2**32 - 1),
+    )
+
+    @staticmethod
+    def random_state(n_x, n_v, rng, time=0.0):
+        grid, basis = SpatialGrid(n_x=n_x), HermiteBasis(n_v=n_v)
+        coeffs = oracles.random_half_spectrum(rng, n_x, n_v, scale=1e-2)
+        coeffs[0, 0] = 0.0
+        return make_state(DistributionField(SpectralField(grid, basis, coeffs)), time)
+
+    @settings(max_examples=40, deadline=None)
+    @cases
+    def test_energy_functionals(self, n_x, n_v, seed):
+        rng = np.random.default_rng(seed)
+        state = self.random_state(n_x, n_v, rng)
+        epsilon = rng.uniform(1e-2, 1.0)
+        for k in (1, 2, 3):
+            rep = energy_functionals(state, k, epsilon)
+            want = oracles.energy_components(state, k, epsilon)
+            for key in COMPONENT_KEYS:
+                assert rel_diff(rep.components[key], want[key]) <= 1e-13, key
+            e_k = sum(want[key] for key in COMPONENT_KEYS[:3])
+            d_k = sum(want[key] for key in COMPONENT_KEYS[3:])
+            assert rel_diff(rep.E_k, e_k) <= 1e-13 and rel_diff(rep.D_k, d_k) <= 1e-13
+
+    @settings(max_examples=40, deadline=None)
+    @cases
+    def test_sobolev_and_nu_norms(self, n_x, n_v, seed):
+        rng = np.random.default_rng(seed)
+        g = self.random_state(n_x, n_v, rng).g
+        for k_x in range(3):
+            for k_v in range(3):
+                assert rel_diff(sobolev_norm(g, k_x, k_v), oracles.sobolev_norm(g, k_x, k_v)) <= 1e-13
+            values = rng.standard_normal(n_x)
+            assert rel_diff(sobolev_norm(values, k_x, grid=g.grid),
+                            oracles.spatial_sobolev_norm(g.grid, values, k_x)) <= 1e-13
+        assert rel_diff(nu_norm(g), oracles.nu_norm(g)) <= 1e-13
+
+    @settings(max_examples=30, deadline=None)
+    @cases
+    def test_limit_error(self, n_x, n_v, seed):
+        rng = np.random.default_rng(seed)
+        times = np.array([0.0, 0.05, 0.1])
+        grid = SpatialGrid(n_x=n_x)
+        fluid = []
+        for t in times:
+            rho = 1e-2 * rng.standard_normal(n_x)
+            fluid.append(make_ddp_state(grid, t, rho - rho.mean()))
+        kinetic = SimpleNamespace(times=times,
+                                  states=[self.random_state(n_x, n_v, rng, t) for t in times])
+        ddp = SimpleNamespace(times=times, states=fluid)
+        for k in (1, 2):
+            got, want = limit_error(kinetic, ddp, k), oracles.limit_error(kinetic, ddp, k)
+            assert got.keys() == want.keys()
+            for key in got:
+                assert rel_diff(got[key], want[key]) <= 1e-13, key
+
+    def test_energy_uses_real_transforms_only(self, grid, basis, rng, fft_calls):
+        state = make_state(random_distribution(rng, grid, basis))
+        fft_calls.clear()
+        energy_functionals(state, k=2, epsilon=0.1)
+        assert fft_calls and set(fft_calls) <= {"rfft", "irfft"}

@@ -141,12 +141,19 @@ class TestSweepConfig:
         with pytest.raises(ConfigurationError, match="k must be >= 1"):
             SweepConfig.from_dict(cfg)
 
-    @pytest.mark.parametrize("mode", [0, 17])
+    @pytest.mark.parametrize("mode", [0, 16, 17])
     def test_profile_mode_range(self, small_ini, mode):
+        # 16 = n_x/2 is the Nyquist mode, frozen in the kinetic run
         cfg = parse_config_file(small_ini)  # n_x = 32
         cfg["sweep"]["profile_mode"] = mode
-        with pytest.raises(ConfigurationError, match=r"\[1, n_x // 2 = 16\]"):
+        with pytest.raises(ConfigurationError,
+                           match=rf"\[1, n_x // 2 - 1 = 15\], got {mode}$"):
             SweepConfig.from_dict(cfg)
+
+    def test_highest_profile_mode_accepted(self, small_ini):
+        cfg = parse_config_file(small_ini)
+        cfg["sweep"]["profile_mode"] = 15
+        assert SweepConfig.from_dict(cfg).profile_mode == 15
 
 
 class TestRateArithmetic:
@@ -254,6 +261,41 @@ class TestCli:
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
 
+    def test_quiet_after_command(self, capsys):
+        assert main(["check", "--quiet"]) == EXIT_OK
+        assert capsys.readouterr().out == ""
+
+    def test_sweep_prints_one_line_per_epsilon(self, small_ini, tmp_path, capsys):
+        loud, quiet = tmp_path / "loud", tmp_path / "quiet"
+        assert main(["--config", str(small_ini), "--out", str(loud), "sweep"]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        summary = json.loads((loud / "summary.json").read_text())
+        assert len(lines) == 3 and lines[-1].startswith("sweep complete")
+        for line, rec in zip(lines, summary["per_epsilon"]):
+            assert line.startswith(f"eps = {rec['epsilon']:g}: ")
+            assert f"final E_k = {rec['final_E_k']:.6e}" in line
+        assert main(["--config", str(small_ini), "--out", str(quiet), "sweep",
+                     "--quiet"]) == EXIT_OK
+        assert capsys.readouterr().out == ""
+        assert (loud / "summary.json").read_bytes() == (quiet / "summary.json").read_bytes()
+
+    def test_progress_reported_as_each_run_finishes(self, small_ini, monkeypatch):
+        from vpfp import harness
+
+        events = []
+        single = harness.run_single
+
+        def traced_single(cfg, eps, csv_path=None):
+            events.append(("start", eps))
+            return single(cfg, eps, csv_path=csv_path)
+
+        monkeypatch.setattr(harness, "run_single", traced_single)
+        cfg = SweepConfig.from_dict(parse_config_file(small_ini))
+        result = run_sweep(cfg, progress=lambda eps, s, e_k: events.append(("done", eps, e_k)))
+        final = [rec["final_E_k"] for rec in result.per_epsilon]
+        assert events == [("start", 0.2), ("done", 0.2, final[0]),
+                          ("start", 0.1), ("done", 0.1, final[1])]
+
     def test_run_vpfp(self, small_ini, tmp_path):
         code = main(["--config", str(small_ini), "--out", str(tmp_path), "--quiet", "run"])
         assert code == EXIT_OK
@@ -310,6 +352,8 @@ class TestCli:
          "sample_interval = 2 exceeds t_final = 1"),
         ("sweep", {"sweep__sample_interval": "2.0", "solver__t_final": "1.0"},
          "sample_interval = 2 exceeds t_final = 1"),
+        ("run", {"sweep__profile_mode": "16"}, "profile_mode must lie in"),
+        ("sweep", {"sweep__profile_mode": "16"}, "profile_mode must lie in"),
     ])
     def test_bad_setting_is_config_error(self, tmp_path, capsys, command, settings, message):
         ini = small_ini_with(tmp_path, **settings)

@@ -19,7 +19,7 @@ from vpfp.solver import (
     _fit_dt,
     _macro_with_field,
 )
-from vpfp.spectral import ConfigurationError, SpectralField
+from vpfp.spectral import ConfigurationError, SpectralField, l2_norm
 
 from conftest import basis_element, random_distribution
 
@@ -66,8 +66,8 @@ class TestInitialData:
 
     def test_density_slice(self, grid, basis):
         state = cos_initial(grid, basis, amplitude=0.05)
-        assert abs(state.g.coeffs[1, 0] - 0.025) < 1e-14
-        assert np.max(np.abs(state.g.coeffs[:, 1:])) == 0.0
+        assert abs(state.g.coeffs[0, 1] - 0.025) < 1e-14
+        assert np.max(np.abs(state.g.coeffs[1:])) == 0.0
 
     def test_macro_fields_consistent(self, grid, basis):
         state = cos_initial(grid, basis)
@@ -91,7 +91,7 @@ class TestInitialData:
         micro = micro.with_coeffs(micro.coeffs * 1e-9)
         state = make_initial_data(grid, basis, lambda x: np.cos(x), amplitude=0.01,
                                   micro_perturbation=micro)
-        assert np.allclose(state.g.coeffs[:, 2:], micro.coeffs[:, 2:])
+        assert np.allclose(state.g.coeffs[2:], micro.coeffs[2:])
 
     def test_positivity_enforced(self, grid, basis):
         with pytest.raises(ValueError, match="not positive"):
@@ -106,14 +106,12 @@ class TestDampingInvariant:
         dt = 1e-3
         stepper = VpfpStepper(cfg, dt)
         g = DistributionField.zeros(grid, basis)
-        for n in range(basis.n_v):
-            g.coeffs[1, n] = 0.5
-            g.coeffs[-1, n] = 0.5
+        g.coeffs[:, 1] = 0.5  # cos(x) on every level; mode -1 is its conjugate
         state = KineticState(time=0.0, g=g, macro=_macro_with_field(g))
         new = stepper.step_euler(state)
         n = np.arange(basis.n_v)
         factor = 1.0 / (1.0 + dt * (n / cfg.epsilon**2))
-        assert np.array_equal(new.g.coeffs[1, :], 0.5 * factor)
+        assert np.array_equal(new.g.coeffs[:, 1], 0.5 * factor)
 
     def test_stiff_decay_matches_discrete_rate(self, grid, basis):
         # a pure Hermite-3 mode with dt = eps^2 / 10: the discrete factor per
@@ -127,17 +125,17 @@ class TestDampingInvariant:
         state = KineticState(time=0.0, g=g, macro=_macro_with_field(g))
         factor = 1.0 / (1.0 + 3.0 * dt / eps**2)
         n_steps = math.ceil(math.log(1e-6) / math.log(factor))
-        amp0 = abs(g.coeffs[1, 3])
+        amp0 = abs(g.coeffs[3, 1])
         for i in range(n_steps):
             state = stepper.step_euler(state)
-            amp = abs(state.g.coeffs[1, 3])
+            amp = abs(state.g.coeffs[3, 1])
             assert amp == pytest.approx(amp0 * factor ** (i + 1), rel=1e-12)
             if i < 8:
                 # the discrete factor tracks the continuous rate to O(dt)
                 # per step; the gap compounds, so only early steps compare
                 cont = amp0 * math.exp(-3.0 * state.time / eps**2)
                 assert amp == pytest.approx(cont, rel=0.5)
-        assert abs(state.g.coeffs[1, 3]) < 1e-6
+        assert abs(state.g.coeffs[3, 1]) < 1e-6
 
     def test_unconditional_stability_large_dt(self, grid, basis):
         cfg = small_config(epsilon=0.05, transport_enabled=False, fields_enabled=False)
@@ -145,23 +143,27 @@ class TestDampingInvariant:
         g = basis_element(grid, basis, 1, 5)
         state = KineticState(time=0.0, g=g, macro=_macro_with_field(g))
         state = stepper.step_euler(state)
-        assert abs(state.g.coeffs[1, 5]) < abs(g.coeffs[1, 5])
+        assert abs(state.g.coeffs[5, 1]) < abs(g.coeffs[5, 1])
 
 
 def hermitian_coeffs(rng, n_x, n_v):
-    """Random coefficients of a real field: c(-m) = conj(c(m)), real k = 0 and Nyquist."""
-    half = rng.standard_normal((n_x // 2 + 1, n_v)) + 1j * rng.standard_normal((n_x // 2 + 1, n_v))
-    half[[0, -1]] = half[[0, -1]].real
-    return np.concatenate([half, half[-2:0:-1].conj()])
+    """Random half-spectrum (n_v, n_x/2 + 1) of a real field: rows k = 0 and Nyquist real."""
+    shape = (n_v, n_x // 2 + 1)
+    half = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    half[:, [0, -1]] = half[:, [0, -1]].real
+    return half
 
 
 def dense_implicit_solve(grid, n_v, epsilon, dt, coeffs):
-    """(I + dt (i k / eps) V + dt diag(n) / eps^2)^-1 per mode, by np.linalg.solve."""
+    """(I + dt (i k / eps) V + dt diag(n) / eps^2)^-1 per mode m = 0..n_x/2, by
+    np.linalg.solve, with the streaming wavenumber k = 0 at the Nyquist mode."""
+    k = 2.0 * np.pi * np.fft.rfftfreq(grid.n_x, d=grid.length / grid.n_x)
+    k[-1] = 0.0
     n = np.arange(n_v)
     v_mat = np.diag(np.sqrt(n[1:]), 1) + np.diag(np.sqrt(n[1:]), -1)
-    blocks = (np.eye(n_v) + dt * (1j * grid.wavenumbers / epsilon)[:, None, None] * v_mat
+    blocks = (np.eye(n_v) + dt * (1j * k / epsilon)[:, None, None] * v_mat
               + dt * np.diag(n / epsilon**2))
-    return np.linalg.solve(blocks, coeffs[..., None])[..., 0]
+    return np.linalg.solve(blocks, coeffs.T[..., None])[..., 0].T
 
 
 class TestTridiagonalSolve:
@@ -185,8 +187,8 @@ class TestTridiagonalSolve:
         got = stepper.solve_implicit(dt, coeffs)
         want = dense_implicit_solve(stepper.grid, n_v, epsilon, dt, coeffs)
         # every mode, k = 0 and Nyquist included
-        err = np.linalg.norm(got - want, axis=1)
-        assert np.all(err <= 1e-12 * np.linalg.norm(want, axis=1))
+        err = np.linalg.norm(got - want, axis=0)
+        assert np.all(err <= 1e-12 * np.linalg.norm(want, axis=0))
 
         factors = stepper.factors(dt)
         assert factors.inv_pivot.dtype == np.float64
@@ -201,7 +203,7 @@ class TestTridiagonalSolve:
                            transport_enabled=False)
         coeffs = hermitian_coeffs(np.random.default_rng(seed), n_x, n_v)
         got = VpfpStepper(cfg, dt).solve_implicit(dt, coeffs)
-        assert np.array_equal(got, coeffs * (1.0 / (1.0 + dt * (np.arange(n_v) / epsilon**2))))
+        assert np.array_equal(got, coeffs * (1.0 / (1.0 + dt * (np.arange(n_v) / epsilon**2)))[:, None])
 
     def test_stiff_modes_are_refined(self):
         # dt / eps^2 = 1e4 at eps = 1: pivot growth reaches ~1e7 on the top
@@ -213,15 +215,15 @@ class TestTridiagonalSolve:
         coeffs = hermitian_coeffs(np.random.default_rng(5), 96, 95)
         got = stepper.solve_implicit(1e4, coeffs)
         want = dense_implicit_solve(stepper.grid, 95, 1.0, 1e4, coeffs)
-        err = np.linalg.norm(got - want, axis=1)
-        assert np.all(err <= 1e-13 * np.linalg.norm(want, axis=1))
-        assert np.array_equal(got[0], coeffs[0] * (1.0 / (1.0 + 1e4 * np.arange(95))))
+        err = np.linalg.norm(got - want, axis=0)
+        assert np.all(err <= 1e-13 * np.linalg.norm(want, axis=0))
+        assert np.array_equal(got[:, 0], coeffs[:, 0] * (1.0 / (1.0 + 1e4 * np.arange(95))))
 
 
 class TestConservationAndConsistency:
     def test_mass_drift_raises_conservation_error(self, grid, basis):
         stepper = VpfpStepper(small_config(), 1e-3)
-        coeffs = np.zeros((grid.n_x, basis.n_v), dtype=complex)
+        coeffs = np.zeros((basis.n_v, grid.n_half), dtype=complex)
         coeffs[0, 0] = 1e-9
         with pytest.raises(ConservationError, match="spatial mean changed"):
             stepper._finish(coeffs, 1e-3, 0.0)
@@ -260,7 +262,7 @@ class TestConservationAndConsistency:
         energies = []
 
         def observe(state):
-            g_sq = grid.volume * float(np.sum(np.abs(state.g.coeffs) ** 2))
+            g_sq = l2_norm(state.g.spectral) ** 2
             e_sq = spatial_l2_norm(grid, state.macro.grad_phi) ** 2
             energies.append(0.5 * (g_sq + e_sq))
 
@@ -269,13 +271,14 @@ class TestConservationAndConsistency:
         assert np.all(np.diff(energies) < 0.0)
 
     def test_hermitian_symmetry_maintained(self, grid, basis):
+        # a half-spectrum is Hermitian iff its rows m = 0 and n_x/2 are real
         cfg = small_config(t_final=0.05)
         traj = run(cos_initial(grid, basis), cfg, sample_interval=0.05)
-        assert traj.states[-1].g.spectral.hermitian_symmetry_error() < 1e-12
+        assert np.all(traj.states[-1].g.coeffs[:, [0, -1]].imag == 0.0)
 
 
 class TestHalfSpectrumSteps:
-    """Steps assemble and transform modes 0..n_x/2 and fill the rest by conjugation."""
+    """Steps read and return the Hermite-major half-spectrum m = 0..n_x/2."""
 
     @staticmethod
     def first_states(n_x, n_v, epsilon, seed):
@@ -294,18 +297,34 @@ class TestHalfSpectrumSteps:
     @settings(max_examples=30, deadline=None)
     @given(n_x=st.integers(2, 48).map(lambda h: 2 * h), n_v=st.integers(4, 48),
            epsilon=st.floats(1e-2, 1.0), seed=st.integers(0, 2**32 - 1))
-    def test_conjugate_modes_exact_and_mass_kept(self, n_x, n_v, epsilon, seed):
+    def test_real_rows_exact_and_mass_kept(self, n_x, n_v, epsilon, seed):
+        # rows m = 0 and m = n_x/2 of a real field are real; the streaming
+        # wavenumber 0 at the Nyquist mode keeps them exactly real
         stepper, (s0, e0), (s1, e1) = self.first_states(n_x, n_v, epsilon, seed)
         s2 = stepper.step_bdf2(s1, s0, e1, e0)
         for state in (s1, s2):
             c = state.g.coeffs
-            assert np.array_equal(c[n_x // 2 + 1 :], c[n_x // 2 - 1 : 0 : -1].conj())
-            # the streaming symbol i k at the FFT-order Nyquist wavenumber makes
-            # the Nyquist row complex, so only the other modes are compared
-            without_nyquist = state.g.spectral.with_coeffs(c.copy())
-            without_nyquist.coeffs[n_x // 2] = 0.0
-            assert without_nyquist.hermitian_symmetry_error() == 0.0
+            assert c.shape == (n_v, n_x // 2 + 1) and c.flags.c_contiguous
+            assert np.all(c[:, 0].imag == 0.0)
+            assert np.all(c[:, -1].imag == 0.0)
             assert abs(c[0, 0]) <= 1e-13
+
+    def test_nyquist_profile_run_stays_real(self):
+        # a density on the Nyquist mode n_x/2, where the streaming and field
+        # symbols vanish: the row stays real and its density keeps its value
+        # up to the rounding of the BDF2 weights
+        cfg = small_config(epsilon=0.1, t_final=0.1, n_x=16, n_v=16, scheme="imex_bdf2")
+        grid, basis = cfg.make_grid(), cfg.make_basis()
+        nyquist = lambda x: np.cos(8 * 2.0 * np.pi * x / grid.length)
+        initial = make_initial_data(grid, basis, nyquist, amplitude=0.01)
+        traj = run(initial, cfg, sample_interval=0.05)
+        first = traj.states[0].g.coeffs
+        assert first[0, -1] != 0.0
+        for state in traj.states:
+            c = state.g.coeffs
+            assert np.all(c[:, [0, -1]].imag == 0.0)
+            assert c[0, -1].real == pytest.approx(first[0, -1].real, rel=1e-14)
+            assert np.max(np.abs(state.macro.b)) <= 1e-15
 
     def test_warm_bdf2_step_transform_budget(self, fft_calls):
         stepper, (s0, e0), (s1, _) = self.first_states(64, 32, 0.1, 0)

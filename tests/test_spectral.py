@@ -10,22 +10,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vpfp.operators import DistributionField, moments
 from vpfp.spectral import (
     MAX_N_V,
     SHIFT_KINDS,
     ConfigurationError,
     HermiteBasis,
     SpatialGrid,
+    SpectralField,
     forward_transform,
-    full_spectrum,
     hermite_shift_apply,
     hermite_shift_coeffs,
     inverse_transform,
     l2_norm,
+    mode_sq,
+    parseval_sq,
     quadrature_oracle_moment,
     spatial_derivative,
 )
 
+import oracles
 from conftest import basis_element, random_distribution
 
 
@@ -78,10 +82,11 @@ class TestTransforms:
         x = grid.nodes
         values = np.cos(x)[:, None] * basis.synthesis[:, 1][None, :]
         f = forward_transform(grid, basis, values)
+        # level 1, mode 1; its conjugate mode -1 is implied by the half-spectrum
+        assert f.coeffs.shape == (basis.n_v, grid.n_x // 2 + 1)
         assert abs(f.coeffs[1, 1] - 0.5) < 1e-12
-        assert abs(f.coeffs[-1, 1] - 0.5) < 1e-12
         masked = f.coeffs.copy()
-        masked[1, 1] = masked[-1, 1] = 0.0
+        masked[1, 1] = 0.0
         assert np.max(np.abs(masked)) < 1e-12
 
     def test_round_trip_band_limited(self, grid, basis, rng):
@@ -97,7 +102,7 @@ class TestTransforms:
         x = grid.nodes
         wavenumbers = 2 * np.pi * np.fft.fftfreq(grid.n_x, grid.length / grid.n_x)
         modes = np.exp(1j * np.outer(x, wavenumbers))
-        direct = np.real(modes @ g.coeffs) @ basis.synthesis.T
+        direct = np.real(modes @ oracles.full_spectrum(g.coeffs, grid.n_x)) @ basis.synthesis.T
         assert np.allclose(direct, inverse_transform(g.spectral), atol=1e-11)
 
     def test_shape_mismatch_rejected(self, grid, basis):
@@ -111,6 +116,18 @@ class TestTransforms:
         quad_sq = np.sum(basis.quad_weights * values**2) * dx
         coeff_sq = l2_norm(g.spectral) ** 2
         assert abs(quad_sq - coeff_sq) < 1e-10 * coeff_sq
+
+    def test_parseval_sq_rows_and_orders(self, grid, basis, rng):
+        # one norm per Hermite row, and the H^1_x weight 1 + k^2, against
+        # sums over the full spectrum
+        c = random_distribution(rng, grid, basis, neutral=False).coeffs
+        full_sq = np.abs(oracles.full_spectrum(c, grid.n_x)) ** 2
+        rows = parseval_sq(grid, c.real**2 + c.imag**2)
+        assert rows.shape == (basis.n_v,)
+        assert np.allclose(rows, grid.volume * full_sq.sum(axis=0), rtol=1e-13, atol=0)
+        h1 = parseval_sq(grid, mode_sq(c), 1)
+        expected = grid.volume * np.sum((1.0 + oracles.k_sq(grid))[:, None] * full_sq)
+        assert h1 == pytest.approx(expected, rel=1e-13)
 
 
 class TestSpatialDerivative:
@@ -134,12 +151,16 @@ class TestSpatialDerivative:
         assert np.allclose(inverse_transform(df), expected, atol=1e-12)
 
     def test_hermitian_symmetry_preserved(self, grid, basis, rng):
-        # drop the Nyquist mode: ik maps its real coefficient to a purely
-        # imaginary one, which no real field can carry
+        # a half-spectrum is the spectrum of a real field iff its rows m = 0
+        # and m = n_x/2 are real; the derivative symbol is 0 at the Nyquist
+        # mode, so both stay real, and the rest matches the complex FFT
         g = random_distribution(rng, grid, basis)
-        g.coeffs[grid.n_x // 2, :] = 0.0
         df = spatial_derivative(g.spectral)
-        assert df.hermitian_symmetry_error() < 1e-13
+        assert np.all(df.coeffs[:, [0, -1]].imag == 0.0)
+        assert np.all(df.coeffs[:, -1] == 0.0)
+        full = oracles.full_spectrum(g.coeffs, grid.n_x) * (1j * oracles.wavenumbers(grid))[:, None]
+        want = oracles.half_spectrum(full)[:, :-1]
+        assert np.max(np.abs(df.coeffs[:, :-1] - want)) < 1e-13
 
     def test_commutes_with_shifts(self, grid, basis, rng):
         g = random_distribution(rng, grid, basis).spectral
@@ -175,7 +196,7 @@ class TestHermiteShifts:
         tabulated recurrence with one extra level)."""
         ext = basis.functions(n_levels=basis.n_v + 1)
         v = basis.quad_nodes
-        coeffs_x = np.fft.ifft(f.coeffs * f.grid.n_x, axis=0).real
+        coeffs_x = np.fft.irfft(f.coeffs, n=f.grid.n_x, norm="forward").T
         # psi_n' = (sqrt(n) psi_{n-1} - sqrt(n+1) psi_{n+1}) / 2  evaluated pointwise
         n = np.arange(basis.n_v)
         dpsi = 0.5 * (np.sqrt(n)[None, :] * np.pad(ext[:, :-2], ((0, 0), (1, 0)))[:, : basis.n_v]
@@ -193,9 +214,9 @@ class TestHermiteShifts:
         shifted = hermite_shift_apply(f.spectral, kind)
         oracle = self.shift_oracle(grid, basis, f, kind)
         for n_out, val in expected.items():
-            assert abs(shifted.coeffs[0, n_out] - val) < 1e-10
+            assert abs(shifted.coeffs[n_out, 0] - val) < 1e-10
             assert abs(oracle[0, n_out] - val) < 1e-10
-        assert np.max(np.abs(shifted.coeffs[0].real - oracle[0])) < 1e-10
+        assert np.max(np.abs(shifted.coeffs[:, 0].real - oracle[0])) < 1e-10
 
     @pytest.mark.parametrize("kind", ["multiply_by_v", "d_dv", "raising"])
     def test_all_band_limited_modes_match_oracle(self, grid, basis, kind, rng):
@@ -217,23 +238,6 @@ class TestHermiteShifts:
         shifted = hermite_shift_apply(f.spectral, "raising")
         assert np.max(np.abs(shifted.coeffs)) == 0.0  # spill beyond n_v dropped
 
-    @staticmethod
-    def padded_shift(coeffs, kind, extend):
-        """The recurrences on the input zero-padded to n_in + extend levels."""
-        n_out = coeffs.shape[-1] + extend
-        coeffs = np.pad(coeffs, [(0, 0)] * (coeffs.ndim - 1) + [(0, extend)])
-        out = np.zeros(coeffs.shape[:-1] + (n_out,), dtype=coeffs.dtype)
-        root = np.sqrt(np.arange(n_out)[1:])
-        if kind == "multiply_by_v":
-            out[..., 1:] += root * coeffs[..., :-1]
-            out[..., :-1] += root * coeffs[..., 1:]
-        elif kind == "d_dv":
-            out[..., :-1] += 0.5 * root * coeffs[..., 1:]
-            out[..., 1:] -= 0.5 * root * coeffs[..., :-1]
-        else:
-            out[..., 1:] += root * coeffs[..., :-1]
-        return out
-
     @settings(max_examples=60, deadline=None)
     @given(kind=st.sampled_from(SHIFT_KINDS),
            shape=st.lists(st.integers(1, 6), min_size=0, max_size=2),
@@ -244,23 +248,33 @@ class TestHermiteShifts:
         coeffs = rng.standard_normal((*shape, n_in))
         if is_complex:
             coeffs = coeffs + 1j * rng.standard_normal((*shape, n_in))
-        got = hermite_shift_coeffs(coeffs, kind, extend=extend)
-        want = self.padded_shift(coeffs, kind, extend)
+        # the package shifts along axis 0, the padded oracle along the last axis
+        got = hermite_shift_coeffs(np.moveaxis(coeffs, -1, 0), kind, extend=extend)
+        want = np.moveaxis(oracles.hermite_shift(coeffs, kind, extend), -1, 0)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert np.array_equal(got, want)
 
 
-class TestFullSpectrum:
-    @settings(max_examples=30, deadline=None)
-    @given(n_x=st.integers(2, 64).map(lambda h: 2 * h), n_v=st.integers(1, 5),
+class TestQuadratureExactness:
+    """The order-2 n_v Gauss-Hermite rule is exact on every retained level."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(n_v=st.integers(4, MAX_N_V), n_x=st.integers(2, 24).map(lambda h: 2 * h),
            seed=st.integers(0, 2**32 - 1))
-    def test_matches_complex_fft_of_real_field(self, n_x, n_v, seed):
-        values = np.random.default_rng(seed).standard_normal((n_x, n_v))
-        half = np.fft.rfft(values, axis=0)
-        got = full_spectrum(half, n_x)
-        assert np.array_equal(got[: n_x // 2 + 1], half)
-        assert np.array_equal(got[n_x // 2 + 1 :], half[n_x // 2 - 1 : 0 : -1].conj())
-        assert np.allclose(got, np.fft.fft(values, axis=0), rtol=0, atol=1e-12 * n_x)
+    def test_orthonormal_and_reproduces_moments(self, n_v, n_x, seed):
+        basis, grid = HermiteBasis(n_v=n_v), SpatialGrid(n_x=n_x)
+        assert np.max(np.abs(basis.analysis @ basis.synthesis - np.eye(n_v))) <= 1e-13
+
+        coeffs = oracles.random_half_spectrum(np.random.default_rng(seed), n_x, n_v)
+        coeffs[0, 0] = 0.0
+        g = DistributionField(SpectralField(grid, basis, coeffs))
+        values = inverse_transform(g.spectral)
+        sqrt_m = lambda v: (2 * np.pi) ** (-0.25) * np.exp(-(v**2) / 4)
+        a = quadrature_oracle_moment(grid, basis, values, sqrt_m)
+        b = quadrature_oracle_moment(grid, basis, values, lambda v: v * sqrt_m(v))
+        mac = moments(g)
+        assert np.max(np.abs(a - mac.a)) <= 1e-13 * np.max(np.abs(mac.a))
+        assert np.max(np.abs(b - mac.b)) <= 1e-13 * np.max(np.abs(mac.b))
 
 
 class TestQuadratureOracle:
