@@ -10,11 +10,9 @@ from .spectral import (
     forward_transform,
     inverse_transform,
     spatial_derivative,
-    hermite_shift_apply,
     quadrature_oracle_moment,
 )
 from .operators import (
-    DistributionField,
     MacroFields,
     apply_L,
     moments,
@@ -23,7 +21,6 @@ from .operators import (
     gamma_moment,
     solve_poisson,
     vpfp_rhs,
-    coercivity_gap,
 )
 from .solver import (
     ConservationError,
@@ -38,6 +35,7 @@ from .diagnostics import (
     EnergyReport,
     sobolev_norm,
     nu_norm,
+    coercivity_gap,
     energy_functionals,
     moment_residuals,
     limit_error,

@@ -1,18 +1,19 @@
-"""Operator and property self-test battery backing `vpfp check`.
+"""Operator-level acceptance checks, shared by `vpfp check` and the tests.
 
-These are runtime sanity checks on a built installation; the full oracle
-comparisons live in the test suite.
+Each check returns (ok, detail): whether the property holds, and the
+measured figure to print beside it.  The random inputs come in as
+arguments, so `vpfp check` (run_battery, with its own seeded draws) and
+the operator-level acceptance criteria of the test suite run the same
+checks on their own fields; the criteria add their independent oracles.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .diagnostics import nu_norm
+from .diagnostics import coercivity_gap, nu_norm
 from .operators import (
-    DistributionField,
     apply_L,
-    coercivity_gap,
     moments,
     project_macro,
     project_micro,
@@ -23,90 +24,116 @@ from .operators import (
 )
 from .spectral import HermiteBasis, SpatialGrid, SpectralField, l2_norm
 
-__all__ = ["run_battery"]
+__all__ = [
+    "check_collision",
+    "check_projections",
+    "check_coercivity",
+    "check_poisson",
+    "check_moments",
+    "run_battery",
+]
 
 
-def _random_field(rng, grid, basis, neutral=True) -> DistributionField:
-    values = rng.standard_normal((basis.n_v, grid.n_x))
-    coeffs = np.fft.rfft(values, norm="forward")  # the half-spectrum of a real field
-    if neutral:
-        coeffs[0, 0] = 0.0
-    return DistributionField(SpectralField(grid, basis, coeffs))
-
-
-def run_battery(seed: int = 0, quiet: bool = False, n_random: int = 100) -> bool:
-    rng = np.random.default_rng(seed)
-    grid = SpatialGrid(n_x=32)
-    basis = HermiteBasis(n_v=16)
-    results = []
-
-    def record(name: str, ok: bool, detail: str = ""):
-        results.append(ok)
-        if not quiet:
-            status = "PASS" if ok else "FAIL"
-            print(f"{status} {name}" + (f"  ({detail})" if detail else ""))
-
-    # collision operator fixes v sqrt(M)
-    g = DistributionField.zeros(grid, basis)
-    g.coeffs[1, 0] = 1.0
-    err = np.max(np.abs(apply_L(g).coeffs - g.coeffs))
-    record("collision operator: eigenvalue 1 on the momentum mode", err < 1e-12, f"err={err:.1e}")
-
-    # eigenvalues n on every retained mode
-    ok = True
+def check_collision(grid: SpatialGrid, basis: HermiteBasis) -> tuple[bool, str]:
+    """L fixes the momentum mode cos(x) v sqrt(M) and has eigenvalue n on
+    every Hermite level n."""
+    fixed = SpectralField.zeros(grid, basis)
+    fixed.coeffs[1, 1] = 0.5  # cos(x) psi_1
+    fixed_err = float(np.max(np.abs(apply_L(fixed).coeffs - fixed.coeffs)))
+    eig_err = 0.0
     for n in range(basis.n_v):
-        g = DistributionField.zeros(grid, basis)
+        g = SpectralField.zeros(grid, basis)
         g.coeffs[n, 1] = 1.0
-        ok &= np.max(np.abs(apply_L(g).coeffs - n * g.coeffs)) < 1e-12
-    record("collision operator: diagonal multiplier n", ok)
+        eig_err = max(eig_err, float(np.max(np.abs(apply_L(g).coeffs - n * g.coeffs))))
+    ok = fixed_err < 1e-12 and eig_err < 1e-12
+    return ok, f"fixed-point err {fixed_err:.1e}, eigenvalue err {eig_err:.1e}"
 
-    # projection algebra, exact at coefficient level
+
+def check_projections(fields) -> tuple[bool, str]:
+    """P and I - P are idempotent, P (I - P) = 0 and (I - P)(I - P0) = I - P,
+    exactly at coefficient level, on every field."""
     ok = True
-    for _ in range(n_random):
-        g = _random_field(rng, grid, basis)
-        pg = project_macro(g)
-        mg = project_micro(g)
+    for g in fields:
+        pg, mg = project_macro(g), project_micro(g)
         ok &= np.array_equal(project_macro(pg).coeffs, pg.coeffs)
         ok &= np.array_equal(project_micro(mg).coeffs, mg.coeffs)
-        residual = g.coeffs - project_p0(g).coeffs  # (I - P0) g
-        micro_of_residual = residual.copy()
-        micro_of_residual[:2] = 0.0
-        ok &= np.array_equal(micro_of_residual, mg.coeffs)
-        ok &= np.max(np.abs(project_macro(mg).coeffs)) == 0.0
-    record("projection algebra: P, I-P, I-P0 identities exact", ok)
+        residual = g.with_coeffs(g.coeffs - project_p0(g).coeffs)  # (I - P0) g
+        ok &= np.array_equal(project_micro(residual).coeffs, mg.coeffs)
+        ok &= not np.any(project_macro(mg).coeffs)
+    return bool(ok), ""
 
-    # coercivity and the measured nu-norm constant
+
+def check_coercivity(fields) -> tuple[bool, str]:
+    """<Lg, g> >= ||(I-P)g||^2 + ||b||^2 on every field, and the nu-norm
+    constant C0 = min (<Lg, g> - ||b||^2) / ||(I-P)g||_nu^2 is positive."""
     ok = True
     c0 = np.inf
-    for _ in range(n_random):
-        g = _random_field(rng, grid, basis)
+    for g in fields:
         dirichlet, micro_nu_sq, b_sq = coercivity_gap(g)
-        micro_l2_sq = l2_norm(project_micro(g).spectral) ** 2
+        micro_l2_sq = l2_norm(project_micro(g)) ** 2
         ok &= dirichlet + 1e-12 * max(1.0, dirichlet) >= micro_l2_sq + b_sq
         if micro_nu_sq > 0:
             c0 = min(c0, (dirichlet - b_sq) / micro_nu_sq)
-    record("coercivity: <Lg, g> >= ||(I-P)g||^2 + ||b||^2", ok)
-    record("coercivity: measured nu-norm constant positive", c0 > 0, f"C0>={c0:.4f}")
+    return bool(ok and c0 > 0), f"measured nu-norm constant C0 = {c0:.4f}"
 
-    # Poisson eigenfunctions and the Poincare inequality
+
+def check_poisson(grid: SpatialGrid, samples) -> tuple[bool, str]:
+    """-phi'' = a is solved exactly for a = cos x and cos 2x, and
+    ||a|| <= ||da/dx|| for each sample with its mean removed."""
     x = grid.nodes
-    phi, _ = solve_poisson(grid, np.cos(x))
-    err1 = np.max(np.abs(phi - np.cos(x)))
+    phi1, _ = solve_poisson(grid, np.cos(x))
     phi2, _ = solve_poisson(grid, np.cos(2 * x))
-    err2 = np.max(np.abs(phi2 - np.cos(2 * x) / 4.0))
-    record("poisson: eigenfunction solves exact", max(err1, err2) < 1e-12,
-           f"err={max(err1, err2):.1e}")
-    ok = True
-    for _ in range(n_random):
-        a = rng.standard_normal(grid.n_x)
-        a -= a.mean()
-        ok &= spatial_l2_norm(grid, a) <= spatial_l2_norm(grid, x_derivative(grid, a)) * (1 + 1e-12)
-    record("poincare: ||a|| <= ||da/dx|| for zero-mean fields", ok)
+    eig_err = max(np.max(np.abs(phi1 - np.cos(x))),
+                  np.max(np.abs(phi2 - np.cos(2 * x) / 4.0)))
+    poincare_ok = True
+    for a in samples:
+        a = a - a.mean()
+        poincare_ok &= (spatial_l2_norm(grid, a)
+                        <= spatial_l2_norm(grid, x_derivative(grid, a)) * (1 + 1e-12))
+    return bool(eig_err < 1e-12 and poincare_ok), f"eigenfunction err {eig_err:.1e}"
 
-    # moments agree with direct slices
-    g = _random_field(rng, grid, basis)
+
+def check_moments(g: SpectralField) -> tuple[bool, str]:
+    """The moments and the nu-norm of g evaluate finite."""
     mac = moments(g)
     nu = nu_norm(g)
-    record("moments and nu-norm evaluate finite", np.isfinite(nu) and np.all(np.isfinite(mac.a)))
+    ok = np.isfinite(nu) and np.all(np.isfinite(mac.a)) and np.all(np.isfinite(mac.b))
+    return bool(ok), f"nu-norm {nu:.3e}"
 
-    return all(results)
+
+def _random_field(rng, grid, basis) -> SpectralField:
+    values = rng.standard_normal((basis.n_v, grid.n_x))
+    coeffs = np.fft.rfft(values, norm="forward")  # the half-spectrum of a real field
+    coeffs[0, 0] = 0.0  # neutral
+    return SpectralField(grid, basis, coeffs)
+
+
+def run_battery(seed: int = 0, quiet: bool = False, n_random: int = 100) -> bool:
+    """Run every check on a 32 x 16 discretization with n_random seeded
+    random inputs each; print one PASS/FAIL line per check unless quiet."""
+    rng = np.random.default_rng(seed)
+    grid = SpatialGrid(n_x=32)
+    basis = HermiteBasis(n_v=16)
+
+    def fields():
+        return [_random_field(rng, grid, basis) for _ in range(n_random)]
+
+    battery = (
+        ("collision operator: fixes v sqrt(M), eigenvalue n on level n",
+         lambda: check_collision(grid, basis)),
+        ("projection identities: P, I-P, I-P0 exact", lambda: check_projections(fields())),
+        ("coercivity: <Lg, g> >= ||(I-P)g||^2 + ||b||^2, C0 > 0",
+         lambda: check_coercivity(fields())),
+        ("poisson: eigenfunction solves exact, Poincare inequality",
+         lambda: check_poisson(grid, rng.standard_normal((n_random, grid.n_x)))),
+        ("moments and nu-norm evaluate finite",
+         lambda: check_moments(_random_field(rng, grid, basis))),
+    )
+    all_ok = True
+    for name, check in battery:
+        ok, detail = check()
+        all_ok &= ok
+        if not quiet:
+            status = "PASS" if ok else "FAIL"
+            print(f"{status} {name}" + (f"  ({detail})" if detail else ""))
+    return all_ok

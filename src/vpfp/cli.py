@@ -46,7 +46,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("run", parents=[quiet], help="single kinetic or fluid run from config")
     sub.add_parser("sweep", parents=[quiet], help="full epsilon sweep")
-    sub.add_parser("check", parents=[quiet], help="operator/property self-test battery")
+    sub.add_parser("check", parents=[quiet], help="operator-level acceptance checks")
     sub.add_parser("report", parents=[quiet], help="render a sweep summary")
     return parser
 
@@ -60,17 +60,14 @@ def _load_config(args) -> dict:
 def cmd_run(args) -> int:
     cfg = _load_config(args)
     say = (lambda *_: None) if args.quiet else print
-    system = cfg["solver"]["system"]
     sweep_cfg = SweepConfig.from_dict(cfg, out_dir=args.out)
-    if system == "ddp":
+    if cfg["solver"]["system"] == "ddp":
         grid = sweep_cfg.template.make_grid()
         rho0 = sweep_cfg.amplitude * initial_profile(sweep_cfg)(grid.nodes)
         traj = ddp_run(grid, rho0, sweep_cfg.ddp_dt, sweep_cfg.template.t_final,
                        sample_interval=sweep_cfg.sample_interval)
         say(f"ddp run complete: {len(traj.times)} samples to t = {traj.times[-1]:g}")
         return EXIT_OK
-    if system != "vpfp":
-        raise ConfigurationError(f"unknown solver.system {system!r}; expected vpfp or ddp")
     eps = cfg["solver"]["epsilon"]
     csv_path = args.out / f"run_eps_{eps:g}.csv"
     traj = run_single(sweep_cfg, eps, csv_path=csv_path)

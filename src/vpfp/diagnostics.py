@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import (
-    DistributionField,
     dealiased_product,
     fourier_field,
     gamma_moment,
@@ -45,6 +44,7 @@ __all__ = [
     "EnergyReport",
     "sobolev_norm",
     "nu_norm",
+    "coercivity_gap",
     "energy_functionals",
     "moment_residuals",
     "limit_error",
@@ -128,16 +128,12 @@ def _tensor_sq(grid: SpatialGrid, coeffs: np.ndarray, k_x: int, k_v: int) -> flo
     return sum(parseval_sq(grid, mode_sq(cb), k_x) for cb in _dv_tower(coeffs, k_v))
 
 
-def _unwrap(f) -> SpectralField:
-    return f.spectral if isinstance(f, DistributionField) else f
-
-
 def sobolev_norm(f, k_x: int, k_v: int = 0, grid: SpatialGrid | None = None) -> float:
     """Tensor Sobolev norm: sqrt of the sum over alpha <= k_x, beta <= k_v
     of ||d_x^alpha d_v^beta f||^2.
 
-    Accepts a SpectralField/DistributionField, or a real spatial array
-    (pass grid=...; k_v is then ignored).
+    Accepts a SpectralField, or a real spatial array (pass grid=...; k_v
+    is then ignored).
     """
     if k_x < 0 or k_v < 0:
         raise ConfigurationError("Sobolev orders must be non-negative")
@@ -145,15 +141,28 @@ def sobolev_norm(f, k_x: int, k_v: int = 0, grid: SpatialGrid | None = None) -> 
         if grid is None:
             raise ConfigurationError("spatial-array input needs an explicit grid")
         return float(np.sqrt(parseval_sq(grid, mode_sq(fourier_field(grid, f)), k_x)))
-    field = _unwrap(f)
-    return float(np.sqrt(_tensor_sq(field.grid, field.coeffs, k_x, k_v)))
+    return float(np.sqrt(_tensor_sq(f.grid, f.coeffs, k_x, k_v)))
 
 
-def nu_norm(f) -> float:
+def nu_norm(f: SpectralField) -> float:
     """Dissipation norm: sqrt(||d_v f||^2 + ||sqrt(1+v^2) f||^2)."""
-    field = _unwrap(f)
-    tower = _dv_tower(field.coeffs, 1)
-    return float(np.sqrt(_mixed_nu_sq(field.grid, tower, [mode_sq(cb) for cb in tower], 0)))
+    tower = _dv_tower(f.coeffs, 1)
+    return float(np.sqrt(_mixed_nu_sq(f.grid, tower, [mode_sq(cb) for cb in tower], 0)))
+
+
+def coercivity_gap(g: SpectralField) -> tuple[float, float, float]:
+    """Return (<Lg, g>, ||(I-P)g||_nu^2, ||b||_{L^2_x}^2).
+
+    In the Hermite basis <Lg, g> = vol * sum_{m,n} w_m n |c_{n,m}|^2 (w_m the
+    half-spectrum mode_weights), which dominates
+    ||(I-P)g||_{L^2}^2 + ||b||^2 exactly (eigenvalues >= 1 off the kernel).
+    The nu-norm coercivity constant is measured by callers, not assumed.
+    """
+    c = g.coeffs
+    level_sq = parseval_sq(g.grid, c.real**2 + c.imag**2)  # ||row n||^2 per Hermite level
+    dirichlet = float(np.arange(g.basis.n_v) @ level_sq)
+    b_sq = float(level_sq[1])
+    return dirichlet, nu_norm(project_micro(g)) ** 2, b_sq
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +322,7 @@ def limit_error(kinetic_traj, ddp_traj, k: int) -> dict:
         micro_c = ks.g.coeffs.copy()
         micro_c[0] = 0.0  # (I - P0) g
         micro_sq.append(_mixed_sq(grid, micro_c, k))
-        g_vals = inverse_transform(ks.g.spectral)
+        g_vals = inverse_transform(ks.g)
         f_vals = m_vals[None, :] + g_vals * sqrt_m[None, :]
         f_lim = (1.0 + ds.rho0)[:, None] * m_vals[None, :]
         point_errs.append(float(np.max(np.abs(f_vals - f_lim))))

@@ -70,6 +70,8 @@ _SCHEMA = {
     "diagnostics": {"k": int},
 }
 
+SYSTEMS = ("vpfp", "ddp")
+
 _DEFAULTS = {
     "grid": {"n_x": 64, "n_v": 64, "length": 2.0 * math.pi},
     "solver": {
@@ -172,6 +174,11 @@ class SweepConfig:
 
     @classmethod
     def from_dict(cls, cfg: dict, out_dir=None) -> "SweepConfig":
+        system = cfg["solver"]["system"]
+        if system not in SYSTEMS:
+            raise ConfigurationError(
+                f"unknown solver.system {system!r}; expected one of {SYSTEMS}"
+            )
         template = solver_config_from_dict(cfg)
         sw = cfg["sweep"]
         return cls(

@@ -5,9 +5,10 @@ basis the Fokker-Planck operator is diag(n), the macroscopic projection P
 keeps the first two Hermite levels (density a and momentum b), and the
 electrostatic potential solves -phi'' = a spectrally on the torus.
 
-Every field is real and stored as a Hermite-major half-spectrum, shape
-(n_v, n_x/2 + 1) (see spectral): the operators read and return only the
-modes m = 0..n_x/2, and every transform is a real FFT (rfft/irfft) along
+The perturbation g is a spectral.SpectralField, the one field type: a
+real field stored as a Hermite-major half-spectrum, shape
+(n_v, n_x/2 + 1).  The operators read and return only the modes
+m = 0..n_x/2, and every transform is a real FFT (rfft/irfft) along
 the contiguous last axis, batching the rows that share a transform.
 Spatial fields are real arrays of shape (n_x,); their coefficients are
 half-spectra of shape (n_x/2 + 1,).  Odd x-derivatives use grid.dx_symbol,
@@ -20,17 +21,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectral import (
-    ConfigurationError,
-    HermiteBasis,
-    SpatialGrid,
-    SpectralField,
-    hermite_shift_coeffs,
-    parseval_sq,
-)
+from .spectral import ConfigurationError, SpatialGrid, SpectralField, hermite_shift_coeffs
 
 __all__ = [
-    "DistributionField",
     "MacroFields",
     "apply_L",
     "moments",
@@ -41,7 +34,6 @@ __all__ = [
     "solve_poisson",
     "dealiased_product",
     "vpfp_rhs",
-    "coercivity_gap",
     "real_field",
     "fourier_field",
     "x_derivative",
@@ -50,36 +42,6 @@ __all__ = [
 ]
 
 ZERO_MEAN_TOL = 1e-12
-
-
-@dataclass
-class DistributionField:
-    """Perturbation g around sqrt(M), stored as a SpectralField."""
-
-    spectral: SpectralField
-
-    @property
-    def grid(self) -> SpatialGrid:
-        return self.spectral.grid
-
-    @property
-    def basis(self) -> HermiteBasis:
-        return self.spectral.basis
-
-    @property
-    def coeffs(self) -> np.ndarray:
-        return self.spectral.coeffs
-
-    @classmethod
-    def zeros(cls, grid: SpatialGrid, basis: HermiteBasis) -> "DistributionField":
-        return cls(SpectralField.zeros(grid, basis))
-
-    def with_coeffs(self, coeffs: np.ndarray) -> "DistributionField":
-        return DistributionField(self.spectral.with_coeffs(coeffs))
-
-    def neutrality_defect(self) -> float:
-        """Magnitude of the (n=0, m=0) coefficient (spatial mean of a)."""
-        return float(np.abs(self.coeffs[0, 0]))
 
 
 @dataclass
@@ -138,13 +100,13 @@ def dealiased_product(grid: SpatialGrid, u: np.ndarray, w: np.ndarray) -> np.nda
 # ---------------------------------------------------------------------------
 # kinetic operators
 
-def apply_L(g: DistributionField) -> DistributionField:
+def apply_L(g: SpectralField) -> SpectralField:
     """Fokker-Planck operator: diagonal multiplier n on Hermite level n."""
     n = np.arange(g.basis.n_v)
     return g.with_coeffs(g.coeffs * n[:, None])
 
 
-def moments(g: DistributionField) -> MacroFields:
+def moments(g: SpectralField) -> MacroFields:
     """Density perturbation a and momentum moment b (Hermite rows 0 and 1).
 
     One inverse real FFT of both rows.
@@ -153,28 +115,28 @@ def moments(g: DistributionField) -> MacroFields:
     return MacroFields(a=a, b=b)
 
 
-def project_macro(g: DistributionField) -> DistributionField:
+def project_macro(g: SpectralField) -> SpectralField:
     """P g = (a + v b) sqrt(M): keep Hermite levels 0 and 1, zero the rest."""
     out = np.zeros_like(g.coeffs)
     out[:2] = g.coeffs[:2]
     return g.with_coeffs(out)
 
 
-def project_micro(g: DistributionField) -> DistributionField:
+def project_micro(g: SpectralField) -> SpectralField:
     """(I - P) g: zero the macroscopic Hermite levels 0 and 1."""
     out = g.coeffs.copy()
     out[:2] = 0.0
     return g.with_coeffs(out)
 
 
-def project_p0(g: DistributionField) -> DistributionField:
+def project_p0(g: SpectralField) -> SpectralField:
     """P_0 g = a sqrt(M)."""
     out = np.zeros_like(g.coeffs)
     out[0] = g.coeffs[0]
     return g.with_coeffs(out)
 
 
-def gamma_moment(g: DistributionField) -> np.ndarray:
+def gamma_moment(g: SpectralField) -> np.ndarray:
     """Stress-type moment Gamma[g](x) = int g (v^2 - 1) sqrt(M) dv.
 
     This is sqrt(2) times the Hermite-2 coefficient slice, since
@@ -196,9 +158,9 @@ def solve_poisson(grid: SpatialGrid, a: np.ndarray) -> tuple[np.ndarray, np.ndar
     return phi, grad_phi
 
 
-def vpfp_rhs(g: DistributionField, macro: MacroFields, epsilon: float,
+def vpfp_rhs(g: SpectralField, macro: MacroFields, epsilon: float,
              transport: bool = True, fields: bool = True,
-             collision: bool = True) -> DistributionField:
+             collision: bool = True) -> SpectralField:
     """Right-hand side d/dt g of the scaled kinetic system.
 
     dg/dt = -(1/eps) v dg/dx - (1/eps) (d phi/dx) psi_1
@@ -237,21 +199,3 @@ def vpfp_rhs(g: DistributionField, macro: MacroFields, epsilon: float,
     if collision:
         rhs -= np.arange(basis.n_v)[:, None] * c / epsilon**2
     return g.with_coeffs(rhs)
-
-
-def coercivity_gap(g: DistributionField) -> tuple[float, float, float]:
-    """Return (<Lg, g>, ||(I-P)g||_nu^2, ||b||_{L^2_x}^2).
-
-    In the Hermite basis <Lg, g> = vol * sum_{m,n} w_m n |c_{n,m}|^2 (w_m the
-    half-spectrum mode_weights), which dominates
-    ||(I-P)g||_{L^2}^2 + ||b||^2 exactly (eigenvalues >= 1 off the kernel).
-    The nu-norm coercivity constant is measured by callers, not assumed.
-    """
-    from .diagnostics import nu_norm  # local import to avoid a cycle
-
-    c = g.coeffs
-    level_sq = parseval_sq(g.grid, c.real**2 + c.imag**2)  # ||row n||^2 per Hermite level
-    dirichlet = float(np.arange(g.basis.n_v) @ level_sq)
-    micro_nu_sq = nu_norm(project_micro(g).spectral) ** 2
-    b_sq = float(level_sq[1])
-    return dirichlet, micro_nu_sq, b_sq

@@ -33,7 +33,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .operators import (
-    DistributionField,
     MacroFields,
     moments,
     require_zero_mean,
@@ -118,7 +117,7 @@ class KineticState:
     """Solution sample: perturbation g with Poisson-consistent macro fields."""
 
     time: float
-    g: DistributionField
+    g: SpectralField
     macro: MacroFields
 
 
@@ -130,7 +129,7 @@ class Trajectory:
     states: list
 
 
-def _macro_with_field(g: DistributionField) -> MacroFields:
+def _macro_with_field(g: SpectralField) -> MacroFields:
     mac = moments(g)
     phi, grad_phi = solve_poisson(g.grid, mac.a)
     return MacroFields(a=mac.a, b=mac.b, phi=phi, grad_phi=grad_phi)
@@ -138,7 +137,7 @@ def _macro_with_field(g: DistributionField) -> MacroFields:
 
 def make_initial_data(grid: SpatialGrid, basis: HermiteBasis, rho_profile,
                       amplitude: float = 1.0,
-                      micro_perturbation: DistributionField | None = None) -> KineticState:
+                      micro_perturbation: SpectralField | None = None) -> KineticState:
     """Well-prepared initial state g = amplitude * profile(x) * sqrt(M).
 
     rho_profile is a callable of x (or an array on the grid nodes) with zero
@@ -162,8 +161,8 @@ def make_initial_data(grid: SpatialGrid, basis: HermiteBasis, rho_profile,
             )
         coeffs = coeffs + mc
 
-    g = DistributionField(SpectralField(grid, basis, coeffs))
-    g_vals = inverse_transform(g.spectral)
+    g = SpectralField(grid, basis, coeffs)
+    g_vals = inverse_transform(g)
     sqrt_m = basis.maxwellian_sqrt()
     f_vals = sqrt_m**2 + g_vals * sqrt_m
     f_min = float(np.min(f_vals))
@@ -278,7 +277,7 @@ class VpfpStepper:
         return self.factors(dt_eff).solve(coeffs)
 
     # -- explicit part ------------------------------------------------------
-    def explicit_coeffs(self, g: DistributionField, macro: MacroFields) -> np.ndarray:
+    def explicit_coeffs(self, g: SpectralField, macro: MacroFields) -> np.ndarray:
         """Field-coupling terms of the right-hand side (lagged potential)."""
         if not self.cfg.fields_enabled:
             return np.zeros_like(g.coeffs)
@@ -296,7 +295,7 @@ class VpfpStepper:
             raise ConservationError(
                 f"Hermite-0 spatial mean changed by {drift:.3e} during a step"
             )
-        g = DistributionField(SpectralField(self.grid, self.basis, coeffs))
+        g = SpectralField(self.grid, self.basis, coeffs)
         return KineticState(time=time, g=g, macro=_macro_with_field(g))
 
     def step_euler(self, state: KineticState, expl: np.ndarray | None = None) -> KineticState:

@@ -36,7 +36,6 @@ __all__ = [
     "forward_transform",
     "inverse_transform",
     "spatial_derivative",
-    "hermite_shift_apply",
     "hermite_shift_coeffs",
     "quadrature_oracle_moment",
     "mode_sq",
@@ -215,7 +214,8 @@ class HermiteBasis:
 
 @dataclass
 class SpectralField:
-    """Fourier x Hermite coefficient tensor of a real field.
+    """Fourier x Hermite coefficient tensor of a real field; the one field
+    type, which holds the kinetic perturbation g.
 
     coeffs has shape (basis.n_v, grid.n_x // 2 + 1): Hermite level first,
     then the Fourier modes m = 0..n_x/2 in rfft order; it is made
@@ -294,11 +294,6 @@ def hermite_shift_coeffs(coeffs: np.ndarray, kind: str, extend: int = 0) -> np.n
         if kind == "multiply_by_v":
             out[: n_in - 1] += root[: n_in - 1] * coeffs[1:]
     return out
-
-
-def hermite_shift_apply(f: SpectralField, kind: str) -> SpectralField:
-    """Velocity recurrence on a field, truncated back to n_v modes."""
-    return f.with_coeffs(hermite_shift_coeffs(f.coeffs, kind))
 
 
 def quadrature_oracle_moment(grid: SpatialGrid, basis: HermiteBasis, point_values: np.ndarray, weight_function) -> np.ndarray:

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from vpfp.operators import DistributionField
 from vpfp.spectral import HermiteBasis, SpatialGrid, SpectralField
 
 ACCEPTANCE_LINES = []
@@ -76,7 +75,7 @@ def random_distribution(rng, grid, basis, neutral=True, band_limit=None):
     coeffs = np.fft.rfft(values.T, norm="forward")
     if neutral:
         coeffs[0, 0] = 0.0
-    return DistributionField(SpectralField(grid, basis, coeffs))
+    return SpectralField(grid, basis, coeffs)
 
 
 def basis_element(grid, basis, m, n, amplitude=1.0):
@@ -86,7 +85,7 @@ def basis_element(grid, basis, m, n, amplitude=1.0):
     m = 0 and m = n_x/2 carry the whole amplitude, the others half of it
     (their conjugate mode carries the other half).
     """
-    f = DistributionField.zeros(grid, basis)
+    f = SpectralField.zeros(grid, basis)
     m = min(m % grid.n_x, -m % grid.n_x)
     f.coeffs[n, m] = amplitude if m in (0, grid.n_x // 2) else amplitude / 2.0
     return f

@@ -23,7 +23,6 @@ from vpfp.diagnostics import (
     nu_norm,
     sobolev_norm,
 )
-from vpfp.operators import DistributionField
 from vpfp.solver import KineticState, SolverConfig, _macro_with_field, make_initial_data, run
 from vpfp.spectral import ConfigurationError, HermiteBasis, SpatialGrid, SpectralField, l2_norm
 
@@ -102,7 +101,7 @@ class TestNuNorm:
 
     def test_dominates_l2(self, grid, basis, rng):
         g = random_distribution(rng, grid, basis)
-        l2_sq = l2_norm(g.spectral) ** 2
+        l2_sq = l2_norm(g) ** 2
         assert nu_norm(g) ** 2 >= l2_sq * (1 - 1e-12)
 
 
@@ -143,7 +142,7 @@ class TestEnergyFunctionals:
             assert rep.poisson_residual < 1e-11
 
     def test_order_validation(self, grid, basis):
-        state = make_state(DistributionField.zeros(grid, basis))
+        state = make_state(SpectralField.zeros(grid, basis))
         with pytest.raises(ConfigurationError):
             energy_functionals(state, k=0, epsilon=0.5)
 
@@ -193,7 +192,7 @@ class TestMomentResiduals:
 
 class TestLimitError:
     def test_zero_states_give_zero_metrics(self, grid, basis):
-        g = DistributionField.zeros(grid, basis)
+        g = SpectralField.zeros(grid, basis)
         cfg = SolverConfig(epsilon=0.2, t_final=0.1, n_x=grid.n_x, n_v=basis.n_v)
         kin = run(make_state(g), cfg, sample_interval=0.05)
         flu = ddp_run(grid, np.zeros(grid.n_x), dt=1e-3, t_final=0.1,
@@ -203,7 +202,7 @@ class TestLimitError:
             assert value == 0.0
 
     def test_mismatched_times_rejected(self, grid, basis):
-        g = DistributionField.zeros(grid, basis)
+        g = SpectralField.zeros(grid, basis)
         cfg = SolverConfig(epsilon=0.2, t_final=0.1, n_x=grid.n_x, n_v=basis.n_v)
         kin = run(make_state(g), cfg, sample_interval=0.05)
         flu = ddp_run(grid, np.zeros(grid.n_x), dt=1e-3, t_final=0.1,
@@ -257,7 +256,7 @@ class TestHalfSpectrumMatchesFullSpectrum:
         grid, basis = SpatialGrid(n_x=n_x), HermiteBasis(n_v=n_v)
         coeffs = oracles.random_half_spectrum(rng, n_x, n_v, scale=1e-2)
         coeffs[0, 0] = 0.0
-        return make_state(DistributionField(SpectralField(grid, basis, coeffs)), time)
+        return make_state(SpectralField(grid, basis, coeffs), time)
 
     @settings(max_examples=40, deadline=None)
     @cases

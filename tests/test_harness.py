@@ -261,6 +261,15 @@ class TestCli:
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
 
+    def test_check_fails_on_wrong_collision_operator(self, capsys, monkeypatch):
+        from vpfp import checks
+
+        monkeypatch.setattr(checks, "apply_L", lambda g: g.with_coeffs(2.0 * g.coeffs))
+        assert main(["check"]) == EXIT_RUN_FAILURE
+        lines = capsys.readouterr().out.splitlines()
+        assert any(line.startswith("FAIL collision operator") for line in lines)
+        assert sum(line.startswith("FAIL") for line in lines) == 1
+
     def test_quiet_after_command(self, capsys):
         assert main(["check", "--quiet"]) == EXIT_OK
         assert capsys.readouterr().out == ""
@@ -354,6 +363,8 @@ class TestCli:
          "sample_interval = 2 exceeds t_final = 1"),
         ("run", {"sweep__profile_mode": "16"}, "profile_mode must lie in"),
         ("sweep", {"sweep__profile_mode": "16"}, "profile_mode must lie in"),
+        ("run", {"solver__system": "bogus"}, "unknown solver.system 'bogus'"),
+        ("sweep", {"solver__system": "bogus"}, "unknown solver.system 'bogus'"),
     ])
     def test_bad_setting_is_config_error(self, tmp_path, capsys, command, settings, message):
         ini = small_ini_with(tmp_path, **settings)

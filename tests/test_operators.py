@@ -12,11 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vpfp.diagnostics import coercivity_gap
 from vpfp.operators import (
-    DistributionField,
     MacroFields,
     apply_L,
-    coercivity_gap,
     dealiased_product,
     fourier_field,
     gamma_moment,
@@ -35,7 +34,7 @@ from vpfp.spectral import (
     HermiteBasis,
     SpatialGrid,
     SpectralField,
-    hermite_shift_apply,
+    hermite_shift_coeffs,
     inverse_transform,
     l2_norm,
     quadrature_oracle_moment,
@@ -91,8 +90,8 @@ class TestProjections:
 
     def test_commutes_with_x_derivative(self, grid, basis, rng):
         g = random_distribution(rng, grid, basis)
-        one = project_macro(g.with_coeffs(spatial_derivative(g.spectral).coeffs))
-        two = spatial_derivative(project_macro(g).spectral)
+        one = project_macro(spatial_derivative(g))
+        two = spatial_derivative(project_macro(g))
         assert np.array_equal(one.coeffs, two.coeffs)
 
     @settings(max_examples=30, deadline=None)
@@ -119,7 +118,7 @@ class TestProjections:
 class TestMoments:
     def test_against_quadrature_oracle(self, grid, basis, rng):
         g = random_distribution(rng, grid, basis)
-        values = inverse_transform(g.spectral)
+        values = inverse_transform(g)
         sqrt_m = lambda v: (2 * np.pi) ** (-0.25) * np.exp(-(v**2) / 4)
         mac = moments(g)
         a_oracle = quadrature_oracle_moment(grid, basis, values, sqrt_m)
@@ -129,7 +128,7 @@ class TestMoments:
 
     def test_gamma_against_quadrature_oracle(self, grid, basis, rng):
         g = random_distribution(rng, grid, basis)
-        values = inverse_transform(g.spectral)
+        values = inverse_transform(g)
         weight = lambda v: (v**2 - 1) * (2 * np.pi) ** (-0.25) * np.exp(-(v**2) / 4)
         oracle = quadrature_oracle_moment(grid, basis, values, weight)
         assert np.max(np.abs(gamma_moment(g) - oracle)) < 1e-10
@@ -219,7 +218,7 @@ class TestRhs:
     def test_linear_field_source(self, grid, basis):
         # g = 0 with an externally imposed potential: only the psi_1 source acts
         x = grid.nodes
-        g = DistributionField.zeros(grid, basis)
+        g = SpectralField.zeros(grid, basis)
         macro = MacroFields(a=np.zeros(grid.n_x), b=np.zeros(grid.n_x),
                             phi=np.cos(x), grad_phi=-np.sin(x))
         eps = 0.25
@@ -234,7 +233,7 @@ class TestRhs:
         # g = rho(x) psi_0 with its own field: the psi_1 slice of the rhs is
         # -(d rho + d phi + dealias(rho * d phi)) / eps
         rho = 0.1 * np.cos(grid.nodes)
-        g = DistributionField.zeros(grid, basis)
+        g = SpectralField.zeros(grid, basis)
         g.coeffs[0] = fourier_field(grid, rho)
         macro = self.make_macro(grid, g)
         eps = 0.5
@@ -250,8 +249,8 @@ class TestRhs:
         macro = self.make_macro(grid, g)
         eps = 0.3
         rhs = vpfp_rhs(g, macro, eps, fields=False, collision=False)
-        from vpfp.spectral import hermite_shift_apply
-        expected = -spatial_derivative(hermite_shift_apply(g.spectral, "multiply_by_v")).coeffs / eps
+        vg = g.with_coeffs(hermite_shift_coeffs(g.coeffs, "multiply_by_v"))
+        expected = -spatial_derivative(vg).coeffs / eps
         assert np.max(np.abs(rhs.coeffs - expected)) < 1e-13
 
     def test_collision_only(self, grid, basis, rng):
@@ -282,13 +281,13 @@ class TestRhs:
         assert np.max(np.abs(r2.coeffs - 2 * r1.coeffs)) < 1e-12
 
     def test_epsilon_validation(self, grid, basis):
-        g = DistributionField.zeros(grid, basis)
+        g = SpectralField.zeros(grid, basis)
         macro = MacroFields(a=np.zeros(grid.n_x), b=np.zeros(grid.n_x))
         with pytest.raises(ConfigurationError):
             vpfp_rhs(g, macro, 0.0)
 
     def test_missing_grad_phi_rejected(self, grid, basis):
-        g = DistributionField.zeros(grid, basis)
+        g = SpectralField.zeros(grid, basis)
         macro = MacroFields(a=np.zeros(grid.n_x), b=np.zeros(grid.n_x))
         with pytest.raises(ConfigurationError):
             vpfp_rhs(g, macro, 0.5)
@@ -307,7 +306,7 @@ class TestCoercivity:
         for _ in range(50):
             g = random_distribution(rng, grid, basis)
             dirichlet, _, b_sq = coercivity_gap(g)
-            micro_l2_sq = l2_norm(project_micro(g).spectral) ** 2
+            micro_l2_sq = l2_norm(project_micro(g)) ** 2
             assert dirichlet + 1e-12 * max(1.0, dirichlet) >= micro_l2_sq + b_sq
 
     def test_measured_nu_constant_positive(self, grid, basis, rng):
@@ -376,7 +375,7 @@ class TestHalfSpectrumMatchesComplexFft:
     def field(n_x, n_v, seed):
         grid, basis = SpatialGrid(n_x=n_x), HermiteBasis(n_v=n_v)
         coeffs = real_field_coeffs(np.random.default_rng(seed), n_x, n_v)
-        return DistributionField(SpectralField(grid, basis, coeffs))
+        return SpectralField(grid, basis, coeffs)
 
     @settings(max_examples=40, deadline=None)
     @cases
@@ -399,6 +398,7 @@ class TestHalfSpectrumMatchesComplexFft:
         coupling = complex_fft_coupling(g, grad_phi, epsilon)
         got = vpfp_rhs(g, macro, epsilon, transport=False, collision=False).coeffs
         assert max_rel_diff(got, coupling) <= 1e-14
-        transport = spatial_derivative(hermite_shift_apply(g.spectral, "multiply_by_v")).coeffs
+        vg = g.with_coeffs(hermite_shift_coeffs(g.coeffs, "multiply_by_v"))
+        transport = spatial_derivative(vg).coeffs
         want = -transport / epsilon + coupling - np.arange(n_v)[:, None] * g.coeffs / epsilon**2
         assert max_rel_diff(vpfp_rhs(g, macro, epsilon).coeffs, want) <= 1e-14

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vpfp.operators import DistributionField, project_micro, spatial_l2_norm, x_derivative
+from vpfp.operators import project_micro, spatial_l2_norm, x_derivative
 from vpfp.solver import (
     ConservationError,
     KineticState,
@@ -62,7 +62,7 @@ class TestConfig:
 class TestInitialData:
     def test_neutrality_exact(self, grid, basis):
         state = cos_initial(grid, basis)
-        assert state.g.neutrality_defect() == 0.0
+        assert abs(state.g.coeffs[0, 0]) == 0.0
 
     def test_density_slice(self, grid, basis):
         state = cos_initial(grid, basis, amplitude=0.05)
@@ -105,7 +105,7 @@ class TestDampingInvariant:
         cfg = small_config(epsilon=0.1, transport_enabled=False, fields_enabled=False)
         dt = 1e-3
         stepper = VpfpStepper(cfg, dt)
-        g = DistributionField.zeros(grid, basis)
+        g = SpectralField.zeros(grid, basis)
         g.coeffs[:, 1] = 0.5  # cos(x) on every level; mode -1 is its conjugate
         state = KineticState(time=0.0, g=g, macro=_macro_with_field(g))
         new = stepper.step_euler(state)
@@ -237,7 +237,7 @@ class TestConservationAndConsistency:
                               stepper.step_euler(state).g.coeffs)
 
     def test_zero_state_is_fixed(self, grid, basis):
-        g = DistributionField.zeros(grid, basis)
+        g = SpectralField.zeros(grid, basis)
         state = KineticState(time=0.0, g=g, macro=_macro_with_field(g))
         cfg = small_config()
         new = VpfpStepper(cfg, 1e-3).step_euler(state)
@@ -247,7 +247,7 @@ class TestConservationAndConsistency:
         cfg = small_config(epsilon=0.1, t_final=0.5, dt_max=1e-3, cfl_scale=10.0)
         traj = run(cos_initial(grid, basis), cfg, sample_interval=0.5)
         final = traj.states[-1]
-        assert final.g.neutrality_defect() <= 1e-12
+        assert abs(final.g.coeffs[0, 0]) <= 1e-12
         assert abs(final.time - 0.5) < 1e-12
 
     def test_sampled_states_poisson_consistent(self, grid, basis):
@@ -262,7 +262,7 @@ class TestConservationAndConsistency:
         energies = []
 
         def observe(state):
-            g_sq = l2_norm(state.g.spectral) ** 2
+            g_sq = l2_norm(state.g) ** 2
             e_sq = spatial_l2_norm(grid, state.macro.grad_phi) ** 2
             energies.append(0.5 * (g_sq + e_sq))
 
@@ -287,7 +287,7 @@ class TestHalfSpectrumSteps:
         stepper = VpfpStepper(small_config(epsilon=epsilon, n_x=n_x, n_v=n_v), 1e-3)
         coeffs = 1e-3 * hermitian_coeffs(np.random.default_rng(seed), n_x, n_v)
         coeffs[0, 0] = 0.0
-        g = DistributionField(SpectralField(stepper.grid, stepper.basis, coeffs))
+        g = SpectralField(stepper.grid, stepper.basis, coeffs)
         s0 = KineticState(time=0.0, g=g, macro=_macro_with_field(g))
         e0 = stepper.explicit_coeffs(s0.g, s0.macro)
         s1 = stepper.step_euler(s0, e0)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vpfp.operators import DistributionField, moments
+from vpfp.operators import moments
 from vpfp.spectral import (
     MAX_N_V,
     SHIFT_KINDS,
@@ -19,7 +19,6 @@ from vpfp.spectral import (
     SpatialGrid,
     SpectralField,
     forward_transform,
-    hermite_shift_apply,
     hermite_shift_coeffs,
     inverse_transform,
     l2_norm,
@@ -91,7 +90,7 @@ class TestTransforms:
 
     def test_round_trip_band_limited(self, grid, basis, rng):
         g = random_distribution(rng, grid, basis, neutral=False)
-        values = inverse_transform(g.spectral)
+        values = inverse_transform(g)
         back = forward_transform(grid, basis, values)
         scale = np.max(np.abs(g.coeffs))
         assert np.max(np.abs(back.coeffs - g.coeffs)) < 1e-12 * scale
@@ -103,7 +102,7 @@ class TestTransforms:
         wavenumbers = 2 * np.pi * np.fft.fftfreq(grid.n_x, grid.length / grid.n_x)
         modes = np.exp(1j * np.outer(x, wavenumbers))
         direct = np.real(modes @ oracles.full_spectrum(g.coeffs, grid.n_x)) @ basis.synthesis.T
-        assert np.allclose(direct, inverse_transform(g.spectral), atol=1e-11)
+        assert np.allclose(direct, inverse_transform(g), atol=1e-11)
 
     def test_shape_mismatch_rejected(self, grid, basis):
         with pytest.raises(ConfigurationError):
@@ -111,10 +110,10 @@ class TestTransforms:
 
     def test_parseval(self, grid, basis, rng):
         g = random_distribution(rng, grid, basis, neutral=False)
-        values = inverse_transform(g.spectral)
+        values = inverse_transform(g)
         dx = grid.length / grid.n_x
         quad_sq = np.sum(basis.quad_weights * values**2) * dx
-        coeff_sq = l2_norm(g.spectral) ** 2
+        coeff_sq = l2_norm(g) ** 2
         assert abs(quad_sq - coeff_sq) < 1e-10 * coeff_sq
 
     def test_parseval_sq_rows_and_orders(self, grid, basis, rng):
@@ -141,7 +140,7 @@ class TestSpatialDerivative:
 
     def test_constant_to_zero(self, grid, basis):
         f = basis_element(grid, basis, 0, 0)
-        assert np.max(np.abs(spatial_derivative(f.spectral).coeffs)) == 0.0
+        assert np.max(np.abs(spatial_derivative(f).coeffs)) == 0.0
 
     def test_cos2x(self, grid, basis):
         x = grid.nodes
@@ -155,7 +154,7 @@ class TestSpatialDerivative:
         # and m = n_x/2 are real; the derivative symbol is 0 at the Nyquist
         # mode, so both stay real, and the rest matches the complex FFT
         g = random_distribution(rng, grid, basis)
-        df = spatial_derivative(g.spectral)
+        df = spatial_derivative(g)
         assert np.all(df.coeffs[:, [0, -1]].imag == 0.0)
         assert np.all(df.coeffs[:, -1] == 0.0)
         full = oracles.full_spectrum(g.coeffs, grid.n_x) * (1j * oracles.wavenumbers(grid))[:, None]
@@ -163,10 +162,11 @@ class TestSpatialDerivative:
         assert np.max(np.abs(df.coeffs[:, :-1] - want)) < 1e-13
 
     def test_commutes_with_shifts(self, grid, basis, rng):
-        g = random_distribution(rng, grid, basis).spectral
+        g = random_distribution(rng, grid, basis)
         for kind in ("multiply_by_v", "d_dv", "raising"):
-            one = spatial_derivative(hermite_shift_apply(g, kind))
-            two = hermite_shift_apply(spatial_derivative(g), kind)
+            one = spatial_derivative(g.with_coeffs(hermite_shift_coeffs(g.coeffs, kind)))
+            dg = spatial_derivative(g)
+            two = dg.with_coeffs(hermite_shift_coeffs(dg.coeffs, kind))
             assert np.max(np.abs(one.coeffs - two.coeffs)) < 1e-13
 
 
@@ -175,7 +175,7 @@ class TestHermiteShifts:
 
     def shift_oracle(self, grid, basis, f, kind):
         """Project the analytically shifted point values onto each psi_k."""
-        values = inverse_transform(f.spectral)
+        values = inverse_transform(f)
         v = basis.quad_nodes
         if kind == "multiply_by_v":
             shifted = values * v[None, :]
@@ -211,7 +211,7 @@ class TestHermiteShifts:
     ])
     def test_single_mode_against_oracle(self, grid, basis, kind, n_in, expected):
         f = basis_element(grid, basis, 0, n_in)
-        shifted = hermite_shift_apply(f.spectral, kind)
+        shifted = f.with_coeffs(hermite_shift_coeffs(f.coeffs, kind))
         oracle = self.shift_oracle(grid, basis, f, kind)
         for n_out, val in expected.items():
             assert abs(shifted.coeffs[n_out, 0] - val) < 1e-10
@@ -222,7 +222,7 @@ class TestHermiteShifts:
     def test_all_band_limited_modes_match_oracle(self, grid, basis, kind, rng):
         # content below the top mode, so truncation plays no role
         g = random_distribution(rng, grid, basis, band_limit=basis.n_v - 1)
-        shifted = hermite_shift_apply(g.spectral, kind)
+        shifted = g.with_coeffs(hermite_shift_coeffs(g.coeffs, kind))
         oracle = self.shift_oracle(grid, basis, g, kind)
         recon = inverse_transform(shifted)
         oracle_recon = oracle @ basis.synthesis.T
@@ -231,11 +231,11 @@ class TestHermiteShifts:
     def test_unknown_kind(self, grid, basis):
         f = basis_element(grid, basis, 0, 0)
         with pytest.raises(ConfigurationError):
-            hermite_shift_apply(f.spectral, "lowering")
+            f.with_coeffs(hermite_shift_coeffs(f.coeffs, "lowering"))
 
     def test_truncation_drops_top_spill(self, grid, basis):
         f = basis_element(grid, basis, 0, basis.n_v - 1)
-        shifted = hermite_shift_apply(f.spectral, "raising")
+        shifted = f.with_coeffs(hermite_shift_coeffs(f.coeffs, "raising"))
         assert np.max(np.abs(shifted.coeffs)) == 0.0  # spill beyond n_v dropped
 
     @settings(max_examples=60, deadline=None)
@@ -267,8 +267,8 @@ class TestQuadratureExactness:
 
         coeffs = oracles.random_half_spectrum(np.random.default_rng(seed), n_x, n_v)
         coeffs[0, 0] = 0.0
-        g = DistributionField(SpectralField(grid, basis, coeffs))
-        values = inverse_transform(g.spectral)
+        g = SpectralField(grid, basis, coeffs)
+        values = inverse_transform(g)
         sqrt_m = lambda v: (2 * np.pi) ** (-0.25) * np.exp(-(v**2) / 4)
         a = quadrature_oracle_moment(grid, basis, values, sqrt_m)
         b = quadrature_oracle_moment(grid, basis, values, lambda v: v * sqrt_m(v))
