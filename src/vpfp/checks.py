@@ -50,22 +50,26 @@ def check_collision(grid: SpatialGrid, basis: HermiteBasis) -> tuple[bool, str]:
 
 
 def check_projections(fields) -> tuple[bool, str]:
-    """P and I - P are idempotent, P (I - P) = 0 and (I - P)(I - P0) = I - P,
-    exactly at coefficient level, on every field."""
+    """P and I - P are idempotent, P (I - P) = 0, Pg + (I - P)g = g, and
+    (I - P)g is (I - P0)g with its Hermite levels 0 and 1 zeroed, exactly at
+    coefficient level, on every field."""
     ok = True
     for g in fields:
         pg, mg = project_macro(g), project_micro(g)
         ok &= np.array_equal(project_macro(pg).coeffs, pg.coeffs)
         ok &= np.array_equal(project_micro(mg).coeffs, mg.coeffs)
-        residual = g.with_coeffs(g.coeffs - project_p0(g).coeffs)  # (I - P0) g
-        ok &= np.array_equal(project_micro(residual).coeffs, mg.coeffs)
+        ok &= np.array_equal(pg.coeffs + mg.coeffs, g.coeffs)
+        expected = g.coeffs - project_p0(g).coeffs  # (I - P0) g
+        expected[:2] = 0.0
+        ok &= np.array_equal(expected, mg.coeffs)
         ok &= not np.any(project_macro(mg).coeffs)
     return bool(ok), ""
 
 
 def check_coercivity(fields) -> tuple[bool, str]:
     """<Lg, g> >= ||(I-P)g||^2 + ||b||^2 on every field, and the nu-norm
-    constant C0 = min (<Lg, g> - ||b||^2) / ||(I-P)g||_nu^2 is positive."""
+    constant C0 = min (<Lg, g> - ||b||^2) / ||(I-P)g||_nu^2 is positive and
+    measured, i.e. some field has a nonzero microscopic part."""
     ok = True
     c0 = np.inf
     for g in fields:
@@ -74,7 +78,7 @@ def check_coercivity(fields) -> tuple[bool, str]:
         ok &= dirichlet + 1e-12 * max(1.0, dirichlet) >= micro_l2_sq + b_sq
         if micro_nu_sq > 0:
             c0 = min(c0, (dirichlet - b_sq) / micro_nu_sq)
-    return bool(ok and c0 > 0), f"measured nu-norm constant C0 = {c0:.4f}"
+    return bool(ok and 0 < c0 < np.inf), f"measured nu-norm constant C0 = {c0:.4f}"
 
 
 def check_poisson(grid: SpatialGrid, samples) -> tuple[bool, str]:

@@ -5,9 +5,8 @@ basis the Fokker-Planck operator is diag(n), the macroscopic projection P
 keeps the first two Hermite levels (density a and momentum b), and the
 electrostatic potential solves -phi'' = a spectrally on the torus.
 
-The perturbation g is a spectral.SpectralField, the one field type: a
-real field stored as a Hermite-major half-spectrum, shape
-(n_v, n_x/2 + 1).  The operators read and return only the modes
+The perturbation g is a spectral.SpectralField: a real field stored as
+a Hermite-major half-spectrum, shape (n_v, n_x/2 + 1).  The operators read and return only the modes
 m = 0..n_x/2, and every transform is a real FFT (rfft/irfft) along
 the contiguous last axis, batching the rows that share a transform.
 Spatial fields are real arrays of shape (n_x,); their coefficients are

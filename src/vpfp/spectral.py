@@ -214,8 +214,8 @@ class HermiteBasis:
 
 @dataclass
 class SpectralField:
-    """Fourier x Hermite coefficient tensor of a real field; the one field
-    type, which holds the kinetic perturbation g.
+    """Fourier x Hermite coefficient tensor of a real field, such as the
+    kinetic perturbation g.
 
     coeffs has shape (basis.n_v, grid.n_x // 2 + 1): Hermite level first,
     then the Fourier modes m = 0..n_x/2 in rfft order; it is made

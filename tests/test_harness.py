@@ -270,6 +270,16 @@ class TestCli:
         assert any(line.startswith("FAIL collision operator") for line in lines)
         assert sum(line.startswith("FAIL") for line in lines) == 1
 
+    def test_check_fails_on_zero_micro_projection(self, capsys, monkeypatch):
+        from vpfp import checks
+
+        # idempotent and consistent with itself, so only the comparisons
+        # with independently built arrays catch it
+        monkeypatch.setattr(checks, "project_micro", lambda g: g.zeros(g.grid, g.basis))
+        assert main(["check"]) == EXIT_RUN_FAILURE
+        lines = capsys.readouterr().out.splitlines()
+        assert any(line.startswith("FAIL projection identities") for line in lines)
+
     def test_quiet_after_command(self, capsys):
         assert main(["check", "--quiet"]) == EXIT_OK
         assert capsys.readouterr().out == ""
