@@ -82,18 +82,22 @@ def check_coercivity(fields) -> tuple[bool, str]:
 
 
 def check_poisson(grid: SpatialGrid, samples) -> tuple[bool, str]:
-    """-phi'' = a is solved exactly for a = cos x and cos 2x, and
-    ||a|| <= ||da/dx|| for each sample with its mean removed."""
-    x = grid.nodes
-    phi1, _ = solve_poisson(grid, np.cos(x))
-    phi2, _ = solve_poisson(grid, np.cos(2 * x))
-    eig_err = max(np.max(np.abs(phi1 - np.cos(x))),
-                  np.max(np.abs(phi2 - np.cos(2 * x) / 4.0)))
+    """-phi'' = a is solved exactly for the first two modes a = cos(m k x),
+    k = 2 pi / L, and the Poincare inequality ||a|| <= ||da/dx|| / k holds
+    for each sample with its mean removed and for a = cos(k x), where it is
+    an equality."""
+    k = 2 * np.pi / grid.length
+    first = np.cos(k * grid.nodes)
+    second = np.cos(2 * k * grid.nodes)
+    phi1, _ = solve_poisson(grid, first)
+    phi2, _ = solve_poisson(grid, second)
+    eig_err = max(np.max(np.abs(phi1 - first / k**2)),
+                  np.max(np.abs(phi2 - second / (4 * k**2))))
     poincare_ok = True
-    for a in samples:
+    for a in [*samples, first]:
         a = a - a.mean()
         poincare_ok &= (spatial_l2_norm(grid, a)
-                        <= spatial_l2_norm(grid, x_derivative(grid, a)) * (1 + 1e-12))
+                        <= spatial_l2_norm(grid, x_derivative(grid, a)) / k * (1 + 1e-12))
     return bool(eig_err < 1e-12 and poincare_ok), f"eigenfunction err {eig_err:.1e}"
 
 

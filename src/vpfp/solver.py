@@ -7,15 +7,14 @@ coupling terms are explicit with the beginning-of-step potential.
 
 Each implicit block I + dt (i k / eps) V + dt diag(n) / eps^2 is tridiagonal
 with the real diagonal d_n = 1 + dt n / eps^2 and purely imaginary symmetric
-off-diagonals i (dt k / eps) sqrt(n).  Its LU pivots
-
-    u_0 = d_0,    u_n = d_n + (dt k / eps)^2 n / u_{n-1}
-
-are therefore real and u_n >= d_n >= 1: a Thomas sweep needs no pivoting
-and cannot break down.  Its rounding error grows with max_n u_n / d_n, so
-the stiffest modes (large dt k / eps) take one step of iterative
-refinement.  The factors depend only on (scheme stage, dt), so they are
-built once.
+off-diagonals i (dt k / eps) sqrt(n), which couple level n only to n +- 1.
+As in the moment method, the solve eliminates the odd (flux) levels: the
+Schur complement on the even levels, S = D_e + (dt k / eps)^2 B D_o^-1 B^T,
+is a real SPD tridiagonal with pivots p_j >= d_{2j} >= 1, so one Thomas
+sweep over its ceil(n_v / 2) rows needs no pivoting and no refinement, and
+the odd levels are back-substituted.  Keeping the odd levels would cancel
+digits on stiff modes when back-substituting level 0, where d_0 = 1.  The
+factors depend only on (scheme stage, dt), so they are built once.
 
 The state is the Hermite-major half-spectrum of spectral/operators, shape
 (n_v, n_x/2 + 1): the factors, the right-hand sides and the solution share
@@ -61,10 +60,6 @@ __all__ = [
 
 SCHEMES = ("imex_euler", "imex_bdf2")
 NEUTRALITY_TOL = 1e-13
-# Without pivoting, a Thomas sweep is accurate to about 4e-16 times the
-# pivot growth max_n u_n / d_n of its mode; modes above this growth get one
-# step of iterative refinement, which restores dense-solve accuracy.
-PIVOT_GROWTH_LIMIT = 100.0
 # Tolerance on t_final / sample_interval being a whole number.
 SAMPLE_RATIO_RTOL = 1e-9
 
@@ -174,18 +169,18 @@ def make_initial_data(grid: SpatialGrid, basis: HermiteBasis, rho_profile,
 
 @dataclass(frozen=True)
 class TridiagonalFactors:
-    """LU factors of the implicit blocks of the modes m = 0..n_x/2.
+    """Even-level factors of the implicit blocks of the modes m = 0..n_x/2.
 
-    Arrays have shape (n_v, n_x/2 + 1), Hermite level first, so each sweep
-    step reads one contiguous row across all modes.  The blocks are
-    symmetric, so one multiplier array serves both sweeps.
+    Arrays have the Hermite level first, so each sweep step reads one
+    contiguous row across all modes.  The real sweep factors hold every
+    mode twice, to act on the float64 view (re, im, ...) of a complex row.
     """
 
-    diag: np.ndarray        # d_n, shape (n_v, 1)
-    coupling: np.ndarray    # A[n, n-1] = A[n-1, n] = i (dt k / eps) sqrt(n); row 0 is zero
-    multiplier: np.ndarray  # A[n, n-1] / u_{n-1}; row 0 is zero
-    inv_pivot: np.ndarray   # 1 / u_n, real
-    refine_from: int        # first mode whose pivot growth exceeds PIVOT_GROWTH_LIMIT
+    odd_inv_diag: np.ndarray  # 1 / d_n on the odd levels, shape (n_v // 2, 1)
+    lower: np.ndarray         # A[2l+1, 2l] / d_{2l+1}, complex
+    upper: np.ndarray         # A[2l+1, 2l+2] / d_{2l+1}, complex; one row fewer when n_v is even
+    multiplier: np.ndarray    # S[j, j-1] / p_{j-1}, real; row 0 is zero
+    inv_pivot: np.ndarray     # 1 / p_j, real
 
     @classmethod
     def build(cls, k: np.ndarray, n_v: int, epsilon: float, dt: float) -> "TridiagonalFactors":
@@ -193,59 +188,59 @@ class TridiagonalFactors:
         diag = (1.0 + dt * (n / epsilon**2))[:, None]
         beta = dt * k / epsilon
         beta_sq = beta**2
+        # the LU pivots u_n of the whole block sum positive terms; S's pivot
+        # p_j is u_{2j} with the odd level 2j+1 folded in
         pivot = np.empty((n_v, k.size))
         pivot[0] = diag[0]
         for i in range(1, n_v):
             pivot[i] = diag[i] + beta_sq * i / pivot[i - 1]
         if not np.all(np.isfinite(pivot)):
             raise FloatingPointError("implicit solve breakdown: non-finite factor")
-        inv_pivot = 1.0 / pivot
-        coupling = np.sqrt(n)[:, None] * (1j * beta)
-        multiplier = np.zeros_like(coupling)
-        multiplier[1:] = coupling[1:] * inv_pivot[:-1]
-        exceeds = np.max(pivot / diag, axis=0) > PIVOT_GROWTH_LIMIT
-        refine_from = int(np.argmax(exceeds)) if exceeds.any() else k.size
-        return cls(diag, coupling, multiplier, inv_pivot, refine_from)
+        odd_n = n[1::2, None]
+        odd_inv_diag = 1.0 / diag[1::2]
+        even_pivot = pivot[0::2]
+        even_pivot[:odd_n.size] += beta_sq * (odd_n * odd_inv_diag)
+        n_off = even_pivot.shape[0] - 1  # S[j, j-1] = beta^2 sqrt(2j (2j-1)) / d_{2j-1}
+        multiplier = np.zeros_like(even_pivot)
+        multiplier[1:] = (beta_sq * (np.sqrt(odd_n * (odd_n + 1)) * odd_inv_diag)[:n_off]
+                          / even_pivot[:-1])
+        coupling = np.sqrt(n)[:, None] * (1j * beta)  # A[n, n-1] = A[n-1, n]
+        lower = coupling[1::2] * odd_inv_diag
+        upper = coupling[2::2] * odd_inv_diag[:n_off]
+        return cls(odd_inv_diag, lower, upper, np.repeat(multiplier, 2, axis=1),
+                   np.repeat(1.0 / even_pivot, 2, axis=1))
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve every block for rhs of shape (n_v, n_x/2 + 1)."""
-        x = np.array(rhs, dtype=complex, order="C")
-        _sweep(self.multiplier, self.inv_pivot, x)
-        if self.refine_from < x.shape[1]:
-            modes = slice(self.refine_from, None)
-            xm, c = x[:, modes], self.coupling[1:, modes]
-            residual = rhs[:, modes] - self.diag * xm
-            residual[1:] -= c * xm[:-1]
-            residual[:-1] -= c * xm[1:]
-            _sweep(self.multiplier[:, modes], self.inv_pivot[:, modes], residual)
-            xm += residual
+    def solve(self, x: np.ndarray) -> np.ndarray:
+        """Solve every block in place for the C-contiguous complex x of shape
+        (n_v, n_x/2 + 1) and return x.  Reciprocal pivots make a diagonal
+        block (k = 0, or transport off) give exactly x * (1 / d_n); the row
+        views are listed once, as indexing in the loops costs as much."""
+        even, odd = x[0::2], x[1::2]
+        n_up = self.upper.shape[0]
+        even[:odd.shape[0]] -= self.lower * odd  # x_e's right-hand side
+        even[1:] -= self.upper * odd[:n_up]
+        xe = x.view(np.float64)[0::2]
+        rows, mult = list(xe), list(self.multiplier)
+        tmp = np.empty_like(rows[0])
+        for i in range(1, len(rows)):
+            np.multiply(mult[i], rows[i - 1], out=tmp)
+            np.subtract(rows[i], tmp, out=rows[i])
+        xe *= self.inv_pivot
+        for i in range(len(rows) - 1, 0, -1):
+            np.multiply(mult[i], rows[i], out=tmp)
+            np.subtract(rows[i - 1], tmp, out=rows[i - 1])
+        odd *= self.odd_inv_diag  # back-substitution of the odd levels
+        odd -= self.lower * even[:odd.shape[0]]
+        odd[:n_up] -= self.upper * even[1:]
         return x
-
-
-def _sweep(multiplier: np.ndarray, inv_pivot: np.ndarray, x: np.ndarray) -> None:
-    """Forward and backward Thomas sweeps over the Hermite axis, in place.
-
-    Multiplies by the reciprocal pivots so that a diagonal block (k = 0, or
-    transport off) gives exactly x * (1 / d_n).  The row views are listed
-    once: indexing inside the loops would cost as much as the arithmetic.
-    """
-    rows, mult = list(x), list(multiplier)
-    tmp = np.empty_like(rows[0])
-    for i in range(1, len(rows)):
-        np.multiply(mult[i], rows[i - 1], out=tmp)
-        np.subtract(rows[i], tmp, out=rows[i])
-    x *= inv_pivot
-    for i in range(len(rows) - 1, 0, -1):
-        np.multiply(mult[i], rows[i], out=tmp)
-        np.subtract(rows[i - 1], tmp, out=rows[i - 1])
 
 
 class VpfpStepper:
     """IMEX Euler and BDF2 steps for a fixed config and step size dt.
 
-    Caches the half-spectrum tridiagonal factors per effective implicit
+    Caches the half-spectrum even-level factors per effective implicit
     step (dt for Euler, 2 dt / 3 for BDF2); each costs O(n_x n_v) to build
-    and to store.
+    and to store.  A step solves its freshly built right-hand side in place.
     """
 
     def __init__(self, cfg: SolverConfig, dt: float):
@@ -273,8 +268,8 @@ class VpfpStepper:
 
     def solve_implicit(self, dt_eff: float, coeffs: np.ndarray) -> np.ndarray:
         """(I + dt_eff * S_m)^-1 applied per mode to a half-spectrum of shape
-        (n_v, n_x/2 + 1); coeffs is not modified."""
-        return self.factors(dt_eff).solve(coeffs)
+        (n_v, n_x/2 + 1), on a copy: coeffs is not modified."""
+        return self.factors(dt_eff).solve(np.array(coeffs, dtype=complex, order="C"))
 
     # -- explicit part ------------------------------------------------------
     def explicit_coeffs(self, g: SpectralField, macro: MacroFields) -> np.ndarray:
@@ -304,17 +299,22 @@ class VpfpStepper:
         mass0 = state.g.coeffs[0, 0]
         if expl is None:
             expl = self.explicit_coeffs(state.g, state.macro)
-        coeffs = self.solve_implicit(dt, state.g.coeffs + dt * expl)
-        return self._finish(coeffs, state.time + dt, mass0)
+        rhs = dt * expl
+        rhs += state.g.coeffs
+        return self._finish(self.factors(dt).solve(rhs), state.time + dt, mass0)
 
     def step_bdf2(self, state: KineticState, prev: KineticState,
                   expl: np.ndarray, expl_prev: np.ndarray) -> KineticState:
         dt = self.dt
         mass0 = state.g.coeffs[0, 0]
-        rhs = (4.0 * state.g.coeffs - prev.g.coeffs
-               + 2.0 * dt * (2.0 * expl - expl_prev)) / 3.0
-        coeffs = self.solve_implicit(2.0 * dt / 3.0, rhs)
-        return self._finish(coeffs, state.time + dt, mass0)
+        # (4 g - g_prev + 2 dt (2 e - e_prev)) / 3, in two buffers
+        rhs, expl_part = 4.0 * state.g.coeffs, 2.0 * expl
+        rhs -= prev.g.coeffs
+        expl_part -= expl_prev
+        expl_part *= 2.0 * dt
+        rhs += expl_part
+        rhs /= 3.0
+        return self._finish(self.factors(2.0 * dt / 3.0).solve(rhs), state.time + dt, mass0)
 
 
 def _fit_dt(dt_nominal: float, interval: float) -> tuple[float, int]:

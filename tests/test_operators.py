@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vpfp.checks import check_poisson
 from vpfp.diagnostics import coercivity_gap
 from vpfp.operators import (
     MacroFields,
@@ -181,6 +182,18 @@ class TestPoisson:
             lhs = spatial_l2_norm(grid, a)
             rhs = spatial_l2_norm(grid, x_derivative(grid, a))
             assert lhs <= rhs * (1 + 1e-12)
+
+    @pytest.mark.parametrize("length", [2.0 * np.pi, 3.0 * np.pi, 4.0 * np.pi, 1.0])
+    def test_poisson_check_scales_with_length(self, length):
+        # the first mode cos(k x), k = 2 pi / L, has ||a|| = ||da/dx|| / k:
+        # the check holds on any period only with the Poincare constant 1 / k
+        grid = SpatialGrid(n_x=32, length=length)
+        k = 2.0 * np.pi / length
+        a = np.cos(k * grid.nodes)
+        assert spatial_l2_norm(grid, a) == pytest.approx(
+            spatial_l2_norm(grid, x_derivative(grid, a)) / k, rel=1e-13)
+        ok, detail = check_poisson(grid, [])
+        assert ok, detail
 
 
 class TestDealiasedProduct:

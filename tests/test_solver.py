@@ -167,7 +167,7 @@ def dense_implicit_solve(grid, n_v, epsilon, dt, coeffs):
 
 
 class TestTridiagonalSolve:
-    """The half-spectrum Thomas solve of the implicit blocks."""
+    """The even-level Thomas solve of the implicit blocks, on the half spectrum."""
 
     solve_cases = given(
         n_x=st.integers(2, 48).map(lambda h: 2 * h),
@@ -190,10 +190,13 @@ class TestTridiagonalSolve:
         err = np.linalg.norm(got - want, axis=0)
         assert np.all(err <= 1e-12 * np.linalg.norm(want, axis=0))
 
-        factors = stepper.factors(dt)
-        assert factors.inv_pivot.dtype == np.float64
-        assert np.all(factors.inv_pivot > 0.0)
-        assert np.all(factors.inv_pivot <= 1.0 / factors.diag)  # u_n >= d_n >= 1
+        # the pivots p_j of the even-level Schur complement S are real and
+        # p_j >= d_{2j} >= 1
+        inv_pivot = stepper.factors(dt).inv_pivot
+        diag_even = 1.0 + dt * (np.arange(0, n_v, 2) / epsilon**2)
+        assert inv_pivot.dtype == np.float64
+        assert np.all(inv_pivot > 0.0)
+        assert np.all(inv_pivot <= 1.0 / diag_even[:, None])
 
     @settings(max_examples=30, deadline=None)
     @solve_cases
@@ -205,19 +208,39 @@ class TestTridiagonalSolve:
         got = VpfpStepper(cfg, dt).solve_implicit(dt, coeffs)
         assert np.array_equal(got, coeffs * (1.0 / (1.0 + dt * (np.arange(n_v) / epsilon**2)))[:, None])
 
-    def test_stiff_modes_are_refined(self):
-        # dt / eps^2 = 1e4 at eps = 1: pivot growth reaches ~1e7 on the top
-        # modes, where plain sweeps lose about 1e-11; refinement keeps the
-        # dense-solve accuracy and leaves the k = 0 block exact
+    def test_stiff_modes_match_dense_solve(self):
+        # dt / eps^2 = 1e4 at eps = 1: the pivots of the whole block grow by
+        # ~2e7 on the top modes, where a Thomas sweep over all levels loses
+        # about 1.5e-11; the even-level solve keeps the dense-solve accuracy
+        # and leaves the k = 0 block exact
         cfg = SolverConfig(epsilon=1.0, t_final=1.0, n_x=96, n_v=95)
         stepper = VpfpStepper(cfg, 1e4)
-        assert 0 < stepper.factors(1e4).refine_from < 49
         coeffs = hermitian_coeffs(np.random.default_rng(5), 96, 95)
         got = stepper.solve_implicit(1e4, coeffs)
         want = dense_implicit_solve(stepper.grid, 95, 1.0, 1e4, coeffs)
         err = np.linalg.norm(got - want, axis=0)
         assert np.all(err <= 1e-13 * np.linalg.norm(want, axis=0))
         assert np.array_equal(got[:, 0], coeffs[:, 0] * (1.0 / (1.0 + 1e4 * np.arange(95))))
+
+    @pytest.mark.parametrize("n_v", [4, 5, 6, 7, 9])
+    def test_stiff_small_blocks_match_dense_solve(self, n_v):
+        # eps = 1, dt / eps^2 = 1e4, with n_v even and odd: the sweep must keep
+        # the even levels, as back-substituting n = 0 (d_0 = 1) loses ~1e-11
+        cfg = SolverConfig(epsilon=1.0, t_final=1.0, n_x=32, n_v=n_v)
+        stepper = VpfpStepper(cfg, 1e4)
+        coeffs = hermitian_coeffs(np.random.default_rng(n_v), 32, n_v)
+        got = stepper.solve_implicit(1e4, coeffs)
+        want = dense_implicit_solve(stepper.grid, n_v, 1.0, 1e4, coeffs)
+        err = np.linalg.norm(got - want, axis=0)
+        assert np.all(err <= 1e-12 * np.linalg.norm(want, axis=0))
+
+    def test_solve_implicit_leaves_input_unchanged(self):
+        stepper = VpfpStepper(small_config(), 1e-2)
+        coeffs = hermitian_coeffs(np.random.default_rng(3), 32, 16)
+        before = coeffs.copy()
+        got = stepper.solve_implicit(1e-2, coeffs)
+        assert np.array_equal(coeffs, before)
+        assert not np.shares_memory(got, coeffs)
 
 
 class TestConservationAndConsistency:
