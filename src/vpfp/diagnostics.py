@@ -94,12 +94,25 @@ class EnergyReport:
 # ---------------------------------------------------------------------------
 # norm machinery
 
-def _dv_tower(coeffs: np.ndarray, depth: int) -> list[np.ndarray]:
-    """[f, d_dv f, ..., d_dv^depth f], each with an extended Hermite axis."""
-    tower = [coeffs]
+def _dv_tower(coeffs: np.ndarray, depth: int):
+    """Yield f, d_dv f, ..., d_dv^depth f, each with an extended Hermite
+    axis; only the level in hand and the one being made are alive."""
+    level = coeffs
+    yield level
     for _ in range(depth):
-        tower.append(hermite_shift_coeffs(tower[-1], "d_dv", extend=1))
-    return tower
+        level = hermite_shift_coeffs(level, "d_dv", extend=1)
+        yield level
+
+
+def _nu_squares(coeffs: np.ndarray, depth: int) -> tuple[list, list]:
+    """Per-mode squares (spectral.mode_sq) of the d_v tower levels
+    0..depth of coeffs, and of v times the levels 0..depth-1."""
+    dv_sq, v_sq = [], []
+    for beta, level in enumerate(_dv_tower(coeffs, depth)):
+        dv_sq.append(mode_sq(level))
+        if beta < depth:
+            v_sq.append(mode_sq(hermite_shift_coeffs(level, "multiply_by_v", extend=1)))
+    return dv_sq, v_sq
 
 
 def _mixed_sq(grid: SpatialGrid, coeffs: np.ndarray, k: int) -> float:
@@ -108,17 +121,15 @@ def _mixed_sq(grid: SpatialGrid, coeffs: np.ndarray, k: int) -> float:
                for beta, cb in enumerate(_dv_tower(coeffs, k)))
 
 
-def _mixed_nu_sq(grid: SpatialGrid, tower: list[np.ndarray], dv_sq: list[np.ndarray],
+def _mixed_nu_sq(grid: SpatialGrid, dv_sq: list[np.ndarray], v_sq: list[np.ndarray],
                  k: int) -> float:
-    """sum over |alpha| + |beta| <= k of the nu norms squared, from a d_v
-    tower of depth k + 1 (level beta + 1 is d_v of level beta) and the
-    per-mode squares dv_sq of its levels.  The nu norm of f is
+    """sum over |alpha| + |beta| <= k of the nu norms squared, from the
+    per-mode squares of _nu_squares(f, k + 1).  The nu norm of f is
     ||d_v f||^2 + ||f||^2 + ||v f||^2."""
     return sum(
         parseval_sq(grid, dv_sq[beta + 1], k - beta)
         + parseval_sq(grid, dv_sq[beta], k - beta)
-        + parseval_sq(grid, mode_sq(hermite_shift_coeffs(tower[beta], "multiply_by_v", extend=1)),
-                      k - beta)
+        + parseval_sq(grid, v_sq[beta], k - beta)
         for beta in range(k + 1)
     )
 
@@ -146,8 +157,7 @@ def sobolev_norm(f, k_x: int, k_v: int = 0, grid: SpatialGrid | None = None) -> 
 
 def nu_norm(f: SpectralField) -> float:
     """Dissipation norm: sqrt(||d_v f||^2 + ||sqrt(1+v^2) f||^2)."""
-    tower = _dv_tower(f.coeffs, 1)
-    return float(np.sqrt(_mixed_nu_sq(f.grid, tower, [mode_sq(cb) for cb in tower], 0)))
+    return float(np.sqrt(_mixed_nu_sq(f.grid, *_nu_squares(f.coeffs, 1), 0)))
 
 
 def coercivity_gap(g: SpectralField) -> tuple[float, float, float]:
@@ -179,9 +189,10 @@ def energy_functionals(state, k: int, epsilon: float) -> EnergyReport:
 
     In one dimension grad b and div b are both d_x b, so the eps^-1 group
     is twice ||d_x b||^2_{H^{k-1}_x}.  a and b are the Hermite rows 0 and 1
-    of g, and d_x b, d_x a have the symbol grid.dx_symbol; one d_v tower of
-    (I-P) g serves both micro norms.  The transforms are real FFTs of the
-    fields for the two residuals and of d_x phi.
+    of g, and d_x b, d_x a have the symbol grid.dx_symbol; the per-mode
+    squares of one d_v tower of (I-P) g, streamed one level at a time,
+    serve both micro norms.  The transforms are real FFTs of the fields for
+    the two residuals and of d_x phi.
     """
     if k < 1:
         raise ConfigurationError(f"diagnostics order k must be >= 1, got {k}")
@@ -191,15 +202,14 @@ def energy_functionals(state, k: int, epsilon: float) -> EnergyReport:
     level_sq = c.real**2 + c.imag**2  # (n_v, n_half)
     a_sq, b_sq = level_sq[0], level_sq[1]
     dx_sq = grid.dx_symbol.imag**2
-    tower = _dv_tower(project_micro(g).coeffs, k + 1)
-    dv_sq = [mode_sq(cb) for cb in tower]
+    dv_sq, v_sq = _nu_squares(project_micro(g).coeffs, k + 1)
     phi_c, grad_phi_c = fourier_field(grid, np.array([state.macro.phi, state.macro.grad_phi]))
 
     g_hk = parseval_sq(grid, level_sq.sum(axis=0), k)
     gradv_micro = sum(parseval_sq(grid, dv_sq[beta + 1], k - 1 - beta) for beta in range(k))
     ab = parseval_sq(grid, a_sq, k - 1) + parseval_sq(grid, b_sq, k - 1)
 
-    micro_nu = _mixed_nu_sq(grid, tower, dv_sq, k) / epsilon**2
+    micro_nu = _mixed_nu_sq(grid, dv_sq, v_sq, k) / epsilon**2
     b_hk = parseval_sq(grid, b_sq, k) / epsilon**2
     grad_b = 2.0 * parseval_sq(grid, dx_sq * b_sq, k - 1) / epsilon
     grad_a = parseval_sq(grid, dx_sq * a_sq, k - 1)

@@ -100,7 +100,10 @@ def parse_config_file(path) -> dict:
         raise ConfigurationError(f"config file not found: {path}")
     parser = configparser.ConfigParser()
     try:
-        parser.read(path)
+        with path.open() as fh:
+            parser.read_file(fh)
+    except OSError as exc:  # a directory, say, which ConfigParser.read would skip
+        raise ConfigurationError(f"cannot read config file {path}: {exc.strerror}") from exc
     except configparser.Error as exc:
         raise ConfigurationError(f"malformed config file: {exc}") from exc
     cfg = {section: dict(values) for section, values in _DEFAULTS.items()}

@@ -60,14 +60,17 @@ class MacroFields:
 # ---------------------------------------------------------------------------
 # spatial-field helpers (real grid functions <-> Fourier coefficients)
 
-def fourier_field(grid: SpatialGrid, values: np.ndarray) -> np.ndarray:
-    """Real spatial field(s) along the last axis -> normalized half-spectrum."""
-    return np.fft.rfft(np.asarray(values, dtype=float), norm="forward")
+def fourier_field(grid: SpatialGrid, values: np.ndarray,
+                  out: np.ndarray | None = None) -> np.ndarray:
+    """Real spatial field(s) along the last axis -> normalized half-spectrum,
+    written into out when given."""
+    return np.fft.rfft(np.asarray(values, dtype=float), norm="forward", out=out)
 
 
-def real_field(grid: SpatialGrid, coeffs: np.ndarray) -> np.ndarray:
-    """Normalized half-spectrum (last axis) -> real spatial field(s)."""
-    return np.fft.irfft(coeffs, n=grid.n_x, norm="forward")
+def real_field(grid: SpatialGrid, coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Normalized half-spectrum (last axis) -> real spatial field(s), written
+    into out when given."""
+    return np.fft.irfft(coeffs, n=grid.n_x, norm="forward", out=out)
 
 
 def x_derivative(grid: SpatialGrid, values: np.ndarray) -> np.ndarray:
@@ -159,42 +162,55 @@ def solve_poisson(grid: SpatialGrid, a: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 def vpfp_rhs(g: SpectralField, macro: MacroFields, epsilon: float,
              transport: bool = True, fields: bool = True,
-             collision: bool = True) -> SpectralField:
+             collision: bool = True, out: np.ndarray | None = None,
+             scratch: np.ndarray | None = None) -> SpectralField:
     """Right-hand side d/dt g of the scaled kinetic system.
 
     dg/dt = -(1/eps) v dg/dx - (1/eps) (d phi/dx) psi_1
             -(1/eps) (d phi/dx) (v/2 - d_dv) g - (1/eps^2) L g
 
     The field coupling uses the single raising recurrence (the identity
-    (g/2) v - dg/dv = (v/2 - d_dv) g), with the g * d phi/dx product
-    formed pseudo-spectrally under the 2/3 rule.  g and the result are
-    half-spectra of shape (n_v, n_x/2 + 1); the streaming symbol i k is
+    (g/2) v - dg/dv = (v/2 - d_dv) g, with psi_n -> sqrt(n+1) psi_{n+1}).
+    The products of the levels 0..n_v-2 with d phi/dx are formed
+    pseudo-spectrally: one inverse real FFT into scratch, a multiply in
+    place and one forward real FFT straight into the rows 1..n_v-1 of the
+    result.  The raising recurrence is then a row scale, -sqrt(n)/eps on
+    row n, and the 2/3 rule zeroes the modes above n_x/3.  g and the result
+    are half-spectra of shape (n_v, n_x/2 + 1); the streaming symbol i k is
     grid.dx_symbol, 0 at the Nyquist mode, so rows m = 0 and m = n_x/2 of
-    the result are real for real g.  transport/fields/collision are test
-    hooks that disable term groups.
+    the result are real for real g.
+
+    out (complex, C-contiguous, the shape of g.coeffs) receives the result,
+    whose coefficients are then out itself; scratch is a real array of
+    shape (n_v - 1, n_x).  Either is allocated when not given.
+    transport/fields/collision are test hooks that disable term groups.
     """
     if epsilon <= 0:
         raise ConfigurationError(f"epsilon must be positive, got {epsilon}")
     grid, basis = g.grid, g.basis
     c = g.coeffs
-    rhs = np.zeros_like(c)
-
-    if transport:
-        rhs -= hermite_shift_coeffs(c, "multiply_by_v") * grid.dx_symbol / epsilon
+    rhs = np.empty_like(c) if out is None else out
 
     if fields:
         if macro.grad_phi is None:
             raise ConfigurationError("macro fields must carry grad_phi for the coupling terms")
         dphi = macro.grad_phi
+        # nonlinear coupling: row n + 1 is -sqrt(n + 1)/eps times the product of row n
+        phys = real_field(grid, c[:-1], out=scratch)
+        phys *= dphi
+        fourier_field(grid, phys, out=rhs[1:])
+        # whole rows through the float64 view: a strided or complex-typed
+        # operand would make NumPy allocate iteration buffers
+        rhs[1:].view(np.float64)[...] *= np.sqrt(np.arange(1, basis.n_v))[:, None] / -epsilon
+        rhs[1:, grid.n_dealiased:] = 0.0  # the 2/3 rule
+        rhs[0] = 0.0
         # linear source: (d phi/dx) v sqrt(M) = (d phi/dx) psi_1
         rhs[1] -= fourier_field(grid, dphi) / epsilon
-        # nonlinear coupling, pseudo-spectral product per Hermite level
-        phys = real_field(grid, hermite_shift_coeffs(c, "raising"))
-        phys *= dphi
-        prod = fourier_field(grid, phys)
-        keep = grid.n_dealiased  # the 2/3 rule zeroes the modes above
-        rhs[:, :keep] -= prod[:, :keep] / epsilon
+    else:
+        rhs[...] = 0.0
 
+    if transport:
+        rhs -= hermite_shift_coeffs(c, "multiply_by_v") * grid.dx_symbol / epsilon
     if collision:
         rhs -= np.arange(basis.n_v)[:, None] * c / epsilon**2
     return g.with_coeffs(rhs)

@@ -22,6 +22,13 @@ that layout, so a step never transposes, copies into another order or
 fills conjugate modes.  The streaming wavenumber is 0 at the Nyquist mode
 (grid.dx_symbol), whose block is then diagonal and whose row stays real.
 Each warm step makes six real FFT calls.
+
+A warm step allocates one state-sized array: the new state's
+coefficients, in which its right-hand side is built and solved.  The
+stepper owns the real scratch of the field coupling's inverse transform;
+run owns the explicit-term buffers (one for Euler, two alternating for
+BDF2) and passes them to explicit_coeffs as out.  Sampled states are never
+written to after they are made.
 """
 
 from __future__ import annotations
@@ -241,6 +248,9 @@ class VpfpStepper:
     Caches the half-spectrum even-level factors per effective implicit
     step (dt for Euler, 2 dt / 3 for BDF2); each costs O(n_x n_v) to build
     and to store.  A step solves its freshly built right-hand side in place.
+    The stepper owns one real scratch of shape (n_v - 1, n_x), which every
+    field-coupling evaluation reuses and no method returns; the caller owns
+    the explicit-term arrays.
     """
 
     def __init__(self, cfg: SolverConfig, dt: float):
@@ -249,6 +259,7 @@ class VpfpStepper:
         self.grid = cfg.make_grid()
         self.basis = cfg.make_basis()
         self._factors: dict[float, TridiagonalFactors] = {}
+        self._scratch = np.empty((self.basis.n_v - 1, self.grid.n_x))
 
     # -- implicit blocks ----------------------------------------------------
     def factors(self, dt_eff: float) -> TridiagonalFactors:
@@ -272,12 +283,14 @@ class VpfpStepper:
         return self.factors(dt_eff).solve(np.array(coeffs, dtype=complex, order="C"))
 
     # -- explicit part ------------------------------------------------------
-    def explicit_coeffs(self, g: SpectralField, macro: MacroFields) -> np.ndarray:
-        """Field-coupling terms of the right-hand side (lagged potential)."""
-        if not self.cfg.fields_enabled:
-            return np.zeros_like(g.coeffs)
-        rhs = vpfp_rhs(g, macro, self.cfg.epsilon,
-                       transport=False, fields=True, collision=False)
+    def explicit_coeffs(self, g: SpectralField, macro: MacroFields,
+                        out: np.ndarray | None = None) -> np.ndarray:
+        """Field-coupling terms of the right-hand side (lagged potential),
+        written into out when given (complex, C-contiguous, the shape of
+        g.coeffs) and otherwise into a new array, which is returned."""
+        rhs = vpfp_rhs(g, macro, self.cfg.epsilon, transport=False,
+                       fields=self.cfg.fields_enabled, collision=False,
+                       out=out, scratch=self._scratch)
         return rhs.coeffs
 
     # -- stepping -----------------------------------------------------------
@@ -305,14 +318,18 @@ class VpfpStepper:
 
     def step_bdf2(self, state: KineticState, prev: KineticState,
                   expl: np.ndarray, expl_prev: np.ndarray) -> KineticState:
+        """One IMEX BDF2 step.  expl_prev, dead after this step, is
+        overwritten: it holds the explicit part of the right-hand side."""
         dt = self.dt
         mass0 = state.g.coeffs[0, 0]
-        # (4 g - g_prev + 2 dt (2 e - e_prev)) / 3, in two buffers
-        rhs, expl_part = 4.0 * state.g.coeffs, 2.0 * expl
+        # (4 g - g_prev + 2 dt (2 e - e_prev)) / 3.  Scaling by -1/2 and 4 dt
+        # instead of 2 and 2 dt gives the same bits, as powers of 2 are exact.
+        rhs = 4.0 * state.g.coeffs
         rhs -= prev.g.coeffs
-        expl_part -= expl_prev
-        expl_part *= 2.0 * dt
-        rhs += expl_part
+        expl_prev *= -0.5
+        expl_prev += expl
+        expl_prev *= 4.0 * dt
+        rhs += expl_prev
         rhs /= 3.0
         return self._finish(self.factors(2.0 * dt / 3.0).solve(rhs), state.time + dt, mass0)
 
@@ -401,20 +418,22 @@ def run(initial: KineticState, cfg: SolverConfig, observers=(),
     def make_advance(dt: float):
         stepper = VpfpStepper(cfg, dt)
         prev = expl_prev = None  # BDF2 history, kept across samples
+        # explicit-term buffers: buffers[0] takes the next step's terms, and
+        # BDF2 alternates it with the one that holds expl_prev
+        buffers = [np.empty_like(initial.g.coeffs) for _ in range(1 + use_bdf2)]
 
         def advance(state: KineticState, n: int) -> KineticState:
             nonlocal prev, expl_prev
             for _ in range(n):
-                if use_bdf2:
-                    expl = stepper.explicit_coeffs(state.g, state.macro)
-                    if prev is None:
-                        new = stepper.step_euler(state, expl)
-                    else:
-                        new = stepper.step_bdf2(state, prev, expl, expl_prev)
-                    prev, expl_prev = state, expl
-                    state = new
+                expl = stepper.explicit_coeffs(state.g, state.macro, out=buffers[0])
+                if prev is None:
+                    new = stepper.step_euler(state, expl)
                 else:
-                    state = stepper.step_euler(state)
+                    new = stepper.step_bdf2(state, prev, expl, expl_prev)
+                if use_bdf2:
+                    prev, expl_prev = state, expl
+                    buffers.reverse()
+                state = new
             return state
         return advance
 

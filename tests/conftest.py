@@ -1,3 +1,5 @@
+from collections import namedtuple
+
 import numpy as np
 import pytest
 
@@ -55,13 +57,17 @@ def rng():
     return np.random.default_rng(1234)
 
 
+FftCall = namedtuple("FftCall", "name out")
+
+
 @pytest.fixture
 def fft_calls(monkeypatch):
-    """Names of the numpy.fft transforms called while the test runs."""
+    """The numpy.fft transforms called while the test runs, in order: their
+    names and the arrays passed as out (None when not given)."""
     calls = []
     for name in ("fft", "ifft", "rfft", "irfft"):
         def counted(*args, _name=name, _transform=getattr(np.fft, name), **kwargs):
-            calls.append(_name)
+            calls.append(FftCall(_name, kwargs.get("out")))
             return _transform(*args, **kwargs)
         monkeypatch.setattr(np.fft, name, counted)
     return calls

@@ -342,6 +342,15 @@ class TestCli:
         bad.write_text("[grid]\nn_z = 8\n")
         assert main(["--config", str(bad), "--quiet", "run"]) == EXIT_CONFIG_ERROR
 
+    def test_config_directory_is_config_error(self, tmp_path, capsys):
+        # ConfigParser.read skips a path it cannot open, which would run the
+        # built-in defaults; a directory must be rejected instead
+        code = main(["--config", str(tmp_path), "--out", str(tmp_path / "out"), "--quiet",
+                     "sweep"])
+        assert code == EXIT_CONFIG_ERROR
+        assert "cannot read config file" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command, settings, message", [
         ("run", {"sweep__sample_interval": "0"}, "sample_interval must be positive"),
         ("sweep", {"sweep__sample_interval": "0"}, "sample_interval must be positive"),

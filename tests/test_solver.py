@@ -2,17 +2,20 @@
 determinism, and configuration validation."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vpfp.operators import project_micro, spatial_l2_norm, x_derivative
+from vpfp.operators import project_micro, spatial_l2_norm, vpfp_rhs, x_derivative
 from vpfp.solver import (
+    SCHEMES,
     ConservationError,
     KineticState,
     SolverConfig,
+    TridiagonalFactors,
     VpfpStepper,
     make_initial_data,
     run,
@@ -350,12 +353,107 @@ class TestHalfSpectrumSteps:
             assert np.max(np.abs(state.macro.b)) <= 1e-15
 
     def test_warm_bdf2_step_transform_budget(self, fft_calls):
+        # the coupling's inverse and forward transforms and its psi_1 source,
+        # then the new state's moments and Poisson solve
         stepper, (s0, e0), (s1, _) = self.first_states(64, 32, 0.1, 0)
         fft_calls.clear()
         expl = stepper.explicit_coeffs(s1.g, s1.macro)
         stepper.step_bdf2(s1, s0, expl, e0)
-        assert len(fft_calls) <= 6
-        assert set(fft_calls) <= {"rfft", "irfft"}
+        assert [call.name for call in fft_calls] == ["irfft", "rfft", "rfft",
+                                                     "irfft", "rfft", "irfft"]
+
+
+class TestBufferOwnership:
+    """run owns the explicit-term buffers and the stepper its coupling
+    scratch; a warm step allocates one state-sized array, the new state's
+    coefficients, and sampled states are never written to."""
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("interval", [0.005, 0.02])  # 1 and 4 steps per sample
+    def test_sampled_states_keep_their_coeffs(self, grid, basis, scheme, interval):
+        cfg = small_config(t_final=0.06, scheme=scheme)  # dt = 5e-3
+        seen = []
+        traj = run(cos_initial(grid, basis, amplitude=0.05), cfg,
+                   observers=(lambda s: seen.append((s, s.g.coeffs.copy())),),
+                   sample_interval=interval)
+        assert [s for s, _ in seen] == traj.states
+        for state, coeffs in seen:
+            assert np.array_equal(state.g.coeffs, coeffs)
+        for one, two in zip(traj.states, traj.states[1:]):
+            assert not np.shares_memory(one.g.coeffs, two.g.coeffs)
+
+    def test_fresh_arrays_without_out(self, grid, basis):
+        stepper = VpfpStepper(small_config(), 1e-3)
+        state = cos_initial(grid, basis, amplitude=0.05)
+        for make in (lambda: stepper.explicit_coeffs(state.g, state.macro),
+                     lambda: vpfp_rhs(state.g, state.macro, 0.2).coeffs):
+            one, two = make(), make()
+            assert np.array_equal(one, two)
+            assert not np.shares_memory(one, two)
+            assert not np.shares_memory(one, state.g.coeffs)
+
+    @pytest.mark.parametrize("fields", [True, False])
+    def test_out_is_filled_and_returned(self, grid, basis, fields):
+        stepper = VpfpStepper(small_config(fields_enabled=fields), 1e-3)
+        state = cos_initial(grid, basis, amplitude=0.05)
+        out = np.full_like(state.g.coeffs, np.nan)
+        assert stepper.explicit_coeffs(state.g, state.macro, out=out) is out
+        assert np.array_equal(out, stepper.explicit_coeffs(state.g, state.macro))
+        out[...] = np.nan
+        scratch = np.full((basis.n_v - 1, grid.n_x), np.nan)
+        got = vpfp_rhs(state.g, state.macro, 0.2, fields=fields, out=out, scratch=scratch)
+        assert got.coeffs is out
+        assert np.array_equal(out, vpfp_rhs(state.g, state.macro, 0.2, fields=fields).coeffs)
+
+    @pytest.mark.parametrize("scheme, n_buffers", [("imex_euler", 1), ("imex_bdf2", 2)])
+    def test_steps_reuse_their_buffers(self, grid, basis, fft_calls, scheme, n_buffers):
+        cfg = small_config(t_final=0.02, scheme=scheme)  # four steps
+        initial = cos_initial(grid, basis, amplitude=0.05)
+        fft_calls.clear()
+        traj = run(initial, cfg, sample_interval=0.01)
+        # the coupling's inverse transform: the one scratch on every step
+        scratch = [call.out for call in fft_calls if call.name == "irfft" and call.out is not None]
+        assert len(scratch) == 4
+        assert all(s is scratch[0] for s in scratch)
+        # its forward transform: rows 1.. of run's explicit-term buffers
+        explicit = [call.out for call in fft_calls if call.name == "rfft" and call.out is not None]
+        assert len(explicit) == 4
+        assert len({id(out.base) for out in explicit}) == n_buffers
+        for state in traj.states:
+            for buf in [scratch[0]] + [out.base for out in explicit]:
+                assert not np.shares_memory(state.g.coeffs, buf)
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_warm_step_allocates_one_state(self, monkeypatch, scheme):
+        # at 1024 x 16 the 131 KB coefficients dwarf every per-row array
+        cfg = small_config(epsilon=0.05, n_x=1024, n_v=16)
+        stepper = VpfpStepper(cfg, 1e-3)
+        s0 = cos_initial(stepper.grid, stepper.basis, amplitude=0.05)
+        e0 = stepper.explicit_coeffs(s0.g, s0.macro)
+        s1 = stepper.step_euler(s0, e0)
+        e1 = stepper.explicit_coeffs(s1.g, s1.macro)
+        s2 = stepper.step_bdf2(s1, s0, e1, e0)  # builds the BDF2 factors
+        # the in-place solve has its own row temporaries; this test is about
+        # the explicit terms and the right-hand side
+        monkeypatch.setattr(TridiagonalFactors, "solve", lambda self, x: x)
+        nbytes = s0.g.coeffs.nbytes
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            expl = stepper.explicit_coeffs(s2.g, s2.macro, out=e0)
+            coupling_peak = tracemalloc.get_traced_memory()[1] - base
+            tracemalloc.reset_peak()
+            if scheme == "imex_euler":
+                new = stepper.step_euler(s2, expl)
+            else:
+                new = stepper.step_bdf2(s2, s1, expl, e1)
+            kept, step_peak = (m - base for m in tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        assert coupling_peak < nbytes
+        assert nbytes <= kept < 1.5 * nbytes  # the new state, its macro fields
+        assert step_peak < 2 * nbytes
+        assert new.g.coeffs.nbytes == nbytes
 
 
 class TestAccuracy:
