@@ -102,10 +102,11 @@ def check_poisson(grid: SpatialGrid, samples) -> tuple[bool, str]:
 
 
 def check_moments(g: SpectralField) -> tuple[bool, str]:
-    """The moments and the nu-norm of g evaluate finite."""
+    """The moments, their field and the nu-norm of g evaluate finite."""
     mac = moments(g)
     nu = nu_norm(g)
-    ok = np.isfinite(nu) and np.all(np.isfinite(mac.a)) and np.all(np.isfinite(mac.b))
+    ok = np.isfinite(nu) and all(np.all(np.isfinite(v))
+                                 for v in (mac.a, mac.b, mac.phi, mac.grad_phi))
     return bool(ok), f"nu-norm {nu:.3e}"
 
 
@@ -134,7 +135,7 @@ def run_battery(seed: int = 0, quiet: bool = False, n_random: int = 100) -> bool
          lambda: check_coercivity(fields())),
         ("poisson: eigenfunction solves exact, Poincare inequality",
          lambda: check_poisson(grid, rng.standard_normal((n_random, grid.n_x)))),
-        ("moments and nu-norm evaluate finite",
+        ("moments, field and nu-norm evaluate finite",
          lambda: check_moments(_random_field(rng, grid, basis))),
     )
     all_ok = True

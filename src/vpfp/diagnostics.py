@@ -24,7 +24,6 @@ from .operators import (
     dealiased_product,
     fourier_field,
     gamma_moment,
-    moments,
     project_micro,
     real_field,
     spatial_l2_norm,
@@ -191,8 +190,9 @@ def energy_functionals(state, k: int, epsilon: float) -> EnergyReport:
     is twice ||d_x b||^2_{H^{k-1}_x}.  a and b are the Hermite rows 0 and 1
     of g, and d_x b, d_x a have the symbol grid.dx_symbol; the per-mode
     squares of one d_v tower of (I-P) g, streamed one level at a time,
-    serve both micro norms.  The transforms are real FFTs of the fields for
-    the two residuals and of d_x phi.
+    serve both micro norms.  The residuals read the state's macro fields:
+    one forward real FFT of phi and d_x phi, and one inverse FFT of the
+    Laplacian of phi, whose symbol -k^2 keeps the Nyquist mode.
     """
     if k < 1:
         raise ConfigurationError(f"diagnostics order k must be >= 1, got {k}")
@@ -225,9 +225,9 @@ def energy_functionals(state, k: int, epsilon: float) -> EnergyReport:
         "grad_a_Hkm1_sq": grad_a,
         "grad_phi_Hk_sq": grad_phi,
     }
-    a = moments(g).a
+    a = state.macro.a
     mass_residual = float(np.abs(np.mean(a)))
-    lap_phi = real_field(grid, phi_c * grid.dx_symbol**2)
+    lap_phi = real_field(grid, phi_c * -grid.k_sq)
     denom = spatial_l2_norm(grid, a) or 1.0
     poisson_residual = spatial_l2_norm(grid, lap_phi + a) / denom
 
@@ -263,9 +263,8 @@ def moment_residuals(states, epsilon: float) -> dict:
 
     a_s, b_s, gam_s, r2_static, r3_static = [], [], [], [], []
     for s in states:
-        mac = moments(s.g)
         micro = project_micro(s.g)
-        a, b = mac.a, mac.b
+        a, b = s.macro.a, s.macro.b
         dphi = s.macro.grad_phi
         gamma = gamma_moment(micro)
         micro_dx = micro.coeffs * grid.dx_symbol
@@ -326,8 +325,7 @@ def limit_error(kinetic_traj, ddp_traj, k: int) -> dict:
     sqrt_m = basis.maxwellian_sqrt()
     m_vals = sqrt_m**2
     for ks, ds in zip(kinetic_traj.states, ddp_traj.states):
-        mac = moments(ks.g)
-        moment_errs.append(spatial_l2_norm(grid, mac.a - ds.rho0))
+        moment_errs.append(spatial_l2_norm(grid, ks.macro.a - ds.rho0))
         field_errs.append(spatial_l2_norm(grid, ks.macro.grad_phi - ds.grad_phi0))
         micro_c = ks.g.coeffs.copy()
         micro_c[0] = 0.0  # (I - P0) g

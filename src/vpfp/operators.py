@@ -16,11 +16,11 @@ which is 0 at the Nyquist mode.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import ConfigurationError, SpatialGrid, SpectralField, hermite_shift_coeffs
+from .spectral import ConfigurationError, SpatialGrid, SpectralField
 
 __all__ = [
     "MacroFields",
@@ -45,16 +45,15 @@ ZERO_MEAN_TOL = 1e-12
 
 @dataclass
 class MacroFields:
-    """Spatial moments and the self-consistent field.
-
-    a (density), b (momentum), phi and grad_phi = d phi / dx are real
-    fields of shape (n_x,).
+    """Spatial moments of g and their self-consistent field, as built by
+    moments: a (density), b (momentum), phi and grad_phi = d phi / dx are
+    real fields of shape (n_x,).
     """
 
     a: np.ndarray
     b: np.ndarray
-    phi: np.ndarray = field(default=None)
-    grad_phi: np.ndarray = field(default=None)
+    phi: np.ndarray
+    grad_phi: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -109,12 +108,17 @@ def apply_L(g: SpectralField) -> SpectralField:
 
 
 def moments(g: SpectralField) -> MacroFields:
-    """Density perturbation a and momentum moment b (Hermite rows 0 and 1).
+    """Density a and momentum b (Hermite rows 0 and 1) and the field of a.
 
-    One inverse real FFT of both rows.
+    -phi'' = a is solved on the coefficients of row 0: phi is gauge-fixed
+    to zero mean and the mean mode of a, which neutrality keeps at zero,
+    is left out.  One inverse real FFT of the four rows a, b, phi and
+    d phi/dx gives every field.
     """
-    a, b = real_field(g.grid, g.coeffs[:2])
-    return MacroFields(a=a, b=b)
+    grid, c = g.grid, g.coeffs
+    phi_c = c[0] * grid.inverse_laplacian
+    a, b, phi, grad_phi = real_field(grid, np.array([c[0], c[1], phi_c, grid.dx_symbol * phi_c]))
+    return MacroFields(a=a, b=b, phi=phi, grad_phi=grad_phi)
 
 
 def project_macro(g: SpectralField) -> SpectralField:
@@ -161,56 +165,50 @@ def solve_poisson(grid: SpatialGrid, a: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 
 def vpfp_rhs(g: SpectralField, macro: MacroFields, epsilon: float,
-             transport: bool = True, fields: bool = True,
-             collision: bool = True, out: np.ndarray | None = None,
+             fields: bool = True, out: np.ndarray | None = None,
              scratch: np.ndarray | None = None) -> SpectralField:
-    """Right-hand side d/dt g of the scaled kinetic system.
+    """Explicit part of d/dt g in the scaled kinetic system, the field coupling.
 
-    dg/dt = -(1/eps) v dg/dx - (1/eps) (d phi/dx) psi_1
-            -(1/eps) (d phi/dx) (v/2 - d_dv) g - (1/eps^2) L g
+    dg/dt = -(1/eps) v dg/dx - (1/eps^2) L g
+            -(1/eps) (d phi/dx) psi_1 - (1/eps) (d phi/dx) (v/2 - d_dv) g
 
-    The field coupling uses the single raising recurrence (the identity
-    (g/2) v - dg/dv = (v/2 - d_dv) g, with psi_n -> sqrt(n+1) psi_{n+1}).
-    The products of the levels 0..n_v-2 with d phi/dx are formed
-    pseudo-spectrally: one inverse real FFT into scratch, a multiply in
-    place and one forward real FFT straight into the rows 1..n_v-1 of the
-    result.  The raising recurrence is then a row scale, -sqrt(n)/eps on
-    row n, and the 2/3 rule zeroes the modes above n_x/3.  g and the result
-    are half-spectra of shape (n_v, n_x/2 + 1); the streaming symbol i k is
-    grid.dx_symbol, 0 at the Nyquist mode, so rows m = 0 and m = n_x/2 of
-    the result are real for real g.
+    The streaming and collision terms of the first line are stiff, and the
+    solver applies them implicitly (solver.TridiagonalFactors); this
+    function returns the terms of the second line, with d phi/dx read
+    from macro.grad_phi.  The coupling uses the single raising recurrence
+    (the identity (g/2) v - dg/dv = (v/2 - d_dv) g, with
+    psi_n -> sqrt(n+1) psi_{n+1}).  The products of the levels 0..n_v-2
+    with d phi/dx are formed pseudo-spectrally: one inverse real FFT into
+    scratch, a multiply in place and one forward real FFT straight into
+    the rows 1..n_v-1 of the result.  The raising recurrence is then a row
+    scale, -sqrt(n)/eps on row n, and the 2/3 rule zeroes the modes above
+    n_x/3.  g and the result are half-spectra of shape (n_v, n_x/2 + 1);
+    Hermite level 0 of the result is zero, so the coupling keeps the mass.
 
     out (complex, C-contiguous, the shape of g.coeffs) receives the result,
     whose coefficients are then out itself; scratch is a real array of
-    shape (n_v - 1, n_x).  Either is allocated when not given.
-    transport/fields/collision are test hooks that disable term groups.
+    shape (n_v - 1, n_x).  Either is allocated when not given.  fields is
+    a test hook: False gives zero terms.
     """
     if epsilon <= 0:
         raise ConfigurationError(f"epsilon must be positive, got {epsilon}")
     grid, basis = g.grid, g.basis
     c = g.coeffs
     rhs = np.empty_like(c) if out is None else out
-
-    if fields:
-        if macro.grad_phi is None:
-            raise ConfigurationError("macro fields must carry grad_phi for the coupling terms")
-        dphi = macro.grad_phi
-        # nonlinear coupling: row n + 1 is -sqrt(n + 1)/eps times the product of row n
-        phys = real_field(grid, c[:-1], out=scratch)
-        phys *= dphi
-        fourier_field(grid, phys, out=rhs[1:])
-        # whole rows through the float64 view: a strided or complex-typed
-        # operand would make NumPy allocate iteration buffers
-        rhs[1:].view(np.float64)[...] *= np.sqrt(np.arange(1, basis.n_v))[:, None] / -epsilon
-        rhs[1:, grid.n_dealiased:] = 0.0  # the 2/3 rule
-        rhs[0] = 0.0
-        # linear source: (d phi/dx) v sqrt(M) = (d phi/dx) psi_1
-        rhs[1] -= fourier_field(grid, dphi) / epsilon
-    else:
+    if not fields:
         rhs[...] = 0.0
+        return g.with_coeffs(rhs)
 
-    if transport:
-        rhs -= hermite_shift_coeffs(c, "multiply_by_v") * grid.dx_symbol / epsilon
-    if collision:
-        rhs -= np.arange(basis.n_v)[:, None] * c / epsilon**2
+    dphi = macro.grad_phi
+    # nonlinear coupling: row n + 1 is -sqrt(n + 1)/eps times the product of row n
+    phys = real_field(grid, c[:-1], out=scratch)
+    phys *= dphi
+    fourier_field(grid, phys, out=rhs[1:])
+    # whole rows through the float64 view: a strided or complex-typed
+    # operand would make NumPy allocate iteration buffers
+    rhs[1:].view(np.float64)[...] *= np.sqrt(np.arange(1, basis.n_v))[:, None] / -epsilon
+    rhs[1:, grid.n_dealiased:] = 0.0  # the 2/3 rule
+    rhs[0] = 0.0
+    # linear source: (d phi/dx) v sqrt(M) = (d phi/dx) psi_1
+    rhs[1] -= fourier_field(grid, dphi) / epsilon
     return g.with_coeffs(rhs)

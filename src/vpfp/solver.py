@@ -21,7 +21,10 @@ The state is the Hermite-major half-spectrum of spectral/operators, shape
 that layout, so a step never transposes, copies into another order or
 fills conjugate modes.  The streaming wavenumber is 0 at the Nyquist mode
 (grid.dx_symbol), whose block is then diagonal and whose row stays real.
-Each warm step makes six real FFT calls.
+Each warm step makes four real FFT calls: the field coupling's inverse
+and forward transforms and the forward transform of its psi_1 source, and
+the one inverse transform in which operators.moments builds the new
+state's density, momentum and field.
 
 A warm step allocates one state-sized array: the new state's
 coefficients, in which its right-hand side is built and solved.  The
@@ -38,13 +41,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .operators import (
-    MacroFields,
-    moments,
-    require_zero_mean,
-    solve_poisson,
-    vpfp_rhs,
-)
+from .operators import MacroFields, moments, require_zero_mean, vpfp_rhs
 from .spectral import (
     ConfigurationError,
     HermiteBasis,
@@ -131,12 +128,6 @@ class Trajectory:
     states: list
 
 
-def _macro_with_field(g: SpectralField) -> MacroFields:
-    mac = moments(g)
-    phi, grad_phi = solve_poisson(g.grid, mac.a)
-    return MacroFields(a=mac.a, b=mac.b, phi=phi, grad_phi=grad_phi)
-
-
 def make_initial_data(grid: SpatialGrid, basis: HermiteBasis, rho_profile,
                       amplitude: float = 1.0,
                       micro_perturbation: SpectralField | None = None) -> KineticState:
@@ -171,7 +162,7 @@ def make_initial_data(grid: SpatialGrid, basis: HermiteBasis, rho_profile,
     if f_min <= 0.0:
         raise ValueError(f"reconstructed distribution is not positive; minimum value {f_min:.3e}")
 
-    return KineticState(time=0.0, g=g, macro=_macro_with_field(g))
+    return KineticState(time=0.0, g=g, macro=moments(g))
 
 
 @dataclass(frozen=True)
@@ -288,8 +279,7 @@ class VpfpStepper:
         """Field-coupling terms of the right-hand side (lagged potential),
         written into out when given (complex, C-contiguous, the shape of
         g.coeffs) and otherwise into a new array, which is returned."""
-        rhs = vpfp_rhs(g, macro, self.cfg.epsilon, transport=False,
-                       fields=self.cfg.fields_enabled, collision=False,
+        rhs = vpfp_rhs(g, macro, self.cfg.epsilon, fields=self.cfg.fields_enabled,
                        out=out, scratch=self._scratch)
         return rhs.coeffs
 
@@ -304,7 +294,7 @@ class VpfpStepper:
                 f"Hermite-0 spatial mean changed by {drift:.3e} during a step"
             )
         g = SpectralField(self.grid, self.basis, coeffs)
-        return KineticState(time=time, g=g, macro=_macro_with_field(g))
+        return KineticState(time=time, g=g, macro=moments(g))
 
     def step_euler(self, state: KineticState, expl: np.ndarray | None = None) -> KineticState:
         """One IMEX Euler step; expl may carry precomputed explicit_coeffs(state)."""

@@ -44,7 +44,7 @@ __all__ = [
     "l2_norm",
 ]
 
-SHIFT_KINDS = ("multiply_by_v", "d_dv", "raising")
+SHIFT_KINDS = ("multiply_by_v", "d_dv")
 # Largest n_v whose hermegauss(2 n_v) quadrature is finite: above it the
 # weights overflow to NaN (a stable Golub-Welsch rule would lift the cap).
 MAX_N_V = 185
@@ -273,7 +273,6 @@ def hermite_shift_coeffs(coeffs: np.ndarray, kind: str, extend: int = 0) -> np.n
 
     multiply_by_v: psi_n -> sqrt(n+1) psi_{n+1} + sqrt(n) psi_{n-1}
     d_dv:          psi_n -> (sqrt(n)/2) psi_{n-1} - (sqrt(n+1)/2) psi_{n+1}
-    raising:       psi_n -> sqrt(n+1) psi_{n+1}   (this is v/2 - d/dv)
 
     extend > 0 grows the output Hermite axis instead of truncating the
     spill from the top mode; norms use this for exactness.  Each term
@@ -291,8 +290,7 @@ def hermite_shift_coeffs(coeffs: np.ndarray, kind: str, extend: int = 0) -> np.n
         out[1 : n_up + 1] -= 0.5 * root[:n_up] * coeffs[:n_up]
     else:
         np.multiply(root[:n_up], coeffs[:n_up], out=out[1 : n_up + 1])
-        if kind == "multiply_by_v":
-            out[: n_in - 1] += root[: n_in - 1] * coeffs[1:]
+        out[: n_in - 1] += root[: n_in - 1] * coeffs[1:]
     return out
 
 

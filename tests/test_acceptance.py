@@ -17,8 +17,8 @@ from vpfp.harness import (
     run_sweep,
 )
 from vpfp.checks import check_coercivity, check_collision, check_poisson, check_projections
-from vpfp.operators import spatial_l2_norm
-from vpfp.solver import KineticState, SolverConfig, _macro_with_field, make_initial_data, run
+from vpfp.operators import moments, spatial_l2_norm
+from vpfp.solver import KineticState, SolverConfig, make_initial_data, run
 from vpfp.spectral import HermiteBasis, SpatialGrid, SpectralField, l2_norm
 
 from conftest import (
@@ -92,7 +92,7 @@ def test_criterion_5_conservation_and_equilibrium(small_grid, small_basis):
     mass = float(abs(traj.states[-1].g.coeffs[0, 0]))
 
     zero = SpectralField.zeros(small_grid, small_basis)
-    zero_state = KineticState(time=0.0, g=zero, macro=_macro_with_field(zero))
+    zero_state = KineticState(time=0.0, g=zero, macro=moments(zero))
     zero_after = run(zero_state, cfg, sample_interval=1.0).states[-1]
     zero_norm = np.max(np.abs(zero_after.g.coeffs))
     ok = mass <= 1e-12 and zero_norm == 0.0

@@ -1,11 +1,13 @@
 """Kinetic operators: collision operator, projections, moments, Poisson,
-dealiased products, and the assembled right-hand side.
+dealiased products, and the explicit field coupling.
 
 The collision operator is checked against an independent finite-difference
 discretization of the continuous divergence-form operator
     L g = -(1/sqrt(M)) d/dv ( M d/dv (g / sqrt(M)) ),
 which never touches the coefficient-space diagonal.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -35,7 +37,6 @@ from vpfp.spectral import (
     HermiteBasis,
     SpatialGrid,
     SpectralField,
-    hermite_shift_coeffs,
     inverse_transform,
     l2_norm,
     quadrature_oracle_moment,
@@ -222,11 +223,7 @@ class TestDealiasedProduct:
 
 
 class TestRhs:
-    def make_macro(self, grid, g):
-        mac = moments(g)
-        phi, grad = solve_poisson(grid, mac.a)
-        mac.phi, mac.grad_phi = phi, grad
-        return mac
+    """vpfp_rhs evaluates the field coupling, the explicit terms."""
 
     def test_linear_field_source(self, grid, basis):
         # g = 0 with an externally imposed potential: only the psi_1 source acts
@@ -243,74 +240,46 @@ class TestRhs:
         assert np.max(np.abs(other)) < 1e-13
 
     def test_momentum_slice_of_hydrodynamic_state(self, grid, basis):
-        # g = rho(x) psi_0 with its own field: the psi_1 slice of the rhs is
-        # -(d rho + d phi + dealias(rho * d phi)) / eps
+        # g = rho(x) psi_0 with its own field: the psi_1 slice of the
+        # coupling is -(d phi + dealias(rho * d phi)) / eps
         rho = 0.1 * np.cos(grid.nodes)
         g = SpectralField.zeros(grid, basis)
         g.coeffs[0] = fourier_field(grid, rho)
-        macro = self.make_macro(grid, g)
+        macro = moments(g)
         eps = 0.5
         rhs = vpfp_rhs(g, macro, eps)
-        drho = x_derivative(grid, rho)
         dphi = macro.grad_phi
-        expected = -(drho + dphi + dealiased_product(grid, rho, dphi)) / eps
+        expected = -(dphi + dealiased_product(grid, rho, dphi)) / eps
         got = real_field(grid, rhs.coeffs[1])
         assert np.max(np.abs(got - expected)) < 1e-12
 
-    def test_transport_only_matches_shift_derivative(self, grid, basis, rng):
-        g = random_distribution(rng, grid, basis)
-        macro = self.make_macro(grid, g)
-        eps = 0.3
-        rhs = vpfp_rhs(g, macro, eps, fields=False, collision=False)
-        vg = g.with_coeffs(hermite_shift_coeffs(g.coeffs, "multiply_by_v"))
-        expected = -spatial_derivative(vg).coeffs / eps
-        assert np.max(np.abs(rhs.coeffs - expected)) < 1e-13
-
-    def test_collision_only(self, grid, basis, rng):
-        g = random_distribution(rng, grid, basis)
-        macro = self.make_macro(grid, g)
-        eps = 0.3
-        rhs = vpfp_rhs(g, macro, eps, transport=False, fields=False)
-        expected = -np.arange(basis.n_v)[:, None] * g.coeffs / eps**2
-        assert np.max(np.abs(rhs.coeffs - expected)) < 1e-13
-
     def test_mass_slice_untouched_by_fields_and_collision(self, grid, basis, rng):
         g = random_distribution(rng, grid, basis)
-        macro = self.make_macro(grid, g)
-        rhs = vpfp_rhs(g, macro, 0.2, transport=False)
+        rhs = vpfp_rhs(g, moments(g), 0.2)
         assert np.max(np.abs(rhs.coeffs[0])) == 0.0
 
     def test_total_mass_invariant(self, grid, basis, rng):
         g = random_distribution(rng, grid, basis)
-        macro = self.make_macro(grid, g)
-        rhs = vpfp_rhs(g, macro, 0.2)
+        rhs = vpfp_rhs(g, moments(g), 0.2)
         assert abs(rhs.coeffs[0, 0]) < 1e-14
 
     def test_scaling_in_epsilon(self, grid, basis, rng):
         g = random_distribution(rng, grid, basis)
-        macro = self.make_macro(grid, g)
-        r1 = vpfp_rhs(g, macro, 0.5, collision=False)
-        r2 = vpfp_rhs(g, macro, 0.25, collision=False)
+        macro = moments(g)
+        r1 = vpfp_rhs(g, macro, 0.5)
+        r2 = vpfp_rhs(g, macro, 0.25)
         assert np.max(np.abs(r2.coeffs - 2 * r1.coeffs)) < 1e-12
 
     def test_epsilon_validation(self, grid, basis):
         g = SpectralField.zeros(grid, basis)
-        macro = MacroFields(a=np.zeros(grid.n_x), b=np.zeros(grid.n_x))
         with pytest.raises(ConfigurationError):
-            vpfp_rhs(g, macro, 0.0)
-
-    def test_missing_grad_phi_rejected(self, grid, basis):
-        g = SpectralField.zeros(grid, basis)
-        macro = MacroFields(a=np.zeros(grid.n_x), b=np.zeros(grid.n_x))
-        with pytest.raises(ConfigurationError):
-            vpfp_rhs(g, macro, 0.5)
+            vpfp_rhs(g, moments(g), 0.0)
 
     def test_hermitian_symmetry_preserved(self, grid, basis, rng):
         # the half-spectrum of a real field has real rows m = 0 and n_x/2;
-        # with the Nyquist streaming wavenumber 0 the rhs keeps them real
+        # the coupling, made of real-FFT products and d phi/dx, keeps them real
         g = random_distribution(rng, grid, basis)
-        macro = self.make_macro(grid, g)
-        rhs = vpfp_rhs(g, macro, 0.2)
+        rhs = vpfp_rhs(g, moments(g), 0.2)
         assert np.all(rhs.coeffs[:, [0, -1]].imag == 0.0)
 
 
@@ -351,7 +320,7 @@ def complex_fft_poisson(grid, a):
 
 
 def complex_fft_coupling(g, grad_phi, epsilon):
-    """The field terms of vpfp_rhs on the full spectrum by complex FFTs,
+    """vpfp_rhs, the field terms, on the full spectrum by complex FFTs,
     returned as a half-spectrum."""
     grid = g.grid
     full = oracles.full_spectrum(g.coeffs, grid.n_x)
@@ -397,21 +366,16 @@ class TestHalfSpectrumMatchesComplexFft:
         mac = moments(g)
         a, b = complex_fft_moments(g)
         assert max_rel_diff(mac.a, a) <= 1e-14 and max_rel_diff(mac.b, b) <= 1e-14
-        phi, grad_phi = solve_poisson(g.grid, a)
         want_phi, want_grad = complex_fft_poisson(g.grid, a)
-        assert max_rel_diff(phi, want_phi) <= 1e-14
-        assert max_rel_diff(grad_phi, want_grad) <= 1e-14
+        for phi, grad_phi in (solve_poisson(g.grid, a), (mac.phi, mac.grad_phi)):
+            assert max_rel_diff(phi, want_phi) <= 1e-14
+            assert max_rel_diff(grad_phi, want_grad) <= 1e-14
 
     @settings(max_examples=40, deadline=None)
     @cases
     def test_rhs(self, n_x, n_v, epsilon, seed):
         g = self.field(n_x, n_v, seed)
         grad_phi = np.random.default_rng(seed + 1).standard_normal(n_x)
-        macro = MacroFields(a=None, b=None, grad_phi=grad_phi)
-        coupling = complex_fft_coupling(g, grad_phi, epsilon)
-        got = vpfp_rhs(g, macro, epsilon, transport=False, collision=False).coeffs
-        assert max_rel_diff(got, coupling) <= 1e-14
-        vg = g.with_coeffs(hermite_shift_coeffs(g.coeffs, "multiply_by_v"))
-        transport = spatial_derivative(vg).coeffs
-        want = -transport / epsilon + coupling - np.arange(n_v)[:, None] * g.coeffs / epsilon**2
-        assert max_rel_diff(vpfp_rhs(g, macro, epsilon).coeffs, want) <= 1e-14
+        macro = replace(moments(g), grad_phi=grad_phi)
+        got = vpfp_rhs(g, macro, epsilon).coeffs
+        assert max_rel_diff(got, complex_fft_coupling(g, grad_phi, epsilon)) <= 1e-14

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vpfp.operators import project_micro, spatial_l2_norm, vpfp_rhs, x_derivative
+from vpfp.operators import moments, project_micro, spatial_l2_norm, vpfp_rhs, x_derivative
 from vpfp.solver import (
     SCHEMES,
     ConservationError,
@@ -20,7 +20,6 @@ from vpfp.solver import (
     make_initial_data,
     run,
     _fit_dt,
-    _macro_with_field,
 )
 from vpfp.spectral import ConfigurationError, SpectralField, l2_norm
 
@@ -110,7 +109,7 @@ class TestDampingInvariant:
         stepper = VpfpStepper(cfg, dt)
         g = SpectralField.zeros(grid, basis)
         g.coeffs[:, 1] = 0.5  # cos(x) on every level; mode -1 is its conjugate
-        state = KineticState(time=0.0, g=g, macro=_macro_with_field(g))
+        state = KineticState(time=0.0, g=g, macro=moments(g))
         new = stepper.step_euler(state)
         n = np.arange(basis.n_v)
         factor = 1.0 / (1.0 + dt * (n / cfg.epsilon**2))
@@ -125,7 +124,7 @@ class TestDampingInvariant:
         cfg = small_config(epsilon=eps, transport_enabled=False, fields_enabled=False)
         stepper = VpfpStepper(cfg, dt)
         g = basis_element(grid, basis, 1, 3, amplitude=1.0)
-        state = KineticState(time=0.0, g=g, macro=_macro_with_field(g))
+        state = KineticState(time=0.0, g=g, macro=moments(g))
         factor = 1.0 / (1.0 + 3.0 * dt / eps**2)
         n_steps = math.ceil(math.log(1e-6) / math.log(factor))
         amp0 = abs(g.coeffs[3, 1])
@@ -144,7 +143,7 @@ class TestDampingInvariant:
         cfg = small_config(epsilon=0.05, transport_enabled=False, fields_enabled=False)
         stepper = VpfpStepper(cfg, 1.0)  # dt / eps^2 = 400
         g = basis_element(grid, basis, 1, 5)
-        state = KineticState(time=0.0, g=g, macro=_macro_with_field(g))
+        state = KineticState(time=0.0, g=g, macro=moments(g))
         state = stepper.step_euler(state)
         assert abs(state.g.coeffs[5, 1]) < abs(g.coeffs[5, 1])
 
@@ -264,7 +263,7 @@ class TestConservationAndConsistency:
 
     def test_zero_state_is_fixed(self, grid, basis):
         g = SpectralField.zeros(grid, basis)
-        state = KineticState(time=0.0, g=g, macro=_macro_with_field(g))
+        state = KineticState(time=0.0, g=g, macro=moments(g))
         cfg = small_config()
         new = VpfpStepper(cfg, 1e-3).step_euler(state)
         assert np.max(np.abs(new.g.coeffs)) == 0.0
@@ -314,7 +313,7 @@ class TestHalfSpectrumSteps:
         coeffs = 1e-3 * hermitian_coeffs(np.random.default_rng(seed), n_x, n_v)
         coeffs[0, 0] = 0.0
         g = SpectralField(stepper.grid, stepper.basis, coeffs)
-        s0 = KineticState(time=0.0, g=g, macro=_macro_with_field(g))
+        s0 = KineticState(time=0.0, g=g, macro=moments(g))
         e0 = stepper.explicit_coeffs(s0.g, s0.macro)
         s1 = stepper.step_euler(s0, e0)
         e1 = stepper.explicit_coeffs(s1.g, s1.macro)
@@ -354,13 +353,12 @@ class TestHalfSpectrumSteps:
 
     def test_warm_bdf2_step_transform_budget(self, fft_calls):
         # the coupling's inverse and forward transforms and its psi_1 source,
-        # then the new state's moments and Poisson solve
+        # then the new state's moments with their field
         stepper, (s0, e0), (s1, _) = self.first_states(64, 32, 0.1, 0)
         fft_calls.clear()
         expl = stepper.explicit_coeffs(s1.g, s1.macro)
         stepper.step_bdf2(s1, s0, expl, e0)
-        assert [call.name for call in fft_calls] == ["irfft", "rfft", "rfft",
-                                                     "irfft", "rfft", "irfft"]
+        assert [call.name for call in fft_calls] == ["irfft", "rfft", "rfft", "irfft"]
 
 
 class TestBufferOwnership:

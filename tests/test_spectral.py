@@ -163,7 +163,7 @@ class TestSpatialDerivative:
 
     def test_commutes_with_shifts(self, grid, basis, rng):
         g = random_distribution(rng, grid, basis)
-        for kind in ("multiply_by_v", "d_dv", "raising"):
+        for kind in SHIFT_KINDS:
             one = spatial_derivative(g.with_coeffs(hermite_shift_coeffs(g.coeffs, kind)))
             dg = spatial_derivative(g)
             two = dg.with_coeffs(hermite_shift_coeffs(dg.coeffs, kind))
@@ -179,8 +179,6 @@ class TestHermiteShifts:
         v = basis.quad_nodes
         if kind == "multiply_by_v":
             shifted = values * v[None, :]
-        elif kind == "raising":
-            shifted = values * (v / 2)[None, :] - self.dv_pointwise(basis, f)
         else:
             shifted = self.dv_pointwise(basis, f)
         out = np.zeros((grid.n_x, basis.n_v))
@@ -205,7 +203,7 @@ class TestHermiteShifts:
 
     @pytest.mark.parametrize("kind,n_in,expected", [
         ("multiply_by_v", 0, {1: 1.0}),
-        ("raising", 0, {1: 1.0}),
+        ("d_dv", 2, {1: np.sqrt(2.0) / 2, 3: -np.sqrt(3.0) / 2}),
         ("d_dv", 0, {1: -0.5}),
         ("multiply_by_v", 2, {1: np.sqrt(2.0), 3: np.sqrt(3.0)}),
     ])
@@ -218,7 +216,7 @@ class TestHermiteShifts:
             assert abs(oracle[0, n_out] - val) < 1e-10
         assert np.max(np.abs(shifted.coeffs[:, 0].real - oracle[0])) < 1e-10
 
-    @pytest.mark.parametrize("kind", ["multiply_by_v", "d_dv", "raising"])
+    @pytest.mark.parametrize("kind", SHIFT_KINDS)
     def test_all_band_limited_modes_match_oracle(self, grid, basis, kind, rng):
         # content below the top mode, so truncation plays no role
         g = random_distribution(rng, grid, basis, band_limit=basis.n_v - 1)
@@ -234,9 +232,12 @@ class TestHermiteShifts:
             f.with_coeffs(hermite_shift_coeffs(f.coeffs, "lowering"))
 
     def test_truncation_drops_top_spill(self, grid, basis):
-        f = basis_element(grid, basis, 0, basis.n_v - 1)
-        shifted = f.with_coeffs(hermite_shift_coeffs(f.coeffs, "raising"))
-        assert np.max(np.abs(shifted.coeffs)) == 0.0  # spill beyond n_v dropped
+        top = basis.n_v - 1
+        f = basis_element(grid, basis, 0, top)
+        shifted = hermite_shift_coeffs(f.coeffs, "multiply_by_v")
+        assert shifted[top - 1, 0] == np.sqrt(top)  # only the level below is fed
+        shifted[top - 1, 0] = 0.0
+        assert np.max(np.abs(shifted)) == 0.0  # spill beyond n_v dropped
 
     @settings(max_examples=60, deadline=None)
     @given(kind=st.sampled_from(SHIFT_KINDS),
