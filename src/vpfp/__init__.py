@@ -39,6 +39,7 @@ from .diagnostics import (
     energy_functionals,
     moment_residuals,
     limit_error,
+    limit_metrics,
 )
 from .harness import SweepConfig, SweepResult, run_sweep
 

@@ -1,6 +1,8 @@
 """Command-line interface: run, sweep, check, report.
 
 Exit codes: 0 success, 1 run or self-test failure, 2 configuration error.
+A run failure (a ValueError, RuntimeError or ArithmeticError, such as an
+OverflowError or FloatingPointError) is one line on stderr.
 """
 
 from __future__ import annotations
@@ -81,7 +83,8 @@ def cmd_sweep(args) -> int:
     say = (lambda *_: None) if args.quiet else print
 
     def progress(eps: float, seconds: float, final_e_k: float) -> None:
-        print(f"eps = {eps:g}: {seconds:.2f} s, final E_k = {final_e_k:.6e}", flush=True)
+        print(f"eps = {eps:g}: batch done in {seconds:.2f} s, final E_k = {final_e_k:.6e}",
+              flush=True)
 
     try:
         result = run_sweep(sweep_cfg, progress=None if args.quiet else progress)
@@ -135,7 +138,7 @@ def main(argv=None) -> int:
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    except (ValueError, FloatingPointError, RuntimeError) as exc:
+    except (ValueError, ArithmeticError, RuntimeError) as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return EXIT_RUN_FAILURE
 

@@ -86,4 +86,7 @@ def ddp_run(grid: SpatialGrid, rho0_initial: np.ndarray, dt: float, t_final: flo
             return state
         return advance
 
-    return sample_trajectory(state, t_final, dt, sample_interval, make_advance)
+    states = []
+    times = sample_trajectory(state, t_final, dt, sample_interval, make_advance,
+                              observers=(states.append,))
+    return Trajectory(times=times, states=states)

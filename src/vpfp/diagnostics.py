@@ -17,6 +17,7 @@ turns that vector into a Sobolev norm; only spectral knows the weights.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,7 +47,9 @@ __all__ = [
     "coercivity_gap",
     "energy_functionals",
     "moment_residuals",
+    "LimitTerms",
     "limit_error",
+    "limit_metrics",
     "CSV_COLUMNS",
 ]
 
@@ -306,38 +309,55 @@ def moment_residuals(states, epsilon: float) -> dict:
 # ---------------------------------------------------------------------------
 # kinetic-vs-fluid limit metrics
 
-def limit_error(kinetic_traj, ddp_traj, k: int) -> dict:
-    """Error metrics between a kinetic trajectory and the fluid reference.
+class LimitTerms(NamedTuple):
+    """The kinetic-vs-fluid error terms of one sample (see limit_error)."""
 
-    Returns sup-in-time L^2 moment and field errors, the time-integrated
-    microscopic Sobolev norm (trapezoid over samples), and the pointwise
-    sup of the reconstructed distribution against (1 + rho0) M over the
-    collocation nodes (the grid analogue of the embedding argument).
+    moment_error: float
+    field_error: float
+    micro_sq: float
+    pointwise_error: float
+
+
+def limit_error(kinetic_state, ddp_state, k: int) -> LimitTerms:
+    """Error terms between a kinetic sample and the fluid sample of its time.
+
+    The L^2 errors of the density and the field, the squared mixed H^k
+    norm of the microscopic part (I - P0) g, and the pointwise sup of the
+    reconstructed distribution against (1 + rho0) M over the collocation
+    nodes (the grid analogue of the embedding argument).  limit_metrics
+    reduces the terms of a run's samples; a sweep computes them as the
+    run goes, so it keeps no sampled state.
     """
-    kt = np.asarray(kinetic_traj.times)
-    dtt = np.asarray(ddp_traj.times)
-    if kt.shape != dtt.shape or not np.allclose(kt, dtt, rtol=1e-9, atol=1e-12):
-        raise ValueError("trajectories must share their sampling times")
-    grid = kinetic_traj.states[0].g.grid
-    basis = kinetic_traj.states[0].g.basis
-
-    moment_errs, field_errs, micro_sq, point_errs = [], [], [], []
-    sqrt_m = basis.maxwellian_sqrt()
+    if not np.isclose(kinetic_state.time, ddp_state.time, rtol=1e-9, atol=1e-12):
+        raise ValueError(
+            f"kinetic and fluid samples must share their sampling times, got "
+            f"{kinetic_state.time:g} and {ddp_state.time:g}"
+        )
+    g = kinetic_state.g
+    grid = g.grid
+    sqrt_m = g.basis.maxwellian_sqrt()
     m_vals = sqrt_m**2
-    for ks, ds in zip(kinetic_traj.states, ddp_traj.states):
-        moment_errs.append(spatial_l2_norm(grid, ks.macro.a - ds.rho0))
-        field_errs.append(spatial_l2_norm(grid, ks.macro.grad_phi - ds.grad_phi0))
-        micro_c = ks.g.coeffs.copy()
-        micro_c[0] = 0.0  # (I - P0) g
-        micro_sq.append(_mixed_sq(grid, micro_c, k))
-        g_vals = inverse_transform(ks.g)
-        f_vals = m_vals[None, :] + g_vals * sqrt_m[None, :]
-        f_lim = (1.0 + ds.rho0)[:, None] * m_vals[None, :]
-        point_errs.append(float(np.max(np.abs(f_vals - f_lim))))
+    micro_c = g.coeffs.copy()
+    micro_c[0] = 0.0  # (I - P0) g
+    f_vals = m_vals[None, :] + inverse_transform(g) * sqrt_m[None, :]
+    f_lim = (1.0 + ddp_state.rho0)[:, None] * m_vals[None, :]
+    return LimitTerms(
+        moment_error=spatial_l2_norm(grid, kinetic_state.macro.a - ddp_state.rho0),
+        field_error=spatial_l2_norm(grid, kinetic_state.macro.grad_phi - ddp_state.grad_phi0),
+        micro_sq=_mixed_sq(grid, micro_c, k),
+        pointwise_error=float(np.max(np.abs(f_vals - f_lim))),
+    )
 
+
+def limit_metrics(times, terms) -> dict:
+    """The limit metrics of a run from the limit_error terms of its samples
+    at times: the sup in time of the moment, field and pointwise errors,
+    and the trapezoid time integral of the micro norm."""
+    moment, field, micro, point = zip(*terms)
+    times = np.asarray(times)
     return {
-        "sup_moment_error": float(np.max(moment_errs)),
-        "sup_field_error": float(np.max(field_errs)),
-        "micro_time_integral": float(np.trapezoid(micro_sq, kt)) if kt.size > 1 else 0.0,
-        "pointwise_sup_error": float(np.max(point_errs)),
+        "sup_moment_error": float(np.max(moment)),
+        "sup_field_error": float(np.max(field)),
+        "micro_time_integral": float(np.trapezoid(micro, times)) if times.size > 1 else 0.0,
+        "pointwise_sup_error": float(np.max(point)),
     }

@@ -1,16 +1,24 @@
 """Experiment orchestration: config files, the epsilon sweep, persistence.
 
-A sweep runs the fluid reference once, then one kinetic run per epsilon
-against the same well-prepared initial profile, and reduces the per-run
-error metrics to empirical convergence rates.  All outputs (per-run CSV
-time series and the JSON summary) are deterministic for a fixed config;
-wall-clock timings go to a separate file so the summary stays byte-stable.
+A sweep runs the fluid reference once, builds the well-prepared initial
+state once, then one kinetic run per epsilon from it, and reduces the
+per-run error metrics to empirical convergence rates.  The runs go in
+batches (SweepConfig.batches): the epsilons that share a fitted time step,
+consecutive in epsilon order, advance in lock-step as one solver.run batch,
+and each member's energy report and limit-error terms are computed at
+every sample, against the fluid sample of that time, so no sampled state
+is kept.  A failed batch is rerun one member at a time, which gives the
+partial results of running the epsilons one after another.  All outputs
+(per-run CSV time series and the JSON summary) are deterministic for a
+fixed config and equal to those of one run_single per epsilon; wall-clock
+timings go to a separate file so the summary stays byte-stable.
 """
 
 from __future__ import annotations
 
 import configparser
 import hashlib
+import itertools
 import json
 import math
 import time as _time
@@ -20,14 +28,14 @@ from pathlib import Path
 import numpy as np
 
 from .ddp import ddp_run
-from .diagnostics import EnergyReport, energy_functionals, limit_error
+from .diagnostics import EnergyReport, energy_functionals, limit_error, limit_metrics
 from .solver import (
     KineticState,
     SolverConfig,
     Trajectory,
     make_initial_data,
     run,
-    sample_count,
+    step_schedule,
 )
 from .spectral import ConfigurationError
 
@@ -49,22 +57,31 @@ METRIC_KEYS = (
     "micro_time_integral",
 )
 
+
+def _finite(raw: str) -> float:
+    """A float setting: NaN and infinities are bad values."""
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"{raw!r} is not finite")
+    return value
+
+
 # configuration schema: section -> {key: parser}
 _SCHEMA = {
-    "grid": {"n_x": int, "n_v": int, "length": float},
+    "grid": {"n_x": int, "n_v": int, "length": _finite},
     "solver": {
-        "epsilon": float,
-        "t_final": float,
-        "dt_max": float,
-        "cfl_scale": float,
+        "epsilon": _finite,
+        "t_final": _finite,
+        "dt_max": _finite,
+        "cfl_scale": _finite,
         "scheme": str,
         "system": str,
     },
     "sweep": {
-        "epsilons": lambda s: tuple(float(x) for x in s.split(",")),
-        "ddp_dt": float,
-        "sample_interval": float,
-        "amplitude": float,
+        "epsilons": lambda s: tuple(_finite(x) for x in s.split(",")),
+        "ddp_dt": _finite,
+        "sample_interval": _finite,
+        "amplitude": _finite,
         "profile_mode": int,
     },
     "diagnostics": {"k": int},
@@ -142,7 +159,14 @@ def config_hash(cfg: dict) -> str:
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Epsilon sweep: shared template, descending epsilon list, output dir."""
+    """Epsilon sweep: shared template, descending epsilon list, output dir.
+
+    batches, derived here, splits the epsilons into the runs that advance
+    together: consecutive epsilons whose fitted time steps (see
+    solver.step_schedule) are equal.  The step is min(dt_max,
+    cfl_scale * eps) fitted to the sample interval, monotone in eps, so
+    equal steps are consecutive.
+    """
 
     epsilons: tuple
     template: SolverConfig
@@ -153,15 +177,19 @@ class SweepConfig:
     k: int
     out_dir: Path | None = None
     raw: dict = field(default_factory=dict, compare=False)
+    batches: tuple = field(init=False, compare=False)
 
     def __post_init__(self):
         eps = self.epsilons
         if len(eps) < 2:
             raise ConfigurationError("need at least 2 epsilon values for rate estimation")
-        if any(e <= 0 or e > 1 for e in eps):
+        # the comparisons are written so that NaN fails them
+        if not all(0 < e <= 1 for e in eps):
             raise ConfigurationError(f"epsilons must lie in (0, 1], got {eps}")
-        if any(e1 <= e2 for e1, e2 in zip(eps, eps[1:])):
+        if not all(e1 > e2 for e1, e2 in zip(eps, eps[1:])):
             raise ConfigurationError(f"epsilons must be strictly decreasing, got {eps}")
+        if not math.isfinite(self.amplitude):
+            raise ConfigurationError(f"amplitude must be finite, got {self.amplitude}")
         if self.k < 1:
             raise ConfigurationError(f"diagnostics order k must be >= 1, got {self.k}")
         # the Nyquist mode n_x/2 is excluded: its odd-derivative wavenumber is
@@ -173,7 +201,15 @@ class SweepConfig:
                 f"profile_mode must lie in [1, n_x // 2 - 1 = {max_mode}], "
                 f"got {self.profile_mode}"
             )
-        sample_count(self.template.t_final, self.sample_interval)  # the runs' schedule rule
+        # fit every step now: the fluid run's, the single run's and the sweep's
+        t_final = self.template.t_final
+        step_schedule(t_final, self.sample_interval, self.ddp_dt)
+        step_schedule(t_final, self.sample_interval, self.template.dt_nominal)
+        steps = [step_schedule(t_final, self.sample_interval,
+                               replace(self.template, epsilon=e).dt_nominal)[1] for e in eps]
+        batches = tuple(tuple(e for e, _ in group)
+                        for _, group in itertools.groupby(zip(eps, steps), key=lambda p: p[1]))
+        object.__setattr__(self, "batches", batches)
 
     @classmethod
     def from_dict(cls, cfg: dict, out_dir=None) -> "SweepConfig":
@@ -263,12 +299,50 @@ def write_reports_csv(path: Path, reports) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
+def sweep_record(epsilon: float, reports, errors: dict) -> dict:
+    """The summary record of one run from its energy reports and its
+    limit_metrics."""
+    return {
+        "epsilon": epsilon,
+        **{key: errors[key] for key in METRIC_KEYS},
+        "final_E_k": reports[-1].E_k,
+        "D_k_time_integral": float(np.trapezoid(
+            [r.D_k for r in reports], [r.time for r in reports])),
+    }
+
+
+def _run_batch(cfg: SweepConfig, initial: KineticState, batch: tuple, ddp_traj) -> list:
+    """Advance the runs of batch in lock-step; return their records and
+    write their energy CSVs.  The reports and limit-error terms are taken
+    per sample, so no sampled state outlives its observation."""
+    reports = [[] for _ in batch]
+    terms = [[] for _ in batch]
+    fluid = iter(ddp_traj.states)
+
+    def observer(members) -> None:
+        ds = next(fluid)
+        for eps, state, rep, term in zip(batch, members, reports, terms):
+            rep.append(energy_functionals(state, cfg.k, eps))
+            term.append(limit_error(state, ds, cfg.k))
+
+    times = run(initial, replace(cfg.template, epsilon=batch[0]), observers=[observer],
+                sample_interval=cfg.sample_interval, epsilons=batch, keep_states=False).times
+    records = []
+    for eps, rep, term in zip(batch, reports, terms):
+        if cfg.out_dir is not None:
+            write_reports_csv(cfg.out_dir / f"run_eps_{eps:g}.csv", rep)
+        records.append(sweep_record(eps, rep, limit_metrics(times, term)))
+    return records
+
+
 def run_sweep(cfg: SweepConfig, progress=None) -> SweepResult:
     """Run the fluid reference and every kinetic run; assemble metrics.
 
     progress, if given, is called as progress(epsilon, wall_seconds,
-    final_E_k) as each kinetic run finishes.  A failed run persists the
-    partial summary (marked incomplete) and raises SweepError.
+    final_E_k) for each epsilon, in order, once its batch has finished;
+    wall_seconds is the batch's.  timings gets one entry per batch,
+    run_eps_<eps>[_<eps>...]_s, and one per rerun epsilon.  A failed run
+    persists the partial summary (marked incomplete) and raises SweepError.
     """
     t0 = _time.perf_counter()
     timings: dict = {}
@@ -282,33 +356,53 @@ def run_sweep(cfg: SweepConfig, progress=None) -> SweepResult:
     timings["ddp_reference_s"] = _time.perf_counter() - td
 
     per_epsilon = []
-    incomplete = []
-    failure = None
-    for eps in cfg.epsilons:
-        tr0 = _time.perf_counter()
+
+    def attempt(batch: tuple) -> Exception | None:
+        """Run batch and report its epsilons; return what it raised."""
+        key = "run_eps_" + "_".join(f"{eps:g}" for eps in batch) + "_s"
+        tb = _time.perf_counter()
         try:
-            csv_path = None
-            if cfg.out_dir is not None:
-                csv_path = cfg.out_dir / f"run_eps_{eps:g}.csv"
-            traj = run_single(cfg, eps, csv_path=csv_path)
-            errs = limit_error(traj, ddp_traj, cfg.k)
-            reports = traj.reports
-            record = {
-                "epsilon": eps,
-                **{key: errs[key] for key in METRIC_KEYS},
-                "final_E_k": reports[-1].E_k,
-                "D_k_time_integral": float(np.trapezoid(
-                    [r.D_k for r in reports], [r.time for r in reports])),
-            }
-            per_epsilon.append(record)
+            records = _run_batch(cfg, initial, batch, ddp_traj)
         except Exception as exc:  # noqa: BLE001 - persist partial state first
-            incomplete.append({"epsilon": eps, "error": f"{type(exc).__name__}: {exc}"})
-            failure = exc
-            break
+            return exc
         finally:
-            timings[f"run_eps_{eps:g}_s"] = _time.perf_counter() - tr0
+            timings[key] = _time.perf_counter() - tb
+        per_epsilon.extend(records)
         if progress is not None:
-            progress(eps, timings[f"run_eps_{eps:g}_s"], per_epsilon[-1]["final_E_k"])
+            for rec in records:
+                progress(rec["epsilon"], timings[key], rec["final_E_k"])
+        return None
+
+    def first_failure(batch: tuple) -> tuple | None:
+        """(epsilon, error) of the first run of batch that fails alone.
+        A failed batch of several is rerun one member at a time, so the
+        runs before the failing one complete, as in a sequential sweep."""
+        exc = attempt(batch)
+        if exc is None:
+            return None
+        if len(batch) == 1:
+            return batch[0], exc
+        for eps in batch:
+            exc = attempt((eps,))
+            if exc is not None:
+                return eps, exc
+        return None
+
+    failed = None
+    try:
+        initial = make_initial_data(grid, cfg.template.make_basis(), profile,
+                                    amplitude=cfg.amplitude)
+    except Exception as exc:  # noqa: BLE001 - the first run fails, as it would alone
+        failed = cfg.epsilons[0], exc
+    else:
+        for batch in cfg.batches:
+            failed = first_failure(batch)
+            if failed is not None:
+                break
+    incomplete = []
+    if failed is not None:
+        eps, exc = failed
+        incomplete.append({"epsilon": eps, "error": f"{type(exc).__name__}: {exc}"})
     timings["total_s"] = _time.perf_counter() - t0
 
     result = SweepResult(
@@ -321,8 +415,8 @@ def run_sweep(cfg: SweepConfig, progress=None) -> SweepResult:
     )
     if cfg.out_dir is not None:
         write_summary(cfg.out_dir, result)
-    if failure is not None:
-        raise SweepError(f"sweep aborted at epsilon = {incomplete[0]['epsilon']}", result)
+    if failed is not None:
+        raise SweepError(f"sweep aborted at epsilon = {failed[0]}", result)
     return result
 
 

@@ -17,6 +17,7 @@ which is 0 at the Nyquist mode.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -47,7 +48,7 @@ ZERO_MEAN_TOL = 1e-12
 class MacroFields:
     """Spatial moments of g and their self-consistent field, as built by
     moments: a (density), b (momentum), phi and grad_phi = d phi / dx are
-    real fields of shape (n_x,).
+    real fields of shape (n_x,), or (B, n_x) for a batch of B fields.
     """
 
     a: np.ndarray
@@ -113,7 +114,8 @@ def moments(g: SpectralField) -> MacroFields:
     -phi'' = a is solved on the coefficients of row 0: phi is gauge-fixed
     to zero mean and the mean mode of a, which neutrality keeps at zero,
     is left out.  One inverse real FFT of the four rows a, b, phi and
-    d phi/dx gives every field.
+    d phi/dx gives every field.  For a batch g (coefficients of shape
+    (n_v, B, n_x/2 + 1)) each field has one row per member, shape (B, n_x).
     """
     grid, c = g.grid, g.coeffs
     phi_c = c[0] * grid.inverse_laplacian
@@ -164,7 +166,28 @@ def solve_poisson(grid: SpatialGrid, a: np.ndarray) -> tuple[np.ndarray, np.ndar
     return phi, grad_phi
 
 
-def vpfp_rhs(g: SpectralField, macro: MacroFields, epsilon: float,
+@lru_cache(maxsize=16)
+def _coupling_scales(n_v: int, epsilon) -> tuple[np.ndarray, np.ndarray]:
+    """The per-epsilon factors of vpfp_rhs, built once per (n_v, epsilon).
+
+    epsilon is a float, or a tuple of one float per batch member.  Returns
+    the row scale -sqrt(n)/eps of the rows n = 1..n_v-1, shaped to scale
+    the float64 view of those rows (n_v - 1, 1) or (n_v - 1, B, 1), and
+    eps as a column, (1,) or (B, 1), which divides the psi_1 source.  Both
+    are read-only.
+    """
+    eps = np.asarray(epsilon, dtype=float)
+    if not np.all(eps > 0):
+        raise ConfigurationError(f"epsilon must be positive, got {epsilon}")
+    eps = eps[..., None]
+    root = np.sqrt(np.arange(1, n_v)).reshape((-1,) + (1,) * eps.ndim)
+    row_scale = root / -eps
+    for a in (row_scale, eps):
+        a.flags.writeable = False
+    return row_scale, eps
+
+
+def vpfp_rhs(g: SpectralField, macro: MacroFields, epsilon,
              fields: bool = True, out: np.ndarray | None = None,
              scratch: np.ndarray | None = None) -> SpectralField:
     """Explicit part of d/dt g in the scaled kinetic system, the field coupling.
@@ -185,15 +208,25 @@ def vpfp_rhs(g: SpectralField, macro: MacroFields, epsilon: float,
     n_x/3.  g and the result are half-spectra of shape (n_v, n_x/2 + 1);
     Hermite level 0 of the result is zero, so the coupling keeps the mass.
 
+    A batch g, of shape (n_v, B, n_x/2 + 1) with (B, n_x) macro fields,
+    takes a tuple of B epsilons, one per member; every transform and scale
+    then runs over whole rows of (member, mode) pairs.  The per-epsilon
+    factors come from _coupling_scales, built once per epsilon tuple.
+
     out (complex, C-contiguous, the shape of g.coeffs) receives the result,
     whose coefficients are then out itself; scratch is a real array of
-    shape (n_v - 1, n_x).  Either is allocated when not given.  fields is
-    a test hook: False gives zero terms.
+    shape (n_v - 1, n_x), or (n_v - 1, B, n_x) for a batch.  Either is
+    allocated when not given.  fields is a test hook: False gives zero
+    terms.
     """
-    if epsilon <= 0:
-        raise ConfigurationError(f"epsilon must be positive, got {epsilon}")
     grid, basis = g.grid, g.basis
     c = g.coeffs
+    row_scale, eps = _coupling_scales(basis.n_v, epsilon)
+    if eps.shape[:-1] != c.shape[1:-1]:
+        raise ConfigurationError(
+            f"need one epsilon per batch member: got {epsilon!r} for coefficients "
+            f"of shape {c.shape}"
+        )
     rhs = np.empty_like(c) if out is None else out
     if not fields:
         rhs[...] = 0.0
@@ -206,9 +239,9 @@ def vpfp_rhs(g: SpectralField, macro: MacroFields, epsilon: float,
     fourier_field(grid, phys, out=rhs[1:])
     # whole rows through the float64 view: a strided or complex-typed
     # operand would make NumPy allocate iteration buffers
-    rhs[1:].view(np.float64)[...] *= np.sqrt(np.arange(1, basis.n_v))[:, None] / -epsilon
-    rhs[1:, grid.n_dealiased:] = 0.0  # the 2/3 rule
+    rhs[1:].view(np.float64)[...] *= row_scale
+    rhs[1:, ..., grid.n_dealiased:] = 0.0  # the 2/3 rule
     rhs[0] = 0.0
     # linear source: (d phi/dx) v sqrt(M) = (d phi/dx) psi_1
-    rhs[1] -= fourier_field(grid, dphi) / epsilon
+    rhs[1] -= fourier_field(grid, dphi) / eps
     return g.with_coeffs(rhs)

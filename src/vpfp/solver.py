@@ -16,22 +16,29 @@ the odd levels are back-substituted.  Keeping the odd levels would cancel
 digits on stiff modes when back-substituting level 0, where d_0 = 1.  The
 factors depend only on (scheme stage, dt), so they are built once.
 
-The state is the Hermite-major half-spectrum of spectral/operators, shape
-(n_v, n_x/2 + 1): the factors, the right-hand sides and the solution share
-that layout, so a step never transposes, copies into another order or
-fills conjugate modes.  The streaming wavenumber is 0 at the Nyquist mode
-(grid.dx_symbol), whose block is then diagonal and whose row stays real.
-Each warm step makes four real FFT calls: the field coupling's inverse
-and forward transforms and the forward transform of its psi_1 source, and
-the one inverse transform in which operators.moments builds the new
-state's density, momentum and field.
+run advances a batch: B runs that share the grid, the basis, the scheme,
+the test hooks, the initial state and the fitted time step, and differ
+only in epsilon, in lock-step.  A single run is a batch of one.  The batch
+state is the Hermite-major half-spectrum of spectral/operators with a
+member axis, shape (n_v, B, n_x/2 + 1), so each Hermite level is one
+contiguous row over the (member, mode) pairs: the factors (one epsilon
+per column), the right-hand sides and the solution share that layout, and
+a step never transposes, copies into another order or fills conjugate
+modes.  Every NumPy call of a step thus works on all members at once.
+The streaming wavenumber is 0 at the Nyquist mode (grid.dx_symbol), whose
+block is then diagonal and whose row stays real.  Each warm step makes
+four real FFT calls, whatever B: the field coupling's inverse and forward
+transforms and the forward transform of its psi_1 source, and the one
+inverse transform in which operators.moments builds the new state's
+density, momentum and field.
 
 A warm step allocates one state-sized array: the new state's
 coefficients, in which its right-hand side is built and solved.  The
 stepper owns the real scratch of the field coupling's inverse transform;
 run owns the explicit-term buffers (one for Euler, two alternating for
 BDF2) and passes them to explicit_coeffs as out.  Sampled states are never
-written to after they are made.
+written to after they are made.  run shows observers each member's
+sampled states (KineticState.members), which view the batch arrays.
 """
 
 from __future__ import annotations
@@ -58,6 +65,7 @@ __all__ = [
     "VpfpStepper",
     "make_initial_data",
     "sample_count",
+    "step_schedule",
     "sample_trajectory",
     "run",
 ]
@@ -91,10 +99,11 @@ class SolverConfig:
     def __post_init__(self):
         if not 0.0 < self.epsilon <= 1.0:
             raise ConfigurationError(f"epsilon must lie in (0, 1], got {self.epsilon}")
-        if self.dt_max <= 0 or self.cfl_scale <= 0:
+        # written so that NaN fails every test
+        if not (self.dt_max > 0 and self.cfl_scale > 0):
             raise ConfigurationError("dt_max and cfl_scale must be positive")
-        if self.t_final < 0:
-            raise ConfigurationError(f"t_final must be non-negative, got {self.t_final}")
+        if not 0.0 <= self.t_final < math.inf:
+            raise ConfigurationError(f"t_final must be finite and non-negative, got {self.t_final}")
         if self.scheme not in SCHEMES:
             raise ConfigurationError(f"unknown scheme {self.scheme!r}; expected one of {SCHEMES}")
         self.make_grid()  # reject a bad n_x, length or n_v now, not mid-sweep
@@ -113,16 +122,43 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class KineticState:
-    """Solution sample: perturbation g with Poisson-consistent macro fields."""
+    """Solution sample: perturbation g with Poisson-consistent macro fields.
+
+    A batch state holds a batch g and (B, n_x) macro fields (see
+    SpectralField); repeated makes one and members splits it.
+    """
 
     time: float
     g: SpectralField
     macro: MacroFields
 
+    def repeated(self, size: int) -> "KineticState":
+        """The batch state of size members equal to this state.  Its macro
+        fields are read-only views of this state's, and so are its
+        coefficients in a batch of one; a larger batch gets the contiguous
+        copy that SpectralField makes."""
+        g, m = self.g, self.macro
+        n_v, n_half = g.coeffs.shape
+        coeffs = np.broadcast_to(g.coeffs[:, None], (n_v, size, n_half))
+        fields = (np.broadcast_to(f, (size,) + f.shape) for f in (m.a, m.b, m.phi, m.grad_phi))
+        return KineticState(self.time, g.with_coeffs(coeffs), MacroFields(*fields))
+
+    def members(self) -> tuple["KineticState", ...]:
+        """The member states of a batch state.  Their macro fields view the
+        batch's rows; their coefficients do too in a batch of one, and are
+        contiguous copies otherwise."""
+        g, m = self.g, self.macro
+        return tuple(
+            KineticState(self.time, g.with_coeffs(g.coeffs[:, i]),
+                         MacroFields(m.a[i], m.b[i], m.phi[i], m.grad_phi[i]))
+            for i in range(g.coeffs.shape[1])
+        )
+
 
 @dataclass
 class Trajectory:
-    """Sampled states of one run, equally spaced in time."""
+    """Sampled states of one run, equally spaced in time: for a batch, one
+    tuple of member states per sample, and none when run keeps none."""
 
     times: np.ndarray
     states: list
@@ -167,24 +203,30 @@ def make_initial_data(grid: SpatialGrid, basis: HermiteBasis, rho_profile,
 
 @dataclass(frozen=True)
 class TridiagonalFactors:
-    """Even-level factors of the implicit blocks of the modes m = 0..n_x/2.
+    """Even-level factors of per-column implicit blocks.
 
-    Arrays have the Hermite level first, so each sweep step reads one
-    contiguous row across all modes.  The real sweep factors hold every
-    mode twice, to act on the float64 view (re, im, ...) of a complex row.
+    A column is one (member, mode) pair: build takes the streaming
+    wavenumber k and epsilon of each column.  Arrays have the Hermite
+    level first, so each sweep step reads one contiguous row across all
+    columns.  The real sweep factors hold every column twice, to act on
+    the float64 view (re, im, ...) of a complex row.
     """
 
-    odd_inv_diag: np.ndarray  # 1 / d_n on the odd levels, shape (n_v // 2, 1)
+    odd_inv_diag: np.ndarray  # 1 / d_n on the odd levels, shape (n_v // 2, columns)
     lower: np.ndarray         # A[2l+1, 2l] / d_{2l+1}, complex
     upper: np.ndarray         # A[2l+1, 2l+2] / d_{2l+1}, complex; one row fewer when n_v is even
     multiplier: np.ndarray    # S[j, j-1] / p_{j-1}, real; row 0 is zero
     inv_pivot: np.ndarray     # 1 / p_j, real
 
     @classmethod
-    def build(cls, k: np.ndarray, n_v: int, epsilon: float, dt: float) -> "TridiagonalFactors":
+    def build(cls, k: np.ndarray, n_v: int, epsilon, dt: float) -> "TridiagonalFactors":
+        """Factors of I + dt (i k / eps) V + dt diag(n) / eps^2 for each
+        column: k has one entry per column, and epsilon one entry per
+        column or one for all."""
         n = np.arange(n_v)
-        diag = (1.0 + dt * (n / epsilon**2))[:, None]
-        beta = dt * k / epsilon
+        eps = np.asarray(epsilon, dtype=float)
+        diag = 1.0 + dt * (n[:, None] / eps**2)
+        beta = dt * k / eps
         beta_sq = beta**2
         # the LU pivots u_n of the whole block sum positive terms; S's pivot
         # p_j is u_{2j} with the odd level 2j+1 folded in
@@ -209,15 +251,18 @@ class TridiagonalFactors:
                    np.repeat(1.0 / even_pivot, 2, axis=1))
 
     def solve(self, x: np.ndarray) -> np.ndarray:
-        """Solve every block in place for the C-contiguous complex x of shape
-        (n_v, n_x/2 + 1) and return x.  Reciprocal pivots make a diagonal
-        block (k = 0, or transport off) give exactly x * (1 / d_n); the row
-        views are listed once, as indexing in the loops costs as much."""
-        even, odd = x[0::2], x[1::2]
+        """Solve every block in place for the C-contiguous complex x and
+        return x.  x has shape (n_v, columns), or (n_v, B, n_x/2 + 1) for a
+        batch, whose (member, mode) pairs are the columns.  Reciprocal
+        pivots make a diagonal block (k = 0, or transport off) give exactly
+        x * (1 / d_n); the row views are listed once, as indexing in the
+        loops costs as much."""
+        rows_of = x.reshape(x.shape[0], -1)  # a view, as x is C-contiguous
+        even, odd = rows_of[0::2], rows_of[1::2]
         n_up = self.upper.shape[0]
         even[:odd.shape[0]] -= self.lower * odd  # x_e's right-hand side
         even[1:] -= self.upper * odd[:n_up]
-        xe = x.view(np.float64)[0::2]
+        xe = rows_of.view(np.float64)[0::2]
         rows, mult = list(xe), list(self.multiplier)
         tmp = np.empty_like(rows[0])
         for i in range(1, len(rows)):
@@ -234,27 +279,31 @@ class TridiagonalFactors:
 
 
 class VpfpStepper:
-    """IMEX Euler and BDF2 steps for a fixed config and step size dt.
+    """IMEX Euler and BDF2 steps of a batch for a fixed config and step dt.
 
-    Caches the half-spectrum even-level factors per effective implicit
-    step (dt for Euler, 2 dt / 3 for BDF2); each costs O(n_x n_v) to build
-    and to store.  A step solves its freshly built right-hand side in place.
-    The stepper owns one real scratch of shape (n_v - 1, n_x), which every
-    field-coupling evaluation reuses and no method returns; the caller owns
-    the explicit-term arrays.
+    The batch has one member per entry of epsilons (default cfg.epsilon
+    alone); every other setting comes from cfg.  Steps take and return
+    batch states (KineticState.repeated).  Caches the even-level factors
+    per effective implicit step (dt for Euler, 2 dt / 3 for BDF2); each
+    costs O(B n_x n_v) to build and to store.  A step solves its freshly
+    built right-hand side in place.  The stepper owns one real scratch of
+    shape (n_v - 1, B, n_x), which every field-coupling evaluation reuses
+    and no method returns; the caller owns the explicit-term arrays.
     """
 
-    def __init__(self, cfg: SolverConfig, dt: float):
+    def __init__(self, cfg: SolverConfig, dt: float, epsilons=None):
         self.cfg = cfg
         self.dt = float(dt)
+        self.epsilons = (cfg.epsilon,) if epsilons is None else tuple(map(float, epsilons))
         self.grid = cfg.make_grid()
         self.basis = cfg.make_basis()
         self._factors: dict[float, TridiagonalFactors] = {}
-        self._scratch = np.empty((self.basis.n_v - 1, self.grid.n_x))
+        self._scratch = np.empty((self.basis.n_v - 1, len(self.epsilons), self.grid.n_x))
 
     # -- implicit blocks ----------------------------------------------------
     def factors(self, dt_eff: float) -> TridiagonalFactors:
-        """Factors of I + dt_eff * S_m for m = 0..n_x/2, built once per dt_eff.
+        """Factors of I + dt_eff * S_m for every member and m = 0..n_x/2,
+        built once per dt_eff; the columns run over (member, mode) pairs.
 
         The streaming wavenumber is that of grid.dx_symbol: 0 at the Nyquist
         mode, whose block is diagonal.
@@ -264,34 +313,37 @@ class VpfpStepper:
             k = self.grid.dx_symbol.imag
             if not self.cfg.transport_enabled:
                 k = np.zeros_like(k)
-            f = TridiagonalFactors.build(k, self.basis.n_v, self.cfg.epsilon, dt_eff)
+            n_batch = len(self.epsilons)
+            f = TridiagonalFactors.build(np.tile(k, n_batch), self.basis.n_v,
+                                         np.repeat(self.epsilons, k.size), dt_eff)
             self._factors[dt_eff] = f
         return f
 
     def solve_implicit(self, dt_eff: float, coeffs: np.ndarray) -> np.ndarray:
-        """(I + dt_eff * S_m)^-1 applied per mode to a half-spectrum of shape
-        (n_v, n_x/2 + 1), on a copy: coeffs is not modified."""
+        """(I + dt_eff * S_m)^-1 applied per member and mode to coefficients
+        of shape (n_v, B, n_x/2 + 1) (or (n_v, n_x/2 + 1) for a batch of
+        one), on a copy: coeffs is not modified."""
         return self.factors(dt_eff).solve(np.array(coeffs, dtype=complex, order="C"))
 
     # -- explicit part ------------------------------------------------------
     def explicit_coeffs(self, g: SpectralField, macro: MacroFields,
                         out: np.ndarray | None = None) -> np.ndarray:
-        """Field-coupling terms of the right-hand side (lagged potential),
-        written into out when given (complex, C-contiguous, the shape of
-        g.coeffs) and otherwise into a new array, which is returned."""
-        rhs = vpfp_rhs(g, macro, self.cfg.epsilon, fields=self.cfg.fields_enabled,
+        """Field-coupling terms of the right-hand side (lagged potential) of
+        the batch g, written into out when given (complex, C-contiguous,
+        the shape of g.coeffs) and otherwise into a new array, which is
+        returned."""
+        rhs = vpfp_rhs(g, macro, self.epsilons, fields=self.cfg.fields_enabled,
                        out=out, scratch=self._scratch)
         return rhs.coeffs
 
     # -- stepping -----------------------------------------------------------
-    def _finish(self, coeffs: np.ndarray, time: float, mass_before: complex) -> KineticState:
+    def _finish(self, coeffs: np.ndarray, time: float, mass_before) -> KineticState:
         if not np.all(np.isfinite(coeffs)):
             raise FloatingPointError(f"non-finite state detected at t = {time:.6g}")
-        mass_after = coeffs[0, 0]
-        drift = abs(mass_after - mass_before)
-        if drift > NEUTRALITY_TOL * (1.0 + abs(mass_before)):
+        drift = np.abs(coeffs[0, ..., 0] - mass_before)  # one per member
+        if np.any(drift > NEUTRALITY_TOL * (1.0 + np.abs(mass_before))):
             raise ConservationError(
-                f"Hermite-0 spatial mean changed by {drift:.3e} during a step"
+                f"Hermite-0 spatial mean changed by {np.max(drift):.3e} during a step"
             )
         g = SpectralField(self.grid, self.basis, coeffs)
         return KineticState(time=time, g=g, macro=moments(g))
@@ -299,7 +351,7 @@ class VpfpStepper:
     def step_euler(self, state: KineticState, expl: np.ndarray | None = None) -> KineticState:
         """One IMEX Euler step; expl may carry precomputed explicit_coeffs(state)."""
         dt = self.dt
-        mass0 = state.g.coeffs[0, 0]
+        mass0 = state.g.coeffs[0, ..., 0]
         if expl is None:
             expl = self.explicit_coeffs(state.g, state.macro)
         rhs = dt * expl
@@ -311,7 +363,7 @@ class VpfpStepper:
         """One IMEX BDF2 step.  expl_prev, dead after this step, is
         overwritten: it holds the explicit part of the right-hand side."""
         dt = self.dt
-        mass0 = state.g.coeffs[0, 0]
+        mass0 = state.g.coeffs[0, ..., 0]
         # (4 g - g_prev + 2 dt (2 e - e_prev)) / 3.  Scaling by -1/2 and 4 dt
         # instead of 2 and 2 dt gives the same bits, as powers of 2 are exact.
         rhs = 4.0 * state.g.coeffs
@@ -325,7 +377,12 @@ class VpfpStepper:
 
 
 def _fit_dt(dt_nominal: float, interval: float) -> tuple[float, int]:
-    n = max(1, math.ceil(interval / dt_nominal - 1e-12))
+    ratio = interval / dt_nominal
+    if not math.isfinite(ratio):
+        raise ConfigurationError(
+            f"time step {dt_nominal:g} is too small for the sample interval {interval:g}"
+        )
+    n = max(1, math.ceil(ratio - 1e-12))
     return interval / n, n
 
 
@@ -334,16 +391,22 @@ def sample_count(t_final: float, sample_interval: float | None) -> int:
 
     None means one interval, t_final itself.  Otherwise sample_interval
     must be positive, at most t_final and divide it into a whole number of
-    intervals (to SAMPLE_RATIO_RTOL relative); anything else raises
-    ConfigurationError instead of being silently rounded.
+    intervals (to SAMPLE_RATIO_RTOL relative); anything else, NaN and a
+    non-finite ratio included, raises ConfigurationError instead of being
+    silently rounded.
     """
-    if sample_interval is not None and sample_interval <= 0:
+    if sample_interval is not None and not sample_interval > 0:
         raise ConfigurationError(f"sample_interval must be positive, got {sample_interval}")
     if t_final == 0.0:
         return 0
     if sample_interval is None:
         return 1
     ratio = t_final / sample_interval
+    if not math.isfinite(ratio):
+        raise ConfigurationError(
+            f"t_final = {t_final:g} and sample_interval = {sample_interval:g} give no "
+            f"finite number of samples"
+        )
     if ratio < 1.0 - SAMPLE_RATIO_RTOL:
         raise ConfigurationError(
             f"sample_interval = {sample_interval:g} exceeds t_final = {t_final:g}"
@@ -357,60 +420,93 @@ def sample_count(t_final: float, sample_interval: float | None) -> int:
     return n_samples
 
 
-def sample_trajectory(initial, t_final: float, dt_nominal: float,
-                      sample_interval: float | None, make_advance,
-                      observers=()) -> Trajectory:
-    """The sampling schedule shared by the kinetic and the fluid run.
+def step_schedule(t_final: float, sample_interval: float | None,
+                  dt_nominal: float) -> tuple[int, float, int]:
+    """(samples, dt, steps per sample) of a run to t_final.
 
-    Samples land on exact multiples of sample_interval, which must divide
-    t_final (see sample_count; None means t_final alone).  The step size is
-    the largest dt <= dt_nominal that divides the interval.
-    make_advance(dt) returns advance(state, n), which takes n steps of
-    size dt and may keep history between calls; each sample's time is
-    re-stamped exactly.  Observers see every sampled state.
+    Samples land on exact multiples of sample_interval (see sample_count),
+    and dt is the largest step <= dt_nominal that divides one interval; a
+    run to t_final = 0 has no samples and gives (0, 0.0, 0).  Raises
+    ConfigurationError unless dt_nominal is positive and the step count
+    finite.
     """
-    if dt_nominal <= 0:
+    if not dt_nominal > 0:
         raise ConfigurationError(f"time step must be positive, got {dt_nominal}")
     n_samples = sample_count(t_final, sample_interval)
+    if n_samples == 0:
+        return 0, 0.0, 0
+    return (n_samples,) + _fit_dt(dt_nominal, t_final / n_samples)
+
+
+def sample_trajectory(initial, t_final: float, dt_nominal: float,
+                      sample_interval: float | None, make_advance,
+                      observers=()) -> np.ndarray:
+    """The sampling schedule shared by the kinetic and the fluid run; returns
+    the sample times.
+
+    The schedule is step_schedule's.  make_advance(dt) returns
+    advance(state, n), which takes n steps of size dt and may keep history
+    between calls; each sample's time is re-stamped exactly.  Observers
+    see every sampled state, the initial one first; what is kept is theirs
+    to choose.
+    """
+    n_samples, dt, steps_per_sample = step_schedule(t_final, sample_interval, dt_nominal)
     state = initial
-    states = [initial]
+    times = [initial.time]
     for obs in observers:
         obs(initial)
     if n_samples == 0:
-        return Trajectory(times=np.array([initial.time]), states=states)
+        return np.array(times)
 
     sample_interval = t_final / n_samples
-    dt, steps_per_sample = _fit_dt(dt_nominal, sample_interval)
     advance = make_advance(dt)
     for s in range(n_samples):
         state = advance(state, steps_per_sample)
         state = replace(state, time=initial.time + (s + 1) * sample_interval)
-        states.append(state)
+        times.append(state.time)
         for obs in observers:
             obs(state)
-    return Trajectory(times=np.array([st.time for st in states]), states=states)
+    return np.array(times)
 
 
 def run(initial: KineticState, cfg: SolverConfig, observers=(),
-        sample_interval: float | None = None) -> Trajectory:
+        sample_interval: float | None = None, epsilons=None,
+        keep_states: bool = True) -> Trajectory:
     """Integrate to t_final with cfg.scheme, sampling every sample_interval.
 
-    Deterministic for a fixed config; see sample_trajectory for the schedule.
+    Without epsilons this is the single run of cfg: observers and the
+    trajectory see its states.  With epsilons it advances one member per
+    epsilon from the same initial state in lock-step, and cfg.epsilon is
+    not used; observers and the trajectory then see a tuple of the
+    members' states per sample.  Either way it runs as a batch
+    (VpfpStepper), a single run as a batch of one, and the first sample of
+    every member is initial itself.  The members must share their fitted
+    step (see step_schedule).  keep_states=False keeps no sampled state:
+    the trajectory holds the times only.  Deterministic for a fixed config.
     """
     if initial.g.grid.n_x != cfg.n_x or initial.g.basis.n_v != cfg.n_v:
         raise ConfigurationError(
             f"initial state discretization ({initial.g.grid.n_x}, {initial.g.basis.n_v}) "
             f"does not match config ({cfg.n_x}, {cfg.n_v})"
         )
+    batch = (cfg.epsilon,) if epsilons is None else tuple(epsilons)
+    nominal = [replace(cfg, epsilon=eps).dt_nominal for eps in batch]
+    steps = {step_schedule(cfg.t_final, sample_interval, dt)[1] for dt in nominal}
+    if len(steps) != 1:
+        raise ConfigurationError(
+            f"a batch needs epsilons that share their fitted step; {batch} give "
+            f"{sorted(steps)}"
+        )
 
     use_bdf2 = cfg.scheme == "imex_bdf2"
+    start = initial.repeated(len(batch))
 
     def make_advance(dt: float):
-        stepper = VpfpStepper(cfg, dt)
+        stepper = VpfpStepper(cfg, dt, batch)
         prev = expl_prev = None  # BDF2 history, kept across samples
         # explicit-term buffers: buffers[0] takes the next step's terms, and
         # BDF2 alternates it with the one that holds expl_prev
-        buffers = [np.empty_like(initial.g.coeffs) for _ in range(1 + use_bdf2)]
+        buffers = [np.empty_like(start.g.coeffs) for _ in range(1 + use_bdf2)]
 
         def advance(state: KineticState, n: int) -> KineticState:
             nonlocal prev, expl_prev
@@ -427,5 +523,16 @@ def run(initial: KineticState, cfg: SolverConfig, observers=(),
             return state
         return advance
 
-    return sample_trajectory(initial, cfg.t_final, cfg.dt_nominal, sample_interval,
-                             make_advance, observers)
+    states = []
+
+    def observe(state: KineticState) -> None:
+        members = (initial,) * len(batch) if state is start else state.members()
+        sample = members[0] if epsilons is None else members
+        if keep_states:
+            states.append(sample)
+        for obs in observers:
+            obs(sample)
+
+    times = sample_trajectory(start, cfg.t_final, min(nominal), sample_interval,
+                              make_advance, (observe,))
+    return Trajectory(times=times, states=states)

@@ -68,8 +68,8 @@ class SpatialGrid:
     def __post_init__(self):
         if self.n_x < 4 or self.n_x % 2 != 0:
             raise ConfigurationError(f"n_x must be even and >= 4, got {self.n_x}")
-        if self.length <= 0:
-            raise ConfigurationError(f"period must be positive, got {self.length}")
+        if not 0.0 < self.length < np.inf:
+            raise ConfigurationError(f"period must be positive and finite, got {self.length}")
 
     @cached_property
     def nodes(self) -> np.ndarray:
@@ -222,6 +222,11 @@ class SpectralField:
     C-contiguous.  The modes above n_x/2 are implied by conjugation, so a
     field cannot lose Hermitian symmetry; its rows m = 0 and m = n_x/2 are
     real.  Treat instances as immutable.
+
+    A batch of B fields on one grid and basis, as the solver advances runs
+    in lock-step, has shape (n_v, B, n_x // 2 + 1), so each Hermite level
+    is one contiguous row over the (member, mode) pairs.  Only the solver's
+    stepper, operators.moments and operators.vpfp_rhs take a batch.
     """
 
     grid: SpatialGrid
@@ -229,10 +234,11 @@ class SpectralField:
     coeffs: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        expected = (self.basis.n_v, self.grid.n_half)
-        if self.coeffs.shape != expected:
+        shape = self.coeffs.shape
+        if len(shape) not in (2, 3) or (shape[0], shape[-1]) != (self.basis.n_v, self.grid.n_half):
             raise ConfigurationError(
-                f"coefficient shape {self.coeffs.shape} does not match {expected}"
+                f"coefficient shape {shape} does not match "
+                f"{(self.basis.n_v, self.grid.n_half)} or {(self.basis.n_v, 'B', self.grid.n_half)}"
             )
         self.coeffs = np.ascontiguousarray(self.coeffs)
 

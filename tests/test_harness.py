@@ -2,23 +2,34 @@
 exit codes, and byte-level determinism of the persisted artifacts."""
 
 import configparser
+import gc
 import json
+import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from vpfp.cli import EXIT_CONFIG_ERROR, EXIT_OK, EXIT_RUN_FAILURE, main
+from vpfp.ddp import ddp_run
+from vpfp.diagnostics import limit_error, limit_metrics
 from vpfp.harness import (
     METRIC_KEYS,
     SweepConfig,
+    SweepError,
     config_hash,
     default_sweep_config,
     estimate_rates_from_records,
+    initial_profile,
     load_summary,
     parse_config_file,
+    run_single,
     run_sweep,
     solver_config_from_dict,
+    sweep_record,
+    write_summary,
 )
+from vpfp.solver import ConservationError
 from vpfp.spectral import ConfigurationError
 
 SMALL_INI = """
@@ -53,6 +64,25 @@ def small_ini_with(tmp_path, **settings):
     with path.open("w") as fh:
         parser.write(fh)
     return path
+
+
+def fluid_reference(cfg):
+    grid = cfg.template.make_grid()
+    return ddp_run(grid, cfg.amplitude * initial_profile(cfg)(grid.nodes), cfg.ddp_dt,
+                   cfg.template.t_final, sample_interval=cfg.sample_interval)
+
+
+def one_run_record(cfg, epsilon, ddp, csv_path=None):
+    """The summary record of epsilon from its own run_single and limit_error
+    against the fluid reference ddp."""
+    traj = run_single(cfg, epsilon, csv_path=csv_path)
+    terms = [limit_error(ks, ds, cfg.k) for ks, ds in zip(traj.states, ddp.states, strict=True)]
+    return sweep_record(epsilon, traj.reports, limit_metrics(traj.times, terms))
+
+
+# three epsilons: one batch by default, and two when cfl_scale = 0.03 caps
+# the step of eps = 0.05 below dt_max
+THREE_EPS = {"sweep__epsilons": "0.2,0.1,0.05"}
 
 
 @pytest.fixture
@@ -155,6 +185,36 @@ class TestSweepConfig:
         cfg["sweep"]["profile_mode"] = 15
         assert SweepConfig.from_dict(cfg).profile_mode == 15
 
+    @pytest.mark.parametrize("cfl_scale, batches", [
+        (0.5, ((0.2, 0.1, 0.05, 0.025),)),     # every step is dt_max
+        (0.05, ((0.2, 0.1, 0.05), (0.025,))),  # 1.25e-3 fits as 1.25e-3
+        (0.03, ((0.2, 0.1), (0.05,), (0.025,))),
+    ])
+    def test_batches_share_a_fitted_step(self, cfl_scale, batches):
+        cfg = default_sweep_config()
+        cfg["solver"]["cfl_scale"] = cfl_scale
+        assert SweepConfig.from_dict(cfg).batches == batches
+
+    @pytest.mark.parametrize("section, key, value, message", [
+        ("sweep", "epsilons", (0.2, float("nan")), "epsilons must lie in"),
+        ("sweep", "epsilons", (float("nan"), 0.2), "epsilons must lie in"),
+        ("sweep", "amplitude", float("nan"), "amplitude must be finite"),
+        ("sweep", "amplitude", float("inf"), "amplitude must be finite"),
+        ("sweep", "ddp_dt", float("nan"), "time step must be positive"),
+        ("sweep", "sample_interval", float("nan"), "sample_interval must be positive"),
+        ("solver", "t_final", float("nan"), "t_final must be finite"),
+        ("solver", "t_final", float("inf"), "t_final must be finite"),
+        ("solver", "dt_max", float("nan"), "dt_max and cfl_scale must be positive"),
+        ("solver", "dt_max", 1e-320, "is too small for the sample interval"),
+        ("grid", "length", float("nan"), "period must be positive and finite"),
+        ("grid", "length", float("inf"), "period must be positive and finite"),
+    ])
+    def test_non_finite_setting_rejected(self, small_ini, section, key, value, message):
+        cfg = parse_config_file(small_ini)
+        cfg[section][key] = value
+        with pytest.raises(ConfigurationError, match=message):
+            SweepConfig.from_dict(cfg)
+
 
 class TestRateArithmetic:
     def test_known_pair(self):
@@ -233,6 +293,94 @@ class TestSweepOutputs:
             load_summary(tmp_path)
 
 
+class TestBatchedSweep:
+    """The epsilons that share a fitted step run as one batch, and give what
+    one run per epsilon gives."""
+
+    @pytest.mark.parametrize("settings, batches", [
+        ({}, ((0.2, 0.1, 0.05),)),
+        ({"solver__cfl_scale": "0.03"}, ((0.2, 0.1), (0.05,))),
+    ])
+    def test_outputs_equal_one_run_per_epsilon(self, tmp_path, settings, batches):
+        ini = small_ini_with(tmp_path, **THREE_EPS, **settings)
+        cfg = SweepConfig.from_dict(parse_config_file(ini), out_dir=tmp_path / "batched")
+        assert cfg.batches == batches
+        result = run_sweep(cfg)
+        ddp = fluid_reference(cfg)
+        records = [one_run_record(cfg, eps, ddp, tmp_path / "single" / f"run_eps_{eps:g}.csv")
+                   for eps in cfg.epsilons]
+        write_summary(tmp_path / "single", replace(
+            result, per_epsilon=records, rates=estimate_rates_from_records(records)))
+        for eps in cfg.epsilons:
+            name = f"run_eps_{eps:g}.csv"
+            assert (tmp_path / "batched" / name).read_bytes() == (tmp_path / "single" / name).read_bytes()
+        assert ((tmp_path / "batched" / "summary.json").read_bytes()
+                == (tmp_path / "single" / "summary.json").read_bytes())
+
+    def test_failed_member_gives_sequential_partial_summary(self, tmp_path, monkeypatch):
+        from vpfp import solver
+
+        ini = small_ini_with(tmp_path, **THREE_EPS)
+        cfg = SweepConfig.from_dict(parse_config_file(ini), out_dir=tmp_path / "out")
+        assert cfg.batches == ((0.2, 0.1, 0.05),)
+        clean = one_run_record(cfg, 0.2, fluid_reference(cfg))
+        rhs = solver.vpfp_rhs
+
+        def leaky_rhs(g, macro, epsilon, **kwargs):
+            # the explicit terms of the member with eps = 0.1 add mass
+            out = rhs(g, macro, epsilon, **kwargs)
+            for member, eps in enumerate(epsilon):
+                if eps == 0.1:
+                    out.coeffs[0, member, 0] += 1.0
+            return out
+
+        monkeypatch.setattr(solver, "vpfp_rhs", leaky_rhs)
+        with pytest.raises(ConservationError) as alone:
+            run_single(cfg, 0.1)
+        runs = []
+        monkeypatch.setattr("vpfp.harness.run", lambda *a, epsilons, **kw: (
+            runs.append(epsilons), solver.run(*a, epsilons=epsilons, **kw))[1])
+        with pytest.raises(SweepError, match="aborted at epsilon = 0.1"):
+            run_sweep(cfg)
+        # the batch, then its members one at a time up to the failing one
+        assert runs == [(0.2, 0.1, 0.05), (0.2,), (0.1,)]
+        summary = load_summary(tmp_path / "out")
+        assert summary["per_epsilon"] == [clean]
+        assert summary["incomplete"] == [{"epsilon": 0.1,
+                                          "error": f"ConservationError: {alone.value}"}]
+        assert summary["rates"] == estimate_rates_from_records([clean])
+        assert sorted(p.name for p in (tmp_path / "out").glob("*.csv")) == ["run_eps_0.2.csv"]
+
+    def test_no_sampled_state_outlives_its_batch(self, tmp_path, monkeypatch):
+        from vpfp import harness
+
+        ini = small_ini_with(tmp_path, **THREE_EPS, solver__cfl_scale="0.03")
+        cfg = SweepConfig.from_dict(parse_config_file(ini))
+        assert len(cfg.batches) == 2
+        sampled = []  # (time, weak reference) of the member states past t = 0
+        energy, run = harness.energy_functionals, harness.run
+
+        def alive(before=np.inf):
+            gc.collect()
+            return sum(ref() is not None for time, ref in sampled if time < before)
+
+        def watched_energy(state, k, epsilon):
+            if state.time > 0.0:  # t = 0 is the sweep's one initial state
+                assert alive(before=state.time) == 0  # earlier samples are gone
+                sampled.extend((state.time, weakref.ref(obj)) for obj in (state, state.g.coeffs))
+            return energy(state, k, epsilon)
+
+        def checked_run(*args, **kwargs):
+            assert alive() == 0
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "energy_functionals", watched_energy)
+        monkeypatch.setattr(harness, "run", checked_run)
+        run_sweep(cfg)
+        assert len(sampled) == 2 * 4 * len(cfg.epsilons)  # 4 samples past t = 0 each
+        assert alive() == 0
+
+
 class TestFailurePersistence:
     def test_partial_results_persisted(self, small_ini, tmp_path):
         from vpfp.harness import SweepError
@@ -298,22 +446,27 @@ class TestCli:
         assert capsys.readouterr().out == ""
         assert (loud / "summary.json").read_bytes() == (quiet / "summary.json").read_bytes()
 
-    def test_progress_reported_as_each_run_finishes(self, small_ini, monkeypatch):
+    def test_progress_reported_as_each_batch_finishes(self, tmp_path, monkeypatch):
+        # one event per epsilon, in epsilon order, once its batch has run
         from vpfp import harness
 
         events = []
-        single = harness.run_single
+        run = harness.run
 
-        def traced_single(cfg, eps, csv_path=None):
-            events.append(("start", eps))
-            return single(cfg, eps, csv_path=csv_path)
+        def traced_run(*args, epsilons, **kwargs):
+            traj = run(*args, epsilons=epsilons, **kwargs)
+            events.append(("ran", epsilons))
+            return traj
 
-        monkeypatch.setattr(harness, "run_single", traced_single)
-        cfg = SweepConfig.from_dict(parse_config_file(small_ini))
+        monkeypatch.setattr(harness, "run", traced_run)
+        ini = small_ini_with(tmp_path, **THREE_EPS, solver__cfl_scale="0.03")
+        cfg = SweepConfig.from_dict(parse_config_file(ini))
         result = run_sweep(cfg, progress=lambda eps, s, e_k: events.append(("done", eps, e_k)))
         final = [rec["final_E_k"] for rec in result.per_epsilon]
-        assert events == [("start", 0.2), ("done", 0.2, final[0]),
-                          ("start", 0.1), ("done", 0.1, final[1])]
+        assert events == [("ran", (0.2, 0.1)), ("done", 0.2, final[0]), ("done", 0.1, final[1]),
+                          ("ran", (0.05,)), ("done", 0.05, final[2])]
+        assert {key for key in result.timings if key.startswith("run_eps_")} == {
+            "run_eps_0.2_0.1_s", "run_eps_0.05_s"}
 
     def test_run_vpfp(self, small_ini, tmp_path):
         code = main(["--config", str(small_ini), "--out", str(tmp_path), "--quiet", "run"])
@@ -384,12 +537,40 @@ class TestCli:
         ("sweep", {"sweep__profile_mode": "16"}, "profile_mode must lie in"),
         ("run", {"solver__system": "bogus"}, "unknown solver.system 'bogus'"),
         ("sweep", {"solver__system": "bogus"}, "unknown solver.system 'bogus'"),
+        # float settings must be finite, and every step fits at config time
+        ("run", {"solver__t_final": "inf"}, "bad value for solver.t_final"),
+        ("sweep", {"solver__t_final": "inf"}, "bad value for solver.t_final"),
+        ("sweep", {"solver__t_final": "nan"}, "bad value for solver.t_final"),
+        ("sweep", {"sweep__sample_interval": "nan"}, "bad value for sweep.sample_interval"),
+        ("run", {"sweep__ddp_dt": "nan", "solver__system": "ddp"}, "bad value for sweep.ddp_dt"),
+        ("sweep", {"sweep__ddp_dt": "nan"}, "bad value for sweep.ddp_dt"),
+        ("sweep", {"solver__dt_max": "nan"}, "bad value for solver.dt_max"),
+        ("run", {"solver__dt_max": "1e-320"}, "is too small for the sample interval"),
+        ("sweep", {"solver__dt_max": "1e-320"}, "is too small for the sample interval"),
+        ("sweep", {"sweep__epsilons": "0.2,nan"}, "bad value for sweep.epsilons"),
+        ("run", {"sweep__amplitude": "nan"}, "bad value for sweep.amplitude"),
+        ("sweep", {"sweep__amplitude": "inf"}, "bad value for sweep.amplitude"),
+        ("run", {"grid__length": "inf"}, "bad value for grid.length"),
+        ("sweep", {"grid__length": "nan"}, "bad value for grid.length"),
+        ("sweep", {"solver__cfl_scale": "inf"}, "bad value for solver.cfl_scale"),
     ])
     def test_bad_setting_is_config_error(self, tmp_path, capsys, command, settings, message):
         ini = small_ini_with(tmp_path, **settings)
         code = main(["--config", str(ini), "--out", str(tmp_path / "out"), "--quiet", command])
         assert code == EXIT_CONFIG_ERROR
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()  # nothing ran
+
+    def test_arithmetic_error_is_run_failure(self, small_ini, tmp_path, capsys, monkeypatch):
+        from vpfp import cli
+
+        def overflowing_run(*args, **kwargs):
+            raise OverflowError("math range error")
+
+        monkeypatch.setattr(cli, "run_single", overflowing_run)
+        code = main(["--config", str(small_ini), "--out", str(tmp_path), "--quiet", "run"])
+        assert code == EXIT_RUN_FAILURE
+        assert capsys.readouterr().err == "run failed: math range error\n"
 
     def test_run_failure_exit_code(self, tmp_path):
         bad = tmp_path / "bad.ini"

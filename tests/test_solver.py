@@ -3,6 +3,7 @@ determinism, and configuration validation."""
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -109,11 +110,11 @@ class TestDampingInvariant:
         stepper = VpfpStepper(cfg, dt)
         g = SpectralField.zeros(grid, basis)
         g.coeffs[:, 1] = 0.5  # cos(x) on every level; mode -1 is its conjugate
-        state = KineticState(time=0.0, g=g, macro=moments(g))
+        state = KineticState(time=0.0, g=g, macro=moments(g)).repeated(1)
         new = stepper.step_euler(state)
         n = np.arange(basis.n_v)
         factor = 1.0 / (1.0 + dt * (n / cfg.epsilon**2))
-        assert np.array_equal(new.g.coeffs[:, 1], 0.5 * factor)
+        assert np.array_equal(new.g.coeffs[:, 0, 1], 0.5 * factor)
 
     def test_stiff_decay_matches_discrete_rate(self, grid, basis):
         # a pure Hermite-3 mode with dt = eps^2 / 10: the discrete factor per
@@ -124,28 +125,28 @@ class TestDampingInvariant:
         cfg = small_config(epsilon=eps, transport_enabled=False, fields_enabled=False)
         stepper = VpfpStepper(cfg, dt)
         g = basis_element(grid, basis, 1, 3, amplitude=1.0)
-        state = KineticState(time=0.0, g=g, macro=moments(g))
+        state = KineticState(time=0.0, g=g, macro=moments(g)).repeated(1)
         factor = 1.0 / (1.0 + 3.0 * dt / eps**2)
         n_steps = math.ceil(math.log(1e-6) / math.log(factor))
         amp0 = abs(g.coeffs[3, 1])
         for i in range(n_steps):
             state = stepper.step_euler(state)
-            amp = abs(state.g.coeffs[3, 1])
+            amp = abs(state.g.coeffs[3, 0, 1])
             assert amp == pytest.approx(amp0 * factor ** (i + 1), rel=1e-12)
             if i < 8:
                 # the discrete factor tracks the continuous rate to O(dt)
                 # per step; the gap compounds, so only early steps compare
                 cont = amp0 * math.exp(-3.0 * state.time / eps**2)
                 assert amp == pytest.approx(cont, rel=0.5)
-        assert abs(state.g.coeffs[3, 1]) < 1e-6
+        assert abs(state.g.coeffs[3, 0, 1]) < 1e-6
 
     def test_unconditional_stability_large_dt(self, grid, basis):
         cfg = small_config(epsilon=0.05, transport_enabled=False, fields_enabled=False)
         stepper = VpfpStepper(cfg, 1.0)  # dt / eps^2 = 400
         g = basis_element(grid, basis, 1, 5)
-        state = KineticState(time=0.0, g=g, macro=moments(g))
+        state = KineticState(time=0.0, g=g, macro=moments(g)).repeated(1)
         state = stepper.step_euler(state)
-        assert abs(state.g.coeffs[5, 1]) < abs(g.coeffs[5, 1])
+        assert abs(state.g.coeffs[5, 0, 1]) < abs(g.coeffs[5, 1])
 
 
 def hermitian_coeffs(rng, n_x, n_v):
@@ -256,14 +257,14 @@ class TestConservationAndConsistency:
 
     def test_precomputed_explicit_terms_give_same_step(self, grid, basis):
         stepper = VpfpStepper(small_config(), 1e-3)
-        state = cos_initial(grid, basis, amplitude=0.05)
+        state = cos_initial(grid, basis, amplitude=0.05).repeated(1)
         expl = stepper.explicit_coeffs(state.g, state.macro)
         assert np.array_equal(stepper.step_euler(state, expl).g.coeffs,
                               stepper.step_euler(state).g.coeffs)
 
     def test_zero_state_is_fixed(self, grid, basis):
         g = SpectralField.zeros(grid, basis)
-        state = KineticState(time=0.0, g=g, macro=moments(g))
+        state = KineticState(time=0.0, g=g, macro=moments(g)).repeated(1)
         cfg = small_config()
         new = VpfpStepper(cfg, 1e-3).step_euler(state)
         assert np.max(np.abs(new.g.coeffs)) == 0.0
@@ -313,7 +314,7 @@ class TestHalfSpectrumSteps:
         coeffs = 1e-3 * hermitian_coeffs(np.random.default_rng(seed), n_x, n_v)
         coeffs[0, 0] = 0.0
         g = SpectralField(stepper.grid, stepper.basis, coeffs)
-        s0 = KineticState(time=0.0, g=g, macro=moments(g))
+        s0 = KineticState(time=0.0, g=g, macro=moments(g)).repeated(1)
         e0 = stepper.explicit_coeffs(s0.g, s0.macro)
         s1 = stepper.step_euler(s0, e0)
         e1 = stepper.explicit_coeffs(s1.g, s1.macro)
@@ -329,10 +330,10 @@ class TestHalfSpectrumSteps:
         s2 = stepper.step_bdf2(s1, s0, e1, e0)
         for state in (s1, s2):
             c = state.g.coeffs
-            assert c.shape == (n_v, n_x // 2 + 1) and c.flags.c_contiguous
-            assert np.all(c[:, 0].imag == 0.0)
-            assert np.all(c[:, -1].imag == 0.0)
-            assert abs(c[0, 0]) <= 1e-13
+            assert c.shape == (n_v, 1, n_x // 2 + 1) and c.flags.c_contiguous
+            assert np.all(c[..., 0].imag == 0.0)
+            assert np.all(c[..., -1].imag == 0.0)
+            assert abs(c[0, 0, 0]) <= 1e-13
 
     def test_nyquist_profile_run_stays_real(self):
         # a density on the Nyquist mode n_x/2, where the streaming and field
@@ -383,21 +384,23 @@ class TestBufferOwnership:
     def test_fresh_arrays_without_out(self, grid, basis):
         stepper = VpfpStepper(small_config(), 1e-3)
         state = cos_initial(grid, basis, amplitude=0.05)
-        for make in (lambda: stepper.explicit_coeffs(state.g, state.macro),
-                     lambda: vpfp_rhs(state.g, state.macro, 0.2).coeffs):
+        batch = state.repeated(1)
+        for given, make in ((batch, lambda: stepper.explicit_coeffs(batch.g, batch.macro)),
+                            (state, lambda: vpfp_rhs(state.g, state.macro, 0.2).coeffs)):
             one, two = make(), make()
             assert np.array_equal(one, two)
             assert not np.shares_memory(one, two)
-            assert not np.shares_memory(one, state.g.coeffs)
+            assert not np.shares_memory(one, given.g.coeffs)
 
     @pytest.mark.parametrize("fields", [True, False])
     def test_out_is_filled_and_returned(self, grid, basis, fields):
         stepper = VpfpStepper(small_config(fields_enabled=fields), 1e-3)
         state = cos_initial(grid, basis, amplitude=0.05)
+        batch = state.repeated(1)
+        out = np.full_like(batch.g.coeffs, np.nan)
+        assert stepper.explicit_coeffs(batch.g, batch.macro, out=out) is out
+        assert np.array_equal(out, stepper.explicit_coeffs(batch.g, batch.macro))
         out = np.full_like(state.g.coeffs, np.nan)
-        assert stepper.explicit_coeffs(state.g, state.macro, out=out) is out
-        assert np.array_equal(out, stepper.explicit_coeffs(state.g, state.macro))
-        out[...] = np.nan
         scratch = np.full((basis.n_v - 1, grid.n_x), np.nan)
         got = vpfp_rhs(state.g, state.macro, 0.2, fields=fields, out=out, scratch=scratch)
         assert got.coeffs is out
@@ -426,7 +429,7 @@ class TestBufferOwnership:
         # at 1024 x 16 the 131 KB coefficients dwarf every per-row array
         cfg = small_config(epsilon=0.05, n_x=1024, n_v=16)
         stepper = VpfpStepper(cfg, 1e-3)
-        s0 = cos_initial(stepper.grid, stepper.basis, amplitude=0.05)
+        s0 = cos_initial(stepper.grid, stepper.basis, amplitude=0.05).repeated(1)
         e0 = stepper.explicit_coeffs(s0.g, s0.macro)
         s1 = stepper.step_euler(s0, e0)
         e1 = stepper.explicit_coeffs(s1.g, s1.macro)
@@ -511,6 +514,32 @@ class TestRunHarness:
         two = run(cos_initial(grid, basis), cfg, sample_interval=0.05)
         for a, b in zip(one.states, two.states):
             assert np.array_equal(a.g.coeffs, b.g.coeffs)
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_batch_members_equal_single_runs(self, grid, basis, scheme):
+        cfg = small_config(t_final=0.04, scheme=scheme)
+        epsilons = (0.5, 0.2, 0.1)  # dt = dt_max for each
+        initial = cos_initial(grid, basis, amplitude=0.05)
+        batch = run(initial, cfg, sample_interval=0.02, epsilons=epsilons)
+        assert len(batch.states[0]) == 3 and all(m is initial for m in batch.states[0])
+        for i, eps in enumerate(epsilons):
+            single = run(initial, replace(cfg, epsilon=eps), sample_interval=0.02)
+            assert np.array_equal(batch.times, single.times)
+            for members, state in zip(batch.states, single.states, strict=True):
+                assert np.array_equal(members[i].g.coeffs, state.g.coeffs)
+                assert np.array_equal(members[i].macro.grad_phi, state.macro.grad_phi)
+
+    def test_batch_needs_one_fitted_step(self, grid, basis):
+        # cfl_scale * 0.001 = 5e-4 < dt_max: the members would step differently
+        with pytest.raises(ConfigurationError, match="share their fitted step"):
+            run(cos_initial(grid, basis), small_config(), sample_interval=0.05,
+                epsilons=(0.2, 0.001))
+
+    def test_unkept_states(self, grid, basis):
+        seen = []
+        traj = run(cos_initial(grid, basis), small_config(), observers=(seen.append,),
+                   sample_interval=0.05, keep_states=False)
+        assert traj.states == [] and len(seen) == len(traj.times) == 3
 
     def test_observers_see_every_sample(self, grid, basis):
         cfg = small_config(t_final=0.1)
