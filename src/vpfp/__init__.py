@@ -7,10 +7,7 @@ from .spectral import (
     SpatialGrid,
     HermiteBasis,
     SpectralField,
-    forward_transform,
     inverse_transform,
-    spatial_derivative,
-    quadrature_oracle_moment,
 )
 from .operators import (
     MacroFields,

@@ -286,7 +286,8 @@ class VpfpStepper:
     batch states (KineticState.repeated).  Caches the even-level factors
     per effective implicit step (dt for Euler, 2 dt / 3 for BDF2); each
     costs O(B n_x n_v) to build and to store.  A step solves its freshly
-    built right-hand side in place.  The stepper owns one real scratch of
+    built right-hand side in place, and its new state keeps the grid and
+    basis of the state it steps from.  The stepper owns one real scratch of
     shape (n_v - 1, B, n_x), which every field-coupling evaluation reuses
     and no method returns; the caller owns the explicit-term arrays.
     """
@@ -296,9 +297,8 @@ class VpfpStepper:
         self.dt = float(dt)
         self.epsilons = (cfg.epsilon,) if epsilons is None else tuple(map(float, epsilons))
         self.grid = cfg.make_grid()
-        self.basis = cfg.make_basis()
         self._factors: dict[float, TridiagonalFactors] = {}
-        self._scratch = np.empty((self.basis.n_v - 1, len(self.epsilons), self.grid.n_x))
+        self._scratch = np.empty((cfg.n_v - 1, len(self.epsilons), self.grid.n_x))
 
     # -- implicit blocks ----------------------------------------------------
     def factors(self, dt_eff: float) -> TridiagonalFactors:
@@ -314,16 +314,10 @@ class VpfpStepper:
             if not self.cfg.transport_enabled:
                 k = np.zeros_like(k)
             n_batch = len(self.epsilons)
-            f = TridiagonalFactors.build(np.tile(k, n_batch), self.basis.n_v,
+            f = TridiagonalFactors.build(np.tile(k, n_batch), self.cfg.n_v,
                                          np.repeat(self.epsilons, k.size), dt_eff)
             self._factors[dt_eff] = f
         return f
-
-    def solve_implicit(self, dt_eff: float, coeffs: np.ndarray) -> np.ndarray:
-        """(I + dt_eff * S_m)^-1 applied per member and mode to coefficients
-        of shape (n_v, B, n_x/2 + 1) (or (n_v, n_x/2 + 1) for a batch of
-        one), on a copy: coeffs is not modified."""
-        return self.factors(dt_eff).solve(np.array(coeffs, dtype=complex, order="C"))
 
     # -- explicit part ------------------------------------------------------
     def explicit_coeffs(self, g: SpectralField, macro: MacroFields,
@@ -337,33 +331,36 @@ class VpfpStepper:
         return rhs.coeffs
 
     # -- stepping -----------------------------------------------------------
-    def _finish(self, coeffs: np.ndarray, time: float, mass_before) -> KineticState:
+    @staticmethod
+    def _finish(state: KineticState, coeffs: np.ndarray, dt: float) -> KineticState:
+        """The state dt after state with coefficients coeffs, on state's grid
+        and basis, once its values are finite and its mass is state's."""
+        time = state.time + dt
         if not np.all(np.isfinite(coeffs)):
             raise FloatingPointError(f"non-finite state detected at t = {time:.6g}")
+        mass_before = state.g.coeffs[0, ..., 0]
         drift = np.abs(coeffs[0, ..., 0] - mass_before)  # one per member
         if np.any(drift > NEUTRALITY_TOL * (1.0 + np.abs(mass_before))):
             raise ConservationError(
                 f"Hermite-0 spatial mean changed by {np.max(drift):.3e} during a step"
             )
-        g = SpectralField(self.grid, self.basis, coeffs)
+        g = state.g.with_coeffs(coeffs)
         return KineticState(time=time, g=g, macro=moments(g))
 
     def step_euler(self, state: KineticState, expl: np.ndarray | None = None) -> KineticState:
         """One IMEX Euler step; expl may carry precomputed explicit_coeffs(state)."""
         dt = self.dt
-        mass0 = state.g.coeffs[0, ..., 0]
         if expl is None:
             expl = self.explicit_coeffs(state.g, state.macro)
         rhs = dt * expl
         rhs += state.g.coeffs
-        return self._finish(self.factors(dt).solve(rhs), state.time + dt, mass0)
+        return self._finish(state, self.factors(dt).solve(rhs), dt)
 
     def step_bdf2(self, state: KineticState, prev: KineticState,
                   expl: np.ndarray, expl_prev: np.ndarray) -> KineticState:
         """One IMEX BDF2 step.  expl_prev, dead after this step, is
         overwritten: it holds the explicit part of the right-hand side."""
         dt = self.dt
-        mass0 = state.g.coeffs[0, ..., 0]
         # (4 g - g_prev + 2 dt (2 e - e_prev)) / 3.  Scaling by -1/2 and 4 dt
         # instead of 2 and 2 dt gives the same bits, as powers of 2 are exact.
         rhs = 4.0 * state.g.coeffs
@@ -373,7 +370,7 @@ class VpfpStepper:
         expl_prev *= 4.0 * dt
         rhs += expl_prev
         rhs /= 3.0
-        return self._finish(self.factors(2.0 * dt / 3.0).solve(rhs), state.time + dt, mass0)
+        return self._finish(state, self.factors(2.0 * dt / 3.0).solve(rhs), dt)
 
 
 def _fit_dt(dt_nominal: float, interval: float) -> tuple[float, int]:
@@ -480,14 +477,18 @@ def run(initial: KineticState, cfg: SolverConfig, observers=(),
     not used; observers and the trajectory then see a tuple of the
     members' states per sample.  Either way it runs as a batch
     (VpfpStepper), a single run as a batch of one, and the first sample of
-    every member is initial itself.  The members must share their fitted
-    step (see step_schedule).  keep_states=False keeps no sampled state:
-    the trajectory holds the times only.  Deterministic for a fixed config.
+    every member is initial itself.  initial must lie on cfg's grid and
+    n_v, and every sampled state shares its grid and basis.  The members
+    must share their fitted step (see step_schedule).  keep_states=False
+    keeps no sampled state: the trajectory holds the times only.
+    Deterministic for a fixed config.
     """
-    if initial.g.grid.n_x != cfg.n_x or initial.g.basis.n_v != cfg.n_v:
+    grid, n_v = initial.g.grid, initial.g.basis.n_v
+    if grid != cfg.make_grid() or n_v != cfg.n_v:
         raise ConfigurationError(
-            f"initial state discretization ({initial.g.grid.n_x}, {initial.g.basis.n_v}) "
-            f"does not match config ({cfg.n_x}, {cfg.n_v})"
+            f"initial state discretization (n_x = {grid.n_x}, length = {grid.length!r}, "
+            f"n_v = {n_v}) does not match config (n_x = {cfg.n_x}, length = {cfg.length!r}, "
+            f"n_v = {cfg.n_v})"
         )
     batch = (cfg.epsilon,) if epsilons is None else tuple(epsilons)
     nominal = [replace(cfg, epsilon=eps).dt_nominal for eps in batch]

@@ -7,7 +7,9 @@ Hermite polynomials normalized so that int He_j He_k M dv = delta_jk and
 M(v) = (2 pi)^(-1/2) exp(-v^2/2) the unit Gaussian.  In this basis velocity
 multiplication, differentiation and the (v/2 - d/dv) raising operator are
 three-term recurrences, and the Fokker-Planck collision operator is the
-diagonal multiplier n.
+diagonal multiplier n.  Velocity integrals are read off the coefficients,
+so the module holds no quadrature weights: point values (inverse_transform)
+are only evaluated, on the x nodes times the Gauss-Hermite velocity nodes.
 
 Every field is real, so its Fourier coefficients are stored as a real-FFT
 half-spectrum: the modes m = 0..n_x/2 in rfft order, normalized so that
@@ -23,6 +25,7 @@ real field has no representable sine; that keeps its row real.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -33,11 +36,8 @@ __all__ = [
     "SpatialGrid",
     "HermiteBasis",
     "SpectralField",
-    "forward_transform",
     "inverse_transform",
-    "spatial_derivative",
     "hermite_shift_coeffs",
-    "quadrature_oracle_moment",
     "mode_sq",
     "sobolev_weights",
     "parseval_sq",
@@ -45,9 +45,10 @@ __all__ = [
 ]
 
 SHIFT_KINDS = ("multiply_by_v", "d_dv")
-# Largest n_v whose hermegauss(2 n_v) quadrature is finite: above it the
-# weights overflow to NaN (a stable Golub-Welsch rule would lift the cap).
-MAX_N_V = 185
+# Largest n_v at whose 2 n_v velocity nodes psi_0 is a normal double; from
+# n_v = 365 on it is subnormal at the outermost node, where the psi table
+# then loses digits.
+MAX_N_V = 364
 
 
 class ConfigurationError(ValueError):
@@ -137,14 +138,25 @@ class SpatialGrid:
         return self.length
 
 
+def _hermite_rows(v: np.ndarray, n_levels: int):
+    """psi_0(v), ..., psi_{n_levels - 1}(v), one array each, by the
+    numerically stable Hermite-function recurrence
+    psi_{n+1} = (v psi_n - sqrt(n) psi_{n-1}) / sqrt(n+1)."""
+    prev, cur = 0.0, (2.0 * np.pi) ** (-0.25) * np.exp(-0.25 * v**2)
+    for n in range(n_levels):
+        yield cur
+        prev, cur = cur, (v * cur - np.sqrt(n) * prev) / np.sqrt(n + 1)
+
+
 @dataclass(frozen=True)
 class HermiteBasis:
-    """Truncated Hermite-function basis with its Gauss-Hermite quadrature.
+    """Truncated Hermite-function basis and the velocity nodes of a state.
 
-    The quadrature rule has order 2*n_v so that products of any two retained
-    basis elements are integrated exactly; it backs the independent moment
-    oracles used in the tests.  n_v is capped at MAX_N_V, where that rule
-    is still finite.
+    A state's point values (inverse_transform) live on the 2 n_v nodes of
+    the Gauss-Hermite rule of that order, the roots of He_{2 n_v}: the
+    pointwise limit error and the initial positivity check take their
+    extrema over them.  n_v is capped at MAX_N_V, where psi_0 at the
+    outermost node is still a normal double.
     """
 
     n_v: int
@@ -152,60 +164,39 @@ class HermiteBasis:
     def __post_init__(self):
         if not 4 <= self.n_v <= MAX_N_V:
             raise ConfigurationError(
-                f"n_v must lie in [4, {MAX_N_V}] (the Gauss-Hermite quadrature is not "
-                f"finite above {MAX_N_V}), got {self.n_v}"
+                f"n_v must lie in [4, {MAX_N_V}] (above {MAX_N_V}, psi_0 at the outermost "
+                f"velocity node underflows), got {self.n_v}"
             )
-
-    @property
-    def n_quad(self) -> int:
-        return 2 * self.n_v
 
     @cached_property
     def quad_nodes(self) -> np.ndarray:
-        nodes, _ = np.polynomial.hermite_e.hermegauss(self.n_quad)
-        return nodes
-
-    @cached_property
-    def quad_weights(self) -> np.ndarray:
-        """Plain-measure quadrature weights.
-
-        sum_q w_q f(v_q) equals int f(v) dv exactly whenever f = p * M with
-        p a polynomial of degree < 2*n_quad.
-        """
-        nodes, weights = np.polynomial.hermite_e.hermegauss(self.n_quad)
-        # hermegauss weights integrate against exp(-v^2/2); divide out the
-        # Gaussian to get plain dv weights for Maxwellian-weighted integrands.
-        m = np.exp(-0.5 * nodes**2) / np.sqrt(2.0 * np.pi)
-        return weights / np.sqrt(2.0 * np.pi) / m
+        """The roots of He_{2 n_v}, ascending: the eigenvalues of the
+        symmetric Jacobi matrix with off-diagonals sqrt(1..2 n_v - 1)
+        (Golub-Welsch 1969), polished by one Newton step as in numpy's
+        hermegauss.  The rule's weights are never formed."""
+        n_quad = 2 * self.n_v
+        off = np.sqrt(np.arange(1.0, n_quad))
+        v = np.linalg.eigvalsh(np.diag(off, -1))  # reads the lower triangle
+        # He_n / He_n' = psi_n / (sqrt(n) psi_{n-1}), which cannot overflow
+        below, top = deque(_hermite_rows(v, n_quad + 1), maxlen=2)
+        return v - top / (np.sqrt(n_quad) * below)
 
     def functions(self, n_levels: int | None = None, v: np.ndarray | None = None) -> np.ndarray:
-        """Table psi_n(v_q), shape (len(v), n_levels).
-
-        Uses the numerically stable Hermite-function recurrence
-        psi_{n+1} = (v psi_n - sqrt(n) psi_{n-1}) / sqrt(n+1).
-        """
+        """Table psi_n(v_q), shape (len(v), n_levels), by _hermite_rows."""
         if n_levels is None:
             n_levels = self.n_v
         if v is None:
             v = self.quad_nodes
         v = np.asarray(v, dtype=float)
         table = np.empty((v.size, n_levels))
-        table[:, 0] = (2.0 * np.pi) ** (-0.25) * np.exp(-0.25 * v**2)
-        if n_levels > 1:
-            table[:, 1] = v * table[:, 0]
-        for n in range(1, n_levels - 1):
-            table[:, n + 1] = (v * table[:, n] - np.sqrt(n) * table[:, n - 1]) / np.sqrt(n + 1)
+        for n, row in enumerate(_hermite_rows(v, n_levels)):
+            table[:, n] = row
         return table
 
     @cached_property
     def synthesis(self) -> np.ndarray:
-        """psi_n(v_q), shape (n_quad, n_v)."""
+        """psi_n(v_q), shape (2 n_v, n_v)."""
         return self.functions()
-
-    @cached_property
-    def analysis(self) -> np.ndarray:
-        """Quadrature projection onto psi_n, shape (n_v, n_quad)."""
-        return (self.synthesis * self.quad_weights[:, None]).T
 
     def maxwellian_sqrt(self) -> np.ndarray:
         """sqrt(M) at the quadrature nodes (equals psi_0)."""
@@ -250,28 +241,11 @@ class SpectralField:
         return SpectralField(self.grid, self.basis, coeffs)
 
 
-def forward_transform(grid: SpatialGrid, basis: HermiteBasis, point_values: np.ndarray) -> SpectralField:
-    """Point values on the x-nodes x quadrature-nodes grid -> coefficients.
-
-    point_values has shape (n_x, n_quad); one real FFT along x per level.
-    """
-    expected = (grid.n_x, basis.n_quad)
-    values = np.asarray(point_values)
-    if values.shape != expected:
-        raise ConfigurationError(f"value shape {values.shape} does not match {expected}")
-    coeffs = np.fft.rfft(basis.analysis @ values.T, norm="forward")
-    return SpectralField(grid, basis, coeffs)
-
-
 def inverse_transform(f: SpectralField) -> np.ndarray:
-    """Coefficients -> real point values of shape (n_x, n_quad)."""
+    """Coefficients -> real point values on the x nodes x velocity nodes,
+    shape (n_x, 2 n_v)."""
     levels = np.fft.irfft(f.coeffs, n=f.grid.n_x, norm="forward")
     return levels.T @ f.basis.synthesis.T
-
-
-def spatial_derivative(f: SpectralField) -> SpectralField:
-    """d/dx as the Fourier multiplier grid.dx_symbol (0 at the Nyquist mode)."""
-    return f.with_coeffs(f.coeffs * f.grid.dx_symbol)
 
 
 def hermite_shift_coeffs(coeffs: np.ndarray, kind: str, extend: int = 0) -> np.ndarray:
@@ -298,15 +272,6 @@ def hermite_shift_coeffs(coeffs: np.ndarray, kind: str, extend: int = 0) -> np.n
         np.multiply(root[:n_up], coeffs[:n_up], out=out[1 : n_up + 1])
         out[: n_in - 1] += root[: n_in - 1] * coeffs[1:]
     return out
-
-
-def quadrature_oracle_moment(grid: SpatialGrid, basis: HermiteBasis, point_values: np.ndarray, weight_function) -> np.ndarray:
-    """int g(x, v) w(v) dv at each x node, by Gauss-Hermite quadrature.
-
-    Independent of the coefficient path; used only as a test oracle.
-    """
-    w = np.asarray(weight_function(basis.quad_nodes), dtype=float)
-    return np.asarray(point_values) @ (basis.quad_weights * w)
 
 
 def mode_sq(coeffs: np.ndarray) -> np.ndarray:

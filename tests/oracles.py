@@ -1,13 +1,28 @@
-"""Full-spectrum, complex-FFT formulas used as test oracles.
+"""Reference implementations used as test oracles.
 
 The package stores a real field as the Hermite-major half-spectrum
-(n_v, n_x/2 + 1).  These helpers rebuild the Fourier-major full spectrum
-(n_x, n_v) in FFT order, with modes n_x/2+1.. filled by conjugation, and
-evaluate the transforms, symbols and norms with complex FFTs over all
-n_x modes.  They share no code path with the half-spectrum operators.
+(n_v, n_x/2 + 1).  Most helpers here rebuild the Fourier-major full
+spectrum (n_x, n_v) in FFT order, with modes n_x/2+1.. filled by
+conjugation, and evaluate the transforms, symbols and norms with complex
+FFTs over all n_x modes.  They share no code path with the half-spectrum
+operators.
+
+The package only evaluates point values at the basis's 2 n_v velocity
+nodes and never integrates over them.  The quadrature helpers below give
+those nodes weights, so that moments, projections and norms can be checked
+against velocity integrals of point values.
 """
 
+from functools import lru_cache
+
 import numpy as np
+
+from vpfp.spectral import SpectralField
+
+# Largest n_v for which numpy's hermegauss(2 n_v) gives finite plain-measure
+# weights: above it exp(-v^2/2) at the outer nodes underflows and the
+# weights overflow.
+HERMEGAUSS_MAX_N_V = 185
 
 
 def full_spectrum(half, n_x):
@@ -187,3 +202,55 @@ def limit_error(kinetic_traj, ddp_traj, k):
         "micro_time_integral": float(np.trapezoid(micro, times)) if times.size > 1 else 0.0,
         "pointwise_sup_error": max(point),
     }
+
+
+# ---------------------------------------------------------------------------
+# Gauss-Hermite quadrature on the basis's velocity nodes
+
+@lru_cache(maxsize=None)
+def quad_weights(basis):
+    """Plain-measure weights of numpy's hermegauss(2 n_v) rule, finite for
+    n_v <= HERMEGAUSS_MAX_N_V.
+
+    sum_q w_q f(v_q) equals int f(v) dv exactly whenever f = p * M with p a
+    polynomial of degree < 4 n_v.
+    """
+    nodes, weights = np.polynomial.hermite_e.hermegauss(2 * basis.n_v)
+    # hermegauss weights integrate against exp(-v^2/2); divide out the
+    # Gaussian to get plain dv weights for Maxwellian-weighted integrands.
+    m = np.exp(-0.5 * nodes**2) / np.sqrt(2.0 * np.pi)
+    return weights / np.sqrt(2.0 * np.pi) / m
+
+
+@lru_cache(maxsize=None)
+def christoffel_weights(basis):
+    """The same weights at basis.quad_nodes from the Christoffel function,
+    W_q = 1 / sum_{n < 2 n_v} psi_n(v_q)^2, finite up to MAX_N_V."""
+    return 1.0 / np.sum(basis.functions(n_levels=2 * basis.n_v) ** 2, axis=1)
+
+
+def analysis(basis, weights=None):
+    """Quadrature projection onto psi_n, shape (n_v, 2 n_v); the weights
+    default to quad_weights."""
+    w = quad_weights(basis) if weights is None else weights
+    return (basis.synthesis * w[:, None]).T
+
+
+def forward_transform(grid, basis, point_values):
+    """Point values on the x-nodes x velocity-nodes grid, shape
+    (n_x, 2 n_v) -> coefficients; one real FFT along x per level."""
+    coeffs = np.fft.rfft(analysis(basis) @ np.asarray(point_values).T, norm="forward")
+    return SpectralField(grid, basis, coeffs)
+
+
+def quadrature_oracle_moment(grid, basis, point_values, weight_function, weights=None):
+    """int g(x, v) w(v) dv at each x node by quadrature (weights default to
+    quad_weights), independent of the coefficient path."""
+    w = np.asarray(weight_function(basis.quad_nodes), dtype=float)
+    q = quad_weights(basis) if weights is None else weights
+    return np.asarray(point_values) @ (q * w)
+
+
+def spatial_derivative(f):
+    """d/dx as the Fourier multiplier grid.dx_symbol (0 at the Nyquist mode)."""
+    return f.with_coeffs(f.coeffs * f.grid.dx_symbol)

@@ -4,6 +4,7 @@ exit codes, and byte-level determinism of the persisted artifacts."""
 import configparser
 import gc
 import json
+import warnings
 import weakref
 from dataclasses import replace
 
@@ -381,6 +382,41 @@ class TestBatchedSweep:
         assert alive() == 0
 
 
+    def test_one_hermite_table_per_sweep(self, tmp_path, monkeypatch):
+        # two batches: every state carries the initial state's basis, so its
+        # psi table is built once
+        from vpfp.spectral import HermiteBasis
+
+        ini = small_ini_with(tmp_path, **THREE_EPS, solver__cfl_scale="0.03")
+        cfg = SweepConfig.from_dict(parse_config_file(ini), out_dir=tmp_path / "out")
+        assert len(cfg.batches) == 2
+        tables = []
+        functions = HermiteBasis.functions
+        monkeypatch.setattr(HermiteBasis, "functions", lambda self, *args, **kwargs: (
+            tables.append(self), functions(self, *args, **kwargs))[1])
+        run_sweep(cfg)
+        assert len(tables) == 1
+
+
+class TestLargeBasis:
+    def test_192_squared_bdf2_run(self, tmp_path):
+        # n_v = 192 lies above the cap that plain-measure quadrature weights
+        # once set; the run and its pointwise limit error need only the nodes
+        ini = small_ini_with(tmp_path, grid__n_x="192", grid__n_v="192",
+                             solver__t_final="0.25", solver__dt_max="5e-3")
+        cfg = SweepConfig.from_dict(parse_config_file(ini))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            traj = run_single(cfg, 0.2, csv_path=tmp_path / "run.csv")
+            terms = [limit_error(ks, ds, cfg.k)
+                     for ks, ds in zip(traj.states, fluid_reference(cfg).states, strict=True)]
+        assert traj.times[-1] == pytest.approx(0.25)
+        assert all(np.all(np.isfinite(s.g.coeffs)) for s in traj.states)
+        assert all(np.isfinite([r.E_k, r.D_k, *r.components.values()]).all() for r in traj.reports)
+        assert np.all(np.isfinite([t.pointwise_error for t in terms]))
+        assert (tmp_path / "run.csv").stat().st_size > 0
+
+
 class TestFailurePersistence:
     def test_partial_results_persisted(self, small_ini, tmp_path):
         from vpfp.harness import SweepError
@@ -517,8 +553,8 @@ class TestCli:
         ("run", {"sweep__profile_mode": "0"}, "profile_mode must lie in"),
         ("sweep", {"sweep__profile_mode": "0"}, "profile_mode must lie in"),
         ("sweep", {"sweep__profile_mode": "17"}, "profile_mode must lie in"),
-        ("run", {"grid__n_v": "256"}, "n_v must lie in"),
-        ("sweep", {"grid__n_v": "256"}, "n_v must lie in"),
+        ("run", {"grid__n_v": "365"}, "n_v must lie in"),
+        ("sweep", {"grid__n_v": "365"}, "n_v must lie in"),
         ("run", {"grid__d": "2"}, "unknown config key 'd'"),
         ("sweep", {"grid__d": "2"}, "unknown config key 'd'"),
         ("run", {"solver__poisson_correction": "true"},

@@ -39,12 +39,11 @@ from vpfp.spectral import (
     SpectralField,
     inverse_transform,
     l2_norm,
-    quadrature_oracle_moment,
-    spatial_derivative,
 )
 
 import oracles
 from conftest import basis_element, random_distribution
+from oracles import quadrature_oracle_moment, spatial_derivative
 
 
 class TestCollisionOperator:

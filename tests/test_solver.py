@@ -22,7 +22,7 @@ from vpfp.solver import (
     run,
     _fit_dt,
 )
-from vpfp.spectral import ConfigurationError, SpectralField, l2_norm
+from vpfp.spectral import ConfigurationError, SpatialGrid, SpectralField, l2_norm
 
 from conftest import basis_element, random_distribution
 
@@ -187,7 +187,7 @@ class TestTridiagonalSolve:
         cfg = SolverConfig(epsilon=epsilon, t_final=1.0, n_x=n_x, n_v=n_v)
         stepper = VpfpStepper(cfg, dt)
         coeffs = hermitian_coeffs(np.random.default_rng(seed), n_x, n_v)
-        got = stepper.solve_implicit(dt, coeffs)
+        got = stepper.factors(dt).solve(coeffs.copy())
         want = dense_implicit_solve(stepper.grid, n_v, epsilon, dt, coeffs)
         # every mode, k = 0 and Nyquist included
         err = np.linalg.norm(got - want, axis=0)
@@ -208,7 +208,7 @@ class TestTridiagonalSolve:
         cfg = SolverConfig(epsilon=epsilon, t_final=1.0, n_x=n_x, n_v=n_v,
                            transport_enabled=False)
         coeffs = hermitian_coeffs(np.random.default_rng(seed), n_x, n_v)
-        got = VpfpStepper(cfg, dt).solve_implicit(dt, coeffs)
+        got = VpfpStepper(cfg, dt).factors(dt).solve(coeffs.copy())
         assert np.array_equal(got, coeffs * (1.0 / (1.0 + dt * (np.arange(n_v) / epsilon**2)))[:, None])
 
     def test_stiff_modes_match_dense_solve(self):
@@ -219,7 +219,7 @@ class TestTridiagonalSolve:
         cfg = SolverConfig(epsilon=1.0, t_final=1.0, n_x=96, n_v=95)
         stepper = VpfpStepper(cfg, 1e4)
         coeffs = hermitian_coeffs(np.random.default_rng(5), 96, 95)
-        got = stepper.solve_implicit(1e4, coeffs)
+        got = stepper.factors(1e4).solve(coeffs.copy())
         want = dense_implicit_solve(stepper.grid, 95, 1.0, 1e4, coeffs)
         err = np.linalg.norm(got - want, axis=0)
         assert np.all(err <= 1e-13 * np.linalg.norm(want, axis=0))
@@ -232,27 +232,20 @@ class TestTridiagonalSolve:
         cfg = SolverConfig(epsilon=1.0, t_final=1.0, n_x=32, n_v=n_v)
         stepper = VpfpStepper(cfg, 1e4)
         coeffs = hermitian_coeffs(np.random.default_rng(n_v), 32, n_v)
-        got = stepper.solve_implicit(1e4, coeffs)
+        got = stepper.factors(1e4).solve(coeffs.copy())
         want = dense_implicit_solve(stepper.grid, n_v, 1.0, 1e4, coeffs)
         err = np.linalg.norm(got - want, axis=0)
         assert np.all(err <= 1e-12 * np.linalg.norm(want, axis=0))
 
-    def test_solve_implicit_leaves_input_unchanged(self):
-        stepper = VpfpStepper(small_config(), 1e-2)
-        coeffs = hermitian_coeffs(np.random.default_rng(3), 32, 16)
-        before = coeffs.copy()
-        got = stepper.solve_implicit(1e-2, coeffs)
-        assert np.array_equal(coeffs, before)
-        assert not np.shares_memory(got, coeffs)
-
 
 class TestConservationAndConsistency:
     def test_mass_drift_raises_conservation_error(self, grid, basis):
-        stepper = VpfpStepper(small_config(), 1e-3)
+        g = SpectralField.zeros(grid, basis)
+        state = KineticState(time=0.0, g=g, macro=moments(g))
         coeffs = np.zeros((basis.n_v, grid.n_half), dtype=complex)
         coeffs[0, 0] = 1e-9
         with pytest.raises(ConservationError, match="spatial mean changed"):
-            stepper._finish(coeffs, 1e-3, 0.0)
+            VpfpStepper._finish(state, coeffs, 1e-3)
         assert issubclass(ConservationError, RuntimeError)  # the CLI's run-failure exit
 
     def test_precomputed_explicit_terms_give_same_step(self, grid, basis):
@@ -310,10 +303,11 @@ class TestHalfSpectrumSteps:
     def first_states(n_x, n_v, epsilon, seed):
         """A random neutral real state s0 and the Euler step s1 from it, each
         with its explicit terms."""
-        stepper = VpfpStepper(small_config(epsilon=epsilon, n_x=n_x, n_v=n_v), 1e-3)
+        cfg = small_config(epsilon=epsilon, n_x=n_x, n_v=n_v)
+        stepper = VpfpStepper(cfg, 1e-3)
         coeffs = 1e-3 * hermitian_coeffs(np.random.default_rng(seed), n_x, n_v)
         coeffs[0, 0] = 0.0
-        g = SpectralField(stepper.grid, stepper.basis, coeffs)
+        g = SpectralField(stepper.grid, cfg.make_basis(), coeffs)
         s0 = KineticState(time=0.0, g=g, macro=moments(g)).repeated(1)
         e0 = stepper.explicit_coeffs(s0.g, s0.macro)
         s1 = stepper.step_euler(s0, e0)
@@ -429,7 +423,7 @@ class TestBufferOwnership:
         # at 1024 x 16 the 131 KB coefficients dwarf every per-row array
         cfg = small_config(epsilon=0.05, n_x=1024, n_v=16)
         stepper = VpfpStepper(cfg, 1e-3)
-        s0 = cos_initial(stepper.grid, stepper.basis, amplitude=0.05).repeated(1)
+        s0 = cos_initial(stepper.grid, cfg.make_basis(), amplitude=0.05).repeated(1)
         e0 = stepper.explicit_coeffs(s0.g, s0.macro)
         s1 = stepper.step_euler(s0, e0)
         e1 = stepper.explicit_coeffs(s1.g, s1.macro)
@@ -491,6 +485,21 @@ class TestRunHarness:
         cfg = SolverConfig(epsilon=0.2, t_final=0.1, n_x=64, n_v=64)
         with pytest.raises(ConfigurationError, match="does not match"):
             run(cos_initial(grid, basis), cfg)
+
+    def test_grid_length_mismatch_rejected(self, basis):
+        # n_x and n_v agree; the period of a 4 pi state does not match 2 pi
+        grid = SpatialGrid(n_x=32, length=4.0 * np.pi)
+        with pytest.raises(ConfigurationError, match=r"length = 12\.566.*length = 6\.283"):
+            run(cos_initial(grid, basis), small_config())
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_sampled_states_share_initial_grid_and_basis(self, grid, basis, scheme):
+        initial = cos_initial(grid, basis)
+        traj = run(initial, small_config(t_final=0.04, scheme=scheme), sample_interval=0.02,
+                   epsilons=(0.5, 0.2))
+        for members in traj.states:
+            for state in members:
+                assert state.g.grid is initial.g.grid and state.g.basis is initial.g.basis
 
     def test_zero_time_returns_initial(self, grid, basis):
         cfg = small_config(t_final=0.0)

@@ -1,8 +1,9 @@
-"""Spectral substrate: transforms, derivatives, velocity recurrences.
+"""Spectral substrate: velocity nodes, transforms, derivatives, velocity
+recurrences.
 
-The recurrences are checked against the Gauss-Hermite quadrature oracle,
-which integrates products of basis functions exactly and never touches the
-coefficient-space implementation.
+The recurrences are checked against the Gauss-Hermite quadrature oracle of
+tests/oracles.py, which integrates products of basis functions exactly and
+never touches the coefficient-space implementation.
 """
 
 import numpy as np
@@ -18,18 +19,28 @@ from vpfp.spectral import (
     HermiteBasis,
     SpatialGrid,
     SpectralField,
-    forward_transform,
     hermite_shift_coeffs,
     inverse_transform,
     l2_norm,
     mode_sq,
     parseval_sq,
-    quadrature_oracle_moment,
-    spatial_derivative,
 )
 
 import oracles
 from conftest import basis_element, random_distribution
+from oracles import (
+    HERMEGAUSS_MAX_N_V,
+    analysis,
+    christoffel_weights,
+    forward_transform,
+    quad_weights,
+    quadrature_oracle_moment,
+    spatial_derivative,
+)
+
+
+def psi0(v):
+    return (2 * np.pi) ** (-0.25) * np.exp(-(v**2) / 4)
 
 
 class TestGridAndBasis:
@@ -46,17 +57,36 @@ class TestGridAndBasis:
             SpatialGrid(n_x=bad)
 
     def test_n_v_cap_builds_finite_orthonormal_rule(self):
+        # the nodes and table are finite, psi_0 is a normal double at every
+        # node, and the Christoffel weights make an orthonormal rule
         basis = HermiteBasis(n_v=MAX_N_V)
-        assert np.all(np.isfinite(basis.quad_weights))
-        gram = basis.analysis @ basis.synthesis
-        assert np.max(np.abs(gram - np.eye(MAX_N_V))) < 1e-12
+        v = basis.quad_nodes
+        assert v.shape == (2 * MAX_N_V,) and np.all(np.diff(v) > 0)
+        assert np.all(np.isfinite(v)) and np.all(np.isfinite(basis.synthesis))
+        assert np.min(basis.maxwellian_sqrt()) >= np.finfo(float).tiny
+        gram = analysis(basis, christoffel_weights(basis)) @ basis.synthesis
+        assert np.max(np.abs(gram - np.eye(MAX_N_V))) < 1e-13
 
     def test_n_v_above_cap_rejected(self):
-        with pytest.raises(ConfigurationError, match=f"\\[4, {MAX_N_V}\\]"):
+        with pytest.raises(ConfigurationError, match=f"\\[4, {MAX_N_V}\\].*underflows"):
             HermiteBasis(n_v=MAX_N_V + 1)
+        # the cap is tight: psi_0 at the largest root of He_{2 (MAX_N_V + 1)}
+        # (numpy's hermeroots) is subnormal
+        roots = np.polynomial.hermite_e.hermeroots([0] * (2 * MAX_N_V + 2) + [1])
+        assert psi0(np.max(roots)) < np.finfo(float).tiny
+
+    @pytest.mark.parametrize("n_v", [4, 5, 16, 64, 127, HERMEGAUSS_MAX_N_V])
+    def test_nodes_match_hermegauss(self, n_v):
+        # the Golub-Welsch nodes against numpy's, and the Christoffel weights
+        # against hermegauss's plain-measure weights, where those are finite
+        basis = HermiteBasis(n_v=n_v)
+        nodes, _ = np.polynomial.hermite_e.hermegauss(2 * n_v)
+        assert np.max(np.abs(basis.quad_nodes - nodes)) <= 1e-14 * np.max(nodes)
+        w = quad_weights(basis)
+        assert np.max(np.abs(christoffel_weights(basis) - w) / w) < 1e-12
 
     def test_orthonormality_under_quadrature(self, basis):
-        gram = basis.analysis @ basis.synthesis
+        gram = analysis(basis) @ basis.synthesis
         assert np.max(np.abs(gram - np.eye(basis.n_v))) < 1e-12
 
     def test_psi0_is_sqrt_maxwellian(self, basis):
@@ -64,7 +94,7 @@ class TestGridAndBasis:
         expected = (2 * np.pi) ** (-0.25) * np.exp(-(v**2) / 4)
         assert np.allclose(basis.synthesis[:, 0], expected, atol=1e-14)
         # int psi_0 sqrt(M) dv = 1
-        total = np.sum(basis.quad_weights * basis.synthesis[:, 0] ** 2)
+        total = np.sum(quad_weights(basis) * basis.synthesis[:, 0] ** 2)
         assert abs(total - 1.0) < 1e-12
 
 
@@ -105,14 +135,16 @@ class TestTransforms:
         assert np.allclose(direct, inverse_transform(g), atol=1e-11)
 
     def test_shape_mismatch_rejected(self, grid, basis):
-        with pytest.raises(ConfigurationError):
-            forward_transform(grid, basis, np.zeros((grid.n_x, 3)))
+        # a field's coefficients are the half-spectrum of its grid and basis
+        for shape in [(basis.n_v, grid.n_x), (grid.n_half, basis.n_v), (basis.n_v + 1, grid.n_half)]:
+            with pytest.raises(ConfigurationError, match="does not match"):
+                SpectralField(grid, basis, np.zeros(shape, dtype=complex))
 
     def test_parseval(self, grid, basis, rng):
         g = random_distribution(rng, grid, basis, neutral=False)
         values = inverse_transform(g)
         dx = grid.length / grid.n_x
-        quad_sq = np.sum(basis.quad_weights * values**2) * dx
+        quad_sq = np.sum(quad_weights(basis) * values**2) * dx
         coeff_sq = l2_norm(g) ** 2
         assert abs(quad_sq - coeff_sq) < 1e-10 * coeff_sq
 
@@ -257,25 +289,37 @@ class TestHermiteShifts:
 
 
 class TestQuadratureExactness:
-    """The order-2 n_v Gauss-Hermite rule is exact on every retained level."""
+    """The order-2 n_v Gauss-Hermite rule at the basis's nodes is exact on
+    every retained level: with numpy's hermegauss weights where they are
+    finite, and with Christoffel weights from there up to MAX_N_V."""
 
-    @settings(max_examples=40, deadline=None)
-    @given(n_v=st.integers(4, MAX_N_V), n_x=st.integers(2, 24).map(lambda h: 2 * h),
-           seed=st.integers(0, 2**32 - 1))
-    def test_orthonormal_and_reproduces_moments(self, n_v, n_x, seed):
+    @staticmethod
+    def check_rule(n_v, n_x, seed, weights_of, bound):
         basis, grid = HermiteBasis(n_v=n_v), SpatialGrid(n_x=n_x)
-        assert np.max(np.abs(basis.analysis @ basis.synthesis - np.eye(n_v))) <= 1e-13
+        weights = weights_of(basis)
+        assert np.max(np.abs(analysis(basis, weights) @ basis.synthesis - np.eye(n_v))) <= bound
 
         coeffs = oracles.random_half_spectrum(np.random.default_rng(seed), n_x, n_v)
         coeffs[0, 0] = 0.0
         g = SpectralField(grid, basis, coeffs)
         values = inverse_transform(g)
-        sqrt_m = lambda v: (2 * np.pi) ** (-0.25) * np.exp(-(v**2) / 4)
-        a = quadrature_oracle_moment(grid, basis, values, sqrt_m)
-        b = quadrature_oracle_moment(grid, basis, values, lambda v: v * sqrt_m(v))
+        a = quadrature_oracle_moment(grid, basis, values, psi0, weights)
+        b = quadrature_oracle_moment(grid, basis, values, lambda v: v * psi0(v), weights)
         mac = moments(g)
-        assert np.max(np.abs(a - mac.a)) <= 1e-13 * np.max(np.abs(mac.a))
-        assert np.max(np.abs(b - mac.b)) <= 1e-13 * np.max(np.abs(mac.b))
+        assert np.max(np.abs(a - mac.a)) <= bound * np.max(np.abs(mac.a))
+        assert np.max(np.abs(b - mac.b)) <= bound * np.max(np.abs(mac.b))
+
+    @settings(max_examples=40, deadline=None)
+    @given(n_v=st.integers(4, HERMEGAUSS_MAX_N_V), n_x=st.integers(2, 24).map(lambda h: 2 * h),
+           seed=st.integers(0, 2**32 - 1))
+    def test_orthonormal_and_reproduces_moments(self, n_v, n_x, seed):
+        self.check_rule(n_v, n_x, seed, quad_weights, 1e-13)
+
+    @settings(max_examples=20, deadline=None)
+    @given(n_v=st.integers(HERMEGAUSS_MAX_N_V + 1, MAX_N_V),
+           n_x=st.integers(2, 24).map(lambda h: 2 * h), seed=st.integers(0, 2**32 - 1))
+    def test_christoffel_rule_up_to_cap(self, n_v, n_x, seed):
+        self.check_rule(n_v, n_x, seed, christoffel_weights, 1e-13)
 
 
 class TestQuadratureOracle:
