@@ -30,7 +30,6 @@ from .solver import (
 from .ddp import DdpState, ddp_step, ddp_run
 from .diagnostics import (
     EnergyReport,
-    sobolev_norm,
     nu_norm,
     coercivity_gap,
     energy_functionals,

@@ -63,14 +63,14 @@ def cmd_run(args) -> int:
     cfg = _load_config(args)
     say = (lambda *_: None) if args.quiet else print
     sweep_cfg = SweepConfig.from_dict(cfg, out_dir=args.out)
-    if cfg["solver"]["system"] == "ddp":
+    if sweep_cfg.system == "ddp":
         grid = sweep_cfg.template.make_grid()
         rho0 = sweep_cfg.amplitude * initial_profile(sweep_cfg)(grid.nodes)
         traj = ddp_run(grid, rho0, sweep_cfg.ddp_dt, sweep_cfg.template.t_final,
                        sample_interval=sweep_cfg.sample_interval)
         say(f"ddp run complete: {len(traj.times)} samples to t = {traj.times[-1]:g}")
         return EXIT_OK
-    eps = cfg["solver"]["epsilon"]
+    eps = sweep_cfg.template.epsilon
     csv_path = args.out / f"run_eps_{eps:g}.csv"
     traj = run_single(sweep_cfg, eps, csv_path=csv_path)
     say(f"vpfp run complete: {len(traj.times)} samples, energy CSV at {csv_path}")

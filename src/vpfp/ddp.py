@@ -21,7 +21,7 @@ from .operators import require_zero_mean, solve_poisson
 from .solver import Trajectory, sample_trajectory
 from .spectral import SpatialGrid
 
-__all__ = ["DdpState", "ddp_step", "ddp_run"]
+__all__ = ["DdpState", "make_ddp_state", "ddp_step", "ddp_run"]
 
 
 @dataclass(frozen=True)
@@ -35,6 +35,12 @@ class DdpState:
 
 
 def make_ddp_state(grid: SpatialGrid, time: float, rho0: np.ndarray) -> DdpState:
+    """The fluid state of the zero-mean shifted density rho0, with its field.
+
+    This is the one constructor of a DdpState from a density, shared by
+    ddp_run and the tests.  It calls solve_poisson through this module's
+    namespace, where the benchmark tracer wraps it, so keep it that way.
+    """
     phi0, grad_phi0 = solve_poisson(grid, rho0)
     return _checked_state(time, rho0, phi0, grad_phi0)
 
@@ -46,22 +52,21 @@ def _checked_state(time: float, rho0: np.ndarray, phi0: np.ndarray,
     return DdpState(time=time, rho0=rho0, phi0=phi0, grad_phi0=grad_phi0)
 
 
-def ddp_step(grid: SpatialGrid, state: DdpState, dt: float, drift: bool = True) -> DdpState:
+def ddp_step(grid: SpatialGrid, state: DdpState, dt: float) -> DdpState:
     """One semi-implicit step of d/dt rho0 = Lap rho0 + div((rho0 + 1) grad phi0).
 
-    The update is a divergence, so the spatial mean of rho0 is preserved
-    exactly; drift=False is a test hook leaving pure implicit diffusion.
-    Works on the modes m = 0..n_x/2 with one real FFT and one inverse real
-    FFT.
+    To first order in rho0, mode m falls by (1 - dt) / (1 + dt m^2) per
+    step.  The update is a divergence, so the spatial mean of rho0 is
+    preserved exactly.  Works on the modes m = 0..n_x/2 with one real FFT
+    and one inverse real FFT, and raises FloatingPointError on a
+    non-finite new density.
     """
     ik = grid.dx_symbol
     rho_c, prod_c = np.fft.rfft(np.array([state.rho0, state.rho0 * state.grad_phi0]),
                                 norm="forward")
-    rhs_c = rho_c
-    if drift:
-        # div((rho0 + 1) grad phi0) = div(rho0 grad phi0) + Lap phi0, and Lap phi0 = -rho0;
-        # the product is dealiased by the 2/3 rule
-        rhs_c = rho_c + dt * (ik * grid.dealias_mask * prod_c - rho_c)
+    # div((rho0 + 1) grad phi0) = div(rho0 grad phi0) + Lap phi0, and Lap phi0 = -rho0;
+    # the product is dealiased by the 2/3 rule
+    rhs_c = rho_c + dt * (ik * grid.dealias_mask * prod_c - rho_c)
     new_c = rhs_c / (1.0 + dt * grid.k_sq)
     phi_c = new_c * grid.inverse_laplacian
     rho0, phi0, grad_phi0 = np.fft.irfft(np.array([new_c, phi_c, ik * phi_c]),
@@ -74,7 +79,7 @@ def ddp_step(grid: SpatialGrid, state: DdpState, dt: float, drift: bool = True) 
 
 
 def ddp_run(grid: SpatialGrid, rho0_initial: np.ndarray, dt: float, t_final: float,
-            sample_interval: float | None = None, drift: bool = True) -> Trajectory:
+            sample_interval: float | None = None) -> Trajectory:
     """Integrate the fluid system on the kinetic run's sampling schedule."""
     rho0 = np.asarray(rho0_initial, dtype=float)
     state = make_ddp_state(grid, 0.0, rho0 - require_zero_mean(rho0, "initial fluid density"))
@@ -82,7 +87,7 @@ def ddp_run(grid: SpatialGrid, rho0_initial: np.ndarray, dt: float, t_final: flo
     def make_advance(step_dt: float):
         def advance(state: DdpState, n: int) -> DdpState:
             for _ in range(n):
-                state = ddp_step(grid, state, step_dt, drift=drift)
+                state = ddp_step(grid, state, step_dt)
             return state
         return advance
 

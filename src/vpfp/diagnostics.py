@@ -42,7 +42,6 @@ from .spectral import (
 
 __all__ = [
     "EnergyReport",
-    "sobolev_norm",
     "nu_norm",
     "coercivity_gap",
     "energy_functionals",
@@ -134,27 +133,6 @@ def _mixed_nu_sq(grid: SpatialGrid, dv_sq: list[np.ndarray], v_sq: list[np.ndarr
         + parseval_sq(grid, v_sq[beta], k - beta)
         for beta in range(k + 1)
     )
-
-
-def _tensor_sq(grid: SpatialGrid, coeffs: np.ndarray, k_x: int, k_v: int) -> float:
-    """sum over alpha <= k_x, beta <= k_v."""
-    return sum(parseval_sq(grid, mode_sq(cb), k_x) for cb in _dv_tower(coeffs, k_v))
-
-
-def sobolev_norm(f, k_x: int, k_v: int = 0, grid: SpatialGrid | None = None) -> float:
-    """Tensor Sobolev norm: sqrt of the sum over alpha <= k_x, beta <= k_v
-    of ||d_x^alpha d_v^beta f||^2.
-
-    Accepts a SpectralField, or a real spatial array (pass grid=...; k_v
-    is then ignored).
-    """
-    if k_x < 0 or k_v < 0:
-        raise ConfigurationError("Sobolev orders must be non-negative")
-    if isinstance(f, np.ndarray):
-        if grid is None:
-            raise ConfigurationError("spatial-array input needs an explicit grid")
-        return float(np.sqrt(parseval_sq(grid, mode_sq(fourier_field(grid, f)), k_x)))
-    return float(np.sqrt(_tensor_sq(f.grid, f.coeffs, k_x, k_v)))
 
 
 def nu_norm(f: SpectralField) -> float:

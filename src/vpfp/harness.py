@@ -161,6 +161,8 @@ def config_hash(cfg: dict) -> str:
 class SweepConfig:
     """Epsilon sweep: shared template, descending epsilon list, output dir.
 
+    out_dir may be given as a str; it is kept as a Path.  system is the
+    solver.system setting, which picks what the run command integrates.
     batches, derived here, splits the epsilons into the runs that advance
     together: consecutive epsilons whose fitted time steps (see
     solver.step_schedule) are equal.  The step is min(dt_max,
@@ -176,10 +178,16 @@ class SweepConfig:
     profile_mode: int
     k: int
     out_dir: Path | None = None
-    raw: dict = field(default_factory=dict, compare=False)
+    system: str = "vpfp"
     batches: tuple = field(init=False, compare=False)
 
     def __post_init__(self):
+        if self.system not in SYSTEMS:
+            raise ConfigurationError(
+                f"unknown solver.system {self.system!r}; expected one of {SYSTEMS}"
+            )
+        if self.out_dir is not None:
+            object.__setattr__(self, "out_dir", Path(self.out_dir))
         eps = self.epsilons
         if len(eps) < 2:
             raise ConfigurationError("need at least 2 epsilon values for rate estimation")
@@ -213,38 +221,31 @@ class SweepConfig:
 
     @classmethod
     def from_dict(cls, cfg: dict, out_dir=None) -> "SweepConfig":
-        system = cfg["solver"]["system"]
-        if system not in SYSTEMS:
-            raise ConfigurationError(
-                f"unknown solver.system {system!r}; expected one of {SYSTEMS}"
-            )
-        template = solver_config_from_dict(cfg)
         sw = cfg["sweep"]
         return cls(
             epsilons=tuple(sw["epsilons"]),
-            template=template,
+            template=solver_config_from_dict(cfg),
             ddp_dt=sw["ddp_dt"],
             sample_interval=sw["sample_interval"],
             amplitude=sw["amplitude"],
             profile_mode=sw["profile_mode"],
             k=cfg["diagnostics"]["k"],
-            out_dir=Path(out_dir) if out_dir is not None else None,
-            raw=cfg,
+            out_dir=out_dir,
+            system=cfg["solver"]["system"],
         )
+
+    def as_dict(self) -> dict:
+        """The settings of this sweep as a config dict in _DEFAULTS order,
+        which is what summary.json reports and config_hash hashes: the
+        solver settings are the template's fields, the others self's."""
+        values = {**vars(self), **vars(self.template)}
+        return {section: {key: values[key] for key in keys}
+                for section, keys in _DEFAULTS.items()}
 
 
 def solver_config_from_dict(cfg: dict) -> SolverConfig:
-    g, s = cfg["grid"], cfg["solver"]
-    return SolverConfig(
-        epsilon=s["epsilon"],
-        t_final=s["t_final"],
-        n_x=g["n_x"],
-        n_v=g["n_v"],
-        length=g["length"],
-        dt_max=s["dt_max"],
-        cfl_scale=s["cfl_scale"],
-        scheme=s["scheme"],
-    )
+    return SolverConfig(**{key: value for section in ("grid", "solver")
+                           for key, value in cfg[section].items() if key != "system"})
 
 
 @dataclass
@@ -405,9 +406,10 @@ def run_sweep(cfg: SweepConfig, progress=None) -> SweepResult:
         incomplete.append({"epsilon": eps, "error": f"{type(exc).__name__}: {exc}"})
     timings["total_s"] = _time.perf_counter() - t0
 
+    config = cfg.as_dict()
     result = SweepResult(
-        config=cfg.raw or default_sweep_config(),
-        config_hash=config_hash(cfg.raw or default_sweep_config()),
+        config=config,
+        config_hash=config_hash(config),
         per_epsilon=per_epsilon,
         rates=estimate_rates_from_records(per_epsilon),
         incomplete=incomplete,

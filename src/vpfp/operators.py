@@ -187,8 +187,7 @@ def _coupling_scales(n_v: int, epsilon) -> tuple[np.ndarray, np.ndarray]:
     return row_scale, eps
 
 
-def vpfp_rhs(g: SpectralField, macro: MacroFields, epsilon,
-             fields: bool = True, out: np.ndarray | None = None,
+def vpfp_rhs(g: SpectralField, macro: MacroFields, epsilon, out: np.ndarray | None = None,
              scratch: np.ndarray | None = None) -> SpectralField:
     """Explicit part of d/dt g in the scaled kinetic system, the field coupling.
 
@@ -206,7 +205,8 @@ def vpfp_rhs(g: SpectralField, macro: MacroFields, epsilon,
     the rows 1..n_v-1 of the result.  The raising recurrence is then a row
     scale, -sqrt(n)/eps on row n, and the 2/3 rule zeroes the modes above
     n_x/3.  g and the result are half-spectra of shape (n_v, n_x/2 + 1);
-    Hermite level 0 of the result is zero, so the coupling keeps the mass.
+    Hermite level 0 of the result is zero, so the coupling keeps the mass,
+    and a g whose level 0 is zero has no field and gets zero terms.
 
     A batch g, of shape (n_v, B, n_x/2 + 1) with (B, n_x) macro fields,
     takes a tuple of B epsilons, one per member; every transform and scale
@@ -216,8 +216,7 @@ def vpfp_rhs(g: SpectralField, macro: MacroFields, epsilon,
     out (complex, C-contiguous, the shape of g.coeffs) receives the result,
     whose coefficients are then out itself; scratch is a real array of
     shape (n_v - 1, n_x), or (n_v - 1, B, n_x) for a batch.  Either is
-    allocated when not given.  fields is a test hook: False gives zero
-    terms.
+    allocated when not given.
     """
     grid, basis = g.grid, g.basis
     c = g.coeffs
@@ -228,10 +227,6 @@ def vpfp_rhs(g: SpectralField, macro: MacroFields, epsilon,
             f"of shape {c.shape}"
         )
     rhs = np.empty_like(c) if out is None else out
-    if not fields:
-        rhs[...] = 0.0
-        return g.with_coeffs(rhs)
-
     dphi = macro.grad_phi
     # nonlinear coupling: row n + 1 is -sqrt(n + 1)/eps times the product of row n
     phys = real_field(grid, c[:-1], out=scratch)

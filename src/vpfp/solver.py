@@ -17,14 +17,13 @@ digits on stiff modes when back-substituting level 0, where d_0 = 1.  The
 factors depend only on (scheme stage, dt), so they are built once.
 
 run advances a batch: B runs that share the grid, the basis, the scheme,
-the test hooks, the initial state and the fitted time step, and differ
-only in epsilon, in lock-step.  A single run is a batch of one.  The batch
-state is the Hermite-major half-spectrum of spectral/operators with a
-member axis, shape (n_v, B, n_x/2 + 1), so each Hermite level is one
-contiguous row over the (member, mode) pairs: the factors (one epsilon
-per column), the right-hand sides and the solution share that layout, and
-a step never transposes, copies into another order or fills conjugate
-modes.  Every NumPy call of a step thus works on all members at once.
+the initial state and the fitted time step, and differ only in epsilon,
+in lock-step.  A single run is a batch of one.  The batch state is the
+Hermite-major half-spectrum of spectral/operators with a member axis,
+shape (n_v, B, n_x/2 + 1), so each Hermite level is one contiguous row
+over the (member, mode) pairs: the factors (one epsilon per column), the
+right-hand sides and the solution share that layout, and a step never
+transposes, copies into another order or fills conjugate modes.  Every NumPy call of a step thus works on all members at once.
 The streaming wavenumber is 0 at the Nyquist mode (grid.dx_symbol), whose
 block is then diagonal and whose row stays real.  Each warm step makes
 four real FFT calls, whatever B: the field coupling's inverse and forward
@@ -92,9 +91,6 @@ class SolverConfig:
     dt_max: float = 5.0e-3
     cfl_scale: float = 0.5
     scheme: str = "imex_euler"
-    # test hooks
-    transport_enabled: bool = True
-    fields_enabled: bool = True
 
     def __post_init__(self):
         if not 0.0 < self.epsilon <= 1.0:
@@ -254,9 +250,9 @@ class TridiagonalFactors:
         """Solve every block in place for the C-contiguous complex x and
         return x.  x has shape (n_v, columns), or (n_v, B, n_x/2 + 1) for a
         batch, whose (member, mode) pairs are the columns.  Reciprocal
-        pivots make a diagonal block (k = 0, or transport off) give exactly
-        x * (1 / d_n); the row views are listed once, as indexing in the
-        loops costs as much."""
+        pivots make a diagonal block (k = 0) give exactly x * (1 / d_n);
+        the row views are listed once, as indexing in the loops costs as
+        much."""
         rows_of = x.reshape(x.shape[0], -1)  # a view, as x is C-contiguous
         even, odd = rows_of[0::2], rows_of[1::2]
         n_up = self.upper.shape[0]
@@ -305,14 +301,12 @@ class VpfpStepper:
         """Factors of I + dt_eff * S_m for every member and m = 0..n_x/2,
         built once per dt_eff; the columns run over (member, mode) pairs.
 
-        The streaming wavenumber is that of grid.dx_symbol: 0 at the Nyquist
-        mode, whose block is diagonal.
+        The streaming wavenumber is that of grid.dx_symbol: 0 at the mean
+        and the Nyquist mode, whose blocks are diagonal.
         """
         f = self._factors.get(dt_eff)
         if f is None:
             k = self.grid.dx_symbol.imag
-            if not self.cfg.transport_enabled:
-                k = np.zeros_like(k)
             n_batch = len(self.epsilons)
             f = TridiagonalFactors.build(np.tile(k, n_batch), self.cfg.n_v,
                                          np.repeat(self.epsilons, k.size), dt_eff)
@@ -326,9 +320,7 @@ class VpfpStepper:
         the batch g, written into out when given (complex, C-contiguous,
         the shape of g.coeffs) and otherwise into a new array, which is
         returned."""
-        rhs = vpfp_rhs(g, macro, self.epsilons, fields=self.cfg.fields_enabled,
-                       out=out, scratch=self._scratch)
-        return rhs.coeffs
+        return vpfp_rhs(g, macro, self.epsilons, out=out, scratch=self._scratch).coeffs
 
     # -- stepping -----------------------------------------------------------
     @staticmethod

@@ -145,15 +145,6 @@ def _spatial_sobolev_sq(grid, values, order):
     return float(grid.volume * np.sum(_x_weight(grid, order) * np.abs(c) ** 2))
 
 
-def sobolev_norm(field, k_x, k_v=0):
-    full = full_spectrum(field.coeffs, field.grid.n_x)
-    return float(np.sqrt(sum(_weighted_sq(field.grid, cb, k_x) for cb in _dv_tower(full, k_v))))
-
-
-def spatial_sobolev_norm(grid, values, k_x):
-    return float(np.sqrt(_spatial_sobolev_sq(grid, values, k_x)))
-
-
 def nu_norm(field):
     return float(np.sqrt(_nu_sq_of(field.grid, full_spectrum(field.coeffs, field.grid.n_x), 0)))
 

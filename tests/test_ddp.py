@@ -1,5 +1,7 @@
 """Fluid limit solver: diffusion rates, drift coupling, conservation."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,13 +20,18 @@ class TestSingleStep:
         new = ddp_step(grid, state, 1e-2)
         assert np.max(np.abs(new.rho0)) == 0.0
 
-    def test_pure_diffusion_discrete_factor(self, grid):
-        # drift off: mode k damps by exactly 1 / (1 + dt k^2) per step
-        x = grid.nodes
+    def test_drift_diffusion_discrete_factor(self):
+        # 0.5 cos 2x: the linear terms scale mode 2 by (1 - dt) / (1 + 4 dt),
+        # and the product rho0 grad phi0 = -sin(4x) / 16 feeds only mode 4
+        grid = SpatialGrid(n_x=32)
         dt = 1e-2
-        state = make_ddp_state(grid, 0.0, 0.5 * np.cos(2 * x))
-        new = ddp_step(grid, state, dt, drift=False)
-        assert np.allclose(new.rho0, 0.5 * np.cos(2 * x) / (1 + 4 * dt), atol=1e-13)
+        state = make_ddp_state(grid, 0.0, 0.5 * np.cos(2 * grid.nodes))
+        new_c = np.fft.rfft(ddp_step(grid, state, dt).rho0, norm="forward")
+        want = np.zeros(grid.n_half, dtype=complex)
+        want[2] = 0.25 * (1.0 - dt) / (1.0 + 4.0 * dt)
+        # d/dx of -sin(4x) / 16 is -cos(4x) / 4, half of it on mode 4
+        want[4] = dt * -0.125 / (1.0 + 16.0 * dt)
+        assert np.max(np.abs(new_c - want)) <= 1e-15
 
     def test_mean_preserved_exactly(self, grid, rng):
         rho = rng.standard_normal(grid.n_x) * 0.01
@@ -65,6 +72,15 @@ class TestSingleStep:
                              self.complex_fft_step(grid, state, dt)):
             assert np.max(np.abs(got - want)) <= 1e-15
 
+    def test_non_finite_state_raises(self, grid):
+        state = make_ddp_state(grid, 0.0, 0.01 * np.cos(grid.nodes))
+        rho0 = state.rho0.copy()
+        rho0[3] = np.inf
+        # the transforms of inf warn; the step's own check must raise
+        with np.errstate(all="ignore"), pytest.raises(FloatingPointError,
+                                                      match="non-finite fluid state"):
+            ddp_step(grid, replace(state, rho0=rho0), 1e-3)
+
     def test_two_transforms_per_step(self, grid, fft_calls):
         state = make_ddp_state(grid, 0.0, 0.01 * np.cos(grid.nodes))
         fft_calls.clear()
@@ -77,13 +93,6 @@ class TestSingleStep:
 
 
 class TestDecayRates:
-    def test_heat_decay_rate(self, grid):
-        # drift off, mode 1: continuous rate e^{-t}
-        traj = ddp_run(grid, 0.01 * np.cos(grid.nodes), dt=1e-4, t_final=1.0,
-                       sample_interval=1.0, drift=False)
-        amp = np.max(np.abs(traj.states[-1].rho0))
-        assert amp == pytest.approx(0.01 * np.exp(-1.0), rel=1e-3)
-
     def test_linearized_drift_diffusion_rate(self, grid):
         # with the field on, mode k decays like e^{-(k^2 + 1) t} for small data
         traj = ddp_run(grid, 1e-4 * np.cos(grid.nodes), dt=1e-4, t_final=1.0,

@@ -22,7 +22,6 @@ from vpfp.diagnostics import (
     limit_metrics,
     moment_residuals,
     nu_norm,
-    sobolev_norm,
 )
 from vpfp.operators import moments
 from vpfp.solver import KineticState, SolverConfig, make_initial_data, run
@@ -50,48 +49,6 @@ def short_run(grid, basis, epsilon=0.2, t_final=0.2, scheme="imex_bdf2",
                        dt_max=dt_max, scheme=scheme)
     initial = make_initial_data(grid, basis, lambda x: np.cos(x), amplitude=amplitude)
     return run(initial, cfg, sample_interval=sample_interval)
-
-
-class TestSobolevNorm:
-    def test_cos_psi0_h1(self, grid, basis):
-        f = basis_element(grid, basis, 1, 0)
-        # ||f||^2 = pi, ||d_x f||^2 = pi
-        assert sobolev_norm(f, k_x=0) == pytest.approx(np.sqrt(np.pi), rel=1e-12)
-        assert sobolev_norm(f, k_x=1) == pytest.approx(np.sqrt(2 * np.pi), rel=1e-12)
-
-    def test_velocity_derivative_order(self, grid, basis):
-        f = basis_element(grid, basis, 0, 0)
-        # d_dv psi_0 = -psi_1/2, so the (0,1) tensor norm adds vol/4
-        expected = np.sqrt(VOL * (1.0 + 0.25))
-        assert sobolev_norm(f, k_x=0, k_v=1) == pytest.approx(expected, rel=1e-12)
-
-    def test_mixed_orders_additive_over_modes(self, grid, basis, rng):
-        g1 = basis_element(grid, basis, 1, 2, amplitude=0.3)
-        g2 = basis_element(grid, basis, 3, 5, amplitude=0.7)
-        combined = g1.with_coeffs(g1.coeffs + g2.coeffs)
-        for kx, kv in [(0, 0), (1, 1), (2, 1)]:
-            lhs = sobolev_norm(combined, kx, kv) ** 2
-            rhs = sobolev_norm(g1, kx, kv) ** 2 + sobolev_norm(g2, kx, kv) ** 2
-            assert lhs == pytest.approx(rhs, rel=1e-12)
-
-    def test_spatial_array_input(self, grid):
-        values = np.cos(grid.nodes)
-        assert sobolev_norm(values, k_x=1, grid=grid) == pytest.approx(
-            np.sqrt(2 * np.pi), rel=1e-12)
-        with pytest.raises(ConfigurationError):
-            sobolev_norm(values, k_x=1)
-
-    def test_negative_order_rejected(self, grid, basis):
-        with pytest.raises(ConfigurationError):
-            sobolev_norm(basis_element(grid, basis, 0, 0), k_x=-1)
-
-    def test_exact_at_top_hermite_level(self, grid, basis):
-        # the extended Hermite axis keeps the spill of d_dv at the top mode
-        n = basis.n_v - 1
-        f = basis_element(grid, basis, 0, n)
-        # ||d_dv psi_n||^2 = (n + (n+1))/4
-        expected = np.sqrt(VOL * (1.0 + (2 * n + 1) / 4.0))
-        assert sobolev_norm(f, k_x=0, k_v=1) == pytest.approx(expected, rel=1e-12)
 
 
 class TestNuNorm:
@@ -293,15 +250,8 @@ class TestHalfSpectrumMatchesFullSpectrum:
 
     @settings(max_examples=40, deadline=None)
     @cases
-    def test_sobolev_and_nu_norms(self, n_x, n_v, seed):
-        rng = np.random.default_rng(seed)
-        g = self.random_state(n_x, n_v, rng).g
-        for k_x in range(3):
-            for k_v in range(3):
-                assert rel_diff(sobolev_norm(g, k_x, k_v), oracles.sobolev_norm(g, k_x, k_v)) <= 1e-13
-            values = rng.standard_normal(n_x)
-            assert rel_diff(sobolev_norm(values, k_x, grid=g.grid),
-                            oracles.spatial_sobolev_norm(g.grid, values, k_x)) <= 1e-13
+    def test_nu_norm(self, n_x, n_v, seed):
+        g = self.random_state(n_x, n_v, np.random.default_rng(seed)).g
         assert rel_diff(nu_norm(g), oracles.nu_norm(g)) <= 1e-13
 
     @settings(max_examples=30, deadline=None)

@@ -6,7 +6,7 @@ import gc
 import json
 import warnings
 import weakref
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -15,6 +15,7 @@ from vpfp.cli import EXIT_CONFIG_ERROR, EXIT_OK, EXIT_RUN_FAILURE, main
 from vpfp.ddp import ddp_run
 from vpfp.diagnostics import limit_error, limit_metrics
 from vpfp.harness import (
+    _SCHEMA,
     METRIC_KEYS,
     SweepConfig,
     SweepError,
@@ -30,7 +31,7 @@ from vpfp.harness import (
     sweep_record,
     write_summary,
 )
-from vpfp.solver import ConservationError
+from vpfp.solver import ConservationError, SolverConfig
 from vpfp.spectral import ConfigurationError
 
 SMALL_INI = """
@@ -137,6 +138,11 @@ class TestConfigParsing:
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(ConfigurationError, match="not found"):
             parse_config_file(tmp_path / "absent.ini")
+
+    def test_solver_fields_are_config_keys(self):
+        # every solver setting can be given in a config file, and reported
+        keys = (_SCHEMA["grid"].keys() | _SCHEMA["solver"].keys()) - {"system"}
+        assert {f.name for f in fields(SolverConfig)} == keys
 
     def test_hash_stable_and_sensitive(self, small_ini):
         cfg = parse_config_file(small_ini)
@@ -283,11 +289,32 @@ class TestSweepOutputs:
 
     def test_summary_byte_identical_on_rerun(self, sweep_outputs, tmp_path):
         cfg, _, out_dir = sweep_outputs
-        rerun_cfg = SweepConfig.from_dict(cfg.raw, out_dir=tmp_path)
+        rerun_cfg = SweepConfig.from_dict(cfg.as_dict(), out_dir=tmp_path)
         run_sweep(rerun_cfg)
         assert (tmp_path / "summary.json").read_bytes() == (out_dir / "summary.json").read_bytes()
         assert ((tmp_path / "run_eps_0.1.csv").read_bytes()
                 == (out_dir / "run_eps_0.1.csv").read_bytes())
+
+    def test_direct_config_reports_its_settings(self, sweep_outputs, tmp_path):
+        # a SweepConfig built in code, equal to SMALL_INI's, writes the
+        # summary of the file's sweep, config and hash included
+        _, result, out_dir = sweep_outputs
+        template = SolverConfig(epsilon=0.1, t_final=0.2, n_x=32, n_v=16, dt_max=2e-3,
+                                scheme="imex_bdf2")
+        cfg = SweepConfig(epsilons=(0.2, 0.1), template=template, ddp_dt=1e-3,
+                          sample_interval=0.05, amplitude=0.01, profile_mode=1, k=1,
+                          out_dir=tmp_path)
+        direct = run_sweep(cfg)
+        assert direct.config == result.config
+        assert direct.config_hash == result.config_hash
+        assert (tmp_path / "summary.json").read_bytes() == (out_dir / "summary.json").read_bytes()
+
+    def test_str_out_dir_is_a_path(self, sweep_outputs, tmp_path):
+        cfg, _, out_dir = sweep_outputs
+        result = run_sweep(replace(cfg, out_dir=str(tmp_path)))
+        assert result.incomplete == []
+        for name in ("summary.json", "run_eps_0.2.csv", "run_eps_0.1.csv"):
+            assert (tmp_path / name).read_bytes() == (out_dir / name).read_bytes()
 
     def test_missing_summary_rejected(self, tmp_path):
         with pytest.raises(ConfigurationError, match="no sweep summary"):
@@ -525,6 +552,26 @@ class TestCli:
         out = capsys.readouterr().out
         assert "pairwise rates" in out
         assert (tmp_path / "metrics.csv").exists()
+
+    def test_failed_sweep_exit_code_and_report(self, tmp_path, capsys):
+        # amplitude 2 fails the first kinetic run (see
+        # test_partial_results_persisted); report then lists it
+        ini = small_ini_with(tmp_path, sweep__amplitude="2.0", solver__t_final="0.05")
+        out = tmp_path / "out"
+        with pytest.warns(RuntimeWarning):
+            code = main(["--config", str(ini), "--out", str(out), "sweep"])
+        assert code == EXIT_RUN_FAILURE
+        assert capsys.readouterr().out == "sweep failed: sweep aborted at epsilon = 0.2\n"
+        assert main(["--out", str(out), "report"]) == EXIT_OK
+        assert "incomplete runs: [{'epsilon': 0.2, 'error': 'ValueError: " in capsys.readouterr().out
+
+    def test_malformed_config_file(self, tmp_path, capsys):
+        bad = tmp_path / "bad.ini"
+        bad.write_text("n_x = 8\n")  # no section header
+        code = main(["--config", str(bad), "--out", str(tmp_path / "out"), "--quiet", "run"])
+        assert code == EXIT_CONFIG_ERROR
+        assert "malformed config file" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_config_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.ini"

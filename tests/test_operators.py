@@ -274,6 +274,13 @@ class TestRhs:
         with pytest.raises(ConfigurationError):
             vpfp_rhs(g, moments(g), 0.0)
 
+    @pytest.mark.parametrize("epsilon", [0.2, (0.2, 0.1, 0.05)])
+    def test_one_epsilon_per_batch_member(self, grid, basis, rng, epsilon):
+        c = random_distribution(rng, grid, basis).coeffs
+        batch = SpectralField(grid, basis, np.stack([c, c], axis=1))
+        with pytest.raises(ConfigurationError, match="need one epsilon per batch member"):
+            vpfp_rhs(batch, moments(batch), epsilon)
+
     def test_hermitian_symmetry_preserved(self, grid, basis, rng):
         # the half-spectrum of a real field has real rows m = 0 and n_x/2;
         # the coupling, made of real-FFT products and d phi/dx, keeps them real
