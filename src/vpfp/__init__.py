@@ -23,11 +23,10 @@ from .solver import (
     ConservationError,
     SolverConfig,
     KineticState,
-    Trajectory,
     make_initial_data,
     run,
 )
-from .ddp import DdpState, ddp_step, ddp_run
+from .ddp import DdpState, Trajectory, ddp_step, ddp_run
 from .diagnostics import (
     EnergyReport,
     nu_norm,

@@ -72,8 +72,8 @@ def cmd_run(args) -> int:
         return EXIT_OK
     eps = sweep_cfg.template.epsilon
     csv_path = args.out / f"run_eps_{eps:g}.csv"
-    traj = run_single(sweep_cfg, eps, csv_path=csv_path)
-    say(f"vpfp run complete: {len(traj.times)} samples, energy CSV at {csv_path}")
+    reports = run_single(sweep_cfg, eps, csv_path=csv_path)
+    say(f"vpfp run complete: {len(reports)} samples, energy CSV at {csv_path}")
     return EXIT_OK
 
 

@@ -18,10 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import require_zero_mean, solve_poisson
-from .solver import Trajectory, sample_trajectory
+from .solver import sample_trajectory
 from .spectral import SpatialGrid
 
-__all__ = ["DdpState", "make_ddp_state", "ddp_step", "ddp_run"]
+__all__ = ["DdpState", "Trajectory", "make_ddp_state", "ddp_step", "ddp_run"]
 
 
 @dataclass(frozen=True)
@@ -76,6 +76,14 @@ def ddp_step(grid: SpatialGrid, state: DdpState, dt: float) -> DdpState:
         raise FloatingPointError(f"non-finite fluid state at t = {time:.6g}")
     require_zero_mean(rho0, "Poisson right-hand side")
     return _checked_state(time, rho0, phi0, grad_phi0)
+
+
+@dataclass
+class Trajectory:
+    """The sampled states of a fluid run, equally spaced in time."""
+
+    times: np.ndarray
+    states: list
 
 
 def ddp_run(grid: SpatialGrid, rho0_initial: np.ndarray, dt: float, t_final: float,

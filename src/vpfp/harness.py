@@ -29,14 +29,7 @@ import numpy as np
 
 from .ddp import ddp_run
 from .diagnostics import EnergyReport, energy_functionals, limit_error, limit_metrics
-from .solver import (
-    KineticState,
-    SolverConfig,
-    Trajectory,
-    make_initial_data,
-    run,
-    step_schedule,
-)
+from .solver import KineticState, SolverConfig, make_initial_data, run, step_schedule
 from .spectral import ConfigurationError
 
 __all__ = [
@@ -188,6 +181,10 @@ class SweepConfig:
             )
         if self.out_dir is not None:
             object.__setattr__(self, "out_dir", Path(self.out_dir))
+        # float settings are stored as floats, as SolverConfig stores its own
+        for name in ("amplitude", "ddp_dt", "sample_interval"):
+            object.__setattr__(self, name, float(getattr(self, name)))
+        object.__setattr__(self, "epsilons", tuple(map(float, self.epsilons)))
         eps = self.epsilons
         if len(eps) < 2:
             raise ConfigurationError("need at least 2 epsilon values for rate estimation")
@@ -223,7 +220,7 @@ class SweepConfig:
     def from_dict(cls, cfg: dict, out_dir=None) -> "SweepConfig":
         sw = cfg["sweep"]
         return cls(
-            epsilons=tuple(sw["epsilons"]),
+            epsilons=sw["epsilons"],
             template=solver_config_from_dict(cfg),
             ddp_dt=sw["ddp_dt"],
             sample_interval=sw["sample_interval"],
@@ -274,8 +271,10 @@ def initial_profile(cfg: SweepConfig):
     return lambda x: np.cos(mode * 2.0 * np.pi * x / length)
 
 
-def run_single(cfg: SweepConfig, epsilon: float, csv_path: Path | None = None) -> Trajectory:
-    """One kinetic run of the sweep, with energy reports per sample."""
+def run_single(cfg: SweepConfig, epsilon: float,
+               csv_path: Path | None = None) -> list[EnergyReport]:
+    """One kinetic run of the sweep: its energy report at each sample,
+    written to csv_path when given.  No sampled state is kept."""
     solver_cfg = replace(cfg.template, epsilon=epsilon)
     grid = solver_cfg.make_grid()
     basis = solver_cfg.make_basis()
@@ -283,14 +282,14 @@ def run_single(cfg: SweepConfig, epsilon: float, csv_path: Path | None = None) -
 
     reports: list[EnergyReport] = []
 
-    def observer(state: KineticState):
+    def observer(members) -> None:
+        (state,) = members
         reports.append(energy_functionals(state, cfg.k, epsilon))
 
-    traj = run(initial, solver_cfg, observers=[observer], sample_interval=cfg.sample_interval)
-    traj.reports = reports
+    run(initial, solver_cfg, observers=[observer], sample_interval=cfg.sample_interval)
     if csv_path is not None:
         write_reports_csv(csv_path, reports)
-    return traj
+    return reports
 
 
 def write_reports_csv(path: Path, reports) -> None:
@@ -327,7 +326,7 @@ def _run_batch(cfg: SweepConfig, initial: KineticState, batch: tuple, ddp_traj) 
             term.append(limit_error(state, ds, cfg.k))
 
     times = run(initial, replace(cfg.template, epsilon=batch[0]), observers=[observer],
-                sample_interval=cfg.sample_interval, epsilons=batch, keep_states=False).times
+                sample_interval=cfg.sample_interval, epsilons=batch)
     records = []
     for eps, rep, term in zip(batch, reports, terms):
         if cfg.out_dir is not None:

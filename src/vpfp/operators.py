@@ -16,6 +16,7 @@ which is 0 at the Nyquist mode.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -80,10 +81,11 @@ def x_derivative(grid: SpatialGrid, values: np.ndarray) -> np.ndarray:
 
 def require_zero_mean(values: np.ndarray, what: str) -> float:
     """Return the spatial mean of values; raise ValueError unless it is zero
-    to ZERO_MEAN_TOL relative to max(1, max |values|)."""
+    to ZERO_MEAN_TOL relative to max(1, max |values|).  A NaN or infinite
+    value fails too: an infinite scale would excuse any mean."""
     mean = float(np.mean(values))
     scale = float(np.max(np.abs(values))) or 1.0
-    if abs(mean) > ZERO_MEAN_TOL * max(1.0, scale):
+    if not (math.isfinite(scale) and abs(mean) <= ZERO_MEAN_TOL * max(1.0, scale)):
         raise ValueError(f"{what} must have zero spatial mean; got mean {mean:.3e}")
     return mean
 

@@ -36,8 +36,9 @@ coefficients, in which its right-hand side is built and solved.  The
 stepper owns the real scratch of the field coupling's inverse transform;
 run owns the explicit-term buffers (one for Euler, two alternating for
 BDF2) and passes them to explicit_coeffs as out.  Sampled states are never
-written to after they are made.  run shows observers each member's
-sampled states (KineticState.members), which view the batch arrays.
+written to after they are made.  At each sample run shows every observer
+the tuple of member states (KineticState.members), which view the batch
+arrays, and keeps none of them.
 """
 
 from __future__ import annotations
@@ -60,7 +61,6 @@ __all__ = [
     "ConservationError",
     "SolverConfig",
     "KineticState",
-    "Trajectory",
     "VpfpStepper",
     "make_initial_data",
     "sample_count",
@@ -93,6 +93,9 @@ class SolverConfig:
     scheme: str = "imex_euler"
 
     def __post_init__(self):
+        # equal settings give equal configs, hashes and config text: 1 is 1.0
+        for name in ("epsilon", "t_final", "length", "dt_max", "cfl_scale"):
+            object.__setattr__(self, name, float(getattr(self, name)))
         if not 0.0 < self.epsilon <= 1.0:
             raise ConfigurationError(f"epsilon must lie in (0, 1], got {self.epsilon}")
         # written so that NaN fails every test
@@ -151,15 +154,6 @@ class KineticState:
         )
 
 
-@dataclass
-class Trajectory:
-    """Sampled states of one run, equally spaced in time: for a batch, one
-    tuple of member states per sample, and none when run keeps none."""
-
-    times: np.ndarray
-    states: list
-
-
 def make_initial_data(grid: SpatialGrid, basis: HermiteBasis, rho_profile,
                       amplitude: float = 1.0,
                       micro_perturbation: SpectralField | None = None) -> KineticState:
@@ -180,7 +174,7 @@ def make_initial_data(grid: SpatialGrid, basis: HermiteBasis, rho_profile,
     if micro_perturbation is not None:
         mc = micro_perturbation.coeffs
         macro_part = float(np.max(np.abs(mc[:2])))
-        if macro_part > 1e-12:
+        if not macro_part <= 1e-12:  # this test and the next are written so that NaN fails
             raise ValueError(
                 f"micro perturbation must be (I-P)-projected; macro content {macro_part:.3e}"
             )
@@ -191,7 +185,7 @@ def make_initial_data(grid: SpatialGrid, basis: HermiteBasis, rho_profile,
     sqrt_m = basis.maxwellian_sqrt()
     f_vals = sqrt_m**2 + g_vals * sqrt_m
     f_min = float(np.min(f_vals))
-    if f_min <= 0.0:
+    if not f_min > 0.0:
         raise ValueError(f"reconstructed distribution is not positive; minimum value {f_min:.3e}")
 
     return KineticState(time=0.0, g=g, macro=moments(g))
@@ -459,21 +453,19 @@ def sample_trajectory(initial, t_final: float, dt_nominal: float,
 
 
 def run(initial: KineticState, cfg: SolverConfig, observers=(),
-        sample_interval: float | None = None, epsilons=None,
-        keep_states: bool = True) -> Trajectory:
-    """Integrate to t_final with cfg.scheme, sampling every sample_interval.
+        sample_interval: float | None = None, epsilons=None) -> np.ndarray:
+    """Integrate to t_final with cfg.scheme, sampling every sample_interval;
+    return the sample times.
 
-    Without epsilons this is the single run of cfg: observers and the
-    trajectory see its states.  With epsilons it advances one member per
-    epsilon from the same initial state in lock-step, and cfg.epsilon is
-    not used; observers and the trajectory then see a tuple of the
-    members' states per sample.  Either way it runs as a batch
-    (VpfpStepper), a single run as a batch of one, and the first sample of
-    every member is initial itself.  initial must lie on cfg's grid and
+    Advances one member per entry of epsilons (default (cfg.epsilon,); the
+    other settings come from cfg) from the same initial state in lock-step,
+    as one batch (VpfpStepper).  At each sample every observer gets the
+    tuple of member states, a 1-tuple by default; the first sample of every
+    member is initial itself.  Nothing is kept: what an observer needs of a
+    sample it takes when it sees it.  initial must lie on cfg's grid and
     n_v, and every sampled state shares its grid and basis.  The members
-    must share their fitted step (see step_schedule).  keep_states=False
-    keeps no sampled state: the trajectory holds the times only.
-    Deterministic for a fixed config.
+    must share their fitted step (see step_schedule).  Deterministic for a
+    fixed config.
     """
     grid, n_v = initial.g.grid, initial.g.basis.n_v
     if grid != cfg.make_grid() or n_v != cfg.n_v:
@@ -516,16 +508,10 @@ def run(initial: KineticState, cfg: SolverConfig, observers=(),
             return state
         return advance
 
-    states = []
-
     def observe(state: KineticState) -> None:
         members = (initial,) * len(batch) if state is start else state.members()
-        sample = members[0] if epsilons is None else members
-        if keep_states:
-            states.append(sample)
         for obs in observers:
-            obs(sample)
+            obs(members)
 
-    times = sample_trajectory(start, cfg.t_final, min(nominal), sample_interval,
-                              make_advance, (observe,))
-    return Trajectory(times=times, states=states)
+    return sample_trajectory(start, cfg.t_final, min(nominal), sample_interval,
+                             make_advance, (observe,))

@@ -3,6 +3,8 @@ from collections import namedtuple
 import numpy as np
 import pytest
 
+from vpfp.ddp import Trajectory
+from vpfp.solver import run
 from vpfp.spectral import HermiteBasis, SpatialGrid, SpectralField
 
 ACCEPTANCE_LINES = []
@@ -20,6 +22,19 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in sorted(ACCEPTANCE_LINES):
             terminalreporter.write_line(line)
+
+
+def sampled_run(initial, cfg, sample_interval=None):
+    """solver.run of cfg alone, with an observer that appends each sample:
+    the Trajectory of the run's times and of its one member's states."""
+    states = []
+
+    def keep(members):
+        (state,) = members
+        states.append(state)
+
+    times = run(initial, cfg, observers=(keep,), sample_interval=sample_interval)
+    return Trajectory(times=times, states=states)
 
 
 def fd_collision_inner_product(basis, n, j):

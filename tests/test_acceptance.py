@@ -25,6 +25,7 @@ from conftest import (
     fd_collision_inner_product,
     random_distribution,
     record_acceptance,
+    sampled_run,
 )
 
 
@@ -88,12 +89,12 @@ def test_criterion_4_poisson_and_poincare(small_grid):
 def test_criterion_5_conservation_and_equilibrium(small_grid, small_basis):
     cfg = SolverConfig(epsilon=0.1, t_final=1.0, n_x=32, n_v=16,
                        dt_max=1e-3, cfl_scale=100.0)
-    traj = run(cos_state(small_grid, small_basis), cfg, sample_interval=1.0)
+    traj = sampled_run(cos_state(small_grid, small_basis), cfg, sample_interval=1.0)
     mass = float(abs(traj.states[-1].g.coeffs[0, 0]))
 
     zero = SpectralField.zeros(small_grid, small_basis)
     zero_state = KineticState(time=0.0, g=zero, macro=moments(zero))
-    zero_after = run(zero_state, cfg, sample_interval=1.0).states[-1]
+    zero_after = sampled_run(zero_state, cfg, sample_interval=1.0).states[-1]
     zero_norm = np.max(np.abs(zero_after.g.coeffs))
     ok = mass <= 1e-12 and zero_norm == 0.0
     record_acceptance(5, "mass conserved over 1000 steps; zero state fixed",
@@ -111,7 +112,8 @@ def test_criterion_6_energy_dissipation():
         grid, basis = cfg.make_grid(), cfg.make_basis()
         energies = []
 
-        def observe(state):
+        def observe(members):
+            (state,) = members
             g_sq = l2_norm(state.g) ** 2
             e_sq = spatial_l2_norm(grid, state.macro.grad_phi) ** 2
             energies.append(0.5 * (g_sq + e_sq))
@@ -156,8 +158,8 @@ def test_criterion_9_temporal_self_convergence(small_grid, small_basis):
     def kinetic_final(scheme, dt):
         cfg = SolverConfig(epsilon=0.1, t_final=0.1, n_x=32, n_v=16,
                            scheme=scheme, dt_max=dt, cfl_scale=1e9)
-        return run(cos_state(small_grid, small_basis), cfg,
-                   sample_interval=0.1).states[-1].g.coeffs
+        return sampled_run(cos_state(small_grid, small_basis), cfg,
+                           sample_interval=0.1).states[-1].g.coeffs
 
     def kinetic_order(scheme):
         dts = [4e-3, 2e-3, 1e-3]
@@ -193,7 +195,7 @@ def test_criterion_10_moment_residual_slopes(small_grid, small_basis):
     for interval in intervals:
         cfg = SolverConfig(epsilon=eps, t_final=0.3, n_x=32, n_v=16,
                            scheme="imex_bdf2", dt_max=2.5e-4, cfl_scale=100.0)
-        traj = run(cos_state(small_grid, small_basis), cfg, sample_interval=interval)
+        traj = sampled_run(cos_state(small_grid, small_basis), cfg, sample_interval=interval)
         # skip the initial relaxation layer (duration ~ eps^2) where the
         # centered time difference is inaccurate
         late = [s for s in traj.states if s.time >= 0.1 - 1e-12]

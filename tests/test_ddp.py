@@ -113,6 +113,14 @@ class TestRunHarness:
         with pytest.raises(ValueError, match="zero spatial mean"):
             ddp_run(grid, np.cos(grid.nodes) + 0.3, dt=1e-3, t_final=0.1)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_node_rejected(self, grid, value):
+        # at once, not as a non-finite state after the first step
+        rho = 0.01 * np.cos(grid.nodes)
+        rho[3] = value
+        with pytest.raises(ValueError, match="initial fluid density must have zero spatial mean"):
+            ddp_run(grid, rho, dt=1e-3, t_final=0.1)
+
     @pytest.mark.parametrize("dt, interval, message", [
         (0.0, 0.05, "time step must be positive"),
         (-1.0, 0.05, "time step must be positive"),

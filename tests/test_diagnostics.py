@@ -5,14 +5,12 @@ is a short explicit sum; Gauss-Hermite quadrature provides the independent
 values for the velocity-weighted norms.
 """
 
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vpfp.ddp import ddp_run, make_ddp_state
+from vpfp.ddp import Trajectory, ddp_run, make_ddp_state
 from vpfp.diagnostics import (
     COMPONENT_KEYS,
     CSV_COLUMNS,
@@ -24,11 +22,11 @@ from vpfp.diagnostics import (
     nu_norm,
 )
 from vpfp.operators import moments
-from vpfp.solver import KineticState, SolverConfig, make_initial_data, run
+from vpfp.solver import KineticState, SolverConfig, make_initial_data
 from vpfp.spectral import ConfigurationError, HermiteBasis, SpatialGrid, SpectralField, l2_norm
 
 import oracles
-from conftest import basis_element, random_distribution
+from conftest import basis_element, random_distribution, sampled_run
 
 VOL = 2.0 * np.pi
 
@@ -48,7 +46,7 @@ def short_run(grid, basis, epsilon=0.2, t_final=0.2, scheme="imex_bdf2",
     cfg = SolverConfig(epsilon=epsilon, t_final=t_final, n_x=grid.n_x, n_v=basis.n_v,
                        dt_max=dt_max, scheme=scheme)
     initial = make_initial_data(grid, basis, lambda x: np.cos(x), amplitude=amplitude)
-    return run(initial, cfg, sample_interval=sample_interval)
+    return sampled_run(initial, cfg, sample_interval=sample_interval)
 
 
 class TestNuNorm:
@@ -113,7 +111,7 @@ class TestEnergyFunctionals:
         grid, basis = cfg.make_grid(), cfg.make_basis()
         nyquist = lambda x: np.cos(8 * 2.0 * np.pi * x / grid.length)
         initial = make_initial_data(grid, basis, nyquist, amplitude=0.01)
-        for state in run(initial, cfg, sample_interval=0.05).states:
+        for state in sampled_run(initial, cfg, sample_interval=0.05).states:
             assert energy_functionals(state, k=1, epsilon=0.1).poisson_residual <= 1e-12
 
     def test_order_validation(self, grid, basis):
@@ -169,7 +167,7 @@ class TestLimitError:
     def test_zero_states_give_zero_metrics(self, grid, basis):
         g = SpectralField.zeros(grid, basis)
         cfg = SolverConfig(epsilon=0.2, t_final=0.1, n_x=grid.n_x, n_v=basis.n_v)
-        kin = run(make_state(g), cfg, sample_interval=0.05)
+        kin = sampled_run(make_state(g), cfg, sample_interval=0.05)
         flu = ddp_run(grid, np.zeros(grid.n_x), dt=1e-3, t_final=0.1,
                       sample_interval=0.05)
         metrics = trajectory_limit_error(kin, flu, k=1)
@@ -179,7 +177,7 @@ class TestLimitError:
     def test_mismatched_times_rejected(self, grid, basis):
         g = SpectralField.zeros(grid, basis)
         cfg = SolverConfig(epsilon=0.2, t_final=0.1, n_x=grid.n_x, n_v=basis.n_v)
-        kin = run(make_state(g), cfg, sample_interval=0.05)
+        kin = sampled_run(make_state(g), cfg, sample_interval=0.05)
         flu = ddp_run(grid, np.zeros(grid.n_x), dt=1e-3, t_final=0.1,
                       sample_interval=0.025)
         with pytest.raises(ValueError, match="sampling times"):
@@ -190,9 +188,7 @@ class TestLimitError:
         # f - f_lim = c cos(x) sqrt(M) M^{1/2} = c cos(x) M, sup = c * M(0)
         c = 0.01
         g = basis_element(grid, basis, 1, 0, amplitude=c)
-        kin_traj = type("T", (), {})()
-        kin_traj.times = np.array([0.0])
-        kin_traj.states = [make_state(g)]
+        kin_traj = Trajectory(times=np.array([0.0]), states=[make_state(g)])
         flu = ddp_run(grid, np.zeros(grid.n_x), dt=1e-3, t_final=0.0)
         metrics = trajectory_limit_error(kin_traj, flu, k=1)
         # sup over the collocation nodes: the Maxwellian peaks at the
@@ -264,9 +260,9 @@ class TestHalfSpectrumMatchesFullSpectrum:
         for t in times:
             rho = 1e-2 * rng.standard_normal(n_x)
             fluid.append(make_ddp_state(grid, t, rho - rho.mean()))
-        kinetic = SimpleNamespace(times=times,
-                                  states=[self.random_state(n_x, n_v, rng, t) for t in times])
-        ddp = SimpleNamespace(times=times, states=fluid)
+        kinetic = Trajectory(times=times,
+                             states=[self.random_state(n_x, n_v, rng, t) for t in times])
+        ddp = Trajectory(times=times, states=fluid)
         for k in (1, 2):
             got = trajectory_limit_error(kinetic, ddp, k)
             want = oracles.limit_error(kinetic, ddp, k)

@@ -13,7 +13,7 @@ import pytest
 
 from vpfp.cli import EXIT_CONFIG_ERROR, EXIT_OK, EXIT_RUN_FAILURE, main
 from vpfp.ddp import ddp_run
-from vpfp.diagnostics import limit_error, limit_metrics
+from vpfp.diagnostics import energy_functionals, limit_error, limit_metrics
 from vpfp.harness import (
     _SCHEMA,
     METRIC_KEYS,
@@ -29,9 +29,10 @@ from vpfp.harness import (
     run_sweep,
     solver_config_from_dict,
     sweep_record,
+    write_reports_csv,
     write_summary,
 )
-from vpfp.solver import ConservationError, SolverConfig
+from vpfp.solver import ConservationError, SolverConfig, make_initial_data, run
 from vpfp.spectral import ConfigurationError
 
 SMALL_INI = """
@@ -75,11 +76,24 @@ def fluid_reference(cfg):
 
 
 def one_run_record(cfg, epsilon, ddp, csv_path=None):
-    """The summary record of epsilon from its own run_single and limit_error
-    against the fluid reference ddp."""
-    traj = run_single(cfg, epsilon, csv_path=csv_path)
-    terms = [limit_error(ks, ds, cfg.k) for ks, ds in zip(traj.states, ddp.states, strict=True)]
-    return sweep_record(epsilon, traj.reports, limit_metrics(traj.times, terms))
+    """The summary record of epsilon from a run of its own, whose observer
+    takes the energy report and the limit-error terms against the fluid
+    reference ddp at each sample; the energy CSV goes to csv_path if given."""
+    solver_cfg = replace(cfg.template, epsilon=epsilon)
+    initial = make_initial_data(solver_cfg.make_grid(), solver_cfg.make_basis(),
+                                initial_profile(cfg), amplitude=cfg.amplitude)
+    reports, terms = [], []
+
+    def observe(members):
+        (state,) = members
+        reports.append(energy_functionals(state, cfg.k, epsilon))
+        terms.append(limit_error(state, ddp.states[len(terms)], cfg.k))
+
+    times = run(initial, solver_cfg, observers=(observe,), sample_interval=cfg.sample_interval)
+    assert len(terms) == len(ddp.states)
+    if csv_path is not None:
+        write_reports_csv(csv_path, reports)
+    return sweep_record(epsilon, reports, limit_metrics(times, terms))
 
 
 # three epsilons: one batch by default, and two when cfl_scale = 0.03 caps
@@ -170,6 +184,19 @@ class TestSweepConfig:
         cfg["sweep"]["epsilons"] = (0.1,)
         with pytest.raises(ConfigurationError, match="at least 2"):
             SweepConfig.from_dict(cfg)
+
+    def test_int_settings_give_the_float_config(self):
+        # 1 and 1.0 compare equal, and now write the same config and hash
+        def make(number):
+            template = SolverConfig(epsilon=number(1), t_final=number(1), length=number(6),
+                                    dt_max=number(1), cfl_scale=number(1))
+            return SweepConfig(epsilons=(number(1), 0.5), template=template, ddp_dt=number(1),
+                               sample_interval=number(1), amplitude=number(1),
+                               profile_mode=1, k=1)
+
+        ints, floats = make(int), make(float)
+        assert repr(ints.as_dict()) == repr(floats.as_dict())
+        assert config_hash(ints.as_dict()) == config_hash(floats.as_dict())
 
 
     def test_diagnostics_order(self, small_ini):
@@ -379,7 +406,9 @@ class TestBatchedSweep:
         assert summary["rates"] == estimate_rates_from_records([clean])
         assert sorted(p.name for p in (tmp_path / "out").glob("*.csv")) == ["run_eps_0.2.csv"]
 
-    def test_no_sampled_state_outlives_its_batch(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("entry", ["run_sweep", "run_single"])
+    def test_no_sampled_state_outlives_its_batch(self, tmp_path, monkeypatch, entry):
+        # run_single is what vpfp run calls: a batch of one
         from vpfp import harness
 
         ini = small_ini_with(tmp_path, **THREE_EPS, solver__cfl_scale="0.03")
@@ -404,8 +433,14 @@ class TestBatchedSweep:
 
         monkeypatch.setattr(harness, "energy_functionals", watched_energy)
         monkeypatch.setattr(harness, "run", checked_run)
-        run_sweep(cfg)
-        assert len(sampled) == 2 * 4 * len(cfg.epsilons)  # 4 samples past t = 0 each
+        if entry == "run_sweep":
+            run_sweep(cfg)
+            n_runs = len(cfg.epsilons)
+        else:
+            reports = run_single(cfg, 0.1)  # held while the states are counted
+            assert len(reports) == 5
+            n_runs = 1
+        assert len(sampled) == 2 * 4 * n_runs  # 4 samples past t = 0 each
         assert alive() == 0
 
 
@@ -434,14 +469,13 @@ class TestLargeBasis:
         cfg = SweepConfig.from_dict(parse_config_file(ini))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            traj = run_single(cfg, 0.2, csv_path=tmp_path / "run.csv")
-            terms = [limit_error(ks, ds, cfg.k)
-                     for ks, ds in zip(traj.states, fluid_reference(cfg).states, strict=True)]
-        assert traj.times[-1] == pytest.approx(0.25)
-        assert all(np.all(np.isfinite(s.g.coeffs)) for s in traj.states)
-        assert all(np.isfinite([r.E_k, r.D_k, *r.components.values()]).all() for r in traj.reports)
-        assert np.all(np.isfinite([t.pointwise_error for t in terms]))
-        assert (tmp_path / "run.csv").stat().st_size > 0
+            reports = run_single(cfg, 0.2, csv_path=tmp_path / "run.csv")
+            record = one_run_record(cfg, 0.2, fluid_reference(cfg), tmp_path / "ref.csv")
+        # a step raises on a non-finite state, so the run reached t = 0.25
+        assert reports[-1].time == pytest.approx(0.25)
+        assert all(np.isfinite([r.E_k, r.D_k, *r.components.values()]).all() for r in reports)
+        assert np.all(np.isfinite([record[key] for key in METRIC_KEYS]))
+        assert (tmp_path / "run.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 class TestFailurePersistence:

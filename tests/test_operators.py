@@ -169,6 +169,13 @@ class TestPoisson:
         with pytest.raises(ValueError, match="zero spatial mean"):
             solve_poisson(grid, np.cos(grid.nodes) + 0.5)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_node_rejected(self, grid, value):
+        a = np.cos(grid.nodes)
+        a[3] = value
+        with pytest.raises(ValueError, match="Poisson right-hand side must have zero spatial mean"):
+            solve_poisson(grid, a)
+
     def test_gauge_zero_mean(self, grid, rng):
         a = rng.standard_normal(grid.n_x)
         a -= a.mean()

@@ -24,7 +24,7 @@ from vpfp.solver import (
 )
 from vpfp.spectral import ConfigurationError, SpatialGrid, SpectralField, l2_norm
 
-from conftest import basis_element, random_distribution
+from conftest import basis_element, random_distribution, sampled_run
 
 
 def small_config(**kw):
@@ -99,6 +99,26 @@ class TestInitialData:
     def test_positivity_enforced(self, grid, basis):
         with pytest.raises(ValueError, match="not positive"):
             make_initial_data(grid, basis, lambda x: np.cos(x), amplitude=10.0)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_profile_node_rejected(self, grid, basis, value):
+        profile = np.cos(grid.nodes)
+        profile[3] = value
+        with pytest.raises(ValueError, match="density profile must have zero spatial mean"):
+            make_initial_data(grid, basis, profile, amplitude=0.01)
+
+    @pytest.mark.parametrize("level, message", [
+        (1, "micro perturbation must be .I-P.-projected; macro content nan"),
+        (3, "reconstructed distribution is not positive; minimum value nan"),
+    ])
+    def test_nan_micro_perturbation_rejected(self, grid, basis, level, message):
+        # on a macro level the projection test catches it, on a micro level
+        # the positivity test
+        micro = SpectralField.zeros(grid, basis)
+        micro.coeffs[level, 2] = np.nan
+        with pytest.raises(ValueError, match=message):
+            make_initial_data(grid, basis, lambda x: np.cos(x), amplitude=0.01,
+                              micro_perturbation=micro)
 
 
 class TestDampingInvariant:
@@ -280,14 +300,14 @@ class TestConservationAndConsistency:
 
     def test_mass_conserved_over_many_steps(self, grid, basis):
         cfg = small_config(epsilon=0.1, t_final=0.5, dt_max=1e-3, cfl_scale=10.0)
-        traj = run(cos_initial(grid, basis), cfg, sample_interval=0.5)
+        traj = sampled_run(cos_initial(grid, basis), cfg, sample_interval=0.5)
         final = traj.states[-1]
         assert abs(final.g.coeffs[0, 0]) <= 1e-12
         assert abs(final.time - 0.5) < 1e-12
 
     def test_sampled_states_poisson_consistent(self, grid, basis):
         cfg = small_config(t_final=0.1)
-        traj = run(cos_initial(grid, basis), cfg, sample_interval=0.05)
+        traj = sampled_run(cos_initial(grid, basis), cfg, sample_interval=0.05)
         for s in traj.states:
             lap = x_derivative(grid, x_derivative(grid, s.macro.phi))
             assert np.max(np.abs(-lap - s.macro.a)) < 1e-11
@@ -296,7 +316,8 @@ class TestConservationAndConsistency:
         cfg = small_config(epsilon=0.1, t_final=0.2, dt_max=2e-3)
         energies = []
 
-        def observe(state):
+        def observe(members):
+            (state,) = members
             g_sq = l2_norm(state.g) ** 2
             e_sq = spatial_l2_norm(grid, state.macro.grad_phi) ** 2
             energies.append(0.5 * (g_sq + e_sq))
@@ -308,7 +329,7 @@ class TestConservationAndConsistency:
     def test_hermitian_symmetry_maintained(self, grid, basis):
         # a half-spectrum is Hermitian iff its rows m = 0 and n_x/2 are real
         cfg = small_config(t_final=0.05)
-        traj = run(cos_initial(grid, basis), cfg, sample_interval=0.05)
+        traj = sampled_run(cos_initial(grid, basis), cfg, sample_interval=0.05)
         assert np.all(traj.states[-1].g.coeffs[:, [0, -1]].imag == 0.0)
 
 
@@ -353,7 +374,7 @@ class TestHalfSpectrumSteps:
         grid, basis = cfg.make_grid(), cfg.make_basis()
         nyquist = lambda x: np.cos(8 * 2.0 * np.pi * x / grid.length)
         initial = make_initial_data(grid, basis, nyquist, amplitude=0.01)
-        traj = run(initial, cfg, sample_interval=0.05)
+        traj = sampled_run(initial, cfg, sample_interval=0.05)
         first = traj.states[0].g.coeffs
         assert first[0, -1] != 0.0
         for state in traj.states:
@@ -381,14 +402,18 @@ class TestBufferOwnership:
     @pytest.mark.parametrize("interval", [0.005, 0.02])  # 1 and 4 steps per sample
     def test_sampled_states_keep_their_coeffs(self, grid, basis, scheme, interval):
         cfg = small_config(t_final=0.06, scheme=scheme)  # dt = 5e-3
-        seen = []
-        traj = run(cos_initial(grid, basis, amplitude=0.05), cfg,
-                   observers=(lambda s: seen.append((s, s.g.coeffs.copy())),),
-                   sample_interval=interval)
-        assert [s for s, _ in seen] == traj.states
+        seen = []  # (state, a copy of its coefficients when it was sampled)
+
+        def keep(members):
+            (state,) = members
+            seen.append((state, state.g.coeffs.copy()))
+
+        times = run(cos_initial(grid, basis, amplitude=0.05), cfg, observers=(keep,),
+                    sample_interval=interval)
+        assert len(seen) == len(times)
         for state, coeffs in seen:
             assert np.array_equal(state.g.coeffs, coeffs)
-        for one, two in zip(traj.states, traj.states[1:]):
+        for (one, _), (two, _) in zip(seen, seen[1:]):
             assert not np.shares_memory(one.g.coeffs, two.g.coeffs)
 
     def test_fresh_arrays_without_out(self, grid, basis):
@@ -424,7 +449,7 @@ class TestBufferOwnership:
         cfg = small_config(t_final=0.02, scheme=scheme)  # four steps
         initial = cos_initial(grid, basis, amplitude=0.05)
         fft_calls.clear()
-        traj = run(initial, cfg, sample_interval=0.01)
+        traj = sampled_run(initial, cfg, sample_interval=0.01)
         # the coupling's inverse transform: the one scratch on every step
         scratch = [call.out for call in fft_calls if call.name == "irfft" and call.out is not None]
         assert len(scratch) == 4
@@ -474,7 +499,7 @@ class TestAccuracy:
     def final_coeffs(self, grid, basis, scheme, dt):
         cfg = small_config(epsilon=0.2, t_final=0.1, scheme=scheme,
                            dt_max=dt, cfl_scale=1e9)
-        traj = run(cos_initial(grid, basis), cfg, sample_interval=0.1)
+        traj = sampled_run(cos_initial(grid, basis), cfg, sample_interval=0.1)
         return traj.states[-1].g.coeffs
 
     def observed_order(self, grid, basis, scheme, dts):
@@ -514,16 +539,20 @@ class TestRunHarness:
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_sampled_states_share_initial_grid_and_basis(self, grid, basis, scheme):
         initial = cos_initial(grid, basis)
-        traj = run(initial, small_config(t_final=0.04, scheme=scheme), sample_interval=0.02,
-                   epsilons=(0.5, 0.2))
-        for members in traj.states:
+        samples = []
+        run(initial, small_config(t_final=0.04, scheme=scheme), observers=(samples.append,),
+            sample_interval=0.02, epsilons=(0.5, 0.2))
+        assert len(samples) == 3
+        for members in samples:
+            assert len(members) == 2
             for state in members:
                 assert state.g.grid is initial.g.grid and state.g.basis is initial.g.basis
 
     def test_zero_time_returns_initial(self, grid, basis):
         cfg = small_config(t_final=0.0)
         state = cos_initial(grid, basis)
-        traj = run(state, cfg)
+        traj = sampled_run(state, cfg)
+        assert traj.times.tolist() == [0.0]
         assert len(traj.states) == 1 and traj.states[0] is state
 
     @pytest.mark.parametrize("interval", [0.0, -0.025])
@@ -533,14 +562,14 @@ class TestRunHarness:
 
     def test_sample_times_are_exact_multiples(self, grid, basis):
         cfg = small_config(t_final=0.1)
-        traj = run(cos_initial(grid, basis), cfg, sample_interval=0.025)
-        assert np.allclose(traj.times, np.arange(5) * 0.025, atol=1e-15)
+        times = run(cos_initial(grid, basis), cfg, sample_interval=0.025)
+        assert np.allclose(times, np.arange(5) * 0.025, atol=1e-15)
 
     def test_deterministic_rerun(self, grid, basis):
         cfg = small_config(t_final=0.1, scheme="imex_bdf2")
-        one = run(cos_initial(grid, basis), cfg, sample_interval=0.05)
-        two = run(cos_initial(grid, basis), cfg, sample_interval=0.05)
-        for a, b in zip(one.states, two.states):
+        one = sampled_run(cos_initial(grid, basis), cfg, sample_interval=0.05)
+        two = sampled_run(cos_initial(grid, basis), cfg, sample_interval=0.05)
+        for a, b in zip(one.states, two.states, strict=True):
             assert np.array_equal(a.g.coeffs, b.g.coeffs)
 
     @pytest.mark.parametrize("scheme", SCHEMES)
@@ -548,12 +577,14 @@ class TestRunHarness:
         cfg = small_config(t_final=0.04, scheme=scheme)
         epsilons = (0.5, 0.2, 0.1)  # dt = dt_max for each
         initial = cos_initial(grid, basis, amplitude=0.05)
-        batch = run(initial, cfg, sample_interval=0.02, epsilons=epsilons)
-        assert len(batch.states[0]) == 3 and all(m is initial for m in batch.states[0])
+        samples = []
+        times = run(initial, cfg, observers=(samples.append,), sample_interval=0.02,
+                    epsilons=epsilons)
+        assert len(samples[0]) == 3 and all(m is initial for m in samples[0])
         for i, eps in enumerate(epsilons):
-            single = run(initial, replace(cfg, epsilon=eps), sample_interval=0.02)
-            assert np.array_equal(batch.times, single.times)
-            for members, state in zip(batch.states, single.states, strict=True):
+            single = sampled_run(initial, replace(cfg, epsilon=eps), sample_interval=0.02)
+            assert np.array_equal(times, single.times)
+            for members, state in zip(samples, single.states, strict=True):
                 assert np.array_equal(members[i].g.coeffs, state.g.coeffs)
                 assert np.array_equal(members[i].macro.grad_phi, state.macro.grad_phi)
 
@@ -563,15 +594,13 @@ class TestRunHarness:
             run(cos_initial(grid, basis), small_config(), sample_interval=0.05,
                 epsilons=(0.2, 0.001))
 
-    def test_unkept_states(self, grid, basis):
-        seen = []
-        traj = run(cos_initial(grid, basis), small_config(), observers=(seen.append,),
-                   sample_interval=0.05, keep_states=False)
-        assert traj.states == [] and len(seen) == len(traj.times) == 3
-
     def test_observers_see_every_sample(self, grid, basis):
+        # every observer gets each sample's members, a 1-tuple by default
         cfg = small_config(t_final=0.1)
-        seen = []
-        run(cos_initial(grid, basis), cfg, observers=(lambda s: seen.append(s.time),),
-            sample_interval=0.02)
-        assert len(seen) == 6
+        seen, counted = [], []
+        times = run(cos_initial(grid, basis), cfg,
+                    observers=(lambda members: seen.append([s.time for s in members]),
+                               counted.append),
+                    sample_interval=0.02)
+        assert len(seen) == len(counted) == len(times) == 6
+        assert seen == [[t] for t in times]
