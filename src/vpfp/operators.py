@@ -40,6 +40,7 @@ __all__ = [
     "x_derivative",
     "spatial_l2_norm",
     "require_zero_mean",
+    "check_zero_mean",
 ]
 
 ZERO_MEAN_TOL = 1e-12
@@ -81,10 +82,15 @@ def x_derivative(grid: SpatialGrid, values: np.ndarray) -> np.ndarray:
 
 def require_zero_mean(values: np.ndarray, what: str) -> float:
     """Return the spatial mean of values; raise ValueError unless it is zero
-    to ZERO_MEAN_TOL relative to max(1, max |values|).  A NaN or infinite
-    value fails too: an infinite scale would excuse any mean."""
-    mean = float(np.mean(values))
-    scale = float(np.max(np.abs(values))) or 1.0
+    to ZERO_MEAN_TOL relative to max(1, max |values|) (see check_zero_mean)."""
+    return check_zero_mean(float(np.mean(values)), float(np.max(np.abs(values))), what)
+
+
+def check_zero_mean(mean: float, scale: float, what: str) -> float:
+    """Return mean; raise ValueError unless it is zero to ZERO_MEAN_TOL
+    relative to max(1, scale), where scale is the largest modulus of the
+    field.  A NaN or infinite field fails too: an infinite scale would
+    excuse any mean."""
     if not (math.isfinite(scale) and abs(mean) <= ZERO_MEAN_TOL * max(1.0, scale)):
         raise ValueError(f"{what} must have zero spatial mean; got mean {mean:.3e}")
     return mean

@@ -14,31 +14,37 @@ is a real SPD tridiagonal with pivots p_j >= d_{2j} >= 1, so one Thomas
 sweep over its ceil(n_v / 2) rows needs no pivoting and no refinement, and
 the odd levels are back-substituted.  Keeping the odd levels would cancel
 digits on stiff modes when back-substituting level 0, where d_0 = 1.  The
-factors depend only on (scheme stage, dt), so they are built once.
+factors depend only on (scheme stage, dt), so they are built once.  The
+solve gathers the even and the odd levels of its right-hand side into a
+parity-major workspace, so that each of its operations reads contiguous
+rows instead of every other row of the state, and writes the solution
+back.
 
 run advances a batch: B runs that share the grid, the basis, the scheme,
-the initial state and the fitted time step, and differ only in epsilon,
-in lock-step.  A single run is a batch of one.  The batch state is the
+the initial state and the fitted time step, and differ only in epsilon, in
+lock-step.  A single run is a batch of one.  The batch state is the
 Hermite-major half-spectrum of spectral/operators with a member axis,
 shape (n_v, B, n_x/2 + 1), so each Hermite level is one contiguous row
 over the (member, mode) pairs: the factors (one epsilon per column), the
 right-hand sides and the solution share that layout, and a step never
-transposes, copies into another order or fills conjugate modes.  Every NumPy call of a step thus works on all members at once.
-The streaming wavenumber is 0 at the Nyquist mode (grid.dx_symbol), whose
-block is then diagonal and whose row stays real.  Each warm step makes
-four real FFT calls, whatever B: the field coupling's inverse and forward
-transforms and the forward transform of its psi_1 source, and the one
-inverse transform in which operators.moments builds the new state's
-density, momentum and field.
+transposes or fills conjugate modes; only the solve regroups the levels by
+parity, in its workspace.  Every NumPy call of a step thus works on all
+members at once.  The streaming wavenumber is 0 at the Nyquist mode
+(grid.dx_symbol), whose block is then diagonal and whose row stays real.
+Each warm step makes four real FFT calls, whatever B: the field coupling's
+inverse and forward transforms and the forward transform of its psi_1
+source, and the one inverse transform in which operators.moments builds
+the new state's density, momentum and field.
 
-A warm step allocates one state-sized array: the new state's
-coefficients, in which its right-hand side is built and solved.  The
-stepper owns the real scratch of the field coupling's inverse transform;
-run owns the explicit-term buffers (one for Euler, two alternating for
-BDF2) and passes them to explicit_coeffs as out.  Sampled states are never
-written to after they are made.  At each sample run shows every observer
-the tuple of member states (KineticState.members), which view the batch
-arrays, and keeps none of them.
+A warm step allocates one state-sized array: the new state's coefficients,
+in which its right-hand side is built and solved.  The stepper owns the
+real scratch of the field coupling's inverse transform and the solve's
+parity-major workspace; run owns the explicit-term buffers (one for Euler,
+two alternating for BDF2) and passes them to explicit_coeffs as out.
+Sampled states are never written to after they are made.  At each sample
+run shows every observer the tuple of member states
+(KineticState.members), which view the batch arrays, and keeps none of
+them.
 """
 
 from __future__ import annotations
@@ -160,9 +166,9 @@ def make_initial_data(grid: SpatialGrid, basis: HermiteBasis, rho_profile,
     """Well-prepared initial state g = amplitude * profile(x) * sqrt(M).
 
     rho_profile is a callable of x (or an array on the grid nodes) with zero
-    spatial mean; an optional microscopic component must already lie in the
-    range of (I - P).  The reconstructed distribution must be positive at
-    every collocation node.
+    spatial mean; an optional microscopic component must be finite and
+    already lie in the range of (I - P).  The reconstructed distribution
+    must be positive at every collocation node.
     """
     profile = rho_profile(grid.nodes) if callable(rho_profile) else np.asarray(rho_profile, float)
     a = amplitude * profile
@@ -174,10 +180,14 @@ def make_initial_data(grid: SpatialGrid, basis: HermiteBasis, rho_profile,
     if micro_perturbation is not None:
         mc = micro_perturbation.coeffs
         macro_part = float(np.max(np.abs(mc[:2])))
-        if not macro_part <= 1e-12:  # this test and the next are written so that NaN fails
+        if not macro_part <= 1e-12:  # this test and the positivity test fail on NaN
             raise ValueError(
                 f"micro perturbation must be (I-P)-projected; macro content {macro_part:.3e}"
             )
+        # an infinite coefficient would reach the inverse transform, which
+        # warns on inf - inf before the positivity test could name it
+        if np.any(np.isinf(mc)):
+            raise ValueError("micro perturbation must be finite; it has an infinite coefficient")
         coeffs = coeffs + mc
 
     g = SpectralField(grid, basis, coeffs)
@@ -199,7 +209,9 @@ class TridiagonalFactors:
     wavenumber k and epsilon of each column.  Arrays have the Hermite
     level first, so each sweep step reads one contiguous row across all
     columns.  The real sweep factors hold every column twice, to act on
-    the float64 view (re, im, ...) of a complex row.
+    the float64 view (re, im, ...) of a complex row.  workspace is not a
+    factor: it is the complex (n_v, columns) array that solve gathers the
+    parity-split rows into, lent by the caller of build.
     """
 
     odd_inv_diag: np.ndarray  # 1 / d_n on the odd levels, shape (n_v // 2, columns)
@@ -207,12 +219,15 @@ class TridiagonalFactors:
     upper: np.ndarray         # A[2l+1, 2l+2] / d_{2l+1}, complex; one row fewer when n_v is even
     multiplier: np.ndarray    # S[j, j-1] / p_{j-1}, real; row 0 is zero
     inv_pivot: np.ndarray     # 1 / p_j, real
+    workspace: np.ndarray     # complex (n_v, columns), solve's parity-major rows
 
     @classmethod
-    def build(cls, k: np.ndarray, n_v: int, epsilon, dt: float) -> "TridiagonalFactors":
+    def build(cls, k: np.ndarray, n_v: int, epsilon, dt: float,
+              workspace: np.ndarray) -> "TridiagonalFactors":
         """Factors of I + dt (i k / eps) V + dt diag(n) / eps^2 for each
         column: k has one entry per column, and epsilon one entry per
-        column or one for all."""
+        column or one for all.  workspace, a complex (n_v, columns) array,
+        is lent to solve; factors that never solve at once may share it."""
         n = np.arange(n_v)
         eps = np.asarray(epsilon, dtype=float)
         diag = 1.0 + dt * (n[:, None] / eps**2)
@@ -238,21 +253,26 @@ class TridiagonalFactors:
         lower = coupling[1::2] * odd_inv_diag
         upper = coupling[2::2] * odd_inv_diag[:n_off]
         return cls(odd_inv_diag, lower, upper, np.repeat(multiplier, 2, axis=1),
-                   np.repeat(1.0 / even_pivot, 2, axis=1))
+                   np.repeat(1.0 / even_pivot, 2, axis=1), workspace)
 
     def solve(self, x: np.ndarray) -> np.ndarray:
         """Solve every block in place for the C-contiguous complex x and
         return x.  x has shape (n_v, columns), or (n_v, B, n_x/2 + 1) for a
-        batch, whose (member, mode) pairs are the columns.  Reciprocal
-        pivots make a diagonal block (k = 0) give exactly x * (1 / d_n);
-        the row views are listed once, as indexing in the loops costs as
-        much."""
+        batch, whose (member, mode) pairs are the columns.  The even and
+        odd rows of x are gathered into the workspace, parity-major, so
+        every operation below runs on contiguous rows, and the solution is
+        written back.  Reciprocal pivots make a diagonal block (k = 0) give
+        exactly x * (1 / d_n); the row views are listed once, as indexing
+        in the loops costs as much."""
         rows_of = x.reshape(x.shape[0], -1)  # a view, as x is C-contiguous
-        even, odd = rows_of[0::2], rows_of[1::2]
+        n_even = self.inv_pivot.shape[0]
+        even, odd = self.workspace[:n_even], self.workspace[n_even:]
+        even[...] = rows_of[0::2]
+        odd[...] = rows_of[1::2]
         n_up = self.upper.shape[0]
         even[:odd.shape[0]] -= self.lower * odd  # x_e's right-hand side
         even[1:] -= self.upper * odd[:n_up]
-        xe = rows_of.view(np.float64)[0::2]
+        xe = even.view(np.float64)
         rows, mult = list(xe), list(self.multiplier)
         tmp = np.empty_like(rows[0])
         for i in range(1, len(rows)):
@@ -265,6 +285,8 @@ class TridiagonalFactors:
         odd *= self.odd_inv_diag  # back-substitution of the odd levels
         odd -= self.lower * even[:odd.shape[0]]
         odd[:n_up] -= self.upper * even[1:]
+        rows_of[0::2] = even
+        rows_of[1::2] = odd
         return x
 
 
@@ -278,8 +300,10 @@ class VpfpStepper:
     costs O(B n_x n_v) to build and to store.  A step solves its freshly
     built right-hand side in place, and its new state keeps the grid and
     basis of the state it steps from.  The stepper owns one real scratch of
-    shape (n_v - 1, B, n_x), which every field-coupling evaluation reuses
-    and no method returns; the caller owns the explicit-term arrays.
+    shape (n_v - 1, B, n_x), which every field-coupling evaluation reuses,
+    and one complex workspace of shape (n_v, B (n_x/2 + 1)), which it lends
+    to every factor set it builds, as no two solves overlap; no method
+    returns either.  The caller owns the explicit-term arrays.
     """
 
     def __init__(self, cfg: SolverConfig, dt: float, epsilons=None):
@@ -289,6 +313,7 @@ class VpfpStepper:
         self.grid = cfg.make_grid()
         self._factors: dict[float, TridiagonalFactors] = {}
         self._scratch = np.empty((cfg.n_v - 1, len(self.epsilons), self.grid.n_x))
+        self._parity = np.empty((cfg.n_v, len(self.epsilons) * self.grid.n_half), dtype=complex)
 
     # -- implicit blocks ----------------------------------------------------
     def factors(self, dt_eff: float) -> TridiagonalFactors:
@@ -303,7 +328,8 @@ class VpfpStepper:
             k = self.grid.dx_symbol.imag
             n_batch = len(self.epsilons)
             f = TridiagonalFactors.build(np.tile(k, n_batch), self.cfg.n_v,
-                                         np.repeat(self.epsilons, k.size), dt_eff)
+                                         np.repeat(self.epsilons, k.size), dt_eff,
+                                         self._parity)
             self._factors[dt_eff] = f
         return f
 

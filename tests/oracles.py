@@ -17,6 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from vpfp.ddp import DdpState
 from vpfp.spectral import SpectralField
 
 # Largest n_v for which numpy's hermegauss(2 n_v) gives finite plain-measure
@@ -193,6 +194,48 @@ def limit_error(kinetic_traj, ddp_traj, k):
         "micro_time_integral": float(np.trapezoid(micro, times)) if times.size > 1 else 0.0,
         "pointwise_sup_error": max(point),
     }
+
+
+# ---------------------------------------------------------------------------
+# earlier forms of the solver kernels, which the current ones must match bit
+# for bit
+
+def ddp_step_reference(grid, state, dt):
+    """The fluid step's arithmetic with every symbol rebuilt per call, as
+    ddp_step did before its symbols were cached; no checks."""
+    ik = grid.dx_symbol
+    rho_c, prod_c = np.fft.rfft(np.array([state.rho0, state.rho0 * state.grad_phi0]),
+                                norm="forward")
+    rhs_c = rho_c + dt * (ik * grid.dealias_mask * prod_c - rho_c)
+    new_c = rhs_c / (1.0 + dt * grid.k_sq)
+    phi_c = new_c * grid.inverse_laplacian
+    rho0, phi0, grad_phi0 = np.fft.irfft(np.array([new_c, phi_c, ik * phi_c]),
+                                         n=grid.n_x, norm="forward")
+    return DdpState(time=state.time + dt, rho0=rho0, phi0=phi0, grad_phi0=grad_phi0)
+
+
+def strided_solve(factors, x):
+    """TridiagonalFactors.solve as it was before the parity-major
+    workspace: in place on the strided even and odd row views of x."""
+    rows_of = x.reshape(x.shape[0], -1)
+    even, odd = rows_of[0::2], rows_of[1::2]
+    n_up = factors.upper.shape[0]
+    even[:odd.shape[0]] -= factors.lower * odd
+    even[1:] -= factors.upper * odd[:n_up]
+    xe = rows_of.view(np.float64)[0::2]
+    rows, mult = list(xe), list(factors.multiplier)
+    tmp = np.empty_like(rows[0])
+    for i in range(1, len(rows)):
+        np.multiply(mult[i], rows[i - 1], out=tmp)
+        np.subtract(rows[i], tmp, out=rows[i])
+    xe *= factors.inv_pivot
+    for i in range(len(rows) - 1, 0, -1):
+        np.multiply(mult[i], rows[i], out=tmp)
+        np.subtract(rows[i - 1], tmp, out=rows[i - 1])
+    odd *= factors.odd_inv_diag
+    odd -= factors.lower * even[:odd.shape[0]]
+    odd[:n_up] -= factors.upper * even[1:]
+    return x
 
 
 # ---------------------------------------------------------------------------

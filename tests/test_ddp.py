@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vpfp.ddp import ddp_run, ddp_step, make_ddp_state
+from vpfp.ddp import DdpState, ddp_run, ddp_step, make_ddp_state
 from vpfp.operators import spatial_l2_norm, x_derivative
 from vpfp.spectral import ConfigurationError, SpatialGrid
 
@@ -72,14 +72,58 @@ class TestSingleStep:
                              self.complex_fft_step(grid, state, dt)):
             assert np.max(np.abs(got - want)) <= 1e-15
 
-    def test_non_finite_state_raises(self, grid):
+    @pytest.mark.parametrize("value", [np.inf, np.nan, -np.inf])
+    def test_non_finite_state_raises(self, grid, value):
         state = make_ddp_state(grid, 0.0, 0.01 * np.cos(grid.nodes))
         rho0 = state.rho0.copy()
-        rho0[3] = np.inf
+        rho0[3] = value
         # the transforms of inf warn; the step's own check must raise
         with np.errstate(all="ignore"), pytest.raises(FloatingPointError,
                                                       match="non-finite fluid state"):
             ddp_step(grid, replace(state, rho0=rho0), 1e-3)
+
+    def test_overflow_to_minus_inf_raises(self):
+        # a transform spreads a non-finite node into NaN everywhere; only an
+        # overflow leaves -inf at one node and no NaN, and only the min of
+        # the new density sees it.  A negative step amplifies every mode, so
+        # a spike near the largest float overflows.
+        grid = SpatialGrid(n_x=32)
+        rho0 = np.full(grid.n_x, 1.7e308 / 31)
+        rho0[0] = -1.7e308
+        state = DdpState(time=0.0, rho0=rho0, phi0=np.zeros(grid.n_x),
+                         grad_phi0=np.zeros(grid.n_x))
+        with np.errstate(all="ignore"):
+            new = oracles.ddp_step_reference(grid, state, -1e-3)
+            assert np.isneginf(new.rho0[0]) and np.all(np.isfinite(new.rho0[1:]))
+            with pytest.raises(FloatingPointError, match="non-finite fluid state"):
+                ddp_step(grid, state, -1e-3)
+
+    def test_nonzero_mean_raises(self, grid):
+        state = make_ddp_state(grid, 0.0, 0.01 * np.cos(grid.nodes))
+        shifted = replace(state, rho0=state.rho0 + 0.3)
+        with pytest.raises(ValueError, match="Poisson right-hand side must have zero spatial mean"):
+            ddp_step(grid, shifted, 1e-3)
+
+    def test_negative_density_after_step_warns(self, grid):
+        state = make_ddp_state(grid, 0.0, 0.5 * np.cos(grid.nodes))
+        deep = replace(state, rho0=4.0 * state.rho0)  # 1 + rho0 reaches -1
+        with pytest.warns(RuntimeWarning, match="not positive"):
+            new = ddp_step(grid, deep, 1e-3)
+        assert np.min(1.0 + new.rho0) <= 0.0
+
+    @pytest.mark.parametrize("mode", [1, 2, 3])
+    def test_matches_uncached_step(self, mode):
+        # the cached symbols and the min/max checks change no bit of the
+        # default sweep's fluid reference (64 points, ddp_dt = 2.5e-4)
+        grid = SpatialGrid(n_x=64)
+        state = ref = make_ddp_state(grid, 0.0, 0.2 * np.cos(mode * grid.nodes))
+        for _ in range(400):
+            state = ddp_step(grid, state, 2.5e-4)
+            ref = oracles.ddp_step_reference(grid, ref, 2.5e-4)
+            assert state.time == ref.time
+            for got, want in zip((state.rho0, state.phi0, state.grad_phi0),
+                                 (ref.rho0, ref.phi0, ref.grad_phi0)):
+                assert np.array_equal(got, want)
 
     def test_two_transforms_per_step(self, grid, fft_calls):
         state = make_ddp_state(grid, 0.0, 0.01 * np.cos(grid.nodes))

@@ -3,6 +3,7 @@ determinism, and configuration validation."""
 
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -24,6 +25,7 @@ from vpfp.solver import (
 )
 from vpfp.spectral import ConfigurationError, SpatialGrid, SpectralField, l2_norm
 
+import oracles
 from conftest import basis_element, random_distribution, sampled_run
 
 
@@ -119,6 +121,17 @@ class TestInitialData:
         with pytest.raises(ValueError, match=message):
             make_initial_data(grid, basis, lambda x: np.cos(x), amplitude=0.01,
                               micro_perturbation=micro)
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, complex(0.0, np.inf)])
+    def test_infinite_micro_perturbation_rejected(self, grid, basis, value):
+        # before the inverse transform, which warns on it (an error in CI)
+        micro = SpectralField.zeros(grid, basis)
+        micro.coeffs[3, 2] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match="micro perturbation must be finite"):
+                make_initial_data(grid, basis, lambda x: np.cos(x), amplitude=0.01,
+                                  micro_perturbation=micro)
 
 
 class TestDampingInvariant:
@@ -221,6 +234,8 @@ class TestTridiagonalSolve:
         # every mode, k = 0 and Nyquist included
         err = np.linalg.norm(got - want, axis=0)
         assert np.all(err <= 1e-12 * np.linalg.norm(want, axis=0))
+        # and bit for bit what the in-place solve on strided rows gives
+        assert np.array_equal(got, oracles.strided_solve(stepper.factors(dt), coeffs.copy()))
 
         # the pivots p_j of the even-level Schur complement S are real and
         # p_j >= d_{2j} >= 1
@@ -236,7 +251,8 @@ class TestTridiagonalSolve:
         # blocks without streaming (k = 0 in every column) solve bit-exactly
         dt = stiffness * epsilon**2
         coeffs = hermitian_coeffs(np.random.default_rng(seed), n_x, n_v)
-        factors = TridiagonalFactors.build(np.zeros(coeffs.shape[1]), n_v, epsilon, dt)
+        factors = TridiagonalFactors.build(np.zeros(coeffs.shape[1]), n_v, epsilon, dt,
+                                           np.empty_like(coeffs))
         got = factors.solve(coeffs.copy())
         assert np.array_equal(got, coeffs * (1.0 / (1.0 + dt * (np.arange(n_v) / epsilon**2)))[:, None])
 
@@ -253,6 +269,27 @@ class TestTridiagonalSolve:
         err = np.linalg.norm(got - want, axis=0)
         assert np.all(err <= 1e-13 * np.linalg.norm(want, axis=0))
         assert np.array_equal(got[:, 0], coeffs[:, 0] * (1.0 / (1.0 + 1e4 * np.arange(95))))
+
+    @pytest.mark.parametrize("n_x, n_v, epsilons", [
+        (32, 16, (0.1,)),
+        (32, 15, (0.1,)),
+        (64, 64, (0.2, 0.1, 0.05, 0.025)),
+        (64, 63, (0.2, 0.1, 0.05, 0.025)),
+        (1024, 16, (0.05,)),
+    ])
+    def test_matches_strided_solve(self, n_x, n_v, epsilons):
+        # the parity-major workspace changes where the rows live, not a bit
+        # of the solution, for the Euler and the BDF2 factors of a batch
+        cfg = SolverConfig(epsilon=epsilons[0], t_final=1.0, n_x=n_x, n_v=n_v)
+        stepper = VpfpStepper(cfg, 1e-3, epsilons)
+        rng = np.random.default_rng(n_v)
+        shape = (n_v, len(epsilons), n_x // 2 + 1)
+        coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        for dt_eff in (1e-3, 2e-3 / 3):
+            factors = stepper.factors(dt_eff)
+            x = coeffs.copy()
+            assert factors.solve(x) is x
+            assert np.array_equal(x, oracles.strided_solve(factors, coeffs.copy()))
 
     @pytest.mark.parametrize("n_v", [4, 5, 6, 7, 9])
     def test_stiff_small_blocks_match_dense_solve(self, n_v):
