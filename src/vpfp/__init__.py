@@ -15,7 +15,6 @@ from .operators import (
     moments,
     project_macro,
     project_micro,
-    gamma_moment,
     solve_poisson,
     vpfp_rhs,
 )
@@ -32,7 +31,6 @@ from .diagnostics import (
     nu_norm,
     coercivity_gap,
     energy_functionals,
-    moment_residuals,
     limit_error,
     limit_metrics,
 )

@@ -12,13 +12,11 @@ import sys
 from pathlib import Path
 
 from . import checks
-from .ddp import ddp_run
 from .harness import (
     METRIC_KEYS,
     SweepConfig,
     SweepError,
     default_sweep_config,
-    initial_profile,
     load_summary,
     parse_config_file,
     run_single,
@@ -46,7 +44,7 @@ def build_parser() -> argparse.ArgumentParser:
     quiet.add_argument("--quiet", action="store_true", default=argparse.SUPPRESS,
                        help="suppress progress output")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("run", parents=[quiet], help="single kinetic or fluid run from config")
+    sub.add_parser("run", parents=[quiet], help="single kinetic run from config")
     sub.add_parser("sweep", parents=[quiet], help="full epsilon sweep")
     sub.add_parser("check", parents=[quiet], help="operator-level acceptance checks")
     sub.add_parser("report", parents=[quiet], help="render a sweep summary")
@@ -63,13 +61,6 @@ def cmd_run(args) -> int:
     cfg = _load_config(args)
     say = (lambda *_: None) if args.quiet else print
     sweep_cfg = SweepConfig.from_dict(cfg, out_dir=args.out)
-    if sweep_cfg.system == "ddp":
-        grid = sweep_cfg.template.make_grid()
-        rho0 = sweep_cfg.amplitude * initial_profile(sweep_cfg)(grid.nodes)
-        traj = ddp_run(grid, rho0, sweep_cfg.ddp_dt, sweep_cfg.template.t_final,
-                       sample_interval=sweep_cfg.sample_interval)
-        say(f"ddp run complete: {len(traj.times)} samples to t = {traj.times[-1]:g}")
-        return EXIT_OK
     eps = sweep_cfg.template.epsilon
     csv_path = args.out / f"run_eps_{eps:g}.csv"
     reports = run_single(sweep_cfg, eps, csv_path=csv_path)

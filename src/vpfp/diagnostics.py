@@ -21,15 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .operators import (
-    dealiased_product,
-    fourier_field,
-    gamma_moment,
-    project_micro,
-    real_field,
-    spatial_l2_norm,
-    x_derivative,
-)
+from .operators import fourier_field, project_micro, real_field, spatial_l2_norm
 from .spectral import (
     ConfigurationError,
     SpatialGrid,
@@ -45,7 +37,6 @@ __all__ = [
     "nu_norm",
     "coercivity_gap",
     "energy_functionals",
-    "moment_residuals",
     "LimitTerms",
     "limit_error",
     "limit_metrics",
@@ -220,68 +211,6 @@ def energy_functionals(state, k: int, epsilon: float) -> EnergyReport:
         mass_residual=mass_residual,
         poisson_residual=poisson_residual,
     )
-
-
-# ---------------------------------------------------------------------------
-# residuals of the auxiliary moment system
-
-def moment_residuals(states, epsilon: float) -> dict:
-    """Discrete residuals of the density/momentum/stress moment hierarchy.
-
-    states: equally spaced consecutive samples.  Time derivatives are
-    centered at interior samples; the endpoints are excluded.  Returns the
-    L^2 norms of each equation residual at the interior times.
-    """
-    states = list(states)
-    if len(states) < 3:
-        raise ValueError("need at least 3 consecutive samples for time differencing")
-    times = np.array([s.time for s in states])
-    dts = np.diff(times)
-    if not np.allclose(dts, dts[0], rtol=1e-9, atol=1e-14):
-        raise ValueError("moment residuals require equally spaced samples")
-    dt = float(dts[0])
-    grid = states[0].g.grid
-
-    a_s, b_s, gam_s, r2_static, r3_static = [], [], [], [], []
-    for s in states:
-        micro = project_micro(s.g)
-        a, b = s.macro.a, s.macro.b
-        dphi = s.macro.grad_phi
-        gamma = gamma_moment(micro)
-        micro_dx = micro.coeffs * grid.dx_symbol
-        v_micro_dx = micro.with_coeffs(hermite_shift_coeffs(micro_dx, "multiply_by_v"))
-        gamma_vdx = gamma_moment(v_micro_dx)
-        a_s.append(a)
-        b_s.append(b)
-        gam_s.append(gamma)
-        r2_static.append(
-            (x_derivative(grid, a) + dphi) / epsilon
-            + b / epsilon**2
-            + dealiased_product(grid, a, dphi) / epsilon
-            + x_derivative(grid, gamma) / epsilon
-        )
-        r3_static.append(
-            2.0 * x_derivative(grid, b) / epsilon
-            + 2.0 * dealiased_product(grid, b, dphi) / epsilon
-            + 2.0 * gamma / epsilon**2
-            + gamma_vdx / epsilon
-        )
-
-    r1, r2, r3 = [], [], []
-    for n in range(1, len(states) - 1):
-        da = (a_s[n + 1] - a_s[n - 1]) / (2.0 * dt)
-        db = (b_s[n + 1] - b_s[n - 1]) / (2.0 * dt)
-        dgam = (gam_s[n + 1] - gam_s[n - 1]) / (2.0 * dt)
-        r1.append(spatial_l2_norm(grid, da + x_derivative(grid, b_s[n]) / epsilon))
-        r2.append(spatial_l2_norm(grid, db + r2_static[n]))
-        r3.append(spatial_l2_norm(grid, dgam + r3_static[n]))
-
-    return {
-        "times": times[1:-1],
-        "continuity": np.array(r1),
-        "momentum": np.array(r2),
-        "stress": np.array(r3),
-    }
 
 
 # ---------------------------------------------------------------------------

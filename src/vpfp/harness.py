@@ -68,7 +68,6 @@ _SCHEMA = {
         "dt_max": _finite,
         "cfl_scale": _finite,
         "scheme": str,
-        "system": str,
     },
     "sweep": {
         "epsilons": lambda s: tuple(_finite(x) for x in s.split(",")),
@@ -80,8 +79,6 @@ _SCHEMA = {
     "diagnostics": {"k": int},
 }
 
-SYSTEMS = ("vpfp", "ddp")
-
 _DEFAULTS = {
     "grid": {"n_x": 64, "n_v": 64, "length": 2.0 * math.pi},
     "solver": {
@@ -90,7 +87,6 @@ _DEFAULTS = {
         "dt_max": 2.5e-3,
         "cfl_scale": 0.5,
         "scheme": "imex_bdf2",
-        "system": "vpfp",
     },
     "sweep": {
         "epsilons": (0.2, 0.1, 0.05, 0.025),
@@ -108,7 +104,10 @@ def parse_config_file(path) -> dict:
     path = Path(path)
     if not path.exists():
         raise ConfigurationError(f"config file not found: {path}")
-    parser = configparser.ConfigParser()
+    # values are taken verbatim, so a '%' is a bad value, not a traceback;
+    # no header can name the empty default section, so [DEFAULT] is an
+    # unknown section like any other instead of keys that leak everywhere
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         with path.open() as fh:
             parser.read_file(fh)
@@ -154,13 +153,11 @@ def config_hash(cfg: dict) -> str:
 class SweepConfig:
     """Epsilon sweep: shared template, descending epsilon list, output dir.
 
-    out_dir may be given as a str; it is kept as a Path.  system is the
-    solver.system setting, which picks what the run command integrates.
-    batches, derived here, splits the epsilons into the runs that advance
-    together: consecutive epsilons whose fitted time steps (see
-    solver.step_schedule) are equal.  The step is min(dt_max,
-    cfl_scale * eps) fitted to the sample interval, monotone in eps, so
-    equal steps are consecutive.
+    out_dir may be given as a str; it is kept as a Path.  batches, derived
+    here, splits the epsilons into the runs that advance together:
+    consecutive epsilons whose fitted time steps (see solver.step_schedule)
+    are equal.  The step is min(dt_max, cfl_scale * eps) fitted to the
+    sample interval, monotone in eps, so equal steps are consecutive.
     """
 
     epsilons: tuple
@@ -171,14 +168,9 @@ class SweepConfig:
     profile_mode: int
     k: int
     out_dir: Path | None = None
-    system: str = "vpfp"
     batches: tuple = field(init=False, compare=False)
 
     def __post_init__(self):
-        if self.system not in SYSTEMS:
-            raise ConfigurationError(
-                f"unknown solver.system {self.system!r}; expected one of {SYSTEMS}"
-            )
         if self.out_dir is not None:
             object.__setattr__(self, "out_dir", Path(self.out_dir))
         # float settings are stored as floats, as SolverConfig stores its own
@@ -228,7 +220,6 @@ class SweepConfig:
             profile_mode=sw["profile_mode"],
             k=cfg["diagnostics"]["k"],
             out_dir=out_dir,
-            system=cfg["solver"]["system"],
         )
 
     def as_dict(self) -> dict:
@@ -241,8 +232,7 @@ class SweepConfig:
 
 
 def solver_config_from_dict(cfg: dict) -> SolverConfig:
-    return SolverConfig(**{key: value for section in ("grid", "solver")
-                           for key, value in cfg[section].items() if key != "system"})
+    return SolverConfig(**cfg["grid"], **cfg["solver"])
 
 
 @dataclass
@@ -468,7 +458,15 @@ def write_summary(out_dir: Path, result: SweepResult) -> None:
 
 
 def load_summary(out_dir: Path) -> dict:
+    """The summary.json in out_dir, with every key that report reads."""
     path = Path(out_dir) / "summary.json"
     if not path.exists():
         raise ConfigurationError(f"no sweep summary at {path}")
-    return json.loads(path.read_text())
+    try:
+        summary = json.loads(path.read_text())
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise ConfigurationError(f"sweep summary {path} is not JSON: {exc}") from exc
+    for key in ("config_hash", "per_epsilon", "rates"):
+        if not isinstance(summary, dict) or key not in summary:
+            raise ConfigurationError(f"sweep summary {path} has no {key!r}")
+    return summary

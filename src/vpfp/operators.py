@@ -31,9 +31,7 @@ __all__ = [
     "project_macro",
     "project_micro",
     "project_p0",
-    "gamma_moment",
     "solve_poisson",
-    "dealiased_product",
     "vpfp_rhs",
     "real_field",
     "fourier_field",
@@ -100,13 +98,6 @@ def spatial_l2_norm(grid: SpatialGrid, values: np.ndarray) -> float:
     return float(np.sqrt(grid.cell_volume * np.sum(np.asarray(values) ** 2)))
 
 
-def dealiased_product(grid: SpatialGrid, u: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Pointwise product of two real spatial fields, 2/3-rule dealiased."""
-    prod = np.asarray(u) * np.asarray(w)
-    c = fourier_field(grid, prod)
-    return real_field(grid, c * grid.dealias_mask)
-
-
 # ---------------------------------------------------------------------------
 # kinetic operators
 
@@ -150,15 +141,6 @@ def project_p0(g: SpectralField) -> SpectralField:
     out = np.zeros_like(g.coeffs)
     out[0] = g.coeffs[0]
     return g.with_coeffs(out)
-
-
-def gamma_moment(g: SpectralField) -> np.ndarray:
-    """Stress-type moment Gamma[g](x) = int g (v^2 - 1) sqrt(M) dv.
-
-    This is sqrt(2) times the Hermite-2 coefficient slice, since
-    (v^2 - 1) sqrt(M) = sqrt(2) psi_2.
-    """
-    return real_field(g.grid, np.sqrt(2.0) * g.coeffs[2])
 
 
 def solve_poisson(grid: SpatialGrid, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

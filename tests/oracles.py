@@ -11,14 +11,20 @@ The package only evaluates point values at the basis's 2 n_v velocity
 nodes and never integrates over them.  The quadrature helpers below give
 those nodes weights, so that moments, projections and norms can be checked
 against velocity integrals of point values.
+
+The moment hierarchy (gamma_moment, moment_residuals) is not an
+independent path: only tests use it, so it lives here, built on the
+package's operators, to check that sampled kinetic states satisfy the
+density, momentum and stress equations.
 """
 
 from functools import lru_cache
 
 import numpy as np
 
+from vpfp import operators
 from vpfp.ddp import DdpState
-from vpfp.spectral import SpectralField
+from vpfp.spectral import SpectralField, hermite_shift_coeffs
 
 # Largest n_v for which numpy's hermegauss(2 n_v) gives finite plain-measure
 # weights: above it exp(-v^2/2) at the outer nodes underflows and the
@@ -193,6 +199,79 @@ def limit_error(kinetic_traj, ddp_traj, k):
         "sup_field_error": max(field),
         "micro_time_integral": float(np.trapezoid(micro, times)) if times.size > 1 else 0.0,
         "pointwise_sup_error": max(point),
+    }
+
+
+# ---------------------------------------------------------------------------
+# the moment hierarchy of the kinetic system, on the package's half-spectrum
+# helpers (operators.*) and this module's full-spectrum dealiased_product
+
+def gamma_moment(g):
+    """Stress-type moment Gamma[g](x) = int g (v^2 - 1) sqrt(M) dv.
+
+    This is sqrt(2) times the Hermite-2 coefficient slice, since
+    (v^2 - 1) sqrt(M) = sqrt(2) psi_2.
+    """
+    return operators.real_field(g.grid, np.sqrt(2.0) * g.coeffs[2])
+
+
+def moment_residuals(states, epsilon):
+    """Discrete residuals of the density/momentum/stress moment hierarchy.
+
+    states: equally spaced consecutive samples.  Time derivatives are
+    centered at interior samples; the endpoints are excluded.  Returns the
+    L^2 norms of each equation residual at the interior times.
+    """
+    states = list(states)
+    if len(states) < 3:
+        raise ValueError("need at least 3 consecutive samples for time differencing")
+    times = np.array([s.time for s in states])
+    dts = np.diff(times)
+    if not np.allclose(dts, dts[0], rtol=1e-9, atol=1e-14):
+        raise ValueError("moment residuals require equally spaced samples")
+    dt = float(dts[0])
+    grid = states[0].g.grid
+
+    a_s, b_s, gam_s, r2_static, r3_static = [], [], [], [], []
+    for s in states:
+        micro = operators.project_micro(s.g)
+        a, b = s.macro.a, s.macro.b
+        dphi = s.macro.grad_phi
+        gamma = gamma_moment(micro)
+        micro_dx = micro.coeffs * grid.dx_symbol
+        v_micro_dx = micro.with_coeffs(hermite_shift_coeffs(micro_dx, "multiply_by_v"))
+        gamma_vdx = gamma_moment(v_micro_dx)
+        a_s.append(a)
+        b_s.append(b)
+        gam_s.append(gamma)
+        r2_static.append(
+            (operators.x_derivative(grid, a) + dphi) / epsilon
+            + b / epsilon**2
+            + dealiased_product(grid, a, dphi) / epsilon
+            + operators.x_derivative(grid, gamma) / epsilon
+        )
+        r3_static.append(
+            2.0 * operators.x_derivative(grid, b) / epsilon
+            + 2.0 * dealiased_product(grid, b, dphi) / epsilon
+            + 2.0 * gamma / epsilon**2
+            + gamma_vdx / epsilon
+        )
+
+    r1, r2, r3 = [], [], []
+    for n in range(1, len(states) - 1):
+        da = (a_s[n + 1] - a_s[n - 1]) / (2.0 * dt)
+        db = (b_s[n + 1] - b_s[n - 1]) / (2.0 * dt)
+        dgam = (gam_s[n + 1] - gam_s[n - 1]) / (2.0 * dt)
+        r1.append(operators.spatial_l2_norm(
+            grid, da + operators.x_derivative(grid, b_s[n]) / epsilon))
+        r2.append(operators.spatial_l2_norm(grid, db + r2_static[n]))
+        r3.append(operators.spatial_l2_norm(grid, dgam + r3_static[n]))
+
+    return {
+        "times": times[1:-1],
+        "continuity": np.array(r1),
+        "momentum": np.array(r2),
+        "stress": np.array(r3),
     }
 
 

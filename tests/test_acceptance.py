@@ -187,7 +187,7 @@ def test_criterion_9_temporal_self_convergence(small_grid, small_basis):
 
 
 def test_criterion_10_moment_residual_slopes(small_grid, small_basis):
-    from vpfp.diagnostics import moment_residuals
+    from oracles import moment_residuals
 
     eps = 0.1
     intervals = (0.02, 0.01, 0.005)

@@ -57,8 +57,9 @@ k = 1
 
 
 def small_ini_with(tmp_path, **settings):
-    """SMALL_INI with section__key=value settings replaced or added."""
-    parser = configparser.ConfigParser()
+    """SMALL_INI with section__key=value settings replaced or added,
+    written verbatim."""
+    parser = configparser.ConfigParser(interpolation=None)
     parser.read_string(SMALL_INI)
     for name, value in settings.items():
         section, key = name.split("__")
@@ -155,7 +156,7 @@ class TestConfigParsing:
 
     def test_solver_fields_are_config_keys(self):
         # every solver setting can be given in a config file, and reported
-        keys = (_SCHEMA["grid"].keys() | _SCHEMA["solver"].keys()) - {"system"}
+        keys = _SCHEMA["grid"].keys() | _SCHEMA["solver"].keys()
         assert {f.name for f in fields(SolverConfig)} == keys
 
     def test_hash_stable_and_sensitive(self, small_ini):
@@ -570,14 +571,6 @@ class TestCli:
         assert code == EXIT_OK
         assert (tmp_path / "run_eps_0.1.csv").exists()
 
-    def test_run_ddp(self, small_ini, tmp_path):
-        ini = tmp_path / "ddp.ini"
-        ini.write_text(SMALL_INI + "\n[solver]\nsystem = ddp\n"
-                       if "[solver]" not in SMALL_INI else
-                       SMALL_INI.replace("[solver]", "[solver]\nsystem = ddp"))
-        code = main(["--config", str(ini), "--out", str(tmp_path), "--quiet", "run"])
-        assert code == EXIT_OK
-
     def test_sweep_and_report(self, small_ini, tmp_path, capsys):
         assert main(["--config", str(small_ini), "--out", str(tmp_path), "--quiet",
                      "sweep"]) == EXIT_OK
@@ -628,7 +621,7 @@ class TestCli:
         ("sweep", {"sweep__sample_interval": "-0.05"}, "sample_interval must be positive"),
         ("sweep", {"sweep__ddp_dt": "0"}, "time step must be positive"),
         ("sweep", {"sweep__ddp_dt": "-1"}, "time step must be positive"),
-        ("run", {"sweep__ddp_dt": "0", "solver__system": "ddp"}, "time step must be positive"),
+        ("run", {"sweep__ddp_dt": "0"}, "time step must be positive"),
         ("run", {"diagnostics__k": "0"}, "k must be >= 1"),
         ("sweep", {"diagnostics__k": "0"}, "k must be >= 1"),
         ("run", {"sweep__profile_mode": "0"}, "profile_mode must lie in"),
@@ -652,14 +645,14 @@ class TestCli:
          "sample_interval = 2 exceeds t_final = 1"),
         ("run", {"sweep__profile_mode": "16"}, "profile_mode must lie in"),
         ("sweep", {"sweep__profile_mode": "16"}, "profile_mode must lie in"),
-        ("run", {"solver__system": "bogus"}, "unknown solver.system 'bogus'"),
-        ("sweep", {"solver__system": "bogus"}, "unknown solver.system 'bogus'"),
+        ("run", {"solver__system": "bogus"}, "unknown config key 'system'"),
+        ("sweep", {"solver__system": "bogus"}, "unknown config key 'system'"),
         # float settings must be finite, and every step fits at config time
         ("run", {"solver__t_final": "inf"}, "bad value for solver.t_final"),
         ("sweep", {"solver__t_final": "inf"}, "bad value for solver.t_final"),
         ("sweep", {"solver__t_final": "nan"}, "bad value for solver.t_final"),
         ("sweep", {"sweep__sample_interval": "nan"}, "bad value for sweep.sample_interval"),
-        ("run", {"sweep__ddp_dt": "nan", "solver__system": "ddp"}, "bad value for sweep.ddp_dt"),
+        ("run", {"sweep__ddp_dt": "nan"}, "bad value for sweep.ddp_dt"),
         ("sweep", {"sweep__ddp_dt": "nan"}, "bad value for sweep.ddp_dt"),
         ("sweep", {"solver__dt_max": "nan"}, "bad value for solver.dt_max"),
         ("run", {"solver__dt_max": "1e-320"}, "is too small for the sample interval"),
@@ -670,6 +663,12 @@ class TestCli:
         ("run", {"grid__length": "inf"}, "bad value for grid.length"),
         ("sweep", {"grid__length": "nan"}, "bad value for grid.length"),
         ("sweep", {"solver__cfl_scale": "inf"}, "bad value for solver.cfl_scale"),
+        # the fluid-only run is gone: system is no setting
+        ("run", {"solver__system": "ddp"}, "unknown config key 'system' in section [solver]"),
+        ("sweep", {"solver__system": "ddp"}, "unknown config key 'system' in section [solver]"),
+        # values are verbatim: '%' is no interpolation syntax
+        ("run", {"sweep__amplitude": "1%"}, "bad value for sweep.amplitude: '1%'"),
+        ("sweep", {"sweep__amplitude": "1%"}, "bad value for sweep.amplitude: '1%'"),
     ])
     def test_bad_setting_is_config_error(self, tmp_path, capsys, command, settings, message):
         ini = small_ini_with(tmp_path, **settings)
@@ -699,3 +698,33 @@ class TestCli:
 
     def test_report_without_sweep_is_config_error(self, tmp_path):
         assert main(["--out", str(tmp_path), "--quiet", "report"]) == EXIT_CONFIG_ERROR
+
+    @pytest.mark.parametrize("text, message", [
+        ("{}", "has no 'config_hash'"),
+        ("[]", "has no 'config_hash'"),
+        ('{"config_hash": "x", "rates": {}}', "has no 'per_epsilon'"),
+        ("not json", "is not JSON: Expecting value"),
+    ])
+    def test_report_of_bad_summary_is_config_error(self, tmp_path, capsys, text, message):
+        path = tmp_path / "summary.json"
+        path.write_text(text)
+        assert main(["--out", str(tmp_path), "--quiet", "report"]) == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert f"sweep summary {path} " in err and message in err
+        assert not (tmp_path / "metrics.csv").exists()
+
+    @pytest.mark.parametrize("text", [
+        "[DEFAULT]\nn_x = 32\n",
+        "[DEFAULT]\nn_x = 32\n[grid]\nn_v = 16\n",
+        "[grid]\nn_v = 16\n[DEFAULT]\nn_x = 32\n",
+    ], ids=["alone", "first", "last"])
+    def test_default_section_is_config_error(self, tmp_path, capsys, text):
+        # DEFAULT would otherwise be ignored, or leak its keys into the
+        # other sections as unknown keys of theirs
+        ini = tmp_path / "case.ini"
+        ini.write_text(text)
+        code = main(["--config", str(ini), "--out", str(tmp_path / "out"), "--quiet", "run"])
+        assert code == EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err == (
+            "configuration error: unknown config section [DEFAULT]\n")
+        assert not (tmp_path / "out").exists()

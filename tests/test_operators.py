@@ -4,7 +4,10 @@ dealiased products, and the explicit field coupling.
 The collision operator is checked against an independent finite-difference
 discretization of the continuous divergence-form operator
     L g = -(1/sqrt(M)) d/dv ( M d/dv (g / sqrt(M)) ),
-which never touches the coefficient-space diagonal.
+which never touches the coefficient-space diagonal.  The stress moment
+and the dealiased product are the oracles' own (gamma_moment,
+dealiased_product), which the moment-residual oracle and the coupling
+checks below rely on.
 """
 
 from dataclasses import replace
@@ -19,9 +22,7 @@ from vpfp.diagnostics import coercivity_gap
 from vpfp.operators import (
     MacroFields,
     apply_L,
-    dealiased_product,
     fourier_field,
-    gamma_moment,
     moments,
     project_macro,
     project_micro,
@@ -43,7 +44,7 @@ from vpfp.spectral import (
 
 import oracles
 from conftest import basis_element, random_distribution
-from oracles import quadrature_oracle_moment, spatial_derivative
+from oracles import dealiased_product, gamma_moment, quadrature_oracle_moment, spatial_derivative
 
 
 class TestCollisionOperator:
