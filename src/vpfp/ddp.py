@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from .operators import check_zero_mean, require_zero_mean, solve_poisson
-from .solver import sample_trajectory
+from .solver import sample_trajectory, step_schedule
 from .spectral import SpatialGrid
 
 __all__ = ["DdpState", "Trajectory", "make_ddp_state", "ddp_step", "ddp_run"]
@@ -111,19 +111,18 @@ class Trajectory:
 
 
 def ddp_run(grid: SpatialGrid, rho0_initial: np.ndarray, dt: float, t_final: float,
-            sample_interval: float | None = None) -> Trajectory:
-    """Integrate the fluid system on the kinetic run's sampling schedule."""
+            sample_interval: float) -> Trajectory:
+    """Integrate the fluid system on the kinetic run's sampling schedule:
+    step_schedule(t_final, sample_interval, dt), fitted once."""
     rho0 = np.asarray(rho0_initial, dtype=float)
     state = make_ddp_state(grid, 0.0, rho0 - require_zero_mean(rho0, "initial fluid density"))
+    schedule = step_schedule(t_final, sample_interval, dt)
 
-    def make_advance(step_dt: float):
-        def advance(state: DdpState, n: int) -> DdpState:
-            for _ in range(n):
-                state = ddp_step(grid, state, step_dt)
-            return state
-        return advance
+    def advance(state: DdpState, n: int) -> DdpState:
+        for _ in range(n):
+            state = ddp_step(grid, state, schedule[1])
+        return state
 
     states = []
-    times = sample_trajectory(state, t_final, dt, sample_interval, make_advance,
-                              observers=(states.append,))
+    times = sample_trajectory(state, t_final, schedule, advance, (states.append,))
     return Trajectory(times=times, states=states)

@@ -92,7 +92,7 @@ def _dv_tower(coeffs: np.ndarray, depth: int):
     level = coeffs
     yield level
     for _ in range(depth):
-        level = hermite_shift_coeffs(level, "d_dv", extend=1)
+        level = hermite_shift_coeffs(level, "d_dv")
         yield level
 
 
@@ -103,7 +103,7 @@ def _nu_squares(coeffs: np.ndarray, depth: int) -> tuple[list, list]:
     for beta, level in enumerate(_dv_tower(coeffs, depth)):
         dv_sq.append(mode_sq(level))
         if beta < depth:
-            v_sq.append(mode_sq(hermite_shift_coeffs(level, "multiply_by_v", extend=1)))
+            v_sq.append(mode_sq(hermite_shift_coeffs(level, "multiply_by_v")))
     return dv_sq, v_sq
 
 

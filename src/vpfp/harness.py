@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import configparser
 import hashlib
-import itertools
 import json
 import math
 import time as _time
@@ -29,7 +28,8 @@ import numpy as np
 
 from .ddp import ddp_run
 from .diagnostics import EnergyReport, energy_functionals, limit_error, limit_metrics
-from .solver import KineticState, SolverConfig, make_initial_data, run, step_schedule
+from .solver import (KineticState, SolverConfig, batch_schedules, make_initial_data, run,
+                     step_schedule)
 from .spectral import ConfigurationError
 
 __all__ = [
@@ -154,10 +154,9 @@ class SweepConfig:
     """Epsilon sweep: shared template, descending epsilon list, output dir.
 
     out_dir may be given as a str; it is kept as a Path.  batches, derived
-    here, splits the epsilons into the runs that advance together:
-    consecutive epsilons whose fitted time steps (see solver.step_schedule)
-    are equal.  The step is min(dt_max, cfl_scale * eps) fitted to the
-    sample interval, monotone in eps, so equal steps are consecutive.
+    here, splits the epsilons into the runs that advance together: the
+    groups of solver.batch_schedules, consecutive epsilons that share their
+    fitted schedule, which solver.run accepts as one batch.
     """
 
     epsilons: tuple
@@ -202,11 +201,8 @@ class SweepConfig:
         t_final = self.template.t_final
         step_schedule(t_final, self.sample_interval, self.ddp_dt)
         step_schedule(t_final, self.sample_interval, self.template.dt_nominal)
-        steps = [step_schedule(t_final, self.sample_interval,
-                               replace(self.template, epsilon=e).dt_nominal)[1] for e in eps]
-        batches = tuple(tuple(e for e, _ in group)
-                        for _, group in itertools.groupby(zip(eps, steps), key=lambda p: p[1]))
-        object.__setattr__(self, "batches", batches)
+        batches = batch_schedules(self.template, eps, self.sample_interval)
+        object.__setattr__(self, "batches", tuple(batches.values()))
 
     @classmethod
     def from_dict(cls, cfg: dict, out_dir=None) -> "SweepConfig":
@@ -315,7 +311,7 @@ def _run_batch(cfg: SweepConfig, initial: KineticState, batch: tuple, ddp_traj) 
             rep.append(energy_functionals(state, cfg.k, eps))
             term.append(limit_error(state, ds, cfg.k))
 
-    times = run(initial, replace(cfg.template, epsilon=batch[0]), observers=[observer],
+    times = run(initial, cfg.template, observers=[observer],
                 sample_interval=cfg.sample_interval, epsilons=batch)
     records = []
     for eps, rep, term in zip(batch, reports, terms):
@@ -458,7 +454,9 @@ def write_summary(out_dir: Path, result: SweepResult) -> None:
 
 
 def load_summary(out_dir: Path) -> dict:
-    """The summary.json in out_dir, with every key that report reads."""
+    """The summary.json in out_dir, with every key and value that report
+    reads: per_epsilon a list of records with a number for epsilon and
+    each METRIC_KEYS entry, and rates an object of lists."""
     path = Path(out_dir) / "summary.json"
     if not path.exists():
         raise ConfigurationError(f"no sweep summary at {path}")
@@ -469,4 +467,17 @@ def load_summary(out_dir: Path) -> dict:
     for key in ("config_hash", "per_epsilon", "rates"):
         if not isinstance(summary, dict) or key not in summary:
             raise ConfigurationError(f"sweep summary {path} has no {key!r}")
+    if not isinstance(summary["per_epsilon"], list):
+        raise ConfigurationError(f"sweep summary {path} has a 'per_epsilon' that is not a list")
+    for i, rec in enumerate(summary["per_epsilon"]):
+        for key in ("epsilon",) + METRIC_KEYS:
+            if not (isinstance(rec, dict) and isinstance(rec.get(key), (int, float))):
+                raise ConfigurationError(
+                    f"sweep summary {path} has no number {key!r} in per_epsilon[{i}]")
+    if not isinstance(summary["rates"], dict):
+        raise ConfigurationError(f"sweep summary {path} has a 'rates' that is not an object")
+    for key, rates in summary["rates"].items():
+        if not (isinstance(rates, list) and all(isinstance(r, (int, float, str)) for r in rates)):
+            raise ConfigurationError(
+                f"sweep summary {path} has rates[{key!r}] that is not a list of numbers")
     return summary

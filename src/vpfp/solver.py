@@ -38,11 +38,11 @@ the new state's density, momentum and field.
 
 A warm step allocates one state-sized array: the new state's coefficients,
 in which its right-hand side is built and solved.  The stepper owns the
-real scratch of the field coupling's inverse transform and the solve's
-parity-major workspace; run owns the explicit-term buffers (one for Euler,
-two alternating for BDF2) and passes them to explicit_coeffs as out.
-Sampled states are never written to after they are made.  At each sample
-run shows every observer the tuple of member states
+rest: the real scratch of the field coupling's inverse transform, the
+solve's parity-major workspace, the explicit-term buffers (one for Euler,
+two alternating for BDF2) and the BDF2 history, which its advance keeps
+between samples.  Sampled states are never written to after they are
+made.  At each sample run shows every observer the tuple of member states
 (KineticState.members), which view the batch arrays, and keeps none of
 them.
 """
@@ -69,8 +69,8 @@ __all__ = [
     "KineticState",
     "VpfpStepper",
     "make_initial_data",
-    "sample_count",
     "step_schedule",
+    "batch_schedules",
     "sample_trajectory",
     "run",
 ]
@@ -87,7 +87,11 @@ class ConservationError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Discretization and stepping parameters for one kinetic run."""
+    """Discretization and stepping parameters for one kinetic run.
+
+    The field defaults (imex_euler, dt_max = 5e-3) are library defaults;
+    the vpfp command runs with harness's built-in config instead
+    (imex_bdf2, dt_max = 2.5e-3)."""
 
     epsilon: float
     t_final: float
@@ -302,8 +306,8 @@ class VpfpStepper:
     basis of the state it steps from.  The stepper owns one real scratch of
     shape (n_v - 1, B, n_x), which every field-coupling evaluation reuses,
     and one complex workspace of shape (n_v, B (n_x/2 + 1)), which it lends
-    to every factor set it builds, as no two solves overlap; no method
-    returns either.  The caller owns the explicit-term arrays.
+    to every factor set it builds, as no two solves overlap.  advance runs
+    cfg.scheme with the stepper's explicit-term buffers and BDF2 history.
     """
 
     def __init__(self, cfg: SolverConfig, dt: float, epsilons=None):
@@ -311,9 +315,16 @@ class VpfpStepper:
         self.dt = float(dt)
         self.epsilons = (cfg.epsilon,) if epsilons is None else tuple(map(float, epsilons))
         self.grid = cfg.make_grid()
+        n_batch, n_half = len(self.epsilons), self.grid.n_half
         self._factors: dict[float, TridiagonalFactors] = {}
-        self._scratch = np.empty((cfg.n_v - 1, len(self.epsilons), self.grid.n_x))
-        self._parity = np.empty((cfg.n_v, len(self.epsilons) * self.grid.n_half), dtype=complex)
+        self._scratch = np.empty((cfg.n_v - 1, n_batch, self.grid.n_x))
+        self._parity = np.empty((cfg.n_v, n_batch * n_half), dtype=complex)
+        self._bdf2 = cfg.scheme == "imex_bdf2"
+        # explicit-term buffers: _buffers[0] takes the next step's terms, and
+        # BDF2 alternates it with the one that holds _expl_prev
+        self._buffers = [np.empty((cfg.n_v, n_batch, n_half), dtype=complex)
+                         for _ in range(1 + self._bdf2)]
+        self._prev = self._expl_prev = None  # BDF2 history, kept across advance calls
 
     # -- implicit blocks ----------------------------------------------------
     def factors(self, dt_eff: float) -> TridiagonalFactors:
@@ -359,11 +370,9 @@ class VpfpStepper:
         g = state.g.with_coeffs(coeffs)
         return KineticState(time=time, g=g, macro=moments(g))
 
-    def step_euler(self, state: KineticState, expl: np.ndarray | None = None) -> KineticState:
-        """One IMEX Euler step; expl may carry precomputed explicit_coeffs(state)."""
+    def step_euler(self, state: KineticState, expl: np.ndarray) -> KineticState:
+        """One IMEX Euler step; expl holds explicit_coeffs(state)."""
         dt = self.dt
-        if expl is None:
-            expl = self.explicit_coeffs(state.g, state.macro)
         rhs = dt * expl
         rhs += state.g.coeffs
         return self._finish(state, self.factors(dt).solve(rhs), dt)
@@ -384,32 +393,41 @@ class VpfpStepper:
         rhs /= 3.0
         return self._finish(state, self.factors(2.0 * dt / 3.0).solve(rhs), dt)
 
+    def advance(self, state: KineticState, n: int) -> KineticState:
+        """Take n steps of cfg.scheme from state, the (re-stamped) state the
+        last call returned, and return the last one.  The first step is
+        Euler; BDF2 keeps its history across calls."""
+        buffers = self._buffers
+        for _ in range(n):
+            expl = self.explicit_coeffs(state.g, state.macro, out=buffers[0])
+            if self._prev is None:
+                new = self.step_euler(state, expl)
+            else:
+                new = self.step_bdf2(state, self._prev, expl, self._expl_prev)
+            if self._bdf2:
+                self._prev, self._expl_prev = state, expl
+                buffers.reverse()
+            state = new
+        return state
 
-def _fit_dt(dt_nominal: float, interval: float) -> tuple[float, int]:
-    ratio = interval / dt_nominal
-    if not math.isfinite(ratio):
-        raise ConfigurationError(
-            f"time step {dt_nominal:g} is too small for the sample interval {interval:g}"
-        )
-    n = max(1, math.ceil(ratio - 1e-12))
-    return interval / n, n
 
+def step_schedule(t_final: float, sample_interval: float,
+                  dt_nominal: float) -> tuple[int, float, int]:
+    """(samples, dt, steps per sample) of a run to t_final, kinetic or fluid.
 
-def sample_count(t_final: float, sample_interval: float | None) -> int:
-    """Number of sample intervals of a run to t_final (0 when t_final is 0).
-
-    None means one interval, t_final itself.  Otherwise sample_interval
-    must be positive, at most t_final and divide it into a whole number of
-    intervals (to SAMPLE_RATIO_RTOL relative); anything else, NaN and a
-    non-finite ratio included, raises ConfigurationError instead of being
-    silently rounded.
+    Samples land on exact multiples of sample_interval, which must be
+    positive, at most t_final and divide it into a whole number of
+    intervals (to SAMPLE_RATIO_RTOL relative); dt is the largest step
+    <= dt_nominal that divides one interval.  t_final = 0 gives (0, 0.0,
+    0).  Anything else, NaN and a step count that overflows included,
+    raises ConfigurationError instead of being silently rounded.
     """
-    if sample_interval is not None and not sample_interval > 0:
+    if not dt_nominal > 0:
+        raise ConfigurationError(f"time step must be positive, got {dt_nominal}")
+    if not sample_interval > 0:
         raise ConfigurationError(f"sample_interval must be positive, got {sample_interval}")
     if t_final == 0.0:
-        return 0
-    if sample_interval is None:
-        return 1
+        return 0, 0.0, 0
     ratio = t_final / sample_interval
     if not math.isfinite(ratio):
         raise ConfigurationError(
@@ -426,72 +444,63 @@ def sample_count(t_final: float, sample_interval: float | None) -> int:
             f"sample_interval = {sample_interval:g} does not divide t_final = {t_final:g} "
             f"into a whole number of samples"
         )
-    return n_samples
+    interval = t_final / n_samples
+    steps = interval / dt_nominal
+    if not math.isfinite(steps):
+        raise ConfigurationError(
+            f"time step {dt_nominal:g} is too small for the sample interval {interval:g}"
+        )
+    steps_per_sample = max(1, math.ceil(steps - 1e-12))
+    return n_samples, interval / steps_per_sample, steps_per_sample
 
 
-def step_schedule(t_final: float, sample_interval: float | None,
-                  dt_nominal: float) -> tuple[int, float, int]:
-    """(samples, dt, steps per sample) of a run to t_final.
+def batch_schedules(cfg: SolverConfig, epsilons, sample_interval: float) -> dict:
+    """{step_schedule: epsilons} of cfg at each of epsilons, in order: the
+    batches that run can advance together.  The fitted step is monotone in
+    epsilon, so each group of a sorted list is consecutive."""
+    nominal = [replace(cfg, epsilon=eps).dt_nominal for eps in epsilons]
+    groups: dict = {}
+    for eps, dt in zip(epsilons, nominal):
+        groups.setdefault(step_schedule(cfg.t_final, sample_interval, dt), []).append(eps)
+    return {schedule: tuple(group) for schedule, group in groups.items()}
 
-    Samples land on exact multiples of sample_interval (see sample_count),
-    and dt is the largest step <= dt_nominal that divides one interval; a
-    run to t_final = 0 has no samples and gives (0, 0.0, 0).  Raises
-    ConfigurationError unless dt_nominal is positive and the step count
-    finite.
+
+def sample_trajectory(initial, t_final: float, schedule: tuple[int, float, int],
+                      advance, observers) -> np.ndarray:
+    """The sampling loop of the kinetic and the fluid run; returns the
+    sample times.  schedule is the caller's step_schedule, and advance(state,
+    n) takes n steps of its dt, keeping history between calls if it needs
+    to.  Each sample's time is re-stamped exactly.  Observers see every
+    sampled state, the initial one first, and keep what they choose.
     """
-    if not dt_nominal > 0:
-        raise ConfigurationError(f"time step must be positive, got {dt_nominal}")
-    n_samples = sample_count(t_final, sample_interval)
-    if n_samples == 0:
-        return 0, 0.0, 0
-    return (n_samples,) + _fit_dt(dt_nominal, t_final / n_samples)
-
-
-def sample_trajectory(initial, t_final: float, dt_nominal: float,
-                      sample_interval: float | None, make_advance,
-                      observers=()) -> np.ndarray:
-    """The sampling schedule shared by the kinetic and the fluid run; returns
-    the sample times.
-
-    The schedule is step_schedule's.  make_advance(dt) returns
-    advance(state, n), which takes n steps of size dt and may keep history
-    between calls; each sample's time is re-stamped exactly.  Observers
-    see every sampled state, the initial one first; what is kept is theirs
-    to choose.
-    """
-    n_samples, dt, steps_per_sample = step_schedule(t_final, sample_interval, dt_nominal)
+    n_samples, _, steps_per_sample = schedule
     state = initial
     times = [initial.time]
     for obs in observers:
         obs(initial)
-    if n_samples == 0:
-        return np.array(times)
-
-    sample_interval = t_final / n_samples
-    advance = make_advance(dt)
     for s in range(n_samples):
         state = advance(state, steps_per_sample)
-        state = replace(state, time=initial.time + (s + 1) * sample_interval)
+        state = replace(state, time=initial.time + (s + 1) * (t_final / n_samples))
         times.append(state.time)
         for obs in observers:
             obs(state)
     return np.array(times)
 
 
-def run(initial: KineticState, cfg: SolverConfig, observers=(),
-        sample_interval: float | None = None, epsilons=None) -> np.ndarray:
+def run(initial: KineticState, cfg: SolverConfig, observers=(), *,
+        sample_interval: float, epsilons=None) -> np.ndarray:
     """Integrate to t_final with cfg.scheme, sampling every sample_interval;
     return the sample times.
 
     Advances one member per entry of epsilons (default (cfg.epsilon,); the
     other settings come from cfg) from the same initial state in lock-step,
-    as one batch (VpfpStepper).  At each sample every observer gets the
-    tuple of member states, a 1-tuple by default; the first sample of every
-    member is initial itself.  Nothing is kept: what an observer needs of a
-    sample it takes when it sees it.  initial must lie on cfg's grid and
-    n_v, and every sampled state shares its grid and basis.  The members
-    must share their fitted step (see step_schedule).  Deterministic for a
-    fixed config.
+    as one batch (VpfpStepper.advance).  At each sample every observer gets
+    the tuple of member states, a 1-tuple by default; the first sample of
+    every member is initial itself.  Nothing is kept: what an observer
+    needs of a sample it takes when it sees it.  initial must lie on cfg's
+    grid and n_v, and every sampled state shares its grid and basis.  The
+    members must form one group of batch_schedules, whose schedule is the
+    run's.  Deterministic for a fixed config.
     """
     grid, n_v = initial.g.grid, initial.g.basis.n_v
     if grid != cfg.make_grid() or n_v != cfg.n_v:
@@ -501,43 +510,19 @@ def run(initial: KineticState, cfg: SolverConfig, observers=(),
             f"n_v = {cfg.n_v})"
         )
     batch = (cfg.epsilon,) if epsilons is None else tuple(epsilons)
-    nominal = [replace(cfg, epsilon=eps).dt_nominal for eps in batch]
-    steps = {step_schedule(cfg.t_final, sample_interval, dt)[1] for dt in nominal}
-    if len(steps) != 1:
+    groups = batch_schedules(cfg, batch, sample_interval)
+    if len(groups) != 1:
         raise ConfigurationError(
             f"a batch needs epsilons that share their fitted step; {batch} give "
-            f"{sorted(steps)}"
+            f"{sorted(dt for _, dt, _ in groups)}"
         )
-
-    use_bdf2 = cfg.scheme == "imex_bdf2"
+    (schedule,) = groups
     start = initial.repeated(len(batch))
-
-    def make_advance(dt: float):
-        stepper = VpfpStepper(cfg, dt, batch)
-        prev = expl_prev = None  # BDF2 history, kept across samples
-        # explicit-term buffers: buffers[0] takes the next step's terms, and
-        # BDF2 alternates it with the one that holds expl_prev
-        buffers = [np.empty_like(start.g.coeffs) for _ in range(1 + use_bdf2)]
-
-        def advance(state: KineticState, n: int) -> KineticState:
-            nonlocal prev, expl_prev
-            for _ in range(n):
-                expl = stepper.explicit_coeffs(state.g, state.macro, out=buffers[0])
-                if prev is None:
-                    new = stepper.step_euler(state, expl)
-                else:
-                    new = stepper.step_bdf2(state, prev, expl, expl_prev)
-                if use_bdf2:
-                    prev, expl_prev = state, expl
-                    buffers.reverse()
-                state = new
-            return state
-        return advance
 
     def observe(state: KineticState) -> None:
         members = (initial,) * len(batch) if state is start else state.members()
         for obs in observers:
             obs(members)
 
-    return sample_trajectory(start, cfg.t_final, min(nominal), sample_interval,
-                             make_advance, (observe,))
+    return sample_trajectory(start, cfg.t_final, schedule,
+                             VpfpStepper(cfg, schedule[1], batch).advance, (observe,))

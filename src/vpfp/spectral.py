@@ -248,28 +248,28 @@ def inverse_transform(f: SpectralField) -> np.ndarray:
     return levels.T @ f.basis.synthesis.T
 
 
-def hermite_shift_coeffs(coeffs: np.ndarray, kind: str, extend: int = 0) -> np.ndarray:
+def hermite_shift_coeffs(coeffs: np.ndarray, kind: str) -> np.ndarray:
     """Apply one of the velocity recurrences along axis 0, the Hermite axis.
 
     multiply_by_v: psi_n -> sqrt(n+1) psi_{n+1} + sqrt(n) psi_{n-1}
     d_dv:          psi_n -> (sqrt(n)/2) psi_{n-1} - (sqrt(n+1)/2) psi_{n+1}
 
-    extend > 0 grows the output Hermite axis instead of truncating the
-    spill from the top mode; norms use this for exactness.  Each term
+    The output has one Hermite level more than coeffs, which holds the
+    spill from the top level, so the shift is exact; norms rely on this,
+    and the first n_v levels are the shift truncated at n_v.  Each term
     scales whole rows, so the work runs along the contiguous Fourier axis.
     """
     if kind not in SHIFT_KINDS:
         raise ConfigurationError(f"unknown shift kind {kind!r}; expected one of {SHIFT_KINDS}")
     n_in = coeffs.shape[0]
-    out = np.zeros((n_in + extend,) + coeffs.shape[1:], dtype=coeffs.dtype)
-    root = np.sqrt(np.arange(1, n_in + extend)).reshape((-1,) + (1,) * (coeffs.ndim - 1))
-    n_up = n_in if extend else n_in - 1  # levels fed from below; the top spill needs extend
+    out = np.zeros((n_in + 1,) + coeffs.shape[1:], dtype=coeffs.dtype)
+    root = np.sqrt(np.arange(1, n_in + 1)).reshape((-1,) + (1,) * (coeffs.ndim - 1))
     # level n receives sqrt(n) c_{n-1} (up) and sqrt(n+1) c_{n+1} (down)
     if kind == "d_dv":
         np.multiply(0.5 * root[: n_in - 1], coeffs[1:], out=out[: n_in - 1])
-        out[1 : n_up + 1] -= 0.5 * root[:n_up] * coeffs[:n_up]
+        out[1:] -= 0.5 * root * coeffs
     else:
-        np.multiply(root[:n_up], coeffs[:n_up], out=out[1 : n_up + 1])
+        np.multiply(root, coeffs, out=out[1:])
         out[: n_in - 1] += root[: n_in - 1] * coeffs[1:]
     return out
 

@@ -24,7 +24,7 @@ def pytest_terminal_summary(terminalreporter):
             terminalreporter.write_line(line)
 
 
-def sampled_run(initial, cfg, sample_interval=None):
+def sampled_run(initial, cfg, sample_interval):
     """solver.run of cfg alone, with an observer that appends each sample:
     the Trajectory of the run's times and of its one member's states."""
     states = []

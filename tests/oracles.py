@@ -239,7 +239,8 @@ def moment_residuals(states, epsilon):
         dphi = s.macro.grad_phi
         gamma = gamma_moment(micro)
         micro_dx = micro.coeffs * grid.dx_symbol
-        v_micro_dx = micro.with_coeffs(hermite_shift_coeffs(micro_dx, "multiply_by_v"))
+        v_micro_dx = hermite_shift_coeffs(micro_dx, "multiply_by_v")[: len(micro_dx)]
+        v_micro_dx = micro.with_coeffs(v_micro_dx)
         gamma_vdx = gamma_moment(v_micro_dx)
         a_s.append(a)
         b_s.append(b)

@@ -170,9 +170,9 @@ def test_criterion_9_temporal_self_convergence(small_grid, small_basis):
         return float(np.mean(rates))
 
     rho = 0.01 * np.cos(small_grid.nodes)
-    ddp_ref = ddp_run(small_grid, rho, dt=2.5e-5, t_final=0.2).states[-1].rho0
-    ddp_errs = [np.max(np.abs(ddp_run(small_grid, rho, dt=dt, t_final=0.2).states[-1].rho0
-                              - ddp_ref))
+    ddp_ref = ddp_run(small_grid, rho, dt=2.5e-5, t_final=0.2, sample_interval=0.2).states[-1].rho0
+    ddp_errs = [np.max(np.abs(ddp_run(small_grid, rho, dt=dt, t_final=0.2,
+                                      sample_interval=0.2).states[-1].rho0 - ddp_ref))
                 for dt in (2.5e-3, 1.25e-3, 6.25e-4)]
     ddp_order = float(np.mean([np.log2(ddp_errs[i] / ddp_errs[i + 1]) for i in range(2)]))
 

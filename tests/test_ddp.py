@@ -155,7 +155,7 @@ class TestDecayRates:
 class TestRunHarness:
     def test_zero_mean_required(self, grid):
         with pytest.raises(ValueError, match="zero spatial mean"):
-            ddp_run(grid, np.cos(grid.nodes) + 0.3, dt=1e-3, t_final=0.1)
+            ddp_run(grid, np.cos(grid.nodes) + 0.3, dt=1e-3, t_final=0.1, sample_interval=0.1)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_node_rejected(self, grid, value):
@@ -163,7 +163,7 @@ class TestRunHarness:
         rho = 0.01 * np.cos(grid.nodes)
         rho[3] = value
         with pytest.raises(ValueError, match="initial fluid density must have zero spatial mean"):
-            ddp_run(grid, rho, dt=1e-3, t_final=0.1)
+            ddp_run(grid, rho, dt=1e-3, t_final=0.1, sample_interval=0.1)
 
     @pytest.mark.parametrize("dt, interval, message", [
         (0.0, 0.05, "time step must be positive"),
@@ -190,7 +190,8 @@ class TestRunHarness:
         assert np.allclose(traj.times, [0.0, 0.1, 0.2, 0.3], rtol=0, atol=1e-15)
 
     def test_zero_time(self, grid):
-        traj = ddp_run(grid, 0.01 * np.cos(grid.nodes), dt=1e-3, t_final=0.0)
+        traj = ddp_run(grid, 0.01 * np.cos(grid.nodes), dt=1e-3, t_final=0.0,
+                       sample_interval=0.05)
         assert len(traj.states) == 1 and traj.states[0].time == 0.0
 
     def test_sample_times(self, grid):
@@ -200,10 +201,10 @@ class TestRunHarness:
 
     def test_temporal_order_about_one(self, grid):
         rho = 0.1 * np.cos(grid.nodes)
-        ref = ddp_run(grid, rho, dt=2e-5, t_final=0.2).states[-1].rho0
+        ref = ddp_run(grid, rho, dt=2e-5, t_final=0.2, sample_interval=0.2).states[-1].rho0
         errs = []
         for dt in (2e-3, 1e-3, 5e-4):
-            got = ddp_run(grid, rho, dt=dt, t_final=0.2).states[-1].rho0
+            got = ddp_run(grid, rho, dt=dt, t_final=0.2, sample_interval=0.2).states[-1].rho0
             errs.append(np.max(np.abs(got - ref)))
         rates = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
         assert all(0.7 < r < 1.4 for r in rates)

@@ -190,7 +190,7 @@ class TestLimitError:
         c = 0.01
         g = basis_element(grid, basis, 1, 0, amplitude=c)
         kin_traj = Trajectory(times=np.array([0.0]), states=[make_state(g)])
-        flu = ddp_run(grid, np.zeros(grid.n_x), dt=1e-3, t_final=0.0)
+        flu = ddp_run(grid, np.zeros(grid.n_x), dt=1e-3, t_final=0.0, sample_interval=0.05)
         metrics = trajectory_limit_error(kin_traj, flu, k=1)
         # sup over the collocation nodes: the Maxwellian peaks at the
         # quadrature node closest to v = 0

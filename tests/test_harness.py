@@ -229,6 +229,24 @@ class TestSweepConfig:
         cfg = default_sweep_config()
         cfg["solver"]["cfl_scale"] = cfl_scale
         assert SweepConfig.from_dict(cfg).batches == batches
+        # the step fits one sample interval, so a one-sample run on a small
+        # grid has the same batches; run takes each of them as one batch,
+        # and no two neighbours joined
+        cfg["grid"].update(n_x=8, n_v=4)
+        cfg["solver"]["t_final"] = cfg["sweep"]["sample_interval"]
+        short = SweepConfig.from_dict(cfg)
+        assert short.batches == batches
+        grid = short.template.make_grid()
+        initial = make_initial_data(grid, short.template.make_basis(), initial_profile(short),
+                                    amplitude=short.amplitude)
+        for batch in batches:
+            times = run(initial, short.template, sample_interval=short.sample_interval,
+                        epsilons=batch)
+            assert len(times) == 2
+        for one, two in zip(batches, batches[1:]):
+            with pytest.raises(ConfigurationError, match="share their fitted step"):
+                run(initial, short.template, sample_interval=short.sample_interval,
+                    epsilons=one + two)
 
     @pytest.mark.parametrize("section, key, value, message", [
         ("sweep", "epsilons", (0.2, float("nan")), "epsilons must lie in"),
@@ -704,6 +722,12 @@ class TestCli:
         ("[]", "has no 'config_hash'"),
         ('{"config_hash": "x", "rates": {}}', "has no 'per_epsilon'"),
         ("not json", "is not JSON: Expecting value"),
+        ('{"config_hash": "x", "per_epsilon": [{"epsilon": 0.1}], "rates": {}}',
+         "has no number 'sup_moment_error' in per_epsilon[0]"),
+        ('{"config_hash": "x", "per_epsilon": [], "rates": {"a": 5}}',
+         "has rates['a'] that is not a list of numbers"),
+        ('{"config_hash": "x", "per_epsilon": {"epsilon": 0.1}, "rates": {}}',
+         "has a 'per_epsilon' that is not a list"),
     ])
     def test_report_of_bad_summary_is_config_error(self, tmp_path, capsys, text, message):
         path = tmp_path / "summary.json"

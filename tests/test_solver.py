@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from vpfp.operators import moments, project_micro, spatial_l2_norm, vpfp_rhs, x_derivative
 from vpfp.solver import (
+    SAMPLE_RATIO_RTOL,
     SCHEMES,
     ConservationError,
     KineticState,
@@ -21,7 +22,7 @@ from vpfp.solver import (
     VpfpStepper,
     make_initial_data,
     run,
-    _fit_dt,
+    step_schedule,
 )
 from vpfp.spectral import ConfigurationError, SpatialGrid, SpectralField, l2_norm
 
@@ -57,10 +58,22 @@ class TestConfig:
         cfg = small_config(epsilon=1.0)
         assert cfg.dt_nominal == pytest.approx(5e-3)
 
-    def test_fit_dt_divides_interval(self):
+    @pytest.mark.parametrize("t_final, interval, nominal, schedule", [
+        (1.0, 0.05, 2.5e-3, (20, 2.5e-3, 20)),   # the default kinetic run
+        (1.0, 0.05, 2.5e-4, (20, 2.5e-4, 200)),  # and its fluid reference
+        (0.0, 0.05, 2.5e-3, (0, 0.0, 0)),
+        (0.3, 0.3, 0.1, (1, 0.3 / 3, 3)),        # one sample when interval == t_final
+        # a ratio off a whole number by less than SAMPLE_RATIO_RTOL
+        (0.3, 0.1 * (1.0 + 0.5 * SAMPLE_RATIO_RTOL), 1e-2, (3, 0.3 / 3 / 10, 10)),
+    ])
+    def test_step_schedule_table(self, t_final, interval, nominal, schedule):
+        assert step_schedule(t_final, interval, nominal) == schedule
+
+    def test_step_schedule_divides_interval(self):
         for nominal, interval in [(3e-3, 0.05), (5e-3, 0.05), (7e-4, 0.01)]:
-            dt, n = _fit_dt(nominal, interval)
-            assert dt <= nominal * (1 + 1e-9)
+            n_samples, dt, n = step_schedule(4 * interval, interval, nominal)
+            assert n_samples == 4
+            assert dt <= nominal
             assert n * dt == pytest.approx(interval, rel=1e-12)
 
 
@@ -147,7 +160,7 @@ class TestDampingInvariant:
         g = SpectralField.zeros(grid, basis)
         g.coeffs[1:, 0] = g.coeffs[1:, -1] = 0.5  # levels 1.. at the mean and Nyquist modes
         state = KineticState(time=0.0, g=g, macro=moments(g)).repeated(1)
-        new = stepper.step_euler(state)
+        new = stepper.step_euler(state, stepper.explicit_coeffs(state.g, state.macro))
         n = np.arange(basis.n_v)
         factor = 1.0 / (1.0 + dt * (n / cfg.epsilon**2))
         factor[0] = 0.0  # row 0 holds no density
@@ -169,7 +182,7 @@ class TestDampingInvariant:
             state = KineticState(time=0.0, g=g, macro=moments(g)).repeated(1)
             amp0 = abs(g.coeffs[3, m])
             for i in range(n_steps):
-                state = stepper.step_euler(state)
+                state = stepper.step_euler(state, stepper.explicit_coeffs(state.g, state.macro))
                 amp = abs(state.g.coeffs[3, 0, m])
                 assert amp == pytest.approx(amp0 * factor ** (i + 1), rel=1e-12)
                 if i < 8:
@@ -186,7 +199,8 @@ class TestDampingInvariant:
         stepper = VpfpStepper(small_config(epsilon=0.05), 1.0)
         g = basis_element(grid, basis, 1, 5)
         state = KineticState(time=0.0, g=g, macro=moments(g)).repeated(1)
-        new = stepper.step_euler(state).members()[0]
+        new = stepper.step_euler(state, stepper.explicit_coeffs(state.g, state.macro))
+        new = new.members()[0]
         assert l2_norm(new.g) < l2_norm(g)
         assert abs(new.g.coeffs[5, 1]) < abs(g.coeffs[5, 1])
 
@@ -321,18 +335,12 @@ class TestConservationAndConsistency:
         with pytest.raises(FloatingPointError, match="non-finite state detected at t = 0.001"):
             VpfpStepper._finish(state, coeffs, 1e-3)
 
-    def test_precomputed_explicit_terms_give_same_step(self, grid, basis):
-        stepper = VpfpStepper(small_config(), 1e-3)
-        state = cos_initial(grid, basis, amplitude=0.05).repeated(1)
-        expl = stepper.explicit_coeffs(state.g, state.macro)
-        assert np.array_equal(stepper.step_euler(state, expl).g.coeffs,
-                              stepper.step_euler(state).g.coeffs)
-
     def test_zero_state_is_fixed(self, grid, basis):
         g = SpectralField.zeros(grid, basis)
         state = KineticState(time=0.0, g=g, macro=moments(g)).repeated(1)
         cfg = small_config()
-        new = VpfpStepper(cfg, 1e-3).step_euler(state)
+        stepper = VpfpStepper(cfg, 1e-3)
+        new = stepper.step_euler(state, stepper.explicit_coeffs(state.g, state.macro))
         assert np.max(np.abs(new.g.coeffs)) == 0.0
 
     def test_mass_conserved_over_many_steps(self, grid, basis):
@@ -431,7 +439,7 @@ class TestHalfSpectrumSteps:
 
 
 class TestBufferOwnership:
-    """run owns the explicit-term buffers and the stepper its coupling
+    """The stepper owns the explicit-term buffers and its coupling
     scratch; a warm step allocates one state-sized array, the new state's
     coefficients, and sampled states are never written to."""
 
@@ -491,7 +499,7 @@ class TestBufferOwnership:
         scratch = [call.out for call in fft_calls if call.name == "irfft" and call.out is not None]
         assert len(scratch) == 4
         assert all(s is scratch[0] for s in scratch)
-        # its forward transform: rows 1.. of run's explicit-term buffers
+        # its forward transform: rows 1.. of the stepper's explicit-term buffers
         explicit = [call.out for call in fft_calls if call.name == "rfft" and call.out is not None]
         assert len(explicit) == 4
         assert len({id(out.base) for out in explicit}) == n_buffers
@@ -565,13 +573,13 @@ class TestRunHarness:
     def test_discretization_mismatch_rejected(self, grid, basis):
         cfg = SolverConfig(epsilon=0.2, t_final=0.1, n_x=64, n_v=64)
         with pytest.raises(ConfigurationError, match="does not match"):
-            run(cos_initial(grid, basis), cfg)
+            run(cos_initial(grid, basis), cfg, sample_interval=0.1)
 
     def test_grid_length_mismatch_rejected(self, basis):
         # n_x and n_v agree; the period of a 4 pi state does not match 2 pi
         grid = SpatialGrid(n_x=32, length=4.0 * np.pi)
         with pytest.raises(ConfigurationError, match=r"length = 12\.566.*length = 6\.283"):
-            run(cos_initial(grid, basis), small_config())
+            run(cos_initial(grid, basis), small_config(), sample_interval=0.1)
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_sampled_states_share_initial_grid_and_basis(self, grid, basis, scheme):
@@ -588,7 +596,7 @@ class TestRunHarness:
     def test_zero_time_returns_initial(self, grid, basis):
         cfg = small_config(t_final=0.0)
         state = cos_initial(grid, basis)
-        traj = sampled_run(state, cfg)
+        traj = sampled_run(state, cfg, sample_interval=0.05)
         assert traj.times.tolist() == [0.0]
         assert len(traj.states) == 1 and traj.states[0] is state
 
