@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .operators import check_zero_mean, require_zero_mean, solve_poisson
+from .operators import check_zero_mean, require_spatial_field, require_zero_mean, solve_poisson
 from .solver import sample_trajectory, step_schedule
 from .spectral import SpatialGrid
 
@@ -115,6 +115,7 @@ def ddp_run(grid: SpatialGrid, rho0_initial: np.ndarray, dt: float, t_final: flo
     """Integrate the fluid system on the kinetic run's sampling schedule:
     step_schedule(t_final, sample_interval, dt), fitted once."""
     rho0 = np.asarray(rho0_initial, dtype=float)
+    require_spatial_field(grid, rho0, "initial fluid density")
     state = make_ddp_state(grid, 0.0, rho0 - require_zero_mean(rho0, "initial fluid density"))
     schedule = step_schedule(t_final, sample_interval, dt)
 

@@ -16,8 +16,6 @@ timings go to a separate file so the summary stays byte-stable.
 
 from __future__ import annotations
 
-import configparser
-import hashlib
 import json
 import math
 import time as _time
@@ -101,6 +99,8 @@ _DEFAULTS = {
 
 def parse_config_file(path) -> dict:
     """Flat sectioned key-value config; unknown sections or keys are errors."""
+    import configparser  # here, not at the top: only INI input needs it
+
     path = Path(path)
     if not path.exists():
         raise ConfigurationError(f"config file not found: {path}")
@@ -146,6 +146,8 @@ def config_text(cfg: dict) -> str:
 
 
 def config_hash(cfg: dict) -> str:
+    import hashlib  # here, not at the top: it maps OpenSSL, and no kinetic run hashes
+
     return hashlib.sha256(config_text(cfg).encode()).hexdigest()[:16]
 
 
@@ -453,6 +455,11 @@ def write_summary(out_dir: Path, result: SweepResult) -> None:
     (out_dir / "timings.json").write_text(json.dumps(result.timings, indent=2) + "\n")
 
 
+def _is_number(value) -> bool:
+    """A JSON number: true and false parse as bool, a subclass of int."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def load_summary(out_dir: Path) -> dict:
     """The summary.json in out_dir, with every key and value that report
     reads: per_epsilon a list of records with a number for epsilon and
@@ -471,13 +478,14 @@ def load_summary(out_dir: Path) -> dict:
         raise ConfigurationError(f"sweep summary {path} has a 'per_epsilon' that is not a list")
     for i, rec in enumerate(summary["per_epsilon"]):
         for key in ("epsilon",) + METRIC_KEYS:
-            if not (isinstance(rec, dict) and isinstance(rec.get(key), (int, float))):
+            if not (isinstance(rec, dict) and _is_number(rec.get(key))):
                 raise ConfigurationError(
                     f"sweep summary {path} has no number {key!r} in per_epsilon[{i}]")
     if not isinstance(summary["rates"], dict):
         raise ConfigurationError(f"sweep summary {path} has a 'rates' that is not an object")
     for key, rates in summary["rates"].items():
-        if not (isinstance(rates, list) and all(isinstance(r, (int, float, str)) for r in rates)):
+        if not (isinstance(rates, list)
+                and all(isinstance(r, str) or _is_number(r) for r in rates)):
             raise ConfigurationError(
                 f"sweep summary {path} has rates[{key!r}] that is not a list of numbers")
     return summary

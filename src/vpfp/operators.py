@@ -37,6 +37,7 @@ __all__ = [
     "fourier_field",
     "x_derivative",
     "spatial_l2_norm",
+    "require_spatial_field",
     "require_zero_mean",
     "check_zero_mean",
 ]
@@ -76,6 +77,14 @@ def real_field(grid: SpatialGrid, coeffs: np.ndarray, out: np.ndarray | None = N
 def x_derivative(grid: SpatialGrid, values: np.ndarray) -> np.ndarray:
     """Spectral d/dx of a real spatial field of shape (n_x,)."""
     return real_field(grid, fourier_field(grid, values) * grid.dx_symbol)
+
+
+def require_spatial_field(grid: SpatialGrid, values, what: str) -> None:
+    """Raise ConfigurationError unless values is one spatial field on grid,
+    an array of shape (n_x,)."""
+    shape = np.shape(values)
+    if shape != (grid.n_x,):
+        raise ConfigurationError(f"{what} must have shape (n_x,) = ({grid.n_x},); got {shape}")
 
 
 def require_zero_mean(values: np.ndarray, what: str) -> float:

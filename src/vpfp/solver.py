@@ -54,7 +54,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .operators import MacroFields, moments, require_zero_mean, vpfp_rhs
+from .operators import (MacroFields, moments, require_spatial_field, require_zero_mean,
+                        vpfp_rhs)
 from .spectral import (
     ConfigurationError,
     HermiteBasis,
@@ -169,12 +170,13 @@ def make_initial_data(grid: SpatialGrid, basis: HermiteBasis, rho_profile,
                       micro_perturbation: SpectralField | None = None) -> KineticState:
     """Well-prepared initial state g = amplitude * profile(x) * sqrt(M).
 
-    rho_profile is a callable of x (or an array on the grid nodes) with zero
-    spatial mean; an optional microscopic component must be finite and
-    already lie in the range of (I - P).  The reconstructed distribution
-    must be positive at every collocation node.
+    rho_profile is a callable of x (or an array on the grid nodes) whose
+    values have shape (n_x,) and zero spatial mean; an optional microscopic
+    component must be finite and already lie in the range of (I - P).  The
+    reconstructed distribution must be positive at every collocation node.
     """
     profile = rho_profile(grid.nodes) if callable(rho_profile) else np.asarray(rho_profile, float)
+    require_spatial_field(grid, profile, "density profile")
     a = amplitude * profile
     a = a - require_zero_mean(a, "density profile")  # remove rounding-level residual
 

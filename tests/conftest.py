@@ -88,6 +88,18 @@ def fft_calls(monkeypatch):
     return calls
 
 
+# densities that are not one field on the 32-point grid fixture: too short,
+# too long, and two rows of the right length; each row has zero mean
+WRONG_DENSITY_SHAPES = [(16,), (64,), (2, 32)]
+
+
+def cosine_of_shape(shape):
+    """0.01 cos along the last axis of an array of shape, so every row has
+    zero mean."""
+    n = shape[-1]
+    return np.broadcast_to(0.01 * np.cos(2.0 * np.pi * np.arange(n) / n), shape).copy()
+
+
 def random_distribution(rng, grid, basis, neutral=True, band_limit=None):
     """Random real-valued distribution field (a Hermite-major half-spectrum)."""
     n_keep = band_limit if band_limit is not None else basis.n_v

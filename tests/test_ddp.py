@@ -1,5 +1,6 @@
 """Fluid limit solver: diffusion rates, drift coupling, conservation."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -12,6 +13,7 @@ from vpfp.operators import spatial_l2_norm, x_derivative
 from vpfp.spectral import ConfigurationError, SpatialGrid
 
 import oracles
+from conftest import WRONG_DENSITY_SHAPES, cosine_of_shape
 
 
 class TestSingleStep:
@@ -156,6 +158,12 @@ class TestRunHarness:
     def test_zero_mean_required(self, grid):
         with pytest.raises(ValueError, match="zero spatial mean"):
             ddp_run(grid, np.cos(grid.nodes) + 0.3, dt=1e-3, t_final=0.1, sample_interval=0.1)
+
+    @pytest.mark.parametrize("shape", WRONG_DENSITY_SHAPES)
+    def test_wrong_shape_density_is_config_error(self, grid, shape):
+        with pytest.raises(ConfigurationError, match=re.escape(
+                f"initial fluid density must have shape (n_x,) = (32,); got {shape}")):
+            ddp_run(grid, cosine_of_shape(shape), dt=1e-3, t_final=0.1, sample_interval=0.1)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_node_rejected(self, grid, value):

@@ -4,9 +4,13 @@ exit codes, and byte-level determinism of the persisted artifacts."""
 import configparser
 import gc
 import json
+import os
+import subprocess
+import sys
 import warnings
 import weakref
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -497,6 +501,40 @@ class TestLargeBasis:
         assert (tmp_path / "run.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
+# a kinetic run in a fresh interpreter, from the built-in config (parsing an
+# INI loads configparser by design); prints which of the two lazily imported
+# modules are loaded after the run, the default config_hash, and whether
+# hashlib is loaded after hashing
+FOOTPRINT_SCRIPT = """
+import json, sys
+import vpfp, vpfp.cli
+from vpfp.harness import SweepConfig, config_hash, default_sweep_config, run_single
+cfg = default_sweep_config()
+cfg["grid"].update(n_x=16, n_v=8)
+cfg["solver"]["t_final"] = 0.05
+run_single(SweepConfig.from_dict(cfg), 0.1)
+lazy = ("hashlib", "configparser")
+after_run = [name for name in lazy if name in sys.modules]
+digest = config_hash(default_sweep_config())
+print(json.dumps([after_run, digest, "hashlib" in sys.modules]))
+"""
+
+
+class TestImportFootprint:
+    def test_kinetic_run_loads_neither_hashlib_nor_configparser(self):
+        # hashlib maps OpenSSL, a few MB of every run's peak memory, and only
+        # config_hash needs it; only parse_config_file needs configparser
+        import vpfp
+
+        env = {**os.environ, "PYTHONPATH": str(Path(vpfp.__file__).parents[1])}
+        out = subprocess.run([sys.executable, "-c", FOOTPRINT_SCRIPT], env=env,
+                             capture_output=True, text=True, check=True).stdout
+        after_run, digest, hashlib_after_hash = json.loads(out)
+        assert after_run == []
+        assert digest == "80c84c700641b341"
+        assert hashlib_after_hash
+
+
 class TestFailurePersistence:
     def test_partial_results_persisted(self, small_ini, tmp_path):
         from vpfp.harness import SweepError
@@ -728,6 +766,13 @@ class TestCli:
          "has rates['a'] that is not a list of numbers"),
         ('{"config_hash": "x", "per_epsilon": {"epsilon": 0.1}, "rates": {}}',
          "has a 'per_epsilon' that is not a list"),
+        # JSON true and false are not numbers, though Python's bool is an int
+        ('{"config_hash": "x", "per_epsilon": [{"epsilon": true, "sup_moment_error": false, '
+         '"sup_field_error": 1, "pointwise_sup_error": 1, "micro_time_integral": 1}], '
+         '"rates": {}}',
+         "has no number 'epsilon' in per_epsilon[0]"),
+        ('{"config_hash": "x", "per_epsilon": [], "rates": {"sup_moment_error": [true]}}',
+         "has rates['sup_moment_error'] that is not a list of numbers"),
     ])
     def test_report_of_bad_summary_is_config_error(self, tmp_path, capsys, text, message):
         path = tmp_path / "summary.json"

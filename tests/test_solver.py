@@ -2,6 +2,7 @@
 determinism, and configuration validation."""
 
 import math
+import re
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -27,7 +28,8 @@ from vpfp.solver import (
 from vpfp.spectral import ConfigurationError, SpatialGrid, SpectralField, l2_norm
 
 import oracles
-from conftest import basis_element, random_distribution, sampled_run
+from conftest import (WRONG_DENSITY_SHAPES, basis_element, cosine_of_shape, random_distribution,
+                      sampled_run)
 
 
 def small_config(**kw):
@@ -95,6 +97,16 @@ class TestInitialData:
     def test_mean_profile_rejected(self, grid, basis):
         with pytest.raises(ValueError, match="zero spatial mean"):
             make_initial_data(grid, basis, lambda x: np.cos(x) + 1.0)
+
+    @pytest.mark.parametrize("shape", WRONG_DENSITY_SHAPES)
+    @pytest.mark.parametrize("kind", ["array", "callable"])
+    def test_wrong_shape_profile_is_config_error(self, grid, basis, shape, kind):
+        # at once, not as a NumPy broadcast error from the transform
+        values = cosine_of_shape(shape)
+        profile = values if kind == "array" else (lambda x: values)
+        with pytest.raises(ConfigurationError, match=re.escape(
+                f"density profile must have shape (n_x,) = (32,); got {shape}")):
+            make_initial_data(grid, basis, profile)
 
     def test_unprojected_micro_rejected(self, grid, basis, rng):
         bad = random_distribution(rng, grid, basis)  # carries macro levels
