@@ -1,0 +1,94 @@
+"""Record this checkout's benchmark numbers in one JSON file.
+
+    python3 bench/record.py --out BENCH_<n>.json
+
+Runs perfbench/run.py on every workload of BENCHMARK.json for its
+run_seconds at seed SEED, once with --trace 0 and once with --trace 1.  It
+keeps the last JSON line of each run and the median and interquartile range
+of each end-to-end metric (from the run's full record under
+.perfbench/results/).  It then times run_single in this process at the north
+star's sizes, n_x = n_v = 64, 128 and 192 (BDF2, epsilon 0.1, t = 1, 400
+steps), the first call cold and WARM_REPS more warm.  The file also names the
+git commit (and whether the work tree differed from it), the digest of src/,
+nproc and the Python and NumPy versions.  It takes about 6 * run_seconds plus
+half a minute.
+"""
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SEED = 0
+WARM_REPS = 5  # at least 2, to give quartiles
+
+
+def perfbench(workload: str, seconds: float, trace: int) -> dict:
+    cmd = [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload,
+           "--seed", str(SEED), "--seconds", str(seconds), "--trace", str(trace)]
+    out = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, check=True).stdout
+    kind = "trace" if trace else "e2e"
+    full = json.loads((ROOT / ".perfbench" / "results" / f"{workload}_seed{SEED}_{kind}.json")
+                      .read_text())
+    return {"last_line": json.loads(out.strip().splitlines()[-1]),
+            "end_to_end": {name: {**m, "iqr": m["q3"] - m["q1"]}
+                           for name, m in full["end_to_end"].items()},
+            "provenance": full["provenance"]}
+
+
+def time_run_single(size: int) -> dict:
+    sys.path.insert(0, str(ROOT / "src"))
+    from vpfp import harness
+
+    cfg = harness.default_sweep_config()
+    cfg["grid"].update(n_x=size, n_v=size)
+    sweep_cfg = harness.SweepConfig.from_dict(cfg)
+    times = []
+    for _ in range(WARM_REPS + 1):
+        t0 = time.perf_counter()
+        harness.run_single(sweep_cfg, 0.1)
+        times.append(time.perf_counter() - t0)
+    q1, median, q3 = statistics.quantiles(times[1:], n=4)
+    return {"cold_s": times[0],
+            "warm_s": {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1, "n": WARM_REPS}}
+
+
+def git(*cmd: str) -> str:
+    return subprocess.run(["git", *cmd], cwd=ROOT, capture_output=True, text=True).stdout
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--out", type=Path, required=True)
+    args = parser.parse_args()
+    manifest = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = manifest["run_seconds"]
+    workloads = {w["name"]: {kind: perfbench(w["name"], seconds, trace)
+                             for kind, trace in (("e2e", 0), ("trace", 1))}
+                 for w in manifest["workloads"]}
+    in_process = {f"{n}x{n}": time_run_single(n) for n in (64, 128, 192)}
+    record = {
+        "git_sha": git("rev-parse", "HEAD").strip() or None,
+        "git_dirty": bool(git("status", "--porcelain", "--untracked-files=no").strip()),
+        "src_sha256": next(iter(workloads.values()))["e2e"]["provenance"]["src_sha256"],
+        "nproc": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": sys.modules["numpy"].__version__,
+        "seconds": seconds,
+        "seed": SEED,
+        "workloads": workloads,
+        "run_single_bdf2_eps0.1": in_process,
+    }
+    args.out.write_text(json.dumps(record, indent=1) + "\n")
+    print(f"wrote {args.out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -28,7 +28,7 @@ from .ddp import ddp_run
 from .diagnostics import EnergyReport, energy_functionals, limit_error, limit_metrics
 from .solver import (KineticState, SolverConfig, batch_schedules, make_initial_data, run,
                      step_schedule)
-from .spectral import ConfigurationError
+from .spectral import ConfigurationError, sobolev_weights
 
 __all__ = [
     "SweepConfig",
@@ -146,9 +146,22 @@ def config_text(cfg: dict) -> str:
 
 
 def config_hash(cfg: dict) -> str:
-    import hashlib  # here, not at the top: it maps OpenSSL, and no kinetic run hashes
+    """The first 16 hex digits of the SHA-256 of config_text(cfg).
 
-    return hashlib.sha256(config_text(cfg).encode()).hexdigest()[:16]
+    The hash comes from CPython's built-in SHA-256 module, the one hashlib
+    itself falls back to, so a sweep never maps OpenSSL (a few MB of its
+    peak memory) for 16 hex digits; hashlib is the fallback for an
+    interpreter built without that module.
+    """
+    try:
+        from _sha2 import sha256  # Python 3.12 and later
+    except ImportError:
+        try:
+            from _sha256 import sha256  # Python 3.10 and 3.11
+        except ImportError:
+            import hashlib
+            sha256 = hashlib.sha256
+    return sha256(config_text(cfg).encode()).hexdigest()[:16]
 
 
 @dataclass(frozen=True)
@@ -190,6 +203,7 @@ class SweepConfig:
             raise ConfigurationError(f"amplitude must be finite, got {self.amplitude}")
         if self.k < 1:
             raise ConfigurationError(f"diagnostics order k must be >= 1, got {self.k}")
+        sobolev_weights(self.template.make_grid(), self.k)  # raises if a weight overflows
         # the Nyquist mode n_x/2 is excluded: its odd-derivative wavenumber is
         # 0, so a Nyquist density is frozen in the kinetic run while the fluid
         # step diffuses it, and the sweep would not approach the fluid limit

@@ -14,11 +14,13 @@ is a real SPD tridiagonal with pivots p_j >= d_{2j} >= 1, so one Thomas
 sweep over its ceil(n_v / 2) rows needs no pivoting and no refinement, and
 the odd levels are back-substituted.  Keeping the odd levels would cancel
 digits on stiff modes when back-substituting level 0, where d_0 = 1.  The
-factors depend only on (scheme stage, dt), so they are built once.  The
-solve gathers the even and the odd levels of its right-hand side into a
-parity-major workspace, so that each of its operations reads contiguous
-rows instead of every other row of the state, and writes the solution
-back.
+factors depend only on (scheme stage, dt), so a run builds them once per
+stage: once for Euler, and for BDF2 once for its Euler bootstrap step and
+once for the BDF2 steps, dropping the first set before it builds the
+second.  The solve gathers the even and the odd levels of its right-hand
+side into a parity-major workspace, so that each of its operations reads
+contiguous rows instead of every other row of the state, and writes the
+solution back.
 
 run advances a batch: B runs that share the grid, the basis, the scheme,
 the initial state and the fitted time step, and differ only in epsilon, in
@@ -301,9 +303,11 @@ class VpfpStepper:
 
     The batch has one member per entry of epsilons (default cfg.epsilon
     alone); every other setting comes from cfg.  Steps take and return
-    batch states (KineticState.repeated).  Caches the even-level factors
-    per effective implicit step (dt for Euler, 2 dt / 3 for BDF2); each
-    costs O(B n_x n_v) to build and to store.  A step solves its freshly
+    batch states (KineticState.repeated).  Holds one set of even-level
+    factors, that of its current effective implicit step (dt for Euler,
+    2 dt / 3 for BDF2); each set costs O(B n_x n_v) to build and to store.
+    A BDF2 run builds two, dropping its Euler bootstrap set before it
+    builds the BDF2 set, and an Euler run one.  A step solves its freshly
     built right-hand side in place, and its new state keeps the grid and
     basis of the state it steps from.  The stepper owns one real scratch of
     shape (n_v - 1, B, n_x), which every field-coupling evaluation reuses,
@@ -318,7 +322,7 @@ class VpfpStepper:
         self.epsilons = (cfg.epsilon,) if epsilons is None else tuple(map(float, epsilons))
         self.grid = cfg.make_grid()
         n_batch, n_half = len(self.epsilons), self.grid.n_half
-        self._factors: dict[float, TridiagonalFactors] = {}
+        self._factors: tuple[float, TridiagonalFactors] | None = None  # (dt_eff, set)
         self._scratch = np.empty((cfg.n_v - 1, n_batch, self.grid.n_x))
         self._parity = np.empty((cfg.n_v, n_batch * n_half), dtype=complex)
         self._bdf2 = cfg.scheme == "imex_bdf2"
@@ -330,21 +334,23 @@ class VpfpStepper:
 
     # -- implicit blocks ----------------------------------------------------
     def factors(self, dt_eff: float) -> TridiagonalFactors:
-        """Factors of I + dt_eff * S_m for every member and m = 0..n_x/2,
-        built once per dt_eff; the columns run over (member, mode) pairs.
+        """Factors of I + dt_eff * S_m for every member and m = 0..n_x/2;
+        the columns run over (member, mode) pairs.  The set is kept until
+        another dt_eff asks for factors, which drops it before building its
+        own.
 
         The streaming wavenumber is that of grid.dx_symbol: 0 at the mean
         and the Nyquist mode, whose blocks are diagonal.
         """
-        f = self._factors.get(dt_eff)
-        if f is None:
+        if self._factors is None or self._factors[0] != dt_eff:
+            self._factors = None  # free the old set before the new one is built
             k = self.grid.dx_symbol.imag
             n_batch = len(self.epsilons)
             f = TridiagonalFactors.build(np.tile(k, n_batch), self.cfg.n_v,
                                          np.repeat(self.epsilons, k.size), dt_eff,
                                          self._parity)
-            self._factors[dt_eff] = f
-        return f
+            self._factors = (dt_eff, f)
+        return self._factors[1]
 
     # -- explicit part ------------------------------------------------------
     def explicit_coeffs(self, g: SpectralField, macro: MacroFields,

@@ -25,6 +25,8 @@ real field has no representable sine; that keeps its row real.
 
 from __future__ import annotations
 
+import math
+import sys
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -49,6 +51,11 @@ SHIFT_KINDS = ("multiply_by_v", "d_dv")
 # n_v = 365 on it is subnormal at the outermost node, where the psi table
 # then loses digits.
 MAX_N_V = 364
+# quad_nodes: bisection halves (0, pi) down to about one ulp of pi, and the
+# Halley steps take the farthest guess, about 1e-2 off the outermost root,
+# to the root (1e-2 -> 1e-4 -> 1e-10 -> round-off)
+BISECTION_STEPS = 52
+HALLEY_STEPS = 3
 
 
 class ConfigurationError(ValueError):
@@ -71,6 +78,24 @@ class SpatialGrid:
             raise ConfigurationError(f"n_x must be even and >= 4, got {self.n_x}")
         if not 0.0 < self.length < np.inf:
             raise ConfigurationError(f"period must be positive and finite, got {self.length}")
+        # every k^2 must be a normal double and every mode_weights * (1 + k^2)
+        # finite: mode 1 has the smallest nonzero k^2, the Nyquist mode
+        # n_x/2 the largest, and mode n_x/2 - 1 the largest of weight 2
+        k_1 = 2.0 * math.pi / self.length
+        if not k_1 * k_1 >= sys.float_info.min:
+            raise ConfigurationError(
+                f"length = {self.length:g} takes k^2 of mode 1 below the normal doubles; "
+                f"the length must be at most {2.0 * math.pi / math.sqrt(sys.float_info.min):.4g}"
+            )
+        top = self.n_x // 2
+        k_top, k_below = k_1 * top, k_1 * (top - 1)
+        if not math.isfinite(max(1.0 + k_top * k_top, 2.0 * (1.0 + k_below * k_below))):
+            shortest = 2.0 * math.pi * max(top, math.sqrt(2.0) * (top - 1))
+            raise ConfigurationError(
+                f"length = {self.length:g} overflows the weighted k^2 of the top modes; "
+                f"at n_x = {self.n_x} the length must exceed "
+                f"{shortest / math.sqrt(sys.float_info.max):.4g}"
+            )
 
     @cached_property
     def nodes(self) -> np.ndarray:
@@ -141,11 +166,16 @@ class SpatialGrid:
 def _hermite_rows(v: np.ndarray, n_levels: int):
     """psi_0(v), ..., psi_{n_levels - 1}(v), one array each, by the
     numerically stable Hermite-function recurrence
-    psi_{n+1} = (v psi_n - sqrt(n) psi_{n-1}) / sqrt(n+1)."""
+    psi_{n+1} = (v psi_n - sqrt(n) psi_{n-1}) / sqrt(n+1).  Its scalar
+    coefficients come from math.sqrt, the same correctly rounded doubles
+    as np.sqrt at a fraction of the call cost."""
     prev, cur = 0.0, (2.0 * np.pi) ** (-0.25) * np.exp(-0.25 * v**2)
     for n in range(n_levels):
         yield cur
-        prev, cur = cur, (v * cur - np.sqrt(n) * prev) / np.sqrt(n + 1)
+        nxt = v * cur  # a new array: the rows already yielded stay as they are
+        nxt -= math.sqrt(n) * prev
+        nxt /= math.sqrt(n + 1)
+        prev, cur = cur, nxt
 
 
 @dataclass(frozen=True)
@@ -170,16 +200,33 @@ class HermiteBasis:
 
     @cached_property
     def quad_nodes(self) -> np.ndarray:
-        """The roots of He_{2 n_v}, ascending: the eigenvalues of the
-        symmetric Jacobi matrix with off-diagonals sqrt(1..2 n_v - 1)
-        (Golub-Welsch 1969), polished by one Newton step as in numpy's
-        hermegauss.  The rule's weights are never formed."""
+        """The roots of He_N, N = 2 n_v, ascending, found without a matrix.
+
+        Tricomi's asymptotics (as used by Townsend, Trogdon and Olver, IMA
+        J. Numer. Anal. 2016) place root k = 1..N at sqrt(4N + 2) cos phi_k,
+        where phi_k - sin phi_k cos phi_k = pi (4N - 4k + 3) / (4N + 2); the
+        left side increases on (0, pi), so bisection finds each phi_k.
+        HALLEY_STEPS Halley steps, one pass of the psi recurrence each, then
+        polish the guesses to the roots of that recurrence.  The rule's
+        weights are never formed.
+        """
         n_quad = 2 * self.n_v
-        off = np.sqrt(np.arange(1.0, n_quad))
-        v = np.linalg.eigvalsh(np.diag(off, -1))  # reads the lower triangle
-        # He_n / He_n' = psi_n / (sqrt(n) psi_{n-1}), which cannot overflow
-        below, top = deque(_hermite_rows(v, n_quad + 1), maxlen=2)
-        return v - top / (np.sqrt(n_quad) * below)
+        target = np.pi * (4 * n_quad + 3 - 4 * np.arange(1, n_quad + 1)) / (4 * n_quad + 2)
+        lo, hi = np.zeros(n_quad), np.full(n_quad, np.pi)
+        for _ in range(BISECTION_STEPS):
+            mid = 0.5 * (lo + hi)
+            right = mid - 0.5 * np.sin(2.0 * mid) < target  # phi_k lies above mid
+            lo = np.where(right, mid, lo)
+            hi = np.where(right, hi, mid)
+        v = math.sqrt(4 * n_quad + 2) * np.cos(0.5 * (lo + hi))
+        for _ in range(HALLEY_STEPS):
+            # the Newton step d = He_N / He_N' = psi_N / (sqrt(N) psi_{N-1})
+            # cannot overflow; Hermite's equation He'' = v He' - N He gives
+            # He_N'' / He_N' = v - N d, Halley's curvature term
+            below, top = deque(_hermite_rows(v, n_quad + 1), maxlen=2)
+            d = top / (math.sqrt(n_quad) * below)
+            v = v - d / (1.0 - 0.5 * d * (v - n_quad * d))
+        return v
 
     def functions(self, n_levels: int | None = None, v: np.ndarray | None = None) -> np.ndarray:
         """Table psi_n(v_q), shape (len(v), n_levels), by _hermite_rows."""
@@ -283,13 +330,24 @@ def mode_sq(coeffs: np.ndarray) -> np.ndarray:
 @lru_cache(maxsize=64)
 def sobolev_weights(grid: SpatialGrid, order: int) -> np.ndarray:
     """Per-mode multiplier w_m sum_{alpha <= order} k_m^(2 alpha), with w_m
-    the half-spectrum mode_weights; cached per (grid, order), read-only."""
+    the half-spectrum mode_weights; cached per (grid, order), read-only.
+
+    Raises ConfigurationError, naming the largest order the grid allows,
+    when a weight is not finite.
+    """
     k_sq = grid.k_sq
     w = np.ones_like(k_sq)
     term = np.ones_like(k_sq)
-    for _ in range(order):
-        term = term * k_sq
-        w = w + term
+    with np.errstate(over="ignore"):
+        for alpha in range(order):
+            term = term * k_sq
+            w = w + term
+            if not np.isfinite(w * grid.mode_weights).all():
+                raise ConfigurationError(
+                    f"Sobolev order k = {order} overflows the weights sum_(alpha <= k) "
+                    f"k_m^(2 alpha) on this grid (largest k_m^2 = {k_sq[-1]:.6g}); "
+                    f"k must be at most {alpha}"
+                )
     w = w * grid.mode_weights
     w.flags.writeable = False
     return w

@@ -18,13 +18,14 @@ package's operators, to check that sampled kinetic states satisfy the
 density, momentum and stress equations.
 """
 
+from collections import deque
 from functools import lru_cache
 
 import numpy as np
 
 from vpfp import operators
 from vpfp.ddp import DdpState
-from vpfp.spectral import SpectralField, hermite_shift_coeffs
+from vpfp.spectral import SpectralField, _hermite_rows, hermite_shift_coeffs
 
 # Largest n_v for which numpy's hermegauss(2 n_v) gives finite plain-measure
 # weights: above it exp(-v^2/2) at the outer nodes underflows and the
@@ -320,6 +321,20 @@ def strided_solve(factors, x):
 
 # ---------------------------------------------------------------------------
 # Gauss-Hermite quadrature on the basis's velocity nodes
+
+@lru_cache(maxsize=None)
+def golub_welsch_nodes(n_v):
+    """The roots of He_{2 n_v}, ascending: the eigenvalues of the symmetric
+    Jacobi matrix with off-diagonals sqrt(1..2 n_v - 1) (Golub-Welsch 1969),
+    polished by one Newton step as in numpy's hermegauss.  Finite up to
+    MAX_N_V; shares only the psi recurrence with HermiteBasis.quad_nodes."""
+    n_quad = 2 * n_v
+    off = np.sqrt(np.arange(1.0, n_quad))
+    v = np.linalg.eigvalsh(np.diag(off, -1))  # reads the lower triangle
+    # He_n / He_n' = psi_n / (sqrt(n) psi_{n-1}), which cannot overflow
+    below, top = deque(_hermite_rows(v, n_quad + 1), maxlen=2)
+    return v - top / (np.sqrt(n_quad) * below)
+
 
 @lru_cache(maxsize=None)
 def quad_weights(basis):

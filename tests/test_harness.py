@@ -3,6 +3,7 @@ exit codes, and byte-level determinism of the persisted artifacts."""
 
 import configparser
 import gc
+import importlib.util
 import json
 import os
 import subprocess
@@ -501,38 +502,58 @@ class TestLargeBasis:
         assert (tmp_path / "run.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
-# a kinetic run in a fresh interpreter, from the built-in config (parsing an
-# INI loads configparser by design); prints which of the two lazily imported
-# modules are loaded after the run, the default config_hash, and whether
-# hashlib is loaded after hashing
+# a kinetic run (argument "run") or a sweep ("sweep") in a fresh
+# interpreter, from the built-in config at 16 x 8 (parsing an INI loads
+# configparser by design); prints which of the lazily imported modules are
+# loaded after it, the default config_hash, and which are loaded after hashing
 FOOTPRINT_SCRIPT = """
 import json, sys
 import vpfp, vpfp.cli
-from vpfp.harness import SweepConfig, config_hash, default_sweep_config, run_single
+from vpfp.harness import (SweepConfig, config_hash, default_sweep_config, run_single,
+                          run_sweep)
 cfg = default_sweep_config()
 cfg["grid"].update(n_x=16, n_v=8)
 cfg["solver"]["t_final"] = 0.05
-run_single(SweepConfig.from_dict(cfg), 0.1)
-lazy = ("hashlib", "configparser")
-after_run = [name for name in lazy if name in sys.modules]
+if sys.argv[1] == "run":
+    run_single(SweepConfig.from_dict(cfg), 0.1)
+else:
+    run_sweep(SweepConfig.from_dict(cfg))
+lazy = ("hashlib", "_hashlib", "configparser")
+after_call = [name for name in lazy if name in sys.modules]
 digest = config_hash(default_sweep_config())
-print(json.dumps([after_run, digest, "hashlib" in sys.modules]))
+print(json.dumps([after_call, digest, [name for name in lazy if name in sys.modules]]))
 """
+
+# config_hash needs no OpenSSL where CPython has its built-in SHA-256 module
+BUILTIN_SHA256 = any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256"))
+
+
+def footprint(call: str) -> list:
+    import vpfp
+
+    env = {**os.environ, "PYTHONPATH": str(Path(vpfp.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", FOOTPRINT_SCRIPT, call], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    return json.loads(out)
 
 
 class TestImportFootprint:
     def test_kinetic_run_loads_neither_hashlib_nor_configparser(self):
-        # hashlib maps OpenSSL, a few MB of every run's peak memory, and only
-        # config_hash needs it; only parse_config_file needs configparser
-        import vpfp
-
-        env = {**os.environ, "PYTHONPATH": str(Path(vpfp.__file__).parents[1])}
-        out = subprocess.run([sys.executable, "-c", FOOTPRINT_SCRIPT], env=env,
-                             capture_output=True, text=True, check=True).stdout
-        after_run, digest, hashlib_after_hash = json.loads(out)
+        # hashlib maps OpenSSL, a few MB of every run's peak memory; only
+        # parse_config_file needs configparser
+        after_run, digest, after_hash = footprint("run")
         assert after_run == []
         assert digest == "80c84c700641b341"
-        assert hashlib_after_hash
+        if not BUILTIN_SHA256:
+            pytest.skip("this interpreter has neither _sha2 nor _sha256, so hashing loads hashlib")
+        assert after_hash == []  # config_hash used the built-in SHA-256
+
+    @pytest.mark.skipif(not BUILTIN_SHA256, reason="neither _sha2 nor _sha256 imports")
+    def test_sweep_maps_no_openssl(self):
+        # the sweep hashes its config, as config_hash does after it
+        after_sweep, digest, after_hash = footprint("sweep")
+        assert after_sweep == [] and after_hash == []
+        assert digest == "80c84c700641b341"
 
 
 class TestFailurePersistence:
@@ -725,6 +746,26 @@ class TestCli:
         # values are verbatim: '%' is no interpolation syntax
         ("run", {"sweep__amplitude": "1%"}, "bad value for sweep.amplitude: '1%'"),
         ("sweep", {"sweep__amplitude": "1%"}, "bad value for sweep.amplitude: '1%'"),
+        # every k^2 is a normal, finite double, and so is every Sobolev weight
+        ("run", {"diagnostics__k": "120", "grid__n_x": "64", "grid__n_v": "64"},
+         "Sobolev order k = 120 overflows"),
+        ("sweep", {"diagnostics__k": "120", "grid__n_x": "64", "grid__n_v": "64"},
+         "k must be at most 102"),
+        ("run", {"diagnostics__k": "60", "grid__n_x": "1024"}, "k must be at most 56"),
+        ("sweep", {"diagnostics__k": "60", "grid__n_x": "1024"}, "k must be at most 56"),
+        ("run", {"grid__length": "1e-150", "diagnostics__k": "2"},
+         "Sobolev order k = 2 overflows"),
+        ("sweep", {"grid__length": "1e-150", "diagnostics__k": "2"},
+         "Sobolev order k = 2 overflows"),
+        ("run", {"grid__length": "1e-300"}, "overflows the weighted k^2 of the top modes"),
+        ("sweep", {"grid__length": "1e-300"}, "length must exceed"),
+        # mode n_x/2 - 1, of weight 2, overflows before the Nyquist k^2 does
+        ("run", {"grid__length": "1.8e-152", "grid__n_x": "64"},
+         "at n_x = 64 the length must exceed 2.054e-152"),
+        ("sweep", {"grid__length": "1.8e-152", "grid__n_x": "64"},
+         "at n_x = 64 the length must exceed 2.054e-152"),
+        ("run", {"grid__length": "1e200"}, "k^2 of mode 1 below the normal doubles"),
+        ("sweep", {"grid__length": "1e200"}, "length must be at most 4.212e+154"),
     ])
     def test_bad_setting_is_config_error(self, tmp_path, capsys, command, settings, message):
         ini = small_ini_with(tmp_path, **settings)

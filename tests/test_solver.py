@@ -5,6 +5,7 @@ import math
 import re
 import tracemalloc
 import warnings
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -528,7 +529,12 @@ class TestBufferOwnership:
         e0 = stepper.explicit_coeffs(s0.g, s0.macro)
         s1 = stepper.step_euler(s0, e0)
         e1 = stepper.explicit_coeffs(s1.g, s1.macro)
-        s2 = stepper.step_bdf2(s1, s0, e1, e0)  # builds the BDF2 factors
+        # the stepper holds the factors of the last step's scheme only, so
+        # the warm-up ends with a step of the measured scheme
+        if scheme == "imex_euler":
+            s2 = stepper.step_euler(s1, e1)
+        else:
+            s2 = stepper.step_bdf2(s1, s0, e1, e0)  # builds the BDF2 factors
         # the in-place solve has its own row temporaries; this test is about
         # the explicit terms and the right-hand side
         monkeypatch.setattr(TridiagonalFactors, "solve", lambda self, x: x)
@@ -550,6 +556,31 @@ class TestBufferOwnership:
         assert nbytes <= kept < 1.5 * nbytes  # the new state, its macro fields
         assert step_peak < 2 * nbytes
         assert new.g.coeffs.nbytes == nbytes
+
+
+class TestFactorSets:
+    """The stepper holds the factor set of its current effective step only."""
+
+    @pytest.mark.parametrize("scheme, n_sets", [("imex_euler", 1), ("imex_bdf2", 2)])
+    @pytest.mark.parametrize("n_steps", [3, 6])
+    def test_builds_each_set_once_and_holds_one(self, grid, basis, monkeypatch, scheme,
+                                                n_sets, n_steps):
+        built = []  # a weak reference to each set, in the order they were built
+        build = TridiagonalFactors.build.__func__
+
+        def recorded_build(cls, *args, **kwargs):
+            # a set is built only once the stepper has dropped the one before
+            assert all(ref() is None for ref in built)
+            factors = build(cls, *args, **kwargs)
+            built.append(weakref.ref(factors))
+            return factors
+
+        monkeypatch.setattr(TridiagonalFactors, "build", classmethod(recorded_build))
+        stepper = VpfpStepper(small_config(scheme=scheme), 5e-3)
+        state = stepper.advance(cos_initial(grid, basis, amplitude=0.05).repeated(1), n_steps)
+        assert state.time == pytest.approx(n_steps * 5e-3)
+        assert len(built) == n_sets
+        assert [ref() is not None for ref in built] == [False] * (n_sets - 1) + [True]
 
 
 class TestAccuracy:

@@ -75,9 +75,30 @@ class TestGridAndBasis:
         roots = np.polynomial.hermite_e.hermeroots([0] * (2 * MAX_N_V + 2) + [1])
         assert psi0(np.max(roots)) < np.finfo(float).tiny
 
+    @pytest.mark.parametrize("n_v", [4, 5, 16, 64, 127, 128, HERMEGAUSS_MAX_N_V, 256, MAX_N_V])
+    def test_nodes_match_golub_welsch(self, n_v):
+        # the asymptotic guesses polished by Halley steps against the
+        # eigenvalues of the Jacobi matrix, to 8 ulps of max(|v|, 1): near
+        # v = 0 the psi recurrence fixes a root only to about 1e-16, which
+        # is many ulps of a node such as 0.06
+        v = HermiteBasis(n_v=n_v).quad_nodes
+        want = oracles.golub_welsch_nodes(n_v)
+        assert v.shape == (2 * n_v,) and np.all(np.diff(v) > 0)
+        assert np.all(np.abs(v - want) <= 8 * np.spacing(np.maximum(np.abs(want), 1.0)))
+
+    @pytest.mark.parametrize("n_v", [4, 64, MAX_N_V])
+    def test_basis_needs_no_eigensolver(self, monkeypatch, n_v):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the basis called an eigensolver")
+
+        for name in ("eigvalsh", "eigh", "eigvals"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        basis = HermiteBasis(n_v=n_v)
+        assert np.all(np.isfinite(basis.synthesis))
+
     @pytest.mark.parametrize("n_v", [4, 5, 16, 64, 127, HERMEGAUSS_MAX_N_V])
     def test_nodes_match_hermegauss(self, n_v):
-        # the Golub-Welsch nodes against numpy's, and the Christoffel weights
+        # the nodes against numpy's, and the Christoffel weights
         # against hermegauss's plain-measure weights, where those are finite
         basis = HermiteBasis(n_v=n_v)
         nodes, _ = np.polynomial.hermite_e.hermegauss(2 * n_v)
