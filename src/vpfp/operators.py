@@ -32,6 +32,7 @@ __all__ = [
     "project_micro",
     "project_p0",
     "solve_poisson",
+    "potential_coeffs",
     "vpfp_rhs",
     "real_field",
     "fourier_field",
@@ -119,15 +120,14 @@ def apply_L(g: SpectralField) -> SpectralField:
 def moments(g: SpectralField) -> MacroFields:
     """Density a and momentum b (Hermite rows 0 and 1) and the field of a.
 
-    -phi'' = a is solved on the coefficients of row 0: phi is gauge-fixed
-    to zero mean and the mean mode of a, which neutrality keeps at zero,
-    is left out.  One inverse real FFT of the four rows a, b, phi and
-    d phi/dx gives every field.  For a batch g (coefficients of shape
-    (n_v, B, n_x/2 + 1)) each field has one row per member, shape (B, n_x).
+    -phi'' = a is solved on the coefficients of row 0 (potential_coeffs).
+    One inverse real FFT of the four rows a, b, phi and d phi/dx gives
+    every field.  For a batch g (coefficients of shape (n_v, B, n_x/2 + 1))
+    each field has one row per member, shape (B, n_x).
     """
     grid, c = g.grid, g.coeffs
-    phi_c = c[0] * grid.inverse_laplacian
-    a, b, phi, grad_phi = real_field(grid, np.array([c[0], c[1], phi_c, grid.dx_symbol * phi_c]))
+    phi_c, grad_phi_c = potential_coeffs(grid, c[0])
+    a, b, phi, grad_phi = real_field(grid, np.array([c[0], c[1], phi_c, grad_phi_c]))
     return MacroFields(a=a, b=b, phi=phi, grad_phi=grad_phi)
 
 
@@ -160,9 +160,14 @@ def solve_poisson(grid: SpatialGrid, a: np.ndarray) -> tuple[np.ndarray, np.ndar
     """
     a = np.asarray(a, dtype=float)
     require_zero_mean(a, "Poisson right-hand side")
-    phi_c = fourier_field(grid, a) * grid.inverse_laplacian
-    phi, grad_phi = real_field(grid, np.array([phi_c, grid.dx_symbol * phi_c]))
-    return phi, grad_phi
+    return tuple(real_field(grid, np.array(potential_coeffs(grid, fourier_field(grid, a)))))
+
+
+def potential_coeffs(grid: SpatialGrid, density_c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients c_m / k_m^2 of phi and i k_m c_m / k_m^2 of d phi/dx,
+    where -phi'' = density has coefficients c; both are 0 at the mean mode."""
+    phi_c = density_c * grid.inverse_laplacian
+    return phi_c, grid.dx_symbol * phi_c
 
 
 @lru_cache(maxsize=16)
@@ -186,7 +191,7 @@ def _coupling_scales(n_v: int, epsilon) -> tuple[np.ndarray, np.ndarray]:
     return row_scale, eps
 
 
-def vpfp_rhs(g: SpectralField, macro: MacroFields, epsilon, out: np.ndarray | None = None,
+def vpfp_rhs(g: SpectralField, epsilon, out: np.ndarray | None = None,
              scratch: np.ndarray | None = None) -> SpectralField:
     """Explicit part of d/dt g in the scaled kinetic system, the field coupling.
 
@@ -195,8 +200,9 @@ def vpfp_rhs(g: SpectralField, macro: MacroFields, epsilon, out: np.ndarray | No
 
     The streaming and collision terms of the first line are stiff, and the
     solver applies them implicitly (solver.TridiagonalFactors); this
-    function returns the terms of the second line, with d phi/dx read
-    from macro.grad_phi.  The coupling uses the single raising recurrence
+    function returns the terms of the second line, with g's own field:
+    potential_coeffs of level 0 gives the psi_1 source, and its inverse
+    real FFT d phi/dx.  The coupling uses the single raising recurrence
     (the identity (g/2) v - dg/dv = (v/2 - d_dv) g, with
     psi_n -> sqrt(n+1) psi_{n+1}).  The products of the levels 0..n_v-2
     with d phi/dx are formed pseudo-spectrally: one inverse real FFT into
@@ -207,26 +213,26 @@ def vpfp_rhs(g: SpectralField, macro: MacroFields, epsilon, out: np.ndarray | No
     Hermite level 0 of the result is zero, so the coupling keeps the mass,
     and a g whose level 0 is zero has no field and gets zero terms.
 
-    A batch g, of shape (n_v, B, n_x/2 + 1) with (B, n_x) macro fields,
-    takes a tuple of B epsilons, one per member; every transform and scale
-    then runs over whole rows of (member, mode) pairs.  The per-epsilon
-    factors come from _coupling_scales, built once per epsilon tuple.
+    A batch g, of shape (n_v, B, n_x/2 + 1), takes a tuple of B epsilons,
+    one per member; every transform and scale then runs over whole rows of
+    (member, mode) pairs.  The per-epsilon factors come from
+    _coupling_scales, built once per epsilon tuple.
 
     out (complex, C-contiguous, the shape of g.coeffs) receives the result,
     whose coefficients are then out itself; scratch is a real array of
     shape (n_v - 1, n_x), or (n_v - 1, B, n_x) for a batch.  Either is
     allocated when not given.
     """
-    grid, basis = g.grid, g.basis
-    c = g.coeffs
-    row_scale, eps = _coupling_scales(basis.n_v, epsilon)
+    grid, c = g.grid, g.coeffs
+    row_scale, eps = _coupling_scales(g.basis.n_v, epsilon)
     if eps.shape[:-1] != c.shape[1:-1]:
         raise ConfigurationError(
             f"need one epsilon per batch member: got {epsilon!r} for coefficients "
             f"of shape {c.shape}"
         )
     rhs = np.empty_like(c) if out is None else out
-    dphi = macro.grad_phi
+    _, dphi_c = potential_coeffs(grid, c[0])
+    dphi = real_field(grid, dphi_c)
     # nonlinear coupling: row n + 1 is -sqrt(n + 1)/eps times the product of row n
     phys = real_field(grid, c[:-1], out=scratch)
     phys *= dphi
@@ -237,5 +243,5 @@ def vpfp_rhs(g: SpectralField, macro: MacroFields, epsilon, out: np.ndarray | No
     rhs[1:, ..., grid.n_dealiased:] = 0.0  # the 2/3 rule
     rhs[0] = 0.0
     # linear source: (d phi/dx) v sqrt(M) = (d phi/dx) psi_1
-    rhs[1] -= fourier_field(grid, dphi) / eps
+    rhs[1] -= dphi_c / eps
     return g.with_coeffs(rhs)

@@ -18,9 +18,9 @@ factors depend only on (scheme stage, dt), so a run builds them once per
 stage: once for Euler, and for BDF2 once for its Euler bootstrap step and
 once for the BDF2 steps, dropping the first set before it builds the
 second.  The solve gathers the even and the odd levels of its right-hand
-side into a parity-major workspace, so that each of its operations reads
-contiguous rows instead of every other row of the state, and writes the
-solution back.
+side into a parity-major workspace of the factor set, so that each of its
+operations reads contiguous rows instead of every other row of the state,
+and writes the solution back.
 
 run advances a batch: B runs that share the grid, the basis, the scheme,
 the initial state and the fitted time step, and differ only in epsilon, in
@@ -33,26 +33,26 @@ transposes or fills conjugate modes; only the solve regroups the levels by
 parity, in its workspace.  Every NumPy call of a step thus works on all
 members at once.  The streaming wavenumber is 0 at the Nyquist mode
 (grid.dx_symbol), whose block is then diagonal and whose row stays real.
-Each warm step makes four real FFT calls, whatever B: the field coupling's
-inverse and forward transforms and the forward transform of its psi_1
-source, and the one inverse transform in which operators.moments builds
-the new state's density, momentum and field.
+A state stores g alone; the field coupling derives the field from it.
+So each warm step makes three real FFT calls, whatever B: the inverse
+transforms of the field and of g and the forward transform of their
+product.  KineticState.macro forms the moments where a sample reads them.
 
 A warm step allocates one state-sized array: the new state's coefficients,
 in which its right-hand side is built and solved.  The stepper owns the
 rest: the real scratch of the field coupling's inverse transform, the
-solve's parity-major workspace, the explicit-term buffers (one for Euler,
-two alternating for BDF2) and the BDF2 history, which its advance keeps
-between samples.  Sampled states are never written to after they are
-made.  At each sample run shows every observer the tuple of member states
-(KineticState.members), which view the batch arrays, and keeps none of
-them.
+factor set with its solve workspace, the explicit-term buffers (one for
+Euler, two alternating for BDF2) and the BDF2 history, which its advance
+keeps between samples.  Sampled states are never written to after they
+are made.  At each sample run shows every observer the tuple of member
+states (KineticState.members), and keeps none of them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -79,6 +79,7 @@ __all__ = [
 ]
 
 SCHEMES = ("imex_euler", "imex_bdf2")
+EPSILON_MIN = 2.0**-511  # the least epsilon whose square is a normal double
 NEUTRALITY_TOL = 1e-13
 # Tolerance on t_final / sample_interval being a whole number.
 SAMPLE_RATIO_RTOL = 1e-9
@@ -109,8 +110,9 @@ class SolverConfig:
         # equal settings give equal configs, hashes and config text: 1 is 1.0
         for name in ("epsilon", "t_final", "length", "dt_max", "cfl_scale"):
             object.__setattr__(self, name, float(getattr(self, name)))
-        if not 0.0 < self.epsilon <= 1.0:
-            raise ConfigurationError(f"epsilon must lie in (0, 1], got {self.epsilon}")
+        if not EPSILON_MIN <= self.epsilon <= 1.0:
+            raise ConfigurationError(f"epsilon must lie in [{EPSILON_MIN:.5g}, 1], where eps^2 "
+                                     f"is a normal double; got {self.epsilon}")
         # written so that NaN fails every test
         if not (self.dt_max > 0 and self.cfl_scale > 0):
             raise ConfigurationError("dt_max and cfl_scale must be positive")
@@ -134,37 +136,36 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class KineticState:
-    """Solution sample: perturbation g with Poisson-consistent macro fields.
+    """Solution sample: the time and the perturbation g, the only unknown.
 
-    A batch state holds a batch g and (B, n_x) macro fields (see
-    SpectralField); repeated makes one and members splits it.
+    A batch state holds a batch g (see SpectralField); repeated makes one
+    and members splits it.
     """
 
     time: float
     g: SpectralField
-    macro: MacroFields
+
+    @cached_property
+    def macro(self) -> MacroFields:
+        """moments(g), formed on the first read and kept.  It calls this
+        module's moments, which the benchmark tracer wraps."""
+        return moments(self.g)
 
     def repeated(self, size: int) -> "KineticState":
-        """The batch state of size members equal to this state.  Its macro
-        fields are read-only views of this state's, and so are its
-        coefficients in a batch of one; a larger batch gets the contiguous
-        copy that SpectralField makes."""
-        g, m = self.g, self.macro
+        """The batch state of size members equal to this state: a read-only
+        view of its coefficients, copied contiguously by SpectralField if
+        size > 1."""
+        g = self.g
         n_v, n_half = g.coeffs.shape
-        coeffs = np.broadcast_to(g.coeffs[:, None], (n_v, size, n_half))
-        fields = (np.broadcast_to(f, (size,) + f.shape) for f in (m.a, m.b, m.phi, m.grad_phi))
-        return KineticState(self.time, g.with_coeffs(coeffs), MacroFields(*fields))
+        return KineticState(self.time, g.with_coeffs(
+            np.broadcast_to(g.coeffs[:, None], (n_v, size, n_half))))
 
     def members(self) -> tuple["KineticState", ...]:
-        """The member states of a batch state.  Their macro fields view the
-        batch's rows; their coefficients do too in a batch of one, and are
-        contiguous copies otherwise."""
-        g, m = self.g, self.macro
-        return tuple(
-            KineticState(self.time, g.with_coeffs(g.coeffs[:, i]),
-                         MacroFields(m.a[i], m.b[i], m.phi[i], m.grad_phi[i]))
-            for i in range(g.coeffs.shape[1])
-        )
+        """The member states of a batch state.  Their coefficients view the
+        batch's in a batch of one, and are contiguous copies otherwise."""
+        g = self.g
+        return tuple(KineticState(self.time, g.with_coeffs(g.coeffs[:, i]))
+                     for i in range(g.coeffs.shape[1]))
 
 
 def make_initial_data(grid: SpatialGrid, basis: HermiteBasis, rho_profile,
@@ -206,7 +207,7 @@ def make_initial_data(grid: SpatialGrid, basis: HermiteBasis, rho_profile,
     if not f_min > 0.0:
         raise ValueError(f"reconstructed distribution is not positive; minimum value {f_min:.3e}")
 
-    return KineticState(time=0.0, g=g, macro=moments(g))
+    return KineticState(time=0.0, g=g)
 
 
 @dataclass(frozen=True)
@@ -217,9 +218,8 @@ class TridiagonalFactors:
     wavenumber k and epsilon of each column.  Arrays have the Hermite
     level first, so each sweep step reads one contiguous row across all
     columns.  The real sweep factors hold every column twice, to act on
-    the float64 view (re, im, ...) of a complex row.  workspace is not a
-    factor: it is the complex (n_v, columns) array that solve gathers the
-    parity-split rows into, lent by the caller of build.
+    the float64 view (re, im, ...) of a complex row.  workspace is the
+    set's own scratch, into which solve gathers the rows by parity.
     """
 
     odd_inv_diag: np.ndarray  # 1 / d_n on the odd levels, shape (n_v // 2, columns)
@@ -230,12 +230,10 @@ class TridiagonalFactors:
     workspace: np.ndarray     # complex (n_v, columns), solve's parity-major rows
 
     @classmethod
-    def build(cls, k: np.ndarray, n_v: int, epsilon, dt: float,
-              workspace: np.ndarray) -> "TridiagonalFactors":
+    def build(cls, k: np.ndarray, n_v: int, epsilon, dt: float) -> "TridiagonalFactors":
         """Factors of I + dt (i k / eps) V + dt diag(n) / eps^2 for each
         column: k has one entry per column, and epsilon one entry per
-        column or one for all.  workspace, a complex (n_v, columns) array,
-        is lent to solve; factors that never solve at once may share it."""
+        column or one for all."""
         n = np.arange(n_v)
         eps = np.asarray(epsilon, dtype=float)
         diag = 1.0 + dt * (n[:, None] / eps**2)
@@ -261,7 +259,7 @@ class TridiagonalFactors:
         lower = coupling[1::2] * odd_inv_diag
         upper = coupling[2::2] * odd_inv_diag[:n_off]
         return cls(odd_inv_diag, lower, upper, np.repeat(multiplier, 2, axis=1),
-                   np.repeat(1.0 / even_pivot, 2, axis=1), workspace)
+                   np.repeat(1.0 / even_pivot, 2, axis=1), np.empty((n_v, k.size), complex))
 
     def solve(self, x: np.ndarray) -> np.ndarray:
         """Solve every block in place for the C-contiguous complex x and
@@ -310,10 +308,9 @@ class VpfpStepper:
     builds the BDF2 set, and an Euler run one.  A step solves its freshly
     built right-hand side in place, and its new state keeps the grid and
     basis of the state it steps from.  The stepper owns one real scratch of
-    shape (n_v - 1, B, n_x), which every field-coupling evaluation reuses,
-    and one complex workspace of shape (n_v, B (n_x/2 + 1)), which it lends
-    to every factor set it builds, as no two solves overlap.  advance runs
-    cfg.scheme with the stepper's explicit-term buffers and BDF2 history.
+    shape (n_v - 1, B, n_x), which every field-coupling evaluation reuses.
+    advance runs cfg.scheme with the stepper's explicit-term buffers and
+    BDF2 history, and raises one FloatingPointError on a blow-up.
     """
 
     def __init__(self, cfg: SolverConfig, dt: float, epsilons=None):
@@ -324,7 +321,6 @@ class VpfpStepper:
         n_batch, n_half = len(self.epsilons), self.grid.n_half
         self._factors: tuple[float, TridiagonalFactors] | None = None  # (dt_eff, set)
         self._scratch = np.empty((cfg.n_v - 1, n_batch, self.grid.n_x))
-        self._parity = np.empty((cfg.n_v, n_batch * n_half), dtype=complex)
         self._bdf2 = cfg.scheme == "imex_bdf2"
         # explicit-term buffers: _buffers[0] takes the next step's terms, and
         # BDF2 alternates it with the one that holds _expl_prev
@@ -345,21 +341,18 @@ class VpfpStepper:
         if self._factors is None or self._factors[0] != dt_eff:
             self._factors = None  # free the old set before the new one is built
             k = self.grid.dx_symbol.imag
-            n_batch = len(self.epsilons)
-            f = TridiagonalFactors.build(np.tile(k, n_batch), self.cfg.n_v,
-                                         np.repeat(self.epsilons, k.size), dt_eff,
-                                         self._parity)
+            f = TridiagonalFactors.build(np.tile(k, len(self.epsilons)), self.cfg.n_v,
+                                         np.repeat(self.epsilons, k.size), dt_eff)
             self._factors = (dt_eff, f)
         return self._factors[1]
 
     # -- explicit part ------------------------------------------------------
-    def explicit_coeffs(self, g: SpectralField, macro: MacroFields,
-                        out: np.ndarray | None = None) -> np.ndarray:
+    def explicit_coeffs(self, g: SpectralField, out: np.ndarray | None = None) -> np.ndarray:
         """Field-coupling terms of the right-hand side (lagged potential) of
         the batch g, written into out when given (complex, C-contiguous,
         the shape of g.coeffs) and otherwise into a new array, which is
         returned."""
-        return vpfp_rhs(g, macro, self.epsilons, out=out, scratch=self._scratch).coeffs
+        return vpfp_rhs(g, self.epsilons, out=out, scratch=self._scratch).coeffs
 
     # -- stepping -----------------------------------------------------------
     @staticmethod
@@ -375,8 +368,7 @@ class VpfpStepper:
             raise ConservationError(
                 f"Hermite-0 spatial mean changed by {np.max(drift):.3e} during a step"
             )
-        g = state.g.with_coeffs(coeffs)
-        return KineticState(time=time, g=g, macro=moments(g))
+        return KineticState(time=time, g=state.g.with_coeffs(coeffs))
 
     def step_euler(self, state: KineticState, expl: np.ndarray) -> KineticState:
         """One IMEX Euler step; expl holds explicit_coeffs(state)."""
@@ -404,18 +396,21 @@ class VpfpStepper:
     def advance(self, state: KineticState, n: int) -> KineticState:
         """Take n steps of cfg.scheme from state, the (re-stamped) state the
         last call returned, and return the last one.  The first step is
-        Euler; BDF2 keeps its history across calls."""
+        Euler; BDF2 keeps its history across calls.  A blow-up overflows
+        before it is non-finite, so NumPy's warnings are off here and
+        _finish reports it."""
         buffers = self._buffers
-        for _ in range(n):
-            expl = self.explicit_coeffs(state.g, state.macro, out=buffers[0])
-            if self._prev is None:
-                new = self.step_euler(state, expl)
-            else:
-                new = self.step_bdf2(state, self._prev, expl, self._expl_prev)
-            if self._bdf2:
-                self._prev, self._expl_prev = state, expl
-                buffers.reverse()
-            state = new
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            for _ in range(n):
+                expl = self.explicit_coeffs(state.g, out=buffers[0])
+                if self._prev is None:
+                    new = self.step_euler(state, expl)
+                else:
+                    new = self.step_bdf2(state, self._prev, expl, self._expl_prev)
+                if self._bdf2:
+                    self._prev, self._expl_prev = state, expl
+                    buffers.reverse()
+                state = new
         return state
 
 

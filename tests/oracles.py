@@ -283,16 +283,17 @@ def moment_residuals(states, epsilon):
 
 def ddp_step_reference(grid, state, dt):
     """The fluid step's arithmetic with every symbol rebuilt per call, as
-    ddp_step did before its symbols were cached; no checks."""
+    ddp_step did before its symbols were cached and before the state
+    dropped phi0, which it still transforms; no checks."""
     ik = grid.dx_symbol
     rho_c, prod_c = np.fft.rfft(np.array([state.rho0, state.rho0 * state.grad_phi0]),
                                 norm="forward")
     rhs_c = rho_c + dt * (ik * grid.dealias_mask * prod_c - rho_c)
     new_c = rhs_c / (1.0 + dt * grid.k_sq)
     phi_c = new_c * grid.inverse_laplacian
-    rho0, phi0, grad_phi0 = np.fft.irfft(np.array([new_c, phi_c, ik * phi_c]),
-                                         n=grid.n_x, norm="forward")
-    return DdpState(time=state.time + dt, rho0=rho0, phi0=phi0, grad_phi0=grad_phi0)
+    rho0, _, grad_phi0 = np.fft.irfft(np.array([new_c, phi_c, ik * phi_c]),
+                                      n=grid.n_x, norm="forward")
+    return DdpState(time=state.time + dt, rho0=rho0, grad_phi0=grad_phi0)
 
 
 def strided_solve(factors, x):

@@ -21,7 +21,6 @@ from vpfp.diagnostics import (
     limit_metrics,
     nu_norm,
 )
-from vpfp.operators import moments
 from vpfp.solver import KineticState, SolverConfig, make_initial_data
 from vpfp.spectral import ConfigurationError, HermiteBasis, SpatialGrid, SpectralField, l2_norm
 
@@ -33,7 +32,7 @@ VOL = 2.0 * np.pi
 
 
 def make_state(g, time=0.0):
-    return KineticState(time=time, g=g, macro=moments(g))
+    return KineticState(time=time, g=g)
 
 
 def trajectory_limit_error(kinetic, ddp, k):

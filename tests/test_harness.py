@@ -405,9 +405,9 @@ class TestBatchedSweep:
         clean = one_run_record(cfg, 0.2, fluid_reference(cfg))
         rhs = solver.vpfp_rhs
 
-        def leaky_rhs(g, macro, epsilon, **kwargs):
+        def leaky_rhs(g, epsilon, **kwargs):
             # the explicit terms of the member with eps = 0.1 add mass
-            out = rhs(g, macro, epsilon, **kwargs)
+            out = rhs(g, epsilon, **kwargs)
             for member, eps in enumerate(epsilon):
                 if eps == 0.1:
                     out.coeffs[0, member, 0] += 1.0
@@ -573,6 +573,28 @@ class TestFailurePersistence:
         assert partial.incomplete and partial.incomplete[0]["epsilon"] == 0.2
         summary = load_summary(tmp_path / "out")
         assert summary["incomplete"][0]["epsilon"] == 0.2
+
+    @pytest.mark.parametrize("action", ["default", "error"])
+    @pytest.mark.parametrize("length", ["1e20", "1e100"])
+    def test_kinetic_blow_up_is_one_error(self, tmp_path, capsys, length, action):
+        # on a long grid the field, the density over k_1 = 2 pi / length,
+        # overflows the state; whatever the warning filter, run says so in
+        # one line and the sweep records the first non-finite state
+        ini = tmp_path / "long.ini"
+        ini.write_text(f"[grid]\nlength = {length}\n[solver]\nt_final = 0.05\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter(action, RuntimeWarning)
+            run_code = main(["--config", str(ini), "--out", str(tmp_path / "run"), "--quiet",
+                             "run"])
+            run_err = capsys.readouterr().err
+            sweep_code = main(["--config", str(ini), "--out", str(tmp_path / "sweep"),
+                               "--quiet", "sweep"])
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        assert run_code == sweep_code == EXIT_RUN_FAILURE
+        assert run_err.startswith("run failed: non-finite state detected at t = ")
+        assert run_err.count("\n") == 1
+        (record,) = load_summary(tmp_path / "sweep")["incomplete"]
+        assert record["error"].startswith("FloatingPointError: non-finite state detected at t = ")
 
 
 class TestCli:
@@ -766,6 +788,12 @@ class TestCli:
          "at n_x = 64 the length must exceed 2.054e-152"),
         ("run", {"grid__length": "1e200"}, "k^2 of mode 1 below the normal doubles"),
         ("sweep", {"grid__length": "1e200"}, "length must be at most 4.212e+154"),
+        # eps^2 must be a normal double: below 2^-511 the implicit factors
+        # and the dissipation overflow
+        ("run", {"solver__epsilon": "1e-200"}, "epsilon must lie in [1.4917e-154, 1]"),
+        ("sweep", {"solver__epsilon": "1e-200"}, "epsilon must lie in [1.4917e-154, 1]"),
+        ("run", {"sweep__epsilons": "0.2,1e-200"}, "epsilon must lie in [1.4917e-154, 1]"),
+        ("sweep", {"sweep__epsilons": "0.2,1e-200"}, "epsilon must lie in [1.4917e-154, 1]"),
     ])
     def test_bad_setting_is_config_error(self, tmp_path, capsys, command, settings, message):
         ini = small_ini_with(tmp_path, **settings)

@@ -10,8 +10,6 @@ dealiased_product), which the moment-residual oracle and the coupling
 checks below rely on.
 """
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,7 +18,6 @@ from hypothesis import strategies as st
 from vpfp.checks import check_poisson
 from vpfp.diagnostics import coercivity_gap
 from vpfp.operators import (
-    MacroFields,
     apply_L,
     fourier_field,
     moments,
@@ -232,68 +229,56 @@ class TestDealiasedProduct:
 class TestRhs:
     """vpfp_rhs evaluates the field coupling, the explicit terms."""
 
-    def test_linear_field_source(self, grid, basis):
-        # g = 0 with an externally imposed potential: only the psi_1 source acts
-        x = grid.nodes
-        g = SpectralField.zeros(grid, basis)
-        macro = MacroFields(a=np.zeros(grid.n_x), b=np.zeros(grid.n_x),
-                            phi=np.cos(x), grad_phi=-np.sin(x))
-        eps = 0.25
-        rhs = vpfp_rhs(g, macro, eps)
-        expected = -fourier_field(grid, -np.sin(x)) / eps
-        assert np.allclose(rhs.coeffs[1], expected, atol=1e-13)
-        other = rhs.coeffs.copy()
-        other[1] = 0.0
-        assert np.max(np.abs(other)) < 1e-13
-
     def test_momentum_slice_of_hydrodynamic_state(self, grid, basis):
         # g = rho(x) psi_0 with its own field: the psi_1 slice of the
-        # coupling is -(d phi + dealias(rho * d phi)) / eps
+        # coupling is -(d phi + dealias(rho * d phi)) / eps, and as level 0
+        # is g's only level, no other row is coupled
         rho = 0.1 * np.cos(grid.nodes)
         g = SpectralField.zeros(grid, basis)
         g.coeffs[0] = fourier_field(grid, rho)
-        macro = moments(g)
         eps = 0.5
-        rhs = vpfp_rhs(g, macro, eps)
-        dphi = macro.grad_phi
+        rhs = vpfp_rhs(g, eps)
+        dphi = moments(g).grad_phi
         expected = -(dphi + dealiased_product(grid, rho, dphi)) / eps
         got = real_field(grid, rhs.coeffs[1])
         assert np.max(np.abs(got - expected)) < 1e-12
+        other = rhs.coeffs.copy()
+        other[1] = 0.0
+        assert np.max(np.abs(other)) == 0.0
 
     def test_mass_slice_untouched_by_fields_and_collision(self, grid, basis, rng):
         g = random_distribution(rng, grid, basis)
-        rhs = vpfp_rhs(g, moments(g), 0.2)
+        rhs = vpfp_rhs(g, 0.2)
         assert np.max(np.abs(rhs.coeffs[0])) == 0.0
 
     def test_total_mass_invariant(self, grid, basis, rng):
         g = random_distribution(rng, grid, basis)
-        rhs = vpfp_rhs(g, moments(g), 0.2)
+        rhs = vpfp_rhs(g, 0.2)
         assert abs(rhs.coeffs[0, 0]) < 1e-14
 
     def test_scaling_in_epsilon(self, grid, basis, rng):
         g = random_distribution(rng, grid, basis)
-        macro = moments(g)
-        r1 = vpfp_rhs(g, macro, 0.5)
-        r2 = vpfp_rhs(g, macro, 0.25)
+        r1 = vpfp_rhs(g, 0.5)
+        r2 = vpfp_rhs(g, 0.25)
         assert np.max(np.abs(r2.coeffs - 2 * r1.coeffs)) < 1e-12
 
     def test_epsilon_validation(self, grid, basis):
         g = SpectralField.zeros(grid, basis)
         with pytest.raises(ConfigurationError):
-            vpfp_rhs(g, moments(g), 0.0)
+            vpfp_rhs(g, 0.0)
 
     @pytest.mark.parametrize("epsilon", [0.2, (0.2, 0.1, 0.05)])
     def test_one_epsilon_per_batch_member(self, grid, basis, rng, epsilon):
         c = random_distribution(rng, grid, basis).coeffs
         batch = SpectralField(grid, basis, np.stack([c, c], axis=1))
         with pytest.raises(ConfigurationError, match="need one epsilon per batch member"):
-            vpfp_rhs(batch, moments(batch), epsilon)
+            vpfp_rhs(batch, epsilon)
 
     def test_hermitian_symmetry_preserved(self, grid, basis, rng):
         # the half-spectrum of a real field has real rows m = 0 and n_x/2;
         # the coupling, made of real-FFT products and d phi/dx, keeps them real
         g = random_distribution(rng, grid, basis)
-        rhs = vpfp_rhs(g, moments(g), 0.2)
+        rhs = vpfp_rhs(g, 0.2)
         assert np.all(rhs.coeffs[:, [0, -1]].imag == 0.0)
 
 
@@ -388,8 +373,8 @@ class TestHalfSpectrumMatchesComplexFft:
     @settings(max_examples=40, deadline=None)
     @cases
     def test_rhs(self, n_x, n_v, epsilon, seed):
+        # the coupling with g's own field, from the oracle's Poisson solve
         g = self.field(n_x, n_v, seed)
-        grad_phi = np.random.default_rng(seed + 1).standard_normal(n_x)
-        macro = replace(moments(g), grad_phi=grad_phi)
-        got = vpfp_rhs(g, macro, epsilon).coeffs
+        _, grad_phi = complex_fft_poisson(g.grid, complex_fft_moments(g)[0])
+        got = vpfp_rhs(g, epsilon).coeffs
         assert max_rel_diff(got, complex_fft_coupling(g, grad_phi, epsilon)) <= 1e-14

@@ -172,8 +172,8 @@ class TestDampingInvariant:
         stepper = VpfpStepper(cfg, dt)
         g = SpectralField.zeros(grid, basis)
         g.coeffs[1:, 0] = g.coeffs[1:, -1] = 0.5  # levels 1.. at the mean and Nyquist modes
-        state = KineticState(time=0.0, g=g, macro=moments(g)).repeated(1)
-        new = stepper.step_euler(state, stepper.explicit_coeffs(state.g, state.macro))
+        state = KineticState(time=0.0, g=g).repeated(1)
+        new = stepper.step_euler(state, stepper.explicit_coeffs(state.g))
         n = np.arange(basis.n_v)
         factor = 1.0 / (1.0 + dt * (n / cfg.epsilon**2))
         factor[0] = 0.0  # row 0 holds no density
@@ -192,10 +192,10 @@ class TestDampingInvariant:
         n_steps = math.ceil(math.log(1e-6) / math.log(factor))
         for m in (0, grid.n_half - 1):
             g = basis_element(grid, basis, m, 3, amplitude=1.0)
-            state = KineticState(time=0.0, g=g, macro=moments(g)).repeated(1)
+            state = KineticState(time=0.0, g=g).repeated(1)
             amp0 = abs(g.coeffs[3, m])
             for i in range(n_steps):
-                state = stepper.step_euler(state, stepper.explicit_coeffs(state.g, state.macro))
+                state = stepper.step_euler(state, stepper.explicit_coeffs(state.g))
                 amp = abs(state.g.coeffs[3, 0, m])
                 assert amp == pytest.approx(amp0 * factor ** (i + 1), rel=1e-12)
                 if i < 8:
@@ -211,8 +211,8 @@ class TestDampingInvariant:
         # damps
         stepper = VpfpStepper(small_config(epsilon=0.05), 1.0)
         g = basis_element(grid, basis, 1, 5)
-        state = KineticState(time=0.0, g=g, macro=moments(g)).repeated(1)
-        new = stepper.step_euler(state, stepper.explicit_coeffs(state.g, state.macro))
+        state = KineticState(time=0.0, g=g).repeated(1)
+        new = stepper.step_euler(state, stepper.explicit_coeffs(state.g))
         new = new.members()[0]
         assert l2_norm(new.g) < l2_norm(g)
         assert abs(new.g.coeffs[5, 1]) < abs(g.coeffs[5, 1])
@@ -278,8 +278,7 @@ class TestTridiagonalSolve:
         # blocks without streaming (k = 0 in every column) solve bit-exactly
         dt = stiffness * epsilon**2
         coeffs = hermitian_coeffs(np.random.default_rng(seed), n_x, n_v)
-        factors = TridiagonalFactors.build(np.zeros(coeffs.shape[1]), n_v, epsilon, dt,
-                                           np.empty_like(coeffs))
+        factors = TridiagonalFactors.build(np.zeros(coeffs.shape[1]), n_v, epsilon, dt)
         got = factors.solve(coeffs.copy())
         assert np.array_equal(got, coeffs * (1.0 / (1.0 + dt * (np.arange(n_v) / epsilon**2)))[:, None])
 
@@ -334,7 +333,7 @@ class TestTridiagonalSolve:
 class TestConservationAndConsistency:
     def test_mass_drift_raises_conservation_error(self, grid, basis):
         g = SpectralField.zeros(grid, basis)
-        state = KineticState(time=0.0, g=g, macro=moments(g))
+        state = KineticState(time=0.0, g=g)
         coeffs = np.zeros((basis.n_v, grid.n_half), dtype=complex)
         coeffs[0, 0] = 1e-9
         with pytest.raises(ConservationError, match="spatial mean changed"):
@@ -350,10 +349,10 @@ class TestConservationAndConsistency:
 
     def test_zero_state_is_fixed(self, grid, basis):
         g = SpectralField.zeros(grid, basis)
-        state = KineticState(time=0.0, g=g, macro=moments(g)).repeated(1)
+        state = KineticState(time=0.0, g=g).repeated(1)
         cfg = small_config()
         stepper = VpfpStepper(cfg, 1e-3)
-        new = stepper.step_euler(state, stepper.explicit_coeffs(state.g, state.macro))
+        new = stepper.step_euler(state, stepper.explicit_coeffs(state.g))
         assert np.max(np.abs(new.g.coeffs)) == 0.0
 
     def test_mass_conserved_over_many_steps(self, grid, basis):
@@ -403,10 +402,10 @@ class TestHalfSpectrumSteps:
         coeffs = 1e-3 * hermitian_coeffs(np.random.default_rng(seed), n_x, n_v)
         coeffs[0, 0] = 0.0
         g = SpectralField(stepper.grid, cfg.make_basis(), coeffs)
-        s0 = KineticState(time=0.0, g=g, macro=moments(g)).repeated(1)
-        e0 = stepper.explicit_coeffs(s0.g, s0.macro)
+        s0 = KineticState(time=0.0, g=g).repeated(1)
+        e0 = stepper.explicit_coeffs(s0.g)
         s1 = stepper.step_euler(s0, e0)
-        e1 = stepper.explicit_coeffs(s1.g, s1.macro)
+        e1 = stepper.explicit_coeffs(s1.g)
         return stepper, (s0, e0), (s1, e1)
 
     @settings(max_examples=30, deadline=None)
@@ -442,13 +441,47 @@ class TestHalfSpectrumSteps:
             assert np.max(np.abs(state.macro.b)) <= 1e-15
 
     def test_warm_bdf2_step_transform_budget(self, fft_calls):
-        # the coupling's inverse and forward transforms and its psi_1 source,
-        # then the new state's moments with their field
+        # the coupling's field, then the inverse and forward transforms of
+        # its product; the new state's moments are not formed
         stepper, (s0, e0), (s1, _) = self.first_states(64, 32, 0.1, 0)
         fft_calls.clear()
-        expl = stepper.explicit_coeffs(s1.g, s1.macro)
+        expl = stepper.explicit_coeffs(s1.g)
         stepper.step_bdf2(s1, s0, expl, e0)
-        assert [call.name for call in fft_calls] == ["irfft", "rfft", "rfft", "irfft"]
+        assert [call.name for call in fft_calls] == ["irfft", "irfft", "rfft"]
+
+    @pytest.mark.parametrize("epsilons", [(0.2,), (0.5, 0.2)])
+    def test_macro_fields_only_where_read(self, grid, basis, monkeypatch, epsilons):
+        # no step forms the moments; a sample's first read of macro forms
+        # them once, bit for bit those of its g, and later reads reuse them
+        calls = []
+
+        def counted_moments(g):
+            calls.append(g)
+            return moments(g)
+
+        monkeypatch.setattr("vpfp.solver.moments", counted_moments)
+        cfg = small_config(t_final=0.04, scheme="imex_bdf2")
+        stepper = VpfpStepper(cfg, 5e-3, epsilons)
+        state = stepper.advance(cos_initial(grid, basis, amplitude=0.05).repeated(len(epsilons)), 4)
+        assert calls == []
+
+        def read_twice(members):
+            # the members of the initial sample are one state
+            for i, member in enumerate(members):
+                before = len(calls)
+                first = member.macro
+                fresh = all(member is not m for m in members[:i])
+                assert len(calls) == before + fresh and calls[-1] is member.g
+                want = moments(member.g)
+                for name in ("a", "b", "phi", "grad_phi"):
+                    assert np.array_equal(getattr(first, name), getattr(want, name))
+                assert member.macro is first and len(calls) == before + fresh
+
+        read_twice(state.members())
+        calls.clear()
+        run(cos_initial(grid, basis, amplitude=0.05), cfg, observers=(read_twice,),
+            sample_interval=0.02, epsilons=epsilons)
+        assert len(calls) == 1 + 2 * len(epsilons)
 
 
 class TestBufferOwnership:
@@ -478,8 +511,8 @@ class TestBufferOwnership:
         stepper = VpfpStepper(small_config(), 1e-3)
         state = cos_initial(grid, basis, amplitude=0.05)
         batch = state.repeated(1)
-        for given, make in ((batch, lambda: stepper.explicit_coeffs(batch.g, batch.macro)),
-                            (state, lambda: vpfp_rhs(state.g, state.macro, 0.2).coeffs)):
+        for given, make in ((batch, lambda: stepper.explicit_coeffs(batch.g)),
+                            (state, lambda: vpfp_rhs(state.g, 0.2).coeffs)):
             one, two = make(), make()
             assert np.array_equal(one, two)
             assert not np.shares_memory(one, two)
@@ -493,13 +526,13 @@ class TestBufferOwnership:
         state = cos_initial(grid, basis, amplitude=0.05 if fields else 0.0)
         batch = state.repeated(1)
         out = np.full_like(batch.g.coeffs, np.nan)
-        assert stepper.explicit_coeffs(batch.g, batch.macro, out=out) is out
-        assert np.array_equal(out, stepper.explicit_coeffs(batch.g, batch.macro))
+        assert stepper.explicit_coeffs(batch.g, out=out) is out
+        assert np.array_equal(out, stepper.explicit_coeffs(batch.g))
         out = np.full_like(state.g.coeffs, np.nan)
         scratch = np.full((basis.n_v - 1, grid.n_x), np.nan)
-        got = vpfp_rhs(state.g, state.macro, 0.2, out=out, scratch=scratch)
+        got = vpfp_rhs(state.g, 0.2, out=out, scratch=scratch)
         assert got.coeffs is out
-        assert np.array_equal(out, vpfp_rhs(state.g, state.macro, 0.2).coeffs)
+        assert np.array_equal(out, vpfp_rhs(state.g, 0.2).coeffs)
         assert np.any(out) == fields
 
     @pytest.mark.parametrize("scheme, n_buffers", [("imex_euler", 1), ("imex_bdf2", 2)])
@@ -526,9 +559,9 @@ class TestBufferOwnership:
         cfg = small_config(epsilon=0.05, n_x=1024, n_v=16)
         stepper = VpfpStepper(cfg, 1e-3)
         s0 = cos_initial(stepper.grid, cfg.make_basis(), amplitude=0.05).repeated(1)
-        e0 = stepper.explicit_coeffs(s0.g, s0.macro)
+        e0 = stepper.explicit_coeffs(s0.g)
         s1 = stepper.step_euler(s0, e0)
-        e1 = stepper.explicit_coeffs(s1.g, s1.macro)
+        e1 = stepper.explicit_coeffs(s1.g)
         # the stepper holds the factors of the last step's scheme only, so
         # the warm-up ends with a step of the measured scheme
         if scheme == "imex_euler":
@@ -542,7 +575,7 @@ class TestBufferOwnership:
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            expl = stepper.explicit_coeffs(s2.g, s2.macro, out=e0)
+            expl = stepper.explicit_coeffs(s2.g, out=e0)
             coupling_peak = tracemalloc.get_traced_memory()[1] - base
             tracemalloc.reset_peak()
             if scheme == "imex_euler":
@@ -553,7 +586,7 @@ class TestBufferOwnership:
         finally:
             tracemalloc.stop()
         assert coupling_peak < nbytes
-        assert nbytes <= kept < 1.5 * nbytes  # the new state, its macro fields
+        assert nbytes <= kept < 1.5 * nbytes  # the new state
         assert step_peak < 2 * nbytes
         assert new.g.coeffs.nbytes == nbytes
 
