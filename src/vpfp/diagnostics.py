@@ -164,49 +164,57 @@ def energy_functionals(state, k: int, epsilon: float) -> EnergyReport:
     squares of one d_v tower of (I-P) g, streamed one level at a time,
     serve both micro norms.  The residuals read the state's macro fields:
     one forward real FFT of phi and d_x phi, and one inverse FFT of the
-    Laplacian of phi, whose symbol -k^2 keeps the Nyquist mode.
+    Laplacian of phi, whose symbol -k^2 keeps the Nyquist mode.  A value
+    that is not finite raises FloatingPointError.
     """
     if k < 1:
         raise ConfigurationError(f"diagnostics order k must be >= 1, got {k}")
-    g = state.g
-    grid = g.grid
-    c = g.coeffs
-    level_sq = c.real**2 + c.imag**2  # (n_v, n_half)
-    a_sq, b_sq = level_sq[0], level_sq[1]
-    dx_sq = grid.dx_symbol.imag**2
-    dv_sq, v_sq = _nu_squares(project_micro(g).coeffs, k + 1)
-    phi_c, grad_phi_c = fourier_field(grid, np.array([state.macro.phi, state.macro.grad_phi]))
+    # a huge but finite state can overflow a square here; the test below
+    # reports that as the stepper reports a blow-up, whatever the warning filter
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        g = state.g
+        grid = g.grid
+        c = g.coeffs
+        level_sq = c.real**2 + c.imag**2  # (n_v, n_half)
+        a_sq, b_sq = level_sq[0], level_sq[1]
+        dx_sq = grid.dx_symbol.imag**2
+        dv_sq, v_sq = _nu_squares(project_micro(g).coeffs, k + 1)
+        phi_c, grad_phi_c = fourier_field(grid, np.array([state.macro.phi, state.macro.grad_phi]))
 
-    g_hk = parseval_sq(grid, level_sq.sum(axis=0), k)
-    gradv_micro = sum(parseval_sq(grid, dv_sq[beta + 1], k - 1 - beta) for beta in range(k))
-    ab = parseval_sq(grid, a_sq, k - 1) + parseval_sq(grid, b_sq, k - 1)
+        g_hk = parseval_sq(grid, level_sq.sum(axis=0), k)
+        gradv_micro = sum(parseval_sq(grid, dv_sq[beta + 1], k - 1 - beta) for beta in range(k))
+        ab = parseval_sq(grid, a_sq, k - 1) + parseval_sq(grid, b_sq, k - 1)
 
-    micro_nu = _mixed_nu_sq(grid, dv_sq, v_sq, k) / epsilon**2
-    b_hk = parseval_sq(grid, b_sq, k) / epsilon**2
-    grad_b = 2.0 * parseval_sq(grid, dx_sq * b_sq, k - 1) / epsilon
-    grad_a = parseval_sq(grid, dx_sq * a_sq, k - 1)
-    grad_phi = parseval_sq(grid, mode_sq(grad_phi_c), k)
+        micro_nu = _mixed_nu_sq(grid, dv_sq, v_sq, k) / epsilon**2
+        b_hk = parseval_sq(grid, b_sq, k) / epsilon**2
+        grad_b = 2.0 * parseval_sq(grid, dx_sq * b_sq, k - 1) / epsilon
+        grad_a = parseval_sq(grid, dx_sq * a_sq, k - 1)
+        grad_phi = parseval_sq(grid, mode_sq(grad_phi_c), k)
 
-    components = {
-        "g_HkxL2v_sq": g_hk,
-        "gradv_micro_Hkm1_sq": gradv_micro,
-        "ab_Hkm1_sq": ab,
-        "micro_nu_Hk_sq": micro_nu,
-        "b_Hk_sq": b_hk,
-        "grad_b_Hkm1_sq": grad_b,
-        "grad_a_Hkm1_sq": grad_a,
-        "grad_phi_Hk_sq": grad_phi,
-    }
-    a = state.macro.a
-    mass_residual = float(np.abs(np.mean(a)))
-    lap_phi = real_field(grid, phi_c * -grid.k_sq)
-    denom = spatial_l2_norm(grid, a) or 1.0
-    poisson_residual = spatial_l2_norm(grid, lap_phi + a) / denom
-
+        components = {
+            "g_HkxL2v_sq": g_hk,
+            "gradv_micro_Hkm1_sq": gradv_micro,
+            "ab_Hkm1_sq": ab,
+            "micro_nu_Hk_sq": micro_nu,
+            "b_Hk_sq": b_hk,
+            "grad_b_Hkm1_sq": grad_b,
+            "grad_a_Hkm1_sq": grad_a,
+            "grad_phi_Hk_sq": grad_phi,
+        }
+        a = state.macro.a
+        mass_residual = float(np.abs(np.mean(a)))
+        lap_phi = real_field(grid, phi_c * -grid.k_sq)
+        denom = spatial_l2_norm(grid, a) or 1.0
+        poisson_residual = spatial_l2_norm(grid, lap_phi + a) / denom
+        E_k = g_hk + gradv_micro + ab
+        D_k = micro_nu + b_hk + grad_b + grad_a + grad_phi
+    if not np.all(np.isfinite([E_k, D_k, *components.values(), mass_residual,
+                               poisson_residual])):
+        raise FloatingPointError(f"non-finite energy functional at t = {state.time:.6g}")
     return EnergyReport(
         time=float(state.time),
-        E_k=g_hk + gradv_micro + ab,
-        D_k=micro_nu + b_hk + grad_b + grad_a + grad_phi,
+        E_k=E_k,
+        D_k=D_k,
         components=components,
         mass_residual=mass_residual,
         poisson_residual=poisson_residual,

@@ -1,17 +1,17 @@
 """Experiment orchestration: config files, the epsilon sweep, persistence.
 
 A sweep runs the fluid reference once, builds the well-prepared initial
-state once, then one kinetic run per epsilon from it, and reduces the
-per-run error metrics to empirical convergence rates.  The runs go in
-batches (SweepConfig.batches): the epsilons that share a fitted time step,
-consecutive in epsilon order, advance in lock-step as one solver.run batch,
-and each member's energy report and limit-error terms are computed at
-every sample, against the fluid sample of that time, so no sampled state
-is kept.  A failed batch is rerun one member at a time, which gives the
-partial results of running the epsilons one after another.  All outputs
-(per-run CSV time series and the JSON summary) are deterministic for a
-fixed config and equal to those of one run_single per epsilon; wall-clock
-timings go to a separate file so the summary stays byte-stable.
+state once, then advances every epsilon from it in lock-step as one
+solver.run batch: every run steps at dt_max fitted to the sample
+interval, whatever its epsilon.  Each member's energy report and
+limit-error terms are computed at every sample, against the fluid sample
+of that time, so no sampled state is kept.  A failed batch is rerun one
+member at a time, which gives the partial results of running the epsilons
+one after another.  The per-run metrics reduce to empirical convergence
+rates.  All outputs (per-run CSV time series and the JSON summary) are
+deterministic for a fixed config and equal to those of one run_single per
+epsilon; wall-clock timings go to a separate file so the summary stays
+byte-stable.
 """
 
 from __future__ import annotations
@@ -19,15 +19,14 @@ from __future__ import annotations
 import json
 import math
 import time as _time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .ddp import ddp_run
 from .diagnostics import EnergyReport, energy_functionals, limit_error, limit_metrics
-from .solver import (KineticState, SolverConfig, batch_schedules, make_initial_data, run,
-                     step_schedule)
+from .solver import KineticState, SolverConfig, make_initial_data, run, step_schedule
 from .spectral import ConfigurationError, sobolev_weights
 
 __all__ = [
@@ -64,7 +63,6 @@ _SCHEMA = {
         "epsilon": _finite,
         "t_final": _finite,
         "dt_max": _finite,
-        "cfl_scale": _finite,
         "scheme": str,
     },
     "sweep": {
@@ -83,7 +81,6 @@ _DEFAULTS = {
         "epsilon": 0.1,
         "t_final": 1.0,
         "dt_max": 2.5e-3,
-        "cfl_scale": 0.5,
         "scheme": "imex_bdf2",
     },
     "sweep": {
@@ -168,10 +165,7 @@ def config_hash(cfg: dict) -> str:
 class SweepConfig:
     """Epsilon sweep: shared template, descending epsilon list, output dir.
 
-    out_dir may be given as a str; it is kept as a Path.  batches, derived
-    here, splits the epsilons into the runs that advance together: the
-    groups of solver.batch_schedules, consecutive epsilons that share their
-    fitted schedule, which solver.run accepts as one batch.
+    out_dir may be given as a str; it is kept as a Path.
     """
 
     epsilons: tuple
@@ -182,7 +176,6 @@ class SweepConfig:
     profile_mode: int
     k: int
     out_dir: Path | None = None
-    batches: tuple = field(init=False, compare=False)
 
     def __post_init__(self):
         if self.out_dir is not None:
@@ -213,12 +206,12 @@ class SweepConfig:
                 f"profile_mode must lie in [1, n_x // 2 - 1 = {max_mode}], "
                 f"got {self.profile_mode}"
             )
-        # fit every step now: the fluid run's, the single run's and the sweep's
+        for e in eps:
+            replace(self.template, epsilon=e)  # each run's config must be valid
+        # fit every step now: the fluid run's, and the kinetic runs' one step
         t_final = self.template.t_final
         step_schedule(t_final, self.sample_interval, self.ddp_dt)
-        step_schedule(t_final, self.sample_interval, self.template.dt_nominal)
-        batches = batch_schedules(self.template, eps, self.sample_interval)
-        object.__setattr__(self, "batches", tuple(batches.values()))
+        step_schedule(t_final, self.sample_interval, self.template.dt_max)
 
     @classmethod
     def from_dict(cls, cfg: dict, out_dir=None) -> "SweepConfig":
@@ -342,9 +335,10 @@ def run_sweep(cfg: SweepConfig, progress=None) -> SweepResult:
 
     progress, if given, is called as progress(epsilon, wall_seconds,
     final_E_k) for each epsilon, in order, once its batch has finished;
-    wall_seconds is the batch's.  timings gets one entry per batch,
-    run_eps_<eps>[_<eps>...]_s, and one per rerun epsilon.  A failed run
-    persists the partial summary (marked incomplete) and raises SweepError.
+    wall_seconds is the batch's.  timings gets one entry for the batch of
+    every epsilon, run_eps_<eps>_<eps>..._s, and one per rerun epsilon.  A
+    failed run persists the partial summary (marked incomplete) and raises
+    SweepError.
     """
     t0 = _time.perf_counter()
     timings: dict = {}
@@ -377,13 +371,10 @@ def run_sweep(cfg: SweepConfig, progress=None) -> SweepResult:
 
     def first_failure(batch: tuple) -> tuple | None:
         """(epsilon, error) of the first run of batch that fails alone.
-        A failed batch of several is rerun one member at a time, so the
-        runs before the failing one complete, as in a sequential sweep."""
-        exc = attempt(batch)
-        if exc is None:
+        A failed batch is rerun one member at a time, so the runs before
+        the failing one complete, as in a sequential sweep."""
+        if attempt(batch) is None:
             return None
-        if len(batch) == 1:
-            return batch[0], exc
         for eps in batch:
             exc = attempt((eps,))
             if exc is not None:
@@ -397,10 +388,7 @@ def run_sweep(cfg: SweepConfig, progress=None) -> SweepResult:
     except Exception as exc:  # noqa: BLE001 - the first run fails, as it would alone
         failed = cfg.epsilons[0], exc
     else:
-        for batch in cfg.batches:
-            failed = first_failure(batch)
-            if failed is not None:
-                break
+        failed = first_failure(cfg.epsilons)
     incomplete = []
     if failed is not None:
         eps, exc = failed

@@ -22,21 +22,24 @@ side into a parity-major workspace of the factor set, so that each of its
 operations reads contiguous rows instead of every other row of the state,
 and writes the solution back.
 
-run advances a batch: B runs that share the grid, the basis, the scheme,
-the initial state and the fitted time step, and differ only in epsilon, in
-lock-step.  A single run is a batch of one.  The batch state is the
-Hermite-major half-spectrum of spectral/operators with a member axis,
-shape (n_v, B, n_x/2 + 1), so each Hermite level is one contiguous row
-over the (member, mode) pairs: the factors (one epsilon per column), the
-right-hand sides and the solution share that layout, and a step never
-transposes or fills conjugate modes; only the solve regroups the levels by
-parity, in its workspace.  Every NumPy call of a step thus works on all
-members at once.  The streaming wavenumber is 0 at the Nyquist mode
-(grid.dx_symbol), whose block is then diagonal and whose row stays real.
-A state stores g alone; the field coupling derives the field from it.
-So each warm step makes three real FFT calls, whatever B: the inverse
-transforms of the field and of g and the forward transform of their
-product.  KineticState.macro forms the moments where a sample reads them.
+run advances a batch: B runs that share the grid, the basis, the scheme
+and the initial state, and differ only in epsilon, in lock-step.  The
+scheme is asymptotic-preserving, stable uniformly in epsilon, so every run
+steps at dt_max fitted to the sample interval (step_schedule), whatever its
+epsilon, and any epsilons form one batch.  A single run is a batch of one.
+The batch state is the Hermite-major half-spectrum of spectral/operators
+with a member axis, shape (n_v, B, n_x/2 + 1), so each Hermite level is
+one contiguous row over the (member, mode) pairs: the factors (one epsilon
+per column), the right-hand sides and the solution share that layout, and
+a step never transposes or fills conjugate modes; only the solve regroups
+the levels by parity, in its workspace.  Every NumPy call of a step thus
+works on all members at once.  The streaming wavenumber is 0 at the
+Nyquist mode (grid.dx_symbol), whose block is then diagonal and whose row
+stays real.  A state stores g alone; the field coupling derives the field
+from it.  So each warm step makes three real FFT calls, whatever B: the
+inverse transforms of the field and of g and the forward transform of
+their product.  KineticState.macro forms the moments where a sample reads
+them.
 
 A warm step allocates one state-sized array: the new state's coefficients,
 in which its right-hand side is built and solved.  The stepper owns the
@@ -73,13 +76,13 @@ __all__ = [
     "VpfpStepper",
     "make_initial_data",
     "step_schedule",
-    "batch_schedules",
     "sample_trajectory",
     "run",
 ]
 
 SCHEMES = ("imex_euler", "imex_bdf2")
 EPSILON_MIN = 2.0**-511  # the least epsilon whose square is a normal double
+DBL_MAX = np.finfo(float).max
 NEUTRALITY_TOL = 1e-13
 # Tolerance on t_final / sample_interval being a whole number.
 SAMPLE_RATIO_RTOL = 1e-9
@@ -103,29 +106,37 @@ class SolverConfig:
     n_v: int = 64
     length: float = 2.0 * math.pi
     dt_max: float = 5.0e-3
-    cfl_scale: float = 0.5
     scheme: str = "imex_euler"
 
     def __post_init__(self):
         # equal settings give equal configs, hashes and config text: 1 is 1.0
-        for name in ("epsilon", "t_final", "length", "dt_max", "cfl_scale"):
+        for name in ("epsilon", "t_final", "length", "dt_max"):
             object.__setattr__(self, name, float(getattr(self, name)))
         if not EPSILON_MIN <= self.epsilon <= 1.0:
             raise ConfigurationError(f"epsilon must lie in [{EPSILON_MIN:.5g}, 1], where eps^2 "
                                      f"is a normal double; got {self.epsilon}")
         # written so that NaN fails every test
-        if not (self.dt_max > 0 and self.cfl_scale > 0):
-            raise ConfigurationError("dt_max and cfl_scale must be positive")
+        if not 0.0 < self.dt_max < math.inf:
+            raise ConfigurationError(f"dt_max must be positive and finite, got {self.dt_max}")
         if not 0.0 <= self.t_final < math.inf:
             raise ConfigurationError(f"t_final must be finite and non-negative, got {self.t_final}")
         if self.scheme not in SCHEMES:
             raise ConfigurationError(f"unknown scheme {self.scheme!r}; expected one of {SCHEMES}")
-        self.make_grid()  # reject a bad n_x, length or n_v now, not mid-sweep
+        grid = self.make_grid()  # reject a bad n_x, length or n_v now, not mid-sweep
         self.make_basis()
-
-    @property
-    def dt_nominal(self) -> float:
-        return min(self.dt_max, self.cfl_scale * self.epsilon)
+        # TridiagonalFactors.build at a step up to dt_max: with n = n_v - 1
+        # and beta = dt k_max / eps, no pivot exceeds 1 + dt (n / eps^2) +
+        # 2 beta^2 n, evaluated as the build does, so a finite bound builds
+        dt, n_top, eps = self.dt_max, self.n_v - 1, self.epsilon
+        k_max = float(np.max(np.abs(grid.dx_symbol.imag)))
+        beta = dt * k_max / eps
+        if not math.isfinite(1.0 + dt * (n_top / eps**2) + 2.0 * (beta * beta * n_top)):
+            limit = math.sqrt(n_top / DBL_MAX * max(1.0, dt + 2.0 * (dt * k_max) ** 2))
+            raise ConfigurationError(
+                f"epsilon = {eps:g} overflows the implicit factors: their largest pivot, "
+                f"1 + dt (n_v - 1) / eps^2 + 2 (dt k_max / eps)^2 (n_v - 1) at dt_max = {dt:g}, "
+                f"n_v = {self.n_v} and k_max = {k_max:g}, must be finite, so epsilon must "
+                f"exceed about {limit:.4g}")
 
     def make_grid(self) -> SpatialGrid:
         return SpatialGrid(n_x=self.n_x, length=self.length)
@@ -415,18 +426,18 @@ class VpfpStepper:
 
 
 def step_schedule(t_final: float, sample_interval: float,
-                  dt_nominal: float) -> tuple[int, float, int]:
+                  dt_max: float) -> tuple[int, float, int]:
     """(samples, dt, steps per sample) of a run to t_final, kinetic or fluid.
 
     Samples land on exact multiples of sample_interval, which must be
     positive, at most t_final and divide it into a whole number of
     intervals (to SAMPLE_RATIO_RTOL relative); dt is the largest step
-    <= dt_nominal that divides one interval.  t_final = 0 gives (0, 0.0,
+    <= dt_max that divides one interval.  t_final = 0 gives (0, 0.0,
     0).  Anything else, NaN and a step count that overflows included,
     raises ConfigurationError instead of being silently rounded.
     """
-    if not dt_nominal > 0:
-        raise ConfigurationError(f"time step must be positive, got {dt_nominal}")
+    if not dt_max > 0:
+        raise ConfigurationError(f"time step must be positive, got {dt_max}")
     if not sample_interval > 0:
         raise ConfigurationError(f"sample_interval must be positive, got {sample_interval}")
     if t_final == 0.0:
@@ -448,24 +459,13 @@ def step_schedule(t_final: float, sample_interval: float,
             f"into a whole number of samples"
         )
     interval = t_final / n_samples
-    steps = interval / dt_nominal
+    steps = interval / dt_max
     if not math.isfinite(steps):
         raise ConfigurationError(
-            f"time step {dt_nominal:g} is too small for the sample interval {interval:g}"
+            f"time step {dt_max:g} is too small for the sample interval {interval:g}"
         )
     steps_per_sample = max(1, math.ceil(steps - 1e-12))
     return n_samples, interval / steps_per_sample, steps_per_sample
-
-
-def batch_schedules(cfg: SolverConfig, epsilons, sample_interval: float) -> dict:
-    """{step_schedule: epsilons} of cfg at each of epsilons, in order: the
-    batches that run can advance together.  The fitted step is monotone in
-    epsilon, so each group of a sorted list is consecutive."""
-    nominal = [replace(cfg, epsilon=eps).dt_nominal for eps in epsilons]
-    groups: dict = {}
-    for eps, dt in zip(epsilons, nominal):
-        groups.setdefault(step_schedule(cfg.t_final, sample_interval, dt), []).append(eps)
-    return {schedule: tuple(group) for schedule, group in groups.items()}
 
 
 def sample_trajectory(initial, t_final: float, schedule: tuple[int, float, int],
@@ -501,9 +501,9 @@ def run(initial: KineticState, cfg: SolverConfig, observers=(), *,
     the tuple of member states, a 1-tuple by default; the first sample of
     every member is initial itself.  Nothing is kept: what an observer
     needs of a sample it takes when it sees it.  initial must lie on cfg's
-    grid and n_v, and every sampled state shares its grid and basis.  The
-    members must form one group of batch_schedules, whose schedule is the
-    run's.  Deterministic for a fixed config.
+    grid and n_v, and every sampled state shares its grid and basis.  Every
+    member steps at step_schedule's fit of cfg.dt_max.  Deterministic for a
+    fixed config.
     """
     grid, n_v = initial.g.grid, initial.g.basis.n_v
     if grid != cfg.make_grid() or n_v != cfg.n_v:
@@ -513,13 +513,9 @@ def run(initial: KineticState, cfg: SolverConfig, observers=(), *,
             f"n_v = {cfg.n_v})"
         )
     batch = (cfg.epsilon,) if epsilons is None else tuple(epsilons)
-    groups = batch_schedules(cfg, batch, sample_interval)
-    if len(groups) != 1:
-        raise ConfigurationError(
-            f"a batch needs epsilons that share their fitted step; {batch} give "
-            f"{sorted(dt for _, dt, _ in groups)}"
-        )
-    (schedule,) = groups
+    for eps in batch:
+        replace(cfg, epsilon=eps)  # each member must be a valid config
+    schedule = step_schedule(cfg.t_final, sample_interval, cfg.dt_max)
     start = initial.repeated(len(batch))
 
     def observe(state: KineticState) -> None:

@@ -102,8 +102,10 @@ def one_run_record(cfg, epsilon, ddp, csv_path=None):
     return sweep_record(epsilon, reports, limit_metrics(times, terms))
 
 
-# three epsilons: one batch by default, and two when cfl_scale = 0.03 caps
-# the step of eps = 0.05 below dt_max
+# SMALL_INI settings at the built-in config's values
+DEFAULT_GRID_AND_STEP = {"grid__n_x": "64", "grid__n_v": "64", "solver__dt_max": "2.5e-3"}
+
+# three epsilons, which step at dt_max as one batch
 THREE_EPS = {"sweep__epsilons": "0.2,0.1,0.05"}
 
 
@@ -135,7 +137,7 @@ class TestConfigParsing:
         cfg = parse_config_file(small_ini)
         assert cfg["grid"]["n_x"] == 32
         assert cfg["sweep"]["epsilons"] == (0.2, 0.1)
-        assert cfg["solver"]["cfl_scale"] == 0.5  # untouched default
+        assert cfg["solver"]["epsilon"] == 0.1  # untouched default
 
     def test_unknown_section_rejected(self, tmp_path):
         path = tmp_path / "bad.ini"
@@ -195,7 +197,7 @@ class TestSweepConfig:
         # 1 and 1.0 compare equal, and now write the same config and hash
         def make(number):
             template = SolverConfig(epsilon=number(1), t_final=number(1), length=number(6),
-                                    dt_max=number(1), cfl_scale=number(1))
+                                    dt_max=number(1))
             return SweepConfig(epsilons=(number(1), 0.5), template=template, ddp_dt=number(1),
                                sample_interval=number(1), amplitude=number(1),
                                profile_mode=1, k=1)
@@ -225,34 +227,6 @@ class TestSweepConfig:
         cfg["sweep"]["profile_mode"] = 15
         assert SweepConfig.from_dict(cfg).profile_mode == 15
 
-    @pytest.mark.parametrize("cfl_scale, batches", [
-        (0.5, ((0.2, 0.1, 0.05, 0.025),)),     # every step is dt_max
-        (0.05, ((0.2, 0.1, 0.05), (0.025,))),  # 1.25e-3 fits as 1.25e-3
-        (0.03, ((0.2, 0.1), (0.05,), (0.025,))),
-    ])
-    def test_batches_share_a_fitted_step(self, cfl_scale, batches):
-        cfg = default_sweep_config()
-        cfg["solver"]["cfl_scale"] = cfl_scale
-        assert SweepConfig.from_dict(cfg).batches == batches
-        # the step fits one sample interval, so a one-sample run on a small
-        # grid has the same batches; run takes each of them as one batch,
-        # and no two neighbours joined
-        cfg["grid"].update(n_x=8, n_v=4)
-        cfg["solver"]["t_final"] = cfg["sweep"]["sample_interval"]
-        short = SweepConfig.from_dict(cfg)
-        assert short.batches == batches
-        grid = short.template.make_grid()
-        initial = make_initial_data(grid, short.template.make_basis(), initial_profile(short),
-                                    amplitude=short.amplitude)
-        for batch in batches:
-            times = run(initial, short.template, sample_interval=short.sample_interval,
-                        epsilons=batch)
-            assert len(times) == 2
-        for one, two in zip(batches, batches[1:]):
-            with pytest.raises(ConfigurationError, match="share their fitted step"):
-                run(initial, short.template, sample_interval=short.sample_interval,
-                    epsilons=one + two)
-
     @pytest.mark.parametrize("section, key, value, message", [
         ("sweep", "epsilons", (0.2, float("nan")), "epsilons must lie in"),
         ("sweep", "epsilons", (float("nan"), 0.2), "epsilons must lie in"),
@@ -262,7 +236,7 @@ class TestSweepConfig:
         ("sweep", "sample_interval", float("nan"), "sample_interval must be positive"),
         ("solver", "t_final", float("nan"), "t_final must be finite"),
         ("solver", "t_final", float("inf"), "t_final must be finite"),
-        ("solver", "dt_max", float("nan"), "dt_max and cfl_scale must be positive"),
+        ("solver", "dt_max", float("nan"), "dt_max must be positive"),
         ("solver", "dt_max", 1e-320, "is too small for the sample interval"),
         ("grid", "length", float("nan"), "period must be positive and finite"),
         ("grid", "length", float("inf"), "period must be positive and finite"),
@@ -373,18 +347,25 @@ class TestSweepOutputs:
 
 
 class TestBatchedSweep:
-    """The epsilons that share a fitted step run as one batch, and give what
+    """The epsilons of a sweep run as one batch at one step, and give what
     one run per epsilon gives."""
 
     @pytest.mark.parametrize("settings, batches", [
-        ({}, ((0.2, 0.1, 0.05),)),
-        ({"solver__cfl_scale": "0.03"}, ((0.2, 0.1), (0.05,))),
+        ({}, [(0.2, 0.1, 0.05)]),
+        # eps = 1e-100 steps at dt_max too: the scheme is stable uniformly in eps
+        ({"sweep__epsilons": "0.2,1e-3,1e-100"}, [(0.2, 1e-3, 1e-100)]),
     ])
-    def test_outputs_equal_one_run_per_epsilon(self, tmp_path, settings, batches):
-        ini = small_ini_with(tmp_path, **THREE_EPS, **settings)
+    def test_outputs_equal_one_run_per_epsilon(self, tmp_path, monkeypatch, settings, batches):
+        from vpfp import harness
+
+        ini = small_ini_with(tmp_path, **{**THREE_EPS, **settings})
         cfg = SweepConfig.from_dict(parse_config_file(ini), out_dir=tmp_path / "batched")
-        assert cfg.batches == batches
+        runs = []
+        run = harness.run
+        monkeypatch.setattr(harness, "run", lambda *a, epsilons, **kw: (
+            runs.append(epsilons), run(*a, epsilons=epsilons, **kw))[1])
         result = run_sweep(cfg)
+        assert runs == batches
         ddp = fluid_reference(cfg)
         records = [one_run_record(cfg, eps, ddp, tmp_path / "single" / f"run_eps_{eps:g}.csv")
                    for eps in cfg.epsilons]
@@ -401,7 +382,6 @@ class TestBatchedSweep:
 
         ini = small_ini_with(tmp_path, **THREE_EPS)
         cfg = SweepConfig.from_dict(parse_config_file(ini), out_dir=tmp_path / "out")
-        assert cfg.batches == ((0.2, 0.1, 0.05),)
         clean = one_run_record(cfg, 0.2, fluid_reference(cfg))
         rhs = solver.vpfp_rhs
 
@@ -435,9 +415,8 @@ class TestBatchedSweep:
         # run_single is what vpfp run calls: a batch of one
         from vpfp import harness
 
-        ini = small_ini_with(tmp_path, **THREE_EPS, solver__cfl_scale="0.03")
+        ini = small_ini_with(tmp_path, **THREE_EPS)
         cfg = SweepConfig.from_dict(parse_config_file(ini))
-        assert len(cfg.batches) == 2
         sampled = []  # (time, weak reference) of the member states past t = 0
         energy, run = harness.energy_functionals, harness.run
 
@@ -469,18 +448,29 @@ class TestBatchedSweep:
 
 
     def test_one_hermite_table_per_sweep(self, tmp_path, monkeypatch):
-        # two batches: every state carries the initial state's basis, so its
-        # psi table is built once
+        # the batch and its rerun one member at a time: every state carries
+        # the initial state's basis, so its psi table is built once
+        from vpfp import solver
         from vpfp.spectral import HermiteBasis
 
-        ini = small_ini_with(tmp_path, **THREE_EPS, solver__cfl_scale="0.03")
+        ini = small_ini_with(tmp_path, **THREE_EPS)
         cfg = SweepConfig.from_dict(parse_config_file(ini), out_dir=tmp_path / "out")
-        assert len(cfg.batches) == 2
+        rhs = solver.vpfp_rhs
+
+        def leaky_rhs(g, epsilon, **kwargs):
+            # a batch of several fails, so its members are rerun
+            out = rhs(g, epsilon, **kwargs)
+            if len(epsilon) > 1:
+                out.coeffs[0, :, 0] += 1.0
+            return out
+
+        monkeypatch.setattr(solver, "vpfp_rhs", leaky_rhs)
         tables = []
         functions = HermiteBasis.functions
         monkeypatch.setattr(HermiteBasis, "functions", lambda self, *args, **kwargs: (
             tables.append(self), functions(self, *args, **kwargs))[1])
-        run_sweep(cfg)
+        result = run_sweep(cfg)
+        assert [rec["epsilon"] for rec in result.per_epsilon] == list(cfg.epsilons)
         assert len(tables) == 1
 
 
@@ -543,7 +533,7 @@ class TestImportFootprint:
         # parse_config_file needs configparser
         after_run, digest, after_hash = footprint("run")
         assert after_run == []
-        assert digest == "80c84c700641b341"
+        assert digest == "6840ef0e7b3cb523"
         if not BUILTIN_SHA256:
             pytest.skip("this interpreter has neither _sha2 nor _sha256, so hashing loads hashlib")
         assert after_hash == []  # config_hash used the built-in SHA-256
@@ -553,7 +543,7 @@ class TestImportFootprint:
         # the sweep hashes its config, as config_hash does after it
         after_sweep, digest, after_hash = footprint("sweep")
         assert after_sweep == [] and after_hash == []
-        assert digest == "80c84c700641b341"
+        assert digest == "6840ef0e7b3cb523"
 
 
 class TestFailurePersistence:
@@ -595,6 +585,28 @@ class TestFailurePersistence:
         assert run_err.count("\n") == 1
         (record,) = load_summary(tmp_path / "sweep")["incomplete"]
         assert record["error"].startswith("FloatingPointError: non-finite state detected at t = ")
+
+    @pytest.mark.parametrize("action", ["default", "error"])
+    def test_non_finite_energy_is_one_error(self, tmp_path, capsys, action):
+        # on this long grid the state stays finite but huge, so its squares
+        # in the energy functionals overflow; whatever the warning filter,
+        # run says so in one line and the sweep records it
+        ini = small_ini_with(tmp_path, grid__length="1e20", solver__t_final="0.05",
+                             sweep__amplitude="0.1")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter(action, RuntimeWarning)
+            run_code = main(["--config", str(ini), "--out", str(tmp_path / "run"), "--quiet",
+                             "run"])
+            run_err = capsys.readouterr().err
+            sweep_code = main(["--config", str(ini), "--out", str(tmp_path / "sweep"),
+                               "--quiet", "sweep"])
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        assert run_code == sweep_code == EXIT_RUN_FAILURE
+        assert run_err == "run failed: non-finite energy functional at t = 0.05\n"
+        assert not (tmp_path / "run" / "run_eps_0.1.csv").exists()
+        (record,) = load_summary(tmp_path / "sweep")["incomplete"]
+        assert record == {"epsilon": 0.2, "error":
+                          "FloatingPointError: non-finite energy functional at t = 0.05"}
 
 
 class TestCli:
@@ -656,19 +668,47 @@ class TestCli:
             return traj
 
         monkeypatch.setattr(harness, "run", traced_run)
-        ini = small_ini_with(tmp_path, **THREE_EPS, solver__cfl_scale="0.03")
+        ini = small_ini_with(tmp_path, **THREE_EPS)
         cfg = SweepConfig.from_dict(parse_config_file(ini))
         result = run_sweep(cfg, progress=lambda eps, s, e_k: events.append(("done", eps, e_k)))
         final = [rec["final_E_k"] for rec in result.per_epsilon]
-        assert events == [("ran", (0.2, 0.1)), ("done", 0.2, final[0]), ("done", 0.1, final[1]),
-                          ("ran", (0.05,)), ("done", 0.05, final[2])]
+        assert events == [("ran", (0.2, 0.1, 0.05)), ("done", 0.2, final[0]),
+                          ("done", 0.1, final[1]), ("done", 0.05, final[2])]
         assert {key for key in result.timings if key.startswith("run_eps_")} == {
-            "run_eps_0.2_0.1_s", "run_eps_0.05_s"}
+            "run_eps_0.2_0.1_0.05_s"}
 
     def test_run_vpfp(self, small_ini, tmp_path):
         code = main(["--config", str(small_ini), "--out", str(tmp_path), "--quiet", "run"])
         assert code == EXIT_OK
         assert (tmp_path / "run_eps_0.1.csv").exists()
+
+    @pytest.mark.parametrize("settings, dt, steps", [
+        ({"solver__epsilon": "1e-100"}, 2e-3, 25),
+        # the default grid and step, where 1e-150 keeps the implicit factors finite
+        ({"solver__epsilon": "1e-150", **DEFAULT_GRID_AND_STEP}, 2.5e-3, 20),
+    ])
+    def test_tiny_epsilon_steps_at_dt_max(self, tmp_path, monkeypatch, settings, dt, steps):
+        # the step does not shrink with eps: 0.05 / dt steps per sample
+        from vpfp.solver import VpfpStepper
+
+        taken = []
+        advance = VpfpStepper.advance
+
+        def counted(self, state, n):
+            taken.append((self.dt, n))
+            return advance(self, state, n)
+
+        monkeypatch.setattr(VpfpStepper, "advance", counted)
+        ini = small_ini_with(tmp_path, **settings)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(["--config", str(ini), "--out", str(tmp_path), "--quiet", "run"])
+        assert code == EXIT_OK
+        assert taken == [(dt, steps)] * 4
+        csv = tmp_path / f"run_eps_{settings['solver__epsilon']}.csv"
+        rows = csv.read_text().splitlines()[1:]
+        assert [float(row.split(",")[0]) for row in rows] == pytest.approx(
+            [0.0, 0.05, 0.1, 0.15, 0.2])
 
     def test_sweep_and_report(self, small_ini, tmp_path, capsys):
         assert main(["--config", str(small_ini), "--out", str(tmp_path), "--quiet",
@@ -761,7 +801,9 @@ class TestCli:
         ("sweep", {"sweep__amplitude": "inf"}, "bad value for sweep.amplitude"),
         ("run", {"grid__length": "inf"}, "bad value for grid.length"),
         ("sweep", {"grid__length": "nan"}, "bad value for grid.length"),
-        ("sweep", {"solver__cfl_scale": "inf"}, "bad value for solver.cfl_scale"),
+        # every run steps at dt_max: no setting caps the step in proportion to eps
+        ("sweep", {"solver__cfl_scale": "0.5"},
+         "unknown config key 'cfl_scale' in section [solver]"),
         # the fluid-only run is gone: system is no setting
         ("run", {"solver__system": "ddp"}, "unknown config key 'system' in section [solver]"),
         ("sweep", {"solver__system": "ddp"}, "unknown config key 'system' in section [solver]"),
@@ -794,6 +836,12 @@ class TestCli:
         ("sweep", {"solver__epsilon": "1e-200"}, "epsilon must lie in [1.4917e-154, 1]"),
         ("run", {"sweep__epsilons": "0.2,1e-200"}, "epsilon must lie in [1.4917e-154, 1]"),
         ("sweep", {"sweep__epsilons": "0.2,1e-200"}, "epsilon must lie in [1.4917e-154, 1]"),
+        # at the default grid and step, (n_v - 1) / eps^2 overflows the top
+        # diagonal entry of the implicit blocks below about 5.92e-154
+        ("run", {"solver__epsilon": repr(2.0**-511), **DEFAULT_GRID_AND_STEP},
+         "overflows the implicit factors"),
+        ("sweep", {"solver__epsilon": repr(2.0**-511), **DEFAULT_GRID_AND_STEP},
+         "epsilon must exceed about 5.92e-154"),
     ])
     def test_bad_setting_is_config_error(self, tmp_path, capsys, command, settings, message):
         ini = small_ini_with(tmp_path, **settings)

@@ -34,7 +34,7 @@ from conftest import (WRONG_DENSITY_SHAPES, basis_element, cosine_of_shape, rand
 
 
 def small_config(**kw):
-    base = dict(epsilon=0.2, t_final=0.1, n_x=32, n_v=16, dt_max=5e-3, cfl_scale=0.5)
+    base = dict(epsilon=0.2, t_final=0.1, n_x=32, n_v=16, dt_max=5e-3)
     base.update(kw)
     return SolverConfig(**base)
 
@@ -55,11 +55,32 @@ class TestConfig:
             small_config(scheme="rk4")
         small_config(scheme="imex_bdf2")
 
-    def test_dt_nominal_tracks_epsilon(self):
-        cfg = small_config(epsilon=0.004, dt_max=5e-3, cfl_scale=0.5)
-        assert cfg.dt_nominal == pytest.approx(0.002)
-        cfg = small_config(epsilon=1.0)
-        assert cfg.dt_nominal == pytest.approx(5e-3)
+    @pytest.mark.parametrize("dt_max", [0.0, -1e-3, math.inf, math.nan])
+    def test_dt_max_positive_and_finite(self, dt_max):
+        with pytest.raises(ConfigurationError, match="dt_max must be positive and finite"):
+            small_config(dt_max=dt_max)
+
+    @pytest.mark.parametrize("epsilon", [1.0, 0.004, 1e-100])
+    def test_step_does_not_depend_on_epsilon(self, monkeypatch, epsilon):
+        # the scheme is stable uniformly in eps, so every run fits dt_max
+        steppers = []
+        init = VpfpStepper.__init__
+        monkeypatch.setattr(VpfpStepper, "__init__", lambda self, *a, **kw: (
+            steppers.append(self), init(self, *a, **kw))[1])
+        cfg = small_config(epsilon=epsilon, t_final=0.02, dt_max=3e-3)
+        run(cos_initial(cfg.make_grid(), cfg.make_basis()), cfg, sample_interval=0.01)
+        assert [s.dt for s in steppers] == [0.01 / 4]
+
+    def test_smallest_epsilon_builds_its_factors(self):
+        # the bound of SolverConfig is the build's: just above it, the
+        # factors of the largest step and wavenumber are finite
+        with pytest.raises(ConfigurationError, match=r"epsilon must exceed about 2\.889e-154"):
+            small_config(epsilon=2.8e-154)
+        cfg = small_config(epsilon=2.9e-154)
+        k = np.abs(cfg.make_grid().dx_symbol.imag)
+        factors = TridiagonalFactors.build(k, cfg.n_v, cfg.epsilon, cfg.dt_max)
+        assert all(np.all(np.isfinite(a)) for a in (factors.inv_pivot, factors.multiplier,
+                                                      factors.lower, factors.upper))
 
     @pytest.mark.parametrize("t_final, interval, nominal, schedule", [
         (1.0, 0.05, 2.5e-3, (20, 2.5e-3, 20)),   # the default kinetic run
@@ -356,7 +377,7 @@ class TestConservationAndConsistency:
         assert np.max(np.abs(new.g.coeffs)) == 0.0
 
     def test_mass_conserved_over_many_steps(self, grid, basis):
-        cfg = small_config(epsilon=0.1, t_final=0.5, dt_max=1e-3, cfl_scale=10.0)
+        cfg = small_config(epsilon=0.1, t_final=0.5, dt_max=1e-3)
         traj = sampled_run(cos_initial(grid, basis), cfg, sample_interval=0.5)
         final = traj.states[-1]
         assert abs(final.g.coeffs[0, 0]) <= 1e-12
@@ -618,8 +639,7 @@ class TestFactorSets:
 
 class TestAccuracy:
     def final_coeffs(self, grid, basis, scheme, dt):
-        cfg = small_config(epsilon=0.2, t_final=0.1, scheme=scheme,
-                           dt_max=dt, cfl_scale=1e9)
+        cfg = small_config(epsilon=0.2, t_final=0.1, scheme=scheme, dt_max=dt)
         traj = sampled_run(cos_initial(grid, basis), cfg, sample_interval=0.1)
         return traj.states[-1].g.coeffs
 
@@ -709,11 +729,21 @@ class TestRunHarness:
                 assert np.array_equal(members[i].g.coeffs, state.g.coeffs)
                 assert np.array_equal(members[i].macro.grad_phi, state.macro.grad_phi)
 
-    def test_batch_needs_one_fitted_step(self, grid, basis):
-        # cfl_scale * 0.001 = 5e-4 < dt_max: the members would step differently
-        with pytest.raises(ConfigurationError, match="share their fitted step"):
+    def test_batch_spans_any_epsilons(self, grid, basis):
+        # every member steps at dt_max, so eps 200 times apart form one batch
+        cfg = small_config(t_final=0.02)
+        initial = cos_initial(grid, basis)
+        samples = []
+        run(initial, cfg, observers=(samples.append,), sample_interval=0.01,
+            epsilons=(0.2, 0.001))
+        single = sampled_run(initial, replace(cfg, epsilon=0.001), sample_interval=0.01)
+        for members, state in zip(samples, single.states, strict=True):
+            assert np.array_equal(members[1].g.coeffs, state.g.coeffs)
+
+    def test_batch_member_must_be_a_valid_config(self, grid, basis):
+        with pytest.raises(ConfigurationError, match="epsilon must lie in"):
             run(cos_initial(grid, basis), small_config(), sample_interval=0.05,
-                epsilons=(0.2, 0.001))
+                epsilons=(0.2, 0.0))
 
     def test_observers_see_every_sample(self, grid, basis):
         # every observer gets each sample's members, a 1-tuple by default
