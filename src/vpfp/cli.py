@@ -19,6 +19,7 @@ from .harness import (
     default_sweep_config,
     load_summary,
     parse_config_file,
+    run_csv_name,
     run_single,
     run_sweep,
 )
@@ -62,7 +63,7 @@ def cmd_run(args) -> int:
     say = (lambda *_: None) if args.quiet else print
     sweep_cfg = SweepConfig.from_dict(cfg, out_dir=args.out)
     eps = sweep_cfg.template.epsilon
-    csv_path = args.out / f"run_eps_{eps:g}.csv"
+    csv_path = args.out / run_csv_name(eps)
     reports = run_single(sweep_cfg, eps, csv_path=csv_path)
     say(f"vpfp run complete: {len(reports)} samples, energy CSV at {csv_path}")
     return EXIT_OK

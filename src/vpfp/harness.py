@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import math
 import time as _time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -56,7 +56,8 @@ def _finite(raw: str) -> float:
     return value
 
 
-# configuration schema: section -> {key: parser}
+# configuration schema: section -> {key: parser}, in the order summary.json
+# reports; the defaults are the SolverConfig and SweepConfig field defaults
 _SCHEMA = {
     "grid": {"n_x": int, "n_v": int, "length": _finite},
     "solver": {
@@ -74,25 +75,6 @@ _SCHEMA = {
     },
     "diagnostics": {"k": int},
 }
-
-_DEFAULTS = {
-    "grid": {"n_x": 64, "n_v": 64, "length": 2.0 * math.pi},
-    "solver": {
-        "epsilon": 0.1,
-        "t_final": 1.0,
-        "dt_max": 2.5e-3,
-        "scheme": "imex_bdf2",
-    },
-    "sweep": {
-        "epsilons": (0.2, 0.1, 0.05, 0.025),
-        "ddp_dt": 2.5e-4,
-        "sample_interval": 0.05,
-        "amplitude": 0.01,
-        "profile_mode": 1,
-    },
-    "diagnostics": {"k": 2},
-}
-
 
 def parse_config_file(path) -> dict:
     """Flat sectioned key-value config; unknown sections or keys are errors."""
@@ -112,7 +94,7 @@ def parse_config_file(path) -> dict:
         raise ConfigurationError(f"cannot read config file {path}: {exc.strerror}") from exc
     except configparser.Error as exc:
         raise ConfigurationError(f"malformed config file: {exc}") from exc
-    cfg = {section: dict(values) for section, values in _DEFAULTS.items()}
+    cfg = default_sweep_config()
     for section in parser.sections():
         if section not in _SCHEMA:
             raise ConfigurationError(f"unknown config section [{section}]")
@@ -127,7 +109,8 @@ def parse_config_file(path) -> dict:
 
 
 def default_sweep_config() -> dict:
-    return {section: dict(values) for section, values in _DEFAULTS.items()}
+    """The built-in config: the settings of SweepConfig()."""
+    return SweepConfig().as_dict()
 
 
 def config_text(cfg: dict) -> str:
@@ -137,7 +120,7 @@ def config_text(cfg: dict) -> str:
         for key in sorted(cfg[section]):
             val = cfg[section][key]
             if isinstance(val, tuple):
-                val = ",".join(f"{x:g}" for x in val)
+                val = ",".join(map(str, val))
             lines.append(f"{key} = {val}")
     return "\n".join(lines) + "\n"
 
@@ -165,16 +148,17 @@ def config_hash(cfg: dict) -> str:
 class SweepConfig:
     """Epsilon sweep: shared template, descending epsilon list, output dir.
 
+    The field defaults, with the template's, are the built-in config.
     out_dir may be given as a str; it is kept as a Path.
     """
 
-    epsilons: tuple
-    template: SolverConfig
-    ddp_dt: float
-    sample_interval: float
-    amplitude: float
-    profile_mode: int
-    k: int
+    epsilons: tuple = (0.2, 0.1, 0.05, 0.025)
+    template: SolverConfig = field(default_factory=SolverConfig)
+    ddp_dt: float = 2.5e-4
+    sample_interval: float = 0.05
+    amplitude: float = 0.01
+    profile_mode: int = 1
+    k: int = 2
     out_dir: Path | None = None
 
     def __post_init__(self):
@@ -187,11 +171,16 @@ class SweepConfig:
         eps = self.epsilons
         if len(eps) < 2:
             raise ConfigurationError("need at least 2 epsilon values for rate estimation")
-        # the comparisons are written so that NaN fails them
-        if not all(0 < e <= 1 for e in eps):
-            raise ConfigurationError(f"epsilons must lie in (0, 1], got {eps}")
+        for e in eps:
+            replace(self.template, epsilon=e)  # each run's config must be valid
         if not all(e1 > e2 for e1, e2 in zip(eps, eps[1:])):
             raise ConfigurationError(f"epsilons must be strictly decreasing, got {eps}")
+        for e1, e2 in zip(eps, eps[1:]):  # descending, so equal names are adjacent
+            name = run_csv_name(e1)
+            if name == run_csv_name(e2):
+                raise ConfigurationError(f"epsilons {e1} and {e2} both write {name}: sweep "
+                                         f"epsilons must differ in their first six "
+                                         f"significant digits")
         if not math.isfinite(self.amplitude):
             raise ConfigurationError(f"amplitude must be finite, got {self.amplitude}")
         if self.k < 1:
@@ -206,8 +195,6 @@ class SweepConfig:
                 f"profile_mode must lie in [1, n_x // 2 - 1 = {max_mode}], "
                 f"got {self.profile_mode}"
             )
-        for e in eps:
-            replace(self.template, epsilon=e)  # each run's config must be valid
         # fit every step now: the fluid run's, and the kinetic runs' one step
         t_final = self.template.t_final
         step_schedule(t_final, self.sample_interval, self.ddp_dt)
@@ -215,29 +202,22 @@ class SweepConfig:
 
     @classmethod
     def from_dict(cls, cfg: dict, out_dir=None) -> "SweepConfig":
-        sw = cfg["sweep"]
-        return cls(
-            epsilons=sw["epsilons"],
-            template=solver_config_from_dict(cfg),
-            ddp_dt=sw["ddp_dt"],
-            sample_interval=sw["sample_interval"],
-            amplitude=sw["amplitude"],
-            profile_mode=sw["profile_mode"],
-            k=cfg["diagnostics"]["k"],
-            out_dir=out_dir,
-        )
+        return cls(template=SolverConfig(**cfg["grid"], **cfg["solver"]), **cfg["sweep"],
+                   **cfg["diagnostics"], out_dir=out_dir)
 
     def as_dict(self) -> dict:
-        """The settings of this sweep as a config dict in _DEFAULTS order,
+        """The settings of this sweep as a config dict in _SCHEMA order,
         which is what summary.json reports and config_hash hashes: the
         solver settings are the template's fields, the others self's."""
         values = {**vars(self), **vars(self.template)}
         return {section: {key: values[key] for key in keys}
-                for section, keys in _DEFAULTS.items()}
+                for section, keys in _SCHEMA.items()}
 
 
-def solver_config_from_dict(cfg: dict) -> SolverConfig:
-    return SolverConfig(**cfg["grid"], **cfg["solver"])
+def run_csv_name(epsilon: float) -> str:
+    """The energy CSV of the run at epsilon, named by its first six
+    significant digits."""
+    return f"run_eps_{epsilon:g}.csv"
 
 
 @dataclass
@@ -325,7 +305,7 @@ def _run_batch(cfg: SweepConfig, initial: KineticState, batch: tuple, ddp_traj) 
     records = []
     for eps, rep, term in zip(batch, reports, terms):
         if cfg.out_dir is not None:
-            write_reports_csv(cfg.out_dir / f"run_eps_{eps:g}.csv", rep)
+            write_reports_csv(cfg.out_dir / run_csv_name(eps), rep)
         records.append(sweep_record(eps, rep, limit_metrics(times, term)))
     return records
 
@@ -432,28 +412,18 @@ def estimate_rates_from_records(per_epsilon: list) -> dict:
     return rates
 
 
-def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, Path):
-        return str(obj)
-    raise TypeError(f"not JSON serializable: {type(obj)}")
-
-
 def write_summary(out_dir: Path, result: SweepResult) -> None:
     """summary.json is deterministic; timings.json carries wall-clock data."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     summary = {
-        "config": {sec: {k: list(v) if isinstance(v, tuple) else v
-                         for k, v in vals.items()}
-                   for sec, vals in result.config.items()},
+        "config": result.config,
         "config_hash": result.config_hash,
         "per_epsilon": result.per_epsilon,
         "rates": result.rates,
         "incomplete": result.incomplete,
     }
-    (out_dir / "summary.json").write_text(json.dumps(summary, indent=2, default=_json_default) + "\n")
+    (out_dir / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
     (out_dir / "timings.json").write_text(json.dumps(result.timings, indent=2) + "\n")
 
 

@@ -96,17 +96,16 @@ class ConservationError(RuntimeError):
 class SolverConfig:
     """Discretization and stepping parameters for one kinetic run.
 
-    The field defaults (imex_euler, dt_max = 5e-3) are library defaults;
-    the vpfp command runs with harness's built-in config instead
-    (imex_bdf2, dt_max = 2.5e-3)."""
+    The field defaults are the built-in config's, which the vpfp command
+    runs without a config file."""
 
-    epsilon: float
-    t_final: float
+    epsilon: float = 0.1
+    t_final: float = 1.0
     n_x: int = 64
     n_v: int = 64
     length: float = 2.0 * math.pi
-    dt_max: float = 5.0e-3
-    scheme: str = "imex_euler"
+    dt_max: float = 2.5e-3
+    scheme: str = "imex_bdf2"
 
     def __post_init__(self):
         # equal settings give equal configs, hashes and config text: 1 is 1.0

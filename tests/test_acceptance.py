@@ -88,7 +88,7 @@ def test_criterion_4_poisson_and_poincare(small_grid):
 
 def test_criterion_5_conservation_and_equilibrium(small_grid, small_basis):
     cfg = SolverConfig(epsilon=0.1, t_final=1.0, n_x=32, n_v=16,
-                       dt_max=1e-3)
+                       dt_max=1e-3, scheme="imex_euler")
     traj = sampled_run(cos_state(small_grid, small_basis), cfg, sample_interval=1.0)
     mass = float(abs(traj.states[-1].g.coeffs[0, 0]))
 
@@ -108,7 +108,7 @@ def test_criterion_6_energy_dissipation():
     worst = 0.0
     for eps in epsilons:
         cfg = SolverConfig(epsilon=eps, t_final=0.4, n_x=64, n_v=64,
-                           dt_max=2.5e-3)
+                           dt_max=2.5e-3, scheme="imex_euler")
         grid, basis = cfg.make_grid(), cfg.make_basis()
         energies = []
 

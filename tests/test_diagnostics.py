@@ -107,7 +107,8 @@ class TestEnergyFunctionals:
     def test_poisson_residual_on_nyquist_profile_run(self):
         # a density on the Nyquist mode n_x/2, where d/dx has the symbol 0
         # but the Laplacian has -k^2
-        cfg = SolverConfig(epsilon=0.1, t_final=0.1, n_x=16, n_v=16, scheme="imex_bdf2")
+        cfg = SolverConfig(epsilon=0.1, t_final=0.1, n_x=16, n_v=16, dt_max=5e-3,
+                           scheme="imex_bdf2")
         grid, basis = cfg.make_grid(), cfg.make_basis()
         nyquist = lambda x: np.cos(8 * 2.0 * np.pi * x / grid.length)
         initial = make_initial_data(grid, basis, nyquist, amplitude=0.01)
@@ -166,7 +167,8 @@ class TestMomentResiduals:
 class TestLimitError:
     def test_zero_states_give_zero_metrics(self, grid, basis):
         g = SpectralField.zeros(grid, basis)
-        cfg = SolverConfig(epsilon=0.2, t_final=0.1, n_x=grid.n_x, n_v=basis.n_v)
+        cfg = SolverConfig(epsilon=0.2, t_final=0.1, n_x=grid.n_x, n_v=basis.n_v,
+                           dt_max=5e-3, scheme="imex_euler")
         kin = sampled_run(make_state(g), cfg, sample_interval=0.05)
         flu = ddp_run(grid, np.zeros(grid.n_x), dt=1e-3, t_final=0.1,
                       sample_interval=0.05)
@@ -176,7 +178,8 @@ class TestLimitError:
 
     def test_mismatched_times_rejected(self, grid, basis):
         g = SpectralField.zeros(grid, basis)
-        cfg = SolverConfig(epsilon=0.2, t_final=0.1, n_x=grid.n_x, n_v=basis.n_v)
+        cfg = SolverConfig(epsilon=0.2, t_final=0.1, n_x=grid.n_x, n_v=basis.n_v,
+                           dt_max=5e-3, scheme="imex_euler")
         kin = sampled_run(make_state(g), cfg, sample_interval=0.05)
         flu = ddp_run(grid, np.zeros(grid.n_x), dt=1e-3, t_final=0.1,
                       sample_interval=0.025)

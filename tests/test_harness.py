@@ -32,7 +32,6 @@ from vpfp.harness import (
     parse_config_file,
     run_single,
     run_sweep,
-    solver_config_from_dict,
     sweep_record,
     write_reports_csv,
     write_summary,
@@ -131,7 +130,10 @@ class TestConfigParsing:
     def test_defaults_complete(self):
         cfg = default_sweep_config()
         assert set(cfg) == {"grid", "solver", "sweep", "diagnostics"}
-        solver_config_from_dict(cfg)  # must construct without error
+        SweepConfig.from_dict(cfg)  # must construct without error
+        # one source for the built-in config: the field defaults
+        assert cfg == SweepConfig().as_dict()
+        assert SweepConfig().template == SolverConfig()
 
     def test_file_overrides_defaults(self, small_ini):
         cfg = parse_config_file(small_ini)
@@ -165,6 +167,9 @@ class TestConfigParsing:
         # every solver setting can be given in a config file, and reported
         keys = _SCHEMA["grid"].keys() | _SCHEMA["solver"].keys()
         assert {f.name for f in fields(SolverConfig)} == keys
+        # and so can every other sweep setting
+        keys = _SCHEMA["sweep"].keys() | _SCHEMA["diagnostics"].keys()
+        assert {f.name for f in fields(SweepConfig)} - {"template", "out_dir"} == keys
 
     def test_hash_stable_and_sensitive(self, small_ini):
         cfg = parse_config_file(small_ini)
@@ -172,6 +177,15 @@ class TestConfigParsing:
         assert h1 == config_hash(parse_config_file(small_ini))
         cfg["grid"]["n_x"] = 64
         assert config_hash(cfg) != h1
+
+        def hash_with(section, key, value):
+            return config_hash({**cfg, section: {**cfg[section], key: value}})
+
+        # every digit of an epsilon counts, in the list as in the scalar
+        assert (hash_with("sweep", "epsilons", (0.1234567, 0.1))
+                != hash_with("sweep", "epsilons", (0.1234568, 0.1)))
+        assert (hash_with("solver", "epsilon", 0.1234567)
+                != hash_with("solver", "epsilon", 0.1234568))
 
 
 class TestSweepConfig:
@@ -184,7 +198,7 @@ class TestSweepConfig:
     def test_epsilons_range(self, small_ini):
         cfg = parse_config_file(small_ini)
         cfg["sweep"]["epsilons"] = (1.5, 0.1)
-        with pytest.raises(ConfigurationError, match=r"\(0, 1\]"):
+        with pytest.raises(ConfigurationError, match="epsilon must lie in"):
             SweepConfig.from_dict(cfg)
 
     def test_needs_two_epsilons(self, small_ini):
@@ -197,7 +211,7 @@ class TestSweepConfig:
         # 1 and 1.0 compare equal, and now write the same config and hash
         def make(number):
             template = SolverConfig(epsilon=number(1), t_final=number(1), length=number(6),
-                                    dt_max=number(1))
+                                    dt_max=number(1), scheme="imex_euler")
             return SweepConfig(epsilons=(number(1), 0.5), template=template, ddp_dt=number(1),
                                sample_interval=number(1), amplitude=number(1),
                                profile_mode=1, k=1)
@@ -228,8 +242,8 @@ class TestSweepConfig:
         assert SweepConfig.from_dict(cfg).profile_mode == 15
 
     @pytest.mark.parametrize("section, key, value, message", [
-        ("sweep", "epsilons", (0.2, float("nan")), "epsilons must lie in"),
-        ("sweep", "epsilons", (float("nan"), 0.2), "epsilons must lie in"),
+        ("sweep", "epsilons", (0.2, float("nan")), "epsilon must lie in"),
+        ("sweep", "epsilons", (float("nan"), 0.2), "epsilon must lie in"),
         ("sweep", "amplitude", float("nan"), "amplitude must be finite"),
         ("sweep", "amplitude", float("inf"), "amplitude must be finite"),
         ("sweep", "ddp_dt", float("nan"), "time step must be positive"),
@@ -842,6 +856,11 @@ class TestCli:
          "overflows the implicit factors"),
         ("sweep", {"solver__epsilon": repr(2.0**-511), **DEFAULT_GRID_AND_STEP},
          "epsilon must exceed about 5.92e-154"),
+        # six significant digits name a run's energy CSV and timings key
+        ("run", {"sweep__epsilons": "0.1000001,0.1"},
+         "epsilons 0.1000001 and 0.1 both write run_eps_0.1.csv"),
+        ("sweep", {"sweep__epsilons": "0.1000001,0.1"},
+         "epsilons 0.1000001 and 0.1 both write run_eps_0.1.csv"),
     ])
     def test_bad_setting_is_config_error(self, tmp_path, capsys, command, settings, message):
         ini = small_ini_with(tmp_path, **settings)

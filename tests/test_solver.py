@@ -34,7 +34,7 @@ from conftest import (WRONG_DENSITY_SHAPES, basis_element, cosine_of_shape, rand
 
 
 def small_config(**kw):
-    base = dict(epsilon=0.2, t_final=0.1, n_x=32, n_v=16, dt_max=5e-3)
+    base = dict(epsilon=0.2, t_final=0.1, n_x=32, n_v=16, dt_max=5e-3, scheme="imex_euler")
     base.update(kw)
     return SolverConfig(**base)
 
@@ -274,7 +274,8 @@ class TestTridiagonalSolve:
     @solve_cases
     def test_matches_dense_solve(self, n_x, n_v, epsilon, stiffness, seed):
         dt = stiffness * epsilon**2
-        cfg = SolverConfig(epsilon=epsilon, t_final=1.0, n_x=n_x, n_v=n_v)
+        cfg = SolverConfig(epsilon=epsilon, t_final=1.0, n_x=n_x, n_v=n_v, dt_max=5e-3,
+                           scheme="imex_euler")
         stepper = VpfpStepper(cfg, dt)
         coeffs = hermitian_coeffs(np.random.default_rng(seed), n_x, n_v)
         got = stepper.factors(dt).solve(coeffs.copy())
@@ -308,7 +309,8 @@ class TestTridiagonalSolve:
         # ~2e7 on the top modes, where a Thomas sweep over all levels loses
         # about 1.5e-11; the even-level solve keeps the dense-solve accuracy
         # and leaves the k = 0 block exact
-        cfg = SolverConfig(epsilon=1.0, t_final=1.0, n_x=96, n_v=95)
+        cfg = SolverConfig(epsilon=1.0, t_final=1.0, n_x=96, n_v=95, dt_max=5e-3,
+                           scheme="imex_euler")
         stepper = VpfpStepper(cfg, 1e4)
         coeffs = hermitian_coeffs(np.random.default_rng(5), 96, 95)
         got = stepper.factors(1e4).solve(coeffs.copy())
@@ -327,7 +329,8 @@ class TestTridiagonalSolve:
     def test_matches_strided_solve(self, n_x, n_v, epsilons):
         # the parity-major workspace changes where the rows live, not a bit
         # of the solution, for the Euler and the BDF2 factors of a batch
-        cfg = SolverConfig(epsilon=epsilons[0], t_final=1.0, n_x=n_x, n_v=n_v)
+        cfg = SolverConfig(epsilon=epsilons[0], t_final=1.0, n_x=n_x, n_v=n_v, dt_max=5e-3,
+                           scheme="imex_euler")
         stepper = VpfpStepper(cfg, 1e-3, epsilons)
         rng = np.random.default_rng(n_v)
         shape = (n_v, len(epsilons), n_x // 2 + 1)
@@ -342,7 +345,8 @@ class TestTridiagonalSolve:
     def test_stiff_small_blocks_match_dense_solve(self, n_v):
         # eps = 1, dt / eps^2 = 1e4, with n_v even and odd: the sweep must keep
         # the even levels, as back-substituting n = 0 (d_0 = 1) loses ~1e-11
-        cfg = SolverConfig(epsilon=1.0, t_final=1.0, n_x=32, n_v=n_v)
+        cfg = SolverConfig(epsilon=1.0, t_final=1.0, n_x=32, n_v=n_v, dt_max=5e-3,
+                           scheme="imex_euler")
         stepper = VpfpStepper(cfg, 1e4)
         coeffs = hermitian_coeffs(np.random.default_rng(n_v), 32, n_v)
         got = stepper.factors(1e4).solve(coeffs.copy())
@@ -667,7 +671,8 @@ class TestAccuracy:
 
 class TestRunHarness:
     def test_discretization_mismatch_rejected(self, grid, basis):
-        cfg = SolverConfig(epsilon=0.2, t_final=0.1, n_x=64, n_v=64)
+        cfg = SolverConfig(epsilon=0.2, t_final=0.1, n_x=64, n_v=64, dt_max=5e-3,
+                           scheme="imex_euler")
         with pytest.raises(ConfigurationError, match="does not match"):
             run(cos_initial(grid, basis), cfg, sample_interval=0.1)
 
