@@ -10,6 +10,7 @@ inverse real FFT of the new density and its field d phi0/dx, all a state
 keeps.  The odd derivatives use grid.dx_symbol, 0 at the Nyquist mode.
 The symbols of a step depend only on (grid, dt) and are built once per
 pair; the step's checks on the new density read one min and one max of it.
+ddp_run returns the list of its sampled states, each with its time.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .operators import (check_zero_mean, potential_coeffs, require_spatial_field
 from .solver import sample_trajectory, step_schedule
 from .spectral import SpatialGrid
 
-__all__ = ["DdpState", "Trajectory", "make_ddp_state", "ddp_step", "ddp_run"]
+__all__ = ["DdpState", "make_ddp_state", "ddp_step", "ddp_run"]
 
 
 @dataclass(frozen=True)
@@ -100,18 +101,11 @@ def ddp_step(grid: SpatialGrid, state: DdpState, dt: float) -> DdpState:
     return _checked_state(time, rho0, grad_phi0, lo)
 
 
-@dataclass
-class Trajectory:
-    """The sampled states of a fluid run, equally spaced in time."""
-
-    times: np.ndarray
-    states: list
-
-
 def ddp_run(grid: SpatialGrid, rho0_initial: np.ndarray, dt: float, t_final: float,
-            sample_interval: float) -> Trajectory:
-    """Integrate the fluid system on the kinetic run's sampling schedule:
-    step_schedule(t_final, sample_interval, dt), fitted once."""
+            sample_interval: float) -> list[DdpState]:
+    """Integrate the fluid system on the kinetic run's sampling schedule,
+    step_schedule(t_final, sample_interval, dt) fitted once, and return the
+    sampled states, the initial one first; each carries its time."""
     rho0 = np.asarray(rho0_initial, dtype=float)
     require_spatial_field(grid, rho0, "initial fluid density")
     state = make_ddp_state(grid, 0.0, rho0 - require_zero_mean(rho0, "initial fluid density"))
@@ -123,5 +117,5 @@ def ddp_run(grid: SpatialGrid, rho0_initial: np.ndarray, dt: float, t_final: flo
         return state
 
     states = []
-    times = sample_trajectory(state, t_final, schedule, advance, (states.append,))
-    return Trajectory(times=times, states=states)
+    sample_trajectory(state, t_final, schedule, advance, states.append)
+    return states

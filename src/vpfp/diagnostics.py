@@ -1,4 +1,4 @@
-"""Norms, energy/dissipation functionals and limit-error metrics.
+"""Norms, energy/dissipation functionals and the limit-error terms of a sample.
 
 Spatial derivatives are Fourier multipliers; velocity derivatives and the
 weight sqrt(1+v^2) are Hermite recurrences, applied with an extended
@@ -39,7 +39,6 @@ __all__ = [
     "energy_functionals",
     "LimitTerms",
     "limit_error",
-    "limit_metrics",
     "CSV_COLUMNS",
 ]
 
@@ -239,9 +238,9 @@ def limit_error(kinetic_state, ddp_state, k: int) -> LimitTerms:
     The L^2 errors of the density and the field, the squared mixed H^k
     norm of the microscopic part (I - P0) g, and the pointwise sup of the
     reconstructed distribution against (1 + rho0) M over the collocation
-    nodes (the grid analogue of the embedding argument).  limit_metrics
-    reduces the terms of a run's samples; a sweep computes them as the
-    run goes, so it keeps no sampled state.
+    nodes (the grid analogue of the embedding argument).  A sweep computes
+    them as the run goes, so it keeps no sampled state, and
+    harness.sweep_record reduces the terms of a run's samples.
     """
     if not np.isclose(kinetic_state.time, ddp_state.time, rtol=1e-9, atol=1e-12):
         raise ValueError(
@@ -262,17 +261,3 @@ def limit_error(kinetic_state, ddp_state, k: int) -> LimitTerms:
         micro_sq=_mixed_sq(grid, micro_c, k),
         pointwise_error=float(np.max(np.abs(f_vals - f_lim))),
     )
-
-
-def limit_metrics(times, terms) -> dict:
-    """The limit metrics of a run from the limit_error terms of its samples
-    at times: the sup in time of the moment, field and pointwise errors,
-    and the trapezoid time integral of the micro norm."""
-    moment, field, micro, point = zip(*terms)
-    times = np.asarray(times)
-    return {
-        "sup_moment_error": float(np.max(moment)),
-        "sup_field_error": float(np.max(field)),
-        "micro_time_integral": float(np.trapezoid(micro, times)) if times.size > 1 else 0.0,
-        "pointwise_sup_error": float(np.max(point)),
-    }

@@ -1,13 +1,15 @@
 """Experiment orchestration: config files, the epsilon sweep, persistence.
 
-A sweep runs the fluid reference once, builds the well-prepared initial
-state once, then advances every epsilon from it in lock-step as one
-solver.run batch: every run steps at dt_max fitted to the sample
-interval, whatever its epsilon.  Each member's energy report and
-limit-error terms are computed at every sample, against the fluid sample
-of that time, so no sampled state is kept.  A failed batch is rerun one
+A sweep builds its initial density once (initial_density), then the
+well-prepared kinetic state from it, and only if that succeeds runs the
+fluid reference from the same density.  It then advances every epsilon
+from the kinetic state in lock-step as one solver.run batch: every run
+steps at dt_max fitted to the sample interval, whatever its epsilon.  Each
+member's energy report and limit-error terms are computed at every sample,
+against the fluid sample of that time, so no kinetic sample is kept,
+and sweep_record reduces them to the run's record.  A failed batch is rerun one
 member at a time, which gives the partial results of running the epsilons
-one after another.  The per-run metrics reduce to empirical convergence
+one after another.  The per-run records reduce to empirical convergence
 rates.  All outputs (per-run CSV time series and the JSON summary) are
 deterministic for a fixed config and equal to those of one run_single per
 epsilon; wall-clock timings go to a separate file so the summary stays
@@ -25,8 +27,9 @@ from pathlib import Path
 import numpy as np
 
 from .ddp import ddp_run
-from .diagnostics import EnergyReport, energy_functionals, limit_error, limit_metrics
-from .solver import KineticState, SolverConfig, make_initial_data, run, step_schedule
+from .diagnostics import EnergyReport, energy_functionals, limit_error
+from .solver import (KineticState, SolverConfig, coerce_settings, make_initial_data, run,
+                     step_schedule)
 from .spectral import ConfigurationError, sobolev_weights
 
 __all__ = [
@@ -164,9 +167,7 @@ class SweepConfig:
     def __post_init__(self):
         if self.out_dir is not None:
             object.__setattr__(self, "out_dir", Path(self.out_dir))
-        # float settings are stored as floats, as SolverConfig stores its own
-        for name in ("amplitude", "ddp_dt", "sample_interval"):
-            object.__setattr__(self, name, float(getattr(self, name)))
+        coerce_settings(self, ("amplitude", "ddp_dt", "sample_interval"), ("profile_mode", "k"))
         object.__setattr__(self, "epsilons", tuple(map(float, self.epsilons)))
         eps = self.epsilons
         if len(eps) < 2:
@@ -240,10 +241,11 @@ class SweepError(RuntimeError):
         self.partial = partial
 
 
-def initial_profile(cfg: SweepConfig):
-    mode = cfg.profile_mode
-    length = cfg.template.length
-    return lambda x: np.cos(mode * 2.0 * np.pi * x / length)
+def initial_density(cfg: SweepConfig) -> np.ndarray:
+    """The shifted density that the kinetic and the fluid runs of cfg start
+    from, amplitude * cos(2 pi mode x / L) on the grid nodes."""
+    x = cfg.template.make_grid().nodes
+    return cfg.amplitude * np.cos(cfg.profile_mode * 2.0 * np.pi * x / cfg.template.length)
 
 
 def run_single(cfg: SweepConfig, epsilon: float,
@@ -251,9 +253,8 @@ def run_single(cfg: SweepConfig, epsilon: float,
     """One kinetic run of the sweep: its energy report at each sample,
     written to csv_path when given.  No sampled state is kept."""
     solver_cfg = replace(cfg.template, epsilon=epsilon)
-    grid = solver_cfg.make_grid()
-    basis = solver_cfg.make_basis()
-    initial = make_initial_data(grid, basis, initial_profile(cfg), amplitude=cfg.amplitude)
+    initial = make_initial_data(solver_cfg.make_grid(), solver_cfg.make_basis(),
+                                initial_density(cfg))
 
     reports: list[EnergyReport] = []
 
@@ -261,7 +262,7 @@ def run_single(cfg: SweepConfig, epsilon: float,
         (state,) = members
         reports.append(energy_functionals(state, cfg.k, epsilon))
 
-    run(initial, solver_cfg, observers=[observer], sample_interval=cfg.sample_interval)
+    run(initial, solver_cfg, observer, sample_interval=cfg.sample_interval)
     if csv_path is not None:
         write_reports_csv(csv_path, reports)
     return reports
@@ -274,25 +275,32 @@ def write_reports_csv(path: Path, reports) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def sweep_record(epsilon: float, reports, errors: dict) -> dict:
-    """The summary record of one run from its energy reports and its
-    limit_metrics."""
+def sweep_record(epsilon: float, reports, terms) -> dict:
+    """The summary record of one run from its energy report and its
+    limit_error terms at each sample: the sup in time of the moment, field
+    and pointwise errors, and the trapezoid time integrals of the micro
+    norm and of D_k over the reports' sample times."""
+    moment, field_error, micro, point = zip(*terms)
+    times = [r.time for r in reports]
     return {
         "epsilon": epsilon,
-        **{key: errors[key] for key in METRIC_KEYS},
+        "sup_moment_error": float(np.max(moment)),
+        "sup_field_error": float(np.max(field_error)),
+        "pointwise_sup_error": float(np.max(point)),
+        "micro_time_integral": float(np.trapezoid(micro, times)),
         "final_E_k": reports[-1].E_k,
-        "D_k_time_integral": float(np.trapezoid(
-            [r.D_k for r in reports], [r.time for r in reports])),
+        "D_k_time_integral": float(np.trapezoid([r.D_k for r in reports], times)),
     }
 
 
-def _run_batch(cfg: SweepConfig, initial: KineticState, batch: tuple, ddp_traj) -> list:
+def _run_batch(cfg: SweepConfig, initial: KineticState, batch: tuple, fluid_states) -> list:
     """Advance the runs of batch in lock-step; return their records and
     write their energy CSVs.  The reports and limit-error terms are taken
-    per sample, so no sampled state outlives its observation."""
+    per sample, against the fluid state of that sample, so no kinetic
+    state outlives its observation."""
     reports = [[] for _ in batch]
     terms = [[] for _ in batch]
-    fluid = iter(ddp_traj.states)
+    fluid = iter(fluid_states)
 
     def observer(members) -> None:
         ds = next(fluid)
@@ -300,37 +308,30 @@ def _run_batch(cfg: SweepConfig, initial: KineticState, batch: tuple, ddp_traj) 
             rep.append(energy_functionals(state, cfg.k, eps))
             term.append(limit_error(state, ds, cfg.k))
 
-    times = run(initial, cfg.template, observers=[observer],
-                sample_interval=cfg.sample_interval, epsilons=batch)
+    run(initial, cfg.template, observer, sample_interval=cfg.sample_interval, epsilons=batch)
     records = []
     for eps, rep, term in zip(batch, reports, terms):
         if cfg.out_dir is not None:
             write_reports_csv(cfg.out_dir / run_csv_name(eps), rep)
-        records.append(sweep_record(eps, rep, limit_metrics(times, term)))
+        records.append(sweep_record(eps, rep, term))
     return records
 
 
 def run_sweep(cfg: SweepConfig, progress=None) -> SweepResult:
     """Run the fluid reference and every kinetic run; assemble metrics.
 
-    progress, if given, is called as progress(epsilon, wall_seconds,
-    final_E_k) for each epsilon, in order, once its batch has finished;
-    wall_seconds is the batch's.  timings gets one entry for the batch of
-    every epsilon, run_eps_<eps>_<eps>..._s, and one per rerun epsilon.  A
-    failed run persists the partial summary (marked incomplete) and raises
-    SweepError.
+    The fluid reference runs only once the initial kinetic state is built,
+    so timings has no ddp_reference_s when that fails.  progress, if given,
+    is called as progress(epsilon, wall_seconds, final_E_k) for each
+    epsilon, in order, once its batch has finished; wall_seconds is the
+    batch's.  timings gets one entry for the batch of every epsilon,
+    run_eps_<eps>_<eps>..._s, and one per rerun epsilon.  A failed run
+    persists the partial summary (marked incomplete) and raises SweepError.
     """
     t0 = _time.perf_counter()
     timings: dict = {}
     grid = cfg.template.make_grid()
-    profile = initial_profile(cfg)
-    rho0_in = cfg.amplitude * profile(grid.nodes)
-
-    td = _time.perf_counter()
-    ddp_traj = ddp_run(grid, rho0_in, cfg.ddp_dt, cfg.template.t_final,
-                       sample_interval=cfg.sample_interval)
-    timings["ddp_reference_s"] = _time.perf_counter() - td
-
+    density = initial_density(cfg)
     per_epsilon = []
 
     def attempt(batch: tuple) -> Exception | None:
@@ -338,7 +339,7 @@ def run_sweep(cfg: SweepConfig, progress=None) -> SweepResult:
         key = "run_eps_" + "_".join(f"{eps:g}" for eps in batch) + "_s"
         tb = _time.perf_counter()
         try:
-            records = _run_batch(cfg, initial, batch, ddp_traj)
+            records = _run_batch(cfg, initial, batch, fluid_states)
         except Exception as exc:  # noqa: BLE001 - persist partial state first
             return exc
         finally:
@@ -361,13 +362,15 @@ def run_sweep(cfg: SweepConfig, progress=None) -> SweepResult:
                 return eps, exc
         return None
 
-    failed = None
     try:
-        initial = make_initial_data(grid, cfg.template.make_basis(), profile,
-                                    amplitude=cfg.amplitude)
+        initial = make_initial_data(grid, cfg.template.make_basis(), density)
     except Exception as exc:  # noqa: BLE001 - the first run fails, as it would alone
         failed = cfg.epsilons[0], exc
     else:
+        td = _time.perf_counter()
+        fluid_states = ddp_run(grid, density, cfg.ddp_dt, cfg.template.t_final,
+                               sample_interval=cfg.sample_interval)
+        timings["ddp_reference_s"] = _time.perf_counter() - td
         failed = first_failure(cfg.epsilons)
     incomplete = []
     if failed is not None:

@@ -47,7 +47,7 @@ rest: the real scratch of the field coupling's inverse transform, the
 factor set with its solve workspace, the explicit-term buffers (one for
 Euler, two alternating for BDF2) and the BDF2 history, which its advance
 keeps between samples.  Sampled states are never written to after they
-are made.  At each sample run shows every observer the tuple of member
+are made.  At each sample run shows its observer the tuple of member
 states (KineticState.members), and keeps none of them.
 """
 
@@ -92,6 +92,25 @@ class ConservationError(RuntimeError):
     """A step changed a conserved quantity beyond round-off."""
 
 
+def coerce_settings(config, floats: tuple, ints: tuple) -> None:
+    """Store the settings named in floats as float and those in ints as int
+    on the frozen dataclass config, so equal settings give equal configs,
+    hashes and config text: 1 is 1.0, and 2.0 is 2.  An int setting that is
+    not integral (NaN and the infinities included) is a ConfigurationError
+    that names it."""
+    for name in floats:
+        object.__setattr__(config, name, float(getattr(config, name)))
+    for name in ints:
+        value = getattr(config, name)
+        try:
+            integral = int(value) == value
+        except (TypeError, ValueError, OverflowError):  # not a number, NaN or infinite
+            integral = False
+        if not integral:
+            raise ConfigurationError(f"{name} must be an integer, got {value}")
+        object.__setattr__(config, name, int(value))
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Discretization and stepping parameters for one kinetic run.
@@ -108,9 +127,7 @@ class SolverConfig:
     scheme: str = "imex_bdf2"
 
     def __post_init__(self):
-        # equal settings give equal configs, hashes and config text: 1 is 1.0
-        for name in ("epsilon", "t_final", "length", "dt_max"):
-            object.__setattr__(self, name, float(getattr(self, name)))
+        coerce_settings(self, ("epsilon", "t_final", "length", "dt_max"), ("n_x", "n_v"))
         if not EPSILON_MIN <= self.epsilon <= 1.0:
             raise ConfigurationError(f"epsilon must lie in [{EPSILON_MIN:.5g}, 1], where eps^2 "
                                      f"is a normal double; got {self.epsilon}")
@@ -468,37 +485,35 @@ def step_schedule(t_final: float, sample_interval: float,
 
 
 def sample_trajectory(initial, t_final: float, schedule: tuple[int, float, int],
-                      advance, observers) -> np.ndarray:
+                      advance, observer) -> np.ndarray:
     """The sampling loop of the kinetic and the fluid run; returns the
     sample times.  schedule is the caller's step_schedule, and advance(state,
     n) takes n steps of its dt, keeping history between calls if it needs
-    to.  Each sample's time is re-stamped exactly.  Observers see every
-    sampled state, the initial one first, and keep what they choose.
+    to.  Each sample's time is re-stamped exactly.  The observer sees every
+    sampled state, the initial one first, and keeps what it chooses.
     """
     n_samples, _, steps_per_sample = schedule
     state = initial
     times = [initial.time]
-    for obs in observers:
-        obs(initial)
+    observer(initial)
     for s in range(n_samples):
         state = advance(state, steps_per_sample)
         state = replace(state, time=initial.time + (s + 1) * (t_final / n_samples))
         times.append(state.time)
-        for obs in observers:
-            obs(state)
+        observer(state)
     return np.array(times)
 
 
-def run(initial: KineticState, cfg: SolverConfig, observers=(), *,
+def run(initial: KineticState, cfg: SolverConfig, observer=lambda members: None, *,
         sample_interval: float, epsilons=None) -> np.ndarray:
     """Integrate to t_final with cfg.scheme, sampling every sample_interval;
     return the sample times.
 
     Advances one member per entry of epsilons (default (cfg.epsilon,); the
     other settings come from cfg) from the same initial state in lock-step,
-    as one batch (VpfpStepper.advance).  At each sample every observer gets
+    as one batch (VpfpStepper.advance).  At each sample the observer gets
     the tuple of member states, a 1-tuple by default; the first sample of
-    every member is initial itself.  Nothing is kept: what an observer
+    every member is initial itself.  Nothing is kept: what the observer
     needs of a sample it takes when it sees it.  initial must lie on cfg's
     grid and n_v, and every sampled state shares its grid and basis.  Every
     member steps at step_schedule's fit of cfg.dt_max.  Deterministic for a
@@ -518,9 +533,7 @@ def run(initial: KineticState, cfg: SolverConfig, observers=(), *,
     start = initial.repeated(len(batch))
 
     def observe(state: KineticState) -> None:
-        members = (initial,) * len(batch) if state is start else state.members()
-        for obs in observers:
-            obs(members)
+        observer((initial,) * len(batch) if state is start else state.members())
 
     return sample_trajectory(start, cfg.t_final, schedule,
-                             VpfpStepper(cfg, schedule[1], batch).advance, (observe,))
+                             VpfpStepper(cfg, schedule[1], batch).advance, observe)

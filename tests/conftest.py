@@ -3,11 +3,13 @@ from collections import namedtuple
 import numpy as np
 import pytest
 
-from vpfp.ddp import Trajectory
 from vpfp.solver import run
 from vpfp.spectral import HermiteBasis, SpatialGrid, SpectralField
 
 ACCEPTANCE_LINES = []
+
+# the sample times of a kinetic run and its one member's states
+Trajectory = namedtuple("Trajectory", "times states")
 
 
 def record_acceptance(number, description, ok, detail=""):
@@ -33,7 +35,7 @@ def sampled_run(initial, cfg, sample_interval):
         (state,) = members
         states.append(state)
 
-    times = run(initial, cfg, observers=(keep,), sample_interval=sample_interval)
+    times = run(initial, cfg, keep, sample_interval=sample_interval)
     return Trajectory(times=times, states=states)
 
 

@@ -176,9 +176,10 @@ def energy_components(state, k, epsilon):
     }
 
 
-def limit_error(kinetic_traj, ddp_traj, k):
+def limit_error(kinetic_traj, ddp_states, k):
     """sup-in-time moment/field errors, the time-integrated micro norm and
-    the pointwise sup error, over the full spectrum."""
+    the pointwise sup error, over the full spectrum; ddp_states holds the
+    fluid state of each kinetic sample."""
     times = np.asarray(kinetic_traj.times)
     grid = kinetic_traj.states[0].g.grid
     basis = kinetic_traj.states[0].g.basis
@@ -186,7 +187,7 @@ def limit_error(kinetic_traj, ddp_traj, k):
     m_vals = sqrt_m**2
     l2 = lambda v: float(np.sqrt(grid.cell_volume * np.sum(v**2)))  # noqa: E731
     moment, field, micro, point = [], [], [], []
-    for ks, ds in zip(kinetic_traj.states, ddp_traj.states):
+    for ks, ds in zip(kinetic_traj.states, ddp_states):
         c = full_spectrum(ks.g.coeffs, grid.n_x)
         moment.append(l2(real_field(grid, c[:, 0]) - ds.rho0))
         field.append(l2(ks.macro.grad_phi - ds.grad_phi0))

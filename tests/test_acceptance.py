@@ -119,8 +119,7 @@ def test_criterion_6_energy_dissipation():
             energies.append(0.5 * (g_sq + e_sq))
 
         # sample every step so the monotonicity check is per step
-        run(cos_state(grid, basis), cfg, observers=(observe,),
-            sample_interval=cfg.dt_max)
+        run(cos_state(grid, basis), cfg, observe, sample_interval=cfg.dt_max)
         increases = np.diff(energies)
         worst = max(worst, float(np.max(increases)) / energies[0])
         ok &= bool(np.all(increases <= 1e-8 * energies[0]))
@@ -170,9 +169,9 @@ def test_criterion_9_temporal_self_convergence(small_grid, small_basis):
         return float(np.mean(rates))
 
     rho = 0.01 * np.cos(small_grid.nodes)
-    ddp_ref = ddp_run(small_grid, rho, dt=2.5e-5, t_final=0.2, sample_interval=0.2).states[-1].rho0
+    ddp_ref = ddp_run(small_grid, rho, dt=2.5e-5, t_final=0.2, sample_interval=0.2)[-1].rho0
     ddp_errs = [np.max(np.abs(ddp_run(small_grid, rho, dt=dt, t_final=0.2,
-                                      sample_interval=0.2).states[-1].rho0 - ddp_ref))
+                                      sample_interval=0.2)[-1].rho0 - ddp_ref))
                 for dt in (2.5e-3, 1.25e-3, 6.25e-4)]
     ddp_order = float(np.mean([np.log2(ddp_errs[i] / ddp_errs[i + 1]) for i in range(2)]))
 

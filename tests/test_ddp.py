@@ -140,16 +140,16 @@ class TestSingleStep:
 class TestDecayRates:
     def test_linearized_drift_diffusion_rate(self, grid):
         # with the field on, mode k decays like e^{-(k^2 + 1) t} for small data
-        traj = ddp_run(grid, 1e-4 * np.cos(grid.nodes), dt=1e-4, t_final=1.0,
-                       sample_interval=1.0)
-        amp = np.max(np.abs(traj.states[-1].rho0))
+        states = ddp_run(grid, 1e-4 * np.cos(grid.nodes), dt=1e-4, t_final=1.0,
+                         sample_interval=1.0)
+        amp = np.max(np.abs(states[-1].rho0))
         assert amp == pytest.approx(1e-4 * np.exp(-2.0), rel=1e-2)
 
     def test_nonlinear_term_slows_nothing_down(self, grid):
         # moderate amplitude still decays monotonically in L2
-        traj = ddp_run(grid, 0.2 * np.cos(grid.nodes), dt=1e-3, t_final=0.5,
-                       sample_interval=0.05)
-        norms = [spatial_l2_norm(grid, s.rho0) for s in traj.states]
+        states = ddp_run(grid, 0.2 * np.cos(grid.nodes), dt=1e-3, t_final=0.5,
+                         sample_interval=0.05)
+        norms = [spatial_l2_norm(grid, s.rho0) for s in states]
         assert np.all(np.diff(norms) < 0.0)
 
 
@@ -192,26 +192,26 @@ class TestRunHarness:
                     sample_interval=interval)
 
     def test_interval_within_rounding_of_a_divisor(self, grid):
-        traj = ddp_run(grid, 0.01 * np.cos(grid.nodes), dt=1e-2, t_final=0.3,
-                       sample_interval=0.1 * (1.0 + 1e-12))
-        assert np.allclose(traj.times, [0.0, 0.1, 0.2, 0.3], rtol=0, atol=1e-15)
+        states = ddp_run(grid, 0.01 * np.cos(grid.nodes), dt=1e-2, t_final=0.3,
+                         sample_interval=0.1 * (1.0 + 1e-12))
+        assert np.allclose([s.time for s in states], [0.0, 0.1, 0.2, 0.3], rtol=0, atol=1e-15)
 
     def test_zero_time(self, grid):
-        traj = ddp_run(grid, 0.01 * np.cos(grid.nodes), dt=1e-3, t_final=0.0,
-                       sample_interval=0.05)
-        assert len(traj.states) == 1 and traj.states[0].time == 0.0
+        states = ddp_run(grid, 0.01 * np.cos(grid.nodes), dt=1e-3, t_final=0.0,
+                         sample_interval=0.05)
+        assert len(states) == 1 and states[0].time == 0.0
 
     def test_sample_times(self, grid):
-        traj = ddp_run(grid, 0.01 * np.cos(grid.nodes), dt=1e-3, t_final=0.1,
-                       sample_interval=0.025)
-        assert np.allclose(traj.times, np.arange(5) * 0.025, atol=1e-15)
+        states = ddp_run(grid, 0.01 * np.cos(grid.nodes), dt=1e-3, t_final=0.1,
+                         sample_interval=0.025)
+        assert np.allclose([s.time for s in states], np.arange(5) * 0.025, atol=1e-15)
 
     def test_temporal_order_about_one(self, grid):
         rho = 0.1 * np.cos(grid.nodes)
-        ref = ddp_run(grid, rho, dt=2e-5, t_final=0.2, sample_interval=0.2).states[-1].rho0
+        ref = ddp_run(grid, rho, dt=2e-5, t_final=0.2, sample_interval=0.2)[-1].rho0
         errs = []
         for dt in (2e-3, 1e-3, 5e-4):
-            got = ddp_run(grid, rho, dt=dt, t_final=0.2, sample_interval=0.2).states[-1].rho0
+            got = ddp_run(grid, rho, dt=dt, t_final=0.2, sample_interval=0.2)[-1].rho0
             errs.append(np.max(np.abs(got - ref)))
         rates = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
         assert all(0.7 < r < 1.4 for r in rates)
@@ -220,5 +220,5 @@ class TestRunHarness:
         rho = 0.05 * np.cos(grid.nodes)
         a = ddp_run(grid, rho, dt=1e-3, t_final=0.1, sample_interval=0.05)
         b = ddp_run(grid, rho, dt=1e-3, t_final=0.1, sample_interval=0.05)
-        for s, t in zip(a.states, b.states):
+        for s, t in zip(a, b, strict=True):
             assert np.array_equal(s.rho0, t.rho0)

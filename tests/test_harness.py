@@ -18,7 +18,7 @@ import pytest
 
 from vpfp.cli import EXIT_CONFIG_ERROR, EXIT_OK, EXIT_RUN_FAILURE, main
 from vpfp.ddp import ddp_run
-from vpfp.diagnostics import energy_functionals, limit_error, limit_metrics
+from vpfp.diagnostics import energy_functionals, limit_error
 from vpfp.harness import (
     _SCHEMA,
     METRIC_KEYS,
@@ -27,7 +27,7 @@ from vpfp.harness import (
     config_hash,
     default_sweep_config,
     estimate_rates_from_records,
-    initial_profile,
+    initial_density,
     load_summary,
     parse_config_file,
     run_single,
@@ -75,30 +75,29 @@ def small_ini_with(tmp_path, **settings):
 
 
 def fluid_reference(cfg):
-    grid = cfg.template.make_grid()
-    return ddp_run(grid, cfg.amplitude * initial_profile(cfg)(grid.nodes), cfg.ddp_dt,
+    return ddp_run(cfg.template.make_grid(), initial_density(cfg), cfg.ddp_dt,
                    cfg.template.t_final, sample_interval=cfg.sample_interval)
 
 
-def one_run_record(cfg, epsilon, ddp, csv_path=None):
+def one_run_record(cfg, epsilon, fluid, csv_path=None):
     """The summary record of epsilon from a run of its own, whose observer
     takes the energy report and the limit-error terms against the fluid
-    reference ddp at each sample; the energy CSV goes to csv_path if given."""
+    reference states at each sample; the energy CSV goes to csv_path if given."""
     solver_cfg = replace(cfg.template, epsilon=epsilon)
     initial = make_initial_data(solver_cfg.make_grid(), solver_cfg.make_basis(),
-                                initial_profile(cfg), amplitude=cfg.amplitude)
+                                initial_density(cfg))
     reports, terms = [], []
 
     def observe(members):
         (state,) = members
         reports.append(energy_functionals(state, cfg.k, epsilon))
-        terms.append(limit_error(state, ddp.states[len(terms)], cfg.k))
+        terms.append(limit_error(state, fluid[len(terms)], cfg.k))
 
-    times = run(initial, solver_cfg, observers=(observe,), sample_interval=cfg.sample_interval)
-    assert len(terms) == len(ddp.states)
+    run(initial, solver_cfg, observe, sample_interval=cfg.sample_interval)
+    assert len(terms) == len(fluid)
     if csv_path is not None:
         write_reports_csv(csv_path, reports)
-    return sweep_record(epsilon, reports, limit_metrics(times, terms))
+    return sweep_record(epsilon, reports, terms)
 
 
 # SMALL_INI settings at the built-in config's values
@@ -208,17 +207,25 @@ class TestSweepConfig:
             SweepConfig.from_dict(cfg)
 
     def test_int_settings_give_the_float_config(self):
-        # 1 and 1.0 compare equal, and now write the same config and hash
+        # 1 and 1.0 compare equal, and now write the same config and hash,
+        # whether the setting is a float or an int one
         def make(number):
-            template = SolverConfig(epsilon=number(1), t_final=number(1), length=number(6),
-                                    dt_max=number(1), scheme="imex_euler")
+            template = SolverConfig(epsilon=number(1), t_final=number(1), n_x=number(32),
+                                    n_v=number(16), length=number(6), dt_max=number(1),
+                                    scheme="imex_euler")
             return SweepConfig(epsilons=(number(1), 0.5), template=template, ddp_dt=number(1),
                                sample_interval=number(1), amplitude=number(1),
-                               profile_mode=1, k=1)
+                               profile_mode=number(1), k=number(1))
 
-        ints, floats = make(int), make(float)
-        assert repr(ints.as_dict()) == repr(floats.as_dict())
-        assert config_hash(ints.as_dict()) == config_hash(floats.as_dict())
+        ints = make(int)
+        for number in (float, np.int64, np.float64):
+            floats = make(number)
+            assert repr(ints.as_dict()) == repr(floats.as_dict())
+            assert config_hash(ints.as_dict()) == config_hash(floats.as_dict())
+        for cfg in (SweepConfig(profile_mode=1.0), SweepConfig(k=2.0),
+                    SweepConfig(template=SolverConfig(n_v=64.0)),
+                    SweepConfig(template=SolverConfig(n_x=64.0))):
+            assert config_hash(cfg.as_dict()) == "6840ef0e7b3cb523"
 
 
     def test_diagnostics_order(self, small_ini):
@@ -254,6 +261,11 @@ class TestSweepConfig:
         ("solver", "dt_max", 1e-320, "is too small for the sample interval"),
         ("grid", "length", float("nan"), "period must be positive and finite"),
         ("grid", "length", float("inf"), "period must be positive and finite"),
+        ("grid", "n_x", 64.5, "n_x must be an integer, got 64.5"),
+        ("grid", "n_v", float("nan"), "n_v must be an integer, got nan"),
+        ("sweep", "profile_mode", 1.5, "profile_mode must be an integer, got 1.5"),
+        ("diagnostics", "k", 2.5, "k must be an integer, got 2.5"),
+        ("diagnostics", "k", float("inf"), "k must be an integer, got inf"),
     ])
     def test_non_finite_setting_rejected(self, small_ini, section, key, value, message):
         cfg = parse_config_file(small_ini)
@@ -380,8 +392,8 @@ class TestBatchedSweep:
             runs.append(epsilons), run(*a, epsilons=epsilons, **kw))[1])
         result = run_sweep(cfg)
         assert runs == batches
-        ddp = fluid_reference(cfg)
-        records = [one_run_record(cfg, eps, ddp, tmp_path / "single" / f"run_eps_{eps:g}.csv")
+        fluid = fluid_reference(cfg)
+        records = [one_run_record(cfg, eps, fluid, tmp_path / "single" / f"run_eps_{eps:g}.csv")
                    for eps in cfg.epsilons]
         write_summary(tmp_path / "single", replace(
             result, per_epsilon=records, rates=estimate_rates_from_records(records)))
@@ -564,19 +576,30 @@ class TestFailurePersistence:
     def test_partial_results_persisted(self, small_ini, tmp_path):
         from vpfp.harness import SweepError
 
-        cfg = parse_config_file(small_ini)
-        # amplitude 2 passes the fluid reference (a warning only) but fails
-        # the kinetic positivity check, so the first kinetic run aborts
-        cfg["sweep"]["amplitude"] = 2.0
-        cfg["solver"]["t_final"] = 0.05
-        sweep_cfg = SweepConfig.from_dict(cfg, out_dir=tmp_path / "out")
-        with pytest.warns(RuntimeWarning), pytest.raises(SweepError) as info:
-            run_sweep(sweep_cfg)
-        partial = info.value.partial
-        assert partial.per_epsilon == []
-        assert partial.incomplete and partial.incomplete[0]["epsilon"] == 0.2
-        summary = load_summary(tmp_path / "out")
-        assert summary["incomplete"][0]["epsilon"] == 0.2
+        # amplitudes 2 and 1e155 fail the kinetic positivity check, so the
+        # first kinetic run aborts before the fluid reference runs, which
+        # would warn on the density and overflow at 1e155: whatever the
+        # warning filter, the sweep warns of nothing and persists its summary
+        for amplitude in (2.0, 1e155):
+            for action in ("default", "error"):
+                cfg = parse_config_file(small_ini)
+                cfg["sweep"]["amplitude"] = amplitude
+                cfg["solver"]["t_final"] = 0.05
+                out = tmp_path / f"out_{amplitude:g}_{action}"
+                sweep_cfg = SweepConfig.from_dict(cfg, out_dir=out)
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter(action, RuntimeWarning)
+                    with pytest.raises(SweepError) as info:
+                        run_sweep(sweep_cfg)
+                assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+                partial = info.value.partial
+                assert partial.per_epsilon == []
+                assert partial.incomplete and partial.incomplete[0]["epsilon"] == 0.2
+                assert partial.incomplete[0]["error"].startswith(
+                    "ValueError: reconstructed distribution is not positive")
+                assert "ddp_reference_s" not in partial.timings
+                summary = load_summary(out)
+                assert summary["incomplete"][0]["epsilon"] == 0.2
 
     @pytest.mark.parametrize("action", ["default", "error"])
     @pytest.mark.parametrize("length", ["1e20", "1e100"])
@@ -734,16 +757,25 @@ class TestCli:
         assert (tmp_path / "metrics.csv").exists()
 
     def test_failed_sweep_exit_code_and_report(self, tmp_path, capsys):
-        # amplitude 2 fails the first kinetic run (see
-        # test_partial_results_persisted); report then lists it
-        ini = small_ini_with(tmp_path, sweep__amplitude="2.0", solver__t_final="0.05")
-        out = tmp_path / "out"
-        with pytest.warns(RuntimeWarning):
-            code = main(["--config", str(ini), "--out", str(out), "sweep"])
-        assert code == EXIT_RUN_FAILURE
-        assert capsys.readouterr().out == "sweep failed: sweep aborted at epsilon = 0.2\n"
-        assert main(["--out", str(out), "report"]) == EXIT_OK
-        assert "incomplete runs: [{'epsilon': 0.2, 'error': 'ValueError: " in capsys.readouterr().out
+        # amplitudes 2 and 1e155 fail the first kinetic run (see
+        # test_partial_results_persisted) with nothing on stderr, whatever
+        # the warning filter; report then lists it
+        for amplitude in ("2.0", "1e155"):
+            for action in ("default", "error"):
+                ini = small_ini_with(tmp_path, sweep__amplitude=amplitude,
+                                     solver__t_final="0.05")
+                out = tmp_path / f"out_{amplitude}_{action}"
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter(action, RuntimeWarning)
+                    code = main(["--config", str(ini), "--out", str(out), "sweep"])
+                assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+                assert code == EXIT_RUN_FAILURE
+                captured = capsys.readouterr()
+                assert captured.out == "sweep failed: sweep aborted at epsilon = 0.2\n"
+                assert captured.err == ""
+                assert main(["--out", str(out), "report"]) == EXIT_OK
+                assert ("incomplete runs: [{'epsilon': 0.2, 'error': 'ValueError: "
+                        in capsys.readouterr().out)
 
     def test_malformed_config_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.ini"

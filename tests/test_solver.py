@@ -404,7 +404,7 @@ class TestConservationAndConsistency:
             e_sq = spatial_l2_norm(grid, state.macro.grad_phi) ** 2
             energies.append(0.5 * (g_sq + e_sq))
 
-        run(cos_initial(grid, basis), cfg, observers=(observe,), sample_interval=0.01)
+        run(cos_initial(grid, basis), cfg, observe, sample_interval=0.01)
         energies = np.asarray(energies)
         assert np.all(np.diff(energies) < 0.0)
 
@@ -504,7 +504,7 @@ class TestHalfSpectrumSteps:
 
         read_twice(state.members())
         calls.clear()
-        run(cos_initial(grid, basis, amplitude=0.05), cfg, observers=(read_twice,),
+        run(cos_initial(grid, basis, amplitude=0.05), cfg, read_twice,
             sample_interval=0.02, epsilons=epsilons)
         assert len(calls) == 1 + 2 * len(epsilons)
 
@@ -524,7 +524,7 @@ class TestBufferOwnership:
             (state,) = members
             seen.append((state, state.g.coeffs.copy()))
 
-        times = run(cos_initial(grid, basis, amplitude=0.05), cfg, observers=(keep,),
+        times = run(cos_initial(grid, basis, amplitude=0.05), cfg, keep,
                     sample_interval=interval)
         assert len(seen) == len(times)
         for state, coeffs in seen:
@@ -686,7 +686,7 @@ class TestRunHarness:
     def test_sampled_states_share_initial_grid_and_basis(self, grid, basis, scheme):
         initial = cos_initial(grid, basis)
         samples = []
-        run(initial, small_config(t_final=0.04, scheme=scheme), observers=(samples.append,),
+        run(initial, small_config(t_final=0.04, scheme=scheme), samples.append,
             sample_interval=0.02, epsilons=(0.5, 0.2))
         assert len(samples) == 3
         for members in samples:
@@ -724,7 +724,7 @@ class TestRunHarness:
         epsilons = (0.5, 0.2, 0.1)  # dt = dt_max for each
         initial = cos_initial(grid, basis, amplitude=0.05)
         samples = []
-        times = run(initial, cfg, observers=(samples.append,), sample_interval=0.02,
+        times = run(initial, cfg, samples.append, sample_interval=0.02,
                     epsilons=epsilons)
         assert len(samples[0]) == 3 and all(m is initial for m in samples[0])
         for i, eps in enumerate(epsilons):
@@ -739,7 +739,7 @@ class TestRunHarness:
         cfg = small_config(t_final=0.02)
         initial = cos_initial(grid, basis)
         samples = []
-        run(initial, cfg, observers=(samples.append,), sample_interval=0.01,
+        run(initial, cfg, samples.append, sample_interval=0.01,
             epsilons=(0.2, 0.001))
         single = sampled_run(initial, replace(cfg, epsilon=0.001), sample_interval=0.01)
         for members, state in zip(samples, single.states, strict=True):
@@ -751,12 +751,11 @@ class TestRunHarness:
                 epsilons=(0.2, 0.0))
 
     def test_observers_see_every_sample(self, grid, basis):
-        # every observer gets each sample's members, a 1-tuple by default
+        # the observer gets each sample's members, a 1-tuple by default
         cfg = small_config(t_final=0.1)
-        seen, counted = [], []
+        seen = []
         times = run(cos_initial(grid, basis), cfg,
-                    observers=(lambda members: seen.append([s.time for s in members]),
-                               counted.append),
+                    lambda members: seen.append([s.time for s in members]),
                     sample_interval=0.02)
-        assert len(seen) == len(counted) == len(times) == 6
+        assert len(seen) == len(times) == 6
         assert seen == [[t] for t in times]
