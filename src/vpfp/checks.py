@@ -22,7 +22,7 @@ from .operators import (
     spatial_l2_norm,
     x_derivative,
 )
-from .spectral import HermiteBasis, SpatialGrid, SpectralField, l2_norm
+from .spectral import HermiteBasis, SpatialGrid, SpectralField, fourier_field, l2_norm
 
 __all__ = [
     "check_collision",
@@ -112,7 +112,7 @@ def check_moments(g: SpectralField) -> tuple[bool, str]:
 
 def _random_field(rng, grid, basis) -> SpectralField:
     values = rng.standard_normal((basis.n_v, grid.n_x))
-    coeffs = np.fft.rfft(values, norm="forward")  # the half-spectrum of a real field
+    coeffs = fourier_field(values)  # the half-spectrum of a real field
     coeffs[0, 0] = 0.0  # neutral
     return SpectralField(grid, basis, coeffs)
 

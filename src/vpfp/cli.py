@@ -58,10 +58,20 @@ def _load_config(args) -> dict:
     return parse_config_file(args.config)
 
 
+def _make_out_dir(out: Path) -> None:
+    """Create the output directory once the config is valid: an --out that
+    cannot be a directory is a configuration error, raised before any run."""
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot create output directory {out}: {exc.strerror}") from exc
+
+
 def cmd_run(args) -> int:
     cfg = _load_config(args)
     say = (lambda *_: None) if args.quiet else print
     sweep_cfg = SweepConfig.from_dict(cfg, out_dir=args.out)
+    _make_out_dir(args.out)
     eps = sweep_cfg.template.epsilon
     csv_path = args.out / run_csv_name(eps)
     reports = run_single(sweep_cfg, eps, csv_path=csv_path)
@@ -72,6 +82,7 @@ def cmd_run(args) -> int:
 def cmd_sweep(args) -> int:
     cfg = _load_config(args)
     sweep_cfg = SweepConfig.from_dict(cfg, out_dir=args.out)
+    _make_out_dir(args.out)
     say = (lambda *_: None) if args.quiet else print
 
     def progress(eps: float, seconds: float, final_e_k: float) -> None:

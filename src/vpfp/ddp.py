@@ -5,10 +5,11 @@ transform stack as the kinetic solver, so kinetic-vs-fluid errors need no
 interpolation.  Diffusion is implicit through the Fourier symbol; the drift
 divergence is explicit and pseudo-spectral with 2/3-rule dealiasing.  A
 step works on the half-spectrum m = 0..n_x/2 of its real fields and makes
-two transforms: one real FFT of the density and the drift product, one
-inverse real FFT of the new density and its field d phi0/dx, all a state
-keeps.  The odd derivatives use grid.dx_symbol, 0 at the Nyquist mode.
-The symbols of a step depend only on (grid, dt) and are built once per
+two transforms, through spectral's pair: one real FFT of the density and
+the drift product, one inverse real FFT of the new density and its field
+d phi0/dx, all a state keeps.  The odd derivatives use grid.dx_symbol, 0
+at the Nyquist mode, and the 2/3 rule zeroes the drift product's modes
+from grid.n_dealiased on.  The symbols of a step depend only on (grid, dt) and are built once per
 pair; the step's checks on the new density read one min and one max of it.
 ddp_run returns the list of its sampled states, each with its time.
 """
@@ -25,7 +26,7 @@ import numpy as np
 from .operators import (check_zero_mean, potential_coeffs, require_spatial_field,
                         require_zero_mean, solve_poisson)
 from .solver import sample_trajectory, step_schedule
-from .spectral import SpatialGrid
+from .spectral import SpatialGrid, fourier_field, real_field
 
 __all__ = ["DdpState", "make_ddp_state", "ddp_step", "ddp_run"]
 
@@ -61,9 +62,10 @@ def _checked_state(time: float, rho0: np.ndarray, grad_phi0: np.ndarray,
 @lru_cache(maxsize=16)
 def _step_symbols(grid: SpatialGrid, dt: float) -> tuple[np.ndarray, ...]:
     """The symbols of ddp_step at (grid, dt), built once per pair and
-    read-only: the dealiased derivative i k * mask and the implicit divisor
-    1 + dt k^2."""
-    dealiased_ik = grid.dx_symbol * grid.dealias_mask
+    read-only: the derivative i k with the modes from n_dealiased on
+    zeroed (the 2/3 rule), and the implicit divisor 1 + dt k^2."""
+    dealiased_ik = grid.dx_symbol.copy()
+    dealiased_ik[grid.n_dealiased:] = 0.0
     implicit = 1.0 + dt * grid.k_sq
     for a in (dealiased_ik, implicit):
         a.flags.writeable = False
@@ -85,14 +87,12 @@ def ddp_step(grid: SpatialGrid, state: DdpState, dt: float) -> DdpState:
     max(1, max |rho0|), and a RuntimeWarning unless 1 + rho0 > 0.
     """
     dealiased_ik, implicit = _step_symbols(grid, dt)
-    rho_c, prod_c = np.fft.rfft(np.array([state.rho0, state.rho0 * state.grad_phi0]),
-                                norm="forward")
+    rho_c, prod_c = fourier_field(np.array([state.rho0, state.rho0 * state.grad_phi0]))
     # div((rho0 + 1) grad phi0) = div(rho0 grad phi0) + Lap phi0, and Lap phi0 = -rho0;
     # the product is dealiased by the 2/3 rule
     rhs_c = rho_c + dt * (dealiased_ik * prod_c - rho_c)
     new_c = rhs_c / implicit
-    rho0, grad_phi0 = np.fft.irfft(np.array([new_c, potential_coeffs(grid, new_c)[1]]),
-                                   n=grid.n_x, norm="forward")
+    rho0, grad_phi0 = real_field(grid, np.array([new_c, potential_coeffs(grid, new_c)[1]]))
     time = state.time + dt
     lo, hi = float(rho0.min()), float(rho0.max())
     if not (math.isfinite(lo) and math.isfinite(hi)):

@@ -12,24 +12,26 @@ conjugates too) and m = 0 and m = n_x/2 by 1 (grid.mode_weights).  A norm
 reduces each coefficient array to one squared modulus per Fourier mode,
 summed over the Hermite axis (spectral.mode_sq), and spectral.parseval_sq
 turns that vector into a Sobolev norm; only spectral knows the weights.
+An EnergyReport is one row of a run's energy CSV: its fields are the
+columns, in order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .operators import fourier_field, project_micro, real_field, spatial_l2_norm
+from .operators import potential_coeffs, project_micro, spatial_l2_norm
 from .spectral import (
     ConfigurationError,
     SpatialGrid,
     SpectralField,
+    distribution_values,
     hermite_shift_coeffs,
-    inverse_transform,
     mode_sq,
     parseval_sq,
+    real_field,
 )
 
 __all__ = [
@@ -39,47 +41,32 @@ __all__ = [
     "energy_functionals",
     "LimitTerms",
     "limit_error",
-    "CSV_COLUMNS",
 ]
 
-COMPONENT_KEYS = (
-    "g_HkxL2v_sq",
-    "gradv_micro_Hkm1_sq",
-    "ab_Hkm1_sq",
-    "micro_nu_Hk_sq",
-    "b_Hk_sq",
-    "grad_b_Hkm1_sq",
-    "grad_a_Hkm1_sq",
-    "grad_phi_Hk_sq",
-)
 
-CSV_COLUMNS = ("time", "E_k", "D_k") + COMPONENT_KEYS + ("mass_residual", "poisson_residual")
+class EnergyReport(NamedTuple):
+    """One diagnostics sample, whose fields are the energy CSV's columns.
 
-
-@dataclass
-class EnergyReport:
-    """One diagnostics sample: functional values plus a labeled breakdown.
-
-    E_k and D_k equal the sum of their component groups; the dissipation
-    components carry their 1/eps prefactors already applied.
+    E_k is the sum of the three fields after it, and D_k of the five after
+    those; the dissipation terms carry their 1/eps prefactors already.
     """
 
     time: float
     E_k: float
     D_k: float
-    components: dict
+    g_HkxL2v_sq: float
+    gradv_micro_Hkm1_sq: float
+    ab_Hkm1_sq: float
+    micro_nu_Hk_sq: float
+    b_Hk_sq: float
+    grad_b_Hkm1_sq: float
+    grad_a_Hkm1_sq: float
+    grad_phi_Hk_sq: float
     mass_residual: float
     poisson_residual: float
 
     def csv_row(self) -> str:
-        vals = [self.time, self.E_k, self.D_k]
-        vals += [self.components[key] for key in COMPONENT_KEYS]
-        vals += [self.mass_residual, self.poisson_residual]
-        return ",".join(f"{v:.17g}" for v in vals)
-
-    @staticmethod
-    def csv_header() -> str:
-        return ",".join(CSV_COLUMNS)
+        return ",".join(f"{v:.17g}" for v in self)
 
 
 # ---------------------------------------------------------------------------
@@ -161,10 +148,12 @@ def energy_functionals(state, k: int, epsilon: float) -> EnergyReport:
     is twice ||d_x b||^2_{H^{k-1}_x}.  a and b are the Hermite rows 0 and 1
     of g, and d_x b, d_x a have the symbol grid.dx_symbol; the per-mode
     squares of one d_v tower of (I-P) g, streamed one level at a time,
-    serve both micro norms.  The residuals read the state's macro fields:
-    one forward real FFT of phi and d_x phi, and one inverse FFT of the
-    Laplacian of phi, whose symbol -k^2 keeps the Nyquist mode.  A value
-    that is not finite raises FloatingPointError.
+    serve both micro norms.  The coefficients of phi and d_x phi are
+    potential_coeffs of level 0.  The Poisson residual compares the
+    inverse FFT of the Laplacian of phi, whose symbol -k^2 keeps the
+    Nyquist mode, with the density a of the state's macro fields, so it
+    measures the spectral solve k^2 (c / k^2) = c and the mean of a.  A
+    value that is not finite raises FloatingPointError.
     """
     if k < 1:
         raise ConfigurationError(f"diagnostics order k must be >= 1, got {k}")
@@ -178,7 +167,7 @@ def energy_functionals(state, k: int, epsilon: float) -> EnergyReport:
         a_sq, b_sq = level_sq[0], level_sq[1]
         dx_sq = grid.dx_symbol.imag**2
         dv_sq, v_sq = _nu_squares(project_micro(g).coeffs, k + 1)
-        phi_c, grad_phi_c = fourier_field(grid, np.array([state.macro.phi, state.macro.grad_phi]))
+        phi_c, grad_phi_c = potential_coeffs(grid, c[0])
 
         g_hk = parseval_sq(grid, level_sq.sum(axis=0), k)
         gradv_micro = sum(parseval_sq(grid, dv_sq[beta + 1], k - 1 - beta) for beta in range(k))
@@ -190,34 +179,27 @@ def energy_functionals(state, k: int, epsilon: float) -> EnergyReport:
         grad_a = parseval_sq(grid, dx_sq * a_sq, k - 1)
         grad_phi = parseval_sq(grid, mode_sq(grad_phi_c), k)
 
-        components = {
-            "g_HkxL2v_sq": g_hk,
-            "gradv_micro_Hkm1_sq": gradv_micro,
-            "ab_Hkm1_sq": ab,
-            "micro_nu_Hk_sq": micro_nu,
-            "b_Hk_sq": b_hk,
-            "grad_b_Hkm1_sq": grad_b,
-            "grad_a_Hkm1_sq": grad_a,
-            "grad_phi_Hk_sq": grad_phi,
-        }
         a = state.macro.a
-        mass_residual = float(np.abs(np.mean(a)))
         lap_phi = real_field(grid, phi_c * -grid.k_sq)
         denom = spatial_l2_norm(grid, a) or 1.0
-        poisson_residual = spatial_l2_norm(grid, lap_phi + a) / denom
-        E_k = g_hk + gradv_micro + ab
-        D_k = micro_nu + b_hk + grad_b + grad_a + grad_phi
-    if not np.all(np.isfinite([E_k, D_k, *components.values(), mass_residual,
-                               poisson_residual])):
+        report = EnergyReport(
+            time=float(state.time),
+            E_k=g_hk + gradv_micro + ab,
+            D_k=micro_nu + b_hk + grad_b + grad_a + grad_phi,
+            g_HkxL2v_sq=g_hk,
+            gradv_micro_Hkm1_sq=gradv_micro,
+            ab_Hkm1_sq=ab,
+            micro_nu_Hk_sq=micro_nu,
+            b_Hk_sq=b_hk,
+            grad_b_Hkm1_sq=grad_b,
+            grad_a_Hkm1_sq=grad_a,
+            grad_phi_Hk_sq=grad_phi,
+            mass_residual=float(np.abs(np.mean(a))),
+            poisson_residual=spatial_l2_norm(grid, lap_phi + a) / denom,
+        )
+    if not np.all(np.isfinite(report)):
         raise FloatingPointError(f"non-finite energy functional at t = {state.time:.6g}")
-    return EnergyReport(
-        time=float(state.time),
-        E_k=E_k,
-        D_k=D_k,
-        components=components,
-        mass_residual=mass_residual,
-        poisson_residual=poisson_residual,
-    )
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -249,15 +231,12 @@ def limit_error(kinetic_state, ddp_state, k: int) -> LimitTerms:
         )
     g = kinetic_state.g
     grid = g.grid
-    sqrt_m = g.basis.maxwellian_sqrt()
-    m_vals = sqrt_m**2
     micro_c = g.coeffs.copy()
     micro_c[0] = 0.0  # (I - P0) g
-    f_vals = m_vals[None, :] + inverse_transform(g) * sqrt_m[None, :]
-    f_lim = (1.0 + ddp_state.rho0)[:, None] * m_vals[None, :]
+    f_lim = (1.0 + ddp_state.rho0)[:, None] * g.basis.maxwellian_sqrt()**2
     return LimitTerms(
         moment_error=spatial_l2_norm(grid, kinetic_state.macro.a - ddp_state.rho0),
         field_error=spatial_l2_norm(grid, kinetic_state.macro.grad_phi - ddp_state.grad_phi0),
         micro_sq=_mixed_sq(grid, micro_c, k),
-        pointwise_error=float(np.max(np.abs(f_vals - f_lim))),
+        pointwise_error=float(np.max(np.abs(distribution_values(g) - f_lim))),
     )

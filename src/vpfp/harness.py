@@ -270,7 +270,7 @@ def run_single(cfg: SweepConfig, epsilon: float,
 
 def write_reports_csv(path: Path, reports) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [EnergyReport.csv_header()]
+    lines = [",".join(EnergyReport._fields)]
     lines += [r.csv_row() for r in reports]
     path.write_text("\n".join(lines) + "\n")
 

@@ -6,12 +6,13 @@ keeps the first two Hermite levels (density a and momentum b), and the
 electrostatic potential solves -phi'' = a spectrally on the torus.
 
 The perturbation g is a spectral.SpectralField: a real field stored as
-a Hermite-major half-spectrum, shape (n_v, n_x/2 + 1).  The operators read and return only the modes
-m = 0..n_x/2, and every transform is a real FFT (rfft/irfft) along
-the contiguous last axis, batching the rows that share a transform.
-Spatial fields are real arrays of shape (n_x,); their coefficients are
-half-spectra of shape (n_x/2 + 1,).  Odd x-derivatives use grid.dx_symbol,
-which is 0 at the Nyquist mode.
+a Hermite-major half-spectrum, shape (n_v, n_x/2 + 1).  The operators
+read and return only the modes m = 0..n_x/2, and every transform is
+spectral's fourier_field or real_field along the contiguous last axis,
+batching the rows that share a transform.  Spatial fields are real arrays
+of shape (n_x,); their coefficients are half-spectra of shape
+(n_x/2 + 1,).  Odd x-derivatives use grid.dx_symbol, which is 0 at the
+Nyquist mode.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .spectral import ConfigurationError, SpatialGrid, SpectralField
+from .spectral import ConfigurationError, SpatialGrid, SpectralField, fourier_field, real_field
 
 __all__ = [
     "MacroFields",
@@ -34,8 +35,6 @@ __all__ = [
     "solve_poisson",
     "potential_coeffs",
     "vpfp_rhs",
-    "real_field",
-    "fourier_field",
     "x_derivative",
     "spatial_l2_norm",
     "require_spatial_field",
@@ -60,24 +59,11 @@ class MacroFields:
 
 
 # ---------------------------------------------------------------------------
-# spatial-field helpers (real grid functions <-> Fourier coefficients)
-
-def fourier_field(grid: SpatialGrid, values: np.ndarray,
-                  out: np.ndarray | None = None) -> np.ndarray:
-    """Real spatial field(s) along the last axis -> normalized half-spectrum,
-    written into out when given."""
-    return np.fft.rfft(np.asarray(values, dtype=float), norm="forward", out=out)
-
-
-def real_field(grid: SpatialGrid, coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Normalized half-spectrum (last axis) -> real spatial field(s), written
-    into out when given."""
-    return np.fft.irfft(coeffs, n=grid.n_x, norm="forward", out=out)
-
+# spatial-field helpers
 
 def x_derivative(grid: SpatialGrid, values: np.ndarray) -> np.ndarray:
     """Spectral d/dx of a real spatial field of shape (n_x,)."""
-    return real_field(grid, fourier_field(grid, values) * grid.dx_symbol)
+    return real_field(grid, fourier_field(values) * grid.dx_symbol)
 
 
 def require_spatial_field(grid: SpatialGrid, values, what: str) -> None:
@@ -160,7 +146,7 @@ def solve_poisson(grid: SpatialGrid, a: np.ndarray) -> tuple[np.ndarray, np.ndar
     """
     a = np.asarray(a, dtype=float)
     require_zero_mean(a, "Poisson right-hand side")
-    return tuple(real_field(grid, np.array(potential_coeffs(grid, fourier_field(grid, a)))))
+    return tuple(real_field(grid, np.array(potential_coeffs(grid, fourier_field(a)))))
 
 
 def potential_coeffs(grid: SpatialGrid, density_c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -236,7 +222,7 @@ def vpfp_rhs(g: SpectralField, epsilon, out: np.ndarray | None = None,
     # nonlinear coupling: row n + 1 is -sqrt(n + 1)/eps times the product of row n
     phys = real_field(grid, c[:-1], out=scratch)
     phys *= dphi
-    fourier_field(grid, phys, out=rhs[1:])
+    fourier_field(phys, out=rhs[1:])
     # whole rows through the float64 view: a strided or complex-typed
     # operand would make NumPy allocate iteration buffers
     rhs[1:].view(np.float64)[...] *= row_scale

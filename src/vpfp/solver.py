@@ -66,7 +66,8 @@ from .spectral import (
     HermiteBasis,
     SpatialGrid,
     SpectralField,
-    inverse_transform,
+    distribution_values,
+    fourier_field,
 )
 
 __all__ = [
@@ -211,7 +212,7 @@ def make_initial_data(grid: SpatialGrid, basis: HermiteBasis, rho_profile,
     a = a - require_zero_mean(a, "density profile")  # remove rounding-level residual
 
     coeffs = np.zeros((basis.n_v, grid.n_half), dtype=complex)
-    coeffs[0] = np.fft.rfft(a, norm="forward")
+    coeffs[0] = fourier_field(a)
     coeffs[0, 0] = 0.0  # neutrality: exact zero mean
     if micro_perturbation is not None:
         mc = micro_perturbation.coeffs
@@ -227,10 +228,7 @@ def make_initial_data(grid: SpatialGrid, basis: HermiteBasis, rho_profile,
         coeffs = coeffs + mc
 
     g = SpectralField(grid, basis, coeffs)
-    g_vals = inverse_transform(g)
-    sqrt_m = basis.maxwellian_sqrt()
-    f_vals = sqrt_m**2 + g_vals * sqrt_m
-    f_min = float(np.min(f_vals))
+    f_min = float(np.min(distribution_values(g)))
     if not f_min > 0.0:
         raise ValueError(f"reconstructed distribution is not positive; minimum value {f_min:.3e}")
 

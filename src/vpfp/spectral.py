@@ -19,6 +19,8 @@ formed; rows m = 0 and m = n_x/2 of a real field are real.  Coefficient
 tensors are Hermite-major, shape (n_v, n_x/2 + 1) and C-contiguous, so
 each Hermite level is one contiguous row of Fourier modes, the Hermite
 recurrences act on whole rows and every FFT runs along the last axis.
+fourier_field and real_field are the one pair of transforms between point
+values and this layout; every transform of the package goes through them.
 Odd-order x-derivatives use the wavenumber 0 at the Nyquist mode, where a
 real field has no representable sine; that keeps its row real.
 """
@@ -38,7 +40,10 @@ __all__ = [
     "SpatialGrid",
     "HermiteBasis",
     "SpectralField",
+    "fourier_field",
+    "real_field",
     "inverse_transform",
+    "distribution_values",
     "hermite_shift_coeffs",
     "mode_sq",
     "sobolev_weights",
@@ -140,11 +145,6 @@ class SpatialGrid:
     def n_dealiased(self) -> int:
         """Number of modes m = 0..n_x//3 that the 2/3 rule keeps."""
         return self.n_x // 3 + 1
-
-    @cached_property
-    def dealias_mask(self) -> np.ndarray:
-        """2/3-rule mask over m = 0..n_x/2: true on the first n_dealiased modes."""
-        return np.arange(self.n_half) < self.n_dealiased
 
     @cached_property
     def mode_weights(self) -> np.ndarray:
@@ -288,11 +288,29 @@ class SpectralField:
         return SpectralField(self.grid, self.basis, coeffs)
 
 
+def fourier_field(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Real spatial field(s) along the last axis -> normalized half-spectrum,
+    written into out when given."""
+    return np.fft.rfft(np.asarray(values, dtype=float), norm="forward", out=out)
+
+
+def real_field(grid: SpatialGrid, coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Normalized half-spectrum (last axis) -> real spatial field(s), written
+    into out when given."""
+    return np.fft.irfft(coeffs, n=grid.n_x, norm="forward", out=out)
+
+
 def inverse_transform(f: SpectralField) -> np.ndarray:
     """Coefficients -> real point values on the x nodes x velocity nodes,
     shape (n_x, 2 n_v)."""
-    levels = np.fft.irfft(f.coeffs, n=f.grid.n_x, norm="forward")
-    return levels.T @ f.basis.synthesis.T
+    return real_field(f.grid, f.coeffs).T @ f.basis.synthesis.T
+
+
+def distribution_values(g: SpectralField) -> np.ndarray:
+    """The distribution f = M + g sqrt(M) of the perturbation g at the x
+    nodes x velocity nodes, shape (n_x, 2 n_v)."""
+    sqrt_m = g.basis.maxwellian_sqrt()
+    return sqrt_m**2 + inverse_transform(g) * sqrt_m
 
 
 def hermite_shift_coeffs(coeffs: np.ndarray, kind: str) -> np.ndarray:

@@ -23,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from vpfp import operators
+from vpfp import operators, spectral
 from vpfp.ddp import DdpState
 from vpfp.spectral import SpectralField, _hermite_rows, hermite_shift_coeffs
 
@@ -206,7 +206,8 @@ def limit_error(kinetic_traj, ddp_states, k):
 
 # ---------------------------------------------------------------------------
 # the moment hierarchy of the kinetic system, on the package's half-spectrum
-# helpers (operators.*) and this module's full-spectrum dealiased_product
+# helpers (operators.*, spectral.real_field) and this module's full-spectrum
+# dealiased_product
 
 def gamma_moment(g):
     """Stress-type moment Gamma[g](x) = int g (v^2 - 1) sqrt(M) dv.
@@ -214,7 +215,7 @@ def gamma_moment(g):
     This is sqrt(2) times the Hermite-2 coefficient slice, since
     (v^2 - 1) sqrt(M) = sqrt(2) psi_2.
     """
-    return operators.real_field(g.grid, np.sqrt(2.0) * g.coeffs[2])
+    return spectral.real_field(g.grid, np.sqrt(2.0) * g.coeffs[2])
 
 
 def moment_residuals(states, epsilon):
@@ -289,7 +290,7 @@ def ddp_step_reference(grid, state, dt):
     ik = grid.dx_symbol
     rho_c, prod_c = np.fft.rfft(np.array([state.rho0, state.rho0 * state.grad_phi0]),
                                 norm="forward")
-    rhs_c = rho_c + dt * (ik * grid.dealias_mask * prod_c - rho_c)
+    rhs_c = rho_c + dt * (ik * dealias_mask(grid)[: grid.n_half] * prod_c - rho_c)
     new_c = rhs_c / (1.0 + dt * grid.k_sq)
     phi_c = new_c * grid.inverse_laplacian
     rho0, _, grad_phi0 = np.fft.irfft(np.array([new_c, phi_c, ik * phi_c]),

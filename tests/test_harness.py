@@ -513,7 +513,7 @@ class TestLargeBasis:
             record = one_run_record(cfg, 0.2, fluid_reference(cfg), tmp_path / "ref.csv")
         # a step raises on a non-finite state, so the run reached t = 0.25
         assert reports[-1].time == pytest.approx(0.25)
-        assert all(np.isfinite([r.E_k, r.D_k, *r.components.values()]).all() for r in reports)
+        assert all(np.isfinite(r).all() for r in reports)
         assert np.all(np.isfinite([record[key] for key in METRIC_KEYS]))
         assert (tmp_path / "run.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
@@ -900,6 +900,27 @@ class TestCli:
         assert code == EXIT_CONFIG_ERROR
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()  # nothing ran
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "path_under_file"])
+    def test_out_that_cannot_be_a_directory(self, small_ini, tmp_path, capsys, monkeypatch,
+                                            command, below):
+        # --out is made once the config is valid, so a file in its place
+        # fails before any run instead of when the first output is written
+        from vpfp import harness
+
+        calls = []
+        monkeypatch.setattr(harness, "run", lambda *args, **kwargs: calls.append(args))
+        blocker = tmp_path / "outfile"
+        blocker.touch()
+        out = blocker / "sub" if below else blocker
+        code = main(["--config", str(small_ini), "--out", str(out), "--quiet", command])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG_ERROR
+        assert err.count("\n") == 1 and err.startswith("configuration error: ")
+        assert str(out) in err
+        assert calls == []
+        assert blocker.is_file()
 
     def test_arithmetic_error_is_run_failure(self, small_ini, tmp_path, capsys, monkeypatch):
         from vpfp import cli
