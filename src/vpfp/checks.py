@@ -1,7 +1,7 @@
 """Operator-level acceptance checks, shared by `vpfp check` and the tests.
 
 Each check returns (ok, detail): whether the property holds, and the
-measured figure to print beside it.  The random inputs come in as
+measured figure that the CLI prints.  The random inputs come in as
 arguments, so `vpfp check` (run_battery, with its own seeded draws) and
 the operator-level acceptance criteria of the test suite run the same
 checks on their own fields; the criteria add their independent oracles.
@@ -117,15 +117,15 @@ def _random_field(rng, grid, basis) -> SpectralField:
     return SpectralField(grid, basis, coeffs)
 
 
-def run_battery(seed: int = 0, quiet: bool = False, n_random: int = 100) -> bool:
-    """Run every check on a 32 x 16 discretization with n_random seeded
-    random inputs each; print one PASS/FAIL line per check unless quiet."""
+def run_battery(seed: int = 0) -> list[tuple[str, bool, str]]:
+    """Run every check on a 32 x 16 discretization with 100 seeded random
+    inputs each; return (name, ok, detail) per check, in order."""
     rng = np.random.default_rng(seed)
     grid = SpatialGrid(n_x=32)
     basis = HermiteBasis(n_v=16)
 
     def fields():
-        return [_random_field(rng, grid, basis) for _ in range(n_random)]
+        return [_random_field(rng, grid, basis) for _ in range(100)]
 
     battery = (
         ("collision operator: fixes v sqrt(M), eigenvalue n on level n",
@@ -134,15 +134,8 @@ def run_battery(seed: int = 0, quiet: bool = False, n_random: int = 100) -> bool
         ("coercivity: <Lg, g> >= ||(I-P)g||^2 + ||b||^2, C0 > 0",
          lambda: check_coercivity(fields())),
         ("poisson: eigenfunction solves exact, Poincare inequality",
-         lambda: check_poisson(grid, rng.standard_normal((n_random, grid.n_x)))),
+         lambda: check_poisson(grid, rng.standard_normal((100, grid.n_x)))),
         ("moments, field and nu-norm evaluate finite",
          lambda: check_moments(_random_field(rng, grid, basis))),
     )
-    all_ok = True
-    for name, check in battery:
-        ok, detail = check()
-        all_ok &= ok
-        if not quiet:
-            status = "PASS" if ok else "FAIL"
-            print(f"{status} {name}" + (f"  ({detail})" if detail else ""))
-    return all_ok
+    return [(name, *check()) for name, check in battery]

@@ -2,12 +2,14 @@
 
 Exit codes: 0 success, 1 run or self-test failure, 2 configuration error.
 A run failure (a ValueError, RuntimeError or ArithmeticError, such as an
-OverflowError or FloatingPointError) is one line on stderr.
+OverflowError or FloatingPointError) is one line on stderr.  Only this
+module prints, and every command writes its files before it says a line.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -38,12 +40,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", type=Path, help="config file (INI sections)")
     parser.add_argument("--out", type=Path, default=Path("out"), help="output directory")
     parser.add_argument("--seed", type=int, default=0, help="seed for random test fields")
-    parser.add_argument("--quiet", action="store_true", help="suppress progress output")
+    parser.add_argument("--quiet", action="store_true", help="suppress output")
     # --quiet is also accepted after the command; SUPPRESS keeps the value
     # given before it when it is not repeated
     quiet = argparse.ArgumentParser(add_help=False)
     quiet.add_argument("--quiet", action="store_true", default=argparse.SUPPRESS,
-                       help="suppress progress output")
+                       help="suppress output")
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("run", parents=[quiet], help="single kinetic run from config")
     sub.add_parser("sweep", parents=[quiet], help="full epsilon sweep")
@@ -67,9 +69,18 @@ def _make_out_dir(out: Path) -> None:
         raise ConfigurationError(f"cannot create output directory {out}: {exc.strerror}") from exc
 
 
-def cmd_run(args) -> int:
+def say(line: str) -> None:
+    """Print line, flushed; once stdout's reader has gone, drop the rest."""
+    try:
+        print(line, flush=True)
+    except BrokenPipeError:
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
+
+
+def cmd_run(args, say) -> int:
     cfg = _load_config(args)
-    say = (lambda *_: None) if args.quiet else print
     sweep_cfg = SweepConfig.from_dict(cfg, out_dir=args.out)
     _make_out_dir(args.out)
     eps = sweep_cfg.template.epsilon
@@ -79,35 +90,41 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args, say) -> int:
     cfg = _load_config(args)
     sweep_cfg = SweepConfig.from_dict(cfg, out_dir=args.out)
     _make_out_dir(args.out)
-    say = (lambda *_: None) if args.quiet else print
-
-    def progress(eps: float, seconds: float, final_e_k: float) -> None:
-        print(f"eps = {eps:g}: batch done in {seconds:.2f} s, final E_k = {final_e_k:.6e}",
-              flush=True)
-
     try:
-        result = run_sweep(sweep_cfg, progress=None if args.quiet else progress)
+        result, failure = run_sweep(sweep_cfg), None
     except SweepError as exc:
-        say(f"sweep failed: {exc}")
+        result, failure = exc.partial, exc
+    for rec in result.per_epsilon:
+        say(f"eps = {rec['epsilon']:g}: final E_k = {rec['final_E_k']:.6e}")
+    if failure is not None:
+        say(f"sweep failed: {failure}")
         return EXIT_RUN_FAILURE
-    say(f"sweep complete: {len(result.per_epsilon)} runs, summary at {args.out}/summary.json")
+    say(f"sweep complete: {len(result.per_epsilon)} runs in {result.timings['total_s']:.2f} s, "
+        f"summary at {args.out}/summary.json")
     return EXIT_OK
 
 
-def cmd_check(args) -> int:
-    ok = checks.run_battery(seed=args.seed, quiet=args.quiet)
-    return EXIT_OK if ok else EXIT_RUN_FAILURE
+def cmd_check(args, say) -> int:
+    results = checks.run_battery(seed=args.seed)
+    for name, ok, detail in results:
+        say(f"{'PASS' if ok else 'FAIL'} {name}" + (f"  ({detail})" if detail else ""))
+    return EXIT_OK if all(ok for _, ok, _ in results) else EXIT_RUN_FAILURE
 
 
-def cmd_report(args) -> int:
+def cmd_report(args, say) -> int:
     summary = load_summary(args.out)
-    say = (lambda *_: None) if args.quiet else print
-    say(f"sweep {summary['config_hash']}")
     header = ["epsilon"] + list(METRIC_KEYS)
+    csv_path = Path(args.out) / "metrics.csv"
+    lines = [",".join(header)]
+    for rec in summary["per_epsilon"]:
+        lines.append(",".join([f"{rec['epsilon']:.17g}"]
+                              + [f"{rec[key]:.17g}" for key in METRIC_KEYS]))
+    csv_path.write_text("\n".join(lines) + "\n")
+    say(f"sweep {summary['config_hash']}")
     say("  ".join(f"{h:>22}" for h in header))
     for rec in summary["per_epsilon"]:
         row = [f"{rec['epsilon']:>22g}"] + [f"{rec[key]:>22.6e}" for key in METRIC_KEYS]
@@ -118,12 +135,6 @@ def cmd_report(args) -> int:
         say(f"  {key}: {pretty}")
     if summary.get("incomplete"):
         say(f"incomplete runs: {summary['incomplete']}")
-    csv_path = Path(args.out) / "metrics.csv"
-    lines = [",".join(header)]
-    for rec in summary["per_epsilon"]:
-        lines.append(",".join([f"{rec['epsilon']:.17g}"]
-                              + [f"{rec[key]:.17g}" for key in METRIC_KEYS]))
-    csv_path.write_text("\n".join(lines) + "\n")
     say(f"metrics CSV at {csv_path}")
     return EXIT_OK
 
@@ -137,7 +148,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     handlers = {"run": cmd_run, "sweep": cmd_sweep, "check": cmd_check, "report": cmd_report}
     try:
-        return handlers[args.command](args)
+        return handlers[args.command](args, (lambda line: None) if args.quiet else say)
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR

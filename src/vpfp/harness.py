@@ -13,7 +13,7 @@ one after another.  The per-run records reduce to empirical convergence
 rates.  All outputs (per-run CSV time series and the JSON summary) are
 deterministic for a fixed config and equal to those of one run_single per
 epsilon; wall-clock timings go to a separate file so the summary stays
-byte-stable.
+byte-stable.  Nothing here prints: run_sweep returns its results.
 """
 
 from __future__ import annotations
@@ -91,10 +91,12 @@ def parse_config_file(path) -> dict:
     # unknown section like any other instead of keys that leak everywhere
     parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
-        with path.open() as fh:
+        with path.open(encoding="utf-8") as fh:
             parser.read_file(fh)
     except OSError as exc:  # a directory, say, which ConfigParser.read would skip
         raise ConfigurationError(f"cannot read config file {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"config file {path} is not UTF-8: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigurationError(f"malformed config file: {exc}") from exc
     cfg = default_sweep_config()
@@ -317,16 +319,15 @@ def _run_batch(cfg: SweepConfig, initial: KineticState, batch: tuple, fluid_stat
     return records
 
 
-def run_sweep(cfg: SweepConfig, progress=None) -> SweepResult:
+def run_sweep(cfg: SweepConfig) -> SweepResult:
     """Run the fluid reference and every kinetic run; assemble metrics.
 
     The fluid reference runs only once the initial kinetic state is built,
-    so timings has no ddp_reference_s when that fails.  progress, if given,
-    is called as progress(epsilon, wall_seconds, final_E_k) for each
-    epsilon, in order, once its batch has finished; wall_seconds is the
-    batch's.  timings gets one entry for the batch of every epsilon,
-    run_eps_<eps>_<eps>..._s, and one per rerun epsilon.  A failed run
-    persists the partial summary (marked incomplete) and raises SweepError.
+    so timings has no ddp_reference_s when that fails.  timings gets one
+    entry for the batch of every epsilon, run_eps_<eps>_<eps>..._s, and
+    one per rerun epsilon.  Nothing is printed: the result holds every
+    record.  A failed run persists the partial summary (marked incomplete)
+    and raises SweepError, which carries it.
     """
     t0 = _time.perf_counter()
     timings: dict = {}
@@ -335,7 +336,7 @@ def run_sweep(cfg: SweepConfig, progress=None) -> SweepResult:
     per_epsilon = []
 
     def attempt(batch: tuple) -> Exception | None:
-        """Run batch and report its epsilons; return what it raised."""
+        """Run batch and keep its records; return what it raised."""
         key = "run_eps_" + "_".join(f"{eps:g}" for eps in batch) + "_s"
         tb = _time.perf_counter()
         try:
@@ -345,9 +346,6 @@ def run_sweep(cfg: SweepConfig, progress=None) -> SweepResult:
         finally:
             timings[key] = _time.perf_counter() - tb
         per_epsilon.extend(records)
-        if progress is not None:
-            for rec in records:
-                progress(rec["epsilon"], timings[key], rec["final_E_k"])
         return None
 
     def first_failure(batch: tuple) -> tuple | None:

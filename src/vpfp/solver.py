@@ -443,17 +443,19 @@ def step_schedule(t_final: float, sample_interval: float,
                   dt_max: float) -> tuple[int, float, int]:
     """(samples, dt, steps per sample) of a run to t_final, kinetic or fluid.
 
-    Samples land on exact multiples of sample_interval, which must be
-    positive, at most t_final and divide it into a whole number of
+    dt_max and sample_interval must be positive and finite, whatever
+    t_final.  Samples land on exact multiples of sample_interval, which
+    must be at most t_final and divide it into a whole number of
     intervals (to SAMPLE_RATIO_RTOL relative); dt is the largest step
     <= dt_max that divides one interval.  t_final = 0 gives (0, 0.0,
     0).  Anything else, NaN and a step count that overflows included,
     raises ConfigurationError instead of being silently rounded.
     """
-    if not dt_max > 0:
-        raise ConfigurationError(f"time step must be positive, got {dt_max}")
-    if not sample_interval > 0:
-        raise ConfigurationError(f"sample_interval must be positive, got {sample_interval}")
+    if not 0 < dt_max < math.inf:
+        raise ConfigurationError(f"time step must be positive and finite, got {dt_max}")
+    if not 0 < sample_interval < math.inf:
+        raise ConfigurationError(
+            f"sample_interval must be positive and finite, got {sample_interval}")
     if t_final == 0.0:
         return 0, 0.0, 0
     ratio = t_final / sample_interval

@@ -176,6 +176,8 @@ class TestRunHarness:
         (0.0, 0.05, "time step must be positive"),
         (-1.0, 0.05, "time step must be positive"),
         (1e-3, 0.0, "sample_interval must be positive"),
+        (np.inf, 0.05, "time step must be positive and finite, got inf"),
+        (1e-3, np.inf, "sample_interval must be positive and finite, got inf"),
     ])
     def test_nonpositive_steps_rejected(self, grid, dt, interval, message):
         with pytest.raises(ConfigurationError, match=message):

@@ -255,6 +255,9 @@ class TestSweepConfig:
         ("sweep", "amplitude", float("inf"), "amplitude must be finite"),
         ("sweep", "ddp_dt", float("nan"), "time step must be positive"),
         ("sweep", "sample_interval", float("nan"), "sample_interval must be positive"),
+        ("sweep", "ddp_dt", float("inf"), "time step must be positive and finite, got inf"),
+        ("sweep", "sample_interval", float("inf"),
+         "sample_interval must be positive and finite, got inf"),
         ("solver", "t_final", float("nan"), "t_final must be finite"),
         ("solver", "t_final", float("inf"), "t_final must be finite"),
         ("solver", "dt_max", float("nan"), "dt_max must be positive"),
@@ -272,6 +275,12 @@ class TestSweepConfig:
         cfg[section][key] = value
         with pytest.raises(ConfigurationError, match=message):
             SweepConfig.from_dict(cfg)
+
+    def test_infinite_sample_interval_rejected_at_zero_time(self):
+        # a run to t = 0 takes no step, but its settings obey the same rule
+        with pytest.raises(ConfigurationError,
+                           match="sample_interval must be positive and finite, got inf"):
+            SweepConfig(sample_interval=float("inf"), template=SolverConfig(t_final=0.0))
 
 
 class TestRateArithmetic:
@@ -572,6 +581,53 @@ class TestImportFootprint:
         assert digest == "6840ef0e7b3cb523"
 
 
+def run_with_closed_stdout(args: list, unbuffered: bool) -> tuple[int, str]:
+    """Exit code and stderr of `python -m vpfp.cli *args` whose stdout is a
+    pipe with its read end closed before the child starts."""
+    import vpfp
+
+    env = {**os.environ, "PYTHONPATH": str(Path(vpfp.__file__).parents[1])}
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "vpfp.cli", *args], stdout=write_end,
+                              stderr=subprocess.PIPE, text=True, env=env)
+    finally:
+        os.close(write_end)
+    return proc.returncode, proc.stderr
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("case, code, files", [
+        ("run", EXIT_OK, ["run_eps_0.1.csv"]),
+        ("sweep", EXIT_OK, ["run_eps_0.2.csv", "run_eps_0.1.csv", "summary.json"]),
+        ("report", EXIT_OK, ["metrics.csv"]),
+        ("check", EXIT_OK, []),
+        ("failing_sweep", EXIT_RUN_FAILURE, ["summary.json"]),
+    ], ids=["run", "sweep", "report", "check", "failing_sweep"])
+    def test_command_writes_its_files_and_exit_code(self, small_ini, sweep_outputs, tmp_path,
+                                                     case, code, files, unbuffered):
+        # a reader that has gone drops the rest of the output, with no
+        # traceback; the command has written its files and keeps its code
+        out = tmp_path / "out"
+        ini = small_ini
+        if case == "report":
+            out.mkdir()
+            (out / "summary.json").write_bytes((sweep_outputs[2] / "summary.json").read_bytes())
+        if case == "failing_sweep":
+            # amplitude 2 fails the first kinetic run (see test_partial_results_persisted)
+            ini = small_ini_with(tmp_path, sweep__amplitude="2.0", solver__t_final="0.05")
+        command = case.split("_")[-1]
+        args = ["--config", str(ini), "--out", str(out), command]
+        assert run_with_closed_stdout(args, unbuffered) == (code, "")
+        for name in files:
+            assert (out / name).is_file()
+
+
 class TestFailurePersistence:
     def test_partial_results_persisted(self, small_ini, tmp_path):
         from vpfp.harness import SweepError
@@ -692,8 +748,8 @@ class TestCli:
         assert capsys.readouterr().out == ""
         assert (loud / "summary.json").read_bytes() == (quiet / "summary.json").read_bytes()
 
-    def test_progress_reported_as_each_batch_finishes(self, tmp_path, monkeypatch):
-        # one event per epsilon, in epsilon order, once its batch has run
+    def test_sweep_runs_its_epsilons_as_one_batch(self, tmp_path, monkeypatch):
+        # one solver.run call steps every epsilon, and timings has its one key
         from vpfp import harness
 
         events = []
@@ -707,12 +763,21 @@ class TestCli:
         monkeypatch.setattr(harness, "run", traced_run)
         ini = small_ini_with(tmp_path, **THREE_EPS)
         cfg = SweepConfig.from_dict(parse_config_file(ini))
-        result = run_sweep(cfg, progress=lambda eps, s, e_k: events.append(("done", eps, e_k)))
-        final = [rec["final_E_k"] for rec in result.per_epsilon]
-        assert events == [("ran", (0.2, 0.1, 0.05)), ("done", 0.2, final[0]),
-                          ("done", 0.1, final[1]), ("done", 0.05, final[2])]
+        result = run_sweep(cfg)
+        assert events == [("ran", (0.2, 0.1, 0.05))]
         assert {key for key in result.timings if key.startswith("run_eps_")} == {
             "run_eps_0.2_0.1_0.05_s"}
+
+    def test_library_prints_nothing(self, small_ini, capsys):
+        # the battery and the sweep return their results; only vpfp.cli prints
+        from vpfp import checks
+
+        results = checks.run_battery(seed=0)
+        assert len(results) == 5
+        for name, ok, detail in results:
+            assert isinstance(name, str) and ok is True and isinstance(detail, str)
+        run_sweep(SweepConfig.from_dict(parse_config_file(small_ini)))
+        assert capsys.readouterr().out == ""
 
     def test_run_vpfp(self, small_ini, tmp_path):
         code = main(["--config", str(small_ini), "--out", str(tmp_path), "--quiet", "run"])
@@ -783,6 +848,16 @@ class TestCli:
         code = main(["--config", str(bad), "--out", str(tmp_path / "out"), "--quiet", "run"])
         assert code == EXIT_CONFIG_ERROR
         assert "malformed config file" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_config_file_not_utf8_is_config_error(self, tmp_path, capsys):
+        bad = tmp_path / "latin.ini"
+        bad.write_bytes(b"[grid]\nn_x = 3\xff2\n")
+        code = main(["--config", str(bad), "--out", str(tmp_path / "out"), "--quiet", "run"])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG_ERROR
+        assert err.count("\n") == 1
+        assert err.startswith(f"configuration error: config file {bad} is not UTF-8: ")
         assert not (tmp_path / "out").exists()
 
     def test_config_error_exit_code(self, tmp_path):
