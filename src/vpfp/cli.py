@@ -1,9 +1,10 @@
-"""Command-line interface: run, sweep, check, report.
+"""Command-line interface: run, sweep, report.
 
-Exit codes: 0 success, 1 run or self-test failure, 2 configuration error.
-A run failure (a ValueError, RuntimeError or ArithmeticError, such as an
+Exit codes: 0 success, 1 run failure, 2 configuration error.  A run
+failure (a ValueError, RuntimeError or ArithmeticError, such as an
 OverflowError or FloatingPointError) is one line on stderr.  Only this
-module prints, and every command writes its files before it says a line.
+module prints, and every command writes its files before it says a line;
+a stream whose reader has gone changes no exit code.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import os
 import sys
 from pathlib import Path
 
-from . import checks
 from .harness import (
     METRIC_KEYS,
     SweepConfig,
@@ -39,7 +39,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", type=Path, help="config file (INI sections)")
     parser.add_argument("--out", type=Path, default=Path("out"), help="output directory")
-    parser.add_argument("--seed", type=int, default=0, help="seed for random test fields")
     parser.add_argument("--quiet", action="store_true", help="suppress output")
     # --quiet is also accepted after the command; SUPPRESS keeps the value
     # given before it when it is not repeated
@@ -49,7 +48,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("run", parents=[quiet], help="single kinetic run from config")
     sub.add_parser("sweep", parents=[quiet], help="full epsilon sweep")
-    sub.add_parser("check", parents=[quiet], help="operator-level acceptance checks")
     sub.add_parser("report", parents=[quiet], help="render a sweep summary")
     return parser
 
@@ -69,13 +67,15 @@ def _make_out_dir(out: Path) -> None:
         raise ConfigurationError(f"cannot create output directory {out}: {exc.strerror}") from exc
 
 
-def say(line: str) -> None:
-    """Print line, flushed; once stdout's reader has gone, drop the rest."""
+def say(line: str, stream=None) -> None:
+    """Print line to stream (stdout when None), flushed; once the stream's
+    reader has gone, drop the rest."""
+    stream = sys.stdout if stream is None else stream
     try:
-        print(line, flush=True)
+        print(line, file=stream, flush=True)
     except BrokenPipeError:
         null = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(null, sys.stdout.fileno())
+        os.dup2(null, stream.fileno())
         os.close(null)
 
 
@@ -106,13 +106,6 @@ def cmd_sweep(args, say) -> int:
     say(f"sweep complete: {len(result.per_epsilon)} runs in {result.timings['total_s']:.2f} s, "
         f"summary at {args.out}/summary.json")
     return EXIT_OK
-
-
-def cmd_check(args, say) -> int:
-    results = checks.run_battery(seed=args.seed)
-    for name, ok, detail in results:
-        say(f"{'PASS' if ok else 'FAIL'} {name}" + (f"  ({detail})" if detail else ""))
-    return EXIT_OK if all(ok for _, ok, _ in results) else EXIT_RUN_FAILURE
 
 
 def cmd_report(args, say) -> int:
@@ -146,14 +139,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors already
         return int(exc.code or 0)
-    handlers = {"run": cmd_run, "sweep": cmd_sweep, "check": cmd_check, "report": cmd_report}
+    handlers = {"run": cmd_run, "sweep": cmd_sweep, "report": cmd_report}
     try:
         return handlers[args.command](args, (lambda line: None) if args.quiet else say)
     except ConfigurationError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
+        say(f"configuration error: {exc}", sys.stderr)
         return EXIT_CONFIG_ERROR
     except (ValueError, ArithmeticError, RuntimeError) as exc:
-        print(f"run failed: {exc}", file=sys.stderr)
+        say(f"run failed: {exc}", sys.stderr)
         return EXIT_RUN_FAILURE
 
 

@@ -26,7 +26,6 @@ from .operators import potential_coeffs, project_micro, spatial_l2_norm
 from .spectral import (
     ConfigurationError,
     SpatialGrid,
-    SpectralField,
     distribution_values,
     hermite_shift_coeffs,
     mode_sq,
@@ -36,8 +35,6 @@ from .spectral import (
 
 __all__ = [
     "EnergyReport",
-    "nu_norm",
-    "coercivity_gap",
     "energy_functionals",
     "LimitTerms",
     "limit_error",
@@ -110,26 +107,6 @@ def _mixed_nu_sq(grid: SpatialGrid, dv_sq: list[np.ndarray], v_sq: list[np.ndarr
         + parseval_sq(grid, v_sq[beta], k - beta)
         for beta in range(k + 1)
     )
-
-
-def nu_norm(f: SpectralField) -> float:
-    """Dissipation norm: sqrt(||d_v f||^2 + ||sqrt(1+v^2) f||^2)."""
-    return float(np.sqrt(_mixed_nu_sq(f.grid, *_nu_squares(f.coeffs, 1), 0)))
-
-
-def coercivity_gap(g: SpectralField) -> tuple[float, float, float]:
-    """Return (<Lg, g>, ||(I-P)g||_nu^2, ||b||_{L^2_x}^2).
-
-    In the Hermite basis <Lg, g> = vol * sum_{m,n} w_m n |c_{n,m}|^2 (w_m the
-    half-spectrum mode_weights), which dominates
-    ||(I-P)g||_{L^2}^2 + ||b||^2 exactly (eigenvalues >= 1 off the kernel).
-    The nu-norm coercivity constant is measured by callers, not assumed.
-    """
-    c = g.coeffs
-    level_sq = parseval_sq(g.grid, c.real**2 + c.imag**2)  # ||row n||^2 per Hermite level
-    dirichlet = float(np.arange(g.basis.n_v) @ level_sq)
-    b_sq = float(level_sq[1])
-    return dirichlet, nu_norm(project_micro(g)) ** 2, b_sq
 
 
 # ---------------------------------------------------------------------------

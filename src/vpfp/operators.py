@@ -1,9 +1,10 @@
 """Kinetic operators on perturbation fields.
 
 The unknown is the perturbation g in f = M + g sqrt(M).  In the Hermite
-basis the Fokker-Planck operator is diag(n), the macroscopic projection P
-keeps the first two Hermite levels (density a and momentum b), and the
-electrostatic potential solves -phi'' = a spectrally on the torus.
+basis the Fokker-Planck operator is diag(n) (the solver builds it into its
+implicit factors), the macroscopic projection P keeps the first two
+Hermite levels (density a and momentum b), and the electrostatic
+potential solves -phi'' = a spectrally on the torus.
 
 The perturbation g is a spectral.SpectralField: a real field stored as
 a Hermite-major half-spectrum, shape (n_v, n_x/2 + 1).  The operators
@@ -27,15 +28,11 @@ from .spectral import ConfigurationError, SpatialGrid, SpectralField, fourier_fi
 
 __all__ = [
     "MacroFields",
-    "apply_L",
     "moments",
-    "project_macro",
     "project_micro",
-    "project_p0",
     "solve_poisson",
     "potential_coeffs",
     "vpfp_rhs",
-    "x_derivative",
     "spatial_l2_norm",
     "require_spatial_field",
     "require_zero_mean",
@@ -60,11 +57,6 @@ class MacroFields:
 
 # ---------------------------------------------------------------------------
 # spatial-field helpers
-
-def x_derivative(grid: SpatialGrid, values: np.ndarray) -> np.ndarray:
-    """Spectral d/dx of a real spatial field of shape (n_x,)."""
-    return real_field(grid, fourier_field(values) * grid.dx_symbol)
-
 
 def require_spatial_field(grid: SpatialGrid, values, what: str) -> None:
     """Raise ConfigurationError unless values is one spatial field on grid,
@@ -97,12 +89,6 @@ def spatial_l2_norm(grid: SpatialGrid, values: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 # kinetic operators
 
-def apply_L(g: SpectralField) -> SpectralField:
-    """Fokker-Planck operator: diagonal multiplier n on Hermite level n."""
-    n = np.arange(g.basis.n_v)
-    return g.with_coeffs(g.coeffs * n[:, None])
-
-
 def moments(g: SpectralField) -> MacroFields:
     """Density a and momentum b (Hermite rows 0 and 1) and the field of a.
 
@@ -117,24 +103,10 @@ def moments(g: SpectralField) -> MacroFields:
     return MacroFields(a=a, b=b, phi=phi, grad_phi=grad_phi)
 
 
-def project_macro(g: SpectralField) -> SpectralField:
-    """P g = (a + v b) sqrt(M): keep Hermite levels 0 and 1, zero the rest."""
-    out = np.zeros_like(g.coeffs)
-    out[:2] = g.coeffs[:2]
-    return g.with_coeffs(out)
-
-
 def project_micro(g: SpectralField) -> SpectralField:
     """(I - P) g: zero the macroscopic Hermite levels 0 and 1."""
     out = g.coeffs.copy()
     out[:2] = 0.0
-    return g.with_coeffs(out)
-
-
-def project_p0(g: SpectralField) -> SpectralField:
-    """P_0 g = a sqrt(M)."""
-    out = np.zeros_like(g.coeffs)
-    out[0] = g.coeffs[0]
     return g.with_coeffs(out)
 
 

@@ -48,7 +48,6 @@ __all__ = [
     "mode_sq",
     "sobolev_weights",
     "parseval_sq",
-    "l2_norm",
 ]
 
 SHIFT_KINDS = ("multiply_by_v", "d_dv")
@@ -379,9 +378,3 @@ def parseval_sq(grid: SpatialGrid, sq: np.ndarray, order: int = 0):
     gives one norm per row.
     """
     return grid.volume * (sq @ sobolev_weights(grid, order))
-
-
-def l2_norm(f: SpectralField) -> float:
-    """L^2_{x,v} norm via Parseval: ||f||^2 = vol * sum_m w_m sum_n |c_{n,m}|^2,
-    with w_m the half-spectrum mode_weights."""
-    return float(np.sqrt(parseval_sq(f.grid, mode_sq(f.coeffs))))

@@ -15,7 +15,10 @@ against velocity integrals of point values.
 The moment hierarchy (gamma_moment, moment_residuals) is not an
 independent path: only tests use it, so it lives here, built on the
 package's operators, to check that sampled kinetic states satisfy the
-density, momentum and stress equations.
+density, momentum and stress equations.  So do the operators that no run
+calls (the collision operator apply_L, the projections P and P0, the L^2
+and nu norms on the half-spectrum, the coercivity gap) and the
+operator-level checks of acceptance criteria 1-4 built on them.
 """
 
 from collections import deque
@@ -23,9 +26,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from vpfp import operators, spectral
+from vpfp import spectral
 from vpfp.ddp import DdpState
-from vpfp.spectral import SpectralField, _hermite_rows, hermite_shift_coeffs
+from vpfp.diagnostics import _mixed_nu_sq, _nu_squares
+from vpfp.operators import project_micro, solve_poisson, spatial_l2_norm
+from vpfp.spectral import SpectralField, _hermite_rows, hermite_shift_coeffs, mode_sq, parseval_sq
 
 # Largest n_v for which numpy's hermegauss(2 n_v) gives finite plain-measure
 # weights: above it exp(-v^2/2) at the outer nodes underflows and the
@@ -87,6 +92,8 @@ def real_field(grid, coeffs):
 
 
 def x_derivative(grid, values):
+    """d/dx of a real spatial field; the Nyquist mode's derivative is
+    imaginary, so taking the real part drops it."""
     return real_field(grid, fourier_field(grid, values) * (1j * wavenumbers(grid)))
 
 
@@ -205,9 +212,132 @@ def limit_error(kinetic_traj, ddp_states, k):
 
 
 # ---------------------------------------------------------------------------
+# operators that no run calls, on the package's half-spectrum layout
+
+def apply_L(g):
+    """Fokker-Planck operator: diagonal multiplier n on Hermite level n."""
+    n = np.arange(g.basis.n_v)
+    return g.with_coeffs(g.coeffs * n[:, None])
+
+
+def project_macro(g):
+    """P g = (a + v b) sqrt(M): keep Hermite levels 0 and 1, zero the rest."""
+    out = np.zeros_like(g.coeffs)
+    out[:2] = g.coeffs[:2]
+    return g.with_coeffs(out)
+
+
+def project_p0(g):
+    """P_0 g = a sqrt(M)."""
+    out = np.zeros_like(g.coeffs)
+    out[0] = g.coeffs[0]
+    return g.with_coeffs(out)
+
+
+def l2_norm(f):
+    """L^2_{x,v} norm via Parseval: ||f||^2 = vol * sum_m w_m sum_n |c_{n,m}|^2,
+    with w_m the half-spectrum mode_weights."""
+    return float(np.sqrt(parseval_sq(f.grid, mode_sq(f.coeffs))))
+
+
+def half_spectrum_nu_norm(f):
+    """Dissipation norm sqrt(||d_v f||^2 + ||sqrt(1+v^2) f||^2) by the
+    squares that energy_functionals sums (diagnostics._nu_squares and
+    _mixed_nu_sq); nu_norm above is its full-spectrum oracle."""
+    return float(np.sqrt(_mixed_nu_sq(f.grid, *_nu_squares(f.coeffs, 1), 0)))
+
+
+def coercivity_gap(g):
+    """Return (<Lg, g>, ||(I-P)g||_nu^2, ||b||_{L^2_x}^2).
+
+    In the Hermite basis <Lg, g> = vol * sum_{m,n} w_m n |c_{n,m}|^2 (w_m the
+    half-spectrum mode_weights), which dominates
+    ||(I-P)g||_{L^2}^2 + ||b||^2 exactly (eigenvalues >= 1 off the kernel).
+    The nu-norm coercivity constant is measured by callers, not assumed.
+    """
+    c = g.coeffs
+    level_sq = parseval_sq(g.grid, c.real**2 + c.imag**2)  # ||row n||^2 per Hermite level
+    dirichlet = float(np.arange(g.basis.n_v) @ level_sq)
+    b_sq = float(level_sq[1])
+    return dirichlet, half_spectrum_nu_norm(project_micro(g)) ** 2, b_sq
+
+
+# ---------------------------------------------------------------------------
+# the operator-level checks of acceptance criteria 1-4: each returns (ok,
+# detail), whether the property holds and the measured figure; the criteria
+# pass their own seeded fields and add their independent oracles
+
+def check_collision(grid, basis):
+    """L fixes the momentum mode cos(x) v sqrt(M) and has eigenvalue n on
+    every Hermite level n."""
+    fixed = SpectralField.zeros(grid, basis)
+    fixed.coeffs[1, 1] = 0.5  # cos(x) psi_1
+    fixed_err = float(np.max(np.abs(apply_L(fixed).coeffs - fixed.coeffs)))
+    eig_err = 0.0
+    for n in range(basis.n_v):
+        g = SpectralField.zeros(grid, basis)
+        g.coeffs[n, 1] = 1.0
+        eig_err = max(eig_err, float(np.max(np.abs(apply_L(g).coeffs - n * g.coeffs))))
+    ok = fixed_err < 1e-12 and eig_err < 1e-12
+    return ok, f"fixed-point err {fixed_err:.1e}, eigenvalue err {eig_err:.1e}"
+
+
+def check_projections(fields):
+    """P and I - P are idempotent, P (I - P) = 0, Pg + (I - P)g = g, and
+    (I - P)g is (I - P0)g with its Hermite levels 0 and 1 zeroed, exactly at
+    coefficient level, on every field."""
+    ok = True
+    for g in fields:
+        pg, mg = project_macro(g), project_micro(g)
+        ok &= np.array_equal(project_macro(pg).coeffs, pg.coeffs)
+        ok &= np.array_equal(project_micro(mg).coeffs, mg.coeffs)
+        ok &= np.array_equal(pg.coeffs + mg.coeffs, g.coeffs)
+        expected = g.coeffs - project_p0(g).coeffs  # (I - P0) g
+        expected[:2] = 0.0
+        ok &= np.array_equal(expected, mg.coeffs)
+        ok &= not np.any(project_macro(mg).coeffs)
+    return bool(ok), ""
+
+
+def check_coercivity(fields):
+    """<Lg, g> >= ||(I-P)g||^2 + ||b||^2 on every field, and the nu-norm
+    constant C0 = min (<Lg, g> - ||b||^2) / ||(I-P)g||_nu^2 is positive and
+    measured, i.e. some field has a nonzero microscopic part."""
+    ok = True
+    c0 = np.inf
+    for g in fields:
+        dirichlet, micro_nu_sq, b_sq = coercivity_gap(g)
+        micro_l2_sq = l2_norm(project_micro(g)) ** 2
+        ok &= dirichlet + 1e-12 * max(1.0, dirichlet) >= micro_l2_sq + b_sq
+        if micro_nu_sq > 0:
+            c0 = min(c0, (dirichlet - b_sq) / micro_nu_sq)
+    return bool(ok and 0 < c0 < np.inf), f"measured nu-norm constant C0 = {c0:.4f}"
+
+
+def check_poisson(grid, samples):
+    """-phi'' = a is solved exactly for the first two modes a = cos(m k x),
+    k = 2 pi / L, and the Poincare inequality ||a|| <= ||da/dx|| / k holds
+    for each sample with its mean removed and for a = cos(k x), where it is
+    an equality."""
+    k = 2 * np.pi / grid.length
+    first = np.cos(k * grid.nodes)
+    second = np.cos(2 * k * grid.nodes)
+    phi1, _ = solve_poisson(grid, first)
+    phi2, _ = solve_poisson(grid, second)
+    eig_err = max(np.max(np.abs(phi1 - first / k**2)),
+                  np.max(np.abs(phi2 - second / (4 * k**2))))
+    poincare_ok = True
+    for a in [*samples, first]:
+        a = a - a.mean()
+        poincare_ok &= (spatial_l2_norm(grid, a)
+                        <= spatial_l2_norm(grid, x_derivative(grid, a)) / k * (1 + 1e-12))
+    return bool(eig_err < 1e-12 and poincare_ok), f"eigenfunction err {eig_err:.1e}"
+
+
+# ---------------------------------------------------------------------------
 # the moment hierarchy of the kinetic system, on the package's half-spectrum
-# helpers (operators.*, spectral.real_field) and this module's full-spectrum
-# dealiased_product
+# helpers (project_micro, spatial_l2_norm, spectral.real_field) and this
+# module's full-spectrum dealiased_product and x_derivative
 
 def gamma_moment(g):
     """Stress-type moment Gamma[g](x) = int g (v^2 - 1) sqrt(M) dv.
@@ -237,7 +367,7 @@ def moment_residuals(states, epsilon):
 
     a_s, b_s, gam_s, r2_static, r3_static = [], [], [], [], []
     for s in states:
-        micro = operators.project_micro(s.g)
+        micro = project_micro(s.g)
         a, b = s.macro.a, s.macro.b
         dphi = s.macro.grad_phi
         gamma = gamma_moment(micro)
@@ -249,13 +379,13 @@ def moment_residuals(states, epsilon):
         b_s.append(b)
         gam_s.append(gamma)
         r2_static.append(
-            (operators.x_derivative(grid, a) + dphi) / epsilon
+            (x_derivative(grid, a) + dphi) / epsilon
             + b / epsilon**2
             + dealiased_product(grid, a, dphi) / epsilon
-            + operators.x_derivative(grid, gamma) / epsilon
+            + x_derivative(grid, gamma) / epsilon
         )
         r3_static.append(
-            2.0 * operators.x_derivative(grid, b) / epsilon
+            2.0 * x_derivative(grid, b) / epsilon
             + 2.0 * dealiased_product(grid, b, dphi) / epsilon
             + 2.0 * gamma / epsilon**2
             + gamma_vdx / epsilon
@@ -266,10 +396,9 @@ def moment_residuals(states, epsilon):
         da = (a_s[n + 1] - a_s[n - 1]) / (2.0 * dt)
         db = (b_s[n + 1] - b_s[n - 1]) / (2.0 * dt)
         dgam = (gam_s[n + 1] - gam_s[n - 1]) / (2.0 * dt)
-        r1.append(operators.spatial_l2_norm(
-            grid, da + operators.x_derivative(grid, b_s[n]) / epsilon))
-        r2.append(operators.spatial_l2_norm(grid, db + r2_static[n]))
-        r3.append(operators.spatial_l2_norm(grid, dgam + r3_static[n]))
+        r1.append(spatial_l2_norm(grid, da + x_derivative(grid, b_s[n]) / epsilon))
+        r2.append(spatial_l2_norm(grid, db + r2_static[n]))
+        r3.append(spatial_l2_norm(grid, dgam + r3_static[n]))
 
     return {
         "times": times[1:-1],

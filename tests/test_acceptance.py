@@ -2,8 +2,8 @@
 pass/fail line that is printed in the terminal summary.
 
 The first four criteria are operator-level: they run the checks of
-vpfp.checks, the ones `vpfp check` runs, on their own seeded fields, and
-criterion 1 adds the independent finite-difference oracle.  The remainder
+tests/oracles.py on their own seeded fields, and criterion 1 adds the
+independent finite-difference oracle.  The remainder
 exercise full runs at the default experiment scale.
 """
 
@@ -16,10 +16,9 @@ from vpfp.harness import (
     default_sweep_config,
     run_sweep,
 )
-from vpfp.checks import check_coercivity, check_collision, check_poisson, check_projections
 from vpfp.operators import spatial_l2_norm
 from vpfp.solver import KineticState, SolverConfig, make_initial_data, run
-from vpfp.spectral import HermiteBasis, SpatialGrid, SpectralField, l2_norm
+from vpfp.spectral import HermiteBasis, SpatialGrid, SpectralField
 
 from conftest import (
     fd_collision_inner_product,
@@ -27,6 +26,7 @@ from conftest import (
     record_acceptance,
     sampled_run,
 )
+from oracles import check_coercivity, check_collision, check_poisson, check_projections, l2_norm
 
 
 @pytest.fixture(scope="module")

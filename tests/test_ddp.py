@@ -9,11 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vpfp.ddp import DdpState, ddp_run, ddp_step, make_ddp_state
-from vpfp.operators import spatial_l2_norm, x_derivative
+from vpfp.operators import spatial_l2_norm
 from vpfp.spectral import ConfigurationError, SpatialGrid
 
 import oracles
 from conftest import WRONG_DENSITY_SHAPES, cosine_of_shape
+from oracles import x_derivative
 
 
 class TestSingleStep:

@@ -581,9 +581,10 @@ class TestImportFootprint:
         assert digest == "6840ef0e7b3cb523"
 
 
-def run_with_closed_stdout(args: list, unbuffered: bool) -> tuple[int, str]:
-    """Exit code and stderr of `python -m vpfp.cli *args` whose stdout is a
-    pipe with its read end closed before the child starts."""
+def run_with_closed_reader(args: list, unbuffered: bool, closed: str = "stdout") -> tuple[int, str]:
+    """Exit code and the other stream's text of `python -m vpfp.cli *args`
+    whose stdout (or stderr, when closed is "stderr") is a pipe with its
+    read end closed before the child starts."""
     import vpfp
 
     env = {**os.environ, "PYTHONPATH": str(Path(vpfp.__file__).parents[1])}
@@ -592,12 +593,13 @@ def run_with_closed_stdout(args: list, unbuffered: bool) -> tuple[int, str]:
         env["PYTHONUNBUFFERED"] = "1"
     read_end, write_end = os.pipe()
     os.close(read_end)
+    streams = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, closed: write_end}
     try:
-        proc = subprocess.run([sys.executable, "-m", "vpfp.cli", *args], stdout=write_end,
-                              stderr=subprocess.PIPE, text=True, env=env)
+        proc = subprocess.run([sys.executable, "-m", "vpfp.cli", *args], text=True, env=env,
+                              **streams)
     finally:
         os.close(write_end)
-    return proc.returncode, proc.stderr
+    return proc.returncode, proc.stderr if closed == "stdout" else proc.stdout
 
 
 class TestClosedStdout:
@@ -606,9 +608,8 @@ class TestClosedStdout:
         ("run", EXIT_OK, ["run_eps_0.1.csv"]),
         ("sweep", EXIT_OK, ["run_eps_0.2.csv", "run_eps_0.1.csv", "summary.json"]),
         ("report", EXIT_OK, ["metrics.csv"]),
-        ("check", EXIT_OK, []),
         ("failing_sweep", EXIT_RUN_FAILURE, ["summary.json"]),
-    ], ids=["run", "sweep", "report", "check", "failing_sweep"])
+    ], ids=["run", "sweep", "report", "failing_sweep"])
     def test_command_writes_its_files_and_exit_code(self, small_ini, sweep_outputs, tmp_path,
                                                      case, code, files, unbuffered):
         # a reader that has gone drops the rest of the output, with no
@@ -623,9 +624,24 @@ class TestClosedStdout:
             ini = small_ini_with(tmp_path, sweep__amplitude="2.0", solver__t_final="0.05")
         command = case.split("_")[-1]
         args = ["--config", str(ini), "--out", str(out), command]
-        assert run_with_closed_stdout(args, unbuffered) == (code, "")
+        assert run_with_closed_reader(args, unbuffered) == (code, "")
         for name in files:
             assert (out / name).is_file()
+
+
+class TestClosedStderr:
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_configuration_error_exits_2(self, tmp_path, unbuffered):
+        # the error line goes nowhere, and the exit code still says why
+        args = ["--config", str(tmp_path / "nonexistent.ini"), "run"]
+        assert run_with_closed_reader(args, unbuffered, closed="stderr") == (EXIT_CONFIG_ERROR, "")
+
+    def test_run_failure_exits_1(self, tmp_path):
+        # a kinetic blow-up (see test_kinetic_blow_up_is_one_error)
+        ini = tmp_path / "long.ini"
+        ini.write_text("[grid]\nlength = 1e20\n[solver]\nt_final = 0.05\n")
+        args = ["--config", str(ini), "--out", str(tmp_path / "out"), "--quiet", "run"]
+        assert run_with_closed_reader(args, False, closed="stderr") == (EXIT_RUN_FAILURE, "")
 
 
 class TestFailurePersistence:
@@ -703,36 +719,18 @@ class TestFailurePersistence:
 
 
 class TestCli:
-    def test_check_command(self, capsys):
-        assert main(["--quiet", "check"]) == EXIT_OK
+    def test_check_and_seed_are_usage_errors(self, tmp_path, capsys):
+        # the operator checks run in the test suite, so the command and the
+        # seed of its random fields are gone
+        assert main(["check"]) == EXIT_CONFIG_ERROR
+        assert main(["--seed", "1", "--out", str(tmp_path), "run"]) == EXIT_CONFIG_ERROR
+        assert not any(tmp_path.iterdir())
 
-    def test_check_prints_battery(self, capsys):
-        assert main(["check"]) == EXIT_OK
-        out = capsys.readouterr().out
-        assert "PASS" in out and "FAIL" not in out
-
-    def test_check_fails_on_wrong_collision_operator(self, capsys, monkeypatch):
-        from vpfp import checks
-
-        monkeypatch.setattr(checks, "apply_L", lambda g: g.with_coeffs(2.0 * g.coeffs))
-        assert main(["check"]) == EXIT_RUN_FAILURE
-        lines = capsys.readouterr().out.splitlines()
-        assert any(line.startswith("FAIL collision operator") for line in lines)
-        assert sum(line.startswith("FAIL") for line in lines) == 1
-
-    def test_check_fails_on_zero_micro_projection(self, capsys, monkeypatch):
-        from vpfp import checks
-
-        # idempotent and consistent with itself, so only the comparisons
-        # with independently built arrays catch it
-        monkeypatch.setattr(checks, "project_micro", lambda g: g.zeros(g.grid, g.basis))
-        assert main(["check"]) == EXIT_RUN_FAILURE
-        lines = capsys.readouterr().out.splitlines()
-        assert any(line.startswith("FAIL projection identities") for line in lines)
-
-    def test_quiet_after_command(self, capsys):
-        assert main(["check", "--quiet"]) == EXIT_OK
+    def test_quiet_after_command(self, sweep_outputs, tmp_path, capsys):
+        (tmp_path / "summary.json").write_bytes((sweep_outputs[2] / "summary.json").read_bytes())
+        assert main(["--out", str(tmp_path), "report", "--quiet"]) == EXIT_OK
         assert capsys.readouterr().out == ""
+        assert (tmp_path / "metrics.csv").is_file()
 
     def test_sweep_prints_one_line_per_epsilon(self, small_ini, tmp_path, capsys):
         loud, quiet = tmp_path / "loud", tmp_path / "quiet"
@@ -769,13 +767,7 @@ class TestCli:
             "run_eps_0.2_0.1_0.05_s"}
 
     def test_library_prints_nothing(self, small_ini, capsys):
-        # the battery and the sweep return their results; only vpfp.cli prints
-        from vpfp import checks
-
-        results = checks.run_battery(seed=0)
-        assert len(results) == 5
-        for name, ok, detail in results:
-            assert isinstance(name, str) and ok is True and isinstance(detail, str)
+        # the sweep returns its results; only vpfp.cli prints
         run_sweep(SweepConfig.from_dict(parse_config_file(small_ini)))
         assert capsys.readouterr().out == ""
 

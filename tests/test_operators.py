@@ -4,10 +4,12 @@ dealiased products, and the explicit field coupling.
 The collision operator is checked against an independent finite-difference
 discretization of the continuous divergence-form operator
     L g = -(1/sqrt(M)) d/dv ( M d/dv (g / sqrt(M)) ),
-which never touches the coefficient-space diagonal.  The stress moment
-and the dealiased product are the oracles' own (gamma_moment,
-dealiased_product), which the moment-residual oracle and the coupling
-checks below rely on.
+which never touches the coefficient-space diagonal.  The collision
+operator, P, P0 and the coercivity gap are the oracles' (no run calls
+them), as are the checks of acceptance criteria 1-4, which are shown here
+to fail on a wrong operator.  The stress moment and the dealiased product
+are the oracles' own too (gamma_moment, dealiased_product), which the
+moment-residual oracle and the coupling checks below rely on.
 """
 
 import numpy as np
@@ -15,19 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vpfp.checks import check_poisson
-from vpfp.diagnostics import coercivity_gap
-from vpfp.operators import (
-    apply_L,
-    moments,
-    project_macro,
-    project_micro,
-    project_p0,
-    solve_poisson,
-    spatial_l2_norm,
-    vpfp_rhs,
-    x_derivative,
-)
+from vpfp.operators import moments, project_micro, solve_poisson, spatial_l2_norm, vpfp_rhs
 from vpfp.spectral import (
     ConfigurationError,
     HermiteBasis,
@@ -35,13 +25,27 @@ from vpfp.spectral import (
     SpectralField,
     fourier_field,
     inverse_transform,
-    l2_norm,
     real_field,
 )
 
 import oracles
 from conftest import basis_element, random_distribution
-from oracles import dealiased_product, gamma_moment, quadrature_oracle_moment, spatial_derivative
+from oracles import (
+    apply_L,
+    check_collision,
+    check_poisson,
+    check_projections,
+    coercivity_gap,
+    dealiased_product,
+    gamma_moment,
+    half_spectrum_nu_norm,
+    l2_norm,
+    project_macro,
+    project_p0,
+    quadrature_oracle_moment,
+    spatial_derivative,
+    x_derivative,
+)
 
 
 class TestCollisionOperator:
@@ -70,6 +74,14 @@ class TestCollisionOperator:
         lhs = np.sum(apply_L(f).coeffs * g.coeffs.conj())
         rhs = np.sum(f.coeffs.conj() * apply_L(g).coeffs)
         assert abs(lhs - rhs.conj()) < 1e-12
+
+    def test_check_fails_on_doubled_multiplier(self, monkeypatch):
+        # the criterion-1 check catches a collision operator with multiplier 2n
+        grid, basis = SpatialGrid(n_x=32), HermiteBasis(n_v=16)
+        assert check_collision(grid, basis)[0]
+        monkeypatch.setattr(oracles, "apply_L", lambda g: g.with_coeffs(2.0 * g.coeffs))
+        ok, detail = check_collision(grid, basis)
+        assert not ok, detail
 
 
 class TestProjections:
@@ -113,6 +125,14 @@ class TestProjections:
         inner = np.sum(pg.coeffs * mg.coeffs.conj())
         assert abs(inner) == 0.0
 
+    def test_check_fails_on_zero_micro_projection(self, grid, basis, rng, monkeypatch):
+        # a zero (I - P) is idempotent and consistent with itself, so only
+        # the criterion-2 comparisons with independently built arrays catch it
+        fields = [random_distribution(rng, grid, basis) for _ in range(3)]
+        assert check_projections(fields)[0]
+        monkeypatch.setattr(oracles, "project_micro", lambda g: g.zeros(g.grid, g.basis))
+        assert not check_projections(fields)[0]
+
 
 class TestMoments:
     def test_against_quadrature_oracle(self, grid, basis, rng):
@@ -136,6 +156,13 @@ class TestMoments:
         g = basis_element(grid, basis, 1, 2)
         expected = np.sqrt(2.0) * np.cos(grid.nodes)
         assert np.allclose(gamma_moment(g), expected, atol=1e-12)
+
+    def test_moments_field_and_nu_norm_finite(self, grid, basis, rng):
+        g = random_distribution(rng, grid, basis)
+        mac = moments(g)
+        for values in (mac.a, mac.b, mac.phi, mac.grad_phi):
+            assert np.all(np.isfinite(values))
+        assert np.isfinite(half_spectrum_nu_norm(g))
 
 
 class TestPoisson:

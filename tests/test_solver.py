@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vpfp.operators import moments, project_micro, spatial_l2_norm, vpfp_rhs, x_derivative
+from vpfp.operators import moments, project_micro, spatial_l2_norm, vpfp_rhs
 from vpfp.solver import (
     SAMPLE_RATIO_RTOL,
     SCHEMES,
@@ -26,11 +26,12 @@ from vpfp.solver import (
     run,
     step_schedule,
 )
-from vpfp.spectral import ConfigurationError, SpatialGrid, SpectralField, l2_norm
+from vpfp.spectral import ConfigurationError, SpatialGrid, SpectralField
 
 import oracles
 from conftest import (WRONG_DENSITY_SHAPES, basis_element, cosine_of_shape, random_distribution,
                       sampled_run)
+from oracles import l2_norm, x_derivative
 
 
 def small_config(**kw):

@@ -21,7 +21,6 @@ from vpfp.spectral import (
     SpectralField,
     hermite_shift_coeffs,
     inverse_transform,
-    l2_norm,
     mode_sq,
     parseval_sq,
 )
@@ -33,6 +32,7 @@ from oracles import (
     analysis,
     christoffel_weights,
     forward_transform,
+    l2_norm,
     quad_weights,
     quadrature_oracle_moment,
     spatial_derivative,
