@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 run failure, 2 configuration error.  A run
 failure (a ValueError, RuntimeError or ArithmeticError, such as an
-OverflowError or FloatingPointError) is one line on stderr.  Only this
+OverflowError or FloatingPointError, or an OSError, such as an output
+file that cannot be written) is one line on stderr.  Only this
 module prints, and every command writes its files before it says a line;
 a stream whose reader has gone changes no exit code.
 """
@@ -145,7 +146,7 @@ def main(argv=None) -> int:
     except ConfigurationError as exc:
         say(f"configuration error: {exc}", sys.stderr)
         return EXIT_CONFIG_ERROR
-    except (ValueError, ArithmeticError, RuntimeError) as exc:
+    except (ValueError, ArithmeticError, RuntimeError, OSError) as exc:
         say(f"run failed: {exc}", sys.stderr)
         return EXIT_RUN_FAILURE
 

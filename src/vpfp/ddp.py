@@ -9,9 +9,10 @@ two transforms, through spectral's pair: one real FFT of the density and
 the drift product, one inverse real FFT of the new density and its field
 d phi0/dx, all a state keeps.  The odd derivatives use grid.dx_symbol, 0
 at the Nyquist mode, and the 2/3 rule zeroes the drift product's modes
-from grid.n_dealiased on.  The symbols of a step depend only on (grid, dt) and are built once per
-pair; the step's checks on the new density read one min and one max of it.
-ddp_run returns the list of its sampled states, each with its time.
+from grid.n_dealiased on.  The symbols of a step depend only on (grid,
+dt) and are built once per pair; the step's checks on the new density
+read one min and one max of it.  ddp_run returns the list of its sampled
+states, each with its time.
 """
 
 from __future__ import annotations

@@ -12,8 +12,11 @@ conjugates too) and m = 0 and m = n_x/2 by 1 (grid.mode_weights).  A norm
 reduces each coefficient array to one squared modulus per Fourier mode,
 summed over the Hermite axis (spectral.mode_sq), and spectral.parseval_sq
 turns that vector into a Sobolev norm; only spectral knows the weights.
-An EnergyReport is one row of a run's energy CSV: its fields are the
-columns, in order.
+energy_functionals and limit_error take the batch state that solver.run
+shows its observer, shape (n_v, B, n_x/2 + 1), and return one EnergyReport
+or LimitTerms per member: mode_sq keeps the member axis, and parseval_sq
+and operators.spatial_l2_norm give one norm per member row.  An
+EnergyReport is one row of a run's energy CSV: its fields are the columns.
 """
 
 from __future__ import annotations
@@ -90,14 +93,14 @@ def _nu_squares(coeffs: np.ndarray, depth: int) -> tuple[list, list]:
     return dv_sq, v_sq
 
 
-def _mixed_sq(grid: SpatialGrid, coeffs: np.ndarray, k: int) -> float:
-    """sum over |alpha| + |beta| <= k of the L^2 norms squared."""
+def _mixed_sq(grid: SpatialGrid, coeffs: np.ndarray, k: int) -> np.ndarray:
+    """sum over |alpha| + |beta| <= k of the L^2 norms squared, per member."""
     return sum(parseval_sq(grid, mode_sq(cb), k - beta)
                for beta, cb in enumerate(_dv_tower(coeffs, k)))
 
 
 def _mixed_nu_sq(grid: SpatialGrid, dv_sq: list[np.ndarray], v_sq: list[np.ndarray],
-                 k: int) -> float:
+                 k: int) -> np.ndarray:
     """sum over |alpha| + |beta| <= k of the nu norms squared, from the
     per-mode squares of _nu_squares(f, k + 1).  The nu norm of f is
     ||d_v f||^2 + ||f||^2 + ||v f||^2."""
@@ -112,8 +115,9 @@ def _mixed_nu_sq(grid: SpatialGrid, dv_sq: list[np.ndarray], v_sq: list[np.ndarr
 # ---------------------------------------------------------------------------
 # energy / dissipation functionals
 
-def energy_functionals(state, k: int, epsilon: float) -> EnergyReport:
-    """Headline energy and dissipation functionals at one sample.
+def energy_functionals(state, k: int, epsilons) -> list[EnergyReport]:
+    """Headline energy and dissipation functionals of each member of the
+    batch state at one sample, for the member's epsilon in epsilons.
 
     E_k = ||g||^2_{H^k_x L^2_v} + ||d_v (I-P) g||^2_{H^{k-1}_{x,v}}
           + ||(a, b)||^2_{H^{k-1}_x}
@@ -134,13 +138,14 @@ def energy_functionals(state, k: int, epsilon: float) -> EnergyReport:
     """
     if k < 1:
         raise ConfigurationError(f"diagnostics order k must be >= 1, got {k}")
+    epsilon = np.asarray(epsilons, dtype=float)  # one per member
     # a huge but finite state can overflow a square here; the test below
     # reports that as the stepper reports a blow-up, whatever the warning filter
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         g = state.g
         grid = g.grid
         c = g.coeffs
-        level_sq = c.real**2 + c.imag**2  # (n_v, n_half)
+        level_sq = c.real**2 + c.imag**2  # (n_v, B, n_half)
         a_sq, b_sq = level_sq[0], level_sq[1]
         dx_sq = grid.dx_symbol.imag**2
         dv_sq, v_sq = _nu_squares(project_micro(g).coeffs, k + 1)
@@ -154,29 +159,21 @@ def energy_functionals(state, k: int, epsilon: float) -> EnergyReport:
         b_hk = parseval_sq(grid, b_sq, k) / epsilon**2
         grad_b = 2.0 * parseval_sq(grid, dx_sq * b_sq, k - 1) / epsilon
         grad_a = parseval_sq(grid, dx_sq * a_sq, k - 1)
-        grad_phi = parseval_sq(grid, mode_sq(grad_phi_c), k)
+        grad_phi = parseval_sq(grid, grad_phi_c.real**2 + grad_phi_c.imag**2, k)
 
         a = state.macro.a
         lap_phi = real_field(grid, phi_c * -grid.k_sq)
-        denom = spatial_l2_norm(grid, a) or 1.0
-        report = EnergyReport(
-            time=float(state.time),
-            E_k=g_hk + gradv_micro + ab,
-            D_k=micro_nu + b_hk + grad_b + grad_a + grad_phi,
-            g_HkxL2v_sq=g_hk,
-            gradv_micro_Hkm1_sq=gradv_micro,
-            ab_Hkm1_sq=ab,
-            micro_nu_Hk_sq=micro_nu,
-            b_Hk_sq=b_hk,
-            grad_b_Hkm1_sq=grad_b,
-            grad_a_Hkm1_sq=grad_a,
-            grad_phi_Hk_sq=grad_phi,
-            mass_residual=float(np.abs(np.mean(a))),
-            poisson_residual=spatial_l2_norm(grid, lap_phi + a) / denom,
-        )
-    if not np.all(np.isfinite(report)):
+        denom = spatial_l2_norm(grid, a)
+        rows = np.column_stack((
+            g_hk + gradv_micro + ab,
+            micro_nu + b_hk + grad_b + grad_a + grad_phi,
+            g_hk, gradv_micro, ab, micro_nu, b_hk, grad_b, grad_a, grad_phi,
+            np.abs(np.mean(a, axis=-1)),
+            spatial_l2_norm(grid, lap_phi + a) / np.where(denom == 0.0, 1.0, denom),
+        ))
+    if not np.all(np.isfinite(rows)):
         raise FloatingPointError(f"non-finite energy functional at t = {state.time:.6g}")
-    return report
+    return [EnergyReport(float(state.time), *row) for row in rows.tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -191,8 +188,9 @@ class LimitTerms(NamedTuple):
     pointwise_error: float
 
 
-def limit_error(kinetic_state, ddp_state, k: int) -> LimitTerms:
-    """Error terms between a kinetic sample and the fluid sample of its time.
+def limit_error(kinetic_state, ddp_state, k: int) -> list[LimitTerms]:
+    """Error terms between each member of a kinetic batch sample and the
+    fluid sample of its time.
 
     The L^2 errors of the density and the field, the squared mixed H^k
     norm of the microscopic part (I - P0) g, and the pointwise sup of the
@@ -210,10 +208,16 @@ def limit_error(kinetic_state, ddp_state, k: int) -> LimitTerms:
     grid = g.grid
     micro_c = g.coeffs.copy()
     micro_c[0] = 0.0  # (I - P0) g
-    f_lim = (1.0 + ddp_state.rho0)[:, None] * g.basis.maxwellian_sqrt()**2
-    return LimitTerms(
-        moment_error=spatial_l2_norm(grid, kinetic_state.macro.a - ddp_state.rho0),
-        field_error=spatial_l2_norm(grid, kinetic_state.macro.grad_phi - ddp_state.grad_phi0),
-        micro_sq=_mixed_sq(grid, micro_c, k),
-        pointwise_error=float(np.max(np.abs(distribution_values(g) - f_lim))),
-    )
+    micro_sq = _mixed_sq(grid, micro_c, k)
+    del micro_c  # before the distribution values, about twice its size, are made
+    gap = distribution_values(g)
+    gap -= (1.0 + ddp_state.rho0)[:, None] * g.basis.maxwellian_sqrt()**2
+    np.abs(gap, out=gap)
+    macro = kinetic_state.macro
+    rows = np.column_stack((
+        spatial_l2_norm(grid, macro.a - ddp_state.rho0),
+        spatial_l2_norm(grid, macro.grad_phi - ddp_state.grad_phi0),
+        micro_sq,
+        gap.max(axis=(-2, -1)),
+    ))
+    return [LimitTerms(*row) for row in rows.tolist()]

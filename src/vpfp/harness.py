@@ -4,12 +4,13 @@ A sweep builds its initial density once (initial_density), then the
 well-prepared kinetic state from it, and only if that succeeds runs the
 fluid reference from the same density.  It then advances every epsilon
 from the kinetic state in lock-step as one solver.run batch: every run
-steps at dt_max fitted to the sample interval, whatever its epsilon.  Each
-member's energy report and limit-error terms are computed at every sample,
-against the fluid sample of that time, so no kinetic sample is kept,
-and sweep_record reduces them to the run's record.  A failed batch is rerun one
-member at a time, which gives the partial results of running the epsilons
-one after another.  The per-run records reduce to empirical convergence
+steps at dt_max fitted to the sample interval, whatever its epsilon.  At
+each sample one call of each diagnostic gives every member's energy report
+and limit-error terms against the fluid sample of that time, so no kinetic
+sample is kept, and sweep_record reduces them to each run's record.  A
+failed batch is rerun one member at a time, which gives the partial results
+of running the epsilons one after another; an OSError (an unwritable file)
+is raised at once.  The per-run records reduce to empirical convergence
 rates.  All outputs (per-run CSV time series and the JSON summary) are
 deterministic for a fixed config and equal to those of one run_single per
 epsilon; wall-clock timings go to a separate file so the summary stays
@@ -252,19 +253,16 @@ def initial_density(cfg: SweepConfig) -> np.ndarray:
 
 def run_single(cfg: SweepConfig, epsilon: float,
                csv_path: Path | None = None) -> list[EnergyReport]:
-    """One kinetic run of the sweep: its energy report at each sample,
-    written to csv_path when given.  No sampled state is kept."""
+    """One kinetic run of the sweep, observed as a batch of one: its energy
+    report at each sample, written to csv_path when given.  No sampled
+    state is kept."""
     solver_cfg = replace(cfg.template, epsilon=epsilon)
     initial = make_initial_data(solver_cfg.make_grid(), solver_cfg.make_basis(),
                                 initial_density(cfg))
 
     reports: list[EnergyReport] = []
-
-    def observer(members) -> None:
-        (state,) = members
-        reports.append(energy_functionals(state, cfg.k, epsilon))
-
-    run(initial, solver_cfg, observer, sample_interval=cfg.sample_interval)
+    run(initial, solver_cfg, lambda state: reports.extend(
+        energy_functionals(state, cfg.k, (epsilon,))), sample_interval=cfg.sample_interval)
     if csv_path is not None:
         write_reports_csv(csv_path, reports)
     return reports
@@ -299,20 +297,18 @@ def _run_batch(cfg: SweepConfig, initial: KineticState, batch: tuple, fluid_stat
     """Advance the runs of batch in lock-step; return their records and
     write their energy CSVs.  The reports and limit-error terms are taken
     per sample, against the fluid state of that sample, so no kinetic
-    state outlives its observation."""
-    reports = [[] for _ in batch]
-    terms = [[] for _ in batch]
+    state outlives its observation.  Each sample is one batch state, so
+    each diagnostic runs once per sample, for every member at once."""
+    reports, terms = [], []  # per sample: one entry per member
     fluid = iter(fluid_states)
 
-    def observer(members) -> None:
-        ds = next(fluid)
-        for eps, state, rep, term in zip(batch, members, reports, terms):
-            rep.append(energy_functionals(state, cfg.k, eps))
-            term.append(limit_error(state, ds, cfg.k))
+    def observer(state) -> None:
+        reports.append(energy_functionals(state, cfg.k, batch))
+        terms.append(limit_error(state, next(fluid), cfg.k))
 
     run(initial, cfg.template, observer, sample_interval=cfg.sample_interval, epsilons=batch)
     records = []
-    for eps, rep, term in zip(batch, reports, terms):
+    for eps, rep, term in zip(batch, zip(*reports), zip(*terms)):
         if cfg.out_dir is not None:
             write_reports_csv(cfg.out_dir / run_csv_name(eps), rep)
         records.append(sweep_record(eps, rep, term))
@@ -341,6 +337,8 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
         tb = _time.perf_counter()
         try:
             records = _run_batch(cfg, initial, batch, fluid_states)
+        except OSError:  # an unwritable output fails no run, so rerun nothing
+            raise
         except Exception as exc:  # noqa: BLE001 - persist partial state first
             return exc
         finally:

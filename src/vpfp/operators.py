@@ -82,8 +82,10 @@ def check_zero_mean(mean: float, scale: float, what: str) -> float:
     return mean
 
 
-def spatial_l2_norm(grid: SpatialGrid, values: np.ndarray) -> float:
-    return float(np.sqrt(grid.cell_volume * np.sum(np.asarray(values) ** 2)))
+def spatial_l2_norm(grid: SpatialGrid, values: np.ndarray):
+    """L^2 norm of the spatial field(s) along the last axis: a float for
+    one field, one norm per row for a batch of shape (B, n_x)."""
+    return np.sqrt(grid.cell_volume * np.sum(np.asarray(values) ** 2, axis=-1))
 
 
 # ---------------------------------------------------------------------------

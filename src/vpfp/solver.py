@@ -47,8 +47,9 @@ rest: the real scratch of the field coupling's inverse transform, the
 factor set with its solve workspace, the explicit-term buffers (one for
 Euler, two alternating for BDF2) and the BDF2 history, which its advance
 keeps between samples.  Sampled states are never written to after they
-are made.  At each sample run shows its observer the tuple of member
-states (KineticState.members), and keeps none of them.
+are made.  At each sample run shows its observer the batch state itself,
+in this layout, and keeps none of them: the diagnostics reduce it per
+member, so a sample is observed once, whatever B.
 """
 
 from __future__ import annotations
@@ -166,8 +167,7 @@ class SolverConfig:
 class KineticState:
     """Solution sample: the time and the perturbation g, the only unknown.
 
-    A batch state holds a batch g (see SpectralField); repeated makes one
-    and members splits it.
+    A batch state holds a batch g (see SpectralField); repeated makes one.
     """
 
     time: float
@@ -187,13 +187,6 @@ class KineticState:
         n_v, n_half = g.coeffs.shape
         return KineticState(self.time, g.with_coeffs(
             np.broadcast_to(g.coeffs[:, None], (n_v, size, n_half))))
-
-    def members(self) -> tuple["KineticState", ...]:
-        """The member states of a batch state.  Their coefficients view the
-        batch's in a batch of one, and are contiguous copies otherwise."""
-        g = self.g
-        return tuple(KineticState(self.time, g.with_coeffs(g.coeffs[:, i]))
-                     for i in range(g.coeffs.shape[1]))
 
 
 def make_initial_data(grid: SpatialGrid, basis: HermiteBasis, rho_profile,
@@ -504,7 +497,7 @@ def sample_trajectory(initial, t_final: float, schedule: tuple[int, float, int],
     return np.array(times)
 
 
-def run(initial: KineticState, cfg: SolverConfig, observer=lambda members: None, *,
+def run(initial: KineticState, cfg: SolverConfig, observer=lambda state: None, *,
         sample_interval: float, epsilons=None) -> np.ndarray:
     """Integrate to t_final with cfg.scheme, sampling every sample_interval;
     return the sample times.
@@ -512,12 +505,11 @@ def run(initial: KineticState, cfg: SolverConfig, observer=lambda members: None,
     Advances one member per entry of epsilons (default (cfg.epsilon,); the
     other settings come from cfg) from the same initial state in lock-step,
     as one batch (VpfpStepper.advance).  At each sample the observer gets
-    the tuple of member states, a 1-tuple by default; the first sample of
-    every member is initial itself.  Nothing is kept: what the observer
-    needs of a sample it takes when it sees it.  initial must lie on cfg's
-    grid and n_v, and every sampled state shares its grid and basis.  Every
-    member steps at step_schedule's fit of cfg.dt_max.  Deterministic for a
-    fixed config.
+    the batch state, one member per epsilon, initial.repeated(B) first.
+    Nothing is kept: what the observer needs of a sample it takes when it
+    sees it.  initial must lie on cfg's grid and n_v, and every sampled
+    state shares its grid and basis.  Every member steps at
+    step_schedule's fit of cfg.dt_max.  Deterministic for a fixed config.
     """
     grid, n_v = initial.g.grid, initial.g.basis.n_v
     if grid != cfg.make_grid() or n_v != cfg.n_v:
@@ -530,10 +522,5 @@ def run(initial: KineticState, cfg: SolverConfig, observer=lambda members: None,
     for eps in batch:
         replace(cfg, epsilon=eps)  # each member must be a valid config
     schedule = step_schedule(cfg.t_final, sample_interval, cfg.dt_max)
-    start = initial.repeated(len(batch))
-
-    def observe(state: KineticState) -> None:
-        observer((initial,) * len(batch) if state is start else state.members())
-
-    return sample_trajectory(start, cfg.t_final, schedule,
-                             VpfpStepper(cfg, schedule[1], batch).advance, observe)
+    return sample_trajectory(initial.repeated(len(batch)), cfg.t_final, schedule,
+                             VpfpStepper(cfg, schedule[1], batch).advance, observer)

@@ -262,8 +262,9 @@ class SpectralField:
 
     A batch of B fields on one grid and basis, as the solver advances runs
     in lock-step, has shape (n_v, B, n_x // 2 + 1), so each Hermite level
-    is one contiguous row over the (member, mode) pairs.  Only the solver's
-    stepper, operators.moments and operators.vpfp_rhs take a batch.
+    is one contiguous row over the (member, mode) pairs.  The solver's
+    stepper, operators.moments and vpfp_rhs, the diagnostics,
+    inverse_transform, distribution_values and mode_sq take a batch.
     """
 
     grid: SpatialGrid
@@ -301,15 +302,19 @@ def real_field(grid: SpatialGrid, coeffs: np.ndarray, out: np.ndarray | None = N
 
 def inverse_transform(f: SpectralField) -> np.ndarray:
     """Coefficients -> real point values on the x nodes x velocity nodes,
-    shape (n_x, 2 n_v)."""
-    return real_field(f.grid, f.coeffs).T @ f.basis.synthesis.T
+    shape (n_x, 2 n_v), or (B, n_x, 2 n_v) for a batch."""
+    return np.moveaxis(real_field(f.grid, f.coeffs), 0, -1) @ f.basis.synthesis.T
 
 
 def distribution_values(g: SpectralField) -> np.ndarray:
     """The distribution f = M + g sqrt(M) of the perturbation g at the x
-    nodes x velocity nodes, shape (n_x, 2 n_v)."""
+    nodes x velocity nodes, shape (n_x, 2 n_v), or (B, n_x, 2 n_v) for a
+    batch; built in place in the point values of g."""
     sqrt_m = g.basis.maxwellian_sqrt()
-    return sqrt_m**2 + inverse_transform(g) * sqrt_m
+    values = inverse_transform(g)
+    values *= sqrt_m
+    values += sqrt_m**2
+    return values
 
 
 def hermite_shift_coeffs(coeffs: np.ndarray, kind: str) -> np.ndarray:
@@ -339,9 +344,10 @@ def hermite_shift_coeffs(coeffs: np.ndarray, kind: str) -> np.ndarray:
 
 
 def mode_sq(coeffs: np.ndarray) -> np.ndarray:
-    """|c|^2 summed over every axis but the last (Fourier) one."""
+    """|c|^2 summed over the Hermite axis (axis 0): one square per Fourier
+    mode, shape (n_x/2 + 1,), or (B, n_x/2 + 1) for a batch."""
     sq = coeffs.real**2 + coeffs.imag**2
-    return sq.reshape(-1, sq.shape[-1]).sum(axis=0)
+    return sq.sum(axis=0)
 
 
 @lru_cache(maxsize=64)

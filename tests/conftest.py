@@ -3,7 +3,7 @@ from collections import namedtuple
 import numpy as np
 import pytest
 
-from vpfp.solver import run
+from vpfp.solver import KineticState, run
 from vpfp.spectral import HermiteBasis, SpatialGrid, SpectralField
 
 ACCEPTANCE_LINES = []
@@ -26,16 +26,18 @@ def pytest_terminal_summary(terminalreporter):
             terminalreporter.write_line(line)
 
 
+def member(state, i=0):
+    """Member i of a batch state, as a state of its own whose coefficients
+    view the batch's."""
+    return KineticState(state.time, state.g.with_coeffs(state.g.coeffs[:, i]))
+
+
 def sampled_run(initial, cfg, sample_interval):
-    """solver.run of cfg alone, with an observer that appends each sample:
-    the Trajectory of the run's times and of its one member's states."""
+    """solver.run of cfg alone, with an observer that appends each sample's
+    one member: the Trajectory of the run's times and of its states."""
     states = []
-
-    def keep(members):
-        (state,) = members
-        states.append(state)
-
-    times = run(initial, cfg, keep, sample_interval=sample_interval)
+    times = run(initial, cfg, lambda state: states.append(member(state)),
+                sample_interval=sample_interval)
     return Trajectory(times=times, states=states)
 
 

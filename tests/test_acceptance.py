@@ -22,6 +22,7 @@ from vpfp.spectral import HermiteBasis, SpatialGrid, SpectralField
 
 from conftest import (
     fd_collision_inner_product,
+    member,
     random_distribution,
     record_acceptance,
     sampled_run,
@@ -112,8 +113,8 @@ def test_criterion_6_energy_dissipation():
         grid, basis = cfg.make_grid(), cfg.make_basis()
         energies = []
 
-        def observe(members):
-            (state,) = members
+        def observe(batch):
+            state = member(batch)
             g_sq = l2_norm(state.g) ** 2
             e_sq = spatial_l2_norm(grid, state.macro.grad_phi) ** 2
             energies.append(0.5 * (g_sq + e_sq))

@@ -18,12 +18,12 @@ from vpfp.diagnostics import (
     limit_error,
 )
 from vpfp.harness import METRIC_KEYS, sweep_record
-from vpfp.solver import KineticState, SolverConfig, make_initial_data
+from vpfp.solver import KineticState, SolverConfig, make_initial_data, run
 from vpfp.spectral import ConfigurationError, HermiteBasis, SpatialGrid, SpectralField
 
 import oracles
 from oracles import half_spectrum_nu_norm, l2_norm, moment_residuals
-from conftest import Trajectory, basis_element, random_distribution, sampled_run
+from conftest import Trajectory, basis_element, member, random_distribution, sampled_run
 
 VOL = 2.0 * np.pi
 # the terms of E_k and of D_k among the report's fields
@@ -35,11 +35,18 @@ def make_state(g, time=0.0):
     return KineticState(time=time, g=g)
 
 
+def energy_of(state, k, epsilon):
+    """The energy report of state, observed as a batch of one."""
+    (report,) = energy_functionals(state.repeated(1), k, (epsilon,))
+    return report
+
+
 def trajectory_limit_error(kinetic, ddp_states, k):
     """The limit metrics that harness.sweep_record reduces from the
-    limit_error terms of every pair of samples; the energy reports it also
-    reads carry the kinetic sample times and zero functionals."""
-    terms = [limit_error(ks, ds, k) for ks, ds in zip(kinetic.states, ddp_states)]
+    limit_error terms of every pair of samples, each kinetic state observed
+    as a batch of one; the energy reports it also reads carry the kinetic
+    sample times and zero functionals."""
+    terms = [limit_error(ks.repeated(1), ds, k)[0] for ks, ds in zip(kinetic.states, ddp_states)]
     reports = [EnergyReport(t, *[0.0] * 12) for t in kinetic.times]
     record = sweep_record(0.0, reports, terms)
     return {key: record[key] for key in METRIC_KEYS}
@@ -77,13 +84,13 @@ class TestEnergyFunctionals:
         # g = 0.01 cos(x) psi_0: E_1 = 2 * (pi * 1e-4) + pi * 1e-4 = 3 pi 1e-4
         state = make_state(make_initial_data(grid, basis, np.cos(grid.nodes),
                                              amplitude=0.01).g)
-        rep = energy_functionals(state, k=1, epsilon=0.5)
+        rep = energy_of(state, k=1, epsilon=0.5)
         assert rep.E_k == pytest.approx(3 * np.pi * 1e-4, rel=1e-10)
         assert rep.gradv_micro_Hkm1_sq == 0.0
 
     def test_components_sum_to_totals(self, grid, basis, rng):
         state = make_state(random_distribution(rng, grid, basis))
-        rep = energy_functionals(state, k=2, epsilon=0.3)
+        rep = energy_of(state, k=2, epsilon=0.3)
         e_sum = sum(getattr(rep, key) for key in E_TERMS)
         d_sum = sum(getattr(rep, key) for key in D_TERMS)
         assert rep.E_k == pytest.approx(e_sum, rel=1e-14)
@@ -91,8 +98,8 @@ class TestEnergyFunctionals:
 
     def test_dissipation_epsilon_scaling(self, grid, basis, rng):
         state = make_state(random_distribution(rng, grid, basis))
-        r1 = energy_functionals(state, k=1, epsilon=0.4)
-        r2 = energy_functionals(state, k=1, epsilon=0.2)
+        r1 = energy_of(state, k=1, epsilon=0.4)
+        r2 = energy_of(state, k=1, epsilon=0.2)
         c1, c2 = r1._asdict(), r2._asdict()
         assert c2["micro_nu_Hk_sq"] == pytest.approx(4 * c1["micro_nu_Hk_sq"], rel=1e-12)
         assert c2["b_Hk_sq"] == pytest.approx(4 * c1["b_Hk_sq"], rel=1e-12)
@@ -106,7 +113,7 @@ class TestEnergyFunctionals:
         # the field back and forth would grow with it
         for g, b in ((grid, basis), (SpatialGrid(n_x=1024), basis)):
             for state in short_run(g, b).states:
-                rep = energy_functionals(state, k=1, epsilon=0.2)
+                rep = energy_of(state, k=1, epsilon=0.2)
                 assert rep.mass_residual < 1e-13
                 assert rep.poisson_residual < 1e-14
 
@@ -119,16 +126,16 @@ class TestEnergyFunctionals:
         nyquist = lambda x: np.cos(8 * 2.0 * np.pi * x / grid.length)
         initial = make_initial_data(grid, basis, nyquist, amplitude=0.01)
         for state in sampled_run(initial, cfg, sample_interval=0.05).states:
-            assert energy_functionals(state, k=1, epsilon=0.1).poisson_residual <= 1e-12
+            assert energy_of(state, k=1, epsilon=0.1).poisson_residual <= 1e-12
 
     def test_order_validation(self, grid, basis):
         state = make_state(SpectralField.zeros(grid, basis))
         with pytest.raises(ConfigurationError):
-            energy_functionals(state, k=0, epsilon=0.5)
+            energy_of(state, k=0, epsilon=0.5)
 
     def test_csv_row_shape(self, grid, basis, rng):
         state = make_state(random_distribution(rng, grid, basis))
-        rep = energy_functionals(state, k=1, epsilon=0.5)
+        rep = energy_of(state, k=1, epsilon=0.5)
         row = rep.csv_row().split(",")
         assert len(row) == len(EnergyReport._fields)
         assert EnergyReport._fields == (
@@ -220,6 +227,36 @@ class TestLimitError:
         assert 0.0 < metrics["micro_time_integral"] < 1e-4
 
 
+class TestBatchObservation:
+    """One call of each diagnostic observes every member of a batch sample,
+    as a batch of one of that member would."""
+
+    @pytest.mark.parametrize("scheme", ["imex_euler", "imex_bdf2"])
+    def test_members_equal_batches_of_one(self, grid, basis, scheme):
+        epsilons = (0.4, 0.2, 0.1, 0.05)
+        cfg = SolverConfig(epsilon=0.4, t_final=0.1, n_x=grid.n_x, n_v=basis.n_v,
+                           dt_max=5e-3, scheme=scheme)
+        density = 0.05 * (np.cos(grid.nodes) + 0.5 * np.sin(2.0 * grid.nodes))
+        initial = make_initial_data(grid, basis, density)
+        fluid = ddp_run(grid, density, dt=1e-3, t_final=0.1, sample_interval=0.05)
+        observed = []
+
+        def observe(state):
+            reports = energy_functionals(state, 2, epsilons)
+            terms = limit_error(state, fluid[len(observed)], 2)
+            assert len(reports) == len(terms) == len(epsilons)
+            for i, eps in enumerate(epsilons):
+                one = member(state, i).repeated(1)
+                assert reports[i] == energy_functionals(one, 2, (eps,))[0]
+                assert terms[i] == limit_error(one, fluid[len(observed)], 2)[0]
+            observed.append(reports)
+
+        run(initial, cfg, observe, sample_interval=0.05, epsilons=epsilons)
+        assert len(observed) == 3
+        # the members differ once they have stepped
+        assert len({report.D_k for report in observed[-1]}) == len(epsilons)
+
+
 def rel_diff(got, want):
     return abs(got - want) / abs(want) if want else abs(got)
 
@@ -248,7 +285,7 @@ class TestHalfSpectrumMatchesFullSpectrum:
         state = self.random_state(n_x, n_v, rng)
         epsilon = rng.uniform(1e-2, 1.0)
         for k in (1, 2, 3):
-            rep = energy_functionals(state, k, epsilon)
+            rep = energy_of(state, k, epsilon)
             want = oracles.energy_components(state, k, epsilon)
             assert tuple(want) == E_TERMS + D_TERMS
             for key in want:
@@ -285,5 +322,5 @@ class TestHalfSpectrumMatchesFullSpectrum:
     def test_energy_uses_real_transforms_only(self, grid, basis, rng, fft_calls):
         state = make_state(random_distribution(rng, grid, basis))
         fft_calls.clear()
-        energy_functionals(state, k=2, epsilon=0.1)
+        energy_of(state, k=2, epsilon=0.1)
         assert fft_calls and {call.name for call in fft_calls} <= {"rfft", "irfft"}

@@ -88,10 +88,9 @@ def one_run_record(cfg, epsilon, fluid, csv_path=None):
                                 initial_density(cfg))
     reports, terms = [], []
 
-    def observe(members):
-        (state,) = members
-        reports.append(energy_functionals(state, cfg.k, epsilon))
-        terms.append(limit_error(state, fluid[len(terms)], cfg.k))
+    def observe(state):
+        reports.extend(energy_functionals(state, cfg.k, (epsilon,)))
+        terms.extend(limit_error(state, fluid[len(terms)], cfg.k))
 
     run(initial, solver_cfg, observe, sample_interval=cfg.sample_interval)
     assert len(terms) == len(fluid)
@@ -452,18 +451,19 @@ class TestBatchedSweep:
 
         ini = small_ini_with(tmp_path, **THREE_EPS)
         cfg = SweepConfig.from_dict(parse_config_file(ini))
-        sampled = []  # (time, weak reference) of the member states past t = 0
+        sampled = []  # (time, weak reference) of the batch states past t = 0
         energy, run = harness.energy_functionals, harness.run
 
         def alive(before=np.inf):
             gc.collect()
             return sum(ref() is not None for time, ref in sampled if time < before)
 
-        def watched_energy(state, k, epsilon):
+        def watched_energy(state, k, epsilons):
+            assert state.g.coeffs.shape[1] == len(epsilons)  # the whole batch at once
             if state.time > 0.0:  # t = 0 is the sweep's one initial state
                 assert alive(before=state.time) == 0  # earlier samples are gone
                 sampled.extend((state.time, weakref.ref(obj)) for obj in (state, state.g.coeffs))
-            return energy(state, k, epsilon)
+            return energy(state, k, epsilons)
 
         def checked_run(*args, **kwargs):
             assert alive() == 0
@@ -472,13 +472,13 @@ class TestBatchedSweep:
         monkeypatch.setattr(harness, "energy_functionals", watched_energy)
         monkeypatch.setattr(harness, "run", checked_run)
         if entry == "run_sweep":
-            run_sweep(cfg)
-            n_runs = len(cfg.epsilons)
+            result = run_sweep(cfg)
+            assert len(result.per_epsilon) == len(cfg.epsilons)
         else:
             reports = run_single(cfg, 0.1)  # held while the states are counted
             assert len(reports) == 5
-            n_runs = 1
-        assert len(sampled) == 2 * 4 * n_runs  # 4 samples past t = 0 each
+        # one batch state per sample past t = 0, whatever the batch size
+        assert len(sampled) == 2 * 4
         assert alive() == 0
 
 
@@ -999,6 +999,39 @@ class TestCli:
         code = main(["--config", str(small_ini), "--out", str(tmp_path), "--quiet", "run"])
         assert code == EXIT_RUN_FAILURE
         assert capsys.readouterr().err == "run failed: math range error\n"
+
+    @pytest.mark.parametrize("command, blocked", [
+        ("run", "run_eps_0.1.csv"),
+        ("sweep", "run_eps_0.1.csv"),
+        ("report", "metrics.csv"),
+    ])
+    def test_unwritable_output_is_run_failure(self, small_ini, sweep_outputs, tmp_path, capsys,
+                                              monkeypatch, command, blocked):
+        # a directory where the command writes a file: one stderr line and
+        # exit 1, and a sweep reruns nothing, as no run failed
+        from vpfp import harness
+
+        out = tmp_path / "out"
+        (out / blocked).mkdir(parents=True)
+        if command == "report":
+            (out / "summary.json").write_bytes((sweep_outputs[2] / "summary.json").read_bytes())
+        runs = []
+        run = harness.run
+        monkeypatch.setattr(harness, "run", lambda *a, **kw: (runs.append(a), run(*a, **kw))[1])
+        code = main(["--config", str(small_ini), "--out", str(out), "--quiet", command])
+        err = capsys.readouterr().err
+        assert code == EXIT_RUN_FAILURE
+        assert err.count("\n") == 1 and err.startswith("run failed: ")
+        assert str(out / blocked) in err
+        assert len(runs) == {"run": 1, "sweep": 1, "report": 0}[command]
+
+    def test_unwritable_csv_fails_no_epsilon(self, small_ini, tmp_path):
+        # the sweep raises the OSError itself, not a SweepError that blames
+        # the epsilon whose CSV could not be written
+        cfg = SweepConfig.from_dict(parse_config_file(small_ini), out_dir=tmp_path)
+        (tmp_path / "run_eps_0.1.csv").mkdir()
+        with pytest.raises(IsADirectoryError):
+            run_sweep(cfg)
 
     def test_run_failure_exit_code(self, tmp_path):
         bad = tmp_path / "bad.ini"

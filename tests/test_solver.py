@@ -29,8 +29,8 @@ from vpfp.solver import (
 from vpfp.spectral import ConfigurationError, SpatialGrid, SpectralField
 
 import oracles
-from conftest import (WRONG_DENSITY_SHAPES, basis_element, cosine_of_shape, random_distribution,
-                      sampled_run)
+from conftest import (WRONG_DENSITY_SHAPES, basis_element, cosine_of_shape, member,
+                      random_distribution, sampled_run)
 from oracles import l2_norm, x_derivative
 
 
@@ -235,7 +235,7 @@ class TestDampingInvariant:
         g = basis_element(grid, basis, 1, 5)
         state = KineticState(time=0.0, g=g).repeated(1)
         new = stepper.step_euler(state, stepper.explicit_coeffs(state.g))
-        new = new.members()[0]
+        new = member(new)
         assert l2_norm(new.g) < l2_norm(g)
         assert abs(new.g.coeffs[5, 1]) < abs(g.coeffs[5, 1])
 
@@ -399,8 +399,8 @@ class TestConservationAndConsistency:
         cfg = small_config(epsilon=0.1, t_final=0.2, dt_max=2e-3)
         energies = []
 
-        def observe(members):
-            (state,) = members
+        def observe(batch):
+            state = member(batch)
             g_sq = l2_norm(state.g) ** 2
             e_sq = spatial_l2_norm(grid, state.macro.grad_phi) ** 2
             energies.append(0.5 * (g_sq + e_sq))
@@ -478,7 +478,8 @@ class TestHalfSpectrumSteps:
     @pytest.mark.parametrize("epsilons", [(0.2,), (0.5, 0.2)])
     def test_macro_fields_only_where_read(self, grid, basis, monkeypatch, epsilons):
         # no step forms the moments; a sample's first read of macro forms
-        # them once, bit for bit those of its g, and later reads reuse them
+        # them once for the whole batch, bit for bit those of its g, and
+        # later reads reuse them
         calls = []
 
         def counted_moments(g):
@@ -491,23 +492,21 @@ class TestHalfSpectrumSteps:
         state = stepper.advance(cos_initial(grid, basis, amplitude=0.05).repeated(len(epsilons)), 4)
         assert calls == []
 
-        def read_twice(members):
-            # the members of the initial sample are one state
-            for i, member in enumerate(members):
-                before = len(calls)
-                first = member.macro
-                fresh = all(member is not m for m in members[:i])
-                assert len(calls) == before + fresh and calls[-1] is member.g
-                want = moments(member.g)
-                for name in ("a", "b", "phi", "grad_phi"):
-                    assert np.array_equal(getattr(first, name), getattr(want, name))
-                assert member.macro is first and len(calls) == before + fresh
+        def read_twice(state):
+            before = len(calls)
+            first = state.macro
+            assert len(calls) == before + 1 and calls[-1] is state.g
+            want = moments(state.g)
+            for name in ("a", "b", "phi", "grad_phi"):
+                assert getattr(first, name).shape == (len(epsilons), grid.n_x)
+                assert np.array_equal(getattr(first, name), getattr(want, name))
+            assert state.macro is first and len(calls) == before + 1
 
-        read_twice(state.members())
+        read_twice(state)
         calls.clear()
         run(cos_initial(grid, basis, amplitude=0.05), cfg, read_twice,
             sample_interval=0.02, epsilons=epsilons)
-        assert len(calls) == 1 + 2 * len(epsilons)
+        assert len(calls) == 3  # one per sample, whatever the batch size
 
 
 class TestBufferOwnership:
@@ -521,8 +520,7 @@ class TestBufferOwnership:
         cfg = small_config(t_final=0.06, scheme=scheme)  # dt = 5e-3
         seen = []  # (state, a copy of its coefficients when it was sampled)
 
-        def keep(members):
-            (state,) = members
+        def keep(state):
             seen.append((state, state.g.coeffs.copy()))
 
         times = run(cos_initial(grid, basis, amplitude=0.05), cfg, keep,
@@ -690,17 +688,21 @@ class TestRunHarness:
         run(initial, small_config(t_final=0.04, scheme=scheme), samples.append,
             sample_interval=0.02, epsilons=(0.5, 0.2))
         assert len(samples) == 3
-        for members in samples:
-            assert len(members) == 2
-            for state in members:
-                assert state.g.grid is initial.g.grid and state.g.basis is initial.g.basis
+        for state in samples:
+            assert state.g.coeffs.shape == (basis.n_v, 2, grid.n_half)
+            assert state.g.grid is initial.g.grid and state.g.basis is initial.g.basis
 
     def test_zero_time_returns_initial(self, grid, basis):
         cfg = small_config(t_final=0.0)
         state = cos_initial(grid, basis)
-        traj = sampled_run(state, cfg, sample_interval=0.05)
-        assert traj.times.tolist() == [0.0]
-        assert len(traj.states) == 1 and traj.states[0] is state
+        samples = []
+        times = run(state, cfg, samples.append, sample_interval=0.05)
+        assert times.tolist() == [0.0]
+        # the one sample is initial as a batch of one, a view of its coefficients
+        (batch,) = samples
+        assert batch.time == 0.0 and batch.g.coeffs.shape == (basis.n_v, 1, grid.n_half)
+        assert np.shares_memory(batch.g.coeffs, state.g.coeffs)
+        assert np.array_equal(batch.g.coeffs[:, 0], state.g.coeffs)
 
     @pytest.mark.parametrize("interval", [0.0, -0.025])
     def test_nonpositive_sample_interval_rejected(self, grid, basis, interval):
@@ -727,13 +729,15 @@ class TestRunHarness:
         samples = []
         times = run(initial, cfg, samples.append, sample_interval=0.02,
                     epsilons=epsilons)
-        assert len(samples[0]) == 3 and all(m is initial for m in samples[0])
+        first = samples[0].g.coeffs
+        assert first.shape[1] == 3
+        assert all(np.array_equal(first[:, i], initial.g.coeffs) for i in range(3))
         for i, eps in enumerate(epsilons):
             single = sampled_run(initial, replace(cfg, epsilon=eps), sample_interval=0.02)
             assert np.array_equal(times, single.times)
-            for members, state in zip(samples, single.states, strict=True):
-                assert np.array_equal(members[i].g.coeffs, state.g.coeffs)
-                assert np.array_equal(members[i].macro.grad_phi, state.macro.grad_phi)
+            for batch, state in zip(samples, single.states, strict=True):
+                assert np.array_equal(batch.g.coeffs[:, i], state.g.coeffs)
+                assert np.array_equal(batch.macro.grad_phi[i], state.macro.grad_phi)
 
     def test_batch_spans_any_epsilons(self, grid, basis):
         # every member steps at dt_max, so eps 200 times apart form one batch
@@ -743,8 +747,8 @@ class TestRunHarness:
         run(initial, cfg, samples.append, sample_interval=0.01,
             epsilons=(0.2, 0.001))
         single = sampled_run(initial, replace(cfg, epsilon=0.001), sample_interval=0.01)
-        for members, state in zip(samples, single.states, strict=True):
-            assert np.array_equal(members[1].g.coeffs, state.g.coeffs)
+        for batch, state in zip(samples, single.states, strict=True):
+            assert np.array_equal(batch.g.coeffs[:, 1], state.g.coeffs)
 
     def test_batch_member_must_be_a_valid_config(self, grid, basis):
         with pytest.raises(ConfigurationError, match="epsilon must lie in"):
@@ -752,11 +756,11 @@ class TestRunHarness:
                 epsilons=(0.2, 0.0))
 
     def test_observers_see_every_sample(self, grid, basis):
-        # the observer gets each sample's members, a 1-tuple by default
+        # the observer gets each sample's batch state, of one member by default
         cfg = small_config(t_final=0.1)
         seen = []
         times = run(cos_initial(grid, basis), cfg,
-                    lambda members: seen.append([s.time for s in members]),
+                    lambda state: seen.append((state.time, state.g.coeffs.shape[1])),
                     sample_interval=0.02)
         assert len(seen) == len(times) == 6
-        assert seen == [[t] for t in times]
+        assert seen == [(t, 1) for t in times]

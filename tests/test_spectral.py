@@ -6,6 +6,8 @@ tests/oracles.py, which integrates products of basis functions exactly and
 never touches the coefficient-space implementation.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,7 @@ from vpfp.spectral import (
     HermiteBasis,
     SpatialGrid,
     SpectralField,
+    distribution_values,
     hermite_shift_coeffs,
     inverse_transform,
     mode_sq,
@@ -180,6 +183,38 @@ class TestTransforms:
         h1 = parseval_sq(grid, mode_sq(c), 1)
         expected = grid.volume * np.sum((1.0 + oracles.k_sq(grid))[:, None] * full_sq)
         assert h1 == pytest.approx(expected, rel=1e-13)
+
+    def test_batch_reduces_per_member(self, grid, basis, rng):
+        # a batch's point values, distribution and per-mode squares are
+        # those of each member alone
+        members = [random_distribution(rng, grid, basis, neutral=False) for _ in range(3)]
+        batch = SpectralField(grid, basis, np.stack([m.coeffs for m in members], axis=1))
+        values, f = inverse_transform(batch), distribution_values(batch)
+        sq = mode_sq(batch.coeffs)
+        assert values.shape == f.shape == (3, grid.n_x, 2 * basis.n_v)
+        assert sq.shape == (3, grid.n_half)
+        for i, g in enumerate(members):
+            assert np.array_equal(values[i], inverse_transform(g))
+            assert np.array_equal(f[i], distribution_values(g))
+            assert np.array_equal(sq[i], mode_sq(g.coeffs))
+
+    def test_distribution_built_in_place(self, basis, rng):
+        # f = M + g sqrt(M) is formed in the point values of g: the peak is
+        # those values and the real rows they come from (half their size,
+        # and once more as the stacked product's operand), not three copies
+        # of the values
+        grid = SpatialGrid(n_x=64)
+        coeffs = np.stack([random_distribution(rng, grid, basis).coeffs] * 2, axis=1)
+        g = SpectralField(grid, basis, coeffs)
+        distribution_values(g)  # builds the basis's psi table
+        tracemalloc.start()
+        try:
+            f = distribution_values(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert f.shape == (2, grid.n_x, 2 * basis.n_v)
+        assert peak < 2.5 * f.nbytes
 
 
 class TestSpatialDerivative:
