@@ -15,8 +15,11 @@ turns that vector into a Sobolev norm; only spectral knows the weights.
 energy_functionals and limit_error take the batch state that solver.run
 shows its observer, shape (n_v, B, n_x/2 + 1), and return one EnergyReport
 or LimitTerms per member: mode_sq keeps the member axis, and parseval_sq
-and operators.spatial_l2_norm give one norm per member row.  An
-EnergyReport is one row of a run's energy CSV: its fields are the columns.
+and operators.spatial_l2_norm give one norm per member row.  The micro
+parts (I - P) g and (I - P0) g are views of g's coefficients without
+their zero levels (hermite_shift_coeffs' first), so no sample copies its
+state.  An EnergyReport is one row of a run's energy CSV: its fields are
+the columns.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .operators import potential_coeffs, project_micro, spatial_l2_norm
+from .operators import potential_coeffs, spatial_l2_norm
 from .spectral import (
     ConfigurationError,
     SpatialGrid,
@@ -72,31 +75,46 @@ class EnergyReport(NamedTuple):
 # ---------------------------------------------------------------------------
 # norm machinery
 
-def _dv_tower(coeffs: np.ndarray, depth: int):
-    """Yield f, d_dv f, ..., d_dv^depth f, each with an extended Hermite
-    axis; only the level in hand and the one being made are alive."""
+def _shift_scratch(coeffs: np.ndarray, depth: int, first: int) -> np.ndarray:
+    """One array for the second term of every shift in a d_v tower of
+    depth levels over coeffs, whose first level is first (see
+    spectral.hermite_shift_coeffs); the top level of the tower is the
+    largest."""
+    return np.empty((first + len(coeffs) + depth,) + coeffs.shape[1:], dtype=coeffs.dtype)
+
+
+def _dv_tower(coeffs: np.ndarray, depth: int, first: int, scratch: np.ndarray):
+    """Yield f, d_dv f, ..., d_dv^depth f, where coeffs holds the levels of
+    f from first on and each derivative has an extended Hermite axis; only
+    the level in hand and the one being made are alive, and each shift
+    forms its second term in scratch."""
     level = coeffs
     yield level
     for _ in range(depth):
-        level = hermite_shift_coeffs(level, "d_dv")
+        level = hermite_shift_coeffs(level, "d_dv", first, scratch)
+        first = 0
         yield level
 
 
-def _nu_squares(coeffs: np.ndarray, depth: int) -> tuple[list, list]:
+def _nu_squares(coeffs: np.ndarray, depth: int, first: int = 0) -> tuple[list, list]:
     """Per-mode squares (spectral.mode_sq) of the d_v tower levels
-    0..depth of coeffs, and of v times the levels 0..depth-1."""
+    0..depth of the field whose levels from first on are coeffs, and of
+    v times the levels 0..depth-1."""
+    scratch = _shift_scratch(coeffs, depth, first)
     dv_sq, v_sq = [], []
-    for beta, level in enumerate(_dv_tower(coeffs, depth)):
+    for beta, level in enumerate(_dv_tower(coeffs, depth, first, scratch)):
         dv_sq.append(mode_sq(level))
         if beta < depth:
-            v_sq.append(mode_sq(hermite_shift_coeffs(level, "multiply_by_v")))
+            v_sq.append(mode_sq(hermite_shift_coeffs(level, "multiply_by_v", first, scratch)))
+            first = 0
     return dv_sq, v_sq
 
 
-def _mixed_sq(grid: SpatialGrid, coeffs: np.ndarray, k: int) -> np.ndarray:
-    """sum over |alpha| + |beta| <= k of the L^2 norms squared, per member."""
-    return sum(parseval_sq(grid, mode_sq(cb), k - beta)
-               for beta, cb in enumerate(_dv_tower(coeffs, k)))
+def _mixed_sq(grid: SpatialGrid, coeffs: np.ndarray, k: int, first: int) -> np.ndarray:
+    """sum over |alpha| + |beta| <= k of the L^2 norms squared, per member,
+    of the field whose levels from first on are coeffs."""
+    tower = _dv_tower(coeffs, k, first, _shift_scratch(coeffs, k, first))
+    return sum(parseval_sq(grid, mode_sq(cb), k - beta) for beta, cb in enumerate(tower))
 
 
 def _mixed_nu_sq(grid: SpatialGrid, dv_sq: list[np.ndarray], v_sq: list[np.ndarray],
@@ -145,10 +163,11 @@ def energy_functionals(state, k: int, epsilons) -> list[EnergyReport]:
         g = state.g
         grid = g.grid
         c = g.coeffs
-        level_sq = c.real**2 + c.imag**2  # (n_v, B, n_half)
+        level_sq = np.square(c.real)  # (n_v, B, n_half)
+        level_sq += np.square(c.imag)
         a_sq, b_sq = level_sq[0], level_sq[1]
         dx_sq = grid.dx_symbol.imag**2
-        dv_sq, v_sq = _nu_squares(project_micro(g).coeffs, k + 1)
+        dv_sq, v_sq = _nu_squares(c[2:], k + 1, first=2)  # (I - P) g: levels 0, 1 zero
         phi_c, grad_phi_c = potential_coeffs(grid, c[0])
 
         g_hk = parseval_sq(grid, level_sq.sum(axis=0), k)
@@ -206,10 +225,7 @@ def limit_error(kinetic_state, ddp_state, k: int) -> list[LimitTerms]:
         )
     g = kinetic_state.g
     grid = g.grid
-    micro_c = g.coeffs.copy()
-    micro_c[0] = 0.0  # (I - P0) g
-    micro_sq = _mixed_sq(grid, micro_c, k)
-    del micro_c  # before the distribution values, about twice its size, are made
+    micro_sq = _mixed_sq(grid, g.coeffs[1:], k, 1)  # (I - P0) g: level 0 zero
     gap = distribution_values(g)
     gap -= (1.0 + ddp_state.rho0)[:, None] * g.basis.maxwellian_sqrt()**2
     np.abs(gap, out=gap)

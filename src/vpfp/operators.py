@@ -29,7 +29,6 @@ from .spectral import ConfigurationError, SpatialGrid, SpectralField, fourier_fi
 __all__ = [
     "MacroFields",
     "moments",
-    "project_micro",
     "solve_poisson",
     "potential_coeffs",
     "vpfp_rhs",
@@ -103,13 +102,6 @@ def moments(g: SpectralField) -> MacroFields:
     phi_c, grad_phi_c = potential_coeffs(grid, c[0])
     a, b, phi, grad_phi = real_field(grid, np.array([c[0], c[1], phi_c, grad_phi_c]))
     return MacroFields(a=a, b=b, phi=phi, grad_phi=grad_phi)
-
-
-def project_micro(g: SpectralField) -> SpectralField:
-    """(I - P) g: zero the macroscopic Hermite levels 0 and 1."""
-    out = g.coeffs.copy()
-    out[:2] = 0.0
-    return g.with_coeffs(out)
 
 
 def solve_poisson(grid: SpatialGrid, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -317,36 +317,52 @@ def distribution_values(g: SpectralField) -> np.ndarray:
     return values
 
 
-def hermite_shift_coeffs(coeffs: np.ndarray, kind: str) -> np.ndarray:
+def hermite_shift_coeffs(coeffs: np.ndarray, kind: str, first: int = 0,
+                         scratch: np.ndarray | None = None) -> np.ndarray:
     """Apply one of the velocity recurrences along axis 0, the Hermite axis.
 
     multiply_by_v: psi_n -> sqrt(n+1) psi_{n+1} + sqrt(n) psi_{n-1}
     d_dv:          psi_n -> (sqrt(n)/2) psi_{n-1} - (sqrt(n+1)/2) psi_{n+1}
 
-    The output has one Hermite level more than coeffs, which holds the
-    spill from the top level, so the shift is exact; norms rely on this,
-    and the first n_v levels are the shift truncated at n_v.  Each term
-    scales whole rows, so the work runs along the contiguous Fourier axis.
+    coeffs holds the levels first, first + 1, ...; the levels below first
+    are zero, so a view that drops them stands for a field such as
+    (I - P) g without a copy.  The output holds every level from 0 to one
+    above the top input level, which holds the spill from the top, so the
+    shift is exact; norms rely on this, and the first n_v levels are the
+    shift truncated at n_v.  Each term scales whole rows, so the work runs
+    along the contiguous Fourier axis: the first is written into the
+    output, the second into scratch (at least the shape of coeffs) when
+    given and into a new array otherwise.
     """
     if kind not in SHIFT_KINDS:
         raise ConfigurationError(f"unknown shift kind {kind!r}; expected one of {SHIFT_KINDS}")
     n_in = coeffs.shape[0]
-    out = np.zeros((n_in + 1,) + coeffs.shape[1:], dtype=coeffs.dtype)
-    root = np.sqrt(np.arange(1, n_in + 1)).reshape((-1,) + (1,) * (coeffs.ndim - 1))
-    # level n receives sqrt(n) c_{n-1} (up) and sqrt(n+1) c_{n+1} (down)
+    top = first + n_in
+    out = np.zeros((top + 1,) + coeffs.shape[1:], dtype=coeffs.dtype)
+    term = np.empty_like(coeffs) if scratch is None else scratch[:n_in]
+    root = np.sqrt(np.arange(first, top + 1)).reshape((-1,) + (1,) * (coeffs.ndim - 1))
+    # input level n sends sqrt(n + 1) c_n up to level n + 1 and sqrt(n) c_n
+    # down to level n - 1; level 0 sends nothing down
+    up, down = root[1:], root[:-1]
+    lo = 1 if first == 0 else 0
+    below = out[first + lo - 1:top - 1]
     if kind == "d_dv":
-        np.multiply(0.5 * root[: n_in - 1], coeffs[1:], out=out[: n_in - 1])
-        out[1:] -= 0.5 * root * coeffs
+        up, down = 0.5 * up, 0.5 * down
+        np.multiply(down[lo:], coeffs[lo:], out=below)
+        np.multiply(up, coeffs, out=term)
+        out[first + 1:] -= term
     else:
-        np.multiply(root, coeffs, out=out[1:])
-        out[: n_in - 1] += root[: n_in - 1] * coeffs[1:]
+        np.multiply(up, coeffs, out=out[first + 1:])
+        np.multiply(down[lo:], coeffs[lo:], out=term[lo:])
+        below += term[lo:]
     return out
 
 
 def mode_sq(coeffs: np.ndarray) -> np.ndarray:
     """|c|^2 summed over the Hermite axis (axis 0): one square per Fourier
     mode, shape (n_x/2 + 1,), or (B, n_x/2 + 1) for a batch."""
-    sq = coeffs.real**2 + coeffs.imag**2
+    sq = np.square(coeffs.real)
+    sq += np.square(coeffs.imag)
     return sq.sum(axis=0)
 
 

@@ -16,8 +16,8 @@ The moment hierarchy (gamma_moment, moment_residuals) is not an
 independent path: only tests use it, so it lives here, built on the
 package's operators, to check that sampled kinetic states satisfy the
 density, momentum and stress equations.  So do the operators that no run
-calls (the collision operator apply_L, the projections P and P0, the L^2
-and nu norms on the half-spectrum, the coercivity gap) and the
+calls (the collision operator apply_L, the projections P, I - P and P0,
+the L^2 and nu norms on the half-spectrum, the coercivity gap) and the
 operator-level checks of acceptance criteria 1-4 built on them.
 """
 
@@ -29,7 +29,7 @@ import numpy as np
 from vpfp import spectral
 from vpfp.ddp import DdpState
 from vpfp.diagnostics import _mixed_nu_sq, _nu_squares
-from vpfp.operators import project_micro, solve_poisson, spatial_l2_norm
+from vpfp.operators import solve_poisson, spatial_l2_norm
 from vpfp.spectral import SpectralField, _hermite_rows, hermite_shift_coeffs, mode_sq, parseval_sq
 
 # Largest n_v for which numpy's hermegauss(2 n_v) gives finite plain-measure
@@ -224,6 +224,13 @@ def project_macro(g):
     """P g = (a + v b) sqrt(M): keep Hermite levels 0 and 1, zero the rest."""
     out = np.zeros_like(g.coeffs)
     out[:2] = g.coeffs[:2]
+    return g.with_coeffs(out)
+
+
+def project_micro(g):
+    """(I - P) g: zero the macroscopic Hermite levels 0 and 1."""
+    out = g.coeffs.copy()
+    out[:2] = 0.0
     return g.with_coeffs(out)
 
 

@@ -5,16 +5,20 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from vpfp.ddp import DdpState, ddp_run, ddp_step, make_ddp_state
+from vpfp.ddp import DENSE_MAX_N_X, DdpState, _propagator, ddp_run, ddp_step, make_ddp_state
 from vpfp.operators import spatial_l2_norm
 from vpfp.spectral import ConfigurationError, SpatialGrid
 
 import oracles
 from conftest import WRONG_DENSITY_SHAPES, cosine_of_shape
 from oracles import x_derivative
+
+# one grid on each side of ddp_step's size rule: the dense propagator runs
+# at 64 points, the default sweep's grid, and the FFT step at 256
+SIDES = (SpatialGrid(n_x=64), SpatialGrid(n_x=256))
 
 
 class TestSingleStep:
@@ -64,8 +68,10 @@ class TestSingleStep:
         return rho0, oracles.real_field(grid, phi_c * ik)
 
     @settings(max_examples=40, deadline=None)
-    @given(n_x=st.integers(2, 64).map(lambda h: 2 * h), amplitude=st.floats(1e-4, 0.1),
+    @given(n_x=st.integers(2, 160).map(lambda h: 2 * h), amplitude=st.floats(1e-4, 0.1),
            dt=st.floats(1e-5, 1e-1), seed=st.integers(0, 2**32 - 1))
+    @example(n_x=DENSE_MAX_N_X, amplitude=0.1, dt=1e-1, seed=0)
+    @example(n_x=DENSE_MAX_N_X + 2, amplitude=0.1, dt=1e-1, seed=0)
     def test_matches_complex_fft_formula(self, n_x, amplitude, dt, seed):
         grid = SpatialGrid(n_x=n_x)
         rho = np.random.default_rng(seed).uniform(-1.0, 1.0, n_x)
@@ -77,61 +83,83 @@ class TestSingleStep:
             assert np.max(np.abs(got - want)) <= 1e-15
 
     @pytest.mark.parametrize("value", [np.inf, np.nan, -np.inf])
-    def test_non_finite_state_raises(self, grid, value):
-        state = make_ddp_state(grid, 0.0, 0.01 * np.cos(grid.nodes))
-        rho0 = state.rho0.copy()
-        rho0[3] = value
-        # the transforms of inf warn; the step's own check must raise
-        with np.errstate(all="ignore"), pytest.raises(FloatingPointError,
-                                                      match="non-finite fluid state"):
-            ddp_step(grid, replace(state, rho0=rho0), 1e-3)
+    def test_non_finite_state_raises(self, value):
+        for grid in SIDES:
+            state = make_ddp_state(grid, 0.0, 0.01 * np.cos(grid.nodes))
+            rho0 = state.rho0.copy()
+            rho0[3] = value
+            # the transforms and the product of inf warn; the step's own check must raise
+            with np.errstate(all="ignore"), pytest.raises(FloatingPointError,
+                                                          match="non-finite fluid state"):
+                ddp_step(grid, replace(state, rho0=rho0), 1e-3)
 
     def test_overflow_to_minus_inf_raises(self):
         # a transform spreads a non-finite node into NaN everywhere; only an
         # overflow leaves -inf at one node and no NaN, and only the min of
         # the new density sees it.  A negative step amplifies every mode, so
-        # a spike near the largest float overflows.
-        grid = SpatialGrid(n_x=32)
-        rho0 = np.full(grid.n_x, 1.7e308 / 31)
-        rho0[0] = -1.7e308
-        state = DdpState(time=0.0, rho0=rho0, grad_phi0=np.zeros(grid.n_x))
-        with np.errstate(all="ignore"):
-            new = oracles.ddp_step_reference(grid, state, -1e-3)
-            assert np.isneginf(new.rho0[0]) and np.all(np.isfinite(new.rho0[1:]))
-            with pytest.raises(FloatingPointError, match="non-finite fluid state"):
-                ddp_step(grid, state, -1e-3)
+        # a spike near the largest float overflows; the step is small enough
+        # that 1 + dt k^2 stays positive on each grid.  At 32 points the
+        # dense propagator overflows at that one node too.
+        for grid, dt in ((SpatialGrid(n_x=32), -1e-3), (SIDES[1], -1e-5)):
+            rho0 = np.full(grid.n_x, 1.7e308 / (grid.n_x - 1))
+            rho0[0] = -1.7e308
+            state = DdpState(time=0.0, rho0=rho0, grad_phi0=np.zeros(grid.n_x))
+            with np.errstate(all="ignore"):
+                new = oracles.ddp_step_reference(grid, state, dt)
+                assert np.isneginf(new.rho0[0]) and np.all(np.isfinite(new.rho0[1:]))
+                if grid.n_x <= DENSE_MAX_N_X:
+                    dense = np.concatenate((rho0, np.zeros(grid.n_x))) @ _propagator(grid, dt)
+                    assert np.isneginf(dense[0]) and np.all(np.isfinite(dense[1:]))
+                with pytest.raises(FloatingPointError, match="non-finite fluid state"):
+                    ddp_step(grid, state, dt)
 
-    def test_nonzero_mean_raises(self, grid):
-        state = make_ddp_state(grid, 0.0, 0.01 * np.cos(grid.nodes))
-        shifted = replace(state, rho0=state.rho0 + 0.3)
-        with pytest.raises(ValueError, match="Poisson right-hand side must have zero spatial mean"):
-            ddp_step(grid, shifted, 1e-3)
+    def test_nonzero_mean_raises(self):
+        for grid in SIDES:
+            state = make_ddp_state(grid, 0.0, 0.01 * np.cos(grid.nodes))
+            shifted = replace(state, rho0=state.rho0 + 0.3)
+            with pytest.raises(ValueError,
+                               match="Poisson right-hand side must have zero spatial mean"):
+                ddp_step(grid, shifted, 1e-3)
 
-    def test_negative_density_after_step_warns(self, grid):
-        state = make_ddp_state(grid, 0.0, 0.5 * np.cos(grid.nodes))
-        deep = replace(state, rho0=4.0 * state.rho0)  # 1 + rho0 reaches -1
-        with pytest.warns(RuntimeWarning, match="not positive"):
-            new = ddp_step(grid, deep, 1e-3)
-        assert np.min(1.0 + new.rho0) <= 0.0
+    def test_negative_density_after_step_warns(self):
+        for grid in SIDES:
+            state = make_ddp_state(grid, 0.0, 0.5 * np.cos(grid.nodes))
+            deep = replace(state, rho0=4.0 * state.rho0)  # 1 + rho0 reaches -1
+            with pytest.warns(RuntimeWarning, match="not positive"):
+                new = ddp_step(grid, deep, 1e-3)
+            assert np.min(1.0 + new.rho0) <= 0.0
 
     @pytest.mark.parametrize("mode", [1, 2, 3])
-    def test_matches_uncached_step(self, mode):
-        # the cached symbols and the min/max checks change no bit of the
-        # default sweep's fluid reference (64 points, ddp_dt = 2.5e-4)
-        grid = SpatialGrid(n_x=64)
+    @pytest.mark.parametrize("n_x, exact", [(64, False), (256, True)], ids=["64", "256"])
+    def test_matches_uncached_step(self, n_x, exact, mode):
+        # the default sweep's fluid reference (64 points, ddp_dt = 2.5e-4)
+        # runs on the dense propagator, which agrees with the transforms to
+        # rounding; above the size rule, the cached symbols and the min/max
+        # checks change no bit
+        grid = SpatialGrid(n_x=n_x)
+        assert (n_x <= DENSE_MAX_N_X) != exact
         state = ref = make_ddp_state(grid, 0.0, 0.2 * np.cos(mode * grid.nodes))
         for _ in range(400):
             state = ddp_step(grid, state, 2.5e-4)
             ref = oracles.ddp_step_reference(grid, ref, 2.5e-4)
             assert state.time == ref.time
             for got, want in zip((state.rho0, state.grad_phi0), (ref.rho0, ref.grad_phi0)):
-                assert np.array_equal(got, want)
+                if exact:
+                    assert np.array_equal(got, want)
+                else:
+                    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
-    def test_two_transforms_per_step(self, grid, fft_calls):
+    @pytest.mark.parametrize("n_x, transforms", [(64, []), (256, ["rfft", "irfft"])],
+                             ids=["64", "256"])
+    def test_transforms_per_step(self, n_x, transforms, fft_calls):
+        # the dense propagator's build transforms the identity once per
+        # (grid, dt); its warm steps make no transform
+        grid = SpatialGrid(n_x=n_x)
         state = make_ddp_state(grid, 0.0, 0.01 * np.cos(grid.nodes))
+        ddp_step(grid, state, 1e-3)
         fft_calls.clear()
         ddp_step(grid, state, 1e-3)
-        assert [call.name for call in fft_calls] == ["rfft", "irfft"]
+        assert [call.name for call in fft_calls] == transforms
 
     def test_negative_density_warns(self, grid):
         with pytest.warns(RuntimeWarning, match="not positive"):

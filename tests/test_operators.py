@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vpfp.operators import moments, project_micro, solve_poisson, spatial_l2_norm, vpfp_rhs
+from vpfp.operators import moments, solve_poisson, spatial_l2_norm, vpfp_rhs
 from vpfp.spectral import (
     ConfigurationError,
     HermiteBasis,
@@ -41,6 +41,7 @@ from oracles import (
     half_spectrum_nu_norm,
     l2_norm,
     project_macro,
+    project_micro,
     project_p0,
     quadrature_oracle_moment,
     spatial_derivative,

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vpfp.operators import moments, project_micro, spatial_l2_norm, vpfp_rhs
+from vpfp.operators import moments, spatial_l2_norm, vpfp_rhs
 from vpfp.solver import (
     SAMPLE_RATIO_RTOL,
     SCHEMES,
@@ -31,7 +31,7 @@ from vpfp.spectral import ConfigurationError, SpatialGrid, SpectralField
 import oracles
 from conftest import (WRONG_DENSITY_SHAPES, basis_element, cosine_of_shape, member,
                       random_distribution, sampled_run)
-from oracles import l2_norm, x_derivative
+from oracles import l2_norm, project_micro, x_derivative
 
 
 def small_config(**kw):

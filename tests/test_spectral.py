@@ -348,6 +348,24 @@ class TestHermiteShifts:
         assert got.dtype == want.dtype and got.shape == want.shape
         assert np.array_equal(got, want)
 
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(SHIFT_KINDS), first=st.integers(0, 3), n_in=st.integers(0, 12),
+           width=st.integers(1, 6), spare=st.integers(0, 2), seed=st.integers(0, 2**32 - 1))
+    def test_levels_from_first_equal_zero_padded_field(self, kind, first, n_in, width, spare,
+                                                       seed):
+        # a view that drops the zero levels below first, as the diagnostics
+        # pass (I - P) g, shifts to the bits of the padded field, signed
+        # zeros included, with or without a scratch array for the second term
+        rng = np.random.default_rng(seed)
+        padded = np.zeros((first + n_in, width), dtype=complex)
+        padded[first:] = rng.standard_normal((n_in, width)) + 1j * rng.standard_normal((n_in, width))
+        padded[first:, 0] = -0.0
+        want = hermite_shift_coeffs(padded, kind).tobytes()
+        scratch = np.full((n_in + spare, width), np.nan, dtype=complex)
+        for given_scratch in (None, scratch):
+            got = hermite_shift_coeffs(padded[first:], kind, first, given_scratch)
+            assert got.shape == (first + n_in + 1, width) and got.tobytes() == want
+
 
 class TestQuadratureExactness:
     """The order-2 n_v Gauss-Hermite rule at the basis's nodes is exact on
