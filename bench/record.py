@@ -8,7 +8,8 @@ keeps the last JSON line of each run and the median and interquartile range
 of each end-to-end metric (from the run's full record under
 .perfbench/results/).  It then times run_single in this process at the north
 star's sizes, n_x = n_v = 64, 128 and 192 (BDF2, epsilon 0.1, t = 1, 400
-steps), and the default sweep's fluid reference, ddp_run at its ddp_dt (4000
+steps), and the default sweep's fluid reference, ddp_run at the sweep's
+fluid step, a tenth of its fitted kinetic step (SweepConfig.fluid_dt: 4000
 steps to t = 1), at n_x = 64, 128, 192 and 256, on both sides of ddp_step's
 size rule (vpfp.ddp.DENSE_MAX_N_X, recorded beside the times); no benchmark
 workload runs the fluid step above 64 points.  Each size's first call is cold
@@ -74,12 +75,15 @@ def time_run_single(size: int) -> dict:
 
 
 def time_ddp_run(n_x: int) -> dict:
+    """Cold and warm times of the default sweep's fluid reference on n_x
+    points: ddp_run at the step the sweep derives, SweepConfig.fluid_dt, a
+    tenth of its fitted kinetic step."""
     from vpfp import harness
     from vpfp.ddp import ddp_run
 
     cfg = sweep_config(n_x=n_x)
     grid, density = cfg.template.make_grid(), harness.initial_density(cfg)
-    return cold_and_warm(lambda: ddp_run(grid, density, cfg.ddp_dt, cfg.template.t_final,
+    return cold_and_warm(lambda: ddp_run(grid, density, cfg.fluid_dt, cfg.template.t_final,
                                          cfg.sample_interval))
 
 

@@ -53,19 +53,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config(args) -> dict:
-    if args.config is None:
-        return default_sweep_config()
-    return parse_config_file(args.config)
-
-
-def _make_out_dir(out: Path) -> None:
-    """Create the output directory once the config is valid: an --out that
-    cannot be a directory is a configuration error, raised before any run."""
+def _sweep_config(args) -> SweepConfig:
+    """The sweep config of --config, or the built-in one.  The output
+    directory is made once the config is valid: an --out that cannot be a
+    directory is a configuration error, raised before any run."""
+    cfg = default_sweep_config() if args.config is None else parse_config_file(args.config)
+    sweep_cfg = SweepConfig.from_dict(cfg, out_dir=args.out)
     try:
-        out.mkdir(parents=True, exist_ok=True)
+        args.out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        raise ConfigurationError(f"cannot create output directory {out}: {exc.strerror}") from exc
+        raise ConfigurationError(
+            f"cannot create output directory {args.out}: {exc.strerror}") from exc
+    return sweep_cfg
 
 
 def say(line: str, stream=None) -> None:
@@ -81,9 +80,7 @@ def say(line: str, stream=None) -> None:
 
 
 def cmd_run(args, say) -> int:
-    cfg = _load_config(args)
-    sweep_cfg = SweepConfig.from_dict(cfg, out_dir=args.out)
-    _make_out_dir(args.out)
+    sweep_cfg = _sweep_config(args)
     eps = sweep_cfg.template.epsilon
     csv_path = args.out / run_csv_name(eps)
     reports = run_single(sweep_cfg, eps, csv_path=csv_path)
@@ -92,9 +89,7 @@ def cmd_run(args, say) -> int:
 
 
 def cmd_sweep(args, say) -> int:
-    cfg = _load_config(args)
-    sweep_cfg = SweepConfig.from_dict(cfg, out_dir=args.out)
-    _make_out_dir(args.out)
+    sweep_cfg = _sweep_config(args)
     try:
         result, failure = run_sweep(sweep_cfg), None
     except SweepError as exc:

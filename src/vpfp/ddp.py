@@ -13,11 +13,12 @@ the drift product, one inverse real FFT of the new density and its field
 d phi0/dx, all a state keeps.  The propagator is that FFT step applied
 to the identity, so both paths share one chain of symbols: the odd
 derivatives use grid.dx_symbol, 0 at the Nyquist mode, and the 2/3 rule
-zeroes the drift product's modes from grid.n_dealiased on.  The symbols
-and the propagator depend only on (grid, dt); each is built at the first
-step of a pair and cached, read-only.  The step's checks on the new
-density read one min and one max of it.  ddp_run returns the list of its
-sampled states, each with its time.
+zeroes the drift product's modes from grid.n_dealiased on
+(grid.dealiased_dx_symbol).  The propagator depends only on (n_x, length,
+dt), plain numbers that key its cache; it is built at the first step of
+such a triple, read-only.  The step's checks on the new density read one
+min and one max of it.  ddp_run returns the list of its sampled states,
+each with its time.
 """
 
 from __future__ import annotations
@@ -72,28 +73,15 @@ def _checked_state(time: float, rho0: np.ndarray, grad_phi0: np.ndarray,
     return DdpState(time=time, rho0=rho0, grad_phi0=grad_phi0)
 
 
-@lru_cache(maxsize=16)
-def _step_symbols(grid: SpatialGrid, dt: float) -> tuple[np.ndarray, ...]:
-    """The symbols of ddp_step at (grid, dt), built once per pair and
-    read-only: the derivative i k with the modes from n_dealiased on
-    zeroed (the 2/3 rule), and the implicit divisor 1 + dt k^2."""
-    dealiased_ik = grid.dx_symbol.copy()
-    dealiased_ik[grid.n_dealiased:] = 0.0
-    implicit = 1.0 + dt * grid.k_sq
-    for a in (dealiased_ik, implicit):
-        a.flags.writeable = False
-    return dealiased_ik, implicit
-
-
 def _advance_coeffs(grid: SpatialGrid, dt: float, rho_c: np.ndarray,
                     prod_c: np.ndarray) -> np.ndarray:
     """The new density's coefficients from those of rho0 and of the drift
-    product rho0 d phi0/dx, along the last axis."""
-    dealiased_ik, implicit = _step_symbols(grid, dt)
+    product rho0 d phi0/dx, along the last axis; diffusion divides by the
+    implicit symbol 1 + dt k^2."""
     # div((rho0 + 1) grad phi0) = div(rho0 grad phi0) + Lap phi0, and Lap phi0 = -rho0;
     # the product is dealiased by the 2/3 rule
-    rhs_c = rho_c + dt * (dealiased_ik * prod_c - rho_c)
-    return rhs_c / implicit
+    rhs_c = rho_c + dt * (grid.dealiased_dx_symbol * prod_c - rho_c)
+    return rhs_c / (1.0 + dt * grid.k_sq)
 
 
 def _new_fields(grid: SpatialGrid, new_c: np.ndarray) -> np.ndarray:
@@ -104,9 +92,9 @@ def _new_fields(grid: SpatialGrid, new_c: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=16)
-def _propagator(grid: SpatialGrid, dt: float) -> np.ndarray:
-    """The step at (grid, dt) as one real matrix W, built once per pair
-    and read-only.
+def _propagator(n_x: int, length: float, dt: float) -> np.ndarray:
+    """The step on SpatialGrid(n_x, length) at dt as one real matrix W,
+    built once per triple and read-only.
 
     Row vector [rho0, rho0 d phi0/dx] times W is [new rho0, new d phi0/dx,
     new mean mode], shape (2 n_x + 1,).  W is the identity of the 2 n_x
@@ -116,7 +104,7 @@ def _propagator(grid: SpatialGrid, dt: float) -> np.ndarray:
     that rounds closer to the FFT step than the row-major product does
     (outputs within 8.7e-12 relative, against 1.0e-11) and is no slower.
     """
-    n = grid.n_x
+    grid, n = SpatialGrid(n_x, length), n_x
     eye = np.eye(2 * n)
     new_c = _advance_coeffs(grid, dt, fourier_field(eye[:, :n]), fourier_field(eye[:, n:]))
     rho0, grad_phi0 = _new_fields(grid, new_c)
@@ -134,20 +122,20 @@ def ddp_step(grid: SpatialGrid, state: DdpState, dt: float) -> DdpState:
     a rounding-level mean stays at rounding level.  The step is linear in
     rho0 and the drift product rho0 d phi0/dx.  Up to DENSE_MAX_N_X
     points it is one product with the matrix that _propagator caches per
-    (grid, dt), and no transform; above, it works on the modes
+    (n_x, length, dt), and no transform; above, it works on the modes
     m = 0..n_x/2 with one real FFT and one inverse real FFT, with the
-    symbols that _step_symbols caches per (grid, dt).  Checks the new
-    density in this order, from its min and max alone: FloatingPointError
-    unless it is finite (NaN and inf carry through min and max), ValueError
-    unless its mean mode is zero to ZERO_MEAN_TOL relative to
-    max(1, max |rho0|), and a RuntimeWarning unless 1 + rho0 > 0.
+    grid's symbols.  Checks the new density in this order, from its min and
+    max alone: FloatingPointError unless it is finite (NaN and inf carry
+    through min and max), ValueError unless its mean mode is zero to
+    ZERO_MEAN_TOL relative to max(1, max |rho0|), and a RuntimeWarning
+    unless 1 + rho0 > 0.
     """
-    n = grid.n_x
+    n, drift = grid.n_x, state.rho0 * state.grad_phi0
     if n <= DENSE_MAX_N_X:
-        new = np.concatenate((state.rho0, state.rho0 * state.grad_phi0)) @ _propagator(grid, dt)
+        new = np.concatenate((state.rho0, drift)) @ _propagator(n, grid.length, dt)
         rho0, grad_phi0, mean = new[:n], new[n:-1], float(new[-1])
     else:
-        rho_c, prod_c = fourier_field(np.array([state.rho0, state.rho0 * state.grad_phi0]))
+        rho_c, prod_c = fourier_field(np.array([state.rho0, drift]))
         new_c = _advance_coeffs(grid, dt, rho_c, prod_c)
         rho0, grad_phi0 = _new_fields(grid, new_c)
         mean = float(new_c[0].real)

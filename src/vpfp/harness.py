@@ -4,7 +4,8 @@ A sweep builds its initial density once (initial_density), then the
 well-prepared kinetic state from it, and only if that succeeds runs the
 fluid reference from the same density.  It then advances every epsilon
 from the kinetic state in lock-step as one solver.run batch: every run
-steps at dt_max fitted to the sample interval, whatever its epsilon.  At
+steps at dt_max fitted to the sample interval, whatever its epsilon, and
+the fluid reference at a FLUID_SUBSTEPS-th of that step.  At
 each sample one call of each diagnostic gives every member's energy report
 and limit-error terms against the fluid sample of that time, so no kinetic
 sample is kept, and sweep_record reduces them to each run's record.  A
@@ -51,6 +52,8 @@ METRIC_KEYS = (
     "micro_time_integral",
 )
 
+FLUID_SUBSTEPS = 10  # fluid reference steps per kinetic step of a sweep
+
 
 def _finite(raw: str) -> float:
     """A float setting: NaN and infinities are bad values."""
@@ -72,7 +75,6 @@ _SCHEMA = {
     },
     "sweep": {
         "epsilons": lambda s: tuple(_finite(x) for x in s.split(",")),
-        "ddp_dt": _finite,
         "sample_interval": _finite,
         "amplitude": _finite,
         "profile_mode": int,
@@ -160,7 +162,6 @@ class SweepConfig:
 
     epsilons: tuple = (0.2, 0.1, 0.05, 0.025)
     template: SolverConfig = field(default_factory=SolverConfig)
-    ddp_dt: float = 2.5e-4
     sample_interval: float = 0.05
     amplitude: float = 0.01
     profile_mode: int = 1
@@ -170,7 +171,7 @@ class SweepConfig:
     def __post_init__(self):
         if self.out_dir is not None:
             object.__setattr__(self, "out_dir", Path(self.out_dir))
-        coerce_settings(self, ("amplitude", "ddp_dt", "sample_interval"), ("profile_mode", "k"))
+        coerce_settings(self, ("amplitude", "sample_interval"), ("profile_mode", "k"))
         object.__setattr__(self, "epsilons", tuple(map(float, self.epsilons)))
         eps = self.epsilons
         if len(eps) < 2:
@@ -189,7 +190,7 @@ class SweepConfig:
             raise ConfigurationError(f"amplitude must be finite, got {self.amplitude}")
         if self.k < 1:
             raise ConfigurationError(f"diagnostics order k must be >= 1, got {self.k}")
-        sobolev_weights(self.template.make_grid(), self.k)  # raises if a weight overflows
+        sobolev_weights(self.template.n_x, self.template.length, self.k)  # raises on overflow
         # the Nyquist mode n_x/2 is excluded: its odd-derivative wavenumber is
         # 0, so a Nyquist density is frozen in the kinetic run while the fluid
         # step diffuses it, and the sweep would not approach the fluid limit
@@ -199,10 +200,16 @@ class SweepConfig:
                 f"profile_mode must lie in [1, n_x // 2 - 1 = {max_mode}], "
                 f"got {self.profile_mode}"
             )
-        # fit every step now: the fluid run's, and the kinetic runs' one step
-        t_final = self.template.t_final
-        step_schedule(t_final, self.sample_interval, self.ddp_dt)
-        step_schedule(t_final, self.sample_interval, self.template.dt_max)
+        # fit every step now: the kinetic runs' one step, then the fluid run's
+        step_schedule(self.template.t_final, self.sample_interval, self.fluid_dt)
+
+    @property
+    def fluid_dt(self) -> float:
+        """The kinetic runs' fitted step (dt_max if t_final = 0 fits none)
+        over FLUID_SUBSTEPS: the fluid reference's step."""
+        t = self.template
+        return (step_schedule(t.t_final, self.sample_interval, t.dt_max)[1]
+                or t.dt_max) / FLUID_SUBSTEPS
 
     @classmethod
     def from_dict(cls, cfg: dict, out_dir=None) -> "SweepConfig":
@@ -364,7 +371,7 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
         failed = cfg.epsilons[0], exc
     else:
         td = _time.perf_counter()
-        fluid_states = ddp_run(grid, density, cfg.ddp_dt, cfg.template.t_final,
+        fluid_states = ddp_run(grid, density, cfg.fluid_dt, cfg.template.t_final,
                                sample_interval=cfg.sample_interval)
         timings["ddp_reference_s"] = _time.perf_counter() - td
         failed = first_failure(cfg.epsilons)

@@ -130,6 +130,13 @@ class SpatialGrid:
         return ik
 
     @cached_property
+    def dealiased_dx_symbol(self) -> np.ndarray:
+        """dx_symbol with the modes from n_dealiased on zeroed (the 2/3 rule)."""
+        ik = self.dx_symbol.copy()
+        ik[self.n_dealiased:] = 0.0
+        return ik
+
+    @cached_property
     def k_sq(self) -> np.ndarray:
         """k^2 on the modes m = 0..n_x/2 (the symbol of -Laplace)."""
         return self.wavenumbers**2
@@ -367,13 +374,15 @@ def mode_sq(coeffs: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def sobolev_weights(grid: SpatialGrid, order: int) -> np.ndarray:
-    """Per-mode multiplier w_m sum_{alpha <= order} k_m^(2 alpha), with w_m
-    the half-spectrum mode_weights; cached per (grid, order), read-only.
+def sobolev_weights(n_x: int, length: float, order: int) -> np.ndarray:
+    """Per-mode multiplier w_m sum_{alpha <= order} k_m^(2 alpha) on
+    SpatialGrid(n_x, length), with w_m the half-spectrum mode_weights;
+    cached per (n_x, length, order), plain numbers, read-only.
 
     Raises ConfigurationError, naming the largest order the grid allows,
     when a weight is not finite.
     """
+    grid = SpatialGrid(n_x, length)
     k_sq = grid.k_sq
     w = np.ones_like(k_sq)
     term = np.ones_like(k_sq)
@@ -394,9 +403,9 @@ def sobolev_weights(grid: SpatialGrid, order: int) -> np.ndarray:
 
 def parseval_sq(grid: SpatialGrid, sq: np.ndarray, order: int = 0):
     """Squared H^order_x norm by Parseval from per-mode squared moduli sq
-    (last axis m = 0..n_x/2): vol * sum_m sobolev_weights(grid, order)_m sq_m.
+    (last axis m = 0..n_x/2): vol * sum_m w_m sq_m, w = sobolev_weights.
 
     A 1-D sq gives a float; a leading axis (one row per Hermite level, say)
     gives one norm per row.
     """
-    return grid.volume * (sq @ sobolev_weights(grid, order))
+    return grid.volume * (sq @ sobolev_weights(grid.n_x, grid.length, order))

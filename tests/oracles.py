@@ -420,9 +420,9 @@ def moment_residuals(states, epsilon):
 # for bit
 
 def ddp_step_reference(grid, state, dt):
-    """The fluid step's arithmetic with every symbol rebuilt per call, as
-    ddp_step did before its symbols were cached and before the state
-    dropped phi0, which it still transforms; no checks."""
+    """The fluid step's arithmetic with every symbol rebuilt per call and
+    phi0 transformed too, as ddp_step did before the state dropped phi0;
+    no checks."""
     ik = grid.dx_symbol
     rho_c, prod_c = np.fft.rfft(np.array([state.rho0, state.rho0 * state.grad_phi0]),
                                 norm="forward")

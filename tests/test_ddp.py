@@ -108,7 +108,8 @@ class TestSingleStep:
                 new = oracles.ddp_step_reference(grid, state, dt)
                 assert np.isneginf(new.rho0[0]) and np.all(np.isfinite(new.rho0[1:]))
                 if grid.n_x <= DENSE_MAX_N_X:
-                    dense = np.concatenate((rho0, np.zeros(grid.n_x))) @ _propagator(grid, dt)
+                    w = _propagator(grid.n_x, grid.length, dt)
+                    dense = np.concatenate((rho0, np.zeros(grid.n_x))) @ w
                     assert np.isneginf(dense[0]) and np.all(np.isfinite(dense[1:]))
                 with pytest.raises(FloatingPointError, match="non-finite fluid state"):
                     ddp_step(grid, state, dt)
@@ -132,10 +133,10 @@ class TestSingleStep:
     @pytest.mark.parametrize("mode", [1, 2, 3])
     @pytest.mark.parametrize("n_x, exact", [(64, False), (256, True)], ids=["64", "256"])
     def test_matches_uncached_step(self, n_x, exact, mode):
-        # the default sweep's fluid reference (64 points, ddp_dt = 2.5e-4)
-        # runs on the dense propagator, which agrees with the transforms to
-        # rounding; above the size rule, the cached symbols and the min/max
-        # checks change no bit
+        # the default sweep's fluid reference (64 points, at a tenth of its
+        # kinetic step, 2.5e-4) runs on the dense propagator, which agrees
+        # with the transforms to rounding; above the size rule, the grid's
+        # symbols and the min/max checks change no bit
         grid = SpatialGrid(n_x=n_x)
         assert (n_x <= DENSE_MAX_N_X) != exact
         state = ref = make_ddp_state(grid, 0.0, 0.2 * np.cos(mode * grid.nodes))

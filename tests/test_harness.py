@@ -51,7 +51,6 @@ scheme = imex_bdf2
 
 [sweep]
 epsilons = 0.2,0.1
-ddp_dt = 1e-3
 sample_interval = 0.05
 amplitude = 0.01
 
@@ -75,7 +74,7 @@ def small_ini_with(tmp_path, **settings):
 
 
 def fluid_reference(cfg):
-    return ddp_run(cfg.template.make_grid(), initial_density(cfg), cfg.ddp_dt,
+    return ddp_run(cfg.template.make_grid(), initial_density(cfg), cfg.fluid_dt,
                    cfg.template.t_final, sample_interval=cfg.sample_interval)
 
 
@@ -212,7 +211,7 @@ class TestSweepConfig:
             template = SolverConfig(epsilon=number(1), t_final=number(1), n_x=number(32),
                                     n_v=number(16), length=number(6), dt_max=number(1),
                                     scheme="imex_euler")
-            return SweepConfig(epsilons=(number(1), 0.5), template=template, ddp_dt=number(1),
+            return SweepConfig(epsilons=(number(1), 0.5), template=template,
                                sample_interval=number(1), amplitude=number(1),
                                profile_mode=number(1), k=number(1))
 
@@ -224,7 +223,7 @@ class TestSweepConfig:
         for cfg in (SweepConfig(profile_mode=1.0), SweepConfig(k=2.0),
                     SweepConfig(template=SolverConfig(n_v=64.0)),
                     SweepConfig(template=SolverConfig(n_x=64.0))):
-            assert config_hash(cfg.as_dict()) == "6840ef0e7b3cb523"
+            assert config_hash(cfg.as_dict()) == "51bc8b57fd1e3578"
 
 
     def test_diagnostics_order(self, small_ini):
@@ -252,9 +251,7 @@ class TestSweepConfig:
         ("sweep", "epsilons", (float("nan"), 0.2), "epsilon must lie in"),
         ("sweep", "amplitude", float("nan"), "amplitude must be finite"),
         ("sweep", "amplitude", float("inf"), "amplitude must be finite"),
-        ("sweep", "ddp_dt", float("nan"), "time step must be positive"),
         ("sweep", "sample_interval", float("nan"), "sample_interval must be positive"),
-        ("sweep", "ddp_dt", float("inf"), "time step must be positive and finite, got inf"),
         ("sweep", "sample_interval", float("inf"),
          "sample_interval must be positive and finite, got inf"),
         ("solver", "t_final", float("nan"), "t_final must be finite"),
@@ -360,9 +357,8 @@ class TestSweepOutputs:
         _, result, out_dir = sweep_outputs
         template = SolverConfig(epsilon=0.1, t_final=0.2, n_x=32, n_v=16, dt_max=2e-3,
                                 scheme="imex_bdf2")
-        cfg = SweepConfig(epsilons=(0.2, 0.1), template=template, ddp_dt=1e-3,
-                          sample_interval=0.05, amplitude=0.01, profile_mode=1, k=1,
-                          out_dir=tmp_path)
+        cfg = SweepConfig(epsilons=(0.2, 0.1), template=template, sample_interval=0.05,
+                          amplitude=0.01, profile_mode=1, k=1, out_dir=tmp_path)
         direct = run_sweep(cfg)
         assert direct.config == result.config
         assert direct.config_hash == result.config_hash
@@ -509,6 +505,58 @@ class TestBatchedSweep:
         assert len(tables) == 1
 
 
+class TestFluidReference:
+    """The fluid reference steps FLUID_SUBSTEPS times per kinetic step of
+    the sweep's own schedule, and samples at the kinetic sample times."""
+
+    def test_ten_fluid_steps_per_kinetic_step(self, tmp_path, monkeypatch):
+        # dt_max = 3e-3 fits 17 kinetic steps into each 0.05 sample, so the
+        # fluid reference takes 170, whatever the default dt_max's 200
+        from vpfp import ddp, harness
+        from vpfp.solver import VpfpStepper
+
+        kinetic, fluid, pairs = [], [], []
+        advance, step, observe = VpfpStepper.advance, ddp.ddp_step, harness.limit_error
+
+        def counted_advance(self, state, n):
+            kinetic.append((self.dt, n))
+            return advance(self, state, n)
+
+        def counted_step(grid, state, dt):
+            new = step(grid, state, dt)
+            fluid.append((dt, new.time))
+            return new
+
+        def paired(state, ddp_state, k):
+            pairs.append((state.time, ddp_state.time))
+            return observe(state, ddp_state, k)
+
+        monkeypatch.setattr(VpfpStepper, "advance", counted_advance)
+        monkeypatch.setattr(ddp, "ddp_step", counted_step)
+        monkeypatch.setattr(harness, "limit_error", paired)
+        ini = small_ini_with(tmp_path, solver__dt_max="3e-3")  # t_final = 0.2: 4 samples
+        cfg = SweepConfig.from_dict(parse_config_file(ini))
+        assert cfg.fluid_dt == (0.05 / 17) / 10
+        run_sweep(cfg)
+        assert kinetic == [(0.05 / 17, 17)] * 4
+        assert [dt for dt, _ in fluid] == [0.05 / 170] * (4 * 170)
+        for s in range(4):  # each sample's last fluid step lands on its time
+            assert fluid[170 * s + 169][1] == pytest.approx(0.05 * (s + 1), rel=1e-13)
+        assert [kinetic_time for kinetic_time, _ in pairs] == pytest.approx(
+            [0.0, 0.05, 0.1, 0.15, 0.2], rel=1e-15)
+        assert all(kinetic_time == fluid_time for kinetic_time, fluid_time in pairs)
+
+    def test_sweep_to_zero_time(self, tmp_path):
+        # t_final = 0 fits no kinetic step, so no fluid step either: each
+        # run is its initial sample, at a fluid step a tenth of dt_max's
+        ini = small_ini_with(tmp_path, solver__t_final="0")
+        cfg = SweepConfig.from_dict(parse_config_file(ini))
+        assert cfg.fluid_dt == 2e-3 / 10
+        result = run_sweep(cfg)
+        assert result.incomplete == []
+        assert [rec["micro_time_integral"] for rec in result.per_epsilon] == [0.0, 0.0]
+
+
 class TestLargeBasis:
     def test_192_squared_bdf2_run(self, tmp_path):
         # n_v = 192 lies above the cap that plain-measure quadrature weights
@@ -568,7 +616,7 @@ class TestImportFootprint:
         # parse_config_file needs configparser
         after_run, digest, after_hash = footprint("run")
         assert after_run == []
-        assert digest == "6840ef0e7b3cb523"
+        assert digest == "51bc8b57fd1e3578"
         if not BUILTIN_SHA256:
             pytest.skip("this interpreter has neither _sha2 nor _sha256, so hashing loads hashlib")
         assert after_hash == []  # config_hash used the built-in SHA-256
@@ -578,7 +626,7 @@ class TestImportFootprint:
         # the sweep hashes its config, as config_hash does after it
         after_sweep, digest, after_hash = footprint("sweep")
         assert after_sweep == [] and after_hash == []
-        assert digest == "6840ef0e7b3cb523"
+        assert digest == "51bc8b57fd1e3578"
 
 
 def run_with_closed_reader(args: list, unbuffered: bool, closed: str = "stdout") -> tuple[int, str]:
@@ -871,9 +919,10 @@ class TestCli:
         ("sweep", {"sweep__sample_interval": "0"}, "sample_interval must be positive"),
         ("run", {"sweep__sample_interval": "-0.05"}, "sample_interval must be positive"),
         ("sweep", {"sweep__sample_interval": "-0.05"}, "sample_interval must be positive"),
-        ("sweep", {"sweep__ddp_dt": "0"}, "time step must be positive"),
-        ("sweep", {"sweep__ddp_dt": "-1"}, "time step must be positive"),
-        ("run", {"sweep__ddp_dt": "0"}, "time step must be positive"),
+        # the fluid step follows dt_max: ddp_dt is no setting, whatever its value
+        ("sweep", {"sweep__ddp_dt": "0"}, "unknown config key 'ddp_dt' in section [sweep]"),
+        ("sweep", {"sweep__ddp_dt": "-1"}, "unknown config key 'ddp_dt' in section [sweep]"),
+        ("run", {"sweep__ddp_dt": "0"}, "unknown config key 'ddp_dt' in section [sweep]"),
         ("run", {"diagnostics__k": "0"}, "k must be >= 1"),
         ("sweep", {"diagnostics__k": "0"}, "k must be >= 1"),
         ("run", {"sweep__profile_mode": "0"}, "profile_mode must lie in"),
@@ -904,8 +953,10 @@ class TestCli:
         ("sweep", {"solver__t_final": "inf"}, "bad value for solver.t_final"),
         ("sweep", {"solver__t_final": "nan"}, "bad value for solver.t_final"),
         ("sweep", {"sweep__sample_interval": "nan"}, "bad value for sweep.sample_interval"),
-        ("run", {"sweep__ddp_dt": "nan"}, "bad value for sweep.ddp_dt"),
-        ("sweep", {"sweep__ddp_dt": "nan"}, "bad value for sweep.ddp_dt"),
+        # so is a value that was valid, the old default and SMALL_INI's, as
+        # are cfl_scale and system below
+        ("run", {"sweep__ddp_dt": "2.5e-4"}, "unknown config key 'ddp_dt' in section [sweep]"),
+        ("sweep", {"sweep__ddp_dt": "1e-3"}, "unknown config key 'ddp_dt' in section [sweep]"),
         ("sweep", {"solver__dt_max": "nan"}, "bad value for solver.dt_max"),
         ("run", {"solver__dt_max": "1e-320"}, "is too small for the sample interval"),
         ("sweep", {"solver__dt_max": "1e-320"}, "is too small for the sample interval"),
