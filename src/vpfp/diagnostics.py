@@ -1,25 +1,28 @@
 """Norms, energy/dissipation functionals and the limit-error terms of a sample.
 
-Spatial derivatives are Fourier multipliers; velocity derivatives and the
-weight sqrt(1+v^2) are Hermite recurrences, applied with an extended
-Hermite axis so the norms are exact for every represented field (no
-truncation loss at the top retained mode).  Sobolev sums run over all
-derivative orders up to the requested one, not just the top order.
+Spatial derivatives are Fourier multipliers; velocity derivatives are
+the Hermite recurrence spectral.hermite_shift_coeffs, applied with an
+extended Hermite axis so the norms are exact for every represented field
+(no truncation loss at the top retained mode).  The weight sqrt(1+v^2) of
+the nu norm needs no recurrence of its own: by the ladder-operator
+identity in _mixed_nu_sq, ||v h||^2 is read off the squares of h and
+d_v h.  Sobolev sums run over all derivative orders up to the requested
+one, not just the top order.
 
 Coefficients are Hermite-major half-spectra (see spectral), so every
 Parseval sum weights the modes m = 1..n_x/2-1 by 2 (they stand for their
 conjugates too) and m = 0 and m = n_x/2 by 1 (grid.mode_weights).  A norm
 reduces each coefficient array to one squared modulus per Fourier mode,
-summed over the Hermite axis (spectral.mode_sq), and spectral.parseval_sq
+summed over the Hermite axis (_tower_squares), and spectral.parseval_sq
 turns that vector into a Sobolev norm; only spectral knows the weights.
 energy_functionals and limit_error take the batch state that solver.run
 shows its observer, shape (n_v, B, n_x/2 + 1), and return one EnergyReport
-or LimitTerms per member: mode_sq keeps the member axis, and parseval_sq
-and operators.spatial_l2_norm give one norm per member row.  The micro
-parts (I - P) g and (I - P0) g are views of g's coefficients without
-their zero levels (hermite_shift_coeffs' first), so no sample copies its
-state.  An EnergyReport is one row of a run's energy CSV: its fields are
-the columns.
+or LimitTerms per member: the Hermite sums keep the member axis, and
+parseval_sq and operators.spatial_l2_norm give one norm per member row.
+The micro parts (I - P) g and (I - P0) g are views of g's coefficients
+without their zero levels (hermite_shift_coeffs' first), so no sample
+copies its state.  An EnergyReport is one row of a run's energy CSV: its
+fields are the columns.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ from .spectral import (
     SpatialGrid,
     distribution_values,
     hermite_shift_coeffs,
-    mode_sq,
     parseval_sq,
     real_field,
 )
@@ -75,57 +77,46 @@ class EnergyReport(NamedTuple):
 # ---------------------------------------------------------------------------
 # norm machinery
 
-def _shift_scratch(coeffs: np.ndarray, depth: int, first: int) -> np.ndarray:
-    """One array for the second term of every shift in a d_v tower of
-    depth levels over coeffs, whose first level is first (see
-    spectral.hermite_shift_coeffs); the top level of the tower is the
-    largest."""
-    return np.empty((first + len(coeffs) + depth,) + coeffs.shape[1:], dtype=coeffs.dtype)
+def _tower_squares(coeffs: np.ndarray, depth: int, first: int) -> tuple[list, list]:
+    """Per-mode squares of the d_v tower f, d_v f, ..., d_v^depth f of the
+    field whose levels from first on are coeffs: for each level, sum_n
+    |c_n|^2 and sum_n (4n + 3) |c_n|^2 over the Hermite axis, with n the
+    level's true index.
 
-
-def _dv_tower(coeffs: np.ndarray, depth: int, first: int, scratch: np.ndarray):
-    """Yield f, d_dv f, ..., d_dv^depth f, where coeffs holds the levels of
-    f from first on and each derivative has an extended Hermite axis; only
-    the level in hand and the one being made are alive, and each shift
-    forms its second term in scratch."""
+    Each derivative has an extended Hermite axis, so both sums are exact;
+    only the level in hand and the one being made are alive, and every
+    shift forms its second term in one scratch array the size of the top
+    level (see spectral.hermite_shift_coeffs).
+    """
+    scratch = np.empty((first + len(coeffs) + depth,) + coeffs.shape[1:], dtype=coeffs.dtype)
+    plain, weighted = [], []
     level = coeffs
-    yield level
-    for _ in range(depth):
-        level = hermite_shift_coeffs(level, "d_dv", first, scratch)
-        first = 0
-        yield level
-
-
-def _nu_squares(coeffs: np.ndarray, depth: int, first: int = 0) -> tuple[list, list]:
-    """Per-mode squares (spectral.mode_sq) of the d_v tower levels
-    0..depth of the field whose levels from first on are coeffs, and of
-    v times the levels 0..depth-1."""
-    scratch = _shift_scratch(coeffs, depth, first)
-    dv_sq, v_sq = [], []
-    for beta, level in enumerate(_dv_tower(coeffs, depth, first, scratch)):
-        dv_sq.append(mode_sq(level))
-        if beta < depth:
-            v_sq.append(mode_sq(hermite_shift_coeffs(level, "multiply_by_v", first, scratch)))
+    for beta in range(depth + 1):
+        if beta:
+            level = hermite_shift_coeffs(level, first, scratch)
             first = 0
-    return dv_sq, v_sq
+        sq = np.square(level.real)
+        sq += np.square(level.imag)
+        plain.append(sq.sum(axis=0))
+        weight = 4.0 * np.arange(first, first + len(sq)) + 3.0
+        weighted.append((weight @ sq.reshape(len(sq), -1)).reshape(sq.shape[1:]))
+    return plain, weighted
 
 
-def _mixed_sq(grid: SpatialGrid, coeffs: np.ndarray, k: int, first: int) -> np.ndarray:
-    """sum over |alpha| + |beta| <= k of the L^2 norms squared, per member,
-    of the field whose levels from first on are coeffs."""
-    tower = _dv_tower(coeffs, k, first, _shift_scratch(coeffs, k, first))
-    return sum(parseval_sq(grid, mode_sq(cb), k - beta) for beta, cb in enumerate(tower))
-
-
-def _mixed_nu_sq(grid: SpatialGrid, dv_sq: list[np.ndarray], v_sq: list[np.ndarray],
+def _mixed_nu_sq(grid: SpatialGrid, plain: list[np.ndarray], weighted: list[np.ndarray],
                  k: int) -> np.ndarray:
-    """sum over |alpha| + |beta| <= k of the nu norms squared, from the
-    per-mode squares of _nu_squares(f, k + 1).  The nu norm of f is
-    ||d_v f||^2 + ||f||^2 + ||v f||^2."""
+    """sum over |alpha| + |beta| <= k of the nu norms squared, per member,
+    from the squares _tower_squares(f, k + 1) of the field f.
+
+    The nu norm of h is ||d_v h||^2 + ||h||^2 + ||v h||^2.  With the
+    ladder operators A psi_n = sqrt(n) psi_{n-1} and A^+ psi_n =
+    sqrt(n+1) psi_{n+1}, v = A + A^+ and 2 d_v = A - A^+, so the cross
+    terms cancel in ||v h||^2 + 4 ||d_v h||^2 = 2 ||A h||^2 + 2 ||A^+ h||^2
+    = sum_n (4n + 2) |c_n|^2.  The nu norm of tower level beta is therefore
+    its weighted square minus 3 times the plain square of level beta + 1.
+    """
     return sum(
-        parseval_sq(grid, dv_sq[beta + 1], k - beta)
-        + parseval_sq(grid, dv_sq[beta], k - beta)
-        + parseval_sq(grid, v_sq[beta], k - beta)
+        parseval_sq(grid, weighted[beta] - 3.0 * plain[beta + 1], k - beta)
         for beta in range(k + 1)
     )
 
@@ -147,12 +138,15 @@ def energy_functionals(state, k: int, epsilons) -> list[EnergyReport]:
     is twice ||d_x b||^2_{H^{k-1}_x}.  a and b are the Hermite rows 0 and 1
     of g, and d_x b, d_x a have the symbol grid.dx_symbol; the per-mode
     squares of one d_v tower of (I-P) g, streamed one level at a time,
-    serve both micro norms.  The coefficients of phi and d_x phi are
-    potential_coeffs of level 0.  The Poisson residual compares the
-    inverse FFT of the Laplacian of phi, whose symbol -k^2 keeps the
-    Nyquist mode, with the density a of the state's macro fields, so it
-    measures the spectral solve k^2 (c / k^2) = c and the mean of a.  A
-    value that is not finite raises FloatingPointError.
+    serve both micro norms.  The nu norm ||h||^2_nu = ||d_v h||^2 + ||h||^2
+    + ||v h||^2 of each level h is sum_n (4n + 3) |c_n|^2 - 3 ||d_v h||^2,
+    since v = A + A^+ and 2 d_v = A - A^+ in the Hermite ladder operators
+    (see _mixed_nu_sq), so no level is multiplied by v.  The coefficients
+    of phi and d_x phi are potential_coeffs of level 0.  The Poisson
+    residual compares the inverse FFT of the Laplacian of phi, whose
+    symbol -k^2 keeps the Nyquist mode, with the density a of the state's
+    macro fields, so it measures the spectral solve k^2 (c / k^2) = c and
+    the mean of a.  A value that is not finite raises FloatingPointError.
     """
     if k < 1:
         raise ConfigurationError(f"diagnostics order k must be >= 1, got {k}")
@@ -167,14 +161,14 @@ def energy_functionals(state, k: int, epsilons) -> list[EnergyReport]:
         level_sq += np.square(c.imag)
         a_sq, b_sq = level_sq[0], level_sq[1]
         dx_sq = grid.dx_symbol.imag**2
-        dv_sq, v_sq = _nu_squares(c[2:], k + 1, first=2)  # (I - P) g: levels 0, 1 zero
+        plain, weighted = _tower_squares(c[2:], k + 1, 2)  # (I - P) g: levels 0, 1 zero
         phi_c, grad_phi_c = potential_coeffs(grid, c[0])
 
         g_hk = parseval_sq(grid, level_sq.sum(axis=0), k)
-        gradv_micro = sum(parseval_sq(grid, dv_sq[beta + 1], k - 1 - beta) for beta in range(k))
+        gradv_micro = sum(parseval_sq(grid, plain[beta + 1], k - 1 - beta) for beta in range(k))
         ab = parseval_sq(grid, a_sq, k - 1) + parseval_sq(grid, b_sq, k - 1)
 
-        micro_nu = _mixed_nu_sq(grid, dv_sq, v_sq, k) / epsilon**2
+        micro_nu = _mixed_nu_sq(grid, plain, weighted, k) / epsilon**2
         b_hk = parseval_sq(grid, b_sq, k) / epsilon**2
         grad_b = 2.0 * parseval_sq(grid, dx_sq * b_sq, k - 1) / epsilon
         grad_a = parseval_sq(grid, dx_sq * a_sq, k - 1)
@@ -225,7 +219,8 @@ def limit_error(kinetic_state, ddp_state, k: int) -> list[LimitTerms]:
         )
     g = kinetic_state.g
     grid = g.grid
-    micro_sq = _mixed_sq(grid, g.coeffs[1:], k, 1)  # (I - P0) g: level 0 zero
+    plain, _ = _tower_squares(g.coeffs[1:], k, 1)  # (I - P0) g: level 0 zero
+    micro_sq = sum(parseval_sq(grid, sq, k - beta) for beta, sq in enumerate(plain))
     gap = distribution_values(g)
     gap -= (1.0 + ddp_state.rho0)[:, None] * g.basis.maxwellian_sqrt()**2
     np.abs(gap, out=gap)

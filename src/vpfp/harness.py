@@ -447,6 +447,8 @@ def load_summary(out_dir: Path) -> dict:
         raise ConfigurationError(f"no sweep summary at {path}")
     try:
         summary = json.loads(path.read_text())
+    except OSError as exc:  # a directory, say
+        raise ConfigurationError(f"cannot read sweep summary {path}: {exc.strerror}") from exc
     except ValueError as exc:  # not UTF-8, or not JSON
         raise ConfigurationError(f"sweep summary {path} is not JSON: {exc}") from exc
     for key in ("config_hash", "per_epsilon", "rates"):

@@ -45,12 +45,10 @@ __all__ = [
     "inverse_transform",
     "distribution_values",
     "hermite_shift_coeffs",
-    "mode_sq",
     "sobolev_weights",
     "parseval_sq",
 ]
 
-SHIFT_KINDS = ("multiply_by_v", "d_dv")
 # Largest n_v at whose 2 n_v velocity nodes psi_0 is a normal double; from
 # n_v = 365 on it is subnormal at the outermost node, where the psi table
 # then loses digits.
@@ -271,7 +269,7 @@ class SpectralField:
     in lock-step, has shape (n_v, B, n_x // 2 + 1), so each Hermite level
     is one contiguous row over the (member, mode) pairs.  The solver's
     stepper, operators.moments and vpfp_rhs, the diagnostics,
-    inverse_transform, distribution_values and mode_sq take a batch.
+    inverse_transform and distribution_values take a batch.
     """
 
     grid: SpatialGrid
@@ -286,10 +284,6 @@ class SpectralField:
                 f"{(self.basis.n_v, self.grid.n_half)} or {(self.basis.n_v, 'B', self.grid.n_half)}"
             )
         self.coeffs = np.ascontiguousarray(self.coeffs)
-
-    @classmethod
-    def zeros(cls, grid: SpatialGrid, basis: HermiteBasis) -> "SpectralField":
-        return cls(grid, basis, np.zeros((basis.n_v, grid.n_half), dtype=complex))
 
     def with_coeffs(self, coeffs: np.ndarray) -> "SpectralField":
         return SpectralField(self.grid, self.basis, coeffs)
@@ -324,12 +318,10 @@ def distribution_values(g: SpectralField) -> np.ndarray:
     return values
 
 
-def hermite_shift_coeffs(coeffs: np.ndarray, kind: str, first: int = 0,
+def hermite_shift_coeffs(coeffs: np.ndarray, first: int = 0,
                          scratch: np.ndarray | None = None) -> np.ndarray:
-    """Apply one of the velocity recurrences along axis 0, the Hermite axis.
-
-    multiply_by_v: psi_n -> sqrt(n+1) psi_{n+1} + sqrt(n) psi_{n-1}
-    d_dv:          psi_n -> (sqrt(n)/2) psi_{n-1} - (sqrt(n+1)/2) psi_{n+1}
+    """Apply d/dv along axis 0, the Hermite axis:
+    psi_n -> (sqrt(n)/2) psi_{n-1} - (sqrt(n+1)/2) psi_{n+1}.
 
     coeffs holds the levels first, first + 1, ...; the levels below first
     are zero, so a view that drops them stands for a field such as
@@ -341,36 +333,19 @@ def hermite_shift_coeffs(coeffs: np.ndarray, kind: str, first: int = 0,
     output, the second into scratch (at least the shape of coeffs) when
     given and into a new array otherwise.
     """
-    if kind not in SHIFT_KINDS:
-        raise ConfigurationError(f"unknown shift kind {kind!r}; expected one of {SHIFT_KINDS}")
     n_in = coeffs.shape[0]
     top = first + n_in
     out = np.zeros((top + 1,) + coeffs.shape[1:], dtype=coeffs.dtype)
     term = np.empty_like(coeffs) if scratch is None else scratch[:n_in]
     root = np.sqrt(np.arange(first, top + 1)).reshape((-1,) + (1,) * (coeffs.ndim - 1))
-    # input level n sends sqrt(n + 1) c_n up to level n + 1 and sqrt(n) c_n
-    # down to level n - 1; level 0 sends nothing down
-    up, down = root[1:], root[:-1]
+    # input level n sends sqrt(n)/2 c_n down to level n - 1 and
+    # -sqrt(n + 1)/2 c_n up to level n + 1; level 0 sends nothing down
+    up, down = 0.5 * root[1:], 0.5 * root[:-1]
     lo = 1 if first == 0 else 0
-    below = out[first + lo - 1:top - 1]
-    if kind == "d_dv":
-        up, down = 0.5 * up, 0.5 * down
-        np.multiply(down[lo:], coeffs[lo:], out=below)
-        np.multiply(up, coeffs, out=term)
-        out[first + 1:] -= term
-    else:
-        np.multiply(up, coeffs, out=out[first + 1:])
-        np.multiply(down[lo:], coeffs[lo:], out=term[lo:])
-        below += term[lo:]
+    np.multiply(down[lo:], coeffs[lo:], out=out[first + lo - 1:top - 1])
+    np.multiply(up, coeffs, out=term)
+    out[first + 1:] -= term
     return out
-
-
-def mode_sq(coeffs: np.ndarray) -> np.ndarray:
-    """|c|^2 summed over the Hermite axis (axis 0): one square per Fourier
-    mode, shape (n_x/2 + 1,), or (B, n_x/2 + 1) for a batch."""
-    sq = np.square(coeffs.real)
-    sq += np.square(coeffs.imag)
-    return sq.sum(axis=0)
 
 
 @lru_cache(maxsize=64)

@@ -115,6 +115,11 @@ def random_distribution(rng, grid, basis, neutral=True, band_limit=None):
     return SpectralField(grid, basis, coeffs)
 
 
+def zero_field(grid, basis):
+    """The zero field of grid and basis."""
+    return SpectralField(grid, basis, np.zeros((basis.n_v, grid.n_half), dtype=complex))
+
+
 def basis_element(grid, basis, m, n, amplitude=1.0):
     """Real field amplitude * cos(m x) * psi_n (or psi_n alone for m = 0).
 
@@ -122,7 +127,7 @@ def basis_element(grid, basis, m, n, amplitude=1.0):
     m = 0 and m = n_x/2 carry the whole amplitude, the others half of it
     (their conjugate mode carries the other half).
     """
-    f = SpectralField.zeros(grid, basis)
+    f = zero_field(grid, basis)
     m = min(m % grid.n_x, -m % grid.n_x)
     f.coeffs[n, m] = amplitude if m in (0, grid.n_x // 2) else amplitude / 2.0
     return f

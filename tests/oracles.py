@@ -28,9 +28,11 @@ import numpy as np
 
 from vpfp import spectral
 from vpfp.ddp import DdpState
-from vpfp.diagnostics import _mixed_nu_sq, _nu_squares
+from vpfp.diagnostics import _mixed_nu_sq, _tower_squares
 from vpfp.operators import solve_poisson, spatial_l2_norm
-from vpfp.spectral import SpectralField, _hermite_rows, hermite_shift_coeffs, mode_sq, parseval_sq
+from vpfp.spectral import SpectralField, _hermite_rows, parseval_sq
+
+from conftest import zero_field
 
 # Largest n_v for which numpy's hermegauss(2 n_v) gives finite plain-measure
 # weights: above it exp(-v^2/2) at the outer nodes underflows and the
@@ -244,14 +246,15 @@ def project_p0(g):
 def l2_norm(f):
     """L^2_{x,v} norm via Parseval: ||f||^2 = vol * sum_m w_m sum_n |c_{n,m}|^2,
     with w_m the half-spectrum mode_weights."""
-    return float(np.sqrt(parseval_sq(f.grid, mode_sq(f.coeffs))))
+    return float(np.sqrt(parseval_sq(f.grid, (f.coeffs.real**2 + f.coeffs.imag**2).sum(axis=0))))
 
 
 def half_spectrum_nu_norm(f):
     """Dissipation norm sqrt(||d_v f||^2 + ||sqrt(1+v^2) f||^2) by the
-    squares that energy_functionals sums (diagnostics._nu_squares and
-    _mixed_nu_sq); nu_norm above is its full-spectrum oracle."""
-    return float(np.sqrt(_mixed_nu_sq(f.grid, *_nu_squares(f.coeffs, 1), 0)))
+    squares that energy_functionals sums (diagnostics._tower_squares and
+    _mixed_nu_sq, which read ||v f||^2 off the ladder-operator identity);
+    nu_norm above is its full-spectrum oracle, which multiplies by v."""
+    return float(np.sqrt(_mixed_nu_sq(f.grid, *_tower_squares(f.coeffs, 1, 0), 0)))
 
 
 def coercivity_gap(g):
@@ -277,12 +280,12 @@ def coercivity_gap(g):
 def check_collision(grid, basis):
     """L fixes the momentum mode cos(x) v sqrt(M) and has eigenvalue n on
     every Hermite level n."""
-    fixed = SpectralField.zeros(grid, basis)
+    fixed = zero_field(grid, basis)
     fixed.coeffs[1, 1] = 0.5  # cos(x) psi_1
     fixed_err = float(np.max(np.abs(apply_L(fixed).coeffs - fixed.coeffs)))
     eig_err = 0.0
     for n in range(basis.n_v):
-        g = SpectralField.zeros(grid, basis)
+        g = zero_field(grid, basis)
         g.coeffs[n, 1] = 1.0
         eig_err = max(eig_err, float(np.max(np.abs(apply_L(g).coeffs - n * g.coeffs))))
     ok = fixed_err < 1e-12 and eig_err < 1e-12
@@ -344,7 +347,8 @@ def check_poisson(grid, samples):
 # ---------------------------------------------------------------------------
 # the moment hierarchy of the kinetic system, on the package's half-spectrum
 # helpers (project_micro, spatial_l2_norm, spectral.real_field) and this
-# module's full-spectrum dealiased_product and x_derivative
+# module's full-spectrum dealiased_product and x_derivative and its
+# velocity shift hermite_shift
 
 def gamma_moment(g):
     """Stress-type moment Gamma[g](x) = int g (v^2 - 1) sqrt(M) dv.
@@ -379,8 +383,8 @@ def moment_residuals(states, epsilon):
         dphi = s.macro.grad_phi
         gamma = gamma_moment(micro)
         micro_dx = micro.coeffs * grid.dx_symbol
-        v_micro_dx = hermite_shift_coeffs(micro_dx, "multiply_by_v")[: len(micro_dx)]
-        v_micro_dx = micro.with_coeffs(v_micro_dx)
+        v_micro_dx = hermite_shift(np.moveaxis(micro_dx, 0, -1), "multiply_by_v")
+        v_micro_dx = micro.with_coeffs(np.moveaxis(v_micro_dx, -1, 0))
         gamma_vdx = gamma_moment(v_micro_dx)
         a_s.append(a)
         b_s.append(b)

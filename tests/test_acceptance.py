@@ -18,7 +18,7 @@ from vpfp.harness import (
 )
 from vpfp.operators import spatial_l2_norm
 from vpfp.solver import KineticState, SolverConfig, make_initial_data, run
-from vpfp.spectral import HermiteBasis, SpatialGrid, SpectralField
+from vpfp.spectral import HermiteBasis, SpatialGrid
 
 from conftest import (
     fd_collision_inner_product,
@@ -26,6 +26,7 @@ from conftest import (
     random_distribution,
     record_acceptance,
     sampled_run,
+    zero_field,
 )
 from oracles import check_coercivity, check_collision, check_poisson, check_projections, l2_norm
 
@@ -93,7 +94,7 @@ def test_criterion_5_conservation_and_equilibrium(small_grid, small_basis):
     traj = sampled_run(cos_state(small_grid, small_basis), cfg, sample_interval=1.0)
     mass = float(abs(traj.states[-1].g.coeffs[0, 0]))
 
-    zero = SpectralField.zeros(small_grid, small_basis)
+    zero = zero_field(small_grid, small_basis)
     zero_state = KineticState(time=0.0, g=zero)
     zero_after = sampled_run(zero_state, cfg, sample_interval=1.0).states[-1]
     zero_norm = np.max(np.abs(zero_after.g.coeffs))

@@ -8,7 +8,7 @@ oracles' (oracles.moment_residuals), checked here on sampled runs.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vpfp.ddp import ddp_run, make_ddp_state
@@ -19,11 +19,12 @@ from vpfp.diagnostics import (
 )
 from vpfp.harness import METRIC_KEYS, sweep_record
 from vpfp.solver import KineticState, SolverConfig, make_initial_data, run
-from vpfp.spectral import ConfigurationError, HermiteBasis, SpatialGrid, SpectralField
+from vpfp.spectral import MAX_N_V, ConfigurationError, HermiteBasis, SpatialGrid, SpectralField
 
 import oracles
 from oracles import half_spectrum_nu_norm, l2_norm, moment_residuals
-from conftest import Trajectory, basis_element, member, random_distribution, sampled_run
+from conftest import (Trajectory, basis_element, member, random_distribution, sampled_run,
+                      zero_field)
 
 VOL = 2.0 * np.pi
 # the terms of E_k and of D_k among the report's fields
@@ -129,7 +130,7 @@ class TestEnergyFunctionals:
             assert energy_of(state, k=1, epsilon=0.1).poisson_residual <= 1e-12
 
     def test_order_validation(self, grid, basis):
-        state = make_state(SpectralField.zeros(grid, basis))
+        state = make_state(zero_field(grid, basis))
         with pytest.raises(ConfigurationError):
             energy_of(state, k=0, epsilon=0.5)
 
@@ -182,7 +183,7 @@ class TestMomentResiduals:
 
 class TestLimitError:
     def test_zero_states_give_zero_metrics(self, grid, basis):
-        g = SpectralField.zeros(grid, basis)
+        g = zero_field(grid, basis)
         cfg = SolverConfig(epsilon=0.2, t_final=0.1, n_x=grid.n_x, n_v=basis.n_v,
                            dt_max=5e-3, scheme="imex_euler")
         kin = sampled_run(make_state(g), cfg, sample_interval=0.05)
@@ -193,7 +194,7 @@ class TestLimitError:
             assert value == 0.0
 
     def test_mismatched_times_rejected(self, grid, basis):
-        g = SpectralField.zeros(grid, basis)
+        g = zero_field(grid, basis)
         cfg = SolverConfig(epsilon=0.2, t_final=0.1, n_x=grid.n_x, n_v=basis.n_v,
                            dt_max=5e-3, scheme="imex_euler")
         kin = sampled_run(make_state(g), cfg, sample_interval=0.05)
@@ -270,19 +271,37 @@ class TestHalfSpectrumMatchesFullSpectrum:
         n_v=st.integers(4, 40),
         seed=st.integers(0, 2**32 - 1),
     )
+    # the nu norm reads ||v h||^2 off the ladder-operator identity, so its
+    # cases add hard velocity profiles (random_state) and n_v up to MAX_N_V
+    profiled_cases = given(
+        n_x=st.integers(2, 32).map(lambda h: 2 * h),
+        n_v=st.integers(4, MAX_N_V),
+        profile=st.sampled_from(("random", "delta", "top")),
+        seed=st.integers(0, 2**32 - 1),
+    )
 
     @staticmethod
-    def random_state(n_x, n_v, rng, time=0.0):
+    def random_state(n_x, n_v, rng, time=0.0, profile="random"):
+        """A state of random Fourier content whose velocity profile is
+        random, a truncated delta at v = 0 (c_n = psi_n(0) times one random
+        Fourier row, where ||v h||^2 nearly cancels), or random in the top
+        three Hermite levels alone."""
         grid, basis = SpatialGrid(n_x=n_x), HermiteBasis(n_v=n_v)
         coeffs = oracles.random_half_spectrum(rng, n_x, n_v, scale=1e-2)
+        if profile == "delta":
+            coeffs = basis.functions(v=np.zeros(1))[0][:, None] * coeffs[0]
+        elif profile == "top":
+            coeffs[:-3] = 0.0
         coeffs[0, 0] = 0.0
         return make_state(SpectralField(grid, basis, coeffs), time)
 
     @settings(max_examples=40, deadline=None)
-    @cases
-    def test_energy_functionals(self, n_x, n_v, seed):
+    @profiled_cases
+    @example(n_x=16, n_v=MAX_N_V, profile="delta", seed=0)
+    @example(n_x=16, n_v=MAX_N_V, profile="top", seed=0)
+    def test_energy_functionals(self, n_x, n_v, profile, seed):
         rng = np.random.default_rng(seed)
-        state = self.random_state(n_x, n_v, rng)
+        state = self.random_state(n_x, n_v, rng, profile=profile)
         epsilon = rng.uniform(1e-2, 1.0)
         for k in (1, 2, 3):
             rep = energy_of(state, k, epsilon)
@@ -295,9 +314,11 @@ class TestHalfSpectrumMatchesFullSpectrum:
             assert rel_diff(rep.E_k, e_k) <= 1e-13 and rel_diff(rep.D_k, d_k) <= 1e-13
 
     @settings(max_examples=40, deadline=None)
-    @cases
-    def test_nu_norm(self, n_x, n_v, seed):
-        g = self.random_state(n_x, n_v, np.random.default_rng(seed)).g
+    @profiled_cases
+    @example(n_x=16, n_v=MAX_N_V, profile="delta", seed=0)
+    @example(n_x=16, n_v=MAX_N_V, profile="top", seed=0)
+    def test_nu_norm(self, n_x, n_v, profile, seed):
+        g = self.random_state(n_x, n_v, np.random.default_rng(seed), profile=profile).g
         assert rel_diff(half_spectrum_nu_norm(g), oracles.nu_norm(g)) <= 1e-13
 
     @settings(max_examples=30, deadline=None)

@@ -1122,6 +1122,16 @@ class TestCli:
         assert f"sweep summary {path} " in err and message in err
         assert not (tmp_path / "metrics.csv").exists()
 
+    def test_report_of_unreadable_summary_is_config_error(self, tmp_path, capsys):
+        # a summary.json that exists but cannot be read, such as a directory
+        path = tmp_path / "summary.json"
+        path.mkdir()
+        assert main(["--out", str(tmp_path), "--quiet", "report"]) == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: cannot read sweep summary {path}: ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "metrics.csv").exists()
+
     @pytest.mark.parametrize("text", [
         "[DEFAULT]\nn_x = 32\n",
         "[DEFAULT]\nn_x = 32\n[grid]\nn_v = 16\n",

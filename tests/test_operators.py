@@ -29,7 +29,7 @@ from vpfp.spectral import (
 )
 
 import oracles
-from conftest import basis_element, random_distribution
+from conftest import basis_element, random_distribution, zero_field
 from oracles import (
     apply_L,
     check_collision,
@@ -131,7 +131,7 @@ class TestProjections:
         # the criterion-2 comparisons with independently built arrays catch it
         fields = [random_distribution(rng, grid, basis) for _ in range(3)]
         assert check_projections(fields)[0]
-        monkeypatch.setattr(oracles, "project_micro", lambda g: g.zeros(g.grid, g.basis))
+        monkeypatch.setattr(oracles, "project_micro", lambda g: zero_field(g.grid, g.basis))
         assert not check_projections(fields)[0]
 
 
@@ -262,7 +262,7 @@ class TestRhs:
         # coupling is -(d phi + dealias(rho * d phi)) / eps, and as level 0
         # is g's only level, no other row is coupled
         rho = 0.1 * np.cos(grid.nodes)
-        g = SpectralField.zeros(grid, basis)
+        g = zero_field(grid, basis)
         g.coeffs[0] = fourier_field(rho)
         eps = 0.5
         rhs = vpfp_rhs(g, eps)
@@ -291,7 +291,7 @@ class TestRhs:
         assert np.max(np.abs(r2.coeffs - 2 * r1.coeffs)) < 1e-12
 
     def test_epsilon_validation(self, grid, basis):
-        g = SpectralField.zeros(grid, basis)
+        g = zero_field(grid, basis)
         with pytest.raises(ConfigurationError):
             vpfp_rhs(g, 0.0)
 

@@ -30,7 +30,7 @@ from vpfp.spectral import ConfigurationError, SpatialGrid, SpectralField
 
 import oracles
 from conftest import (WRONG_DENSITY_SHAPES, basis_element, cosine_of_shape, member,
-                      random_distribution, sampled_run)
+                      random_distribution, sampled_run, zero_field)
 from oracles import l2_norm, project_micro, x_derivative
 
 
@@ -164,7 +164,7 @@ class TestInitialData:
     def test_nan_micro_perturbation_rejected(self, grid, basis, level, message):
         # on a macro level the projection test catches it, on a micro level
         # the positivity test
-        micro = SpectralField.zeros(grid, basis)
+        micro = zero_field(grid, basis)
         micro.coeffs[level, 2] = np.nan
         with pytest.raises(ValueError, match=message):
             make_initial_data(grid, basis, lambda x: np.cos(x), amplitude=0.01,
@@ -173,7 +173,7 @@ class TestInitialData:
     @pytest.mark.parametrize("value", [np.inf, -np.inf, complex(0.0, np.inf)])
     def test_infinite_micro_perturbation_rejected(self, grid, basis, value):
         # before the inverse transform, which warns on it (an error in CI)
-        micro = SpectralField.zeros(grid, basis)
+        micro = zero_field(grid, basis)
         micro.coeffs[3, 2] = value
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
@@ -192,7 +192,7 @@ class TestDampingInvariant:
         cfg = small_config(epsilon=0.1)
         dt = 1e-3
         stepper = VpfpStepper(cfg, dt)
-        g = SpectralField.zeros(grid, basis)
+        g = zero_field(grid, basis)
         g.coeffs[1:, 0] = g.coeffs[1:, -1] = 0.5  # levels 1.. at the mean and Nyquist modes
         state = KineticState(time=0.0, g=g).repeated(1)
         new = stepper.step_euler(state, stepper.explicit_coeffs(state.g))
@@ -358,7 +358,7 @@ class TestTridiagonalSolve:
 
 class TestConservationAndConsistency:
     def test_mass_drift_raises_conservation_error(self, grid, basis):
-        g = SpectralField.zeros(grid, basis)
+        g = zero_field(grid, basis)
         state = KineticState(time=0.0, g=g)
         coeffs = np.zeros((basis.n_v, grid.n_half), dtype=complex)
         coeffs[0, 0] = 1e-9
@@ -374,7 +374,7 @@ class TestConservationAndConsistency:
             VpfpStepper._finish(state, coeffs, 1e-3)
 
     def test_zero_state_is_fixed(self, grid, basis):
-        g = SpectralField.zeros(grid, basis)
+        g = zero_field(grid, basis)
         state = KineticState(time=0.0, g=g).repeated(1)
         cfg = small_config()
         stepper = VpfpStepper(cfg, 1e-3)

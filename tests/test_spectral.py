@@ -1,7 +1,7 @@
-"""Spectral substrate: velocity nodes, transforms, derivatives, velocity
-recurrences.
+"""Spectral substrate: velocity nodes, transforms, derivatives, the d/dv
+recurrence.
 
-The recurrences are checked against the Gauss-Hermite quadrature oracle of
+The recurrence is checked against the Gauss-Hermite quadrature oracle of
 tests/oracles.py, which integrates products of basis functions exactly and
 never touches the coefficient-space implementation.
 """
@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from vpfp.operators import moments
 from vpfp.spectral import (
     MAX_N_V,
-    SHIFT_KINDS,
     ConfigurationError,
     HermiteBasis,
     SpatialGrid,
@@ -24,7 +23,6 @@ from vpfp.spectral import (
     distribution_values,
     hermite_shift_coeffs,
     inverse_transform,
-    mode_sq,
     parseval_sq,
 )
 
@@ -177,26 +175,24 @@ class TestTransforms:
         # sums over the full spectrum
         c = random_distribution(rng, grid, basis, neutral=False).coeffs
         full_sq = np.abs(oracles.full_spectrum(c, grid.n_x)) ** 2
-        rows = parseval_sq(grid, c.real**2 + c.imag**2)
+        sq = c.real**2 + c.imag**2
+        rows = parseval_sq(grid, sq)
         assert rows.shape == (basis.n_v,)
         assert np.allclose(rows, grid.volume * full_sq.sum(axis=0), rtol=1e-13, atol=0)
-        h1 = parseval_sq(grid, mode_sq(c), 1)
+        h1 = parseval_sq(grid, sq.sum(axis=0), 1)
         expected = grid.volume * np.sum((1.0 + oracles.k_sq(grid))[:, None] * full_sq)
         assert h1 == pytest.approx(expected, rel=1e-13)
 
     def test_batch_reduces_per_member(self, grid, basis, rng):
-        # a batch's point values, distribution and per-mode squares are
-        # those of each member alone
+        # a batch's point values and distribution are those of each member
+        # alone
         members = [random_distribution(rng, grid, basis, neutral=False) for _ in range(3)]
         batch = SpectralField(grid, basis, np.stack([m.coeffs for m in members], axis=1))
         values, f = inverse_transform(batch), distribution_values(batch)
-        sq = mode_sq(batch.coeffs)
         assert values.shape == f.shape == (3, grid.n_x, 2 * basis.n_v)
-        assert sq.shape == (3, grid.n_half)
         for i, g in enumerate(members):
             assert np.array_equal(values[i], inverse_transform(g))
             assert np.array_equal(f[i], distribution_values(g))
-            assert np.array_equal(sq[i], mode_sq(g.coeffs))
 
     def test_distribution_built_in_place(self, basis, rng):
         # f = M + g sqrt(M) is formed in the point values of g: the peak is
@@ -252,24 +248,18 @@ class TestSpatialDerivative:
     def test_commutes_with_shifts(self, grid, basis, rng):
         g = random_distribution(rng, grid, basis)
         n_v = basis.n_v
-        for kind in SHIFT_KINDS:
-            one = spatial_derivative(g.with_coeffs(hermite_shift_coeffs(g.coeffs, kind)[:n_v]))
-            dg = spatial_derivative(g)
-            two = dg.with_coeffs(hermite_shift_coeffs(dg.coeffs, kind)[:n_v])
-            assert np.max(np.abs(one.coeffs - two.coeffs)) < 1e-13
+        one = spatial_derivative(g.with_coeffs(hermite_shift_coeffs(g.coeffs)[:n_v]))
+        dg = spatial_derivative(g)
+        two = dg.with_coeffs(hermite_shift_coeffs(dg.coeffs)[:n_v])
+        assert np.max(np.abs(one.coeffs - two.coeffs)) < 1e-13
 
 
 class TestHermiteShifts:
-    """Each recurrence is compared against the quadrature moment oracle."""
+    """The d/dv recurrence is compared against the quadrature moment oracle."""
 
-    def shift_oracle(self, grid, basis, f, kind):
-        """Project the analytically shifted point values onto each psi_k."""
-        values = inverse_transform(f)
-        v = basis.quad_nodes
-        if kind == "multiply_by_v":
-            shifted = values * v[None, :]
-        else:
-            shifted = self.dv_pointwise(basis, f)
+    def shift_oracle(self, grid, basis, f):
+        """Project the analytically differentiated point values onto each psi_k."""
+        shifted = self.dv_pointwise(basis, f)
         out = np.zeros((grid.n_x, basis.n_v))
         for k in range(basis.n_v):
             psi_k = basis.synthesis[:, k]
@@ -290,69 +280,59 @@ class TestHermiteShifts:
                       - np.sqrt(n + 1)[None, :] * ext[:, 1 : basis.n_v + 1])
         return coeffs_x @ dpsi.T
 
-    @pytest.mark.parametrize("kind,n_in,expected", [
-        ("multiply_by_v", 0, {1: 1.0}),
-        ("d_dv", 2, {1: np.sqrt(2.0) / 2, 3: -np.sqrt(3.0) / 2}),
-        ("d_dv", 0, {1: -0.5}),
-        ("multiply_by_v", 2, {1: np.sqrt(2.0), 3: np.sqrt(3.0)}),
+    @pytest.mark.parametrize("n_in,expected", [
+        (2, {1: np.sqrt(2.0) / 2, 3: -np.sqrt(3.0) / 2}),
+        (0, {1: -0.5}),
     ])
-    def test_single_mode_against_oracle(self, grid, basis, kind, n_in, expected):
+    def test_single_mode_against_oracle(self, grid, basis, n_in, expected):
         f = basis_element(grid, basis, 0, n_in)
-        shifted = f.with_coeffs(hermite_shift_coeffs(f.coeffs, kind)[: basis.n_v])
-        oracle = self.shift_oracle(grid, basis, f, kind)
+        shifted = f.with_coeffs(hermite_shift_coeffs(f.coeffs)[: basis.n_v])
+        oracle = self.shift_oracle(grid, basis, f)
         for n_out, val in expected.items():
             assert abs(shifted.coeffs[n_out, 0] - val) < 1e-10
             assert abs(oracle[0, n_out] - val) < 1e-10
         assert np.max(np.abs(shifted.coeffs[:, 0].real - oracle[0])) < 1e-10
 
-    @pytest.mark.parametrize("kind", SHIFT_KINDS)
-    def test_all_band_limited_modes_match_oracle(self, grid, basis, kind, rng):
+    def test_all_band_limited_modes_match_oracle(self, grid, basis, rng):
         # content below the top mode, so truncation plays no role
         g = random_distribution(rng, grid, basis, band_limit=basis.n_v - 1)
-        shifted = g.with_coeffs(hermite_shift_coeffs(g.coeffs, kind)[: basis.n_v])
-        oracle = self.shift_oracle(grid, basis, g, kind)
+        shifted = g.with_coeffs(hermite_shift_coeffs(g.coeffs)[: basis.n_v])
+        oracle = self.shift_oracle(grid, basis, g)
         recon = inverse_transform(shifted)
         oracle_recon = oracle @ basis.synthesis.T
         assert np.max(np.abs(recon - oracle_recon)) < 1e-10
 
-    def test_unknown_kind(self, grid, basis):
-        f = basis_element(grid, basis, 0, 0)
-        with pytest.raises(ConfigurationError):
-            f.with_coeffs(hermite_shift_coeffs(f.coeffs, "lowering"))
-
     def test_truncation_drops_top_spill(self, grid, basis):
         top = basis.n_v - 1
         f = basis_element(grid, basis, 0, top)
-        extended = hermite_shift_coeffs(f.coeffs, "multiply_by_v")
+        extended = hermite_shift_coeffs(f.coeffs)
         assert extended.shape[0] == basis.n_v + 1
-        assert extended[top + 1, 0] == np.sqrt(top + 1)  # the spill gets the extra level
+        assert extended[top + 1, 0] == -np.sqrt(top + 1) / 2  # the spill gets the extra level
         shifted = extended[: basis.n_v]
-        assert shifted[top - 1, 0] == np.sqrt(top)  # only the level below is fed
+        assert shifted[top - 1, 0] == np.sqrt(top) / 2  # only the level below is fed
         shifted[top - 1, 0] = 0.0
         assert np.max(np.abs(shifted)) == 0.0  # spill beyond n_v dropped
 
     @settings(max_examples=60, deadline=None)
-    @given(kind=st.sampled_from(SHIFT_KINDS),
-           shape=st.lists(st.integers(1, 6), min_size=0, max_size=2),
+    @given(shape=st.lists(st.integers(1, 6), min_size=0, max_size=2),
            n_in=st.integers(1, 12), extend=st.integers(0, 1),
            is_complex=st.booleans(), seed=st.integers(0, 2**32 - 1))
-    def test_bitwise_equal_to_padded_formula(self, kind, shape, n_in, extend, is_complex, seed):
+    def test_bitwise_equal_to_padded_formula(self, shape, n_in, extend, is_complex, seed):
         rng = np.random.default_rng(seed)
         coeffs = rng.standard_normal((*shape, n_in))
         if is_complex:
             coeffs = coeffs + 1j * rng.standard_normal((*shape, n_in))
         # the package shifts along axis 0 and keeps the spill level, which a
         # truncating caller slices off; the padded oracle shifts along the last axis
-        got = hermite_shift_coeffs(np.moveaxis(coeffs, -1, 0), kind)[: n_in + extend]
-        want = np.moveaxis(oracles.hermite_shift(coeffs, kind, extend), -1, 0)
+        got = hermite_shift_coeffs(np.moveaxis(coeffs, -1, 0))[: n_in + extend]
+        want = np.moveaxis(oracles.hermite_shift(coeffs, "d_dv", extend), -1, 0)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert np.array_equal(got, want)
 
     @settings(max_examples=60, deadline=None)
-    @given(kind=st.sampled_from(SHIFT_KINDS), first=st.integers(0, 3), n_in=st.integers(0, 12),
-           width=st.integers(1, 6), spare=st.integers(0, 2), seed=st.integers(0, 2**32 - 1))
-    def test_levels_from_first_equal_zero_padded_field(self, kind, first, n_in, width, spare,
-                                                       seed):
+    @given(first=st.integers(0, 3), n_in=st.integers(0, 12), width=st.integers(1, 6),
+           spare=st.integers(0, 2), seed=st.integers(0, 2**32 - 1))
+    def test_levels_from_first_equal_zero_padded_field(self, first, n_in, width, spare, seed):
         # a view that drops the zero levels below first, as the diagnostics
         # pass (I - P) g, shifts to the bits of the padded field, signed
         # zeros included, with or without a scratch array for the second term
@@ -360,10 +340,10 @@ class TestHermiteShifts:
         padded = np.zeros((first + n_in, width), dtype=complex)
         padded[first:] = rng.standard_normal((n_in, width)) + 1j * rng.standard_normal((n_in, width))
         padded[first:, 0] = -0.0
-        want = hermite_shift_coeffs(padded, kind).tobytes()
+        want = hermite_shift_coeffs(padded).tobytes()
         scratch = np.full((n_in + spare, width), np.nan, dtype=complex)
         for given_scratch in (None, scratch):
-            got = hermite_shift_coeffs(padded[first:], kind, first, given_scratch)
+            got = hermite_shift_coeffs(padded[first:], first, given_scratch)
             assert got.shape == (first + n_in + 1, width) and got.tobytes() == want
 
 
