@@ -3,9 +3,10 @@
 Exit codes: 0 success, 1 run failure, 2 configuration error.  A run
 failure (a ValueError, RuntimeError or ArithmeticError, such as an
 OverflowError or FloatingPointError, or an OSError, such as an output
-file that cannot be written) is one line on stderr.  Only this
-module prints, and every command writes its files before it says a line;
-a stream whose reader has gone changes no exit code.
+file that cannot be written) is one line on stderr, and so is a failed
+sweep, after the lines of its completed runs.  Only this module prints,
+and every command writes its files before it says a line; a stream whose
+reader has gone changes no exit code.
 """
 
 from __future__ import annotations
@@ -97,8 +98,7 @@ def cmd_sweep(args, say) -> int:
     for rec in result.per_epsilon:
         say(f"eps = {rec['epsilon']:g}: final E_k = {rec['final_E_k']:.6e}")
     if failure is not None:
-        say(f"sweep failed: {failure}")
-        return EXIT_RUN_FAILURE
+        raise failure  # main says it on stderr, --quiet or not
     say(f"sweep complete: {len(result.per_epsilon)} runs in {result.timings['total_s']:.2f} s, "
         f"summary at {args.out}/summary.json")
     return EXIT_OK
@@ -141,6 +141,9 @@ def main(argv=None) -> int:
     except ConfigurationError as exc:
         say(f"configuration error: {exc}", sys.stderr)
         return EXIT_CONFIG_ERROR
+    except SweepError as exc:
+        say(f"sweep failed: {exc}", sys.stderr)
+        return EXIT_RUN_FAILURE
     except (ValueError, ArithmeticError, RuntimeError, OSError) as exc:
         say(f"run failed: {exc}", sys.stderr)
         return EXIT_RUN_FAILURE

@@ -35,8 +35,8 @@ from .operators import potential_coeffs, spatial_l2_norm
 from .spectral import (
     ConfigurationError,
     SpatialGrid,
-    distribution_values,
     hermite_shift_coeffs,
+    inverse_transform,
     parseval_sq,
     real_field,
 )
@@ -83,17 +83,16 @@ def _tower_squares(coeffs: np.ndarray, depth: int, first: int) -> tuple[list, li
     |c_n|^2 and sum_n (4n + 3) |c_n|^2 over the Hermite axis, with n the
     level's true index.
 
-    Each derivative has an extended Hermite axis, so both sums are exact;
-    only the level in hand and the one being made are alive, and every
-    shift forms its second term in one scratch array the size of the top
-    level (see spectral.hermite_shift_coeffs).
+    Each derivative has an extended Hermite axis, so both sums are exact.
+    The levels alternate between two buffers the size of the top level,
+    and every shift forms its second term in a third.
     """
-    scratch = np.empty((first + len(coeffs) + depth,) + coeffs.shape[1:], dtype=coeffs.dtype)
+    scratch, *buffers = np.empty((3, first + len(coeffs) + depth) + coeffs.shape[1:], coeffs.dtype)
     plain, weighted = [], []
     level = coeffs
     for beta in range(depth + 1):
         if beta:
-            level = hermite_shift_coeffs(level, first, scratch)
+            level = hermite_shift_coeffs(level, first, scratch, buffers[beta % 2])
             first = 0
         sq = np.square(level.real)
         sq += np.square(level.imag)
@@ -207,10 +206,12 @@ def limit_error(kinetic_state, ddp_state, k: int) -> list[LimitTerms]:
 
     The L^2 errors of the density and the field, the squared mixed H^k
     norm of the microscopic part (I - P0) g, and the pointwise sup of the
-    reconstructed distribution against (1 + rho0) M over the collocation
-    nodes (the grid analogue of the embedding argument).  A sweep computes
-    them as the run goes, so it keeps no sampled state, and
-    harness.sweep_record reduces the terms of a run's samples.
+    reconstructed distribution f = M + g sqrt(M) against (1 + rho0) M over
+    the collocation nodes (the grid analogue of the embedding argument),
+    as psi_0 (G - rho0 psi_0) with G the point values of g: no term of
+    size M cancels, so the gap keeps its digits as epsilon shrinks it.  A
+    sweep computes the terms as the run goes, so it keeps no sampled
+    state, and harness.sweep_record reduces the terms of a run's samples.
     """
     if not np.isclose(kinetic_state.time, ddp_state.time, rtol=1e-9, atol=1e-12):
         raise ValueError(
@@ -221,9 +222,11 @@ def limit_error(kinetic_state, ddp_state, k: int) -> list[LimitTerms]:
     grid = g.grid
     plain, _ = _tower_squares(g.coeffs[1:], k, 1)  # (I - P0) g: level 0 zero
     micro_sq = sum(parseval_sq(grid, sq, k - beta) for beta, sq in enumerate(plain))
-    gap = distribution_values(g)
-    gap -= (1.0 + ddp_state.rho0)[:, None] * g.basis.maxwellian_sqrt()**2
+    psi_0 = g.basis.synthesis[:, 0]
+    gap = inverse_transform(g)  # f - (1 + rho0) M = psi_0 (G - rho0 psi_0)
+    gap -= ddp_state.rho0[:, None] * psi_0
     np.abs(gap, out=gap)
+    gap *= psi_0
     macro = kinetic_state.macro
     rows = np.column_stack((
         spatial_l2_norm(grid, macro.a - ddp_state.rho0),

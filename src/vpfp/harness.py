@@ -330,7 +330,7 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
     entry for the batch of every epsilon, run_eps_<eps>_<eps>..._s, and
     one per rerun epsilon.  Nothing is printed: the result holds every
     record.  A failed run persists the partial summary (marked incomplete)
-    and raises SweepError, which carries it.
+    and raises SweepError, which carries it and names its failed run.
     """
     t0 = _time.perf_counter()
     timings: dict = {}
@@ -393,7 +393,7 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
     if cfg.out_dir is not None:
         write_summary(cfg.out_dir, result)
     if failed is not None:
-        raise SweepError(f"sweep aborted at epsilon = {failed[0]}", result)
+        raise SweepError(f"sweep aborted at epsilon = {eps}: {incomplete[0]['error']}", result)
     return result
 
 

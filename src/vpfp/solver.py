@@ -67,8 +67,8 @@ from .spectral import (
     HermiteBasis,
     SpatialGrid,
     SpectralField,
-    distribution_values,
     fourier_field,
+    inverse_transform,
 )
 
 __all__ = [
@@ -197,7 +197,8 @@ def make_initial_data(grid: SpatialGrid, basis: HermiteBasis, rho_profile,
     rho_profile is a callable of x (or an array on the grid nodes) whose
     values have shape (n_x,) and zero spatial mean; an optional microscopic
     component must be finite and already lie in the range of (I - P).  The
-    reconstructed distribution must be positive at every collocation node.
+    reconstructed distribution must be positive at every collocation node,
+    which the test reads off f / sqrt(M) = psi_0 + G (see spectral).
     """
     profile = rho_profile(grid.nodes) if callable(rho_profile) else np.asarray(rho_profile, float)
     require_spatial_field(grid, profile, "density profile")
@@ -221,9 +222,11 @@ def make_initial_data(grid: SpatialGrid, basis: HermiteBasis, rho_profile,
         coeffs = coeffs + mc
 
     g = SpectralField(grid, basis, coeffs)
-    f_min = float(np.min(distribution_values(g)))
+    f_over_sqrt_m = inverse_transform(g)
+    f_over_sqrt_m += basis.synthesis[:, 0]
+    f_min = float(np.min(f_over_sqrt_m))
     if not f_min > 0.0:
-        raise ValueError(f"reconstructed distribution is not positive; minimum value {f_min:.3e}")
+        raise ValueError(f"reconstructed distribution is not positive; min f/sqrt(M) = {f_min:.3e}")
 
     return KineticState(time=0.0, g=g)
 

@@ -10,6 +10,9 @@ three-term recurrences, and the Fokker-Planck collision operator is the
 diagonal multiplier n.  Velocity integrals are read off the coefficients,
 so the module holds no quadrature weights: point values (inverse_transform)
 are only evaluated, on the x nodes times the Gauss-Hermite velocity nodes.
+Their readers never form f = M + g sqrt(M), whose M underflows to 0 at the
+outer nodes from n_v = 195 on: they use f / sqrt(M) = psi_0 + G, with G the
+point values of g and psi_0 a normal double up to MAX_N_V.
 
 Every field is real, so its Fourier coefficients are stored as a real-FFT
 half-spectrum: the modes m = 0..n_x/2 in rfft order, normalized so that
@@ -43,7 +46,6 @@ __all__ = [
     "fourier_field",
     "real_field",
     "inverse_transform",
-    "distribution_values",
     "hermite_shift_coeffs",
     "sobolev_weights",
     "parseval_sq",
@@ -189,8 +191,8 @@ class HermiteBasis:
     A state's point values (inverse_transform) live on the 2 n_v nodes of
     the Gauss-Hermite rule of that order, the roots of He_{2 n_v}: the
     pointwise limit error and the initial positivity check take their
-    extrema over them.  n_v is capped at MAX_N_V, where psi_0 at the
-    outermost node is still a normal double.
+    extrema over them, with sqrt(M) = psi_0 = synthesis[:, 0].  n_v is
+    capped at MAX_N_V, where psi_0 at the outermost node is a normal double.
     """
 
     n_v: int
@@ -249,10 +251,6 @@ class HermiteBasis:
         """psi_n(v_q), shape (2 n_v, n_v)."""
         return self.functions()
 
-    def maxwellian_sqrt(self) -> np.ndarray:
-        """sqrt(M) at the quadrature nodes (equals psi_0)."""
-        return self.synthesis[:, 0]
-
 
 @dataclass
 class SpectralField:
@@ -267,9 +265,8 @@ class SpectralField:
 
     A batch of B fields on one grid and basis, as the solver advances runs
     in lock-step, has shape (n_v, B, n_x // 2 + 1), so each Hermite level
-    is one contiguous row over the (member, mode) pairs.  The solver's
-    stepper, operators.moments and vpfp_rhs, the diagnostics,
-    inverse_transform and distribution_values take a batch.
+    is one contiguous row over the (member, mode) pairs.  The stepper,
+    moments, vpfp_rhs, the diagnostics and inverse_transform take a batch.
     """
 
     grid: SpatialGrid
@@ -307,19 +304,9 @@ def inverse_transform(f: SpectralField) -> np.ndarray:
     return np.moveaxis(real_field(f.grid, f.coeffs), 0, -1) @ f.basis.synthesis.T
 
 
-def distribution_values(g: SpectralField) -> np.ndarray:
-    """The distribution f = M + g sqrt(M) of the perturbation g at the x
-    nodes x velocity nodes, shape (n_x, 2 n_v), or (B, n_x, 2 n_v) for a
-    batch; built in place in the point values of g."""
-    sqrt_m = g.basis.maxwellian_sqrt()
-    values = inverse_transform(g)
-    values *= sqrt_m
-    values += sqrt_m**2
-    return values
-
-
 def hermite_shift_coeffs(coeffs: np.ndarray, first: int = 0,
-                         scratch: np.ndarray | None = None) -> np.ndarray:
+                         scratch: np.ndarray | None = None,
+                         out: np.ndarray | None = None) -> np.ndarray:
     """Apply d/dv along axis 0, the Hermite axis:
     psi_n -> (sqrt(n)/2) psi_{n-1} - (sqrt(n+1)/2) psi_{n+1}.
 
@@ -329,19 +316,22 @@ def hermite_shift_coeffs(coeffs: np.ndarray, first: int = 0,
     above the top input level, which holds the spill from the top, so the
     shift is exact; norms rely on this, and the first n_v levels are the
     shift truncated at n_v.  Each term scales whole rows, so the work runs
-    along the contiguous Fourier axis: the first is written into the
-    output, the second into scratch (at least the shape of coeffs) when
-    given and into a new array otherwise.
+    along the contiguous Fourier axis: the first into the leading levels
+    of out, the second into scratch, neither overlapping coeffs; each is a
+    new array when not given.
     """
     n_in = coeffs.shape[0]
     top = first + n_in
-    out = np.zeros((top + 1,) + coeffs.shape[1:], dtype=coeffs.dtype)
+    out = np.empty((top + 1,) + coeffs.shape[1:], coeffs.dtype) if out is None else out[:top + 1]
     term = np.empty_like(coeffs) if scratch is None else scratch[:n_in]
     root = np.sqrt(np.arange(first, top + 1)).reshape((-1,) + (1,) * (coeffs.ndim - 1))
     # input level n sends sqrt(n)/2 c_n down to level n - 1 and
-    # -sqrt(n + 1)/2 c_n up to level n + 1; level 0 sends nothing down
+    # -sqrt(n + 1)/2 c_n up to level n + 1; level 0 sends nothing down, and
+    # the levels below first - 1 and the top two receive no down term
     up, down = 0.5 * root[1:], 0.5 * root[:-1]
     lo = 1 if first == 0 else 0
+    out[:first + lo - 1] = 0.0
+    out[top - 1:] = 0.0
     np.multiply(down[lo:], coeffs[lo:], out=out[first + lo - 1:top - 1])
     np.multiply(up, coeffs, out=term)
     out[first + 1:] -= term

@@ -192,7 +192,7 @@ def limit_error(kinetic_traj, ddp_states, k):
     times = np.asarray(kinetic_traj.times)
     grid = kinetic_traj.states[0].g.grid
     basis = kinetic_traj.states[0].g.basis
-    sqrt_m = basis.maxwellian_sqrt()
+    sqrt_m = basis.synthesis[:, 0]
     m_vals = sqrt_m**2
     l2 = lambda v: float(np.sqrt(grid.cell_volume * np.sum(v**2)))  # noqa: E731
     moment, field, micro, point = [], [], [], []

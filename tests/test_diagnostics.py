@@ -19,7 +19,8 @@ from vpfp.diagnostics import (
 )
 from vpfp.harness import METRIC_KEYS, sweep_record
 from vpfp.solver import KineticState, SolverConfig, make_initial_data, run
-from vpfp.spectral import MAX_N_V, ConfigurationError, HermiteBasis, SpatialGrid, SpectralField
+from vpfp.spectral import (MAX_N_V, ConfigurationError, HermiteBasis, SpatialGrid, SpectralField,
+                           inverse_transform)
 
 import oracles
 from oracles import half_spectrum_nu_norm, l2_norm, moment_residuals
@@ -226,6 +227,22 @@ class TestLimitError:
         metrics = trajectory_limit_error(traj, flu, k=1)
         assert 0.0 < metrics["sup_moment_error"] < 5e-3
         assert 0.0 < metrics["micro_time_integral"] < 1e-4
+
+    @pytest.mark.parametrize("epsilon", [0.025, 1e-3])
+    def test_pointwise_error_keeps_its_digits(self, grid, basis, epsilon):
+        # f - (1 + rho0) M = psi_0 (G - rho0 psi_0) with G the point values
+        # of g: evaluated in long double from the same double inputs, the
+        # sup agrees to round-off, where forming f and (1 + rho0) M would
+        # cancel terms of size M and lose digits like 1 / epsilon
+        ks = short_run(grid, basis, epsilon=epsilon, t_final=0.2).states[-1]
+        ds = ddp_run(grid, 0.01 * np.cos(grid.nodes), dt=2e-4, t_final=0.2,
+                     sample_interval=0.2)[-1]
+        (terms,) = limit_error(ks.repeated(1), ds, 1)
+        psi_0 = basis.synthesis[:, 0].astype(np.longdouble)
+        values = inverse_transform(ks.g).astype(np.longdouble)
+        want = np.max(np.abs(values - ds.rho0.astype(np.longdouble)[:, None] * psi_0) * psi_0)
+        assert want > 0.0
+        assert abs(terms.pointwise_error - want) <= 1e-15 * want
 
 
 class TestBatchObservation:

@@ -661,7 +661,8 @@ class TestClosedStdout:
     def test_command_writes_its_files_and_exit_code(self, small_ini, sweep_outputs, tmp_path,
                                                      case, code, files, unbuffered):
         # a reader that has gone drops the rest of the output, with no
-        # traceback; the command has written its files and keeps its code
+        # traceback; the command has written its files and keeps its code,
+        # and only a failed sweep says a line, its cause, on stderr
         out = tmp_path / "out"
         ini = small_ini
         if case == "report":
@@ -672,7 +673,13 @@ class TestClosedStdout:
             ini = small_ini_with(tmp_path, sweep__amplitude="2.0", solver__t_final="0.05")
         command = case.split("_")[-1]
         args = ["--config", str(ini), "--out", str(out), command]
-        assert run_with_closed_reader(args, unbuffered) == (code, "")
+        returned, err = run_with_closed_reader(args, unbuffered)
+        assert returned == code
+        if case == "failing_sweep":
+            assert err.count("\n") == 1 and err.startswith(
+                "sweep failed: sweep aborted at epsilon = 0.2: ValueError: ")
+        else:
+            assert err == ""
         for name in files:
             assert (out / name).is_file()
 
@@ -863,21 +870,24 @@ class TestCli:
 
     def test_failed_sweep_exit_code_and_report(self, tmp_path, capsys):
         # amplitudes 2 and 1e155 fail the first kinetic run (see
-        # test_partial_results_persisted) with nothing on stderr, whatever
-        # the warning filter; report then lists it
+        # test_partial_results_persisted), whatever the warning filter: one
+        # stderr line names the cause, with or without --quiet, and no
+        # warning is raised; report then lists it
+        cause = ("sweep failed: sweep aborted at epsilon = 0.2: ValueError: "
+                 "reconstructed distribution is not positive; min f/sqrt(M) = -")
         for amplitude in ("2.0", "1e155"):
-            for action in ("default", "error"):
+            for action, quiet in (("default", []), ("error", []), ("error", ["--quiet"])):
                 ini = small_ini_with(tmp_path, sweep__amplitude=amplitude,
                                      solver__t_final="0.05")
-                out = tmp_path / f"out_{amplitude}_{action}"
+                out = tmp_path / f"out_{amplitude}_{action}_{len(quiet)}"
                 with warnings.catch_warnings(record=True) as caught:
                     warnings.simplefilter(action, RuntimeWarning)
-                    code = main(["--config", str(ini), "--out", str(out), "sweep"])
+                    code = main(["--config", str(ini), "--out", str(out), *quiet, "sweep"])
                 assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
                 assert code == EXIT_RUN_FAILURE
                 captured = capsys.readouterr()
-                assert captured.out == "sweep failed: sweep aborted at epsilon = 0.2\n"
-                assert captured.err == ""
+                assert captured.out == ""
+                assert captured.err.count("\n") == 1 and captured.err.startswith(cause)
                 assert main(["--out", str(out), "report"]) == EXIT_OK
                 assert ("incomplete runs: [{'epsilon': 0.2, 'error': 'ValueError: "
                         in capsys.readouterr().out)

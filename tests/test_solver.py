@@ -26,7 +26,7 @@ from vpfp.solver import (
     run,
     step_schedule,
 )
-from vpfp.spectral import ConfigurationError, SpatialGrid, SpectralField
+from vpfp.spectral import MAX_N_V, ConfigurationError, HermiteBasis, SpatialGrid, SpectralField
 
 import oracles
 from conftest import (WRONG_DENSITY_SHAPES, basis_element, cosine_of_shape, member,
@@ -149,6 +149,16 @@ class TestInitialData:
     def test_positivity_enforced(self, grid, basis):
         with pytest.raises(ValueError, match="not positive"):
             make_initial_data(grid, basis, lambda x: np.cos(x), amplitude=10.0)
+        # the test reads f / sqrt(M) = psi_0 + G, not f, whose M underflows
+        # to 0 at the outer nodes from n_v = 195 on: a positive density is
+        # accepted up to the cap, and 1 + rho <= 0 somewhere is still rejected
+        for n_v in (194, 195, MAX_N_V):
+            state = make_initial_data(grid, HermiteBasis(n_v), lambda x: np.cos(x),
+                                      amplitude=0.5)
+            assert state.g.coeffs[0, 1] == pytest.approx(0.25, rel=1e-14)
+        with pytest.raises(ValueError, match=re.escape(
+                "reconstructed distribution is not positive; min f/sqrt(M) = -")):
+            make_initial_data(grid, HermiteBasis(MAX_N_V), lambda x: np.cos(x), amplitude=2.0)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_profile_node_rejected(self, grid, basis, value):
@@ -159,16 +169,17 @@ class TestInitialData:
 
     @pytest.mark.parametrize("level, message", [
         (1, "micro perturbation must be .I-P.-projected; macro content nan"),
-        (3, "reconstructed distribution is not positive; minimum value nan"),
+        (3, r"reconstructed distribution is not positive; min f/sqrt\(M\) = nan"),
     ])
     def test_nan_micro_perturbation_rejected(self, grid, basis, level, message):
         # on a macro level the projection test catches it, on a micro level
-        # the positivity test
-        micro = zero_field(grid, basis)
-        micro.coeffs[level, 2] = np.nan
-        with pytest.raises(ValueError, match=message):
-            make_initial_data(grid, basis, lambda x: np.cos(x), amplitude=0.01,
-                              micro_perturbation=micro)
+        # the positivity test, up to the cap
+        for basis in (basis, HermiteBasis(MAX_N_V)):
+            micro = zero_field(grid, basis)
+            micro.coeffs[level, 2] = np.nan
+            with pytest.raises(ValueError, match=message):
+                make_initial_data(grid, basis, lambda x: np.cos(x), amplitude=0.01,
+                                  micro_perturbation=micro)
 
     @pytest.mark.parametrize("value", [np.inf, -np.inf, complex(0.0, np.inf)])
     def test_infinite_micro_perturbation_rejected(self, grid, basis, value):

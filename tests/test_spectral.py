@@ -6,8 +6,6 @@ tests/oracles.py, which integrates products of basis functions exactly and
 never touches the coefficient-space implementation.
 """
 
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,7 +18,6 @@ from vpfp.spectral import (
     HermiteBasis,
     SpatialGrid,
     SpectralField,
-    distribution_values,
     hermite_shift_coeffs,
     inverse_transform,
     parseval_sq,
@@ -64,7 +61,7 @@ class TestGridAndBasis:
         v = basis.quad_nodes
         assert v.shape == (2 * MAX_N_V,) and np.all(np.diff(v) > 0)
         assert np.all(np.isfinite(v)) and np.all(np.isfinite(basis.synthesis))
-        assert np.min(basis.maxwellian_sqrt()) >= np.finfo(float).tiny
+        assert np.min(basis.synthesis[:, 0]) >= np.finfo(float).tiny
         gram = analysis(basis, christoffel_weights(basis)) @ basis.synthesis
         assert np.max(np.abs(gram - np.eye(MAX_N_V))) < 1e-13
 
@@ -122,7 +119,7 @@ class TestGridAndBasis:
 
 class TestTransforms:
     def test_constant_maxwellian_field(self, grid, basis):
-        values = np.ones((grid.n_x, 1)) * basis.maxwellian_sqrt()[None, :]
+        values = np.ones((grid.n_x, 1)) * basis.synthesis[:, 0]
         f = forward_transform(grid, basis, values)
         assert abs(f.coeffs[0, 0] - 1.0) < 1e-12
         rest = f.coeffs.copy()
@@ -184,42 +181,22 @@ class TestTransforms:
         assert h1 == pytest.approx(expected, rel=1e-13)
 
     def test_batch_reduces_per_member(self, grid, basis, rng):
-        # a batch's point values and distribution are those of each member
-        # alone
+        # a batch's point values are those of each member alone
         members = [random_distribution(rng, grid, basis, neutral=False) for _ in range(3)]
         batch = SpectralField(grid, basis, np.stack([m.coeffs for m in members], axis=1))
-        values, f = inverse_transform(batch), distribution_values(batch)
-        assert values.shape == f.shape == (3, grid.n_x, 2 * basis.n_v)
+        values = inverse_transform(batch)
+        assert values.shape == (3, grid.n_x, 2 * basis.n_v)
         for i, g in enumerate(members):
             assert np.array_equal(values[i], inverse_transform(g))
-            assert np.array_equal(f[i], distribution_values(g))
-
-    def test_distribution_built_in_place(self, basis, rng):
-        # f = M + g sqrt(M) is formed in the point values of g: the peak is
-        # those values and the real rows they come from (half their size,
-        # and once more as the stacked product's operand), not three copies
-        # of the values
-        grid = SpatialGrid(n_x=64)
-        coeffs = np.stack([random_distribution(rng, grid, basis).coeffs] * 2, axis=1)
-        g = SpectralField(grid, basis, coeffs)
-        distribution_values(g)  # builds the basis's psi table
-        tracemalloc.start()
-        try:
-            f = distribution_values(g)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert f.shape == (2, grid.n_x, 2 * basis.n_v)
-        assert peak < 2.5 * f.nbytes
 
 
 class TestSpatialDerivative:
     def test_sin_to_cos(self, grid, basis):
         x = grid.nodes
-        values = np.sin(x)[:, None] * basis.maxwellian_sqrt()[None, :]
+        values = np.sin(x)[:, None] * basis.synthesis[:, 0]
         f = forward_transform(grid, basis, values)
         df = spatial_derivative(f)
-        expected = np.cos(x)[:, None] * basis.maxwellian_sqrt()[None, :]
+        expected = np.cos(x)[:, None] * basis.synthesis[:, 0]
         assert np.allclose(inverse_transform(df), expected, atol=1e-12)
 
     def test_constant_to_zero(self, grid, basis):
@@ -228,9 +205,9 @@ class TestSpatialDerivative:
 
     def test_cos2x(self, grid, basis):
         x = grid.nodes
-        values = np.cos(2 * x)[:, None] * basis.maxwellian_sqrt()[None, :]
+        values = np.cos(2 * x)[:, None] * basis.synthesis[:, 0]
         df = spatial_derivative(forward_transform(grid, basis, values))
-        expected = -2 * np.sin(2 * x)[:, None] * basis.maxwellian_sqrt()[None, :]
+        expected = -2 * np.sin(2 * x)[:, None] * basis.synthesis[:, 0]
         assert np.allclose(inverse_transform(df), expected, atol=1e-12)
 
     def test_hermitian_symmetry_preserved(self, grid, basis, rng):
@@ -336,14 +313,16 @@ class TestHermiteShifts:
         # a view that drops the zero levels below first, as the diagnostics
         # pass (I - P) g, shifts to the bits of the padded field, signed
         # zeros included, with or without a scratch array for the second term
+        # and an output buffer, both holding stale values, as a tower reuses them
         rng = np.random.default_rng(seed)
         padded = np.zeros((first + n_in, width), dtype=complex)
         padded[first:] = rng.standard_normal((n_in, width)) + 1j * rng.standard_normal((n_in, width))
         padded[first:, 0] = -0.0
         want = hermite_shift_coeffs(padded).tobytes()
         scratch = np.full((n_in + spare, width), np.nan, dtype=complex)
-        for given_scratch in (None, scratch):
-            got = hermite_shift_coeffs(padded[first:], first, given_scratch)
+        out = np.full((first + n_in + 1 + spare, width), np.nan, dtype=complex)
+        for buffers in ((None, None), (scratch, None), (None, out), (scratch, out)):
+            got = hermite_shift_coeffs(padded[first:], first, *buffers)
             assert got.shape == (first + n_in + 1, width) and got.tobytes() == want
 
 
@@ -383,7 +362,7 @@ class TestQuadratureExactness:
 
 class TestQuadratureOracle:
     def test_maxwellian_mass(self, grid, basis):
-        values = np.ones((grid.n_x, 1)) * basis.maxwellian_sqrt()[None, :]
+        values = np.ones((grid.n_x, 1)) * basis.synthesis[:, 0]
         sqrt_m = lambda v: (2 * np.pi) ** (-0.25) * np.exp(-(v**2) / 4)
         moment = quadrature_oracle_moment(grid, basis, values, sqrt_m)
         assert np.allclose(moment, 1.0, atol=1e-12)
