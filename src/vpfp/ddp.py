@@ -14,11 +14,13 @@ d phi0/dx, all a state keeps.  The propagator is that FFT step applied
 to the identity, so both paths share one chain of symbols: the odd
 derivatives use grid.dx_symbol, 0 at the Nyquist mode, and the 2/3 rule
 zeroes the drift product's modes from grid.n_dealiased on
-(grid.dealiased_dx_symbol).  The propagator depends only on (n_x, length,
-dt), plain numbers that key its cache; it is built at the first step of
-such a triple, read-only.  The step's checks on the new density read one
-min and one max of it.  ddp_run returns the list of its sampled states,
-each with its time.
+(grid.dealiased_dx_symbol).  Lap phi0 = -rho0 holds off the mean mode
+only, so the drift leaves the mean mode as it is and a rounding-level
+mean stays at rounding level, whatever dt.  The propagator depends only
+on (n_x, length, dt), plain numbers that key its cache; it is built at
+the first step of such a triple, read-only.  The step's checks on the
+new density read one min and one max of it.  ddp_run returns the list
+of its sampled states, each with its time.
 """
 
 from __future__ import annotations
@@ -30,9 +32,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .operators import (check_zero_mean, potential_coeffs, require_spatial_field,
+from .operators import (ZERO_MEAN_TOL, potential_coeffs, require_spatial_field,
                         require_zero_mean, solve_poisson)
-from .solver import sample_trajectory, step_schedule
+from .solver import ConservationError, sample_trajectory, step_schedule
 from .spectral import SpatialGrid, fourier_field, real_field
 
 __all__ = ["DdpState", "make_ddp_state", "ddp_step", "ddp_run"]
@@ -78,9 +80,11 @@ def _advance_coeffs(grid: SpatialGrid, dt: float, rho_c: np.ndarray,
     """The new density's coefficients from those of rho0 and of the drift
     product rho0 d phi0/dx, along the last axis; diffusion divides by the
     implicit symbol 1 + dt k^2."""
-    # div((rho0 + 1) grad phi0) = div(rho0 grad phi0) + Lap phi0, and Lap phi0 = -rho0;
-    # the product is dealiased by the 2/3 rule
-    rhs_c = rho_c + dt * (grid.dealiased_dx_symbol * prod_c - rho_c)
+    # div((rho0 + 1) grad phi0) = div(rho0 grad phi0) + Lap phi0, and Lap phi0 is
+    # -rho0 without its mean mode; the product is dealiased by the 2/3 rule
+    lap_phi_c = -rho_c
+    lap_phi_c[..., 0] = 0.0
+    rhs_c = rho_c + dt * (grid.dealiased_dx_symbol * prod_c + lap_phi_c)
     return rhs_c / (1.0 + dt * grid.k_sq)
 
 
@@ -116,19 +120,19 @@ def _propagator(n_x: int, length: float, dt: float) -> np.ndarray:
 def ddp_step(grid: SpatialGrid, state: DdpState, dt: float) -> DdpState:
     """One semi-implicit step of d/dt rho0 = Lap rho0 + div((rho0 + 1) grad phi0).
 
-    To first order in rho0, mode m falls by (1 - dt) / (1 + dt m^2) per
-    step.  The drift update is a divergence, but Lap phi0 = -rho0 holds
-    only for zero-mean rho0, so the mean mode is multiplied by (1 - dt):
-    a rounding-level mean stays at rounding level.  The step is linear in
+    To first order in rho0, mode m >= 1 falls by (1 - dt) / (1 + dt m^2)
+    per step.  The drift update is a divergence and Lap phi0 has no mean
+    mode, so the step keeps the mean mode as it is: a rounding-level mean
+    stays at rounding level at any dt.  The step is linear in
     rho0 and the drift product rho0 d phi0/dx.  Up to DENSE_MAX_N_X
     points it is one product with the matrix that _propagator caches per
     (n_x, length, dt), and no transform; above, it works on the modes
     m = 0..n_x/2 with one real FFT and one inverse real FFT, with the
     grid's symbols.  Checks the new density in this order, from its min and
     max alone: FloatingPointError unless it is finite (NaN and inf carry
-    through min and max), ValueError unless its mean mode is zero to
-    ZERO_MEAN_TOL relative to max(1, max |rho0|), and a RuntimeWarning
-    unless 1 + rho0 > 0.
+    through min and max), solver.ConservationError unless its mean mode is
+    zero to ZERO_MEAN_TOL relative to max(1, max |rho0|), and a
+    RuntimeWarning unless 1 + rho0 > 0.
     """
     n, drift = grid.n_x, state.rho0 * state.grad_phi0
     if n <= DENSE_MAX_N_X:
@@ -143,7 +147,9 @@ def ddp_step(grid: SpatialGrid, state: DdpState, dt: float) -> DdpState:
     lo, hi = float(rho0.min()), float(rho0.max())
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise FloatingPointError(f"non-finite fluid state at t = {time:.6g}")
-    check_zero_mean(mean, max(-lo, hi), "Poisson right-hand side")
+    if not abs(mean) <= ZERO_MEAN_TOL * max(1.0, -lo, hi):
+        raise ConservationError(
+            f"fluid density lost its zero mean at t = {time:.6g}: mean {mean:.3e}")
     return _checked_state(time, rho0, grad_phi0, lo)
 
 

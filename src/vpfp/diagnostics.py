@@ -137,10 +137,12 @@ def energy_functionals(state, k: int, epsilons) -> list[EnergyReport]:
     is twice ||d_x b||^2_{H^{k-1}_x}.  a and b are the Hermite rows 0 and 1
     of g, and d_x b, d_x a have the symbol grid.dx_symbol; the per-mode
     squares of one d_v tower of (I-P) g, streamed one level at a time,
-    serve both micro norms.  The nu norm ||h||^2_nu = ||d_v h||^2 + ||h||^2
-    + ||v h||^2 of each level h is sum_n (4n + 3) |c_n|^2 - 3 ||d_v h||^2,
-    since v = A + A^+ and 2 d_v = A - A^+ in the Hermite ladder operators
-    (see _mixed_nu_sq), so no level is multiplied by v.  The coefficients
+    serve both micro norms, and its level 0 with the squares of a and b
+    gives ||g||^2_{H^k_x L^2_v}, so each Hermite level is squared once.
+    The nu norm ||h||^2_nu = ||d_v h||^2 + ||h||^2 + ||v h||^2 of each
+    level h is sum_n (4n + 3) |c_n|^2 - 3 ||d_v h||^2, since v = A + A^+
+    and 2 d_v = A - A^+ in the Hermite ladder operators (see
+    _mixed_nu_sq), so no level is multiplied by v.  The coefficients
     of phi and d_x phi are potential_coeffs of level 0.  The Poisson
     residual compares the inverse FFT of the Laplacian of phi, whose
     symbol -k^2 keeps the Nyquist mode, with the density a of the state's
@@ -156,14 +158,14 @@ def energy_functionals(state, k: int, epsilons) -> list[EnergyReport]:
         g = state.g
         grid = g.grid
         c = g.coeffs
-        level_sq = np.square(c.real)  # (n_v, B, n_half)
-        level_sq += np.square(c.imag)
-        a_sq, b_sq = level_sq[0], level_sq[1]
+        a_sq, b_sq = np.square(c[:2].real)  # (B, n_half) each
+        a_sq += np.square(c[0].imag)
+        b_sq += np.square(c[1].imag)
         dx_sq = grid.dx_symbol.imag**2
         plain, weighted = _tower_squares(c[2:], k + 1, 2)  # (I - P) g: levels 0, 1 zero
         phi_c, grad_phi_c = potential_coeffs(grid, c[0])
 
-        g_hk = parseval_sq(grid, level_sq.sum(axis=0), k)
+        g_hk = parseval_sq(grid, plain[0] + a_sq + b_sq, k)
         gradv_micro = sum(parseval_sq(grid, plain[beta + 1], k - 1 - beta) for beta in range(k))
         ab = parseval_sq(grid, a_sq, k - 1) + parseval_sq(grid, b_sq, k - 1)
 

@@ -4,7 +4,9 @@ The unknown is the perturbation g in f = M + g sqrt(M).  In the Hermite
 basis the Fokker-Planck operator is diag(n) (the solver builds it into its
 implicit factors), the macroscopic projection P keeps the first two
 Hermite levels (density a and momentum b), and the electrostatic
-potential solves -phi'' = a spectrally on the torus.
+potential solves -phi'' = a spectrally on the torus.  The run reads two
+macro fields, the density a and the field d phi/dx (moments); the
+diagnostics take b and phi from the coefficients themselves.
 
 The perturbation g is a spectral.SpectralField: a real field stored as
 a Hermite-major half-spectrum, shape (n_v, n_x/2 + 1).  The operators
@@ -35,7 +37,6 @@ __all__ = [
     "spatial_l2_norm",
     "require_spatial_field",
     "require_zero_mean",
-    "check_zero_mean",
 ]
 
 ZERO_MEAN_TOL = 1e-12
@@ -43,14 +44,12 @@ ZERO_MEAN_TOL = 1e-12
 
 @dataclass
 class MacroFields:
-    """Spatial moments of g and their self-consistent field, as built by
-    moments: a (density), b (momentum), phi and grad_phi = d phi / dx are
-    real fields of shape (n_x,), or (B, n_x) for a batch of B fields.
+    """The density of g and its self-consistent field, as built by moments:
+    a (Hermite level 0) and grad_phi = d phi / dx are real fields of shape
+    (n_x,), or (B, n_x) for a batch of B fields.
     """
 
     a: np.ndarray
-    b: np.ndarray
-    phi: np.ndarray
     grad_phi: np.ndarray
 
 
@@ -67,15 +66,9 @@ def require_spatial_field(grid: SpatialGrid, values, what: str) -> None:
 
 def require_zero_mean(values: np.ndarray, what: str) -> float:
     """Return the spatial mean of values; raise ValueError unless it is zero
-    to ZERO_MEAN_TOL relative to max(1, max |values|) (see check_zero_mean)."""
-    return check_zero_mean(float(np.mean(values)), float(np.max(np.abs(values))), what)
-
-
-def check_zero_mean(mean: float, scale: float, what: str) -> float:
-    """Return mean; raise ValueError unless it is zero to ZERO_MEAN_TOL
-    relative to max(1, scale), where scale is the largest modulus of the
-    field.  A NaN or infinite field fails too: an infinite scale would
-    excuse any mean."""
+    to ZERO_MEAN_TOL relative to max(1, max |values|).  A NaN or infinite
+    field fails too: an infinite scale would excuse any mean."""
+    mean, scale = float(np.mean(values)), float(np.max(np.abs(values)))
     if not (math.isfinite(scale) and abs(mean) <= ZERO_MEAN_TOL * max(1.0, scale)):
         raise ValueError(f"{what} must have zero spatial mean; got mean {mean:.3e}")
     return mean
@@ -91,17 +84,16 @@ def spatial_l2_norm(grid: SpatialGrid, values: np.ndarray):
 # kinetic operators
 
 def moments(g: SpectralField) -> MacroFields:
-    """Density a and momentum b (Hermite rows 0 and 1) and the field of a.
+    """Density a (Hermite row 0) and its field d phi/dx.
 
     -phi'' = a is solved on the coefficients of row 0 (potential_coeffs).
-    One inverse real FFT of the four rows a, b, phi and d phi/dx gives
-    every field.  For a batch g (coefficients of shape (n_v, B, n_x/2 + 1))
-    each field has one row per member, shape (B, n_x).
+    One inverse real FFT of the two rows a and d phi/dx gives both fields.
+    For a batch g (coefficients of shape (n_v, B, n_x/2 + 1)) each field
+    has one row per member, shape (B, n_x).
     """
     grid, c = g.grid, g.coeffs
-    phi_c, grad_phi_c = potential_coeffs(grid, c[0])
-    a, b, phi, grad_phi = real_field(grid, np.array([c[0], c[1], phi_c, grad_phi_c]))
-    return MacroFields(a=a, b=b, phi=phi, grad_phi=grad_phi)
+    a, grad_phi = real_field(grid, np.array([c[0], potential_coeffs(grid, c[0])[1]]))
+    return MacroFields(a=a, grad_phi=grad_phi)
 
 
 def solve_poisson(grid: SpatialGrid, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -144,7 +136,7 @@ def _coupling_scales(n_v: int, epsilon) -> tuple[np.ndarray, np.ndarray]:
 
 
 def vpfp_rhs(g: SpectralField, epsilon, out: np.ndarray | None = None,
-             scratch: np.ndarray | None = None) -> SpectralField:
+             scratch: np.ndarray | None = None) -> np.ndarray:
     """Explicit part of d/dt g in the scaled kinetic system, the field coupling.
 
     dg/dt = -(1/eps) v dg/dx - (1/eps^2) L g
@@ -152,16 +144,16 @@ def vpfp_rhs(g: SpectralField, epsilon, out: np.ndarray | None = None,
 
     The streaming and collision terms of the first line are stiff, and the
     solver applies them implicitly (solver.TridiagonalFactors); this
-    function returns the terms of the second line, with g's own field:
-    potential_coeffs of level 0 gives the psi_1 source, and its inverse
-    real FFT d phi/dx.  The coupling uses the single raising recurrence
-    (the identity (g/2) v - dg/dv = (v/2 - d_dv) g, with
-    psi_n -> sqrt(n+1) psi_{n+1}).  The products of the levels 0..n_v-2
-    with d phi/dx are formed pseudo-spectrally: one inverse real FFT into
-    scratch, a multiply in place and one forward real FFT straight into
-    the rows 1..n_v-1 of the result.  The raising recurrence is then a row
-    scale, -sqrt(n)/eps on row n, and the 2/3 rule zeroes the modes above
-    n_x/3.  g and the result are half-spectra of shape (n_v, n_x/2 + 1);
+    function returns the coefficients of the terms of the second line,
+    with g's own field: potential_coeffs of level 0 gives the psi_1
+    source, and its inverse real FFT d phi/dx.  The coupling uses the
+    single raising recurrence (the identity (g/2) v - dg/dv =
+    (v/2 - d_dv) g, with psi_n -> sqrt(n+1) psi_{n+1}).  The products of
+    the levels 0..n_v-2 with d phi/dx are formed pseudo-spectrally: one
+    inverse real FFT into scratch, a multiply in place and one forward
+    real FFT straight into the rows 1..n_v-1 of the result.  The raising
+    recurrence is then a row scale, -sqrt(n)/eps on row n, and the 2/3
+    rule zeroes the modes above n_x/3.  g and the result are half-spectra of shape (n_v, n_x/2 + 1);
     Hermite level 0 of the result is zero, so the coupling keeps the mass,
     and a g whose level 0 is zero has no field and gets zero terms.
 
@@ -170,9 +162,9 @@ def vpfp_rhs(g: SpectralField, epsilon, out: np.ndarray | None = None,
     (member, mode) pairs.  The per-epsilon factors come from
     _coupling_scales, built once per epsilon tuple.
 
-    out (complex, C-contiguous, the shape of g.coeffs) receives the result,
-    whose coefficients are then out itself; scratch is a real array of
-    shape (n_v - 1, n_x), or (n_v - 1, B, n_x) for a batch.  Either is
+    out (complex, C-contiguous, the shape of g.coeffs) receives the
+    result, which is then out itself; scratch is a real array of shape
+    (n_v - 1, n_x), or (n_v - 1, B, n_x) for a batch.  Either is
     allocated when not given.
     """
     grid, c = g.grid, g.coeffs
@@ -196,4 +188,4 @@ def vpfp_rhs(g: SpectralField, epsilon, out: np.ndarray | None = None,
     rhs[0] = 0.0
     # linear source: (d phi/dx) v sqrt(M) = (d phi/dx) psi_1
     rhs[1] -= dphi_c / eps
-    return g.with_coeffs(rhs)
+    return rhs

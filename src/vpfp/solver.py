@@ -149,12 +149,16 @@ class SolverConfig:
         k_max = float(np.max(np.abs(grid.dx_symbol.imag)))
         beta = dt * k_max / eps
         if not math.isfinite(1.0 + dt * (n_top / eps**2) + 2.0 * (beta * beta * n_top)):
-            limit = math.sqrt(n_top / DBL_MAX * max(1.0, dt + 2.0 * (dt * k_max) ** 2))
+            # sqrt((n_v - 1) max(1, dt + 2 (dt k_max)^2) / DBL_MAX), by hypot,
+            # which neither overflows nor raises on the square
+            limit = math.sqrt(n_top / DBL_MAX) * max(
+                1.0, math.hypot(math.sqrt(dt), math.sqrt(2.0) * dt * k_max))
+            need = (f"so epsilon must exceed about {limit:.4g}" if limit < 1.0 else
+                    "and no epsilon <= 1 keeps it finite at this dt_max")
             raise ConfigurationError(
                 f"epsilon = {eps:g} overflows the implicit factors: their largest pivot, "
                 f"1 + dt (n_v - 1) / eps^2 + 2 (dt k_max / eps)^2 (n_v - 1) at dt_max = {dt:g}, "
-                f"n_v = {self.n_v} and k_max = {k_max:g}, must be finite, so epsilon must "
-                f"exceed about {limit:.4g}")
+                f"n_v = {self.n_v} and k_max = {k_max:g}, must be finite, {need}")
 
     def make_grid(self) -> SpatialGrid:
         return SpatialGrid(n_x=self.n_x, length=self.length)
@@ -189,20 +193,18 @@ class KineticState:
             np.broadcast_to(g.coeffs[:, None], (n_v, size, n_half))))
 
 
-def make_initial_data(grid: SpatialGrid, basis: HermiteBasis, rho_profile,
-                      amplitude: float = 1.0,
+def make_initial_data(grid: SpatialGrid, basis: HermiteBasis, density,
                       micro_perturbation: SpectralField | None = None) -> KineticState:
-    """Well-prepared initial state g = amplitude * profile(x) * sqrt(M).
+    """Well-prepared initial state g = density(x) sqrt(M).
 
-    rho_profile is a callable of x (or an array on the grid nodes) whose
-    values have shape (n_x,) and zero spatial mean; an optional microscopic
-    component must be finite and already lie in the range of (I - P).  The
-    reconstructed distribution must be positive at every collocation node,
-    which the test reads off f / sqrt(M) = psi_0 + G (see spectral).
+    density is the shifted density on the grid nodes, an array of shape
+    (n_x,) with zero spatial mean; an optional microscopic component must
+    be finite and already lie in the range of (I - P).  The reconstructed
+    distribution must be positive at every collocation node, which the
+    test reads off f / sqrt(M) = psi_0 + G (see spectral).
     """
-    profile = rho_profile(grid.nodes) if callable(rho_profile) else np.asarray(rho_profile, float)
-    require_spatial_field(grid, profile, "density profile")
-    a = amplitude * profile
+    require_spatial_field(grid, density, "density profile")
+    a = np.asarray(density, float)
     a = a - require_zero_mean(a, "density profile")  # remove rounding-level residual
 
     coeffs = np.zeros((basis.n_v, grid.n_half), dtype=complex)
@@ -367,14 +369,6 @@ class VpfpStepper:
             self._factors = (dt_eff, f)
         return self._factors[1]
 
-    # -- explicit part ------------------------------------------------------
-    def explicit_coeffs(self, g: SpectralField, out: np.ndarray | None = None) -> np.ndarray:
-        """Field-coupling terms of the right-hand side (lagged potential) of
-        the batch g, written into out when given (complex, C-contiguous,
-        the shape of g.coeffs) and otherwise into a new array, which is
-        returned."""
-        return vpfp_rhs(g, self.epsilons, out=out, scratch=self._scratch).coeffs
-
     # -- stepping -----------------------------------------------------------
     @staticmethod
     def _finish(state: KineticState, coeffs: np.ndarray, dt: float) -> KineticState:
@@ -392,7 +386,7 @@ class VpfpStepper:
         return KineticState(time=time, g=state.g.with_coeffs(coeffs))
 
     def step_euler(self, state: KineticState, expl: np.ndarray) -> KineticState:
-        """One IMEX Euler step; expl holds explicit_coeffs(state)."""
+        """One IMEX Euler step; expl holds vpfp_rhs of state.g."""
         dt = self.dt
         rhs = dt * expl
         rhs += state.g.coeffs
@@ -417,13 +411,15 @@ class VpfpStepper:
     def advance(self, state: KineticState, n: int) -> KineticState:
         """Take n steps of cfg.scheme from state, the (re-stamped) state the
         last call returned, and return the last one.  The first step is
-        Euler; BDF2 keeps its history across calls.  A blow-up overflows
-        before it is non-finite, so NumPy's warnings are off here and
-        _finish reports it."""
+        Euler; BDF2 keeps its history across calls.  Each step's explicit
+        terms are this module's vpfp_rhs, which the benchmark tracer wraps,
+        in the stepper's buffers.  A blow-up overflows before it is
+        non-finite, so NumPy's warnings are off here and _finish reports
+        it."""
         buffers = self._buffers
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             for _ in range(n):
-                expl = self.explicit_coeffs(state.g, out=buffers[0])
+                expl = vpfp_rhs(state.g, self.epsilons, out=buffers[0], scratch=self._scratch)
                 if self._prev is None:
                     new = self.step_euler(state, expl)
                 else:
@@ -481,38 +477,36 @@ def step_schedule(t_final: float, sample_interval: float,
 
 
 def sample_trajectory(initial, t_final: float, schedule: tuple[int, float, int],
-                      advance, observer) -> np.ndarray:
-    """The sampling loop of the kinetic and the fluid run; returns the
-    sample times.  schedule is the caller's step_schedule, and advance(state,
-    n) takes n steps of its dt, keeping history between calls if it needs
-    to.  Each sample's time is re-stamped exactly.  The observer sees every
-    sampled state, the initial one first, and keeps what it chooses.
+                      advance, observer) -> None:
+    """The sampling loop of the kinetic and the fluid run.  schedule is the
+    caller's step_schedule, and advance(state, n) takes n steps of its dt,
+    keeping history between calls if it needs to.  Each sample's time is
+    re-stamped exactly.  The observer sees every sampled state, the
+    initial one first, and keeps what it chooses; each state carries its
+    time.
     """
     n_samples, _, steps_per_sample = schedule
     state = initial
-    times = [initial.time]
     observer(initial)
     for s in range(n_samples):
         state = advance(state, steps_per_sample)
         state = replace(state, time=initial.time + (s + 1) * (t_final / n_samples))
-        times.append(state.time)
         observer(state)
-    return np.array(times)
 
 
 def run(initial: KineticState, cfg: SolverConfig, observer=lambda state: None, *,
-        sample_interval: float, epsilons=None) -> np.ndarray:
-    """Integrate to t_final with cfg.scheme, sampling every sample_interval;
-    return the sample times.
+        sample_interval: float, epsilons=None) -> None:
+    """Integrate to t_final with cfg.scheme, sampling every sample_interval.
 
     Advances one member per entry of epsilons (default (cfg.epsilon,); the
     other settings come from cfg) from the same initial state in lock-step,
     as one batch (VpfpStepper.advance).  At each sample the observer gets
     the batch state, one member per epsilon, initial.repeated(B) first.
-    Nothing is kept: what the observer needs of a sample it takes when it
-    sees it.  initial must lie on cfg's grid and n_v, and every sampled
-    state shares its grid and basis.  Every member steps at
-    step_schedule's fit of cfg.dt_max.  Deterministic for a fixed config.
+    Nothing is kept or returned: what the observer needs of a sample,
+    its time included, it takes when it sees it.  initial must lie on
+    cfg's grid and n_v, and every sampled state shares its grid and
+    basis.  Every member steps at step_schedule's fit of cfg.dt_max.
+    Deterministic for a fixed config.
     """
     grid, n_v = initial.g.grid, initial.g.basis.n_v
     if grid != cfg.make_grid() or n_v != cfg.n_v:
@@ -525,5 +519,5 @@ def run(initial: KineticState, cfg: SolverConfig, observer=lambda state: None, *
     for eps in batch:
         replace(cfg, epsilon=eps)  # each member must be a valid config
     schedule = step_schedule(cfg.t_final, sample_interval, cfg.dt_max)
-    return sample_trajectory(initial.repeated(len(batch)), cfg.t_final, schedule,
-                             VpfpStepper(cfg, schedule[1], batch).advance, observer)
+    sample_trajectory(initial.repeated(len(batch)), cfg.t_final, schedule,
+                      VpfpStepper(cfg, schedule[1], batch).advance, observer)

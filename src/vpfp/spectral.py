@@ -164,10 +164,6 @@ class SpatialGrid:
     def cell_volume(self) -> float:
         return self.length / self.n_x
 
-    @property
-    def volume(self) -> float:
-        return self.length
-
 
 def _hermite_rows(v: np.ndarray, n_levels: int):
     """psi_0(v), ..., psi_{n_levels - 1}(v), one array each, by the
@@ -368,9 +364,9 @@ def sobolev_weights(n_x: int, length: float, order: int) -> np.ndarray:
 
 def parseval_sq(grid: SpatialGrid, sq: np.ndarray, order: int = 0):
     """Squared H^order_x norm by Parseval from per-mode squared moduli sq
-    (last axis m = 0..n_x/2): vol * sum_m w_m sq_m, w = sobolev_weights.
+    (last axis m = 0..n_x/2): L sum_m w_m sq_m, w = sobolev_weights.
 
     A 1-D sq gives a float; a leading axis (one row per Hermite level, say)
     gives one norm per row.
     """
-    return grid.volume * (sq @ sobolev_weights(grid.n_x, grid.length, order))
+    return grid.length * (sq @ sobolev_weights(grid.n_x, grid.length, order))

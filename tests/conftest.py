@@ -34,11 +34,11 @@ def member(state, i=0):
 
 def sampled_run(initial, cfg, sample_interval):
     """solver.run of cfg alone, with an observer that appends each sample's
-    one member: the Trajectory of the run's times and of its states."""
+    one member: the Trajectory of the sample times and of those states."""
     states = []
-    times = run(initial, cfg, lambda state: states.append(member(state)),
-                sample_interval=sample_interval)
-    return Trajectory(times=times, states=states)
+    run(initial, cfg, lambda state: states.append(member(state)),
+        sample_interval=sample_interval)
+    return Trajectory(times=np.array([state.time for state in states]), states=states)
 
 
 def fd_collision_inner_product(basis, n, j):

@@ -136,7 +136,7 @@ def _x_weight(grid, order):
 
 def _weighted_sq(grid, coeffs, x_order):
     w = _x_weight(grid, x_order)
-    return float(grid.volume * np.sum(w[:, None] * np.abs(coeffs) ** 2))
+    return float(grid.length * np.sum(w[:, None] * np.abs(coeffs) ** 2))
 
 
 def _dv_tower(coeffs, depth):
@@ -159,7 +159,7 @@ def _mixed_sq(grid, coeffs, k, nu=False):
 
 def _spatial_sobolev_sq(grid, values, order):
     c = np.fft.fft(values) / grid.n_x
-    return float(grid.volume * np.sum(_x_weight(grid, order) * np.abs(c) ** 2))
+    return float(grid.length * np.sum(_x_weight(grid, order) * np.abs(c) ** 2))
 
 
 def nu_norm(field):
@@ -379,8 +379,8 @@ def moment_residuals(states, epsilon):
     a_s, b_s, gam_s, r2_static, r3_static = [], [], [], [], []
     for s in states:
         micro = project_micro(s.g)
-        a, b = s.macro.a, s.macro.b
-        dphi = s.macro.grad_phi
+        a, dphi = s.macro.a, s.macro.grad_phi
+        b = spectral.real_field(grid, s.g.coeffs[1])  # the momentum, Hermite row 1
         gamma = gamma_moment(micro)
         micro_dx = micro.coeffs * grid.dx_symbol
         v_micro_dx = hermite_shift(np.moveaxis(micro_dx, 0, -1), "multiply_by_v")
@@ -426,11 +426,13 @@ def moment_residuals(states, epsilon):
 def ddp_step_reference(grid, state, dt):
     """The fluid step's arithmetic with every symbol rebuilt per call and
     phi0 transformed too, as ddp_step did before the state dropped phi0;
-    no checks."""
+    no checks.  Lap phi0 is -rho0 without its mean mode, so the mean mode
+    is kept."""
     ik = grid.dx_symbol
     rho_c, prod_c = np.fft.rfft(np.array([state.rho0, state.rho0 * state.grad_phi0]),
                                 norm="forward")
-    rhs_c = rho_c + dt * (ik * dealias_mask(grid)[: grid.n_half] * prod_c - rho_c)
+    lap_phi_c = np.where(np.arange(grid.n_half) == 0, 0.0, -rho_c)
+    rhs_c = rho_c + dt * (ik * dealias_mask(grid)[: grid.n_half] * prod_c + lap_phi_c)
     new_c = rhs_c / (1.0 + dt * grid.k_sq)
     phi_c = new_c * grid.inverse_laplacian
     rho0, _, grad_phi0 = np.fft.irfft(np.array([new_c, phi_c, ik * phi_c]),

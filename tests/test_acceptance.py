@@ -50,7 +50,7 @@ def default_sweep():
 
 
 def cos_state(grid, basis, amplitude=0.01):
-    return make_initial_data(grid, basis, np.cos(grid.nodes), amplitude=amplitude)
+    return make_initial_data(grid, basis, amplitude * np.cos(grid.nodes))
 
 
 def test_criterion_1_operator_exactness(small_grid, small_basis):

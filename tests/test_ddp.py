@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from vpfp.ddp import DENSE_MAX_N_X, DdpState, _propagator, ddp_run, ddp_step, make_ddp_state
 from vpfp.operators import spatial_l2_norm
+from vpfp.solver import ConservationError
 from vpfp.spectral import ConfigurationError, SpatialGrid
 
 import oracles
@@ -118,9 +119,17 @@ class TestSingleStep:
         for grid in SIDES:
             state = make_ddp_state(grid, 0.0, 0.01 * np.cos(grid.nodes))
             shifted = replace(state, rho0=state.rho0 + 0.3)
-            with pytest.raises(ValueError,
-                               match="Poisson right-hand side must have zero spatial mean"):
+            with pytest.raises(ConservationError, match="fluid density lost its zero mean"):
                 ddp_step(grid, shifted, 1e-3)
+
+    def test_large_step_keeps_a_rounding_mean(self):
+        # Lap phi0 has no mean mode, so the drift leaves the mean alone: a
+        # rounding-level mean does not grow by |1 - dt| = 4 per step
+        for grid in SIDES:
+            state = make_ddp_state(grid, 0.0, 0.01 * np.cos(grid.nodes))
+            for _ in range(40):
+                state = ddp_step(grid, state, 5.0)
+                assert abs(np.mean(state.rho0)) <= 1e-15
 
     def test_negative_density_after_step_warns(self):
         for grid in SIDES:

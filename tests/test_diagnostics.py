@@ -58,7 +58,7 @@ def short_run(grid, basis, epsilon=0.2, t_final=0.2, scheme="imex_bdf2",
               amplitude=0.01, sample_interval=0.05, dt_max=2e-3):
     cfg = SolverConfig(epsilon=epsilon, t_final=t_final, n_x=grid.n_x, n_v=basis.n_v,
                        dt_max=dt_max, scheme=scheme)
-    initial = make_initial_data(grid, basis, lambda x: np.cos(x), amplitude=amplitude)
+    initial = make_initial_data(grid, basis, amplitude * np.cos(grid.nodes))
     return sampled_run(initial, cfg, sample_interval=sample_interval)
 
 
@@ -84,8 +84,7 @@ class TestNuNorm:
 class TestEnergyFunctionals:
     def test_initial_data_closed_form(self, grid, basis):
         # g = 0.01 cos(x) psi_0: E_1 = 2 * (pi * 1e-4) + pi * 1e-4 = 3 pi 1e-4
-        state = make_state(make_initial_data(grid, basis, np.cos(grid.nodes),
-                                             amplitude=0.01).g)
+        state = make_state(make_initial_data(grid, basis, 0.01 * np.cos(grid.nodes)).g)
         rep = energy_of(state, k=1, epsilon=0.5)
         assert rep.E_k == pytest.approx(3 * np.pi * 1e-4, rel=1e-10)
         assert rep.gradv_micro_Hkm1_sq == 0.0
@@ -125,8 +124,8 @@ class TestEnergyFunctionals:
         cfg = SolverConfig(epsilon=0.1, t_final=0.1, n_x=16, n_v=16, dt_max=5e-3,
                            scheme="imex_bdf2")
         grid, basis = cfg.make_grid(), cfg.make_basis()
-        nyquist = lambda x: np.cos(8 * 2.0 * np.pi * x / grid.length)
-        initial = make_initial_data(grid, basis, nyquist, amplitude=0.01)
+        nyquist = 0.01 * np.cos(8 * 2.0 * np.pi * grid.nodes / grid.length)
+        initial = make_initial_data(grid, basis, nyquist)
         for state in sampled_run(initial, cfg, sample_interval=0.05).states:
             assert energy_of(state, k=1, epsilon=0.1).poisson_residual <= 1e-12
 

@@ -12,12 +12,15 @@ are the oracles' own too (gamma_moment, dealiased_product), which the
 moment-residual oracle and the coupling checks below rely on.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vpfp.operators import moments, solve_poisson, spatial_l2_norm, vpfp_rhs
+from vpfp.operators import (MacroFields, moments, potential_coeffs, solve_poisson,
+                            spatial_l2_norm, vpfp_rhs)
 from vpfp.spectral import (
     ConfigurationError,
     HermiteBasis,
@@ -144,7 +147,8 @@ class TestMoments:
         a_oracle = quadrature_oracle_moment(grid, basis, values, sqrt_m)
         b_oracle = quadrature_oracle_moment(grid, basis, values, lambda v: v * sqrt_m(v))
         assert np.max(np.abs(mac.a - a_oracle)) < 1e-10
-        assert np.max(np.abs(mac.b - b_oracle)) < 1e-10
+        # the momentum b is Hermite row 1, which no run transforms
+        assert np.max(np.abs(real_field(grid, g.coeffs[1]) - b_oracle)) < 1e-10
 
     def test_gamma_against_quadrature_oracle(self, grid, basis, rng):
         g = random_distribution(rng, grid, basis)
@@ -161,9 +165,21 @@ class TestMoments:
     def test_moments_field_and_nu_norm_finite(self, grid, basis, rng):
         g = random_distribution(rng, grid, basis)
         mac = moments(g)
-        for values in (mac.a, mac.b, mac.phi, mac.grad_phi):
+        for values in (mac.a, mac.grad_phi):
             assert np.all(np.isfinite(values))
         assert np.isfinite(half_spectrum_nu_norm(g))
+
+    @pytest.mark.parametrize("batch", [None, 3])
+    def test_forms_the_density_and_its_field_only(self, grid, basis, rng, batch):
+        # the run reads a and d phi/dx alone: one inverse FFT of those two
+        # rows, bit for bit that of each row by itself
+        assert [f.name for f in dataclasses.fields(MacroFields)] == ["a", "grad_phi"]
+        c = random_distribution(rng, grid, basis).coeffs
+        if batch is not None:
+            c = np.stack([c * (i + 1) for i in range(batch)], axis=1)
+        mac = moments(SpectralField(grid, basis, c))
+        assert np.array_equal(mac.a, real_field(grid, c[0]))
+        assert np.array_equal(mac.grad_phi, real_field(grid, potential_coeffs(grid, c[0])[1]))
 
 
 class TestPoisson:
@@ -268,27 +284,27 @@ class TestRhs:
         rhs = vpfp_rhs(g, eps)
         dphi = moments(g).grad_phi
         expected = -(dphi + dealiased_product(grid, rho, dphi)) / eps
-        got = real_field(grid, rhs.coeffs[1])
+        got = real_field(grid, rhs[1])
         assert np.max(np.abs(got - expected)) < 1e-12
-        other = rhs.coeffs.copy()
+        other = rhs.copy()
         other[1] = 0.0
         assert np.max(np.abs(other)) == 0.0
 
     def test_mass_slice_untouched_by_fields_and_collision(self, grid, basis, rng):
         g = random_distribution(rng, grid, basis)
         rhs = vpfp_rhs(g, 0.2)
-        assert np.max(np.abs(rhs.coeffs[0])) == 0.0
+        assert np.max(np.abs(rhs[0])) == 0.0
 
     def test_total_mass_invariant(self, grid, basis, rng):
         g = random_distribution(rng, grid, basis)
         rhs = vpfp_rhs(g, 0.2)
-        assert abs(rhs.coeffs[0, 0]) < 1e-14
+        assert abs(rhs[0, 0]) < 1e-14
 
     def test_scaling_in_epsilon(self, grid, basis, rng):
         g = random_distribution(rng, grid, basis)
         r1 = vpfp_rhs(g, 0.5)
         r2 = vpfp_rhs(g, 0.25)
-        assert np.max(np.abs(r2.coeffs - 2 * r1.coeffs)) < 1e-12
+        assert np.max(np.abs(r2 - 2 * r1)) < 1e-12
 
     def test_epsilon_validation(self, grid, basis):
         g = zero_field(grid, basis)
@@ -307,7 +323,7 @@ class TestRhs:
         # the coupling, made of real-FFT products and d phi/dx, keeps them real
         g = random_distribution(rng, grid, basis)
         rhs = vpfp_rhs(g, 0.2)
-        assert np.all(rhs.coeffs[:, [0, -1]].imag == 0.0)
+        assert np.all(rhs[:, [0, -1]].imag == 0.0)
 
 
 class TestCoercivity:
@@ -333,10 +349,9 @@ class TestCoercivity:
         assert dirichlet == 0.0 and micro_nu_sq == 0.0 and b_sq == 0.0
 
 
-def complex_fft_moments(g):
-    """moments by full-spectrum complex FFTs, one per Hermite level."""
-    full = oracles.full_spectrum(g.coeffs, g.grid.n_x)
-    return oracles.real_field(g.grid, full[:, 0]), oracles.real_field(g.grid, full[:, 1])
+def complex_fft_density(g):
+    """The density a of moments by a full-spectrum complex FFT."""
+    return oracles.real_field(g.grid, oracles.full_spectrum(g.coeffs, g.grid.n_x)[:, 0])
 
 
 def complex_fft_poisson(grid, a):
@@ -391,11 +406,12 @@ class TestHalfSpectrumMatchesComplexFft:
     def test_moments_and_poisson(self, n_x, n_v, epsilon, seed):
         g = self.field(n_x, n_v, seed)
         mac = moments(g)
-        a, b = complex_fft_moments(g)
-        assert max_rel_diff(mac.a, a) <= 1e-14 and max_rel_diff(mac.b, b) <= 1e-14
+        a = complex_fft_density(g)
+        assert max_rel_diff(mac.a, a) <= 1e-14
         want_phi, want_grad = complex_fft_poisson(g.grid, a)
-        for phi, grad_phi in (solve_poisson(g.grid, a), (mac.phi, mac.grad_phi)):
-            assert max_rel_diff(phi, want_phi) <= 1e-14
+        phi, grad_phi = solve_poisson(g.grid, a)
+        assert max_rel_diff(phi, want_phi) <= 1e-14
+        for grad_phi in (grad_phi, mac.grad_phi):
             assert max_rel_diff(grad_phi, want_grad) <= 1e-14
 
     @settings(max_examples=40, deadline=None)
@@ -403,6 +419,6 @@ class TestHalfSpectrumMatchesComplexFft:
     def test_rhs(self, n_x, n_v, epsilon, seed):
         # the coupling with g's own field, from the oracle's Poisson solve
         g = self.field(n_x, n_v, seed)
-        _, grad_phi = complex_fft_poisson(g.grid, complex_fft_moments(g)[0])
-        got = vpfp_rhs(g, epsilon).coeffs
+        _, grad_phi = complex_fft_poisson(g.grid, complex_fft_density(g))
+        got = vpfp_rhs(g, epsilon)
         assert max_rel_diff(got, complex_fft_coupling(g, grad_phi, epsilon)) <= 1e-14
