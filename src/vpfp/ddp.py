@@ -9,9 +9,10 @@ up to DENSE_MAX_N_X points (the default sweep's 64 among them) it is one
 product of those two fields with a real propagator matrix and makes no
 transform.  Above, it works on the half-spectrum m = 0..n_x/2 and makes
 two transforms through spectral's pair: one real FFT of the density and
-the drift product, one inverse real FFT of the new density and its field
-d phi0/dx, all a state keeps.  The propagator is that FFT step applied
-to the identity, so both paths share one chain of symbols: the odd
+the drift product, and one inverse real FFT of the new density and its
+field d phi0/dx, all a state keeps, by operators.density_and_field, the
+transform of moments.  The propagator is that FFT step applied to the
+identity, so both paths share one chain of symbols: the odd
 derivatives use grid.dx_symbol, 0 at the Nyquist mode, and the 2/3 rule
 zeroes the drift product's modes from grid.n_dealiased on
 (grid.dealiased_dx_symbol).  Lap phi0 = -rho0 holds off the mean mode
@@ -20,7 +21,8 @@ mean stays at rounding level, whatever dt.  The propagator depends only
 on (n_x, length, dt), plain numbers that key its cache; it is built at
 the first step of such a triple, read-only.  The step's checks on the
 new density read one min and one max of it.  ddp_run returns the list
-of its sampled states, each with its time.
+of its sampled states, each with its time; it steps with NumPy's
+warnings off, so a blow-up is ddp_step's one FloatingPointError.
 """
 
 from __future__ import annotations
@@ -32,10 +34,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .operators import (ZERO_MEAN_TOL, potential_coeffs, require_spatial_field,
+from .operators import (ZERO_MEAN_TOL, density_and_field, require_spatial_field,
                         require_zero_mean, solve_poisson)
 from .solver import ConservationError, sample_trajectory, step_schedule
-from .spectral import SpatialGrid, fourier_field, real_field
+from .spectral import SpatialGrid, fourier_field
 
 __all__ = ["DdpState", "make_ddp_state", "ddp_step", "ddp_run"]
 
@@ -88,13 +90,6 @@ def _advance_coeffs(grid: SpatialGrid, dt: float, rho_c: np.ndarray,
     return rhs_c / (1.0 + dt * grid.k_sq)
 
 
-def _new_fields(grid: SpatialGrid, new_c: np.ndarray) -> np.ndarray:
-    """The new density and its field d phi0/dx from the density's
-    coefficients new_c, by one inverse real FFT: shape (2,) + the shape
-    of the fields."""
-    return real_field(grid, np.array([new_c, potential_coeffs(grid, new_c)[1]]))
-
-
 @lru_cache(maxsize=16)
 def _propagator(n_x: int, length: float, dt: float) -> np.ndarray:
     """The step on SpatialGrid(n_x, length) at dt as one real matrix W,
@@ -102,16 +97,17 @@ def _propagator(n_x: int, length: float, dt: float) -> np.ndarray:
 
     Row vector [rho0, rho0 d phi0/dx] times W is [new rho0, new d phi0/dx,
     new mean mode], shape (2 n_x + 1,).  W is the identity of the 2 n_x
-    inputs pushed through the FFT step's own chain (_advance_coeffs and
-    _new_fields), so both paths share every symbol.  W is column-major,
-    so each output is one contiguous dot product; on the default sweep
-    that rounds closer to the FFT step than the row-major product does
-    (outputs within 8.7e-12 relative, against 1.0e-11) and is no slower.
+    inputs pushed through the FFT step's own chain (_advance_coeffs, then
+    operators.density_and_field), so both paths share every symbol.  W
+    is column-major, so each output is one contiguous dot product; on the
+    default sweep that rounds closer to the FFT step than the row-major
+    product does (outputs within 8.7e-12 relative, against 1.0e-11) and
+    is no slower.
     """
     grid, n = SpatialGrid(n_x, length), n_x
     eye = np.eye(2 * n)
     new_c = _advance_coeffs(grid, dt, fourier_field(eye[:, :n]), fourier_field(eye[:, n:]))
-    rho0, grad_phi0 = _new_fields(grid, new_c)
+    rho0, grad_phi0 = density_and_field(grid, new_c)
     w = np.asfortranarray(np.concatenate((rho0, grad_phi0, new_c[:, :1].real), axis=1))
     w.flags.writeable = False
     return w
@@ -127,12 +123,13 @@ def ddp_step(grid: SpatialGrid, state: DdpState, dt: float) -> DdpState:
     rho0 and the drift product rho0 d phi0/dx.  Up to DENSE_MAX_N_X
     points it is one product with the matrix that _propagator caches per
     (n_x, length, dt), and no transform; above, it works on the modes
-    m = 0..n_x/2 with one real FFT and one inverse real FFT, with the
-    grid's symbols.  Checks the new density in this order, from its min and
-    max alone: FloatingPointError unless it is finite (NaN and inf carry
-    through min and max), solver.ConservationError unless its mean mode is
-    zero to ZERO_MEAN_TOL relative to max(1, max |rho0|), and a
-    RuntimeWarning unless 1 + rho0 > 0.
+    m = 0..n_x/2 with one real FFT and the inverse real FFT that moments
+    makes (operators.density_and_field), with the grid's symbols.  Checks
+    the new density in this order, from its min and max alone:
+    FloatingPointError unless it is finite (NaN and inf carry through min
+    and max), solver.ConservationError unless its mean mode is zero to
+    ZERO_MEAN_TOL relative to max(1, max |rho0|), and a RuntimeWarning
+    unless 1 + rho0 > 0.
     """
     n, drift = grid.n_x, state.rho0 * state.grad_phi0
     if n <= DENSE_MAX_N_X:
@@ -141,7 +138,7 @@ def ddp_step(grid: SpatialGrid, state: DdpState, dt: float) -> DdpState:
     else:
         rho_c, prod_c = fourier_field(np.array([state.rho0, drift]))
         new_c = _advance_coeffs(grid, dt, rho_c, prod_c)
-        rho0, grad_phi0 = _new_fields(grid, new_c)
+        rho0, grad_phi0 = density_and_field(grid, new_c)
         mean = float(new_c[0].real)
     time = state.time + dt
     lo, hi = float(rho0.min()), float(rho0.max())
@@ -157,15 +154,17 @@ def ddp_run(grid: SpatialGrid, rho0_initial: np.ndarray, dt: float, t_final: flo
             sample_interval: float) -> list[DdpState]:
     """Integrate the fluid system on the kinetic run's sampling schedule,
     step_schedule(t_final, sample_interval, dt) fitted once, and return the
-    sampled states, the initial one first; each carries its time."""
+    sampled states, the initial one first; each carries its time.  It
+    steps with NumPy's warnings off, as the kinetic stepper does."""
     rho0 = np.asarray(rho0_initial, dtype=float)
     require_spatial_field(grid, rho0, "initial fluid density")
     state = make_ddp_state(grid, 0.0, rho0 - require_zero_mean(rho0, "initial fluid density"))
     schedule = step_schedule(t_final, sample_interval, dt)
 
     def advance(state: DdpState, n: int) -> DdpState:
-        for _ in range(n):
-            state = ddp_step(grid, state, schedule[1])
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            for _ in range(n):
+                state = ddp_step(grid, state, schedule[1])
         return state
 
     states = []

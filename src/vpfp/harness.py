@@ -2,19 +2,20 @@
 
 A sweep builds its initial density once (initial_density), then the
 well-prepared kinetic state from it, and only if that succeeds runs the
-fluid reference from the same density.  It then advances every epsilon
-from the kinetic state in lock-step as one solver.run batch: every run
-steps at dt_max fitted to the sample interval, whatever its epsilon, and
-the fluid reference at a FLUID_SUBSTEPS-th of that step.  At
-each sample one call of each diagnostic gives every member's energy report
-and limit-error terms against the fluid sample of that time, so no kinetic
-sample is kept, and sweep_record reduces them to each run's record.  A
-failed batch is rerun one member at a time, which gives the partial results
-of running the epsilons one after another; an OSError (an unwritable file)
-is raised at once.  The per-run records reduce to empirical convergence
-rates.  All outputs (per-run CSV time series and the JSON summary) are
-deterministic for a fixed config and equal to those of one run_single per
-epsilon; wall-clock timings go to a separate file so the summary stays
+fluid reference from the same density; a fault in either fails the first
+epsilon.  It then advances every epsilon from the kinetic state in
+lock-step as one solver.run batch: every run steps at dt_max fitted to
+the sample interval, whatever its epsilon, and the fluid reference at a
+FLUID_SUBSTEPS-th of that step.  At each sample one call of each
+diagnostic gives every member's energy report and limit-error terms
+against the fluid sample of that time, so no kinetic sample is kept, and
+sweep_record reduces them to each run's record.  A failed batch is rerun
+one member at a time, which gives the partial results of running the
+epsilons one after another; an OSError (an unwritable file) is raised at
+once.  The per-run records reduce to empirical convergence rates.  All
+outputs (per-run CSV time series and the JSON summary) are deterministic
+for a fixed config and equal to those of one run_single per epsilon;
+wall-clock timings go to a separate file so the summary stays
 byte-stable.  Nothing here prints: run_sweep returns its results.
 """
 
@@ -325,56 +326,45 @@ def _run_batch(cfg: SweepConfig, initial: KineticState, batch: tuple, fluid_stat
 def run_sweep(cfg: SweepConfig) -> SweepResult:
     """Run the fluid reference and every kinetic run; assemble metrics.
 
-    The fluid reference runs only once the initial kinetic state is built,
-    so timings has no ddp_reference_s when that fails.  timings gets one
-    entry for the batch of every epsilon, run_eps_<eps>_<eps>..._s, and
-    one per rerun epsilon.  Nothing is printed: the result holds every
-    record.  A failed run persists the partial summary (marked incomplete)
-    and raises SweepError, which carries it and names its failed run.
+    The set-up builds the initial kinetic state and then runs the fluid
+    reference; a fault in either fails the first epsilon, as it would
+    fail that run alone, and leaves timings without ddp_reference_s.
+    timings gets one entry for the batch of every epsilon,
+    run_eps_<eps>_<eps>..._s, and one per rerun epsilon.  Nothing is
+    printed: the result holds every record.  A failed run persists the
+    partial summary (marked incomplete) and raises SweepError, which
+    carries it and names its failed run.
     """
     t0 = _time.perf_counter()
     timings: dict = {}
     grid = cfg.template.make_grid()
     density = initial_density(cfg)
-    per_epsilon = []
-
-    def attempt(batch: tuple) -> Exception | None:
-        """Run batch and keep its records; return what it raised."""
-        key = "run_eps_" + "_".join(f"{eps:g}" for eps in batch) + "_s"
-        tb = _time.perf_counter()
-        try:
-            records = _run_batch(cfg, initial, batch, fluid_states)
-        except OSError:  # an unwritable output fails no run, so rerun nothing
-            raise
-        except Exception as exc:  # noqa: BLE001 - persist partial state first
-            return exc
-        finally:
-            timings[key] = _time.perf_counter() - tb
-        per_epsilon.extend(records)
-        return None
-
-    def first_failure(batch: tuple) -> tuple | None:
-        """(epsilon, error) of the first run of batch that fails alone.
-        A failed batch is rerun one member at a time, so the runs before
-        the failing one complete, as in a sequential sweep."""
-        if attempt(batch) is None:
-            return None
-        for eps in batch:
-            exc = attempt((eps,))
-            if exc is not None:
-                return eps, exc
-        return None
-
+    per_epsilon, failed = [], None
     try:
         initial = make_initial_data(grid, cfg.template.make_basis(), density)
-    except Exception as exc:  # noqa: BLE001 - the first run fails, as it would alone
-        failed = cfg.epsilons[0], exc
-    else:
         td = _time.perf_counter()
         fluid_states = ddp_run(grid, density, cfg.fluid_dt, cfg.template.t_final,
                                sample_interval=cfg.sample_interval)
         timings["ddp_reference_s"] = _time.perf_counter() - td
-        failed = first_failure(cfg.epsilons)
+    except Exception as exc:  # noqa: BLE001 - the first run fails, as it would alone
+        failed = cfg.epsilons[0], exc
+    else:
+        # the batch of every epsilon, and if it fails each member alone, so
+        # the runs before the first that fails alone complete, as in a
+        # sequential sweep
+        for batch in (cfg.epsilons, *((eps,) for eps in cfg.epsilons)):
+            key = "run_eps_" + "_".join(f"{eps:g}" for eps in batch) + "_s"
+            tb, failed = _time.perf_counter(), None
+            try:
+                per_epsilon.extend(_run_batch(cfg, initial, batch, fluid_states))
+            except OSError:  # an unwritable output fails no run, so rerun nothing
+                raise
+            except Exception as exc:  # noqa: BLE001 - persist partial state first
+                failed = batch[0], exc
+            finally:
+                timings[key] = _time.perf_counter() - tb
+            if (failed is None) == (batch is cfg.epsilons):
+                break  # the whole batch ran, or a member failed alone
     incomplete = []
     if failed is not None:
         eps, exc = failed

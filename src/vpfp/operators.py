@@ -5,8 +5,9 @@ basis the Fokker-Planck operator is diag(n) (the solver builds it into its
 implicit factors), the macroscopic projection P keeps the first two
 Hermite levels (density a and momentum b), and the electrostatic
 potential solves -phi'' = a spectrally on the torus.  The run reads two
-macro fields, the density a and the field d phi/dx (moments); the
-diagnostics take b and phi from the coefficients themselves.
+macro fields, the density a and its field d phi/dx (moments, by the
+density_and_field that the fluid step shares); the diagnostics take b
+and phi from the coefficients themselves.
 
 The perturbation g is a spectral.SpectralField: a real field stored as
 a Hermite-major half-spectrum, shape (n_v, n_x/2 + 1).  The operators
@@ -33,6 +34,7 @@ __all__ = [
     "moments",
     "solve_poisson",
     "potential_coeffs",
+    "density_and_field",
     "vpfp_rhs",
     "spatial_l2_norm",
     "require_spatial_field",
@@ -86,13 +88,12 @@ def spatial_l2_norm(grid: SpatialGrid, values: np.ndarray):
 def moments(g: SpectralField) -> MacroFields:
     """Density a (Hermite row 0) and its field d phi/dx.
 
-    -phi'' = a is solved on the coefficients of row 0 (potential_coeffs).
-    One inverse real FFT of the two rows a and d phi/dx gives both fields.
+    -phi'' = a is solved on row 0, and density_and_field, which the fluid
+    step shares, gives a and d phi/dx by one inverse real FFT of the two.
     For a batch g (coefficients of shape (n_v, B, n_x/2 + 1)) each field
     has one row per member, shape (B, n_x).
     """
-    grid, c = g.grid, g.coeffs
-    a, grad_phi = real_field(grid, np.array([c[0], potential_coeffs(grid, c[0])[1]]))
+    a, grad_phi = density_and_field(g.grid, g.coeffs[0])
     return MacroFields(a=a, grad_phi=grad_phi)
 
 
@@ -112,6 +113,13 @@ def potential_coeffs(grid: SpatialGrid, density_c: np.ndarray) -> tuple[np.ndarr
     where -phi'' = density has coefficients c; both are 0 at the mean mode."""
     phi_c = density_c * grid.inverse_laplacian
     return phi_c, grid.dx_symbol * phi_c
+
+
+def density_and_field(grid: SpatialGrid, density_c: np.ndarray) -> np.ndarray:
+    """The density and its field d phi/dx, -phi'' = density, from the
+    density's coefficients (last axis) by one inverse real FFT: shape
+    (2,) + each field's.  moments and the fluid step share it."""
+    return real_field(grid, np.array([density_c, potential_coeffs(grid, density_c)[1]]))
 
 
 @lru_cache(maxsize=16)

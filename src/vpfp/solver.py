@@ -439,9 +439,11 @@ def step_schedule(t_final: float, sample_interval: float,
     t_final.  Samples land on exact multiples of sample_interval, which
     must be at most t_final and divide it into a whole number of
     intervals (to SAMPLE_RATIO_RTOL relative); dt is the largest step
-    <= dt_max that divides one interval.  t_final = 0 gives (0, 0.0,
-    0).  Anything else, NaN and a step count that overflows included,
-    raises ConfigurationError instead of being silently rounded.
+    <= dt_max (to 1e-12 relative) that divides one interval, so a refit
+    to dt, or to dt / 10, takes the same steps per sample, or ten times
+    as many.  t_final = 0 gives (0, 0.0, 0).  Anything else, NaN and a
+    step count that overflows included, raises ConfigurationError
+    instead of being silently rounded.
     """
     if not 0 < dt_max < math.inf:
         raise ConfigurationError(f"time step must be positive and finite, got {dt_max}")
@@ -472,7 +474,7 @@ def step_schedule(t_final: float, sample_interval: float,
         raise ConfigurationError(
             f"time step {dt_max:g} is too small for the sample interval {interval:g}"
         )
-    steps_per_sample = max(1, math.ceil(steps - 1e-12))
+    steps_per_sample = max(1, math.ceil(steps * (1.0 - 1e-12)))
     return n_samples, interval / steps_per_sample, steps_per_sample
 
 

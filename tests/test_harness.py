@@ -729,6 +729,34 @@ class TestFailurePersistence:
                 assert summary["incomplete"][0]["epsilon"] == 0.2
 
     @pytest.mark.parametrize("action", ["default", "error"])
+    def test_fluid_reference_failure_fails_first_epsilon(self, tmp_path, capsys, action):
+        # this fluid reference turns non-positive, then blows up at t = 30; a
+        # fault in the set-up fails the first epsilon, as it would alone:
+        # SweepError with the partial summary, exit 1 in one stderr line,
+        # and no NumPy overflow or invalid-value warning before it
+        ini = tmp_path / "fluid.ini"
+        ini.write_text("[grid]\nn_x = 16\nn_v = 8\nlength = 100\n[solver]\nt_final = 100\n"
+                       "dt_max = 25\n[sweep]\nsample_interval = 100\namplitude = 0.5\n")
+        sweep_cfg = SweepConfig.from_dict(parse_config_file(ini), out_dir=tmp_path / "lib")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter(action, RuntimeWarning)
+            with pytest.raises(SweepError) as info:
+                run_sweep(sweep_cfg)
+            code = main(["--config", str(ini), "--out", str(tmp_path / "cli"), "--quiet",
+                         "sweep"])
+        messages = [str(w.message) for w in caught]
+        assert not [m for m in messages if "overflow encountered" in m or "invalid value" in m]
+        assert code == EXIT_RUN_FAILURE
+        assert capsys.readouterr().err.count("\n") == 1
+        partial = info.value.partial
+        assert partial.per_epsilon == [] and "ddp_reference_s" not in partial.timings
+        error = {"default": "FloatingPointError: non-finite fluid state at t = 30",
+                 "error": "RuntimeWarning: reconstructed fluid density is not positive"}
+        for out in ("lib", "cli"):
+            (record,) = load_summary(tmp_path / out)["incomplete"]
+            assert record["epsilon"] == 0.2 and record["error"].startswith(error[action])
+
+    @pytest.mark.parametrize("action", ["default", "error"])
     @pytest.mark.parametrize("length", ["1e20", "1e100"])
     def test_kinetic_blow_up_is_one_error(self, tmp_path, capsys, length, action):
         # on a long grid the field, the density over k_1 = 2 pi / length,

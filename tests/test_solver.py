@@ -109,6 +109,21 @@ class TestConfig:
     def test_step_schedule_table(self, t_final, interval, nominal, schedule):
         assert step_schedule(t_final, interval, nominal) == schedule
 
+    @pytest.mark.parametrize("t_final, n_samples, dt_max", [
+        (0.3, 19, 1.9561294552491435e-05),  # 808 steps per sample, its tenth 8081
+        (1.42, 40, 7.158399379807181e-06),
+        (0.07, 13, 1.1912770695208396e-06),
+        (1.1, 40, 9.778986452240498e-06),
+        (1.76, 3, 0.00011880438888102255),
+    ])
+    def test_step_schedule_refits_its_own_step(self, t_final, n_samples, dt_max):
+        # the fit's slack is relative, so the fitted step and the fluid
+        # reference's tenth of it refit to the same steps, or ten times as many
+        interval = t_final / n_samples
+        _, dt, steps = step_schedule(t_final, interval, dt_max)
+        assert step_schedule(t_final, interval, dt)[2] == steps
+        assert step_schedule(t_final, interval, dt / 10)[2] == 10 * steps
+
     def test_step_schedule_divides_interval(self):
         for nominal, interval in [(3e-3, 0.05), (5e-3, 0.05), (7e-4, 0.01)]:
             n_samples, dt, n = step_schedule(4 * interval, interval, nominal)
