@@ -1,7 +1,8 @@
 """Semi-implicit solver for the limiting drift-diffusion system.
 
-Works with the shifted density rho0 = rho - 1 on the same spatial grid and
-transform stack as the kinetic solver, so kinetic-vs-fluid errors need no
+Works with the shifted density rho0 = rho - 1 on the same spatial grid,
+the torus [0, 2 pi) with wavenumbers k_m = m, and the same transform
+stack as the kinetic solver, so kinetic-vs-fluid errors need no
 interpolation.  Diffusion is implicit through the Fourier symbol; the drift
 divergence is explicit and pseudo-spectral with 2/3-rule dealiasing.  The
 step is linear in the density and the drift product rho0 d phi0/dx, so on
@@ -18,11 +19,11 @@ zeroes the drift product's modes from grid.n_dealiased on
 (grid.dealiased_dx_symbol).  Lap phi0 = -rho0 holds off the mean mode
 only, so the drift leaves the mean mode as it is and a rounding-level
 mean stays at rounding level, whatever dt.  The propagator depends only
-on (n_x, length, dt), plain numbers that key its cache; it is built at
-the first step of such a triple, read-only.  The step's checks on the
-new density read one min and one max of it.  ddp_run returns the list
-of its sampled states, each with its time; it steps with NumPy's
-warnings off, so a blow-up is ddp_step's one FloatingPointError.
+on (n_x, dt), plain numbers that key its cache; it is built at the first
+step of such a pair, read-only.  The step's checks on the new density
+read one min and one max of it.  ddp_run returns the list of its sampled
+states, each with its time; it steps with NumPy's warnings off, so a
+blow-up is ddp_step's one FloatingPointError.
 """
 
 from __future__ import annotations
@@ -91,9 +92,9 @@ def _advance_coeffs(grid: SpatialGrid, dt: float, rho_c: np.ndarray,
 
 
 @lru_cache(maxsize=16)
-def _propagator(n_x: int, length: float, dt: float) -> np.ndarray:
-    """The step on SpatialGrid(n_x, length) at dt as one real matrix W,
-    built once per triple and read-only.
+def _propagator(n_x: int, dt: float) -> np.ndarray:
+    """The step on SpatialGrid(n_x) at dt as one real matrix W, built once
+    per pair and read-only.
 
     Row vector [rho0, rho0 d phi0/dx] times W is [new rho0, new d phi0/dx,
     new mean mode], shape (2 n_x + 1,).  W is the identity of the 2 n_x
@@ -104,7 +105,7 @@ def _propagator(n_x: int, length: float, dt: float) -> np.ndarray:
     product does (outputs within 8.7e-12 relative, against 1.0e-11) and
     is no slower.
     """
-    grid, n = SpatialGrid(n_x, length), n_x
+    grid, n = SpatialGrid(n_x), n_x
     eye = np.eye(2 * n)
     new_c = _advance_coeffs(grid, dt, fourier_field(eye[:, :n]), fourier_field(eye[:, n:]))
     rho0, grad_phi0 = density_and_field(grid, new_c)
@@ -116,16 +117,16 @@ def _propagator(n_x: int, length: float, dt: float) -> np.ndarray:
 def ddp_step(grid: SpatialGrid, state: DdpState, dt: float) -> DdpState:
     """One semi-implicit step of d/dt rho0 = Lap rho0 + div((rho0 + 1) grad phi0).
 
-    To first order in rho0, mode m >= 1 falls by (1 - dt) / (1 + dt m^2)
-    per step.  The drift update is a divergence and Lap phi0 has no mean
-    mode, so the step keeps the mean mode as it is: a rounding-level mean
-    stays at rounding level at any dt.  The step is linear in
-    rho0 and the drift product rho0 d phi0/dx.  Up to DENSE_MAX_N_X
-    points it is one product with the matrix that _propagator caches per
-    (n_x, length, dt), and no transform; above, it works on the modes
-    m = 0..n_x/2 with one real FFT and the inverse real FFT that moments
-    makes (operators.density_and_field), with the grid's symbols.  Checks
-    the new density in this order, from its min and max alone:
+    To first order in rho0, mode m >= 1, of wavenumber m, falls by
+    (1 - dt) / (1 + dt m^2) per step.  The drift update is a divergence
+    and Lap phi0 has no mean mode, so the step keeps the mean mode as it
+    is: a rounding-level mean stays at rounding level at any dt.  The step
+    is linear in rho0 and the drift product rho0 d phi0/dx.  Up to
+    DENSE_MAX_N_X points it is one product with the matrix that
+    _propagator caches per (n_x, dt), and no transform; above, it works on
+    the modes m = 0..n_x/2 with one real FFT and the inverse real FFT that
+    moments makes (operators.density_and_field), with the grid's symbols.
+    Checks the new density in this order, from its min and max alone:
     FloatingPointError unless it is finite (NaN and inf carry through min
     and max), solver.ConservationError unless its mean mode is zero to
     ZERO_MEAN_TOL relative to max(1, max |rho0|), and a RuntimeWarning
@@ -133,7 +134,7 @@ def ddp_step(grid: SpatialGrid, state: DdpState, dt: float) -> DdpState:
     """
     n, drift = grid.n_x, state.rho0 * state.grad_phi0
     if n <= DENSE_MAX_N_X:
-        new = np.concatenate((state.rho0, drift)) @ _propagator(n, grid.length, dt)
+        new = np.concatenate((state.rho0, drift)) @ _propagator(n, dt)
         rho0, grad_phi0, mean = new[:n], new[n:-1], float(new[-1])
     else:
         rho_c, prod_c = fourier_field(np.array([state.rho0, drift]))

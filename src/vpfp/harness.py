@@ -67,7 +67,7 @@ def _finite(raw: str) -> float:
 # configuration schema: section -> {key: parser}, in the order summary.json
 # reports; the defaults are the SolverConfig and SweepConfig field defaults
 _SCHEMA = {
-    "grid": {"n_x": int, "n_v": int, "length": _finite},
+    "grid": {"n_x": int, "n_v": int},
     "solver": {
         "epsilon": _finite,
         "t_final": _finite,
@@ -191,7 +191,7 @@ class SweepConfig:
             raise ConfigurationError(f"amplitude must be finite, got {self.amplitude}")
         if self.k < 1:
             raise ConfigurationError(f"diagnostics order k must be >= 1, got {self.k}")
-        sobolev_weights(self.template.n_x, self.template.length, self.k)  # raises on overflow
+        sobolev_weights(self.template.n_x, self.k)  # raises on overflow
         # the Nyquist mode n_x/2 is excluded: its odd-derivative wavenumber is
         # 0, so a Nyquist density is frozen in the kinetic run while the fluid
         # step diffuses it, and the sweep would not approach the fluid limit
@@ -254,9 +254,8 @@ class SweepError(RuntimeError):
 
 def initial_density(cfg: SweepConfig) -> np.ndarray:
     """The shifted density that the kinetic and the fluid runs of cfg start
-    from, amplitude * cos(2 pi mode x / L) on the grid nodes."""
-    x = cfg.template.make_grid().nodes
-    return cfg.amplitude * np.cos(cfg.profile_mode * 2.0 * np.pi * x / cfg.template.length)
+    from, amplitude * cos(mode x) on the grid nodes."""
+    return cfg.amplitude * np.cos(cfg.profile_mode * cfg.template.make_grid().nodes)
 
 
 def run_single(cfg: SweepConfig, epsilon: float,

@@ -117,19 +117,19 @@ def coerce_settings(config, floats: tuple, ints: tuple) -> None:
 class SolverConfig:
     """Discretization and stepping parameters for one kinetic run.
 
-    The field defaults are the built-in config's, which the vpfp command
-    runs without a config file."""
+    The grid is the torus [0, 2 pi) of spectral.SpatialGrid: n_x sets its
+    points, and its period is no setting.  The field defaults are the
+    built-in config's, which the vpfp command runs without a config file."""
 
     epsilon: float = 0.1
     t_final: float = 1.0
     n_x: int = 64
     n_v: int = 64
-    length: float = 2.0 * math.pi
     dt_max: float = 2.5e-3
     scheme: str = "imex_bdf2"
 
     def __post_init__(self):
-        coerce_settings(self, ("epsilon", "t_final", "length", "dt_max"), ("n_x", "n_v"))
+        coerce_settings(self, ("epsilon", "t_final", "dt_max"), ("n_x", "n_v"))
         if not EPSILON_MIN <= self.epsilon <= 1.0:
             raise ConfigurationError(f"epsilon must lie in [{EPSILON_MIN:.5g}, 1], where eps^2 "
                                      f"is a normal double; got {self.epsilon}")
@@ -140,7 +140,7 @@ class SolverConfig:
             raise ConfigurationError(f"t_final must be finite and non-negative, got {self.t_final}")
         if self.scheme not in SCHEMES:
             raise ConfigurationError(f"unknown scheme {self.scheme!r}; expected one of {SCHEMES}")
-        grid = self.make_grid()  # reject a bad n_x, length or n_v now, not mid-sweep
+        grid = self.make_grid()  # reject a bad n_x or n_v now, not mid-sweep
         self.make_basis()
         # TridiagonalFactors.build at a step up to dt_max: with n = n_v - 1
         # and beta = dt k_max / eps, no pivot exceeds 1 + dt (n / eps^2) +
@@ -161,7 +161,7 @@ class SolverConfig:
                 f"n_v = {self.n_v} and k_max = {k_max:g}, must be finite, {need}")
 
     def make_grid(self) -> SpatialGrid:
-        return SpatialGrid(n_x=self.n_x, length=self.length)
+        return SpatialGrid(n_x=self.n_x)
 
     def make_basis(self) -> HermiteBasis:
         return HermiteBasis(n_v=self.n_v)
@@ -199,9 +199,10 @@ def make_initial_data(grid: SpatialGrid, basis: HermiteBasis, density,
 
     density is the shifted density on the grid nodes, an array of shape
     (n_x,) with zero spatial mean; an optional microscopic component must
-    be finite and already lie in the range of (I - P).  The reconstructed
-    distribution must be positive at every collocation node, which the
-    test reads off f / sqrt(M) = psi_0 + G (see spectral).
+    be one field on the same n_x and n_v, finite, and already lie in the
+    range of (I - P).  The reconstructed distribution must be positive at
+    every collocation node, which the test reads off f / sqrt(M) =
+    psi_0 + G (see spectral).
     """
     require_spatial_field(grid, density, "density profile")
     a = np.asarray(density, float)
@@ -212,6 +213,12 @@ def make_initial_data(grid: SpatialGrid, basis: HermiteBasis, density,
     coeffs[0, 0] = 0.0  # neutrality: exact zero mean
     if micro_perturbation is not None:
         mc = micro_perturbation.coeffs
+        if mc.shape != coeffs.shape:  # another n_x or n_v, or a batch
+            raise ConfigurationError(
+                f"micro perturbation discretization (n_x, n_v) = "
+                f"({micro_perturbation.grid.n_x}, {micro_perturbation.basis.n_v}) with shape "
+                f"{mc.shape} does not match the state's (n_x, n_v) = ({grid.n_x}, {basis.n_v}), "
+                f"one field of shape {coeffs.shape}")
         macro_part = float(np.max(np.abs(mc[:2])))
         if not macro_part <= 1e-12:  # this test and the positivity test fail on NaN
             raise ValueError(
@@ -506,18 +513,19 @@ def run(initial: KineticState, cfg: SolverConfig, observer=lambda state: None, *
     the batch state, one member per epsilon, initial.repeated(B) first.
     Nothing is kept or returned: what the observer needs of a sample,
     its time included, it takes when it sees it.  initial must lie on
-    cfg's grid and n_v, and every sampled state shares its grid and
-    basis.  Every member steps at step_schedule's fit of cfg.dt_max.
-    Deterministic for a fixed config.
+    cfg's n_x and n_v, and every sampled state shares its grid and basis.
+    A batch needs at least one epsilon.  Every member steps at
+    step_schedule's fit of cfg.dt_max.  Deterministic for a fixed config.
     """
-    grid, n_v = initial.g.grid, initial.g.basis.n_v
-    if grid != cfg.make_grid() or n_v != cfg.n_v:
+    n_x, n_v = initial.g.grid.n_x, initial.g.basis.n_v
+    if (n_x, n_v) != (cfg.n_x, cfg.n_v):
         raise ConfigurationError(
-            f"initial state discretization (n_x = {grid.n_x}, length = {grid.length!r}, "
-            f"n_v = {n_v}) does not match config (n_x = {cfg.n_x}, length = {cfg.length!r}, "
-            f"n_v = {cfg.n_v})"
+            f"initial state discretization (n_x = {n_x}, n_v = {n_v}) does not match "
+            f"config (n_x = {cfg.n_x}, n_v = {cfg.n_v})"
         )
     batch = (cfg.epsilon,) if epsilons is None else tuple(epsilons)
+    if not batch:
+        raise ConfigurationError("a batch needs at least one epsilon, got none")
     for eps in batch:
         replace(cfg, epsilon=eps)  # each member must be a valid config
     schedule = step_schedule(cfg.t_final, sample_interval, cfg.dt_max)

@@ -1,7 +1,7 @@
 """Fourier x Hermite spectral substrate.
 
-Space is the one-dimensional periodic torus (Fourier collocation), velocity
-is expanded in
+Space is the one-dimensional torus [0, 2 pi) (Fourier collocation), whose
+wavenumbers k_m = m are the integers, and velocity is expanded in
 Hermite functions psi_n(v) = He_n(v) sqrt(M(v)) with He_n the probabilists'
 Hermite polynomials normalized so that int He_j He_k M dv = delta_jk and
 M(v) = (2 pi)^(-1/2) exp(-v^2/2) the unit Gaussian.  In this basis velocity
@@ -31,7 +31,6 @@ real field has no representable sine; that keeps its row real.
 from __future__ import annotations
 
 import math
-import sys
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -51,6 +50,8 @@ __all__ = [
     "parseval_sq",
 ]
 
+# The period of the torus, so that the wavenumbers are the integers
+PERIOD = 2.0 * np.pi
 # Largest n_v at whose 2 n_v velocity nodes psi_0 is a normal double; from
 # n_v = 365 on it is subnormal at the outermost node, where the psi table
 # then loses digits.
@@ -68,43 +69,23 @@ class ConfigurationError(ValueError):
 
 @dataclass(frozen=True)
 class SpatialGrid:
-    """Uniform periodic grid on the one-dimensional torus [0, length).
+    """Uniform periodic grid on the one-dimensional torus [0, 2 pi), whose
+    wavenumbers are the integers: k_m = m.
 
     Its spectral symbols live on the half-spectrum m = 0..n_x/2, the last
     axis of every coefficient array.
     """
 
     n_x: int
-    length: float = 2.0 * np.pi
 
     def __post_init__(self):
         if self.n_x < 4 or self.n_x % 2 != 0:
             raise ConfigurationError(f"n_x must be even and >= 4, got {self.n_x}")
-        if not 0.0 < self.length < np.inf:
-            raise ConfigurationError(f"period must be positive and finite, got {self.length}")
-        # every k^2 must be a normal double and every mode_weights * (1 + k^2)
-        # finite: mode 1 has the smallest nonzero k^2, the Nyquist mode
-        # n_x/2 the largest, and mode n_x/2 - 1 the largest of weight 2
-        k_1 = 2.0 * math.pi / self.length
-        if not k_1 * k_1 >= sys.float_info.min:
-            raise ConfigurationError(
-                f"length = {self.length:g} takes k^2 of mode 1 below the normal doubles; "
-                f"the length must be at most {2.0 * math.pi / math.sqrt(sys.float_info.min):.4g}"
-            )
-        top = self.n_x // 2
-        k_top, k_below = k_1 * top, k_1 * (top - 1)
-        if not math.isfinite(max(1.0 + k_top * k_top, 2.0 * (1.0 + k_below * k_below))):
-            shortest = 2.0 * math.pi * max(top, math.sqrt(2.0) * (top - 1))
-            raise ConfigurationError(
-                f"length = {self.length:g} overflows the weighted k^2 of the top modes; "
-                f"at n_x = {self.n_x} the length must exceed "
-                f"{shortest / math.sqrt(sys.float_info.max):.4g}"
-            )
 
     @cached_property
     def nodes(self) -> np.ndarray:
         """Collocation nodes, endpoint-exclusive."""
-        return np.arange(self.n_x) * (self.length / self.n_x)
+        return np.arange(self.n_x) * (PERIOD / self.n_x)
 
     @property
     def n_half(self) -> int:
@@ -113,8 +94,8 @@ class SpatialGrid:
 
     @cached_property
     def wavenumbers(self) -> np.ndarray:
-        """Fourier wavenumbers k_m = 2 pi m / L of the modes m = 0..n_x/2."""
-        return 2.0 * np.pi * np.fft.rfftfreq(self.n_x, d=self.length / self.n_x)
+        """Fourier wavenumbers k_m = m of the modes m = 0..n_x/2, exact."""
+        return np.arange(self.n_half, dtype=float)
 
     @cached_property
     def dx_symbol(self) -> np.ndarray:
@@ -162,7 +143,7 @@ class SpatialGrid:
 
     @property
     def cell_volume(self) -> float:
-        return self.length / self.n_x
+        return PERIOD / self.n_x
 
 
 def _hermite_rows(v: np.ndarray, n_levels: int):
@@ -335,15 +316,15 @@ def hermite_shift_coeffs(coeffs: np.ndarray, first: int = 0,
 
 
 @lru_cache(maxsize=64)
-def sobolev_weights(n_x: int, length: float, order: int) -> np.ndarray:
+def sobolev_weights(n_x: int, order: int) -> np.ndarray:
     """Per-mode multiplier w_m sum_{alpha <= order} k_m^(2 alpha) on
-    SpatialGrid(n_x, length), with w_m the half-spectrum mode_weights;
-    cached per (n_x, length, order), plain numbers, read-only.
+    SpatialGrid(n_x), with w_m the half-spectrum mode_weights; cached per
+    (n_x, order), plain numbers, read-only.
 
     Raises ConfigurationError, naming the largest order the grid allows,
     when a weight is not finite.
     """
-    grid = SpatialGrid(n_x, length)
+    grid = SpatialGrid(n_x)
     k_sq = grid.k_sq
     w = np.ones_like(k_sq)
     term = np.ones_like(k_sq)
@@ -364,9 +345,9 @@ def sobolev_weights(n_x: int, length: float, order: int) -> np.ndarray:
 
 def parseval_sq(grid: SpatialGrid, sq: np.ndarray, order: int = 0):
     """Squared H^order_x norm by Parseval from per-mode squared moduli sq
-    (last axis m = 0..n_x/2): L sum_m w_m sq_m, w = sobolev_weights.
+    (last axis m = 0..n_x/2): 2 pi sum_m w_m sq_m, w = sobolev_weights.
 
     A 1-D sq gives a float; a leading axis (one row per Hermite level, say)
     gives one norm per row.
     """
-    return grid.length * (sq @ sobolev_weights(grid.n_x, grid.length, order))
+    return PERIOD * (sq @ sobolev_weights(grid.n_x, order))

@@ -65,7 +65,8 @@ def random_half_spectrum(rng, n_x, n_v, scale=1.0):
 # full-spectrum symbols (FFT order, Nyquist at its FFT-order wavenumber)
 
 def wavenumbers(grid):
-    return 2.0 * np.pi * np.fft.fftfreq(grid.n_x, d=grid.length / grid.n_x)
+    """The integers, as the period is 2 pi."""
+    return np.fft.fftfreq(grid.n_x, d=1.0 / grid.n_x)
 
 
 def k_sq(grid):
@@ -136,7 +137,7 @@ def _x_weight(grid, order):
 
 def _weighted_sq(grid, coeffs, x_order):
     w = _x_weight(grid, x_order)
-    return float(grid.length * np.sum(w[:, None] * np.abs(coeffs) ** 2))
+    return float(2.0 * np.pi * np.sum(w[:, None] * np.abs(coeffs) ** 2))
 
 
 def _dv_tower(coeffs, depth):
@@ -159,7 +160,7 @@ def _mixed_sq(grid, coeffs, k, nu=False):
 
 def _spatial_sobolev_sq(grid, values, order):
     c = np.fft.fft(values) / grid.n_x
-    return float(grid.length * np.sum(_x_weight(grid, order) * np.abs(c) ** 2))
+    return float(2.0 * np.pi * np.sum(_x_weight(grid, order) * np.abs(c) ** 2))
 
 
 def nu_norm(field):
@@ -325,22 +326,20 @@ def check_coercivity(fields):
 
 
 def check_poisson(grid, samples):
-    """-phi'' = a is solved exactly for the first two modes a = cos(m k x),
-    k = 2 pi / L, and the Poincare inequality ||a|| <= ||da/dx|| / k holds
-    for each sample with its mean removed and for a = cos(k x), where it is
-    an equality."""
-    k = 2 * np.pi / grid.length
-    first = np.cos(k * grid.nodes)
-    second = np.cos(2 * k * grid.nodes)
+    """-phi'' = a is solved exactly for the first two modes a = cos(m x),
+    and the Poincare inequality ||a|| <= ||da/dx|| of the 2 pi-periodic
+    torus holds for each sample with its mean removed and for a = cos(x),
+    where it is an equality."""
+    first = np.cos(grid.nodes)
+    second = np.cos(2 * grid.nodes)
     phi1, _ = solve_poisson(grid, first)
     phi2, _ = solve_poisson(grid, second)
-    eig_err = max(np.max(np.abs(phi1 - first / k**2)),
-                  np.max(np.abs(phi2 - second / (4 * k**2))))
+    eig_err = max(np.max(np.abs(phi1 - first)), np.max(np.abs(phi2 - second / 4)))
     poincare_ok = True
     for a in [*samples, first]:
         a = a - a.mean()
         poincare_ok &= (spatial_l2_norm(grid, a)
-                        <= spatial_l2_norm(grid, x_derivative(grid, a)) / k * (1 + 1e-12))
+                        <= spatial_l2_norm(grid, x_derivative(grid, a)) * (1 + 1e-12))
     return bool(eig_err < 1e-12 and poincare_ok), f"eigenfunction err {eig_err:.1e}"
 
 

@@ -109,7 +109,7 @@ class TestSingleStep:
                 new = oracles.ddp_step_reference(grid, state, dt)
                 assert np.isneginf(new.rho0[0]) and np.all(np.isfinite(new.rho0[1:]))
                 if grid.n_x <= DENSE_MAX_N_X:
-                    w = _propagator(grid.n_x, grid.length, dt)
+                    w = _propagator(grid.n_x, dt)
                     dense = np.concatenate((rho0, np.zeros(grid.n_x))) @ w
                     assert np.isneginf(dense[0]) and np.all(np.isfinite(dense[1:]))
                 with pytest.raises(FloatingPointError, match="non-finite fluid state"):

@@ -124,7 +124,7 @@ class TestEnergyFunctionals:
         cfg = SolverConfig(epsilon=0.1, t_final=0.1, n_x=16, n_v=16, dt_max=5e-3,
                            scheme="imex_bdf2")
         grid, basis = cfg.make_grid(), cfg.make_basis()
-        nyquist = 0.01 * np.cos(8 * 2.0 * np.pi * grid.nodes / grid.length)
+        nyquist = 0.01 * np.cos(8 * grid.nodes)
         initial = make_initial_data(grid, basis, nyquist)
         for state in sampled_run(initial, cfg, sample_interval=0.05).states:
             assert energy_of(state, k=1, epsilon=0.1).poisson_residual <= 1e-12

@@ -59,11 +59,30 @@ k = 1
 """
 
 
-def small_ini_with(tmp_path, **settings):
-    """SMALL_INI with section__key=value settings replaced or added,
-    written verbatim."""
+# built-in settings but for a coarse grid, a large amplitude and steps of
+# 10: the kinetic state is no longer finite at t = 130 (at t = 325 with
+# dt_max = 25), and a sweep's fluid reference at t = 1e10 and dt_max = 1e8
+# turns non-positive, then is no longer finite at t = 2.8e8
+BLOW_UP_INI = """
+[grid]
+n_x = 16
+n_v = 8
+
+[solver]
+t_final = 1000
+dt_max = 10
+
+[sweep]
+sample_interval = 1000
+amplitude = 0.9
+"""
+
+
+def small_ini_with(tmp_path, base=SMALL_INI, **settings):
+    """base (SMALL_INI by default) with section__key=value settings
+    replaced or added, written verbatim."""
     parser = configparser.ConfigParser(interpolation=None)
-    parser.read_string(SMALL_INI)
+    parser.read_string(base)
     for name, value in settings.items():
         section, key = name.split("__")
         parser[section][key] = value
@@ -209,8 +228,7 @@ class TestSweepConfig:
         # whether the setting is a float or an int one
         def make(number):
             template = SolverConfig(epsilon=number(1), t_final=number(1), n_x=number(32),
-                                    n_v=number(16), length=number(6), dt_max=number(1),
-                                    scheme="imex_euler")
+                                    n_v=number(16), dt_max=number(1), scheme="imex_euler")
             return SweepConfig(epsilons=(number(1), 0.5), template=template,
                                sample_interval=number(1), amplitude=number(1),
                                profile_mode=number(1), k=number(1))
@@ -223,7 +241,7 @@ class TestSweepConfig:
         for cfg in (SweepConfig(profile_mode=1.0), SweepConfig(k=2.0),
                     SweepConfig(template=SolverConfig(n_v=64.0)),
                     SweepConfig(template=SolverConfig(n_x=64.0))):
-            assert config_hash(cfg.as_dict()) == "51bc8b57fd1e3578"
+            assert config_hash(cfg.as_dict()) == "b2352e181e4893f9"
 
 
     def test_diagnostics_order(self, small_ini):
@@ -258,8 +276,6 @@ class TestSweepConfig:
         ("solver", "t_final", float("inf"), "t_final must be finite"),
         ("solver", "dt_max", float("nan"), "dt_max must be positive"),
         ("solver", "dt_max", 1e-320, "is too small for the sample interval"),
-        ("grid", "length", float("nan"), "period must be positive and finite"),
-        ("grid", "length", float("inf"), "period must be positive and finite"),
         ("grid", "n_x", 64.5, "n_x must be an integer, got 64.5"),
         ("grid", "n_v", float("nan"), "n_v must be an integer, got nan"),
         ("sweep", "profile_mode", 1.5, "profile_mode must be an integer, got 1.5"),
@@ -616,7 +632,7 @@ class TestImportFootprint:
         # parse_config_file needs configparser
         after_run, digest, after_hash = footprint("run")
         assert after_run == []
-        assert digest == "51bc8b57fd1e3578"
+        assert digest == "b2352e181e4893f9"
         if not BUILTIN_SHA256:
             pytest.skip("this interpreter has neither _sha2 nor _sha256, so hashing loads hashlib")
         assert after_hash == []  # config_hash used the built-in SHA-256
@@ -626,7 +642,7 @@ class TestImportFootprint:
         # the sweep hashes its config, as config_hash does after it
         after_sweep, digest, after_hash = footprint("sweep")
         assert after_sweep == [] and after_hash == []
-        assert digest == "51bc8b57fd1e3578"
+        assert digest == "b2352e181e4893f9"
 
 
 def run_with_closed_reader(args: list, unbuffered: bool, closed: str = "stdout") -> tuple[int, str]:
@@ -693,8 +709,7 @@ class TestClosedStderr:
 
     def test_run_failure_exits_1(self, tmp_path):
         # a kinetic blow-up (see test_kinetic_blow_up_is_one_error)
-        ini = tmp_path / "long.ini"
-        ini.write_text("[grid]\nlength = 1e20\n[solver]\nt_final = 0.05\n")
+        ini = small_ini_with(tmp_path, BLOW_UP_INI)
         args = ["--config", str(ini), "--out", str(tmp_path / "out"), "--quiet", "run"]
         assert run_with_closed_reader(args, False, closed="stderr") == (EXIT_RUN_FAILURE, "")
 
@@ -730,13 +745,12 @@ class TestFailurePersistence:
 
     @pytest.mark.parametrize("action", ["default", "error"])
     def test_fluid_reference_failure_fails_first_epsilon(self, tmp_path, capsys, action):
-        # this fluid reference turns non-positive, then blows up at t = 30; a
-        # fault in the set-up fails the first epsilon, as it would alone:
+        # this fluid reference turns non-positive, then blows up at t = 2.8e8;
+        # a fault in the set-up fails the first epsilon, as it would alone:
         # SweepError with the partial summary, exit 1 in one stderr line,
         # and no NumPy overflow or invalid-value warning before it
-        ini = tmp_path / "fluid.ini"
-        ini.write_text("[grid]\nn_x = 16\nn_v = 8\nlength = 100\n[solver]\nt_final = 100\n"
-                       "dt_max = 25\n[sweep]\nsample_interval = 100\namplitude = 0.5\n")
+        ini = small_ini_with(tmp_path, BLOW_UP_INI, solver__t_final="1e10",
+                             solver__dt_max="1e8", sweep__sample_interval="1e10")
         sweep_cfg = SweepConfig.from_dict(parse_config_file(ini), out_dir=tmp_path / "lib")
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter(action, RuntimeWarning)
@@ -750,20 +764,19 @@ class TestFailurePersistence:
         assert capsys.readouterr().err.count("\n") == 1
         partial = info.value.partial
         assert partial.per_epsilon == [] and "ddp_reference_s" not in partial.timings
-        error = {"default": "FloatingPointError: non-finite fluid state at t = 30",
+        error = {"default": "FloatingPointError: non-finite fluid state at t = 2.8e+08",
                  "error": "RuntimeWarning: reconstructed fluid density is not positive"}
         for out in ("lib", "cli"):
             (record,) = load_summary(tmp_path / out)["incomplete"]
             assert record["epsilon"] == 0.2 and record["error"].startswith(error[action])
 
     @pytest.mark.parametrize("action", ["default", "error"])
-    @pytest.mark.parametrize("length", ["1e20", "1e100"])
-    def test_kinetic_blow_up_is_one_error(self, tmp_path, capsys, length, action):
-        # on a long grid the field, the density over k_1 = 2 pi / length,
-        # overflows the state; whatever the warning filter, run says so in
-        # one line and the sweep records the first non-finite state
-        ini = tmp_path / "long.ini"
-        ini.write_text(f"[grid]\nlength = {length}\n[solver]\nt_final = 0.05\n")
+    @pytest.mark.parametrize("dt_max", ["10", "25"])
+    def test_kinetic_blow_up_is_one_error(self, tmp_path, capsys, dt_max, action):
+        # at these steps the state grows until it overflows; whatever the
+        # warning filter, run says so in one line and the sweep records the
+        # first non-finite state
+        ini = small_ini_with(tmp_path, BLOW_UP_INI, solver__dt_max=dt_max)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter(action, RuntimeWarning)
             run_code = main(["--config", str(ini), "--out", str(tmp_path / "run"), "--quiet",
@@ -780,11 +793,12 @@ class TestFailurePersistence:
 
     @pytest.mark.parametrize("action", ["default", "error"])
     def test_non_finite_energy_is_one_error(self, tmp_path, capsys, action):
-        # on this long grid the state stays finite but huge, so its squares
-        # in the energy functionals overflow; whatever the warning filter,
-        # run says so in one line and the sweep records it
-        ini = small_ini_with(tmp_path, grid__length="1e20", solver__t_final="0.05",
-                             sweep__amplitude="0.1")
+        # at epsilon = 1 the state is still finite but huge at t = 130, so
+        # its squares in the energy functionals overflow, and at 0.2 it is so
+        # at t = 120; whatever the warning filter, run says so in one line
+        # and the sweep records it
+        ini = small_ini_with(tmp_path, BLOW_UP_INI, solver__epsilon="1",
+                             sweep__sample_interval="10")
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter(action, RuntimeWarning)
             run_code = main(["--config", str(ini), "--out", str(tmp_path / "run"), "--quiet",
@@ -794,11 +808,11 @@ class TestFailurePersistence:
                                "--quiet", "sweep"])
         assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
         assert run_code == sweep_code == EXIT_RUN_FAILURE
-        assert run_err == "run failed: non-finite energy functional at t = 0.05\n"
-        assert not (tmp_path / "run" / "run_eps_0.1.csv").exists()
+        assert run_err == "run failed: non-finite energy functional at t = 130\n"
+        assert not (tmp_path / "run" / "run_eps_1.csv").exists()
         (record,) = load_summary(tmp_path / "sweep")["incomplete"]
         assert record == {"epsilon": 0.2, "error":
-                          "FloatingPointError: non-finite energy functional at t = 0.05"}
+                          "FloatingPointError: non-finite energy functional at t = 120"}
 
 
 class TestCli:
@@ -1000,8 +1014,9 @@ class TestCli:
         ("sweep", {"sweep__epsilons": "0.2,nan"}, "bad value for sweep.epsilons"),
         ("run", {"sweep__amplitude": "nan"}, "bad value for sweep.amplitude"),
         ("sweep", {"sweep__amplitude": "inf"}, "bad value for sweep.amplitude"),
-        ("run", {"grid__length": "inf"}, "bad value for grid.length"),
-        ("sweep", {"grid__length": "nan"}, "bad value for grid.length"),
+        # the period is 2 pi: length is no setting, whatever its value
+        ("run", {"grid__length": "inf"}, "unknown config key 'length' in section [grid]"),
+        ("sweep", {"grid__length": "nan"}, "unknown config key 'length' in section [grid]"),
         # every run steps at dt_max: no setting caps the step in proportion to eps
         ("sweep", {"solver__cfl_scale": "0.5"},
          "unknown config key 'cfl_scale' in section [solver]"),
@@ -1018,19 +1033,19 @@ class TestCli:
          "k must be at most 102"),
         ("run", {"diagnostics__k": "60", "grid__n_x": "1024"}, "k must be at most 56"),
         ("sweep", {"diagnostics__k": "60", "grid__n_x": "1024"}, "k must be at most 56"),
-        ("run", {"grid__length": "1e-150", "diagnostics__k": "2"},
-         "Sobolev order k = 2 overflows"),
-        ("sweep", {"grid__length": "1e-150", "diagnostics__k": "2"},
-         "Sobolev order k = 2 overflows"),
-        ("run", {"grid__length": "1e-300"}, "overflows the weighted k^2 of the top modes"),
-        ("sweep", {"grid__length": "1e-300"}, "length must exceed"),
-        # mode n_x/2 - 1, of weight 2, overflows before the Nyquist k^2 does
-        ("run", {"grid__length": "1.8e-152", "grid__n_x": "64"},
-         "at n_x = 64 the length must exceed 2.054e-152"),
-        ("sweep", {"grid__length": "1.8e-152", "grid__n_x": "64"},
-         "at n_x = 64 the length must exceed 2.054e-152"),
-        ("run", {"grid__length": "1e200"}, "k^2 of mode 1 below the normal doubles"),
-        ("sweep", {"grid__length": "1e200"}, "length must be at most 4.212e+154"),
+        # one past the largest order: k = 102 runs on the default grid
+        ("run", {"diagnostics__k": "103", "grid__n_x": "64"}, "Sobolev order k = 103 overflows"),
+        ("sweep", {"diagnostics__k": "103", "grid__n_x": "64"}, "k must be at most 102"),
+        # the smallest grid allows the largest order
+        ("run", {"diagnostics__k": "600", "grid__n_x": "4"}, "Sobolev order k = 600 overflows"),
+        ("sweep", {"diagnostics__k": "600", "grid__n_x": "4"}, "k must be at most 511"),
+        # nor is the default period, or any other, a setting
+        ("run", {"grid__length": "6.283185307179586"},
+         "unknown config key 'length' in section [grid]"),
+        ("sweep", {"grid__length": "6.283185307179586"},
+         "unknown config key 'length' in section [grid]"),
+        ("run", {"grid__length": "3"}, "unknown config key 'length' in section [grid]"),
+        ("sweep", {"grid__length": "3"}, "unknown config key 'length' in section [grid]"),
         # eps^2 must be a normal double: below 2^-511 the implicit factors
         # and the dissipation overflow
         ("run", {"solver__epsilon": "1e-200"}, "epsilon must lie in [1.4917e-154, 1]"),

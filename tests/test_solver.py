@@ -168,6 +168,20 @@ class TestInitialData:
             make_initial_data(grid, basis, 0.01 * np.cos(grid.nodes),
                               micro_perturbation=bad)
 
+    @pytest.mark.parametrize("n_x, n_v, batch", [(16, 16, False), (32, 8, False),
+                                                 (32, 16, True)])
+    def test_micro_on_another_discretization_rejected(self, grid, basis, rng, n_x, n_v, batch):
+        # named at once, before the macro-content test (this perturbation
+        # carries macro levels), not as a NumPy broadcast error; a batch of
+        # two members on the state's own grid and basis is no one field
+        micro = random_distribution(rng, SpatialGrid(n_x), HermiteBasis(n_v))
+        if batch:
+            micro = micro.with_coeffs(np.stack([micro.coeffs] * 2, axis=1))
+        with pytest.raises(ConfigurationError, match=re.escape(
+                f"(n_x, n_v) = ({n_x}, {n_v}) with shape {micro.coeffs.shape} does not match "
+                f"the state's (n_x, n_v) = (32, 16), one field of shape (16, 17)")):
+            make_initial_data(grid, basis, 0.01 * np.cos(grid.nodes), micro_perturbation=micro)
+
     def test_projected_micro_accepted(self, grid, basis, rng):
         micro = project_micro(random_distribution(rng, grid, basis))
         # high Hermite levels grow like He_n(v)/sqrt(n!) at the outer quadrature
@@ -292,7 +306,7 @@ def hermitian_coeffs(rng, n_x, n_v):
 def dense_implicit_solve(grid, n_v, epsilon, dt, coeffs):
     """(I + dt (i k / eps) V + dt diag(n) / eps^2)^-1 per mode m = 0..n_x/2, by
     np.linalg.solve, with the streaming wavenumber k = 0 at the Nyquist mode."""
-    k = 2.0 * np.pi * np.fft.rfftfreq(grid.n_x, d=grid.length / grid.n_x)
+    k = np.arange(grid.n_half, dtype=float)
     k[-1] = 0.0
     n = np.arange(n_v)
     v_mat = np.diag(np.sqrt(n[1:]), 1) + np.diag(np.sqrt(n[1:]), -1)
@@ -496,7 +510,7 @@ class TestHalfSpectrumSteps:
         # up to the rounding of the BDF2 weights
         cfg = small_config(epsilon=0.1, t_final=0.1, n_x=16, n_v=16, scheme="imex_bdf2")
         grid, basis = cfg.make_grid(), cfg.make_basis()
-        nyquist = 0.01 * np.cos(8 * 2.0 * np.pi * grid.nodes / grid.length)
+        nyquist = 0.01 * np.cos(8 * grid.nodes)
         initial = make_initial_data(grid, basis, nyquist)
         traj = sampled_run(initial, cfg, sample_interval=0.05)
         first = traj.states[0].g.coeffs
@@ -714,11 +728,13 @@ class TestRunHarness:
         with pytest.raises(ConfigurationError, match="does not match"):
             run(cos_initial(grid, basis), cfg, sample_interval=0.1)
 
-    def test_grid_length_mismatch_rejected(self, basis):
-        # n_x and n_v agree; the period of a 4 pi state does not match 2 pi
-        grid = SpatialGrid(n_x=32, length=4.0 * np.pi)
-        with pytest.raises(ConfigurationError, match=r"length = 12\.566.*length = 6\.283"):
-            run(cos_initial(grid, basis), small_config(), sample_interval=0.1)
+    def test_empty_batch_rejected(self, grid, basis):
+        # no member to step: the observer is never called
+        seen = []
+        with pytest.raises(ConfigurationError, match="a batch needs at least one epsilon"):
+            run(cos_initial(grid, basis), small_config(), seen.append, sample_interval=0.05,
+                epsilons=())
+        assert seen == []
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_sampled_states_share_initial_grid_and_basis(self, grid, basis, scheme):

@@ -48,7 +48,14 @@ class TestGridAndBasis:
         assert len(grid.nodes) == grid.n_x
         spacing = np.diff(grid.nodes)
         assert np.allclose(spacing, spacing[0])
-        assert grid.nodes[-1] < grid.length  # endpoint-exclusive
+        assert grid.nodes[-1] < 2.0 * np.pi  # endpoint-exclusive
+
+    @pytest.mark.parametrize("n_x", [4, 64, 1024])
+    def test_wavenumbers_are_the_integers(self, n_x):
+        # the period is 2 pi, so k_m = m exactly, and the nodes are j 2 pi / n_x
+        grid = SpatialGrid(n_x)
+        assert np.array_equal(grid.wavenumbers, np.arange(n_x // 2 + 1))
+        assert np.array_equal(grid.nodes, np.arange(n_x) * (2.0 * np.pi / n_x))
 
     @pytest.mark.parametrize("bad", [3, 5, 2])
     def test_grid_rejects_bad_sizes(self, bad):
@@ -149,7 +156,7 @@ class TestTransforms:
         # oracle: evaluate the basis expansion sum at the nodes directly
         g = random_distribution(rng, grid, basis, neutral=False)
         x = grid.nodes
-        wavenumbers = 2 * np.pi * np.fft.fftfreq(grid.n_x, grid.length / grid.n_x)
+        wavenumbers = oracles.wavenumbers(grid)
         modes = np.exp(1j * np.outer(x, wavenumbers))
         direct = np.real(modes @ oracles.full_spectrum(g.coeffs, grid.n_x)) @ basis.synthesis.T
         assert np.allclose(direct, inverse_transform(g), atol=1e-11)
@@ -163,7 +170,7 @@ class TestTransforms:
     def test_parseval(self, grid, basis, rng):
         g = random_distribution(rng, grid, basis, neutral=False)
         values = inverse_transform(g)
-        dx = grid.length / grid.n_x
+        dx = 2.0 * np.pi / grid.n_x
         quad_sq = np.sum(quad_weights(basis) * values**2) * dx
         coeff_sq = l2_norm(g) ** 2
         assert abs(quad_sq - coeff_sq) < 1e-10 * coeff_sq
@@ -176,9 +183,9 @@ class TestTransforms:
         sq = c.real**2 + c.imag**2
         rows = parseval_sq(grid, sq)
         assert rows.shape == (basis.n_v,)
-        assert np.allclose(rows, grid.length * full_sq.sum(axis=0), rtol=1e-13, atol=0)
+        assert np.allclose(rows, 2.0 * np.pi * full_sq.sum(axis=0), rtol=1e-13, atol=0)
         h1 = parseval_sq(grid, sq.sum(axis=0), 1)
-        expected = grid.length * np.sum((1.0 + oracles.k_sq(grid))[:, None] * full_sq)
+        expected = 2.0 * np.pi * np.sum((1.0 + oracles.k_sq(grid))[:, None] * full_sq)
         assert h1 == pytest.approx(expected, rel=1e-13)
 
     def test_batch_reduces_per_member(self, grid, basis, rng):
