@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
+import numpy.fft  # noqa: F401 - NumPy imports it lazily; here, not in a run's first transform
 
 __all__ = [
     "ConfigurationError",
