@@ -6,8 +6,8 @@ extended Hermite axis so the norms are exact for every represented field
 (no truncation loss at the top retained mode).  The weight sqrt(1+v^2) of
 the nu norm needs no recurrence of its own: by the ladder-operator
 identity in _mixed_nu_sq, ||v h||^2 is read off the squares of h and
-d_v h.  Sobolev sums run over all derivative orders up to the requested
-one, not just the top order.
+d_v h.  Sobolev sums run over all derivative orders up to spectral.ORDER,
+not just the top order.
 
 Coefficients are Hermite-major half-spectra (see spectral), so every
 Parseval sum weights the modes m = 1..n_x/2-1 by 2 (they stand for their
@@ -33,7 +33,7 @@ import numpy as np
 
 from .operators import potential_coeffs, spatial_l2_norm
 from .spectral import (
-    ConfigurationError,
+    ORDER,
     SpatialGrid,
     hermite_shift_coeffs,
     inverse_transform,
@@ -123,9 +123,9 @@ def _mixed_nu_sq(grid: SpatialGrid, plain: list[np.ndarray], weighted: list[np.n
 # ---------------------------------------------------------------------------
 # energy / dissipation functionals
 
-def energy_functionals(state, k: int, epsilons) -> list[EnergyReport]:
+def energy_functionals(state, epsilons) -> list[EnergyReport]:
     """Headline energy and dissipation functionals of each member of the
-    batch state at one sample, for the member's epsilon in epsilons.
+    batch state at one sample, for the member's epsilon in epsilons; k = ORDER.
 
     E_k = ||g||^2_{H^k_x L^2_v} + ||d_v (I-P) g||^2_{H^{k-1}_{x,v}}
           + ||(a, b)||^2_{H^{k-1}_x}
@@ -149,8 +149,6 @@ def energy_functionals(state, k: int, epsilons) -> list[EnergyReport]:
     macro fields, so it measures the spectral solve k^2 (c / k^2) = c and
     the mean of a.  A value that is not finite raises FloatingPointError.
     """
-    if k < 1:
-        raise ConfigurationError(f"diagnostics order k must be >= 1, got {k}")
     epsilon = np.asarray(epsilons, dtype=float)  # one per member
     # a huge but finite state can overflow a square here; the test below
     # reports that as the stepper reports a blow-up, whatever the warning filter
@@ -162,18 +160,19 @@ def energy_functionals(state, k: int, epsilons) -> list[EnergyReport]:
         a_sq += np.square(c[0].imag)
         b_sq += np.square(c[1].imag)
         dx_sq = grid.dx_symbol.imag**2
-        plain, weighted = _tower_squares(c[2:], k + 1, 2)  # (I - P) g: levels 0, 1 zero
+        plain, weighted = _tower_squares(c[2:], ORDER + 1, 2)  # (I - P) g: levels 0, 1 zero
         phi_c, grad_phi_c = potential_coeffs(grid, c[0])
 
-        g_hk = parseval_sq(grid, plain[0] + a_sq + b_sq, k)
-        gradv_micro = sum(parseval_sq(grid, plain[beta + 1], k - 1 - beta) for beta in range(k))
-        ab = parseval_sq(grid, a_sq, k - 1) + parseval_sq(grid, b_sq, k - 1)
+        g_hk = parseval_sq(grid, plain[0] + a_sq + b_sq, ORDER)
+        gradv_micro = sum(parseval_sq(grid, plain[beta + 1], ORDER - 1 - beta)
+                          for beta in range(ORDER))
+        ab = parseval_sq(grid, a_sq, ORDER - 1) + parseval_sq(grid, b_sq, ORDER - 1)
 
-        micro_nu = _mixed_nu_sq(grid, plain, weighted, k) / epsilon**2
-        b_hk = parseval_sq(grid, b_sq, k) / epsilon**2
-        grad_b = 2.0 * parseval_sq(grid, dx_sq * b_sq, k - 1) / epsilon
-        grad_a = parseval_sq(grid, dx_sq * a_sq, k - 1)
-        grad_phi = parseval_sq(grid, grad_phi_c.real**2 + grad_phi_c.imag**2, k)
+        micro_nu = _mixed_nu_sq(grid, plain, weighted, ORDER) / epsilon**2
+        b_hk = parseval_sq(grid, b_sq, ORDER) / epsilon**2
+        grad_b = 2.0 * parseval_sq(grid, dx_sq * b_sq, ORDER - 1) / epsilon
+        grad_a = parseval_sq(grid, dx_sq * a_sq, ORDER - 1)
+        grad_phi = parseval_sq(grid, grad_phi_c.real**2 + grad_phi_c.imag**2, ORDER)
 
         a = state.macro.a
         lap_phi = real_field(grid, phi_c * -grid.k_sq)
@@ -202,18 +201,19 @@ class LimitTerms(NamedTuple):
     pointwise_error: float
 
 
-def limit_error(kinetic_state, ddp_state, k: int) -> list[LimitTerms]:
+def limit_error(kinetic_state, ddp_state) -> list[LimitTerms]:
     """Error terms between each member of a kinetic batch sample and the
     fluid sample of its time.
 
     The L^2 errors of the density and the field, the squared mixed H^k
-    norm of the microscopic part (I - P0) g, and the pointwise sup of the
-    reconstructed distribution f = M + g sqrt(M) against (1 + rho0) M over
-    the collocation nodes (the grid analogue of the embedding argument),
-    as psi_0 (G - rho0 psi_0) with G the point values of g: no term of
-    size M cancels, so the gap keeps its digits as epsilon shrinks it.  A
-    sweep computes the terms as the run goes, so it keeps no sampled
-    state, and harness.sweep_record reduces the terms of a run's samples.
+    norm (k = ORDER) of the microscopic part (I - P0) g, and the pointwise
+    sup of the reconstructed distribution f = M + g sqrt(M) against
+    (1 + rho0) M over the collocation nodes (the grid analogue of the
+    embedding argument), as psi_0 (G - rho0 psi_0) with G the point values
+    of g: no term of size M cancels, so the gap keeps its digits as
+    epsilon shrinks it.  A sweep computes the terms as the run goes, so it
+    keeps no sampled state, and harness.sweep_record reduces the terms of
+    a run's samples.
     """
     if not np.isclose(kinetic_state.time, ddp_state.time, rtol=1e-9, atol=1e-12):
         raise ValueError(
@@ -222,8 +222,8 @@ def limit_error(kinetic_state, ddp_state, k: int) -> list[LimitTerms]:
         )
     g = kinetic_state.g
     grid = g.grid
-    plain, _ = _tower_squares(g.coeffs[1:], k, 1)  # (I - P0) g: level 0 zero
-    micro_sq = sum(parseval_sq(grid, sq, k - beta) for beta, sq in enumerate(plain))
+    plain, _ = _tower_squares(g.coeffs[1:], ORDER, 1)  # (I - P0) g: level 0 zero
+    micro_sq = sum(parseval_sq(grid, sq, ORDER - beta) for beta, sq in enumerate(plain))
     psi_0 = g.basis.synthesis[:, 0]
     gap = inverse_transform(g)  # f - (1 + rho0) M = psi_0 (G - rho0 psi_0)
     gap -= ddp_state.rho0[:, None] * psi_0

@@ -33,7 +33,7 @@ from .ddp import ddp_run
 from .diagnostics import EnergyReport, energy_functionals, limit_error
 from .solver import (KineticState, SolverConfig, coerce_settings, make_initial_data, run,
                      step_schedule)
-from .spectral import ConfigurationError, sobolev_weights
+from .spectral import ConfigurationError
 
 __all__ = [
     "SweepConfig",
@@ -80,7 +80,6 @@ _SCHEMA = {
         "amplitude": _finite,
         "profile_mode": int,
     },
-    "diagnostics": {"k": int},
 }
 
 def parse_config_file(path) -> dict:
@@ -166,13 +165,12 @@ class SweepConfig:
     sample_interval: float = 0.05
     amplitude: float = 0.01
     profile_mode: int = 1
-    k: int = 2
     out_dir: Path | None = None
 
     def __post_init__(self):
         if self.out_dir is not None:
             object.__setattr__(self, "out_dir", Path(self.out_dir))
-        coerce_settings(self, ("amplitude", "sample_interval"), ("profile_mode", "k"))
+        coerce_settings(self, ("amplitude", "sample_interval"), ("profile_mode",))
         object.__setattr__(self, "epsilons", tuple(map(float, self.epsilons)))
         eps = self.epsilons
         if len(eps) < 2:
@@ -189,9 +187,6 @@ class SweepConfig:
                                          f"significant digits")
         if not math.isfinite(self.amplitude):
             raise ConfigurationError(f"amplitude must be finite, got {self.amplitude}")
-        if self.k < 1:
-            raise ConfigurationError(f"diagnostics order k must be >= 1, got {self.k}")
-        sobolev_weights(self.template.n_x, self.k)  # raises on overflow
         # the Nyquist mode n_x/2 is excluded: its odd-derivative wavenumber is
         # 0, so a Nyquist density is frozen in the kinetic run while the fluid
         # step diffuses it, and the sweep would not approach the fluid limit
@@ -215,7 +210,7 @@ class SweepConfig:
     @classmethod
     def from_dict(cls, cfg: dict, out_dir=None) -> "SweepConfig":
         return cls(template=SolverConfig(**cfg["grid"], **cfg["solver"]), **cfg["sweep"],
-                   **cfg["diagnostics"], out_dir=out_dir)
+                   out_dir=out_dir)
 
     def as_dict(self) -> dict:
         """The settings of this sweep as a config dict in _SCHEMA order,
@@ -268,8 +263,8 @@ def run_single(cfg: SweepConfig, epsilon: float,
                                 initial_density(cfg))
 
     reports: list[EnergyReport] = []
-    run(initial, solver_cfg, lambda state: reports.extend(
-        energy_functionals(state, cfg.k, (epsilon,))), sample_interval=cfg.sample_interval)
+    run(initial, solver_cfg, lambda state: reports.extend(energy_functionals(state, (epsilon,))),
+        sample_interval=cfg.sample_interval)
     if csv_path is not None:
         write_reports_csv(csv_path, reports)
     return reports
@@ -310,8 +305,8 @@ def _run_batch(cfg: SweepConfig, initial: KineticState, batch: tuple, fluid_stat
     fluid = iter(fluid_states)
 
     def observer(state) -> None:
-        reports.append(energy_functionals(state, cfg.k, batch))
-        terms.append(limit_error(state, next(fluid), cfg.k))
+        reports.append(energy_functionals(state, batch))
+        terms.append(limit_error(state, next(fluid)))
 
     run(initial, cfg.template, observer, sample_interval=cfg.sample_interval, epsilons=batch)
     records = []

@@ -448,9 +448,9 @@ def step_schedule(t_final: float, sample_interval: float,
     intervals (to SAMPLE_RATIO_RTOL relative); dt is the largest step
     <= dt_max (to 1e-12 relative) that divides one interval, so a refit
     to dt, or to dt / 10, takes the same steps per sample, or ten times
-    as many.  t_final = 0 gives (0, 0.0, 0).  Anything else, NaN and a
-    step count that overflows included, raises ConfigurationError
-    instead of being silently rounded.
+    as many.  t_final = 0 gives (0, 0.0, 0).  Anything else, NaN, a step
+    count that overflows and a dt with t_final + dt == t_final included,
+    raises ConfigurationError instead of being silently rounded.
     """
     if not 0 < dt_max < math.inf:
         raise ConfigurationError(f"time step must be positive and finite, got {dt_max}")
@@ -482,7 +482,11 @@ def step_schedule(t_final: float, sample_interval: float,
             f"time step {dt_max:g} is too small for the sample interval {interval:g}"
         )
     steps_per_sample = max(1, math.ceil(steps * (1.0 - 1e-12)))
-    return n_samples, interval / steps_per_sample, steps_per_sample
+    dt = interval / steps_per_sample
+    if t_final + dt == t_final:
+        raise ConfigurationError(f"time step {dt:g} is below the resolution of t_final = "
+                                 f"{t_final:g}: t_final + dt rounds to t_final")
+    return n_samples, dt, steps_per_sample
 
 
 def sample_trajectory(initial, t_final: float, schedule: tuple[int, float, int],

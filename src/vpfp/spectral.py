@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 import numpy.fft  # noqa: F401 - NumPy imports it lazily; here, not in a run's first transform
@@ -47,12 +47,14 @@ __all__ = [
     "real_field",
     "inverse_transform",
     "hermite_shift_coeffs",
-    "sobolev_weights",
+    "ORDER",
     "parseval_sq",
 ]
 
 # The period of the torus, so that the wavenumbers are the integers
 PERIOD = 2.0 * np.pi
+# The Sobolev order k of E_k and D_k, the highest order any norm takes
+ORDER = 2
 # Largest n_v at whose 2 n_v velocity nodes psi_0 is a normal double; from
 # n_v = 365 on it is subnormal at the outermost node, where the psi table
 # then loses digits.
@@ -141,6 +143,15 @@ class SpatialGrid:
         w = np.full(self.n_half, 2.0)
         w[[0, -1]] = 1.0
         return w
+
+    @cached_property
+    def sobolev_weights(self) -> np.ndarray:
+        """Parseval weights of the H^order_x norms, one read-only row per
+        order = 0..ORDER: w_m sum_(alpha <= order) k_m^(2 alpha), with w_m
+        the mode_weights; k_m^4 is finite on every grid, so no row overflows."""
+        table = np.cumsum(self.k_sq ** np.arange(ORDER + 1)[:, None], axis=0) * self.mode_weights
+        table.flags.writeable = False
+        return table
 
     @property
     def cell_volume(self) -> float:
@@ -316,39 +327,12 @@ def hermite_shift_coeffs(coeffs: np.ndarray, first: int = 0,
     return out
 
 
-@lru_cache(maxsize=64)
-def sobolev_weights(n_x: int, order: int) -> np.ndarray:
-    """Per-mode multiplier w_m sum_{alpha <= order} k_m^(2 alpha) on
-    SpatialGrid(n_x), with w_m the half-spectrum mode_weights; cached per
-    (n_x, order), plain numbers, read-only.
-
-    Raises ConfigurationError, naming the largest order the grid allows,
-    when a weight is not finite.
-    """
-    grid = SpatialGrid(n_x)
-    k_sq = grid.k_sq
-    w = np.ones_like(k_sq)
-    term = np.ones_like(k_sq)
-    with np.errstate(over="ignore"):
-        for alpha in range(order):
-            term = term * k_sq
-            w = w + term
-            if not np.isfinite(w * grid.mode_weights).all():
-                raise ConfigurationError(
-                    f"Sobolev order k = {order} overflows the weights sum_(alpha <= k) "
-                    f"k_m^(2 alpha) on this grid (largest k_m^2 = {k_sq[-1]:.6g}); "
-                    f"k must be at most {alpha}"
-                )
-    w = w * grid.mode_weights
-    w.flags.writeable = False
-    return w
-
-
 def parseval_sq(grid: SpatialGrid, sq: np.ndarray, order: int = 0):
-    """Squared H^order_x norm by Parseval from per-mode squared moduli sq
-    (last axis m = 0..n_x/2): 2 pi sum_m w_m sq_m, w = sobolev_weights.
+    """Squared H^order_x norm, order = 0..ORDER, by Parseval from per-mode
+    squared moduli sq (last axis m = 0..n_x/2): 2 pi sum_m w_m sq_m, with w
+    the row grid.sobolev_weights[order].
 
     A 1-D sq gives a float; a leading axis (one row per Hermite level, say)
     gives one norm per row.
     """
-    return PERIOD * (sq @ sobolev_weights(grid.n_x, order))
+    return PERIOD * (sq @ grid.sobolev_weights[order])

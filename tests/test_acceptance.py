@@ -5,7 +5,7 @@ The first four criteria are operator-level: they run the checks of
 tests/oracles.py on their own seeded fields, and criterion 1 adds the
 independent finite-difference oracle.  The remainder
 exercise full runs, at the default experiment scale or, for the small-eps
-criteria 12 and 14, on the 32 x 16 grid.
+criteria 12 to 14, on the 32 x 16 grid.
 """
 
 import numpy as np
@@ -249,13 +249,39 @@ def test_criterion_12_asymptotic_preserving_stability(small_grid, small_basis):
             run(make_initial_data(small_grid, small_basis,
                                   amplitude * np.cos(mode * small_grid.nodes)),
                 cfg, lambda batch: energies.append(
-                    [report.E_k for report in energy_functionals(batch, 2, epsilons)]),
+                    [report.E_k for report in energy_functionals(batch, epsilons)]),
                 sample_interval=cfg.dt_max, epsilons=epsilons)
             energies = np.array(energies)
             worst = max(worst, float(np.max(energies / energies[0])))
     ok = worst <= 1.01
     record_acceptance(12, "asymptotic-preserving stability: E_k stays within 1% of E_k(0) "
                       "at dt / eps = 1000 and 5000", ok, f"max E_k / E_k(0) = {worst:.6f}")
+    assert ok
+
+
+def test_criterion_13_asymptotic_accuracy(small_grid, small_basis):
+    # at eps = 1e-5 the density converges in dt at each scheme's order, by
+    # self-convergence: max |a(dt) - a(dt / 2)| over the samples shrinks
+    # by 2^p per halving.  Not at the linear mode-1 profile (amplitude
+    # 0.01), whose Euler factor (1 - dt) / (1 + dt) matches exp(-2 dt) to
+    # second order, so its Euler ratios read 2.53 and 2.31
+    def densities(scheme, dt_max):
+        cfg = SolverConfig(epsilon=1e-5, t_final=1.0, n_x=32, n_v=16, dt_max=dt_max,
+                           scheme=scheme)
+        samples = []
+        run(make_initial_data(small_grid, small_basis, 0.5 * np.cos(2 * small_grid.nodes)),
+            cfg, lambda batch: samples.append(batch.macro.a), sample_interval=0.05)
+        return np.array(samples)
+
+    ok, details = True, []
+    for scheme, order in (("imex_euler", 1), ("imex_bdf2", 2)):
+        runs = [densities(scheme, 5e-3 / 2**i) for i in range(4)]
+        diffs = [np.max(np.abs(fine - coarse)) for coarse, fine in zip(runs, runs[1:])]
+        ratios = [coarse / fine for coarse, fine in zip(diffs, diffs[1:])]
+        ok &= all(abs(np.log2(r) - order) <= 0.3 for r in ratios)
+        details.append(f"{scheme} ratios " + ", ".join(f"{r:.3f}" for r in ratios))
+    record_acceptance(13, "asymptotic accuracy at eps = 1e-5: first- and second-order "
+                      "schemes within 0.3 of nominal as dt halves", bool(ok), "; ".join(details))
     assert ok
 
 

@@ -19,7 +19,7 @@ from vpfp.diagnostics import (
 )
 from vpfp.harness import METRIC_KEYS, sweep_record
 from vpfp.solver import KineticState, SolverConfig, make_initial_data, run
-from vpfp.spectral import (MAX_N_V, ConfigurationError, HermiteBasis, SpatialGrid, SpectralField,
+from vpfp.spectral import (MAX_N_V, ORDER, HermiteBasis, SpatialGrid, SpectralField,
                            inverse_transform)
 
 import oracles
@@ -37,18 +37,18 @@ def make_state(g, time=0.0):
     return KineticState(time=time, g=g)
 
 
-def energy_of(state, k, epsilon):
+def energy_of(state, epsilon):
     """The energy report of state, observed as a batch of one."""
-    (report,) = energy_functionals(state.repeated(1), k, (epsilon,))
+    (report,) = energy_functionals(state.repeated(1), (epsilon,))
     return report
 
 
-def trajectory_limit_error(kinetic, ddp_states, k):
+def trajectory_limit_error(kinetic, ddp_states):
     """The limit metrics that harness.sweep_record reduces from the
     limit_error terms of every pair of samples, each kinetic state observed
     as a batch of one; the energy reports it also reads carry the kinetic
     sample times and zero functionals."""
-    terms = [limit_error(ks.repeated(1), ds, k)[0] for ks, ds in zip(kinetic.states, ddp_states)]
+    terms = [limit_error(ks.repeated(1), ds)[0] for ks, ds in zip(kinetic.states, ddp_states)]
     reports = [EnergyReport(t, *[0.0] * 12) for t in kinetic.times]
     record = sweep_record(0.0, reports, terms)
     return {key: record[key] for key in METRIC_KEYS}
@@ -83,15 +83,16 @@ class TestNuNorm:
 
 class TestEnergyFunctionals:
     def test_initial_data_closed_form(self, grid, basis):
-        # g = 0.01 cos(x) psi_0: E_1 = 2 * (pi * 1e-4) + pi * 1e-4 = 3 pi 1e-4
+        # g = 0.01 cos(x) psi_0 at k = 2: ||a||^2_{H^2} = 3 pi 1e-4 and
+        # ||a||^2_{H^1} = 2 pi 1e-4, so E_2 = 5 pi 1e-4
         state = make_state(make_initial_data(grid, basis, 0.01 * np.cos(grid.nodes)).g)
-        rep = energy_of(state, k=1, epsilon=0.5)
-        assert rep.E_k == pytest.approx(3 * np.pi * 1e-4, rel=1e-10)
+        rep = energy_of(state, epsilon=0.5)
+        assert rep.E_k == pytest.approx(5 * np.pi * 1e-4, rel=1e-10)
         assert rep.gradv_micro_Hkm1_sq == 0.0
 
     def test_components_sum_to_totals(self, grid, basis, rng):
         state = make_state(random_distribution(rng, grid, basis))
-        rep = energy_of(state, k=2, epsilon=0.3)
+        rep = energy_of(state, epsilon=0.3)
         e_sum = sum(getattr(rep, key) for key in E_TERMS)
         d_sum = sum(getattr(rep, key) for key in D_TERMS)
         assert rep.E_k == pytest.approx(e_sum, rel=1e-14)
@@ -99,8 +100,8 @@ class TestEnergyFunctionals:
 
     def test_dissipation_epsilon_scaling(self, grid, basis, rng):
         state = make_state(random_distribution(rng, grid, basis))
-        r1 = energy_of(state, k=1, epsilon=0.4)
-        r2 = energy_of(state, k=1, epsilon=0.2)
+        r1 = energy_of(state, epsilon=0.4)
+        r2 = energy_of(state, epsilon=0.2)
         c1, c2 = r1._asdict(), r2._asdict()
         assert c2["micro_nu_Hk_sq"] == pytest.approx(4 * c1["micro_nu_Hk_sq"], rel=1e-12)
         assert c2["b_Hk_sq"] == pytest.approx(4 * c1["b_Hk_sq"], rel=1e-12)
@@ -114,7 +115,7 @@ class TestEnergyFunctionals:
         # the field back and forth would grow with it
         for g, b in ((grid, basis), (SpatialGrid(n_x=1024), basis)):
             for state in short_run(g, b).states:
-                rep = energy_of(state, k=1, epsilon=0.2)
+                rep = energy_of(state, epsilon=0.2)
                 assert rep.mass_residual < 1e-13
                 assert rep.poisson_residual < 1e-14
 
@@ -127,16 +128,11 @@ class TestEnergyFunctionals:
         nyquist = 0.01 * np.cos(8 * grid.nodes)
         initial = make_initial_data(grid, basis, nyquist)
         for state in sampled_run(initial, cfg, sample_interval=0.05).states:
-            assert energy_of(state, k=1, epsilon=0.1).poisson_residual <= 1e-12
-
-    def test_order_validation(self, grid, basis):
-        state = make_state(zero_field(grid, basis))
-        with pytest.raises(ConfigurationError):
-            energy_of(state, k=0, epsilon=0.5)
+            assert energy_of(state, epsilon=0.1).poisson_residual <= 1e-12
 
     def test_csv_row_shape(self, grid, basis, rng):
         state = make_state(random_distribution(rng, grid, basis))
-        rep = energy_of(state, k=1, epsilon=0.5)
+        rep = energy_of(state, epsilon=0.5)
         row = rep.csv_row().split(",")
         assert len(row) == len(EnergyReport._fields)
         assert EnergyReport._fields == (
@@ -189,7 +185,7 @@ class TestLimitError:
         kin = sampled_run(make_state(g), cfg, sample_interval=0.05)
         flu = ddp_run(grid, np.zeros(grid.n_x), dt=1e-3, t_final=0.1,
                       sample_interval=0.05)
-        metrics = trajectory_limit_error(kin, flu, k=1)
+        metrics = trajectory_limit_error(kin, flu)
         for value in metrics.values():
             assert value == 0.0
 
@@ -201,7 +197,7 @@ class TestLimitError:
         flu = ddp_run(grid, np.zeros(grid.n_x), dt=1e-3, t_final=0.1,
                       sample_interval=0.025)
         with pytest.raises(ValueError, match="sampling times"):
-            trajectory_limit_error(kin, flu, k=1)
+            trajectory_limit_error(kin, flu)
 
     def test_pointwise_error_of_known_state(self, grid, basis):
         # kinetic state g = c cos(x) psi_0 against fluid rho0 = 0:
@@ -210,7 +206,7 @@ class TestLimitError:
         g = basis_element(grid, basis, 1, 0, amplitude=c)
         kin_traj = Trajectory(times=np.array([0.0]), states=[make_state(g)])
         flu = ddp_run(grid, np.zeros(grid.n_x), dt=1e-3, t_final=0.0, sample_interval=0.05)
-        metrics = trajectory_limit_error(kin_traj, flu, k=1)
+        metrics = trajectory_limit_error(kin_traj, flu)
         # sup over the collocation nodes: the Maxwellian peaks at the
         # quadrature node closest to v = 0
         v_star = basis.quad_nodes[np.argmin(np.abs(basis.quad_nodes))]
@@ -223,7 +219,7 @@ class TestLimitError:
         traj = short_run(grid, basis, epsilon=0.05, t_final=0.2, dt_max=1e-3)
         flu = ddp_run(grid, 0.01 * np.cos(grid.nodes), dt=2.5e-4, t_final=0.2,
                       sample_interval=0.05)
-        metrics = trajectory_limit_error(traj, flu, k=1)
+        metrics = trajectory_limit_error(traj, flu)
         assert 0.0 < metrics["sup_moment_error"] < 5e-3
         assert 0.0 < metrics["micro_time_integral"] < 1e-4
 
@@ -236,7 +232,7 @@ class TestLimitError:
         ks = short_run(grid, basis, epsilon=epsilon, t_final=0.2).states[-1]
         ds = ddp_run(grid, 0.01 * np.cos(grid.nodes), dt=2e-4, t_final=0.2,
                      sample_interval=0.2)[-1]
-        (terms,) = limit_error(ks.repeated(1), ds, 1)
+        (terms,) = limit_error(ks.repeated(1), ds)
         psi_0 = basis.synthesis[:, 0].astype(np.longdouble)
         values = inverse_transform(ks.g).astype(np.longdouble)
         want = np.max(np.abs(values - ds.rho0.astype(np.longdouble)[:, None] * psi_0) * psi_0)
@@ -259,13 +255,13 @@ class TestBatchObservation:
         observed = []
 
         def observe(state):
-            reports = energy_functionals(state, 2, epsilons)
-            terms = limit_error(state, fluid[len(observed)], 2)
+            reports = energy_functionals(state, epsilons)
+            terms = limit_error(state, fluid[len(observed)])
             assert len(reports) == len(terms) == len(epsilons)
             for i, eps in enumerate(epsilons):
                 one = member(state, i).repeated(1)
-                assert reports[i] == energy_functionals(one, 2, (eps,))[0]
-                assert terms[i] == limit_error(one, fluid[len(observed)], 2)[0]
+                assert reports[i] == energy_functionals(one, (eps,))[0]
+                assert terms[i] == limit_error(one, fluid[len(observed)])[0]
             observed.append(reports)
 
         run(initial, cfg, observe, sample_interval=0.05, epsilons=epsilons)
@@ -319,15 +315,14 @@ class TestHalfSpectrumMatchesFullSpectrum:
         rng = np.random.default_rng(seed)
         state = self.random_state(n_x, n_v, rng, profile=profile)
         epsilon = rng.uniform(1e-2, 1.0)
-        for k in (1, 2, 3):
-            rep = energy_of(state, k, epsilon)
-            want = oracles.energy_components(state, k, epsilon)
-            assert tuple(want) == E_TERMS + D_TERMS
-            for key in want:
-                assert rel_diff(getattr(rep, key), want[key]) <= 1e-13, key
-            e_k = sum(want[key] for key in E_TERMS)
-            d_k = sum(want[key] for key in D_TERMS)
-            assert rel_diff(rep.E_k, e_k) <= 1e-13 and rel_diff(rep.D_k, d_k) <= 1e-13
+        rep = energy_of(state, epsilon)
+        want = oracles.energy_components(state, ORDER, epsilon)
+        assert tuple(want) == E_TERMS + D_TERMS
+        for key in want:
+            assert rel_diff(getattr(rep, key), want[key]) <= 1e-13, key
+        e_k = sum(want[key] for key in E_TERMS)
+        d_k = sum(want[key] for key in D_TERMS)
+        assert rel_diff(rep.E_k, e_k) <= 1e-13 and rel_diff(rep.D_k, d_k) <= 1e-13
 
     @settings(max_examples=40, deadline=None)
     @profiled_cases
@@ -349,15 +344,14 @@ class TestHalfSpectrumMatchesFullSpectrum:
             fluid.append(make_ddp_state(grid, t, rho - rho.mean()))
         kinetic = Trajectory(times=times,
                              states=[self.random_state(n_x, n_v, rng, t) for t in times])
-        for k in (1, 2):
-            got = trajectory_limit_error(kinetic, fluid, k)
-            want = oracles.limit_error(kinetic, fluid, k)
-            assert got.keys() == want.keys()
-            for key in got:
-                assert rel_diff(got[key], want[key]) <= 1e-13, key
+        got = trajectory_limit_error(kinetic, fluid)
+        want = oracles.limit_error(kinetic, fluid, ORDER)
+        assert got.keys() == want.keys()
+        for key in got:
+            assert rel_diff(got[key], want[key]) <= 1e-13, key
 
     def test_energy_uses_real_transforms_only(self, grid, basis, rng, fft_calls):
         state = make_state(random_distribution(rng, grid, basis))
         fft_calls.clear()
-        energy_of(state, k=2, epsilon=0.1)
+        energy_of(state, epsilon=0.1)
         assert fft_calls and {call.name for call in fft_calls} <= {"rfft", "irfft"}

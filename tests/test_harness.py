@@ -53,9 +53,6 @@ scheme = imex_bdf2
 epsilons = 0.2,0.1
 sample_interval = 0.05
 amplitude = 0.01
-
-[diagnostics]
-k = 1
 """
 
 
@@ -80,11 +77,12 @@ amplitude = 0.9
 
 def small_ini_with(tmp_path, base=SMALL_INI, **settings):
     """base (SMALL_INI by default) with section__key=value settings
-    replaced or added, written verbatim."""
+    replaced or added, sections included, written verbatim."""
     parser = configparser.ConfigParser(interpolation=None)
     parser.read_string(base)
     for name, value in settings.items():
         section, key = name.split("__")
+        parser.setdefault(section, {})
         parser[section][key] = value
     path = tmp_path / "case.ini"
     with path.open("w") as fh:
@@ -107,8 +105,8 @@ def one_run_record(cfg, epsilon, fluid, csv_path=None):
     reports, terms = [], []
 
     def observe(state):
-        reports.extend(energy_functionals(state, cfg.k, (epsilon,)))
-        terms.extend(limit_error(state, fluid[len(terms)], cfg.k))
+        reports.extend(energy_functionals(state, (epsilon,)))
+        terms.extend(limit_error(state, fluid[len(terms)]))
 
     run(initial, solver_cfg, observe, sample_interval=cfg.sample_interval)
     assert len(terms) == len(fluid)
@@ -145,7 +143,7 @@ def sweep_outputs(tmp_path_factory):
 class TestConfigParsing:
     def test_defaults_complete(self):
         cfg = default_sweep_config()
-        assert set(cfg) == {"grid", "solver", "sweep", "diagnostics"}
+        assert set(cfg) == {"grid", "solver", "sweep"}
         SweepConfig.from_dict(cfg)  # must construct without error
         # one source for the built-in config: the field defaults
         assert cfg == SweepConfig().as_dict()
@@ -184,7 +182,7 @@ class TestConfigParsing:
         keys = _SCHEMA["grid"].keys() | _SCHEMA["solver"].keys()
         assert {f.name for f in fields(SolverConfig)} == keys
         # and so can every other sweep setting
-        keys = _SCHEMA["sweep"].keys() | _SCHEMA["diagnostics"].keys()
+        keys = _SCHEMA["sweep"].keys()
         assert {f.name for f in fields(SweepConfig)} - {"template", "out_dir"} == keys
 
     def test_hash_stable_and_sensitive(self, small_ini):
@@ -231,24 +229,17 @@ class TestSweepConfig:
                                     n_v=number(16), dt_max=number(1), scheme="imex_euler")
             return SweepConfig(epsilons=(number(1), 0.5), template=template,
                                sample_interval=number(1), amplitude=number(1),
-                               profile_mode=number(1), k=number(1))
+                               profile_mode=number(1))
 
         ints = make(int)
         for number in (float, np.int64, np.float64):
             floats = make(number)
             assert repr(ints.as_dict()) == repr(floats.as_dict())
             assert config_hash(ints.as_dict()) == config_hash(floats.as_dict())
-        for cfg in (SweepConfig(profile_mode=1.0), SweepConfig(k=2.0),
+        for cfg in (SweepConfig(profile_mode=1.0),
                     SweepConfig(template=SolverConfig(n_v=64.0)),
                     SweepConfig(template=SolverConfig(n_x=64.0))):
-            assert config_hash(cfg.as_dict()) == "b2352e181e4893f9"
-
-
-    def test_diagnostics_order(self, small_ini):
-        cfg = parse_config_file(small_ini)
-        cfg["diagnostics"]["k"] = 0
-        with pytest.raises(ConfigurationError, match="k must be >= 1"):
-            SweepConfig.from_dict(cfg)
+            assert config_hash(cfg.as_dict()) == "06d7b825f9ad0b5e"
 
     @pytest.mark.parametrize("mode", [0, 16, 17])
     def test_profile_mode_range(self, small_ini, mode):
@@ -279,14 +270,25 @@ class TestSweepConfig:
         ("grid", "n_x", 64.5, "n_x must be an integer, got 64.5"),
         ("grid", "n_v", float("nan"), "n_v must be an integer, got nan"),
         ("sweep", "profile_mode", 1.5, "profile_mode must be an integer, got 1.5"),
-        ("diagnostics", "k", 2.5, "k must be an integer, got 2.5"),
-        ("diagnostics", "k", float("inf"), "k must be an integer, got inf"),
     ])
     def test_non_finite_setting_rejected(self, small_ini, section, key, value, message):
         cfg = parse_config_file(small_ini)
         cfg[section][key] = value
         with pytest.raises(ConfigurationError, match=message):
             SweepConfig.from_dict(cfg)
+
+    @pytest.mark.parametrize("settings", [
+        {"sample_interval": 1e-300},
+        {"template": SolverConfig(dt_max=1e-300)},
+        {"template": SolverConfig(t_final=1e300), "sample_interval": 1e300},
+        # the kinetic step of 2e-16 advances t = 1, the fluid tenth of it not
+        {"template": SolverConfig(dt_max=2e-16)},
+    ])
+    def test_step_below_resolution_of_t_final_rejected(self, settings):
+        # t_final + dt == t_final: the runs would take forever, so the
+        # config fails at once
+        with pytest.raises(ConfigurationError, match="is below the resolution of t_final"):
+            SweepConfig(**settings)
 
     def test_infinite_sample_interval_rejected_at_zero_time(self):
         # a run to t = 0 takes no step, but its settings obey the same rule
@@ -374,7 +376,7 @@ class TestSweepOutputs:
         template = SolverConfig(epsilon=0.1, t_final=0.2, n_x=32, n_v=16, dt_max=2e-3,
                                 scheme="imex_bdf2")
         cfg = SweepConfig(epsilons=(0.2, 0.1), template=template, sample_interval=0.05,
-                          amplitude=0.01, profile_mode=1, k=1, out_dir=tmp_path)
+                          amplitude=0.01, profile_mode=1, out_dir=tmp_path)
         direct = run_sweep(cfg)
         assert direct.config == result.config
         assert direct.config_hash == result.config_hash
@@ -470,12 +472,12 @@ class TestBatchedSweep:
             gc.collect()
             return sum(ref() is not None for time, ref in sampled if time < before)
 
-        def watched_energy(state, k, epsilons):
+        def watched_energy(state, epsilons):
             assert state.g.coeffs.shape[1] == len(epsilons)  # the whole batch at once
             if state.time > 0.0:  # t = 0 is the sweep's one initial state
                 assert alive(before=state.time) == 0  # earlier samples are gone
                 sampled.extend((state.time, weakref.ref(obj)) for obj in (state, state.g.coeffs))
-            return energy(state, k, epsilons)
+            return energy(state, epsilons)
 
         def checked_run(*args, **kwargs):
             assert alive() == 0
@@ -543,9 +545,9 @@ class TestFluidReference:
             fluid.append((dt, new.time))
             return new
 
-        def paired(state, ddp_state, k):
+        def paired(state, ddp_state):
             pairs.append((state.time, ddp_state.time))
-            return observe(state, ddp_state, k)
+            return observe(state, ddp_state)
 
         monkeypatch.setattr(VpfpStepper, "advance", counted_advance)
         monkeypatch.setattr(ddp, "ddp_step", counted_step)
@@ -632,7 +634,7 @@ class TestImportFootprint:
         # parse_config_file needs configparser
         after_run, digest, after_hash = footprint("run")
         assert after_run == []
-        assert digest == "b2352e181e4893f9"
+        assert digest == "06d7b825f9ad0b5e"
         if not BUILTIN_SHA256:
             pytest.skip("this interpreter has neither _sha2 nor _sha256, so hashing loads hashlib")
         assert after_hash == []  # config_hash used the built-in SHA-256
@@ -642,7 +644,7 @@ class TestImportFootprint:
         # the sweep hashes its config, as config_hash does after it
         after_sweep, digest, after_hash = footprint("sweep")
         assert after_sweep == [] and after_hash == []
-        assert digest == "b2352e181e4893f9"
+        assert digest == "06d7b825f9ad0b5e"
 
 
 def run_with_closed_reader(args: list, unbuffered: bool, closed: str = "stdout") -> tuple[int, str]:
@@ -974,8 +976,9 @@ class TestCli:
         ("sweep", {"sweep__ddp_dt": "0"}, "unknown config key 'ddp_dt' in section [sweep]"),
         ("sweep", {"sweep__ddp_dt": "-1"}, "unknown config key 'ddp_dt' in section [sweep]"),
         ("run", {"sweep__ddp_dt": "0"}, "unknown config key 'ddp_dt' in section [sweep]"),
-        ("run", {"diagnostics__k": "0"}, "k must be >= 1"),
-        ("sweep", {"diagnostics__k": "0"}, "k must be >= 1"),
+        # the energy order is 2: [diagnostics] is no section, whatever its k
+        ("run", {"diagnostics__k": "2"}, "unknown config section [diagnostics]"),
+        ("sweep", {"diagnostics__k": "2"}, "unknown config section [diagnostics]"),
         ("run", {"sweep__profile_mode": "0"}, "profile_mode must lie in"),
         ("sweep", {"sweep__profile_mode": "0"}, "profile_mode must lie in"),
         ("sweep", {"sweep__profile_mode": "17"}, "profile_mode must lie in"),
@@ -1026,19 +1029,23 @@ class TestCli:
         # values are verbatim: '%' is no interpolation syntax
         ("run", {"sweep__amplitude": "1%"}, "bad value for sweep.amplitude: '1%'"),
         ("sweep", {"sweep__amplitude": "1%"}, "bad value for sweep.amplitude: '1%'"),
-        # every k^2 is a normal, finite double, and so is every Sobolev weight
+        # nor are the orders whose Sobolev weights overflowed on the grid
         ("run", {"diagnostics__k": "120", "grid__n_x": "64", "grid__n_v": "64"},
-         "Sobolev order k = 120 overflows"),
+         "unknown config section [diagnostics]"),
         ("sweep", {"diagnostics__k": "120", "grid__n_x": "64", "grid__n_v": "64"},
-         "k must be at most 102"),
-        ("run", {"diagnostics__k": "60", "grid__n_x": "1024"}, "k must be at most 56"),
-        ("sweep", {"diagnostics__k": "60", "grid__n_x": "1024"}, "k must be at most 56"),
-        # one past the largest order: k = 102 runs on the default grid
-        ("run", {"diagnostics__k": "103", "grid__n_x": "64"}, "Sobolev order k = 103 overflows"),
-        ("sweep", {"diagnostics__k": "103", "grid__n_x": "64"}, "k must be at most 102"),
-        # the smallest grid allows the largest order
-        ("run", {"diagnostics__k": "600", "grid__n_x": "4"}, "Sobolev order k = 600 overflows"),
-        ("sweep", {"diagnostics__k": "600", "grid__n_x": "4"}, "k must be at most 511"),
+         "unknown config section [diagnostics]"),
+        ("run", {"diagnostics__k": "60", "grid__n_x": "1024"},
+         "unknown config section [diagnostics]"),
+        ("sweep", {"diagnostics__k": "60", "grid__n_x": "1024"},
+         "unknown config section [diagnostics]"),
+        ("run", {"diagnostics__k": "103", "grid__n_x": "64"},
+         "unknown config section [diagnostics]"),
+        ("sweep", {"diagnostics__k": "103", "grid__n_x": "64"},
+         "unknown config section [diagnostics]"),
+        ("run", {"diagnostics__k": "600", "grid__n_x": "4"},
+         "unknown config section [diagnostics]"),
+        ("sweep", {"diagnostics__k": "600", "grid__n_x": "4"},
+         "unknown config section [diagnostics]"),
         # nor is the default period, or any other, a setting
         ("run", {"grid__length": "6.283185307179586"},
          "unknown config key 'length' in section [grid]"),

@@ -105,9 +105,23 @@ class TestConfig:
         (0.3, 0.3, 0.1, (1, 0.3 / 3, 3)),        # one sample when interval == t_final
         # a ratio off a whole number by less than SAMPLE_RATIO_RTOL
         (0.3, 0.1 * (1.0 + 0.5 * SAMPLE_RATIO_RTOL), 1e-2, (3, 0.3 / 3 / 10, 10)),
+        (1e12 * 0.05, 0.05, 2.5e-3, (10**12, 2.5e-3, 20)),  # long, but every step counts
     ])
     def test_step_schedule_table(self, t_final, interval, nominal, schedule):
         assert step_schedule(t_final, interval, nominal) == schedule
+
+    @pytest.mark.parametrize("t_final, interval, nominal", [
+        (1.0, 1e-300, 2.5e-3),   # 1e300 samples of one step
+        (1.0, 0.05, 1e-300),     # 5e298 steps per sample
+        (1e300, 1e300, 2.5e-3),  # 4e302 steps
+        (1.0, 0.05, 1e-16),      # below half an ulp of 1
+    ])
+    def test_step_below_resolution_of_t_final_rejected(self, t_final, interval, nominal):
+        # t_final + dt == t_final: such a run takes forever, so it fails at once
+        with pytest.raises(ConfigurationError, match=re.escape(
+                f"is below the resolution of t_final = {t_final:g}: "
+                f"t_final + dt rounds to t_final")):
+            step_schedule(t_final, interval, nominal)
 
     @pytest.mark.parametrize("t_final, n_samples, dt_max", [
         (0.3, 19, 1.9561294552491435e-05),  # 808 steps per sample, its tenth 8081
